@@ -14,6 +14,8 @@ type zone struct {
 	firstCyl   int
 	cyls       int
 	sectors    int64 // sectors per track
+	perCyl     int64 // sectors per cylinder: heads × sectors
+	secTime    time.Duration
 	rate       units.ByteRate
 	firstBlock int64 // first LBN in the zone
 	blocks     int64 // total LBNs in the zone
@@ -28,6 +30,11 @@ type Device struct {
 	zones    []zone
 	cyls     int
 	geom     device.Geometry
+
+	// Derived once in New so the service path reads two words instead of
+	// copying Params through its by-value methods on every request.
+	period   time.Duration // one revolution
+	seekSpan float64       // full-stroke distance in cylinders, ≥ 1
 
 	// Head state.
 	cyl      int
@@ -95,7 +102,13 @@ func New(p Params) (*Device, error) {
 		return nil, fmt.Errorf("disk: %s: capacity too small for %d zones", p.Name, p.Zones)
 	}
 
-	d := &Device{p: p, exponent: p.seekExponent(), cyls: cyls}
+	d := &Device{
+		p: p, exponent: p.seekExponent(), cyls: cyls,
+		period: p.RotationPeriod(),
+		// A one-cylinder drive has no stroke to normalize by; a span of
+		// one keeps the curve finite there instead of dividing by zero.
+		seekSpan: float64(max(cyls-1, 1)),
+	}
 	perZone := cyls / p.Zones
 	var lbn int64
 	for z := 0; z < p.Zones; z++ {
@@ -108,6 +121,8 @@ func New(p Params) (*Device, error) {
 			firstCyl:   z * perZone,
 			cyls:       zc,
 			sectors:    sec,
+			perCyl:     int64(p.Heads) * sec,
+			secTime:    d.period / time.Duration(sec),
 			rate:       rates[z],
 			firstBlock: lbn,
 			blocks:     int64(zc) * int64(p.Heads) * sec,
@@ -155,16 +170,19 @@ func (d *Device) zoneOf(lbn int64) *zone {
 	return &d.zones[len(d.zones)-1]
 }
 
-// locate maps an LBN to (cylinder, head, sector).
-func (d *Device) locate(lbn int64) (cyl, head int, sector int64) {
-	z := d.zoneOf(lbn)
+// locate maps an LBN inside the zone to (cylinder, head, sector).
+func (z *zone) locate(lbn int64) (cyl, head int, sector int64) {
 	off := lbn - z.firstBlock
-	perCyl := int64(d.p.Heads) * z.sectors
-	cyl = z.firstCyl + int(off/perCyl)
-	rem := off % perCyl
+	cyl = z.firstCyl + int(off/z.perCyl)
+	rem := off % z.perCyl
 	head = int(rem / z.sectors)
 	sector = rem % z.sectors
 	return cyl, head, sector
+}
+
+// locate maps an LBN to (cylinder, head, sector).
+func (d *Device) locate(lbn int64) (cyl, head int, sector int64) {
+	return d.zoneOf(lbn).locate(lbn)
 }
 
 // Cylinder returns the cylinder holding lbn; schedulers sort on it.
@@ -177,6 +195,11 @@ func (d *Device) Cylinder(lbn int64) int {
 // cylinder holding lbn, without rotational wait.
 func (d *Device) SeekTime(lbn int64) time.Duration {
 	target, _, _ := d.locate(lbn)
+	return d.seekTo(target)
+}
+
+// seekTo is the arm move time from the current cylinder to target.
+func (d *Device) seekTo(target int) time.Duration {
 	dist := target - d.cyl
 	if dist < 0 {
 		dist = -dist
@@ -184,14 +207,13 @@ func (d *Device) SeekTime(lbn int64) time.Duration {
 	if dist == 0 {
 		return 0
 	}
-	return d.p.seekTimeNorm(float64(dist)/float64(d.cyls-1), d.exponent)
+	return d.p.seekTimeNorm(float64(dist)/d.seekSpan, d.exponent)
 }
 
 // angleAt returns the platter angle at time t, tracked deterministically
 // from the last service.
 func (d *Device) angleAt(t time.Duration) float64 {
-	period := d.p.RotationPeriod()
-	delta := float64((t-d.lastTime)%period) / float64(period)
+	delta := float64((t-d.lastTime)%d.period) / float64(d.period)
 	a := d.nowAngle + delta
 	return a - math.Floor(a)
 }
@@ -200,9 +222,9 @@ func (d *Device) angleAt(t time.Duration) float64 {
 // is seek plus the rotational wait for the target sector given the
 // platter's tracked angle; transfers stream at the zone rate with head and
 // track switches charged as they occur.
-func (d *Device) Service(now time.Duration, r device.Request) (device.Completion, error) {
-	if err := d.geom.Validate(r); err != nil {
-		return device.Completion{}, err
+func (d *Device) Service(now time.Duration, r device.Request) (c device.Completion, err error) {
+	if err = d.geom.Validate(r); err != nil {
+		return c, err
 	}
 	if d.cache != nil {
 		if r.Op == device.Write {
@@ -210,23 +232,24 @@ func (d *Device) Service(now time.Duration, r device.Request) (device.Completion
 		} else if d.cache.Lookup(r.Block, r.Blocks) {
 			bytes := units.Bytes(r.Blocks) * d.geom.BlockSize
 			xfer := bytes.Duration(d.cacheRate)
-			c := device.Completion{Request: r, Start: now, Finish: now + xfer, Transfer: xfer}
+			c = device.Completion{Request: r, Start: now, Finish: now + xfer, Transfer: xfer}
 			d.served++
 			d.busy += xfer
 			d.xferTime += xfer
 			return c, nil
 		}
 	}
+	// Resolve the start LBN once; seek, rotation and transfer all derive
+	// from this one (zone, cylinder, head, sector).
 	z := d.zoneOf(r.Block)
-	_, head, sector := d.locate(r.Block)
+	cyl, head, sector := z.locate(r.Block)
 
-	seek := d.SeekTime(r.Block)
+	seek := d.seekTo(cyl)
 	if head != d.head && seek < d.p.HeadSwitch {
 		seek = d.p.HeadSwitch // head switch not hidden under the seek
 	}
 
 	// Rotational wait for the first sector after the seek completes.
-	period := d.p.RotationPeriod()
 	arrive := now + seek
 	angle := d.angleAt(arrive)
 	targetAngle := float64(sector) / float64(z.sectors)
@@ -234,14 +257,14 @@ func (d *Device) Service(now time.Duration, r device.Request) (device.Completion
 	if wait < 0 {
 		wait++
 	}
-	rot := time.Duration(wait * float64(period))
+	rot := time.Duration(wait * float64(d.period))
 
 	// Transfer: per-sector time in this zone, plus a head switch per track
 	// boundary and a single-track seek per cylinder boundary crossed.
-	secTime := period / time.Duration(z.sectors)
-	xfer := time.Duration(r.Blocks) * secTime
+	xfer := time.Duration(r.Blocks) * z.secTime
+	last := r.Block + r.Blocks - 1
 	firstTrack := (r.Block - z.firstBlock) / z.sectors
-	lastTrack := (r.Block + r.Blocks - 1 - z.firstBlock) / z.sectors
+	lastTrack := (last - z.firstBlock) / z.sectors
 	if lastTrack > firstTrack {
 		switches := lastTrack - firstTrack
 		xfer += time.Duration(switches) * d.p.HeadSwitch
@@ -254,20 +277,21 @@ func (d *Device) Service(now time.Duration, r device.Request) (device.Completion
 
 	finish := now + seek + rot + xfer
 
-	// Update head/platter state.
-	endCyl, endHead, endSector := d.locate(r.Block + r.Blocks - 1)
+	// Update head/platter state. The end LBN shares the start's zone
+	// unless the transfer ran past the zone's last block.
+	ez := z
+	if last >= z.firstBlock+z.blocks {
+		ez = d.zoneOf(last)
+	}
+	endCyl, endHead, endSector := ez.locate(last)
 	d.cyl, d.head = endCyl, endHead
 	d.lastTime = finish
 	d.nowAngle = float64(endSector+1) / float64(z.sectors)
 	d.nowAngle -= math.Floor(d.nowAngle)
 
-	c := device.Completion{
-		Request:  r,
-		Start:    now,
-		Finish:   finish,
-		Position: seek + rot,
-		Transfer: xfer,
-	}
+	c.Request = r
+	c.Start, c.Finish = now, finish
+	c.Position, c.Transfer = seek+rot, xfer
 	d.served++
 	d.busy += finish - now
 	d.seekTime += seek

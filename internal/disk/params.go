@@ -144,8 +144,9 @@ func (p Params) seekExponent() float64 {
 }
 
 // seekTimeNorm returns the arm move time across the normalized distance
-// u in [0,1], given the pre-calibrated exponent.
-func (p Params) seekTimeNorm(u, exponent float64) time.Duration {
+// u in [0,1], given the pre-calibrated exponent. Pointer receiver: it runs
+// once per serviced request, and Params is too large to copy there.
+func (p *Params) seekTimeNorm(u, exponent float64) time.Duration {
 	if u <= 0 {
 		return 0
 	}

@@ -149,7 +149,7 @@ func runBuffered(cfg Config) (Result, error) {
 		if isWriter(stream) {
 			return comp.Finish // data already left the bank
 		}
-		wreq, dev, err := bb.StageRequest(stream, it.cycle, units.Bytes(comp.Blocks)*blockSize)
+		wreq, dev, err := bb.StageRequest(stream, int64(it.parity), units.Bytes(comp.Blocks)*blockSize)
 		if err != nil {
 			return comp.Finish
 		}
@@ -185,14 +185,7 @@ func runBuffered(cfg Config) (Result, error) {
 			})
 			ps.pos[i] = (blk + diskIOBlocks) % diskBlocks
 		}
-		pending := sched.Len()
-		if pending == 0 {
-			r.putSched(sched)
-			return
-		}
-		for ; pending > 0; pending-- {
-			diskChain.submit(chainItem{fn: diskDispatch, sched: sched, cycle: c})
-		}
+		r.submitBatch(diskChain, chainItem{fn: diskDispatch, sched: sched, parity: int32(c & 1)})
 	}
 
 	// MEMS side: every MEMS cycle each stream receives one DRAM transfer

@@ -131,9 +131,7 @@ func runCached(cfg Config) (Result, error) {
 				})
 				ps.pos[i] = (blk + ioBlocks) % diskBlocks
 			}
-			for pending := sched.Len(); pending > 0; pending-- {
-				diskChain.submit(chainItem{fn: dispatch, sched: sched})
-			}
+			r.submitBatch(diskChain, chainItem{fn: dispatch, sched: sched})
 		}
 		r.cycleLoop("disk", diskPlan.Cycle, 0, diskCycles, scheduleCycle)
 	}

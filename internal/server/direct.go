@@ -98,16 +98,9 @@ func newDirect(cfg Config) (*directRun, error) {
 			})
 			ps.pos[i] = (blk + ioBlocks) % diskBlocks
 		}
-		// One chain slot per queued request; each slot dispatches the
+		// One chain run per queued request; each dispatches the
 		// scheduler's best pending request at its start time.
-		pending := sched.Len()
-		if pending == 0 {
-			r.putSched(sched) // every stream skipped this cycle
-			return
-		}
-		for ; pending > 0; pending-- {
-			diskChain.submit(chainItem{fn: dispatch, sched: sched})
-		}
+		r.submitBatch(diskChain, chainItem{fn: dispatch, sched: sched})
 	}
 	return &directRun{r: r, plan: plan, cycles: cycles, end: end, stage: stage}, nil
 }

@@ -139,7 +139,7 @@ func runHybrid(cfg Config) (Result, error) {
 		if err != nil || !ok {
 			return start
 		}
-		wreq, dev, err := bb.StageRequest(comp.Stream, it.cycle, units.Bytes(comp.Blocks)*blockSize)
+		wreq, dev, err := bb.StageRequest(comp.Stream, int64(it.parity), units.Bytes(comp.Blocks)*blockSize)
 		if err != nil {
 			return comp.Finish
 		}
@@ -160,9 +160,7 @@ func runHybrid(cfg Config) (Result, error) {
 			})
 			ps.pos[i] = (blk + diskIOBlocks) % diskBlocks
 		}
-		for pending := sched.Len(); pending > 0; pending-- {
-			diskChain.submit(chainItem{fn: diskDispatch, sched: sched, cycle: c})
-		}
+		r.submitBatch(diskChain, chainItem{fn: diskDispatch, sched: sched, parity: int32(c & 1)})
 	}
 
 	drainBytes := units.BytesIn(cfg.BitRate, tMems)

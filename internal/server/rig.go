@@ -244,6 +244,17 @@ func (r *rig) putSched(s *disk.Scheduler) {
 	}
 }
 
+// submitBatch queues one dispatch of it per request pending on it.sched,
+// as a single counted item, or returns an empty scheduler to the pool.
+func (r *rig) submitBatch(c *chain, it chainItem) {
+	it.repeat = int32(it.sched.Len())
+	if it.repeat == 0 {
+		r.putSched(it.sched)
+		return
+	}
+	c.submit(it)
+}
+
 // cycleLoop drives one periodic scheduling stage: fn runs once per cycle
 // c ∈ [first, first+n) at time c·period. When a probe is attached, the
 // cycle's resource sample is taken inside the same engine event right
@@ -355,13 +366,20 @@ func (r *rig) result(mode Mode, end time.Duration, cycles int64) Result {
 // per run (capturing the run's banks, chains and geometry once) instead
 // of boxing a fresh closure per item per cycle; the operand fields cover
 // every driver's item shapes.
+//
+// A counted item (repeat > 1) stands for repeat identical entries queued
+// back to back: the chain re-runs it in place until exhausted, so a cycle's
+// whole C-LOOK batch occupies one ring entry instead of one per request.
+// Only real-time items may be counted: best-effort copies would yield to
+// real-time work between runs, which one entry holding the chain cannot.
 type chainItem struct {
 	fn     func(it *chainItem, start time.Duration) time.Duration
 	sched  *disk.Scheduler // C-LOOK dispatch items
 	req    device.Request  // bank/device service items
 	dev    int32           // bank device index
 	stream int32           // player index
-	cycle  int64           // disk-cycle parity for staged slots
+	parity int32           // disk-cycle parity (c&1) for staged slots
+	repeat int32           // runs owed, this one included; 0 means 1
 }
 
 // chain serializes work on one device: items run back-to-back in FIFO
@@ -384,6 +402,10 @@ type chain struct {
 	cur chainItem
 	q   ring.Ring[chainItem]
 	low ring.Ring[chainItem]
+	// extra counts the runs counted items still owe beyond the one entry
+	// each holds (queued or in service), so depth reads as if every run
+	// were its own entry.
+	extra int
 }
 
 // reset re-arms a pooled chain, keeping both rings' storage.
@@ -393,9 +415,13 @@ func (c *chain) reset() {
 	c.cur = chainItem{}
 	c.q.Reset()
 	c.low.Reset()
+	c.extra = 0
 }
 
 func (c *chain) submit(it chainItem) {
+	if it.repeat > 1 {
+		c.extra += int(it.repeat) - 1
+	}
 	c.q.PushBack(it)
 	if !c.busy {
 		c.busy = true
@@ -416,7 +442,7 @@ func (c *chain) submitLow(it chainItem) {
 // depth is the number of items pending on the chain, including the one in
 // service — the queue-depth gauge the probe samples.
 func (c *chain) depth() int {
-	n := c.q.Len() + c.low.Len()
+	n := c.q.Len() + c.low.Len() + c.extra
 	if c.busy {
 		n++
 	}
@@ -428,6 +454,11 @@ func chainRunNext(arg any) { arg.(*chain).runNext() }
 
 func (c *chain) runNext() {
 	switch {
+	case c.cur.repeat > 1:
+		// A counted item keeps the head of q until exhausted, exactly
+		// where its copies would have stood.
+		c.cur.repeat--
+		c.extra--
 	case c.q.Len() > 0:
 		c.cur = c.q.PopFront()
 	case c.low.Len() > 0:
