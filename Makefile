@@ -26,11 +26,12 @@ bench:
 
 # bench-sim runs the hot-path microbenchmarks — the simulation kernel,
 # the lock-free metrics collector, the timer wheel, the serve data
-# plane, the rig's cycle walk, the popularity sampler, and the disk's
-# C-LOOK batch and service model — the set CI compares old-vs-new with
-# benchstat. BENCH_COUNT>1 gives benchstat samples to work with.
+# plane, the rig's cycle walks (direct and buffered), the popularity
+# sampler, the disk's C-LOOK batch and service model, the sled's service
+# model and the bank — the set CI compares old-vs-new with benchstat.
+# BENCH_COUNT>1 gives benchstat samples to work with.
 bench-sim:
-	$(GO) test -run '^$$' -bench . -benchmem -count $(or $(BENCH_COUNT),1) ./internal/sim/ ./internal/metrics/ ./internal/wheel/ ./internal/serve/ ./internal/server/ ./internal/workload/ ./internal/disk/
+	$(GO) test -run '^$$' -bench . -benchmem -count $(or $(BENCH_COUNT),1) ./internal/sim/ ./internal/metrics/ ./internal/wheel/ ./internal/serve/ ./internal/server/ ./internal/workload/ ./internal/disk/ ./internal/mems/ ./internal/bank/
 
 # bench-record appends one BENCH_<n>.json point to the kernel performance
 # trajectory (microbenchmarks + per-experiment events/sec).

@@ -39,15 +39,26 @@ func New(k int, s tier.Spec) ([]tier.Device, error) {
 // Each stream owns a two-slot staging ring on its device: the disk writes
 // one slot while the DRAM side drains the other, realizing the
 // double-buffering the capacity bound (Eq 7) accounts for.
+//
+// Stream ids index dense tables, so callers number their streams from
+// zero; the bank's devices share one geometry, resolved once at
+// construction.
 type BufferBank struct {
-	devs     []tier.Device
-	slotSize units.Bytes
-	perDev   int // staging rings per device
+	devs       []tier.Device
+	slotSize   units.Bytes
+	blockSize  units.Bytes // the devices' logical block size
+	slotBlocks int64       // blocks per staging slot
+	perDev     int         // staging rings per device
 
-	assign map[int]int   // stream -> device index
-	ring   map[int]int64 // stream -> first block of its 2-slot ring
-	next   int           // round-robin cursor
-	counts []int         // streams per device
+	assign []int32 // stream -> device index, -1 when not attached
+	ring   []int64 // stream -> first block of its 2-slot ring
+	next   int     // round-robin cursor
+	counts []int   // streams per device
+
+	// Ring allocation per device: ring indices below high[dev] have been
+	// handed out at some point, and the released ones wait in free[dev].
+	high []int
+	free [][]int32
 }
 
 // NewBufferBank prepares a buffer bank whose staging rings hold slotSize
@@ -60,6 +71,11 @@ func NewBufferBank(devs []tier.Device, slotSize units.Bytes) (*BufferBank, error
 		return nil, fmt.Errorf("bank: non-positive slot size %v", slotSize)
 	}
 	g := devs[0].Geometry()
+	for i, d := range devs[1:] {
+		if d.Geometry() != g {
+			return nil, fmt.Errorf("bank: device %d geometry %+v differs from device 0's %+v", i+1, d.Geometry(), g)
+		}
+	}
 	slotBlocks := blocksFor(slotSize, g.BlockSize)
 	perDev := int(g.Blocks / (2 * slotBlocks))
 	if perDev < 1 {
@@ -67,12 +83,14 @@ func NewBufferBank(devs []tier.Device, slotSize units.Bytes) (*BufferBank, error
 			slotSize, g.Capacity())
 	}
 	return &BufferBank{
-		devs:     devs,
-		slotSize: slotSize,
-		perDev:   perDev,
-		assign:   make(map[int]int),
-		ring:     make(map[int]int64),
-		counts:   make([]int, len(devs)),
+		devs:       devs,
+		slotSize:   slotSize,
+		blockSize:  g.BlockSize,
+		slotBlocks: slotBlocks,
+		perDev:     perDev,
+		counts:     make([]int, len(devs)),
+		high:       make([]int, len(devs)),
+		free:       make([][]int32, len(devs)),
 	}, nil
 }
 
@@ -93,13 +111,19 @@ func (b *BufferBank) K() int { return len(b.devs) }
 // SlotSize returns the staging slot size.
 func (b *BufferBank) SlotSize() units.Bytes { return b.slotSize }
 
+// SlotBlocks returns the staging slot size in device blocks.
+func (b *BufferBank) SlotBlocks() int64 { return b.slotBlocks }
+
 // Device returns device i.
 func (b *BufferBank) Device(i int) tier.Device { return b.devs[i] }
 
 // Attach assigns a stream to a device round-robin and reserves its staging
 // ring. It returns the device index.
 func (b *BufferBank) Attach(stream int) (int, error) {
-	if _, dup := b.assign[stream]; dup {
+	if stream < 0 {
+		return 0, fmt.Errorf("bank: negative stream id %d", stream)
+	}
+	if _, dup := b.DeviceOf(stream); dup {
 		return 0, fmt.Errorf("bank: stream %d already attached", stream)
 	}
 	dev := b.next % len(b.devs)
@@ -116,45 +140,70 @@ func (b *BufferBank) Attach(stream int) (int, error) {
 			return 0, fmt.Errorf("bank: staging capacity exhausted (%d rings/device)", b.perDev)
 		}
 	}
-	g := b.devs[dev].Geometry()
-	slotBlocks := blocksFor(b.slotSize, g.BlockSize)
-	b.assign[stream] = dev
-	b.ring[stream] = int64(b.counts[dev]) * 2 * slotBlocks
+	// A released ring is reused before a fresh one is cut, so live rings
+	// never overlap however attaches and detaches interleave.
+	var idx int
+	if f := b.free[dev]; len(f) > 0 {
+		idx = int(f[len(f)-1])
+		b.free[dev] = f[:len(f)-1]
+	} else {
+		idx = b.high[dev]
+		b.high[dev]++
+	}
+	for len(b.assign) <= stream {
+		b.assign = append(b.assign, -1)
+		b.ring = append(b.ring, 0)
+	}
+	b.assign[stream] = int32(dev)
+	b.ring[stream] = int64(idx) * 2 * b.slotBlocks
 	b.counts[dev]++
 	b.next++
 	return dev, nil
 }
 
-// Detach releases a stream. Its ring is not reused (simulations attach
-// once); spare-capacity accounting still reflects the release.
+// Detach releases a stream and returns its ring to the device's free
+// list. Detaching a stream that is not attached is a no-op.
 func (b *BufferBank) Detach(stream int) {
-	if dev, ok := b.assign[stream]; ok {
-		b.counts[dev]--
-		delete(b.assign, stream)
-		delete(b.ring, stream)
+	dev, ok := b.DeviceOf(stream)
+	if !ok {
+		return
 	}
+	b.counts[dev]--
+	b.free[dev] = append(b.free[dev], int32(b.ring[stream]/(2*b.slotBlocks)))
+	b.assign[stream] = -1
 }
 
 // DeviceOf returns the device index a stream is attached to.
 func (b *BufferBank) DeviceOf(stream int) (int, bool) {
-	d, ok := b.assign[stream]
-	return d, ok
+	if stream < 0 || stream >= len(b.assign) || b.assign[stream] < 0 {
+		return 0, false
+	}
+	return int(b.assign[stream]), true
+}
+
+// Ring returns the device a stream is attached to and the first block of
+// its two-slot staging ring there: slot p (0 or 1) starts SlotBlocks()·p
+// further on.
+func (b *BufferBank) Ring(stream int) (dev int, base int64, ok bool) {
+	dev, ok = b.DeviceOf(stream)
+	if !ok {
+		return 0, 0, false
+	}
+	return dev, b.ring[stream], true
 }
 
 // StageRequest builds the buffer-device write request that stages bytes arriving
 // from the disk for a stream, alternating between the ring's two slots by
 // cycle parity.
 func (b *BufferBank) StageRequest(stream int, cycle int64, size units.Bytes) (device.Request, int, error) {
-	dev, ok := b.assign[stream]
+	dev, ok := b.DeviceOf(stream)
 	if !ok {
 		return device.Request{}, 0, fmt.Errorf("bank: stream %d not attached", stream)
 	}
-	g := b.devs[dev].Geometry()
-	slotBlocks := blocksFor(b.slotSize, g.BlockSize)
-	base := b.ring[stream] + (cycle%2)*slotBlocks
-	n := blocksFor(size, g.BlockSize)
-	if n > slotBlocks {
-		n = slotBlocks
+	base := b.ring[stream] + (cycle%2)*b.slotBlocks
+	n := blocksFor(size, b.blockSize)
+	if n > b.slotBlocks {
+		n = b.slotBlocks
 	}
 	return device.Request{Op: device.Write, Block: base, Blocks: n, Stream: stream}, dev, nil
 }
@@ -176,11 +225,9 @@ func (b *BufferBank) DrainRequest(stream int, cycle int64, size units.Bytes) (de
 // prefetch buffer, or caching whole streams).
 func (b *BufferBank) SpareStorage() units.Bytes {
 	var spare units.Bytes
-	g := b.devs[0].Geometry()
-	slotBlocks := blocksFor(b.slotSize, g.BlockSize)
 	for _, c := range b.counts {
 		freeRings := b.perDev - c
-		spare += units.Bytes(int64(freeRings)*2*slotBlocks) * g.BlockSize
+		spare += units.Bytes(int64(freeRings)*2*b.slotBlocks) * b.blockSize
 	}
 	return spare
 }

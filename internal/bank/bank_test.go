@@ -82,6 +82,125 @@ func TestBufferBankDetach(t *testing.T) {
 	b.Detach(99) // detaching an unknown stream is a no-op
 }
 
+// A released ring is reused; it is not cut again at the position the
+// shrunken stream count suggests, where another stream still lives.
+func TestBufferBankDetachAttachNoOverlap(t *testing.T) {
+	b, _ := NewBufferBank(devs(t, 1), 1*units.MB)
+	for _, s := range []int{0, 1} {
+		if _, err := b.Attach(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, freed, _ := b.Ring(0)
+	b.Detach(0)
+	if _, err := b.Attach(2); err != nil {
+		t.Fatal(err)
+	}
+	_, r1, _ := b.Ring(1)
+	_, r2, ok := b.Ring(2)
+	if !ok || r2 == r1 {
+		t.Fatalf("streams 1 and 2 share the ring at block %d", r1)
+	}
+	if r2 != freed {
+		t.Errorf("stream 2 got the ring at block %d, want the released one at %d", r2, freed)
+	}
+	w1, _, _ := b.StageRequest(1, 0, units.MB)
+	w2, _, _ := b.StageRequest(2, 0, units.MB)
+	if w1.Block == w2.Block {
+		t.Errorf("both streams stage at block %d", w1.Block)
+	}
+	// With every ring taken again, a fresh one is cut past the high-water
+	// mark.
+	if _, err := b.Attach(3); err != nil {
+		t.Fatal(err)
+	}
+	if _, r3, _ := b.Ring(3); r3 != 2*2*b.SlotBlocks() {
+		t.Errorf("stream 3's ring at block %d, want %d", r3, 2*2*b.SlotBlocks())
+	}
+}
+
+// Property: under any interleaving of attaches and detaches, live rings
+// on one device never intersect, stay inside the device, and the
+// per-device counts match the live set.
+func TestLiveRingsNeverIntersectProperty(t *testing.T) {
+	f := func(seed uint16, kk uint8) bool {
+		k := int(kk%3) + 1
+		// 800 MB slots: a handful of rings per G3 device, so exhaustion
+		// and the any-free-device fallback both occur.
+		b, err := NewBufferBank(devsQuick(k), 800*units.MB)
+		if err != nil {
+			return false
+		}
+		ringBlocks := 2 * b.SlotBlocks()
+		limit := b.Device(0).Geometry().Blocks
+		capacity := k * int(limit/ringBlocks)
+		live := map[int]bool{}
+		x := uint32(seed)*2654435761 + 1
+		for step := 0; step < 400; step++ {
+			x = x*1664525 + 1013904223
+			s := int(x>>8) % 24
+			if x>>31 == 0 && live[s] {
+				b.Detach(s)
+				delete(live, s)
+			} else if !live[s] {
+				if _, err := b.Attach(s); err == nil {
+					live[s] = true
+				} else if len(live) < capacity {
+					return false // refused with a ring still free
+				}
+			}
+			perDev := make([][]int64, k)
+			for s := range live {
+				dev, base, ok := b.Ring(s)
+				if !ok || base%ringBlocks != 0 || base+ringBlocks > limit {
+					return false
+				}
+				for _, other := range perDev[dev] {
+					if other == base {
+						return false
+					}
+				}
+				perDev[dev] = append(perDev[dev], base)
+			}
+			lo, hi := b.Balance()
+			for _, rings := range perDev {
+				if len(rings) < lo || len(rings) > hi {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Error(err)
+	}
+}
+
+// Stream ids index dense tables: a negative id is an error on every entry
+// point, never a panic.
+func TestBufferBankNegativeStream(t *testing.T) {
+	b, _ := NewBufferBank(devs(t, 2), 1*units.MB)
+	if _, err := b.Attach(-1); err == nil {
+		t.Error("negative stream id attached")
+	}
+	if _, ok := b.DeviceOf(-1); ok {
+		t.Error("negative stream id reported attached")
+	}
+	if _, _, ok := b.Ring(-3); ok {
+		t.Error("negative stream id has a ring")
+	}
+	if _, _, err := b.StageRequest(-1, 0, units.MB); err == nil {
+		t.Error("negative stream id staged")
+	}
+	if _, _, err := b.DrainRequest(-1, 0, units.MB); err == nil {
+		t.Error("negative stream id drained")
+	}
+	b.Detach(-1)
+	if lo, hi := b.Balance(); lo != 0 || hi != 0 {
+		t.Errorf("balance = %d..%d after no-op calls", lo, hi)
+	}
+}
+
 func TestBufferBankValidation(t *testing.T) {
 	if _, err := NewBufferBank(nil, 1*units.MB); err == nil {
 		t.Error("empty device list accepted")
@@ -91,6 +210,14 @@ func TestBufferBankValidation(t *testing.T) {
 	}
 	if _, err := NewBufferBank(devs(t, 1), 20*units.GB); err == nil {
 		t.Error("slot larger than device accepted")
+	}
+	// The bank resolves one geometry for all its devices.
+	g1, err := New(1, tier.MustLookup("mems-g1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewBufferBank(append(devs(t, 1), g1...), 1*units.MB); err == nil {
+		t.Error("devices of different geometry accepted")
 	}
 }
 
@@ -376,5 +503,39 @@ func TestReplicatedReadClampsToReplica(t *testing.T) {
 	// A request bigger than the replica fails.
 	if _, err := rb.Read(0, 0, 0, blocks+1); err == nil {
 		t.Error("oversized read accepted")
+	}
+}
+
+// BenchmarkBufferBankStage times the request builders on the buffered
+// pipeline's population: one staged write and one drain read per op, the
+// pair the repo benchmark's bank.stage_ns probe times.
+func BenchmarkBufferBankStage(b *testing.B) {
+	bb, err := NewBufferBank(devsQuick(4), 2*units.MB)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const streams = 1500
+	for i := 0; i < streams; i++ {
+		if _, err := bb.Attach(i); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var blocks int64
+	for i := 0; i < b.N; i++ {
+		s := i % streams
+		w, _, err := bb.StageRequest(s, int64(i), 2*units.MB)
+		if err != nil {
+			b.Fatal(err)
+		}
+		r, _, err := bb.DrainRequest(s, int64(i), 16*units.KB)
+		if err != nil {
+			b.Fatal(err)
+		}
+		blocks += w.Blocks + r.Blocks
+	}
+	if blocks == 0 {
+		b.Fatal("no blocks requested")
 	}
 }

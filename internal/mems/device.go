@@ -43,11 +43,10 @@ type Device struct {
 	failedTips int
 
 	// Statistics.
-	served    uint64
-	busy      time.Duration
-	seekTime  time.Duration
-	xferTime  time.Duration
-	lastStats device.Completion
+	served   uint64
+	busy     time.Duration
+	seekTime time.Duration
+	xferTime time.Duration
 }
 
 // FailTips marks n of the device's tips as failed. The CMU designs carry
@@ -144,10 +143,12 @@ func (d *Device) Cylinder(lbn int64) int {
 	return int(lbn / d.blocksPerTrack)
 }
 
-// yFraction returns the Y sweep position of lbn within its cylinder.
-func (d *Device) yFraction(lbn int64) float64 {
-	off := lbn % d.blocksPerTrack
-	return float64(off) / float64(d.blocksPerTrack)
+// locate resolves lbn to its sled address: the cylinder (X position) and
+// the block offset within that cylinder's Y sweep. One divide; the offset
+// over blocksPerTrack is the Y fraction.
+func (d *Device) locate(lbn int64) (cyl int, off int64) {
+	q := lbn / d.blocksPerTrack
+	return int(q), lbn - q*d.blocksPerTrack
 }
 
 // SeekTime returns the positioning time to move the sled from its current
@@ -155,8 +156,12 @@ func (d *Device) yFraction(lbn int64) float64 {
 // seek (plus settle when the cylinder changes) and the Y reposition (plus
 // turnaround when the sweep direction must reverse).
 func (d *Device) SeekTime(lbn int64) time.Duration {
-	targetCyl := d.Cylinder(lbn)
-	targetY := d.yFraction(lbn)
+	return d.seekTo(d.locate(lbn))
+}
+
+// seekTo is SeekTime for an already-resolved sled address.
+func (d *Device) seekTo(targetCyl int, off int64) time.Duration {
+	targetY := float64(off) / float64(d.blocksPerTrack)
 
 	var tx time.Duration
 	if targetCyl != d.cyl {
@@ -181,9 +186,9 @@ func (d *Device) SeekTime(lbn int64) time.Duration {
 // Service performs one request: it seeks, transfers, updates sled state and
 // returns the completion record. now is the simulation time at which the
 // device starts the request.
-func (d *Device) Service(now time.Duration, r device.Request) (device.Completion, error) {
-	if err := d.geom.Validate(r); err != nil {
-		return device.Completion{}, err
+func (d *Device) Service(now time.Duration, r device.Request) (c device.Completion, err error) {
+	if err = d.geom.Validate(r); err != nil {
+		return c, err
 	}
 	if d.cache != nil {
 		if r.Op == device.Write {
@@ -193,45 +198,42 @@ func (d *Device) Service(now time.Duration, r device.Request) (device.Completion
 			// the sled does not move.
 			bytes := units.Bytes(r.Blocks) * d.geom.BlockSize
 			xfer := bytes.Duration(d.cacheRate)
-			c := device.Completion{Request: r, Start: now, Finish: now + xfer, Transfer: xfer}
+			c = device.Completion{Request: r, Start: now, Finish: now + xfer, Transfer: xfer}
 			d.served++
 			d.busy += xfer
 			d.xferTime += xfer
-			d.lastStats = c
 			return c, nil
 		}
 	}
-	seek := d.SeekTime(r.Block)
+	// A sled request is fully described by (cylinder, Y offset): resolve
+	// the start once, and the end only when the transfer leaves the
+	// start's cylinder.
+	firstCyl, off := d.locate(r.Block)
+	seek := d.seekTo(firstCyl, off)
 
 	// Transfer: blocks stream at the aggregate tip rate; each cylinder
 	// boundary crossed mid-transfer costs one settle (the sled nudges to
 	// the next X position and resumes the sweep).
 	bytes := units.Bytes(r.Blocks) * d.geom.BlockSize
 	xfer := bytes.Duration(d.effectiveRate())
-	firstCyl := d.Cylinder(r.Block)
-	lastCyl := d.Cylinder(r.Block + r.Blocks - 1)
-	if lastCyl > firstCyl {
+	lastCyl, endOff := firstCyl, off+r.Blocks-1
+	if endOff >= d.blocksPerTrack {
+		lastCyl, endOff = d.locate(r.Block + r.Blocks - 1)
 		xfer += time.Duration(lastCyl-firstCyl) * d.p.SettleX
 	}
 
 	// Update sled state to the end of the transfer.
-	end := r.Block + r.Blocks - 1
-	d.cyl = d.Cylinder(end)
-	d.ypos = d.yFraction(end)
+	d.cyl = lastCyl
+	d.ypos = float64(endOff) / float64(d.blocksPerTrack)
 	d.ydir = 1
 
-	c := device.Completion{
-		Request:  r,
-		Start:    now,
-		Finish:   now + seek + xfer,
-		Position: seek,
-		Transfer: xfer,
-	}
+	c.Request = r
+	c.Start, c.Finish = now, now+seek+xfer
+	c.Position, c.Transfer = seek, xfer
 	d.served++
 	d.busy += seek + xfer
 	d.seekTime += seek
 	d.xferTime += xfer
-	d.lastStats = c
 	if d.cache != nil && r.Op == device.Read {
 		d.cache.Insert(r.Block, r.Blocks)
 	}

@@ -8,7 +8,6 @@ import (
 	"memstream/internal/cache"
 	"memstream/internal/device"
 	"memstream/internal/model"
-	"memstream/internal/units"
 )
 
 // runHybrid simulates the paper's first future-work configuration (§7) on
@@ -98,114 +97,23 @@ func runHybrid(cfg Config) (Result, error) {
 		if placement.Contains(st.Title.ID) {
 			pos = int64(st.Offset/blockSize) % max(imageBlocks, 1)
 			startAt = cachePlan.Cycle
-		}
-		r.addPlayer(i, pos, startAt)
-		if placement.Contains(st.Title.ID) {
 			if err := cb.Assign(i); err != nil {
 				return Result{}, err
 			}
-		} else {
-			if _, err := bb.Attach(i); err != nil {
-				return Result{}, err
-			}
 		}
+		r.addPlayer(i, pos, startAt)
 	}
 
 	diskCycles, end, _ := r.horizon(tDisk, 3, 3)
 
-	// --- Miss side: disk → buffer sub-bank → DRAM, as in runBuffered ---
-	diskIOBlocks := blocksFor(bufPlan.DiskIOSize, blockSize)
-	bufChains := make([]*chain, len(bufDevs))
-	for i := range bufChains {
-		bufChains[i] = r.newChain()
+	// --- Miss side: disk → buffer sub-bank → DRAM, the buffered pipeline
+	// over the miss set ---
+	pipe, err := r.newBufferPipe(bb, bufPlan, missIDs, 0)
+	if err != nil {
+		return Result{}, err
 	}
-	diskChain := r.newChain()
-	r.observe("disk", r.dsk, diskChain)
-	for i, d := range bufDevs {
-		r.observe(fmt.Sprintf("mems%d", i), d, bufChains[i])
-	}
-	// bankIO is the staged write following a disk read: it only occupies
-	// the buffer device.
-	bankIO := func(it *chainItem, ws time.Duration) time.Duration {
-		wc, err := bb.Device(int(it.dev)).Service(ws, it.req)
-		if err != nil {
-			return ws
-		}
-		return wc.Finish
-	}
-	diskDispatch := func(it *chainItem, start time.Duration) time.Duration {
-		comp, ok, err := it.sched.Dispatch(start)
-		r.putSched(it.sched)
-		if err != nil || !ok {
-			return start
-		}
-		wreq, dev, err := bb.StageRequest(comp.Stream, int64(it.parity), units.Bytes(comp.Blocks)*blockSize)
-		if err != nil {
-			return comp.Finish
-		}
-		bufChains[dev].submit(chainItem{fn: bankIO, req: wreq, dev: int32(dev)})
-		return comp.Finish
-	}
-	scheduleDiskCycle := func(c int64) {
-		sched := r.getSched()
-		ps := &r.ar.ps
-		for _, i := range missIDs {
-			blk := ps.pos[i]
-			if blk+diskIOBlocks > diskBlocks {
-				blk = 0
-			}
-			sched.Enqueue(device.Request{
-				Op: device.Read, Block: blk, Blocks: diskIOBlocks,
-				Stream: i, Issued: r.eng.Now(),
-			})
-			ps.pos[i] = (blk + diskIOBlocks) % diskBlocks
-		}
-		r.submitBatch(diskChain, chainItem{fn: diskDispatch, sched: sched, parity: int32(c & 1)})
-	}
-
-	drainBytes := units.BytesIn(cfg.BitRate, tMems)
-	slotBlocks := blocksFor(bufPlan.DiskIOSize, blockSize)
-	slotCycle := make(map[int]int64, len(missIDs))
-	slotOff := make(map[int]int64, len(missIDs))
-	memsCycles := int64(end / tMems)
-	readerDrain := func(it *chainItem, rs time.Duration) time.Duration {
-		rc, err := bb.Device(int(it.dev)).Service(rs, it.req)
-		if err != nil {
-			return rs
-		}
-		i := int(it.stream)
-		r.drainTo(i, rc.Finish)
-		r.fill(i, units.Bytes(rc.Blocks)*blockSize)
-		return rc.Finish
-	}
-	scheduleMEMSCycle := func(int64) {
-		diskCyc := int64(r.eng.Now() / tDisk)
-		if diskCyc == 0 {
-			return
-		}
-		for _, i := range missIDs {
-			if slotCycle[i] != diskCyc {
-				slotCycle[i] = diskCyc
-				slotOff[i] = 0
-			}
-			if slotOff[i] >= slotBlocks {
-				continue
-			}
-			rreq, dev, err := bb.DrainRequest(i, diskCyc, drainBytes)
-			if err != nil {
-				continue
-			}
-			rreq.Block += slotOff[i]
-			if rem := slotBlocks - slotOff[i]; rreq.Blocks > rem {
-				rreq.Blocks = rem
-			}
-			slotOff[i] += rreq.Blocks
-			bufChains[dev].submit(chainItem{fn: readerDrain, req: rreq, dev: int32(dev), stream: int32(i)})
-		}
-	}
-
-	r.cycleLoop("disk", tDisk, 0, diskCycles, scheduleDiskCycle)
-	r.cycleLoop("mems", tMems, 1, memsCycles, scheduleMEMSCycle)
+	r.cycleLoop("disk", tDisk, 0, diskCycles, pipe.diskStage)
+	r.cycleLoop("mems", tMems, 1, int64(end/tMems), pipe.tierDrain)
 
 	// --- Cache side: striped lock-step cycles, as in runCached ---
 	if len(cachedIDs) > 0 {

@@ -120,13 +120,6 @@ func TestPauseIntegratorMatchesLinearScan(t *testing.T) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // The micro-benchmark behind the fix: every drain event calls at() twice,
 // so a 10k-phase horizon made each drain a 10k-element scan. Run with
 // -bench PauseIntegrator to compare.

@@ -377,7 +377,7 @@ type chainItem struct {
 	sched  *disk.Scheduler // C-LOOK dispatch items
 	req    device.Request  // bank/device service items
 	dev    int32           // bank device index
-	stream int32           // player index
+	stream int32           // player index, or a drain item's cursor into its device's list
 	parity int32           // disk-cycle parity (c&1) for staged slots
 	repeat int32           // runs owed, this one included; 0 means 1
 }

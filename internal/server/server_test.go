@@ -347,6 +347,71 @@ func TestChainCountedItemMatchesCopies(t *testing.T) {
 	if len(want) != 7 || !slices.Equal(got, want) {
 		t.Errorf("counted item diverged from its copies:\n got %v\nwant %v", got, want)
 	}
+
+	// The bank-cycle shape: a counted item that carries no stream, only a
+	// cursor its handler advances through a list, against copies that each
+	// name their stream. Mid-batch, a handler on another chain submits a
+	// real-time item (a staged write) and best-effort work is waiting: the
+	// late item runs after the whole batch and before the best-effort one,
+	// and the second batch queues behind it. The chain is busy when each
+	// batch arrives: on an idle chain the first run happens inside submit,
+	// before the remaining copies are queued, so depth() read by that one
+	// handler call is the only thing the two forms disagree on — and only
+	// cycle events, after their stage has queued everything, read depth.
+	list := []int32{4, 5, 6, 7}
+	walk := func(counted bool) []step {
+		eng := &sim.Engine{}
+		ch, other := &chain{eng: eng}, &chain{eng: eng}
+		var steps []step
+		note := func(stream int32, start time.Duration) time.Duration {
+			steps = append(steps, step{int(stream), ch.depth(), start})
+			return start + 10*time.Millisecond
+		}
+		named := func(it *chainItem, start time.Duration) time.Duration { return note(it.stream, start) }
+		cursor := func(it *chainItem, start time.Duration) time.Duration {
+			stream := list[it.stream]
+			it.stream++
+			return note(stream, start)
+		}
+		batch := func() {
+			if counted {
+				ch.submit(chainItem{fn: cursor, repeat: int32(len(list))})
+				return
+			}
+			for _, s := range list {
+				ch.submit(chainItem{fn: named, stream: s})
+			}
+		}
+		ch.submit(chainItem{fn: named, stream: 1})
+		batch()
+		ch.submitLow(chainItem{fn: named, stream: 90})
+		// 15 ms in, while the batch's first run is in service.
+		other.submit(chainItem{fn: func(_ *chainItem, start time.Duration) time.Duration {
+			return start + 15*time.Millisecond
+		}})
+		other.submit(chainItem{fn: func(_ *chainItem, start time.Duration) time.Duration {
+			ch.submit(chainItem{fn: named, stream: 50})
+			ch.submitLow(chainItem{fn: named, stream: 91})
+			batch()
+			return start
+		}})
+		eng.Run()
+		if d := ch.depth(); d != 0 {
+			t.Errorf("counted=%v: idle chain reports depth %d", counted, d)
+		}
+		return steps
+	}
+	want, got = walk(false), walk(true)
+	order := make([]int, len(want))
+	for i, s := range want {
+		order[i] = s.stream
+	}
+	if !slices.Equal(order, []int{1, 4, 5, 6, 7, 50, 4, 5, 6, 7, 90, 91}) {
+		t.Errorf("copies ran in order %v", order)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("cursor item diverged from its copies:\n got %v\nwant %v", got, want)
+	}
 }
 
 // Every chain operation copies a chainItem through a ring; growing it from

@@ -110,6 +110,41 @@ func BenchmarkScheduleCancel(b *testing.B) {
 	eng.RunUntil(MaxTime)
 }
 
+// BenchmarkScheduleFireDeepCalendar is the buffered pipeline's calendar
+// shape: one self-rescheduling completion chain running over 512 parked
+// far-future entries (the rig schedules every cycle of a run up-front).
+// Pop-then-push drags a parked leaf down the whole tree and sifts the
+// successor back up it on every event; replace-top settles the successor
+// at the root.
+func BenchmarkScheduleFireDeepCalendar(b *testing.B) {
+	var eng Engine
+	for i := 0; i < 512; i++ {
+		eng.Schedule(time.Duration(1000+i)*time.Hour, func() {})
+	}
+	type state struct {
+		eng *Engine
+		n   int
+		max int
+	}
+	st := &state{eng: &eng, max: b.N}
+	var next func(any)
+	next = func(arg any) {
+		s := arg.(*state)
+		s.n++
+		if s.n < s.max {
+			s.eng.ScheduleArg(time.Microsecond, next, s)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	eng.ScheduleArg(0, next, st)
+	eng.RunUntil(time.Hour)
+	b.StopTimer()
+	if st.n != b.N {
+		b.Fatalf("fired %d, want %d", st.n, b.N)
+	}
+}
+
 // BenchmarkServerDeepQueue is the O(1)-amortized dequeue regression bench:
 // a Server with a deep backlog must drain at constant per-item cost. The
 // pre-ring implementation shifted the whole queue on every dequeue

@@ -1,0 +1,322 @@
+package sim
+
+import (
+	"slices"
+	"testing"
+	"time"
+)
+
+// The calendar keeps the fired entry's root slot vacant while its callback
+// runs. These tests hold that repair invisible: a randomized program of
+// schedules, cancels, Stops and Resets issued from inside callbacks runs
+// once on the Engine and once on a sorted-slice calendar with no heap at
+// all, and every fired event must agree on identity, time, Pending() and
+// Executed().
+
+// calendar is what the random program needs from a kernel.
+type calendar interface {
+	Now() Time
+	Pending() int
+	Executed() uint64
+	schedule(d Time, id int, fire func(id int))
+	cancel(id int)
+	Stop()
+	Reset()
+	Run()
+	RunUntil(deadline Time)
+}
+
+// refCalendar is the reference: live events in a slice kept sorted by
+// (time, sequence), cancellation by removal.
+type refCalendar struct {
+	now      Time
+	seq      uint64
+	executed uint64
+	running  bool
+	ents     []refEnt
+}
+
+type refEnt struct {
+	at   Time
+	seq  uint64
+	id   int
+	fire func(id int)
+}
+
+func (c *refCalendar) Now() Time        { return c.now }
+func (c *refCalendar) Pending() int     { return len(c.ents) }
+func (c *refCalendar) Executed() uint64 { return c.executed }
+func (c *refCalendar) Stop()            { c.running = false }
+func (c *refCalendar) Reset()           { *c = refCalendar{ents: c.ents[:0]} }
+
+func (c *refCalendar) schedule(d Time, id int, fire func(int)) {
+	if d < 0 {
+		d = 0
+	}
+	c.seq++
+	ent := refEnt{at: c.now + d, seq: c.seq, id: id, fire: fire}
+	i, _ := slices.BinarySearchFunc(c.ents, ent, func(a, b refEnt) int {
+		if a.at != b.at {
+			return int(a.at - b.at)
+		}
+		return int(a.seq) - int(b.seq)
+	})
+	c.ents = slices.Insert(c.ents, i, ent)
+}
+
+func (c *refCalendar) cancel(id int) {
+	if i := slices.IndexFunc(c.ents, func(e refEnt) bool { return e.id == id }); i >= 0 {
+		c.ents = slices.Delete(c.ents, i, i+1)
+	}
+}
+
+func (c *refCalendar) step() {
+	ent := c.ents[0]
+	c.ents = slices.Delete(c.ents, 0, 1)
+	c.now = ent.at
+	c.executed++
+	ent.fire(ent.id)
+}
+
+func (c *refCalendar) Run() {
+	c.running = true
+	for c.running && len(c.ents) > 0 {
+		c.step()
+	}
+	c.running = false
+}
+
+func (c *refCalendar) RunUntil(deadline Time) {
+	c.running = true
+	for c.running && len(c.ents) > 0 && c.ents[0].at <= deadline {
+		c.step()
+	}
+	stopped := !c.running
+	c.running = false
+	if !stopped && c.now < deadline {
+		c.now = deadline
+	}
+}
+
+// engCalendar adapts the Engine, alternating its two scheduling entry
+// points, and notes when a cancel compacted the calendar under a vacant
+// root.
+type engCalendar struct {
+	Engine
+	handles        map[int]Event
+	fireFn         func(id int)
+	vacantCompacts int
+}
+
+type engArg struct {
+	c  *engCalendar
+	id int
+}
+
+func engFire(arg any) { a := arg.(*engArg); a.c.fireFn(a.id) }
+
+func (c *engCalendar) schedule(d Time, id int, fire func(int)) {
+	c.fireFn = fire
+	if id%2 == 0 {
+		c.handles[id] = c.Engine.ScheduleArg(d, engFire, &engArg{c, id})
+	} else {
+		c.handles[id] = c.Engine.Schedule(d, func() { fire(id) })
+	}
+}
+
+func (c *engCalendar) cancel(id int) {
+	vacant, dead := c.Engine.vacant, c.Engine.dead
+	c.handles[id].Cancel()
+	if vacant && c.Engine.dead < dead {
+		c.vacantCompacts++
+	}
+}
+
+// fired is one executed event as the program saw it.
+type fired struct {
+	id       int
+	at       Time
+	pending  int
+	executed uint64
+}
+
+// program is the random workload. All its randomness comes from rng and is
+// drawn inside callbacks, so two kernels stay in step only while they fire
+// the same events in the same order.
+type program struct {
+	cal    calendar
+	rng    *RNG
+	nextID int
+	ids    []int // every id ever scheduled: fired, cancelled and reset-away ones included
+	parked []int // far-future events, cancelled in bulk
+	trace  []fired
+	budget int
+	stops  int
+	resets int
+}
+
+func (p *program) sched(d Time) int {
+	id := p.nextID
+	p.nextID++
+	p.ids = append(p.ids, id)
+	p.cal.schedule(d, id, p.fire)
+	return id
+}
+
+func (p *program) soon() Time { return Time(p.rng.Intn(50)) * time.Microsecond }
+
+func (p *program) park(n int) {
+	for i := 0; i < n; i++ {
+		p.parked = append(p.parked, p.sched(time.Hour+Time(p.rng.Intn(1000))*time.Second))
+	}
+}
+
+func (p *program) fire(id int) {
+	p.trace = append(p.trace, fired{id, p.cal.Now(), p.cal.Pending(), p.cal.Executed()})
+	if len(p.trace) >= p.budget {
+		return // wind down: schedule nothing more
+	}
+	switch r := p.rng.Intn(100); {
+	case r < 20: // a callback that schedules nothing: the root is popped afterwards
+	case r < 60: // one successor: the replace-top path
+		p.sched(p.soon())
+	case r < 78: // many: one replace-top, then ordinary pushes
+		for n := 2 + p.rng.Intn(6); n > 0; n-- {
+			p.sched(p.soon())
+		}
+	case r < 88: // cancel a few handles, live or stale, then maybe schedule
+		for n := 1 + p.rng.Intn(3); n > 0; n-- {
+			p.cal.cancel(p.ids[p.rng.Intn(len(p.ids))])
+		}
+		if r%2 == 0 {
+			p.sched(p.soon())
+		}
+	case r < 93: // cancel most parked events at once, before scheduling anything
+		keep := len(p.parked) / 8
+		for _, id := range p.parked[keep:] {
+			p.cal.cancel(id)
+		}
+		p.parked = p.parked[:keep]
+		p.sched(p.soon())
+		p.park(200)
+	case r < 97:
+		p.stops++
+		p.cal.Stop()
+		p.sched(p.soon())
+	default:
+		p.resets++
+		p.cal.Reset() // p.ids keeps the old ids: their handles must now be inert
+		p.parked = p.parked[:0]
+		p.park(100)
+		for n := 1 + p.rng.Intn(3); n > 0; n-- {
+			p.sched(p.soon())
+		}
+	}
+}
+
+// drive runs the program to completion through an irregular mix of
+// RunUntil and Run calls (Stops end them early) and returns the clock
+// readings between calls.
+func (p *program) drive() []Time {
+	p.park(300)
+	p.sched(0)
+	var clocks []Time
+	for round := 0; p.cal.Pending() > 0 && round < 100000; round++ {
+		if len(p.trace) < p.budget && p.rng.Intn(4) > 0 {
+			p.cal.RunUntil(p.cal.Now() + Time(p.rng.Intn(200))*time.Microsecond)
+		} else {
+			p.cal.Run()
+		}
+		clocks = append(clocks, p.cal.Now())
+	}
+	return clocks
+}
+
+func TestCalendarMatchesSortedSliceReference(t *testing.T) {
+	for seed := uint64(1); seed <= 12; seed++ {
+		ref := &program{cal: &refCalendar{}, rng: NewRNG(seed), budget: 6000}
+		wantClocks := ref.drive()
+
+		ec := &engCalendar{handles: map[int]Event{}}
+		got := &program{cal: ec, rng: NewRNG(seed), budget: 6000}
+		gotClocks := got.drive()
+
+		if len(ref.trace) < ref.budget || ref.stops == 0 || ref.resets == 0 {
+			t.Fatalf("seed %d: program too tame: %d events, %d stops, %d resets",
+				seed, len(ref.trace), ref.stops, ref.resets)
+		}
+		for i := range min(len(got.trace), len(ref.trace)) {
+			if got.trace[i] != ref.trace[i] {
+				t.Fatalf("seed %d: event %d:\n got %+v\nwant %+v", seed, i, got.trace[i], ref.trace[i])
+			}
+		}
+		if len(got.trace) != len(ref.trace) {
+			t.Fatalf("seed %d: fired %d events, reference %d", seed, len(got.trace), len(ref.trace))
+		}
+		if !slices.Equal(gotClocks, wantClocks) {
+			t.Errorf("seed %d: clocks between run calls differ", seed)
+		}
+		if ec.Pending() != 0 || ec.Executed() != ref.cal.Executed() {
+			t.Errorf("seed %d: pending %d executed %d, reference 0 and %d",
+				seed, ec.Pending(), ec.Executed(), ref.cal.Executed())
+		}
+		if ec.vacantCompacts == 0 {
+			t.Errorf("seed %d: no cancel compacted the calendar under a vacant root", seed)
+		}
+		if ec.Engine.vacant || ec.Engine.dead != 0 || len(ec.Engine.cal) != 0 {
+			t.Errorf("seed %d: engine not clean at the end: vacant=%v dead=%d cal=%d",
+				seed, ec.Engine.vacant, ec.Engine.dead, len(ec.Engine.cal))
+		}
+	}
+}
+
+// A successor placed in the vacant root beyond the deadline must wait:
+// RunUntil decides against the repaired head, not the fired entry.
+func TestRunUntilWithSuccessorBeyondDeadline(t *testing.T) {
+	var eng Engine
+	var order []string
+	eng.Schedule(time.Hour, func() { order = append(order, "parked") })
+	eng.Schedule(time.Second, func() {
+		order = append(order, "first")
+		eng.Schedule(9*time.Second, func() { order = append(order, "second") })
+	})
+	eng.RunUntil(5 * time.Second)
+	if !slices.Equal(order, []string{"first"}) || eng.Now() != 5*time.Second || eng.Pending() != 2 {
+		t.Fatalf("after RunUntil(5s): fired %v, now %v, pending %d", order, eng.Now(), eng.Pending())
+	}
+	eng.RunUntil(10 * time.Second)
+	if !slices.Equal(order, []string{"first", "second"}) || eng.Pending() != 1 {
+		t.Fatalf("after RunUntil(10s): fired %v, pending %d", order, eng.Pending())
+	}
+	// A callback that schedules nothing leaves the deadline check to the
+	// next live head.
+	eng.Schedule(time.Second, func() { order = append(order, "third") })
+	eng.RunUntil(20 * time.Second)
+	if len(order) != 3 || eng.Now() != 20*time.Second || eng.Pending() != 1 {
+		t.Fatalf("after RunUntil(20s): fired %v, now %v, pending %d", order, eng.Now(), eng.Pending())
+	}
+}
+
+// A callback that steps the engine itself sees a whole calendar: the
+// vacant root is closed before the nested step looks at the head.
+func TestStepFromInsideCallback(t *testing.T) {
+	var eng Engine
+	var order []int
+	for i := 1; i <= 3; i++ {
+		eng.Schedule(Time(i)*time.Second, func() { order = append(order, i) })
+	}
+	eng.Schedule(0, func() {
+		order = append(order, 0)
+		if !eng.Step() { // fires event 1 from inside event 0
+			t.Error("nested Step found no event")
+		}
+		eng.Schedule(1500*time.Millisecond, func() { order = append(order, 15) })
+	})
+	eng.Run()
+	if !slices.Equal(order, []int{0, 1, 2, 15, 3}) {
+		t.Errorf("fired %v, want [0 1 2 15 3]", order)
+	}
+	if eng.Pending() != 0 || eng.Executed() != 5 {
+		t.Errorf("pending %d executed %d, want 0 and 5", eng.Pending(), eng.Executed())
+	}
+}

@@ -107,9 +107,15 @@ type Engine struct {
 
 	cal   []calEntry  // 4-ary min-heap ordered by (at, seq)
 	slots []eventSlot // event slot arena; cal entries index into it
-	free  []int32     // recycled slot indices
-	live  int         // scheduled, not yet fired or cancelled
-	dead  int         // tombstones still sitting in cal
+	// vacant is set while the callback of the entry fireHead took from the
+	// root runs: cal[0] still holds that fired entry, which belongs to no
+	// one, and every child subtree below it is a valid heap. The first
+	// push fills the root in place; fillRoot closes it otherwise.
+	vacant bool
+
+	free []int32 // recycled slot indices
+	live int     // scheduled, not yet fired or cancelled
+	dead int     // tombstones still sitting in cal
 }
 
 // Now returns the current simulated time.
@@ -198,6 +204,16 @@ func (e *Engine) freeSlot(i int32) {
 // 4i+1..4i+4, parent is (i-1)/4.
 
 func (e *Engine) push(ent calEntry) {
+	if e.vacant {
+		// Replace-top: a firing event's successor is usually due soon, so
+		// it settles within a level or two of the root — where pop-then-push
+		// would drag the last (far-future) leaf down the whole tree and
+		// then sift the successor up it.
+		e.vacant = false
+		e.cal[0] = ent
+		e.siftDown(0)
+		return
+	}
 	e.cal = append(e.cal, ent)
 	i := len(e.cal) - 1
 	for i > 0 {
@@ -221,10 +237,20 @@ func (e *Engine) popHead() {
 	}
 }
 
+// fillRoot closes a root fireHead left vacant, so cal is a plain heap
+// again. A no-op otherwise.
+func (e *Engine) fillRoot() {
+	if e.vacant {
+		e.vacant = false
+		e.popHead()
+	}
+}
+
 // compact sweeps tombstoned entries out of the calendar and re-heapifies.
 // Pop order is unchanged: live (at, seq) keys are untouched and dead
 // entries would have been skipped anyway.
 func (e *Engine) compact() {
+	e.fillRoot() // the fired entry's slot is already recycled: don't judge it by that slot's flags
 	w := 0
 	for _, ent := range e.cal {
 		if e.slots[ent.slot].dead {
@@ -275,6 +301,7 @@ func (e *Engine) siftDown(i int) {
 // head — if any — is live. Dead-event skipping happens here, once, for
 // every run loop.
 func (e *Engine) skim() {
+	e.fillRoot() // only open here when a callback itself steps the engine
 	for len(e.cal) > 0 {
 		ent := e.cal[0]
 		if !e.slots[ent.slot].dead {
@@ -286,13 +313,19 @@ func (e *Engine) skim() {
 	}
 }
 
-// fireHead pops and fires the live head entry. The slot is recycled before
-// the callback runs, so a handle to the firing event is already stale
-// inside its own callback (cancel-self is a no-op) and the slot may host a
-// new event scheduled by the callback.
+// fireHead fires the live head entry. The slot is recycled before the
+// callback runs, so a handle to the firing event is already stale inside
+// its own callback (cancel-self is a no-op) and the slot may host a new
+// event scheduled by the callback.
+//
+// The root stays vacant while the callback runs, so the first event it
+// schedules replaces the fired entry with a single siftDown; a callback
+// that schedules nothing costs the ordinary pop afterwards. Pop order is
+// decided by the (at, seq) keys alone, so which of the two repairs ran
+// never shows.
 func (e *Engine) fireHead() {
 	ent := e.cal[0]
-	e.popHead()
+	e.vacant = true
 	s := &e.slots[ent.slot]
 	fn, afn, arg := s.fn, s.afn, s.arg
 	e.freeSlot(ent.slot)
@@ -304,6 +337,7 @@ func (e *Engine) fireHead() {
 	} else {
 		fn()
 	}
+	e.fillRoot()
 }
 
 // Step fires the next event, advancing the clock. It reports whether an
@@ -366,6 +400,7 @@ func (e *Engine) Reset() {
 	e.now, e.seq, e.executed = 0, 0, 0
 	e.running = false
 	e.cal = e.cal[:0]
+	e.vacant = false
 	e.free = e.free[:0]
 	for i := len(e.slots) - 1; i >= 0; i-- {
 		s := &e.slots[i]

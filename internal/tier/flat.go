@@ -78,9 +78,9 @@ func (d *flatDevice) EnableCache(capacity units.Bytes, ifaceRate units.ByteRate)
 func (d *flatDevice) Cache() *device.ReadCache { return d.cache }
 
 // Service performs one request starting at simulated time now.
-func (d *flatDevice) Service(now time.Duration, r device.Request) (device.Completion, error) {
-	if err := d.geom.Validate(r); err != nil {
-		return device.Completion{}, err
+func (d *flatDevice) Service(now time.Duration, r device.Request) (c device.Completion, err error) {
+	if err = d.geom.Validate(r); err != nil {
+		return c, err
 	}
 	if d.cache != nil {
 		if r.Op == device.Write {
@@ -88,7 +88,7 @@ func (d *flatDevice) Service(now time.Duration, r device.Request) (device.Comple
 		} else if d.cache.Lookup(r.Block, r.Blocks) {
 			bytes := units.Bytes(r.Blocks) * d.geom.BlockSize
 			xfer := bytes.Duration(d.cacheRate)
-			c := device.Completion{Request: r, Start: now, Finish: now + xfer, Transfer: xfer}
+			c = device.Completion{Request: r, Start: now, Finish: now + xfer, Transfer: xfer}
 			d.served++
 			d.busy += xfer
 			d.xferTime += xfer
@@ -98,13 +98,9 @@ func (d *flatDevice) Service(now time.Duration, r device.Request) (device.Comple
 	pos := d.spec.AvgLatency
 	bytes := units.Bytes(r.Blocks) * d.geom.BlockSize
 	xfer := bytes.Duration(d.spec.Rate)
-	c := device.Completion{
-		Request:  r,
-		Start:    now,
-		Finish:   now + pos + xfer,
-		Position: pos,
-		Transfer: xfer,
-	}
+	c.Request = r
+	c.Start, c.Finish = now, now+pos+xfer
+	c.Position, c.Transfer = pos, xfer
 	d.served++
 	d.busy += pos + xfer
 	d.seekTime += pos

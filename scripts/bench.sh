@@ -51,11 +51,12 @@ TMP_PERF="$(mktemp)"
 TMP_ART="$(mktemp -d)"
 trap 'rm -rf "$TMP_BENCH" "$TMP_PERF" "$TMP_ART"' EXIT
 
-echo "bench: sim + metrics + wheel + serve + server + workload + disk microbenchmarks" >&2
+echo "bench: sim + metrics + wheel + serve + server + workload + disk + mems + bank microbenchmarks" >&2
 go test -run '^$' -bench "${BENCH_PATTERN:-.}" -benchmem \
     -benchtime "${BENCH_TIME:-1s}" \
     ./internal/sim/ ./internal/metrics/ ./internal/wheel/ ./internal/serve/ \
-    ./internal/server/ ./internal/workload/ ./internal/disk/ | tee "$TMP_BENCH" >&2
+    ./internal/server/ ./internal/workload/ ./internal/disk/ \
+    ./internal/mems/ ./internal/bank/ | tee "$TMP_BENCH" >&2
 
 echo "bench: experiment suite (memsbench -perf)" >&2
 go run ./cmd/memsbench -parallel 1 -perf "$TMP_PERF" -out "$TMP_ART" >/dev/null

@@ -40,7 +40,8 @@ echo "benchgate: running microbenchmarks (baseline $BASE)" >&2
 go test -run '^$' -bench "${BENCH_GATE_PATTERN:-.}" -benchmem \
     -benchtime "${BENCH_GATE_TIME:-1s}" \
     ./internal/sim/ ./internal/metrics/ ./internal/wheel/ ./internal/serve/ \
-    ./internal/server/ ./internal/workload/ ./internal/disk/ | tee -a "$TMP_BENCH" >&2
+    ./internal/server/ ./internal/workload/ ./internal/disk/ \
+    ./internal/mems/ ./internal/bank/ | tee -a "$TMP_BENCH" >&2
 
 awk -v base="$BASE" -v factor="${BENCH_GATE_FACTOR:-2.0}" '
     BEGIN {
