@@ -28,10 +28,10 @@ bench:
 # the lock-free metrics collector, the timer wheel, the serve data
 # plane, the rig's cycle walks (direct and buffered), the popularity
 # sampler, the disk's C-LOOK batch and service model, the sled's service
-# model and the bank — the set CI compares old-vs-new with benchstat.
-# BENCH_COUNT>1 gives benchstat samples to work with.
+# model, the bank and PLAY admission — the set CI compares old-vs-new
+# with benchstat. BENCH_COUNT>1 gives benchstat samples to work with.
 bench-sim:
-	$(GO) test -run '^$$' -bench . -benchmem -count $(or $(BENCH_COUNT),1) ./internal/sim/ ./internal/metrics/ ./internal/wheel/ ./internal/serve/ ./internal/server/ ./internal/workload/ ./internal/disk/ ./internal/mems/ ./internal/bank/
+	$(GO) test -run '^$$' -bench . -benchmem -count $(or $(BENCH_COUNT),1) ./internal/sim/ ./internal/metrics/ ./internal/wheel/ ./internal/serve/ ./internal/schedule/ ./internal/server/ ./internal/workload/ ./internal/disk/ ./internal/mems/ ./internal/bank/
 
 # bench-record appends one BENCH_<n>.json point to the kernel performance
 # trajectory (microbenchmarks + per-experiment events/sec).

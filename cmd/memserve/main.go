@@ -30,6 +30,10 @@
 //	POST /streams/{id}/stop  force-close one stream
 //	POST /drain              trigger the graceful drain
 //
+// Streams are paced by the timer-wheel plane unless -pacing goroutine
+// asks for a goroutine and runtime timer per stream: at 4000 standing
+// streams the wheel costs under half the CPU per stream-second.
+//
 // Usage:
 //
 //	memserve -addr :9090 -http :9091 -dram 1GB -bitrate 100KB \
@@ -67,7 +71,7 @@ type options struct {
 	drain    time.Duration
 	maxConns int
 	quantum  time.Duration
-	pacing   string // "goroutine" or "wheel"
+	pacing   string // "wheel" or "goroutine"
 	writers  int    // wheel writer workers; 0 = GOMAXPROCS
 }
 
@@ -84,7 +88,7 @@ func main() {
 	flag.DurationVar(&o.drain, "drain", serve.DefaultDrainTimeout, "graceful-drain budget on SIGINT/SIGTERM")
 	flag.IntVar(&o.maxConns, "max-conns", serve.DefaultMaxConns, "concurrent connection cap (BUSY shed beyond it)")
 	flag.DurationVar(&o.quantum, "quantum", serve.DefaultQuantum, "pacing quantum")
-	flag.StringVar(&o.pacing, "pacing", "goroutine", "pacing data plane: goroutine (timer per stream) or wheel (one timer wheel, pooled writers)")
+	flag.StringVar(&o.pacing, "pacing", "wheel", "pacing data plane: wheel (one timer wheel, pooled writers) or goroutine (timer per stream)")
 	flag.IntVar(&o.writers, "writers", 0, "wheel-plane writer workers (0 = GOMAXPROCS); ignored with -pacing=goroutine")
 	flag.Parse()
 

@@ -50,17 +50,18 @@ func runDynamics(seed uint64) (Result, error) {
 	}
 	for _, offered := range []float64{0.5, 1.0, 1.5, 2.0} {
 		row := []string{fmt.Sprintf("%.1fx direct cap", offered)}
+		// One trace per offered load: the three configurations are
+		// compared on the same arrivals.
+		p := workload.SessionProcess{
+			ArrivalRate: offered * float64(direct) / 600, // hold = 600s
+			MeanHold:    10 * time.Minute,
+			BitRate:     bitRate,
+		}
+		sessions, err := p.Generate(sim.NewRNG(seed), 6*time.Hour)
+		if err != nil {
+			return Result{}, err
+		}
 		for _, capN := range []int{direct, buffered, cached} {
-			p := workload.SessionProcess{
-				ArrivalRate: offered * float64(direct) / 600, // hold = 600s
-				MeanHold:    10 * time.Minute,
-				BitRate:     bitRate,
-			}
-			sessions, err := p.Generate(sim.NewRNG(seed), 6*time.Hour)
-			if err != nil {
-				return Result{}, err
-			}
-			capN := capN
 			stats := workload.ReplayAdmission(sessions, func(busy int) bool { return busy < capN })
 			row = append(row, fmt.Sprintf("%.3f (avg %d busy)", stats.BlockProb, int(stats.AvgBusy)))
 		}

@@ -120,6 +120,7 @@ func TestControlStatusAndMetricsDocuments(t *testing.T) {
 
 func TestControlStreamStop(t *testing.T) {
 	cfg := testConfig(1 * units.GB)
+	cfg.Pacing = PacingGoroutine // the wheel has TestWheelStopStream
 	cfg.Limit = 0
 	s := newTestServer(t, cfg)
 	addr, _, _ := startServe(t, s)

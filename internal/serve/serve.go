@@ -62,6 +62,10 @@ const (
 	// owes a catch-up burst (rate × stall), which is sent as bounded
 	// slices instead of one allocation proportional to the stall.
 	maxWriteChunk = 256 << 10
+
+	// maxBannerRates bounds the cache of pre-rendered PLAY banners, one
+	// per distinct rate; rates beyond it are formatted per stream.
+	maxBannerRates = 64
 )
 
 // payloadPattern is the one immutable synthetic payload every stream
@@ -83,32 +87,34 @@ var payloadPattern = func() []byte {
 type PacingMode int
 
 const (
+	// PacingWheel, the default, parks all streams on one hierarchical
+	// timer wheel; a single ticker goroutine batches the due population
+	// each quantum to a small writer-worker pool (Config.Writers).
+	// O(workers) runtime timers regardless of population, and under half
+	// the goroutine plane's CPU per stream-second at 4000 streams.
+	PacingWheel PacingMode = iota
 	// PacingGoroutine is the classic plane: every stream owns a
-	// goroutine with a private runtime timer. Simple, and the baseline
-	// the wheel is benchmarked against.
-	PacingGoroutine PacingMode = iota
-	// PacingWheel parks all streams on one hierarchical timer wheel; a
-	// single ticker goroutine batches the due population each quantum
-	// to a small writer-worker pool (Config.Writers). O(workers)
-	// runtime timers regardless of population.
-	PacingWheel
+	// goroutine with a private runtime timer. Simple, lower pacing lag
+	// at small populations, and the baseline the wheel is measured
+	// against.
+	PacingGoroutine
 )
 
 // String renders the flag spelling.
 func (m PacingMode) String() string {
-	if m == PacingWheel {
-		return "wheel"
+	if m == PacingGoroutine {
+		return "goroutine"
 	}
-	return "goroutine"
+	return "wheel"
 }
 
-// ParsePacing parses a -pacing flag value.
+// ParsePacing parses a -pacing flag value; empty selects the default.
 func ParsePacing(s string) (PacingMode, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", "goroutine":
-		return PacingGoroutine, nil
-	case "wheel":
+	case "", "wheel":
 		return PacingWheel, nil
+	case "goroutine":
+		return PacingGoroutine, nil
 	}
 	return 0, fmt.Errorf("serve: unknown pacing mode %q (want goroutine or wheel)", s)
 }
@@ -126,7 +132,7 @@ type Config struct {
 	MaxConns     int           // concurrent-connection cap (BUSY shed beyond it)
 	Quantum      time.Duration // pacing quantum
 
-	Pacing  PacingMode // goroutine-per-stream (default) or timer wheel
+	Pacing  PacingMode // timer wheel (default) or goroutine-per-stream
 	Writers int        // wheel writer workers; 0 = GOMAXPROCS
 
 	Logf func(format string, args ...any) // nil = silent
@@ -150,9 +156,14 @@ type Server struct {
 	// plane is the timer-wheel data plane; nil in goroutine mode.
 	plane *wheelPlane
 
-	mu      sync.Mutex // guards adm (MixedAdmission is not goroutine-safe), conns, and streams
+	mu      sync.Mutex // guards adm (MixedAdmission is not goroutine-safe), conns, streams and banners
 	conns   map[net.Conn]struct{}
 	streams map[uint64]*streamState
+	// banners holds the PLAY reply line of up to maxBannerRates distinct
+	// rates. Rendering one goes through ByteRate.String's %.2f, which
+	// strconv serves from an ~800-byte stack frame: done per stream it
+	// grew every handler goroutine's stack (~4.5 KB of RSS per stream).
+	banners map[units.ByteRate][]byte
 }
 
 // streamState is one live paced stream's control-plane record (identity
@@ -214,6 +225,7 @@ func New(cfg Config) (*Server, error) {
 		drainCh: make(chan struct{}),
 		conns:   make(map[net.Conn]struct{}),
 		streams: make(map[uint64]*streamState),
+		banners: make(map[units.ByteRate][]byte),
 	}
 	if cfg.Pacing == PacingWheel {
 		s.plane = newWheelPlane(s)
@@ -367,19 +379,6 @@ func (s *Server) StopStream(id uint64) bool {
 	return true
 }
 
-// registerStream records a newly admitted stream for the control plane.
-func (s *Server) registerStream(st *streamState) {
-	s.mu.Lock()
-	s.streams[st.id] = st
-	s.mu.Unlock()
-}
-
-func (s *Server) deregisterStream(id uint64) {
-	s.mu.Lock()
-	delete(s.streams, id)
-	s.mu.Unlock()
-}
-
 // shed refuses one connection with a fast BUSY line. The short deadline
 // bounds the goroutine even against a client with a zero receive window.
 func shed(conn net.Conn) {
@@ -479,7 +478,14 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-// play admits and runs one stream.
+// banner renders the reply to an admitted PLAY.
+func banner(rate units.ByteRate) []byte {
+	return []byte(fmt.Sprintf("OK streaming at %v\n", rate))
+}
+
+// play admits and runs one stream. It takes s.mu twice: once to admit the
+// stream, register it with the control plane and look its banner up, once
+// to deregister it and release its slot.
 func (s *Server) play(conn net.Conn, fields []string) {
 	rate := s.cfg.DefaultRate
 	if len(fields) > 1 {
@@ -491,8 +497,20 @@ func (s *Server) play(conn net.Conn, fields []string) {
 		}
 		rate = parsed
 	}
+	var st *streamState
+	var line []byte
 	s.mu.Lock()
 	ok, err := s.cfg.Admission.TryAdmit(rate)
+	if ok {
+		st = &streamState{id: s.nextStreamID.Add(1), rate: rate, start: time.Now(), conn: conn}
+		s.streams[st.id] = st
+		line = s.banners[rate]
+		if line == nil && len(s.banners) < maxBannerRates {
+			// At most maxBannerRates renderings in the server's life.
+			line = banner(rate)
+			s.banners[rate] = line
+		}
+	}
 	s.mu.Unlock()
 	if err != nil || !ok {
 		s.metrics.AdmissionBusy.Add(1)
@@ -501,16 +519,18 @@ func (s *Server) play(conn net.Conn, fields []string) {
 	}
 	s.metrics.AdmittedTotal.Add(1)
 	s.metrics.ActiveStreams.Add(1)
-	st := &streamState{id: s.nextStreamID.Add(1), rate: rate, start: time.Now(), conn: conn}
-	s.registerStream(st)
 	defer func() {
-		s.deregisterStream(st.id)
 		s.mu.Lock()
+		delete(s.streams, st.id)
 		s.cfg.Admission.Release(rate)
 		s.mu.Unlock()
 		s.metrics.ActiveStreams.Add(-1)
 	}()
-	if err := s.writeLine(conn, "OK streaming at %v", rate); err != nil {
+	if line == nil {
+		line = banner(rate)
+	}
+	conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+	if _, err := conn.Write(line); err != nil {
 		// The client vanished before a single paced chunk was written:
 		// that is an abort, not an eviction — the server never had to
 		// kill anything.

@@ -3,8 +3,10 @@ package serve
 import (
 	"bufio"
 	"context"
+	"fmt"
 	"io"
 	"net"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -181,31 +183,36 @@ func TestBannerWriteFailureCountsAborted(t *testing.T) {
 // an abort, not an eviction: Evicted stays strictly "the server killed
 // it" (write deadline or drain/stop force-close).
 func TestMidStreamDisconnectCountsAborted(t *testing.T) {
-	cfg := testConfig(1 * units.GB)
-	cfg.Limit = 0 // unlimited: the stream ends only when the client goes away
-	s := newTestServer(t, cfg)
-	client, done := runHandle(t, s)
-	if _, err := client.Write([]byte("PLAY 100KB\n")); err != nil {
-		t.Fatal(err)
-	}
-	r := bufio.NewReader(client)
-	if line, err := r.ReadString('\n'); err != nil || !strings.HasPrefix(line, "OK streaming") {
-		t.Fatalf("PLAY response = %q, %v", line, err)
-	}
-	buf := make([]byte, 4096)
-	if _, err := r.Read(buf); err != nil { // at least one paced chunk arrived
-		t.Fatal(err)
-	}
-	client.Close() // vanish mid-stream
-	waitDone(t, done, 2*time.Second, "mid-stream disconnect")
-	if got := s.metrics.Aborted.Load(); got != 1 {
-		t.Errorf("Aborted = %d, want 1", got)
-	}
-	if got := s.metrics.Evicted.Load(); got != 0 {
-		t.Errorf("Evicted = %d, want 0", got)
-	}
-	if got := s.Admitted(); got != 0 {
-		t.Errorf("Admitted = %d after abort, want 0", got)
+	for _, mode := range []PacingMode{PacingGoroutine, PacingWheel} {
+		t.Run(mode.String(), func(t *testing.T) {
+			cfg := testConfig(1 * units.GB)
+			cfg.Pacing = mode
+			cfg.Limit = 0 // unlimited: the stream ends only when the client goes away
+			s := newTestServer(t, cfg)
+			client, done := runHandle(t, s)
+			if _, err := client.Write([]byte("PLAY 100KB\n")); err != nil {
+				t.Fatal(err)
+			}
+			r := bufio.NewReader(client)
+			if line, err := r.ReadString('\n'); err != nil || !strings.HasPrefix(line, "OK streaming") {
+				t.Fatalf("PLAY response = %q, %v", line, err)
+			}
+			buf := make([]byte, 4096)
+			if _, err := r.Read(buf); err != nil { // at least one paced chunk arrived
+				t.Fatal(err)
+			}
+			client.Close() // vanish mid-stream
+			waitDone(t, done, 2*time.Second, "mid-stream disconnect")
+			if got := s.metrics.Aborted.Load(); got != 1 {
+				t.Errorf("Aborted = %d, want 1", got)
+			}
+			if got := s.metrics.Evicted.Load(); got != 0 {
+				t.Errorf("Evicted = %d, want 0", got)
+			}
+			if got := s.Admitted(); got != 0 {
+				t.Errorf("Admitted = %d after abort, want 0", got)
+			}
+		})
 	}
 }
 
@@ -214,7 +221,8 @@ func TestMidStreamDisconnectCountsAborted(t *testing.T) {
 // returned — stalled clients cannot pin Theorem 1 capacity.
 func TestStalledReaderEvictedAndSlotReleased(t *testing.T) {
 	cfg := testConfig(1 * units.GB)
-	cfg.Limit = 0 // unlimited: only eviction can end the stream
+	cfg.Pacing = PacingGoroutine // TestStalledReaderEvictionBound covers both planes
+	cfg.Limit = 0                // unlimited: only eviction can end the stream
 	s := newTestServer(t, cfg)
 	client, done := runHandle(t, s)
 
@@ -256,6 +264,7 @@ func TestStalledReaderEvictedAndSlotReleased(t *testing.T) {
 // fractional bytes, so the stream completes and releases.
 func TestSubQuantumRateStreamCompletes(t *testing.T) {
 	cfg := testConfig(1 * units.GB)
+	cfg.Pacing = PacingGoroutine // the wheel has TestWheelSubQuantumRateStreamCompletes
 	cfg.Limit = 3 * units.B
 	s := newTestServer(t, cfg)
 	client, done := runHandle(t, s)
@@ -416,62 +425,67 @@ func startServe(t *testing.T, s *Server) (string, context.CancelFunc, <-chan err
 // in-flight streams at the drain deadline, releases every admission
 // slot, and returns nil.
 func TestDrainReleasesAllSlots(t *testing.T) {
-	cfg := testConfig(1 * units.GB)
-	cfg.Limit = 0 // unlimited: streams end only by eviction or drain
-	cfg.DrainTimeout = 300 * time.Millisecond
-	s := newTestServer(t, cfg)
-	addr, cancel, errc := startServe(t, s)
+	for _, mode := range []PacingMode{PacingGoroutine, PacingWheel} {
+		t.Run(mode.String(), func(t *testing.T) {
+			cfg := testConfig(1 * units.GB)
+			cfg.Pacing = mode
+			cfg.Limit = 0 // unlimited: streams end only by eviction or drain
+			cfg.DrainTimeout = 300 * time.Millisecond
+			s := newTestServer(t, cfg)
+			addr, cancel, errc := startServe(t, s)
 
-	// Three live streams, each with a client that keeps reading.
-	var wg sync.WaitGroup
-	for i := 0; i < 3; i++ {
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
-		if _, err := conn.Write([]byte("PLAY 100KB\n")); err != nil {
-			t.Fatal(err)
-		}
-		r := bufio.NewReader(conn)
-		line, err := r.ReadString('\n')
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !strings.HasPrefix(line, "OK streaming") {
-			t.Fatalf("PLAY response = %q", line)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			io.Copy(io.Discard, r) // keep consuming until the server closes us
-		}()
-	}
-	waitFor(t, time.Second, func() bool { return s.Admitted() == 3 })
+			// Three live streams, each with a client that keeps reading.
+			var wg sync.WaitGroup
+			for i := 0; i < 3; i++ {
+				conn, err := net.Dial("tcp", addr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer conn.Close()
+				if _, err := conn.Write([]byte("PLAY 100KB\n")); err != nil {
+					t.Fatal(err)
+				}
+				r := bufio.NewReader(conn)
+				line, err := r.ReadString('\n')
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !strings.HasPrefix(line, "OK streaming") {
+					t.Fatalf("PLAY response = %q", line)
+				}
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					io.Copy(io.Discard, r) // keep consuming until the server closes us
+				}()
+			}
+			waitFor(t, time.Second, func() bool { return s.Admitted() == 3 })
 
-	cancel()
-	select {
-	case err := <-errc:
-		if err != nil {
-			t.Fatalf("Serve returned %v after drain, want nil", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Serve did not return within the drain window")
-	}
-	if got := s.Admitted(); got != 0 {
-		t.Errorf("Admitted = %d after drain, want 0", got)
-	}
-	if got := s.metrics.ActiveStreams.Load(); got != 0 {
-		t.Errorf("ActiveStreams = %d after drain, want 0", got)
-	}
-	if got := s.activeConns(); got != 0 {
-		t.Errorf("%d connections still tracked after drain", got)
-	}
-	wg.Wait() // all clients saw the server close their stream
-	// New connections are refused once the listener is down.
-	if conn, err := net.Dial("tcp", addr); err == nil {
-		conn.Close()
-		t.Error("dial succeeded after drain; listener should be closed")
+			cancel()
+			select {
+			case err := <-errc:
+				if err != nil {
+					t.Fatalf("Serve returned %v after drain, want nil", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("Serve did not return within the drain window")
+			}
+			if got := s.Admitted(); got != 0 {
+				t.Errorf("Admitted = %d after drain, want 0", got)
+			}
+			if got := s.metrics.ActiveStreams.Load(); got != 0 {
+				t.Errorf("ActiveStreams = %d after drain, want 0", got)
+			}
+			if got := s.activeConns(); got != 0 {
+				t.Errorf("%d connections still tracked after drain", got)
+			}
+			wg.Wait() // all clients saw the server close their stream
+			// New connections are refused once the listener is down.
+			if conn, err := net.Dial("tcp", addr); err == nil {
+				conn.Close()
+				t.Error("dial succeeded after drain; listener should be closed")
+			}
+		})
 	}
 }
 
@@ -479,43 +493,48 @@ func TestDrainReleasesAllSlots(t *testing.T) {
 // byte budget well before the drain deadline and counts as Completed,
 // not Evicted.
 func TestDrainLetsInFlightStreamsFinish(t *testing.T) {
-	cfg := testConfig(1 * units.GB)
-	cfg.Limit = 10 * units.KB // ~100ms at 100KB/s with 10ms quanta
-	cfg.DrainTimeout = 5 * time.Second
-	s := newTestServer(t, cfg)
-	addr, cancel, errc := startServe(t, s)
+	for _, mode := range []PacingMode{PacingGoroutine, PacingWheel} {
+		t.Run(mode.String(), func(t *testing.T) {
+			cfg := testConfig(1 * units.GB)
+			cfg.Pacing = mode
+			cfg.Limit = 10 * units.KB // ~100ms at 100KB/s with 10ms quanta
+			cfg.DrainTimeout = 5 * time.Second
+			s := newTestServer(t, cfg)
+			addr, cancel, errc := startServe(t, s)
 
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write([]byte("PLAY 100KB\n")); err != nil {
-		t.Fatal(err)
-	}
-	r := bufio.NewReader(conn)
-	if _, err := r.ReadString('\n'); err != nil {
-		t.Fatal(err)
-	}
-	cancel() // drain begins while the stream is in flight
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if _, err := conn.Write([]byte("PLAY 100KB\n")); err != nil {
+				t.Fatal(err)
+			}
+			r := bufio.NewReader(conn)
+			if _, err := r.ReadString('\n'); err != nil {
+				t.Fatal(err)
+			}
+			cancel() // drain begins while the stream is in flight
 
-	n, _ := io.Copy(io.Discard, r)
-	if n < int64(cfg.Limit) {
-		t.Errorf("drained stream delivered %d bytes, want ≥ %v", n, cfg.Limit)
-	}
-	select {
-	case err := <-errc:
-		if err != nil {
-			t.Fatalf("Serve returned %v, want nil", err)
-		}
-	case <-time.After(4 * time.Second):
-		t.Fatal("Serve did not return before the drain deadline despite streams finishing")
-	}
-	if got := s.metrics.Completed.Load(); got != 1 {
-		t.Errorf("Completed = %d, want 1", got)
-	}
-	if got := s.metrics.Evicted.Load(); got != 0 {
-		t.Errorf("Evicted = %d, want 0", got)
+			n, _ := io.Copy(io.Discard, r)
+			if n < int64(cfg.Limit) {
+				t.Errorf("drained stream delivered %d bytes, want ≥ %v", n, cfg.Limit)
+			}
+			select {
+			case err := <-errc:
+				if err != nil {
+					t.Fatalf("Serve returned %v, want nil", err)
+				}
+			case <-time.After(4 * time.Second):
+				t.Fatal("Serve did not return before the drain deadline despite streams finishing")
+			}
+			if got := s.metrics.Completed.Load(); got != 1 {
+				t.Errorf("Completed = %d, want 1", got)
+			}
+			if got := s.metrics.Evicted.Load(); got != 0 {
+				t.Errorf("Evicted = %d, want 0", got)
+			}
+		})
 	}
 }
 
@@ -583,4 +602,131 @@ func waitFor(t *testing.T, within time.Duration, cond func() bool) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("condition not met within %v", within)
+}
+
+// playBanner sends one PLAY at the given rate and returns the reply line
+// and the reader positioned after it.
+func playBanner(client net.Conn, rate units.ByteRate) (string, *bufio.Reader, error) {
+	req := "PLAY " + strconv.FormatFloat(float64(rate), 'f', -1, 64) + "\n"
+	if _, err := client.Write([]byte(req)); err != nil {
+		return "", nil, err
+	}
+	r := bufio.NewReader(client)
+	line, err := r.ReadString('\n')
+	return line, r, err
+}
+
+// The banner a client reads is the formatted line, byte for byte, whether
+// it came from the cache, filled the cache, or found the cache full; and
+// the cache stops growing at its bound.
+func TestBannerCacheMatchesFormat(t *testing.T) {
+	cfg := testConfig(0)
+	// A device fast enough that the GB/s bracket is admitted too.
+	cfg.Admission.Disk = model.DeviceSpec{Rate: 1e15, Latency: time.Millisecond}
+	s := newTestServer(t, cfg)
+
+	// One rate per ByteRate.String bracket and at each bracket's rounding
+	// edge, then more distinct rates than the cache holds.
+	rates := []units.ByteRate{5, 999.6, 1500, 999999, 2.5e6, 1.2e9, 3e12}
+	for i := 0; i < maxBannerRates+16; i++ {
+		rates = append(rates, units.ByteRate(20000+i))
+	}
+	// Again, now that the cache is full: early rates hit, late ones miss.
+	rates = append(rates, rates...)
+	for _, rate := range rates {
+		client, _ := runHandle(t, s) // its cleanup waits for the handler
+		line, _, err := playBanner(client, rate)
+		if err != nil {
+			t.Fatalf("PLAY %v: %v", float64(rate), err)
+		}
+		client.Close()
+		if want := fmt.Sprintf("OK streaming at %v\n", rate); line != want {
+			t.Errorf("PLAY %v: banner %q, want %q", float64(rate), line, want)
+		}
+	}
+	s.mu.Lock()
+	cached := len(s.banners)
+	s.mu.Unlock()
+	if cached != maxBannerRates {
+		t.Errorf("banner cache holds %d rates after %d distinct ones, want the bound %d",
+			cached, len(rates)/2, maxBannerRates)
+	}
+}
+
+// A flash crowd on both planes: a thousand PLAYs at mixed rates arrive at
+// once over in-memory connections, every one is admitted and answered
+// with its own rate's banner, then all hang up. Every slot must come back
+// and every stream must end under exactly one outcome counter.
+func TestPlayBurst(t *testing.T) {
+	const clients = 1000
+	rates := []units.ByteRate{10 * units.KBPS, 100 * units.KBPS, 33333, 250 * units.KBPS}
+	for _, mode := range []PacingMode{PacingGoroutine, PacingWheel} {
+		t.Run(mode.String(), func(t *testing.T) {
+			cfg := testConfig(64 * units.GB)
+			cfg.Pacing = mode
+			cfg.Limit = 0
+			cfg.Quantum = 50 * time.Millisecond
+			// Nobody stalls: no deadline may fire however slowly the race
+			// detector runs the crowd, so only hang-ups end streams.
+			cfg.ReadTimeout = 30 * time.Second
+			cfg.WriteTimeout = 30 * time.Second
+			s := newTestServer(t, cfg)
+
+			conns := make([]net.Conn, clients)
+			var handlers, answered sync.WaitGroup
+			for i := range conns {
+				client, srv := net.Pipe()
+				conns[i] = client
+				handlers.Add(1)
+				go func() {
+					defer handlers.Done()
+					defer srv.Close()
+					s.handle(srv)
+				}()
+				answered.Add(1)
+				go func(rate units.ByteRate) {
+					line, r, err := playBanner(client, rate)
+					answered.Done()
+					if err != nil {
+						t.Errorf("PLAY %v: %v", rate, err)
+						return
+					}
+					if want := fmt.Sprintf("OK streaming at %v\n", rate); line != want {
+						t.Errorf("PLAY %v: banner %q, want %q", rate, line, want)
+					}
+					io.Copy(io.Discard, r) // keep reading until the hang-up
+				}(rates[i%len(rates)])
+			}
+			answered.Wait()
+			if got := s.Admitted(); got != clients {
+				t.Errorf("Admitted = %d with the burst standing, want %d", got, clients)
+			}
+			for _, c := range conns {
+				c.Close()
+			}
+			handlers.Wait()
+
+			m := s.metrics
+			if got := s.Admitted(); got != 0 {
+				t.Errorf("Admitted = %d after every client hung up, want 0", got)
+			}
+			if got := m.ActiveStreams.Load(); got != 0 {
+				t.Errorf("ActiveStreams = %d after every client hung up, want 0", got)
+			}
+			s.mu.Lock()
+			registered := len(s.streams)
+			s.mu.Unlock()
+			if registered != 0 {
+				t.Errorf("%d streams still registered with the control plane", registered)
+			}
+			admitted := m.AdmittedTotal.Load()
+			if admitted != clients {
+				t.Errorf("AdmittedTotal = %d, want %d", admitted, clients)
+			}
+			if got := m.Completed.Load() + m.Evicted.Load() + m.Aborted.Load(); got != admitted {
+				t.Errorf("completed(%d)+evicted(%d)+aborted(%d) = %d, want admitted %d",
+					m.Completed.Load(), m.Evicted.Load(), m.Aborted.Load(), got, admitted)
+			}
+		})
+	}
 }

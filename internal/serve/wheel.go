@@ -8,7 +8,7 @@ import (
 	"memstream/internal/wheel"
 )
 
-// The timer-wheel data plane (Config.Pacing == PacingWheel).
+// The timer-wheel data plane (Config.Pacing == PacingWheel, the default).
 //
 // The goroutine-per-stream plane charges every stream a private runtime
 // timer: at 100k streams and a 100ms quantum that is a million timer

@@ -18,7 +18,7 @@ func TestParsePacing(t *testing.T) {
 		want PacingMode
 		ok   bool
 	}{
-		{"", PacingGoroutine, true},
+		{"", PacingWheel, true},
 		{"goroutine", PacingGoroutine, true},
 		{"GOROUTINE", PacingGoroutine, true},
 		{"wheel", PacingWheel, true},
@@ -36,6 +36,9 @@ func TestParsePacing(t *testing.T) {
 	}
 	if PacingGoroutine.String() != "goroutine" || PacingWheel.String() != "wheel" {
 		t.Errorf("String() = %q/%q", PacingGoroutine, PacingWheel)
+	}
+	if (Config{}).Pacing != PacingWheel {
+		t.Errorf("zero-value Config.Pacing = %v, want wheel", Config{}.Pacing)
 	}
 }
 

@@ -14,10 +14,13 @@
 #      is cross-counted as a slowloris reap,
 #   5. SIGTERM drains gracefully: the server exits 0 within the drain
 #      budget with no force-kill,
-#   6. the wheel data plane (-pacing=wheel) survives a high-population
-#      sweep: a 1000-stream cohort is admitted, paced, and completed with
-#      per-step counter conservation (memsload -sweep), then the wheel
-#      server drains cleanly too.
+#   6. the wheel data plane (-pacing=wheel, also the default) survives a
+#      high-population sweep: a 1000-stream cohort is admitted, paced, and
+#      completed with per-step counter conservation (memsload -sweep),
+#      then the wheel server drains cleanly too.
+#
+# Steps 1-5 name -pacing goroutine, which they used to get by default, so
+# both planes stay smoked.
 set -eu
 
 ADDR="${SMOKE_ADDR:-127.0.0.1:9391}"
@@ -38,7 +41,7 @@ go build -o "$BIN/memsload" ./cmd/memsload
 # write deadline — the real eviction path, not completion into buffers.
 echo "smoke: starting memserve on $ADDR"
 "$BIN/memserve" -addr "$ADDR" -http "$HTTP_ADDR" -dram 1GB -bitrate 100KB -limit 0 \
-    -read-timeout 2s -write-timeout 500ms -drain 5s -quantum 20ms &
+    -read-timeout 2s -write-timeout 500ms -drain 5s -quantum 20ms -pacing goroutine &
 SERVER_PID=$!
 
 # Wait for both listeners.
