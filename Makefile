@@ -27,9 +27,10 @@ bench:
 # bench-sim runs the hot-path microbenchmarks — the simulation kernel,
 # the lock-free metrics collector, the timer wheel, the serve data
 # plane, the rig's cycle walks (direct and buffered), the popularity
-# sampler, the disk's C-LOOK batch and service model, the sled's service
-# model, the bank and PLAY admission — the set CI compares old-vs-new
-# with benchstat. BENCH_COUNT>1 gives benchstat samples to work with.
+# sampler, catalog build and session replay, the disk's C-LOOK batch
+# and service model, the sled's service model, the bank and PLAY
+# admission — the set CI compares old-vs-new with benchstat.
+# BENCH_COUNT>1 gives benchstat samples to work with.
 bench-sim:
 	$(GO) test -run '^$$' -bench . -benchmem -count $(or $(BENCH_COUNT),1) ./internal/sim/ ./internal/metrics/ ./internal/wheel/ ./internal/serve/ ./internal/schedule/ ./internal/server/ ./internal/workload/ ./internal/disk/ ./internal/mems/ ./internal/bank/
 
@@ -38,13 +39,14 @@ bench-sim:
 bench-record:
 	sh scripts/bench.sh
 
-# profile writes cpu/heap pprof artifacts for the heaviest event-driven
-# experiments (validate and dynamics dominate suite wall time; occupancy
-# is the trace-bearing run), so perf work starts from a flame graph:
+# profile writes cpu/heap pprof artifacts for the three experiments that
+# dominate suite wall time — hybrid (about half of a pass: ten 300-stream
+# DES runs, 1.5 M events), then dynamics (session generation and replay,
+# no DES) and validate — so perf work starts from a flame graph:
 # go tool pprof -http=: profiles/cpu.pprof
 profile:
 	mkdir -p profiles
-	$(GO) run ./cmd/memsbench -run 'validate|dynamics|occupancy' \
+	$(GO) run ./cmd/memsbench -run 'hybrid|dynamics|validate' \
 		-cpuprofile profiles/cpu.pprof -memprofile profiles/mem.pprof -out profiles
 	@echo "profiles: profiles/cpu.pprof profiles/mem.pprof"
 

@@ -78,6 +78,7 @@ func runAblationGSS(uint64) (Result, error) {
 // related work in simulation: same load, same IO sizes, different order.
 func runAblationEDF(seed uint64) (Result, error) {
 	var met Metrics
+	arena := server.NewArena() // one per sweep: points reuse its storage, and the catalog while their key repeats
 	t := &plot.Table{
 		Title: "Time-cycle (C-LOOK order) vs EDF (deadline order), simulated",
 		Headers: []string{"load", "scheduler", "underflows", "disk busy/IO",
@@ -90,6 +91,7 @@ func runAblationEDF(seed uint64) (Result, error) {
 				K: 2, N: n, BitRate: 1 * units.MBPS, Titles: 100,
 				X: 10, Y: 90, Seed: seed, UseEDF: edf,
 				Duration: 10 * time.Second,
+				Arena:    arena,
 			}
 			res, err := server.Run(cfg)
 			if err != nil {

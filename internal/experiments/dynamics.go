@@ -48,21 +48,31 @@ func runDynamics(seed uint64) (Result, error) {
 			fmt.Sprintf("buffered (cap %d)", buffered),
 			fmt.Sprintf("cached (cap %d)", cached)},
 	}
-	for _, offered := range []float64{0.5, 1.0, 1.5, 2.0} {
-		row := []string{fmt.Sprintf("%.1fx direct cap", offered)}
-		// One trace per offered load: the three configurations are
-		// compared on the same arrivals.
-		p := workload.SessionProcess{
+	const horizon = 6 * time.Hour
+	loads := []float64{0.5, 1.0, 1.5, 2.0}
+	process := func(offered float64) workload.SessionProcess {
+		return workload.SessionProcess{
 			ArrivalRate: offered * float64(direct) / 600, // hold = 600s
 			MeanHold:    10 * time.Minute,
 			BitRate:     bitRate,
 		}
-		sessions, err := p.Generate(sim.NewRNG(seed), 6*time.Hour)
+	}
+	// One session buffer and one replay index, sized for the heaviest load
+	// and reused by every row.
+	sessions := make([]workload.Session, 0, process(loads[len(loads)-1]).SizeHint(horizon))
+	replay := workload.NewReplay(cap(sessions))
+	for _, offered := range loads {
+		row := []string{fmt.Sprintf("%.1fx direct cap", offered)}
+		// One trace per offered load: the three configurations are
+		// compared on the same arrivals.
+		var err error
+		sessions, err = process(offered).AppendSessions(sessions[:0], sim.NewRNG(seed), horizon)
 		if err != nil {
 			return Result{}, err
 		}
+		replay.Reset(sessions)
 		for _, capN := range []int{direct, buffered, cached} {
-			stats := workload.ReplayAdmission(sessions, func(busy int) bool { return busy < capN })
+			stats := replay.Admission(func(busy int) bool { return busy < capN })
 			row = append(row, fmt.Sprintf("%.3f (avg %d busy)", stats.BlockProb, int(stats.AvgBusy)))
 		}
 		t.AddRow(row...)

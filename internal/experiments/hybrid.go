@@ -27,6 +27,7 @@ func runHybridExperiment(seed uint64) (Result, error) {
 		titles  = 400
 	)
 	var met Metrics
+	arena := server.NewArena() // one per sweep: points reuse its storage, and the catalog while their key repeats
 	t := &plot.Table{
 		Title: fmt.Sprintf("Hybrid splits of a %d-device bank, %d streams, %v", k, n, bitRate),
 		Headers: []string{"popularity", "cache/buffer split", "from cache",
@@ -39,6 +40,7 @@ func runHybridExperiment(seed uint64) (Result, error) {
 				K: k, CacheDevices: j,
 				N: n, BitRate: bitRate, Titles: titles,
 				X: dist.x, Y: dist.y, Seed: seed,
+				Arena: arena,
 			}
 			switch j {
 			case 0:

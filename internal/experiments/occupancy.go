@@ -43,7 +43,9 @@ func runOccupancy(seed uint64) (Result, error) {
 			Titles: 200, X: 10, Y: 90, Seed: seed, Trace: true,
 		}},
 	}
+	arena := server.NewArena() // one per sweep: points reuse its storage, and the catalog while their key repeats
 	for _, rc := range runs {
+		rc.cfg.Arena = arena
 		res, err := server.Run(rc.cfg)
 		if err != nil {
 			return Result{}, fmt.Errorf("%s: %w", rc.label, err)

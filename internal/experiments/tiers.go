@@ -43,6 +43,7 @@ func runTierCompare(seed uint64) (Result, error) {
 			"max N (1GB)", "underflows", "tier util"},
 	}
 	var met Metrics
+	arena := server.NewArena() // one per sweep: points reuse its storage, and the catalog while their key repeats
 	for _, name := range []string{"mems-g3", "nvm-optane", "ssd-sata", "disk-future"} {
 		p := tier.MustLookup(name)
 		spec := model.DeviceSpec{Rate: p.Rate, Latency: p.MaxLatency}
@@ -65,6 +66,7 @@ func runTierCompare(seed uint64) (Result, error) {
 			K: k, N: n, BitRate: bitRate, Titles: 100,
 			X: 10, Y: 90, Seed: seed,
 			Duration: 10 * time.Second,
+			Arena:    arena,
 		}
 		res, err := server.Run(scfg)
 		if err != nil {

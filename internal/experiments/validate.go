@@ -26,6 +26,7 @@ func runValidate(seed uint64) (Result, error) {
 			"Planned DRAM", "Measured peak", "Disk util", "MEMS util", "margin p5"},
 	}
 	var met Metrics
+	arena := server.NewArena() // one per sweep: points reuse its storage, and the catalog while their key repeats
 	runs := []struct {
 		mode   server.Mode
 		label  string
@@ -51,7 +52,8 @@ func runValidate(seed uint64) (Result, error) {
 			BitRate:     rc.br,
 			Titles:      200,
 			X:           10, Y: 90,
-			Seed: seed,
+			Seed:  seed,
+			Arena: arena,
 		}
 		res, err := server.Run(cfg)
 		if err != nil {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"time"
 
@@ -148,3 +149,86 @@ func benchmarkPauseLookup(b *testing.B, linear bool) {
 
 func BenchmarkPauseIntegratorBinarySearch(b *testing.B) { benchmarkPauseLookup(b, false) }
 func BenchmarkPauseIntegratorLinearScan(b *testing.B)   { benchmarkPauseLookup(b, true) }
+
+// traceIntegrator returns the consumption integral of a piecewise-constant
+// rate profile with interval length dt; offsets are measured from playback
+// start and the profile repeats beyond its end.
+//
+// The steady-state rig consumes traces through consTables (state.go),
+// which reproduces this arithmetic over shared arrays; the closure form
+// survives as the behavioral reference the equivalence tests compare
+// against.
+func traceIntegrator(trace []units.ByteRate, dt time.Duration) func(from, to time.Duration) units.Bytes {
+	prefix := make([]float64, len(trace)+1) // bytes consumed by end of interval i
+	for i, r := range trace {
+		prefix[i+1] = prefix[i] + float64(r)*dt.Seconds()
+	}
+	total := prefix[len(trace)]
+	span := time.Duration(len(trace)) * dt
+	at := func(t time.Duration) float64 {
+		if t <= 0 {
+			return 0
+		}
+		wraps := float64(t / span)
+		rem := t % span
+		i := int(rem / dt)
+		frac := float64(rem%dt) / float64(dt)
+		return wraps*total + prefix[i] + (prefix[i+1]-prefix[i])*frac
+	}
+	return func(from, to time.Duration) units.Bytes {
+		return units.Bytes(at(to) - at(from))
+	}
+}
+
+// pauseIntegrator builds a consumption integral for a play/pause process:
+// alternating exponentially distributed play (consuming at rate) and
+// pause (consuming nothing) phases, precomputed out to horizon seconds.
+//
+// Like traceIntegrator, this closure form is the behavioral reference for
+// consTables.addPause/pauseAt, which the rig uses in steady state.
+func pauseIntegrator(rng *sim.RNG, rate units.ByteRate, meanPlay, meanPause, horizon float64) func(from, to time.Duration) units.Bytes {
+	// boundaries[i] alternates play-end, pause-end, ...; consumed[i] is the
+	// cumulative consumption at boundaries[i].
+	var boundaries []float64
+	var consumed []float64
+	t, c := 0.0, 0.0
+	playing := true
+	for t < horizon {
+		var d float64
+		if playing {
+			d = rng.Exp(meanPlay)
+			c += float64(rate) * d
+		} else {
+			d = rng.Exp(meanPause)
+		}
+		t += d
+		boundaries = append(boundaries, t)
+		consumed = append(consumed, c)
+		playing = !playing
+	}
+	// The scheduler drains every player each cycle, so at() runs O(cycles)
+	// times per stream; a linear scan over all boundaries made each drain
+	// O(phases) and a run O(n²). Binary search over the sorted boundary
+	// list keeps each lookup O(log n).
+	at := func(x time.Duration) float64 {
+		xs := x.Seconds()
+		if xs <= 0 || len(boundaries) == 0 {
+			return 0
+		}
+		i := sort.SearchFloat64s(boundaries, xs) // first boundary ≥ xs
+		if i == len(boundaries) {
+			return consumed[len(consumed)-1] // beyond the horizon: treat as paused
+		}
+		prevT, prevC := 0.0, 0.0
+		if i > 0 {
+			prevT, prevC = boundaries[i-1], consumed[i-1]
+		}
+		if i%2 == 0 { // inside a play phase
+			return prevC + float64(rate)*(xs-prevT)
+		}
+		return prevC // inside a pause phase
+	}
+	return func(from, to time.Duration) units.Bytes {
+		return units.Bytes(at(to) - at(from))
+	}
+}

@@ -2,7 +2,6 @@ package server
 
 import (
 	"math"
-	"sort"
 	"time"
 
 	"memstream/internal/device"
@@ -71,13 +70,13 @@ func newRig(cfg Config) (*rig, error) {
 	if err != nil {
 		return nil, err
 	}
-	cat, err := newCatalog(cfg, dsk.Geometry().BlockSize)
-	if err != nil {
-		return nil, err
-	}
 	ar := cfg.Arena
 	if ar == nil {
 		ar = NewArena()
+	}
+	cat, err := ar.catalog(catalogKeyFor(cfg, dsk.Geometry().BlockSize))
+	if err != nil {
+		return nil, err
 	}
 	ar.reset(cfg.N, cfg.Seed^0xabcdef)
 	rng := sim.NewRNG(cfg.Seed)
@@ -261,38 +260,45 @@ func (r *rig) submitBatch(c *chain, it chainItem) {
 // after fn, so attaching the probe changes neither the event calendar nor
 // any Result field.
 //
-// All cycles are scheduled upfront (not self-chained) so that when
-// several loops with different periods share the rig, their tie-break
-// order at coinciding timestamps is fixed by driver setup order — the
-// determinism contract the pinned Result fingerprints enforce. The
-// per-cycle state lives in one contiguous slice and events go through
-// ScheduleArg, so a loop of n cycles costs one allocation instead of a
-// closure per cycle.
+// The loop reserves its n sequence numbers here, at driver set-up, and
+// then chains itself: only the first cycle is scheduled now, and each
+// firing schedules its successor under the next reserved number before it
+// runs the stage. Every cycle therefore fires under the (time, sequence)
+// key it would hold had all n been scheduled up front — when several
+// loops with different periods share the rig, their tie-break order at
+// coinciding timestamps is still fixed by driver set-up order, the
+// determinism contract the pinned Result fingerprints enforce — while the
+// calendar carries one entry per loop instead of one per future cycle,
+// and a loop costs one cycleCall.
 func (r *rig) cycleLoop(source string, period time.Duration, first, n int64, fn func(c int64)) {
 	if n <= 0 {
 		return
 	}
-	calls := make([]cycleCall, n)
-	for c := first; c < first+n; c++ {
-		cc := &calls[c-first]
-		*cc = cycleCall{r: r, source: source, fn: fn, c: c}
-		r.eng.ScheduleArg(time.Duration(c)*period, runCycleCall, cc)
-	}
+	cc := &cycleCall{r: r, source: source, fn: fn, period: period, c: first, seqs: r.eng.Reserve(int(n))}
+	r.eng.ScheduleArgReserved(time.Duration(first)*period, &cc.seqs, runCycleCall, cc)
 }
 
-// cycleCall is one scheduled cycle of a cycleLoop.
+// cycleCall is one cycleLoop: its stage, the next cycle to fire and the
+// sequence numbers its remaining cycles fire under.
 type cycleCall struct {
 	r      *rig
 	source string
 	fn     func(c int64)
+	period time.Duration
 	c      int64
+	seqs   sim.SeqBlock
 }
 
 func runCycleCall(arg any) {
 	cc := arg.(*cycleCall)
-	cc.fn(cc.c)
+	c := cc.c
+	if cc.seqs.Left() > 0 {
+		cc.c++
+		cc.r.eng.ScheduleArgReserved(cc.period, &cc.seqs, runCycleCall, cc)
+	}
+	cc.fn(c)
 	if cc.r.probe != nil {
-		cc.r.probe.sample(cc.source, cc.c)
+		cc.r.probe.sample(cc.source, c)
 	}
 }
 
@@ -496,88 +502,5 @@ func normalizeTrace(trace []units.ByteRate, nominal units.ByteRate) {
 	scale := float64(nominal) * float64(len(trace)) / sum
 	for i := range trace {
 		trace[i] = units.ByteRate(float64(trace[i]) * scale)
-	}
-}
-
-// traceIntegrator returns the consumption integral of a piecewise-constant
-// rate profile with interval length dt; offsets are measured from playback
-// start and the profile repeats beyond its end.
-//
-// The steady-state rig consumes traces through consTables (state.go),
-// which reproduces this arithmetic over shared arrays; the closure form
-// survives as the behavioral reference the equivalence tests compare
-// against.
-func traceIntegrator(trace []units.ByteRate, dt time.Duration) func(from, to time.Duration) units.Bytes {
-	prefix := make([]float64, len(trace)+1) // bytes consumed by end of interval i
-	for i, r := range trace {
-		prefix[i+1] = prefix[i] + float64(r)*dt.Seconds()
-	}
-	total := prefix[len(trace)]
-	span := time.Duration(len(trace)) * dt
-	at := func(t time.Duration) float64 {
-		if t <= 0 {
-			return 0
-		}
-		wraps := float64(t / span)
-		rem := t % span
-		i := int(rem / dt)
-		frac := float64(rem%dt) / float64(dt)
-		return wraps*total + prefix[i] + (prefix[i+1]-prefix[i])*frac
-	}
-	return func(from, to time.Duration) units.Bytes {
-		return units.Bytes(at(to) - at(from))
-	}
-}
-
-// pauseIntegrator builds a consumption integral for a play/pause process:
-// alternating exponentially distributed play (consuming at rate) and
-// pause (consuming nothing) phases, precomputed out to horizon seconds.
-//
-// Like traceIntegrator, this closure form is the behavioral reference for
-// consTables.addPause/pauseAt, which the rig uses in steady state.
-func pauseIntegrator(rng *sim.RNG, rate units.ByteRate, meanPlay, meanPause, horizon float64) func(from, to time.Duration) units.Bytes {
-	// boundaries[i] alternates play-end, pause-end, ...; consumed[i] is the
-	// cumulative consumption at boundaries[i].
-	var boundaries []float64
-	var consumed []float64
-	t, c := 0.0, 0.0
-	playing := true
-	for t < horizon {
-		var d float64
-		if playing {
-			d = rng.Exp(meanPlay)
-			c += float64(rate) * d
-		} else {
-			d = rng.Exp(meanPause)
-		}
-		t += d
-		boundaries = append(boundaries, t)
-		consumed = append(consumed, c)
-		playing = !playing
-	}
-	// The scheduler drains every player each cycle, so at() runs O(cycles)
-	// times per stream; a linear scan over all boundaries made each drain
-	// O(phases) and a run O(n²). Binary search over the sorted boundary
-	// list keeps each lookup O(log n).
-	at := func(x time.Duration) float64 {
-		xs := x.Seconds()
-		if xs <= 0 || len(boundaries) == 0 {
-			return 0
-		}
-		i := sort.SearchFloat64s(boundaries, xs) // first boundary ≥ xs
-		if i == len(boundaries) {
-			return consumed[len(consumed)-1] // beyond the horizon: treat as paused
-		}
-		prevT, prevC := 0.0, 0.0
-		if i > 0 {
-			prevT, prevC = boundaries[i-1], consumed[i-1]
-		}
-		if i%2 == 0 { // inside a play phase
-			return prevC + float64(rate)*(xs-prevT)
-		}
-		return prevC // inside a pause phase
-	}
-	return func(from, to time.Duration) units.Bytes {
-		return units.Bytes(at(to) - at(from))
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"memstream/internal/device"
 	"memstream/internal/disk"
 	"memstream/internal/model"
 	"memstream/internal/sim"
@@ -80,7 +81,7 @@ func TestPopulationInjectionMatchesSelfDraw(t *testing.T) {
 	if err := validate(&cfgv); err != nil {
 		t.Fatal(err)
 	}
-	cat, err := newCatalog(cfgv, dsk.Geometry().BlockSize)
+	cat, err := newCatalog(catalogKeyFor(cfgv, dsk.Geometry().BlockSize))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,5 +244,247 @@ func TestTraceContents(t *testing.T) {
 				t.Error("cache mode recorded no cache-fill deltas")
 			}
 		})
+	}
+}
+
+// --- self-chaining cycle loops ---
+
+// cycleLoopUpFront is cycleLoop as it was before the loops chained
+// themselves: every cycle of the loop on the calendar at set-up, one
+// cycle state each. It is the oracle for the chained loop — the same
+// (time, sequence) key for every cycle, held the expensive way.
+func cycleLoopUpFront(r *rig, source string, period time.Duration, first, n int64, fn func(c int64)) {
+	if n <= 0 {
+		return
+	}
+	calls := make([]upFrontCall, n)
+	for c := first; c < first+n; c++ {
+		cc := &calls[c-first]
+		*cc = upFrontCall{r: r, source: source, fn: fn, c: c}
+		r.eng.ScheduleArg(time.Duration(c)*period, runUpFrontCall, cc)
+	}
+}
+
+type upFrontCall struct {
+	r      *rig
+	source string
+	fn     func(c int64)
+	c      int64
+}
+
+func runUpFrontCall(arg any) {
+	cc := arg.(*upFrontCall)
+	cc.fn(cc.c)
+	if cc.r.probe != nil {
+		cc.r.probe.sample(cc.source, cc.c)
+	}
+}
+
+// rigFiring is one thing the loop test saw happen: a loop's cycle, or
+// (loop < 0) a chain item or plain event the stages queued.
+type rigFiring struct {
+	at    time.Duration
+	loop  int
+	cycle int64
+}
+
+// TestCycleLoopMatchesUpFrontSchedule runs random sets of loops on a rig —
+// periods with common multiples so their cycles coincide, first cycle 0
+// or 1, zero to many cycles, stages that queue chain work and plain
+// events at the firing time — once through cycleLoop and once through
+// the up-front schedule it replaced, and requires the same firings at
+// the same times in the same order, the same Executed(), and the same
+// probe samples.
+func TestCycleLoopMatchesUpFrontSchedule(t *testing.T) {
+	periods := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 30 * time.Millisecond, 60 * time.Millisecond}
+	type spec struct {
+		period   time.Duration
+		first, n int64
+	}
+	for seed := uint64(1); seed <= 25; seed++ {
+		pick := sim.NewRNG(seed)
+		specs := make([]spec, 1+pick.Intn(5))
+		for i := range specs {
+			specs[i] = spec{
+				period: periods[pick.Intn(len(periods))],
+				first:  int64(pick.Intn(2)),
+				n:      []int64{0, 1, 3, 40, 90}[pick.Intn(5)],
+			}
+		}
+		run := func(chained bool) ([]rigFiring, uint64, *Trace) {
+			cfg := baseConfig(Direct, 4, units.MBPS)
+			cfg.Trace = true
+			r, err := newRig(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := sim.NewRNG(seed * 104729)
+			var trace []rigFiring
+			chains := []*chain{r.newChain(), r.newChain()}
+			work := func(it *chainItem, start time.Duration) time.Duration {
+				trace = append(trace, rigFiring{start, -1, int64(it.stream)})
+				return start + time.Duration(it.req.Blocks)*time.Millisecond
+			}
+			var end time.Duration
+			for i, s := range specs {
+				loop := i
+				stage := func(c int64) {
+					trace = append(trace, rigFiring{r.eng.Now(), loop, c})
+					switch rng.Intn(4) {
+					case 0: // an idle cycle
+					case 1: // a counted batch: completions land on later cycle boundaries
+						chains[rng.Intn(2)].submit(chainItem{fn: work, stream: int32(c),
+							req: device.Request{Blocks: int64(rng.Intn(3)) * 5}, repeat: int32(1 + rng.Intn(4))})
+					case 2: // zero-length work: the chain re-fires at this very instant
+						chains[rng.Intn(2)].submit(chainItem{fn: work, stream: int32(c)})
+					default: // a plain event tied with whatever else is due now
+						r.eng.Schedule(0, func() { trace = append(trace, rigFiring{r.eng.Now(), -2, c}) })
+					}
+				}
+				if chained {
+					r.cycleLoop("loop", s.period, s.first, s.n, stage)
+				} else {
+					cycleLoopUpFront(r, "loop", s.period, s.first, s.n, stage)
+				}
+				end = max(end, time.Duration(s.first+s.n)*s.period)
+			}
+			r.finish(end + time.Second)
+			return trace, r.eng.Executed(), r.probe.trace
+		}
+		want, wantExec, wantSamples := run(false)
+		got, gotExec, gotSamples := run(true)
+		for i := range min(len(got), len(want)) {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d %+v: firing %d: chained %+v, up front %+v", seed, specs, i, got[i], want[i])
+			}
+		}
+		if len(got) != len(want) || gotExec != wantExec {
+			t.Fatalf("seed %d: chained fired %d (executed %d), up front %d (executed %d)",
+				seed, len(got), gotExec, len(want), wantExec)
+		}
+		if !reflect.DeepEqual(gotSamples, wantSamples) {
+			t.Errorf("seed %d: probe samples differ", seed)
+		}
+	}
+}
+
+// TestBufferedCalendarStaysShallow: with the loops chained, the calendar
+// of a buffered run holds at most one entry per loop, one per service
+// chain and the final drain — not one per future cycle.
+func TestBufferedCalendarStaysShallow(t *testing.T) {
+	b, err := newBuffered(baseConfig(Buffered, 100, units.MBPS))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const loops = 2 // disk and mems
+	peak := 0
+	stage := b.memsStage
+	b.memsStage = func(m int64) {
+		peak = max(peak, b.r.eng.Pending())
+		stage(m)
+		peak = max(peak, b.r.eng.Pending())
+	}
+	res := b.run()
+	bound := loops + b.r.ar.chainsUsed + 1
+	if peak > bound {
+		t.Errorf("calendar peaked at %d entries over %d mems cycles; want ≤ %d (%d loops + %d chains + the final drain)",
+			peak, b.memsCycles, bound, loops, b.r.ar.chainsUsed)
+	}
+	if peak < loops || b.memsCycles < 100 || res.Underflows != 0 {
+		t.Fatalf("run too tame to mean anything: peak %d, %d mems cycles, %d underflows", peak, b.memsCycles, res.Underflows)
+	}
+}
+
+// --- arena-remembered catalogs ---
+
+// TestArenaRemembersLastCatalog: an arena hands back the catalog it built
+// last while the key repeats, and the right catalog — never a stale one —
+// when the key changes in any field.
+func TestArenaRemembersLastCatalog(t *testing.T) {
+	a := NewArena()
+	keyA := catalogKeyFor(baseConfig(Direct, 10, units.MBPS), 4096)
+	keyB := keyA
+	keyB.titles = 80
+	check := func(k catalogKey) *workload.Catalog {
+		t.Helper()
+		got, err := a.catalog(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := newCatalog(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Titles, want.Titles) {
+			t.Fatalf("key %+v: arena returned a catalog a fresh build does not match", k)
+		}
+		return got
+	}
+	first := check(keyA)
+	if check(keyA) != first {
+		t.Error("a repeated key rebuilt the catalog")
+	}
+	b := check(keyB)
+	if b == first || len(b.Titles) != 80 {
+		t.Error("a new key got the old catalog")
+	}
+	if check(keyB) != b {
+		t.Error("a repeated key rebuilt the catalog")
+	}
+	if again := check(keyA); len(again.Titles) != keyA.titles {
+		t.Error("alternating back returned the wrong catalog")
+	}
+	// Every field of the key matters.
+	for name, k := range map[string]catalogKey{
+		"x":         {keyA.titles, 20, keyA.y, keyA.class, keyA.blockSize},
+		"y":         {keyA.titles, keyA.x, 80, keyA.class, keyA.blockSize},
+		"class":     {keyA.titles, keyA.x, keyA.y, mediaClass(100 * units.KBPS), keyA.blockSize},
+		"blockSize": {keyA.titles, keyA.x, keyA.y, keyA.class, 512},
+	} {
+		before, _ := a.catalog(keyA)
+		if got := check(k); got == before {
+			t.Errorf("changing %s alone reused the remembered catalog", name)
+		}
+	}
+	if _, err := a.catalog(catalogKey{titles: 10, x: 0, y: 150, class: keyA.class, blockSize: 4096}); err == nil {
+		t.Error("an invalid distribution built a catalog")
+	}
+	if got := check(keyA); len(got.Titles) != keyA.titles {
+		t.Error("a failed build disturbed the arena")
+	}
+}
+
+// TestSharedArenaSweepMatchesPrivateArenas is the experiment drivers'
+// argument for threading one arena through a sweep: five points that
+// repeat and change catalog keys, modes and sizes produce Results equal
+// field for field with a shared arena and with none.
+func TestSharedArenaSweepMatchesPrivateArenas(t *testing.T) {
+	hybrid := baseConfig(Hybrid, 120, 100*units.KBPS)
+	hybrid.K, hybrid.CacheDevices, hybrid.Titles = 4, 2, 400
+	cached := baseConfig(Cached, 150, 100*units.KBPS)
+	cached.Titles = 400
+	skewed := cached
+	skewed.X, skewed.Y = 50, 50
+	traced := baseConfig(Direct, 40, units.MBPS)
+	traced.Trace = true
+	sweep := []Config{hybrid, cached, skewed, traced, baseConfig(Buffered, 60, units.MBPS)}
+
+	arena := NewArena()
+	for round := 0; round < 2; round++ { // the second round starts from a warm arena
+		for i, cfg := range sweep {
+			want, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Arena = arena
+			got, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("round %d point %d (%v): shared arena changed the Result:\n got %+v\nwant %+v",
+					round, i, cfg.Mode, got, want)
+			}
+		}
 	}
 }

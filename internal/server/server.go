@@ -272,13 +272,30 @@ func mediaClass(br units.ByteRate) workload.MediaClass {
 	return workload.MediaClass{Name: "sim", BitRate: br, Duration: 100 * time.Minute}
 }
 
+// catalogKey is everything a run's catalog depends on. newCatalog takes
+// nothing else, so an Arena that remembers a catalog by its key can never
+// hand back a stale one.
+type catalogKey struct {
+	titles    int
+	x, y      float64
+	class     workload.MediaClass
+	blockSize units.Bytes
+}
+
+func catalogKeyFor(cfg Config, blockSize units.Bytes) catalogKey {
+	return catalogKey{
+		titles: cfg.Titles, x: cfg.X, y: cfg.Y,
+		class: mediaClass(cfg.BitRate), blockSize: blockSize,
+	}
+}
+
 // newCatalog lays the configured catalog out on the disk image.
-func newCatalog(cfg Config, blockSize units.Bytes) (*workload.Catalog, error) {
-	d := workload.XYDistribution{X: cfg.X, Y: cfg.Y}
+func newCatalog(k catalogKey) (*workload.Catalog, error) {
+	d := workload.XYDistribution{X: k.x, Y: k.y}
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
-	return workload.NewCatalog(cfg.Titles, mediaClass(cfg.BitRate), d.Weights(cfg.Titles), blockSize)
+	return workload.NewCatalog(k.titles, k.class, d.Weights(k.titles), k.blockSize)
 }
 
 func blocksFor(b units.Bytes, blockSize units.Bytes) int64 {

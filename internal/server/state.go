@@ -7,6 +7,7 @@ import (
 	"memstream/internal/disk"
 	"memstream/internal/sim"
 	"memstream/internal/units"
+	"memstream/internal/workload"
 )
 
 // This file holds the rig's batch-oriented state: per-stream playback
@@ -82,7 +83,7 @@ const (
 // consTables holds every VBR trace prefix-sum and pause-phase schedule of
 // a run in shared append-only arrays. Each profile is an (offset, length)
 // window; lookups reproduce the arithmetic of the closure-based
-// traceIntegrator/pauseIntegrator (which survive, below in rig.go, as the
+// traceIntegrator/pauseIntegrator (which survive in integrators_test.go as the
 // behavioral reference) operation for operation, so a drain computes the
 // same float64s it always did.
 type consTables struct {
@@ -212,11 +213,12 @@ func (t *consTables) pauseAt(pt *pauseTable, x time.Duration) float64 {
 
 // Arena is the reusable simulation state for a sequence of server runs:
 // the event engine, the SoA player state, the consumption tables, the
-// margins reservoir, and the pools of service chains and disk schedulers.
-// A shard goroutine creates one Arena and threads it through every
-// partition it executes (Config.Arena), so partition p+1 runs in the
-// storage partition p grew — steady state allocates nothing per run
-// beyond the run's own Result.
+// margins reservoir, the pools of service chains and disk schedulers, and
+// the last catalog a run laid out. A shard goroutine creates one Arena
+// and threads it through every partition it executes (Config.Arena), so
+// partition p+1 runs in the storage partition p grew — steady state
+// allocates nothing per run beyond the run's own Result — and a sweep
+// whose points share a catalog builds it, and its sampler, once.
 //
 // An Arena is not safe for concurrent use: at most one run may own it at
 // a time. Reuse is provably behavior-free — every reset restores exact
@@ -231,6 +233,13 @@ type Arena struct {
 	chains     []*chain
 	chainsUsed int
 	scheds     []*disk.Scheduler
+
+	// cat is the catalog the last run laid out, reused by the next run
+	// with the same catKey. A catalog is a pure function of its key and
+	// read-only once its sampler is built, so a remembered one is
+	// indistinguishable from a fresh one.
+	cat    *workload.Catalog
+	catKey catalogKey
 }
 
 // NewArena returns an empty arena ready for Config.Arena.
@@ -250,6 +259,21 @@ func (a *Arena) reset(n int, marginSeed uint64) {
 	} else {
 		a.margins.Reset(marginSeed)
 	}
+}
+
+// catalog returns the catalog for k: the remembered one when the previous
+// run asked for the same key, a new one (remembered in its place)
+// otherwise.
+func (a *Arena) catalog(k catalogKey) (*workload.Catalog, error) {
+	if a.cat != nil && a.catKey == k {
+		return a.cat, nil
+	}
+	cat, err := newCatalog(k)
+	if err != nil {
+		return nil, err
+	}
+	a.cat, a.catKey = cat, k
+	return cat, nil
 }
 
 // getChain hands out a pooled service chain bound to eng.

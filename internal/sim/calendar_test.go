@@ -320,3 +320,226 @@ func TestStepFromInsideCallback(t *testing.T) {
 		t.Errorf("pending %d executed %d, want 0 and 5", eng.Pending(), eng.Executed())
 	}
 }
+
+// --- reserved sequence numbers ---
+//
+// A periodic source may reserve its sequence numbers up front and schedule
+// one firing at a time (Reserve, ScheduleArgReserved). The oracle is the
+// schedule it replaces — every firing of every loop put on the calendar
+// at set-up — and the two must fire the same events at the same times in
+// the same order, whatever else is scheduled around and from inside them.
+
+// loopSpec is one periodic source: cycles first..first+n-1, cycle c at
+// time c·period.
+type loopSpec struct {
+	period   Time
+	first, n int64
+}
+
+// loopFiring is one callback as the loop program saw it: a loop's cycle,
+// or (loop < 0) an ordinary event identified by its creation number.
+type loopFiring struct {
+	at    Time
+	loop  int
+	cycle int64
+}
+
+// loopProgram runs a set of loops plus the ordinary traffic they cause.
+// Its randomness is drawn inside callbacks, so a chained and an up-front
+// run stay in step only while they fire the same events in the same order.
+type loopProgram struct {
+	eng        Engine
+	rng        *RNG
+	chained    bool
+	trace      []loopFiring
+	ordinary   int
+	maxPending int
+}
+
+type loopCall struct {
+	p      *loopProgram
+	loop   int
+	period Time
+	cycle  int64
+	seqs   SeqBlock // chained runs only
+}
+
+func (p *loopProgram) note(f loopFiring) {
+	p.trace = append(p.trace, f)
+	p.maxPending = max(p.maxPending, p.eng.Pending())
+}
+
+// ordinaryEvent schedules a plain event after d; with depth > 0 its
+// callback chains another at its own firing time, as a device chain does.
+func (p *loopProgram) ordinaryEvent(d Time, depth int) {
+	id := p.ordinary
+	p.ordinary++
+	p.eng.Schedule(d, func() {
+		p.note(loopFiring{at: p.eng.Now(), loop: -1, cycle: int64(id)})
+		if depth > 0 {
+			p.ordinaryEvent(Time(p.rng.Intn(2))*time.Millisecond, depth-1)
+		}
+	})
+}
+
+func fireLoopCall(arg any) {
+	lc := arg.(*loopCall)
+	p := lc.p
+	c := lc.cycle
+	if p.chained && lc.seqs.Left() > 0 {
+		lc.cycle++
+		p.eng.ScheduleArgReserved(lc.period, &lc.seqs, fireLoopCall, lc)
+	}
+	p.note(loopFiring{at: p.eng.Now(), loop: lc.loop, cycle: c})
+	switch p.rng.Intn(4) {
+	case 0: // a stage that schedules nothing
+	case 1: // work at the firing time, chaining at that same time
+		p.ordinaryEvent(0, 2)
+	case 2: // work that lands on a later cycle boundary of some loop
+		p.ordinaryEvent(Time(1+p.rng.Intn(6))*time.Millisecond, 1)
+	default:
+		p.ordinaryEvent(0, 0)
+		p.ordinaryEvent(Time(p.rng.Intn(5000))*time.Microsecond, 1)
+	}
+}
+
+// run sets the loops up in order — ordinary events scheduled between
+// them, so the loops' numbers are not contiguous — and runs the calendar
+// dry.
+func (p *loopProgram) run(specs []loopSpec) {
+	for i, s := range specs {
+		if p.rng.Intn(2) == 0 {
+			p.ordinaryEvent(Time(p.rng.Intn(4))*time.Millisecond, 1)
+		}
+		if p.chained {
+			lc := &loopCall{p: p, loop: i, period: s.period, cycle: s.first, seqs: p.eng.Reserve(int(s.n))}
+			if s.n > 0 {
+				p.eng.ScheduleArgReserved(Time(s.first)*s.period, &lc.seqs, fireLoopCall, lc)
+			}
+			continue
+		}
+		for c := s.first; c < s.first+s.n; c++ {
+			p.eng.ScheduleArg(Time(c)*s.period, fireLoopCall, &loopCall{p: p, loop: i, cycle: c})
+		}
+	}
+	p.ordinaryEvent(0, 0)
+	p.eng.Run()
+}
+
+func TestChainedLoopsMatchUpFrontSchedule(t *testing.T) {
+	// Periods with many common multiples, so cycles of different loops —
+	// and the ordinary events, which land on whole milliseconds — coincide.
+	periods := []Time{time.Millisecond, 2 * time.Millisecond, 3 * time.Millisecond, 6 * time.Millisecond, 0}
+	const seeds = 40
+	tied := 0 // seeds on which two loops fired back to back at one timestamp
+	for seed := uint64(1); seed <= seeds; seed++ {
+		pick := NewRNG(seed)
+		specs := make([]loopSpec, 1+pick.Intn(6))
+		coincide := false
+		for i := range specs {
+			specs[i] = loopSpec{
+				period: periods[pick.Intn(len(periods))],
+				first:  int64(pick.Intn(2)),
+				n:      []int64{0, 1, 2, 30, 120}[pick.Intn(5)],
+			}
+		}
+		upFront := &loopProgram{rng: NewRNG(seed * 7919)}
+		upFront.run(specs)
+		chained := &loopProgram{rng: NewRNG(seed * 7919), chained: true}
+		chained.run(specs)
+
+		for i := range min(len(chained.trace), len(upFront.trace)) {
+			if chained.trace[i] != upFront.trace[i] {
+				t.Fatalf("seed %d %+v: firing %d:\n chained %+v\nup front %+v",
+					seed, specs, i, chained.trace[i], upFront.trace[i])
+			}
+			if i > 0 && upFront.trace[i].at == upFront.trace[i-1].at &&
+				upFront.trace[i].loop >= 0 && upFront.trace[i-1].loop >= 0 &&
+				upFront.trace[i].loop != upFront.trace[i-1].loop {
+				coincide = true
+			}
+		}
+		if len(chained.trace) != len(upFront.trace) || chained.eng.Executed() != upFront.eng.Executed() {
+			t.Fatalf("seed %d: chained fired %d (executed %d), up front %d (executed %d)", seed,
+				len(chained.trace), chained.eng.Executed(), len(upFront.trace), upFront.eng.Executed())
+		}
+		if chained.eng.Pending() != 0 {
+			t.Errorf("seed %d: %d events left pending", seed, chained.eng.Pending())
+		}
+		if coincide {
+			tied++
+		}
+		cycles := int64(0)
+		for _, s := range specs {
+			cycles += s.n
+		}
+		// One entry per loop, not one per future cycle.
+		if cycles > 100 && chained.maxPending >= upFront.maxPending {
+			t.Errorf("seed %d: chained calendar peaked at %d entries, up front at %d",
+				seed, chained.maxPending, upFront.maxPending)
+		}
+	}
+	if tied < seeds/2 {
+		t.Errorf("two loops tied at a timestamp on only %d of %d seeds: the tie-break went mostly untested", tied, seeds)
+	}
+}
+
+func mustPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", what)
+		}
+	}()
+	fn()
+}
+
+// A reserved number can be spent once, on the engine and in the epoch
+// that reserved it; anything else would put an event where no up-front
+// schedule could have, so the engine refuses.
+func TestReservedNumbersAreRefusedOutsideALiveReservation(t *testing.T) {
+	nop := func(any) {}
+	var eng Engine
+
+	b := eng.Reserve(2)
+	eng.Schedule(0, func() {}) // draws the number after the block
+	eng.ScheduleArgReserved(0, &b, nop, nil)
+	eng.ScheduleArgReserved(0, &b, nop, nil)
+	if b.Left() != 0 {
+		t.Fatalf("block of 2 has %d left after two uses", b.Left())
+	}
+	mustPanic(t, "a third use of a block of two", func() { eng.ScheduleArgReserved(0, &b, nop, nil) })
+	if eng.Pending() != 3 {
+		t.Fatalf("pending %d, want 3: a refused schedule must leave no entry", eng.Pending())
+	}
+
+	var zero SeqBlock
+	mustPanic(t, "the zero block", func() { eng.ScheduleArgReserved(0, &zero, nop, nil) })
+	empty := eng.Reserve(0)
+	mustPanic(t, "an empty block", func() { eng.ScheduleArgReserved(0, &empty, nop, nil) })
+	negative := eng.Reserve(-3)
+	if negative.Left() != 0 {
+		t.Errorf("Reserve(-3) left %d numbers", negative.Left())
+	}
+
+	var other Engine
+	foreign := other.Reserve(1)
+	mustPanic(t, "a block reserved on another engine", func() { eng.ScheduleArgReserved(0, &foreign, nop, nil) })
+
+	stale := eng.Reserve(4)
+	eng.Reset()
+	mustPanic(t, "a block reserved before Reset", func() { eng.ScheduleArgReserved(0, &stale, nop, nil) })
+	if eng.Pending() != 0 {
+		t.Errorf("pending %d after Reset", eng.Pending())
+	}
+	// A reset engine numbers from the start again: a fresh block and a
+	// fresh Schedule order exactly as on a new engine.
+	var order []string
+	fresh := eng.Reserve(1)
+	eng.Schedule(0, func() { order = append(order, "scheduled second, numbered second") })
+	eng.ScheduleArgReserved(0, &fresh, func(any) { order = append(order, "reserved first") }, nil)
+	eng.Run()
+	if len(order) != 2 || order[0] != "reserved first" {
+		t.Errorf("fired %v: the reserved number must order before the later Schedule", order)
+	}
+}

@@ -102,6 +102,7 @@ type eventSlot struct {
 type Engine struct {
 	now      Time
 	seq      uint64
+	epoch    uint64 // Resets so far; a SeqBlock is live only in the epoch that reserved it
 	executed uint64
 	running  bool
 
@@ -156,19 +157,77 @@ func (e *Engine) ScheduleAt(at Time, fn func()) (Event, error) {
 // typically a static function and arg a pointer to long-lived state, so
 // scheduling allocates nothing.
 func (e *Engine) ScheduleArg(d Time, fn func(any), arg any) Event {
+	e.seq++
+	return e.scheduleArg(d, e.seq, fn, arg)
+}
+
+// scheduleArg queues fn(arg) after delay d under sequence number seq.
+func (e *Engine) scheduleArg(d Time, seq uint64, fn func(any), arg any) Event {
 	if d < 0 {
 		d = 0
 	}
 	slot := e.allocSlot()
 	s := &e.slots[slot]
 	s.afn, s.arg = fn, arg
-	return e.enqueue(e.now+d, slot)
+	return e.enqueueSeq(e.now+d, seq, slot)
+}
+
+// SeqBlock is a run of consecutive sequence numbers set aside by Reserve,
+// handed out lowest first by ScheduleArgReserved.
+type SeqBlock struct {
+	eng       *Engine
+	epoch     uint64
+	next, end uint64 // [next, end) are still unused
+}
+
+// Left reports how many of the block's numbers are still unused.
+func (b *SeqBlock) Left() int { return int(b.end - b.next) }
+
+// Reserve sets aside the next n sequence numbers — exactly the ones n
+// consecutive Schedule calls made now would consume — so their events can
+// be scheduled later, one at a time, and still fire where those calls
+// would have put them: every later Schedule call draws the number it
+// would have drawn, and ties at one timestamp break as if the whole block
+// had been scheduled up front. A periodic source uses it to keep one
+// calendar entry instead of one per future firing.
+//
+// The caller owes the calendar one thing the up-front calls gave for
+// free: each reserved event must be scheduled before anything ordered
+// after it fires. Scheduling event k+1 from event k's callback, at or
+// after the current time, always satisfies that.
+func (e *Engine) Reserve(n int) SeqBlock {
+	if n < 0 {
+		n = 0
+	}
+	b := SeqBlock{eng: e, epoch: e.epoch, next: e.seq + 1, end: e.seq + 1 + uint64(n)}
+	e.seq += uint64(n)
+	return b
+}
+
+// ScheduleArgReserved is ScheduleArg under the lowest unused number of b
+// instead of a fresh one. It panics when b was not reserved on this
+// engine since its last Reset, or is used up: such a number is not b's to
+// give, and an event under it would silently reorder the run.
+func (e *Engine) ScheduleArgReserved(d Time, b *SeqBlock, fn func(any), arg any) Event {
+	if b.eng != e || b.epoch != e.epoch {
+		panic("sim: sequence block was not reserved on this engine since its last Reset")
+	}
+	if b.next >= b.end {
+		panic("sim: sequence block is used up")
+	}
+	b.next++
+	return e.scheduleArg(d, b.next-1, fn, arg)
 }
 
 // enqueue assigns the next sequence number and pushes slot onto the heap.
 func (e *Engine) enqueue(at Time, slot int32) Event {
 	e.seq++
-	e.push(calEntry{at: at, seq: e.seq, slot: slot})
+	return e.enqueueSeq(at, e.seq, slot)
+}
+
+// enqueueSeq pushes slot onto the heap under the given sequence number.
+func (e *Engine) enqueueSeq(at Time, seq uint64, slot int32) Event {
+	e.push(calEntry{at: at, seq: seq, slot: slot})
 	e.live++
 	return Event{eng: e, at: at, slot: slot, gen: e.slots[slot].gen}
 }
@@ -391,13 +450,15 @@ func (e *Engine) Stop() { e.running = false }
 // Reset returns the engine to its zero state while keeping the calendar
 // and slot-arena storage, so a pooled engine's next run schedules without
 // re-growing either. Every outstanding Event handle is invalidated by the
-// per-slot generation bump — exactly as if each event had fired.
+// per-slot generation bump — exactly as if each event had fired — and
+// every SeqBlock reserved before the Reset is dead.
 //
 // Behavioral note for run-equivalence: slot indices never participate in
 // event ordering (the calendar orders by (time, sequence) alone), so a
 // reset engine replays any schedule byte-identically to a fresh one.
 func (e *Engine) Reset() {
 	e.now, e.seq, e.executed = 0, 0, 0
+	e.epoch++
 	e.running = false
 	e.cal = e.cal[:0]
 	e.vacant = false

@@ -2,6 +2,8 @@ package workload
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"time"
 
 	"memstream/internal/sim"
@@ -49,29 +51,54 @@ type Session struct {
 
 // Generate draws sessions arriving within the horizon.
 func (p SessionProcess) Generate(rng *sim.RNG, horizon time.Duration) ([]Session, error) {
+	return p.AppendSessions(nil, rng, horizon)
+}
+
+// maxSizeHint caps SizeHint (8 MiB of sessions): past it a trace grows by
+// append-doubling, so a hostile rate cannot make Generate allocate
+// unboundedly before it has drawn a single arrival.
+const maxSizeHint = 1 << 18
+
+// SizeHint is a session count a trace over horizon is unlikely to exceed:
+// the Poisson mean λ·horizon plus six standard deviations, bounded by the
+// one-session-per-nanosecond floor Generate enforces and by maxSizeHint.
+func (p SessionProcess) SizeHint(horizon time.Duration) int {
+	mean := p.ArrivalRate * horizon.Seconds()
+	n := math.Min(mean+6*math.Sqrt(mean)+1, float64(horizon))
+	if !(n < maxSizeHint) { // also NaN and +Inf, from a process Validate rejects
+		return maxSizeHint
+	}
+	return max(int(n), 0)
+}
+
+// AppendSessions draws the sessions arriving within the horizon, IDs
+// numbered from 0, and appends them to dst — Generate into a buffer the
+// caller reuses. A dst without room for SizeHint sessions is grown to
+// that capacity once, before the first draw.
+func (p SessionProcess) AppendSessions(dst []Session, rng *sim.RNG, horizon time.Duration) ([]Session, error) {
 	if err := p.Validate(); err != nil {
-		return nil, err
+		return dst, err
 	}
 	if horizon <= 0 {
-		return nil, fmt.Errorf("workload: non-positive horizon %v", horizon)
+		return dst, fmt.Errorf("workload: non-positive horizon %v", horizon)
 	}
-	var out []Session
+	dst = slices.Grow(dst, p.SizeHint(horizon))
 	t := time.Duration(0)
 	id := 0
 	for {
 		gap := units.Seconds(rng.Exp(1 / p.ArrivalRate))
 		// At very high arrival rates the exponential draw truncates to a
 		// zero duration; without a floor t would stop advancing and the
-		// loop would grow out until OOM. One nanosecond is the finest
+		// loop would grow dst until OOM. One nanosecond is the finest
 		// spacing the time base can express anyway.
 		if gap <= 0 {
 			gap = 1
 		}
 		t += gap
 		if t >= horizon {
-			return out, nil
+			return dst, nil
 		}
-		out = append(out, Session{
+		dst = append(dst, Session{
 			ID:      id,
 			Arrive:  t,
 			Hold:    units.Seconds(rng.Exp(p.MeanHold.Seconds())),
@@ -92,96 +119,11 @@ type AdmissionStats struct {
 	BlockProb float64
 }
 
-// ReplayAdmission drives a session trace (sessions must be in arrival
-// order) through an admission test: capacity reports whether one more
-// concurrent stream fits given the current count. It returns loss-system
-// statistics — the Erlang-B view of the streaming server's capacity
-// region.
+// ReplayAdmission drives a session trace through an admission test once;
+// see Replay for the trace's contract and for replaying one trace against
+// several tests. Holds must be non-negative.
 func ReplayAdmission(sessions []Session, capacity func(busy int) bool) AdmissionStats {
-	stats := AdmissionStats{Offered: len(sessions)}
-	if len(sessions) == 0 {
-		return stats
-	}
-	departures := &durationHeap{}
-	busy := 0
-	var busyArea float64
-	last := time.Duration(0)
-	advance := func(t time.Duration) {
-		// Process departures before t, integrating busy-time exactly.
-		for departures.Len() > 0 && departures.Min() <= t {
-			d := departures.Pop()
-			busyArea += float64(busy) * (d - last).Seconds()
-			last = d
-			busy--
-		}
-		busyArea += float64(busy) * (t - last).Seconds()
-		last = t
-	}
-	for _, s := range sessions {
-		advance(s.Arrive)
-		if !capacity(busy) {
-			stats.Rejected++
-			continue
-		}
-		stats.Admitted++
-		busy++
-		departures.Push(s.Arrive + s.Hold)
-		if busy > stats.PeakBusy {
-			stats.PeakBusy = busy
-		}
-	}
-	horizon := sessions[len(sessions)-1].Arrive
-	if horizon > 0 {
-		stats.AvgBusy = busyArea / horizon.Seconds()
-	}
-	stats.BlockProb = float64(stats.Rejected) / float64(stats.Offered)
-	return stats
-}
-
-// durationHeap is a minimal binary min-heap of times.
-type durationHeap struct{ v []time.Duration }
-
-// Len reports heap size.
-func (h *durationHeap) Len() int { return len(h.v) }
-
-// Min returns the smallest element; callers must check Len first.
-func (h *durationHeap) Min() time.Duration { return h.v[0] }
-
-// Push inserts t.
-func (h *durationHeap) Push(t time.Duration) {
-	h.v = append(h.v, t)
-	i := len(h.v) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if h.v[parent] <= h.v[i] {
-			break
-		}
-		h.v[parent], h.v[i] = h.v[i], h.v[parent]
-		i = parent
-	}
-}
-
-// Pop removes and returns the minimum.
-func (h *durationHeap) Pop() time.Duration {
-	top := h.v[0]
-	n := len(h.v) - 1
-	h.v[0] = h.v[n]
-	h.v = h.v[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && h.v[l] < h.v[small] {
-			small = l
-		}
-		if r < n && h.v[r] < h.v[small] {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		h.v[i], h.v[small] = h.v[small], h.v[i]
-		i = small
-	}
-	return top
+	r := NewReplay(len(sessions))
+	r.Reset(sessions)
+	return r.Admission(capacity)
 }

@@ -34,9 +34,6 @@ func TestSamplerMatchesLinearScanSequence(t *testing.T) {
 	for name, w := range shapes {
 		t.Run(name, func(t *testing.T) {
 			cat := testCatalog(t, len(w), w)
-			if cat.sampler == nil {
-				t.Fatal("sampler refused a well-formed weight vector")
-			}
 			fast, slow := sim.NewRNG(42), sim.NewRNG(42)
 			for i := 0; i < 20000; i++ {
 				f := cat.Pick(fast)
@@ -44,6 +41,9 @@ func TestSamplerMatchesLinearScanSequence(t *testing.T) {
 				if f != l {
 					t.Fatalf("draw %d: sampler chose title %d, linear scan %d", i, f.ID, l.ID)
 				}
+			}
+			if cat.sampler == nil {
+				t.Fatal("the draws went through the scan: sampler refused a well-formed weight vector")
 			}
 		})
 	}
@@ -61,6 +61,7 @@ func TestSamplerExactAtBoundaries(t *testing.T) {
 		{1e-9, 0.5, 1e-9, 0.5 - 3e-9, 1e-9},
 	} {
 		cat := testCatalog(t, len(w), w)
+		cat.Pick(sim.NewRNG(1)) // the first draw builds the sampler
 		s := cat.sampler
 		if s == nil {
 			t.Fatal("sampler refused a well-formed weight vector")
@@ -155,12 +156,35 @@ func TestSamplerRefusesDegenerateWeights(t *testing.T) {
 // A catalog whose weights the sampler refuses still draws via the scan.
 func TestPickFallsBackWithoutSampler(t *testing.T) {
 	cat := testCatalog(t, 2, []float64{0.5, 0.5})
-	cat.sampler = nil
+	cat.sampler, cat.sampled = nil, true // as if NewSampler had refused the weights
 	rng := sim.NewRNG(3)
 	for i := 0; i < 100; i++ {
 		if cat.Pick(rng) == nil {
 			t.Fatal("fallback pick returned nil")
 		}
+	}
+}
+
+// TestCatalogBuildsSamplerOnFirstPick: laying a catalog out and summing
+// over it leave the O(n²) sampler unbuilt; the first draw builds it, once.
+func TestCatalogBuildsSamplerOnFirstPick(t *testing.T) {
+	w := Zipf(300, 1.0)
+	cat := testCatalog(t, len(w), w)
+	if cat.TopFraction(0.1) <= 0 || cat.TotalSize() <= 0 {
+		t.Fatal("catalog sums are empty")
+	}
+	if cat.sampled || cat.sampler != nil {
+		t.Fatal("NewCatalog + TopFraction + TotalSize built the sampler")
+	}
+	rng := sim.NewRNG(8)
+	cat.Pick(rng)
+	first := cat.sampler
+	if first == nil {
+		t.Fatal("first Pick left the sampler unbuilt")
+	}
+	cat.Pick(rng)
+	if cat.sampler != first {
+		t.Error("second Pick rebuilt the sampler")
 	}
 }
 

@@ -53,9 +53,11 @@ type Catalog struct {
 	Titles []Title
 	total  float64
 
-	// sampler serves Pick in O(1) per draw; nil for degenerate weight
-	// vectors (non-finite or negative), which keep the linear scan.
+	// sampler serves Pick in O(1) per draw. It is built by the first Pick
+	// (sampled records that the build ran) and stays nil for degenerate
+	// weight vectors (non-finite or negative), which keep the linear scan.
 	sampler *Sampler
+	sampled bool
 }
 
 // XYDistribution is the paper's popularity model: X% of titles receive Y%
@@ -134,7 +136,10 @@ func Zipf(n int, s float64) []float64 {
 
 // NewCatalog builds n titles of class c ranked by popularity weights w
 // (len(w) == n) and lays them out contiguously from block 0 of a store
-// with the given block size.
+// with the given block size. The popularity sampler is not built here but
+// by the first Pick: its exact inverse costs O(n²), and a catalog that is
+// only laid out, sized or summed (TopFraction, TotalSize, cache.Plan)
+// never pays it.
 func NewCatalog(n int, c MediaClass, w []float64, blockSize units.Bytes) (*Catalog, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("workload: catalog needs at least one title")
@@ -164,7 +169,6 @@ func NewCatalog(n int, c MediaClass, w []float64, blockSize units.Bytes) (*Catal
 		cat.total += w[i]
 		lbn += blocks
 	}
-	cat.sampler = NewSampler(w, cat.total)
 	return cat, nil
 }
 
@@ -183,7 +187,19 @@ func (c *Catalog) TotalSize() units.Bytes {
 // subtraction scan it replaced, which survives as pickLinear — both the
 // behavioral reference for the equivalence tests and the fallback for
 // weight vectors the sampler refuses (non-finite or negative weights).
+//
+// The first Pick builds the sampler, so Pick is not safe for concurrent
+// first use: a catalog shared between goroutines must be drawn from once
+// before it is shared. Every caller today owns its catalog.
 func (c *Catalog) Pick(rng *sim.RNG) *Title {
+	if !c.sampled {
+		w := make([]float64, len(c.Titles))
+		for i := range c.Titles {
+			w[i] = c.Titles[i].Weight
+		}
+		c.sampler = NewSampler(w, c.total)
+		c.sampled = true
+	}
 	if c.sampler != nil {
 		return &c.Titles[c.sampler.Draw(rng)]
 	}
