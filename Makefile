@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race bench bench-sim bench-record profile repro suite smoke fuzz cover clean
+.PHONY: all build test vet race bench bench-sim bench-record profile profile-scale repro suite smoke fuzz cover clean
 
 all: build vet test
 
@@ -40,10 +40,10 @@ bench-record:
 	sh scripts/bench.sh
 
 # profile writes cpu/heap pprof artifacts for the three experiments that
-# dominate suite wall time — hybrid (about half of a pass: ten 300-stream
-# DES runs, 1.5 M events), then dynamics (session generation and replay,
-# no DES) and validate — so perf work starts from a flame graph:
-# go tool pprof -http=: profiles/cpu.pprof
+# dominate suite wall time — hybrid (about 60 % of a ~0.25 s pass: ten
+# 300-stream DES runs, 1.5 M events), then dynamics (~17 %: session
+# generation and replay, no DES) and validate (~10 %) — so perf work
+# starts from a flame graph: go tool pprof -http=: profiles/cpu.pprof
 profile:
 	mkdir -p profiles
 	$(GO) run ./cmd/memsbench -run 'hybrid|dynamics|validate' \

@@ -229,8 +229,8 @@ func (r *rig) horizon(cycle time.Duration, defCycles, minCycles int64) (cycles i
 	return cycles, time.Duration(cycles) * cycle, raw
 }
 
-// newChain hands out a pooled FIFO service chain on the rig's engine.
-func (r *rig) newChain() *chain { return r.ar.getChain(r.eng) }
+// newChain hands out a pooled FIFO service chain from the run's chain set.
+func (r *rig) newChain() *chain { return r.ar.chains.get() }
 
 // getSched / putSched pool the per-cycle C-LOOK schedulers: a cycle stage
 // borrows one, its dispatch items drain it, and the item that empties it
@@ -260,41 +260,47 @@ func (r *rig) submitBatch(c *chain, it chainItem) {
 // after fn, so attaching the probe changes neither the event calendar nor
 // any Result field.
 //
-// The loop reserves its n sequence numbers here, at driver set-up, and
-// then chains itself: only the first cycle is scheduled now, and each
-// firing schedules its successor under the next reserved number before it
-// runs the stage. Every cycle therefore fires under the (time, sequence)
-// key it would hold had all n been scheduled up front — when several
-// loops with different periods share the rig, their tie-break order at
-// coinciding timestamps is still fixed by driver set-up order, the
-// determinism contract the pinned Result fingerprints enforce — while the
-// calendar carries one entry per loop instead of one per future cycle,
-// and a loop costs one cycleCall.
+// The loop draws its n sequence numbers here, at driver set-up, and then
+// chains itself: only the first cycle is scheduled now, and each firing
+// schedules its successor under the next drawn number before it runs the
+// stage. Every cycle therefore fires under the (time, sequence) key it
+// would hold had all n been scheduled up front — when several loops with
+// different periods share the rig, their tie-break order at coinciding
+// timestamps is still fixed by driver set-up order, the determinism
+// contract the pinned Result fingerprints enforce — while the calendar
+// carries one entry per loop instead of one per future cycle, and a loop
+// costs one cycleCall.
 func (r *rig) cycleLoop(source string, period time.Duration, first, n int64, fn func(c int64)) {
 	if n <= 0 {
 		return
 	}
-	cc := &cycleCall{r: r, source: source, fn: fn, period: period, c: first, seqs: r.eng.Reserve(int(n))}
-	r.eng.ScheduleArgReserved(time.Duration(first)*period, &cc.seqs, runCycleCall, cc)
+	cc := &cycleCall{r: r, source: source, fn: fn, period: period, c: first, last: first + n - 1, seq: r.eng.Draw(int(n))}
+	r.eng.ScheduleKey(cc.key(), runCycleCall, cc)
 }
 
 // cycleCall is one cycleLoop: its stage, the next cycle to fire and the
-// sequence numbers its remaining cycles fire under.
+// sequence number it fires under.
 type cycleCall struct {
-	r      *rig
-	source string
-	fn     func(c int64)
-	period time.Duration
-	c      int64
-	seqs   sim.SeqBlock
+	r       *rig
+	source  string
+	fn      func(c int64)
+	period  time.Duration
+	c, last int64
+	seq     sim.Seq
+}
+
+// key is cycle c's place in the firing order.
+func (cc *cycleCall) key() sim.Key {
+	return sim.Key{At: time.Duration(cc.c) * cc.period, Seq: cc.seq}
 }
 
 func runCycleCall(arg any) {
 	cc := arg.(*cycleCall)
 	c := cc.c
-	if cc.seqs.Left() > 0 {
+	if c < cc.last {
 		cc.c++
-		cc.r.eng.ScheduleArgReserved(cc.period, &cc.seqs, runCycleCall, cc)
+		cc.seq = cc.seq.Add(1)
+		cc.r.eng.ScheduleKey(cc.key(), runCycleCall, cc)
 	}
 	cc.fn(c)
 	if cc.r.probe != nil {
@@ -395,12 +401,13 @@ type chainItem struct {
 // (§3.1.2) without delaying any already-queued real-time work.
 //
 // Both queues are ring buffers of chainItem values (O(1) dequeue at any
-// depth, no per-item boxing) and the completion event goes through the
-// kernel's ScheduleArg fast path, so a busy chain's dispatch loop
-// allocates nothing in steady state.
+// depth, no per-item boxing), and a run's completion is a wake-up the
+// chain posts to its chainSet rather than a calendar entry of its own, so
+// a busy chain's dispatch loop allocates nothing in steady state.
 type chain struct {
-	eng  *sim.Engine
-	busy bool
+	set  *chainSet
+	busy bool // a run is in service: wake is pending
+	wake sim.Key
 	last time.Duration
 	// cur is the item in service. It lives in the chain (not a runNext
 	// local) because the handler receives its address through an indirect
@@ -417,6 +424,7 @@ type chain struct {
 // reset re-arms a pooled chain, keeping both rings' storage.
 func (c *chain) reset() {
 	c.busy = false
+	c.wake = sim.Key{}
 	c.last = 0
 	c.cur = chainItem{}
 	c.q.Reset()
@@ -455,9 +463,8 @@ func (c *chain) depth() int {
 	return n
 }
 
-// chainRunNext is the static ScheduleArg callback driving the chain.
-func chainRunNext(arg any) { arg.(*chain).runNext() }
-
+// runNext starts the next item — the wake-up that ran it is the previous
+// item's completion event — or idles the chain when nothing is queued.
 func (c *chain) runNext() {
 	switch {
 	case c.cur.repeat > 1:
@@ -473,7 +480,8 @@ func (c *chain) runNext() {
 		c.busy = false
 		return
 	}
-	start := c.eng.Now()
+	eng := c.set.eng
+	start := eng.Now()
 	if c.last > start {
 		start = c.last
 	}
@@ -482,7 +490,10 @@ func (c *chain) runNext() {
 		finish = start
 	}
 	c.last = finish
-	c.eng.ScheduleArg(finish-c.eng.Now(), chainRunNext, c)
+	// The number a ScheduleArg call would take here, after the handler's
+	// own draws: the completion keeps its historical place in the order.
+	c.wake = sim.Key{At: finish, Seq: eng.Draw(1)}
+	c.set.post(c)
 }
 
 // normalizeTrace rescales a VBR trace so its mean is exactly the nominal

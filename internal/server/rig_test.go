@@ -8,6 +8,7 @@ import (
 	"memstream/internal/device"
 	"memstream/internal/disk"
 	"memstream/internal/model"
+	"memstream/internal/ring"
 	"memstream/internal/sim"
 	"memstream/internal/units"
 	"memstream/internal/workload"
@@ -368,30 +369,228 @@ func TestCycleLoopMatchesUpFrontSchedule(t *testing.T) {
 	}
 }
 
-// TestBufferedCalendarStaysShallow: with the loops chained, the calendar
-// of a buffered run holds at most one entry per loop, one per service
-// chain and the final drain — not one per future cycle.
+// TestBufferedCalendarStaysShallow: with the loops chained and the
+// service chains sharing one entry, the calendar of a buffered run holds
+// at most one entry per loop, one for all the chains and the final drain
+// — not one per future cycle or per busy chain — at every cycle and
+// every bank transfer.
 func TestBufferedCalendarStaysShallow(t *testing.T) {
 	b, err := newBuffered(baseConfig(Buffered, 100, units.MBPS))
 	if err != nil {
 		t.Fatal(err)
 	}
 	const loops = 2 // disk and mems
-	peak := 0
+	peak, samples := 0, 0
+	note := func() {
+		peak = max(peak, b.r.eng.Pending())
+		samples++
+	}
 	stage := b.memsStage
 	b.memsStage = func(m int64) {
-		peak = max(peak, b.r.eng.Pending())
+		note()
 		stage(m)
-		peak = max(peak, b.r.eng.Pending())
+		note()
+	}
+	drain := b.pipe.drainFn
+	b.pipe.drainFn = func(it *chainItem, start time.Duration) time.Duration {
+		note()
+		return drain(it, start)
 	}
 	res := b.run()
-	bound := loops + b.r.ar.chainsUsed + 1
-	if peak > bound {
-		t.Errorf("calendar peaked at %d entries over %d mems cycles; want ≤ %d (%d loops + %d chains + the final drain)",
-			peak, b.memsCycles, bound, loops, b.r.ar.chainsUsed)
+	if bound := loops + 2; peak > bound {
+		t.Errorf("calendar peaked at %d entries over %d mems cycles; want ≤ %d (%d loops + the chain set + the final drain)",
+			peak, b.memsCycles, bound, loops)
 	}
-	if peak < loops || b.memsCycles < 100 || res.Underflows != 0 {
-		t.Fatalf("run too tame to mean anything: peak %d, %d mems cycles, %d underflows", peak, b.memsCycles, res.Underflows)
+	if peak < loops || b.memsCycles < 100 || samples < 10*int(b.memsCycles) || res.Underflows != 0 {
+		t.Fatalf("run too tame to mean anything: peak %d, %d mems cycles, %d samples, %d underflows",
+			peak, b.memsCycles, samples, res.Underflows)
+	}
+}
+
+// --- service chains sharing one calendar entry ---
+
+// arenaChains hands out n chains of a fresh arena's chain set, and the
+// engine they run on.
+func arenaChains(n int) (*sim.Engine, []*chain) {
+	a := NewArena()
+	a.reset(0, 1)
+	cs := make([]*chain, n)
+	for i := range cs {
+		cs[i] = a.chains.get()
+	}
+	return &a.eng, cs
+}
+
+// queuer is what the chain program needs from a chain.
+type queuer interface {
+	submit(it chainItem)
+	submitLow(it chainItem)
+}
+
+// refChain is the chain as it was before the chain set: every completion
+// is a ScheduleArg event of its own. It is the oracle for chain and
+// chainSet, which must fire every completion under the same key.
+type refChain struct {
+	eng    *sim.Engine
+	busy   bool
+	last   time.Duration
+	cur    chainItem
+	q, low ring.Ring[chainItem]
+}
+
+func (c *refChain) submit(it chainItem) {
+	c.q.PushBack(it)
+	if !c.busy {
+		c.busy = true
+		c.runNext()
+	}
+}
+
+func (c *refChain) submitLow(it chainItem) {
+	c.low.PushBack(it)
+	if !c.busy {
+		c.busy = true
+		c.runNext()
+	}
+}
+
+func refChainRunNext(arg any) { arg.(*refChain).runNext() }
+
+func (c *refChain) runNext() {
+	switch {
+	case c.cur.repeat > 1:
+		c.cur.repeat--
+	case c.q.Len() > 0:
+		c.cur = c.q.PopFront()
+	case c.low.Len() > 0:
+		c.cur = c.low.PopFront()
+	default:
+		c.busy = false
+		return
+	}
+	start := max(c.eng.Now(), c.last)
+	finish := max(c.cur.fn(&c.cur, start), start)
+	c.last = finish
+	c.eng.ScheduleArg(finish-c.eng.Now(), refChainRunNext, c)
+}
+
+// chainRun is one run of a chain item as the chain program saw it: the
+// clock, the run's start, its chain, and the item's id and run number.
+type chainRun struct {
+	now, start time.Duration
+	chain      int32
+	item, run  int32
+}
+
+// chainProgram drives random multi-chain work from cycle loops and from
+// the items' own handlers. Its randomness is drawn inside callbacks, so a
+// run through the chain set and one through refChains stay in step only
+// while they fire the same completions at the same times in the same
+// order.
+type chainProgram struct {
+	r      *rig
+	rng    *sim.RNG
+	chains []queuer
+	trace  []chainRun
+	items  int32
+	budget int
+	work   func(it *chainItem, start time.Duration) time.Duration
+}
+
+// item is a fresh item for chain ch: counted when repeat > 1.
+func (p *chainProgram) item(ch int, repeat int32) chainItem {
+	p.items++
+	return chainItem{fn: p.work, dev: int32(ch), stream: p.items, repeat: repeat}
+}
+
+// queue submits a random item — real-time, counted or best-effort — to a
+// random chain.
+func (p *chainProgram) queue() {
+	ch := p.rng.Intn(len(p.chains))
+	switch p.rng.Intn(3) {
+	case 0:
+		p.chains[ch].submit(p.item(ch, 0))
+	case 1:
+		p.chains[ch].submit(p.item(ch, int32(2+p.rng.Intn(4))))
+	default:
+		p.chains[ch].submitLow(p.item(ch, 0))
+	}
+}
+
+func (p *chainProgram) run(it *chainItem, start time.Duration) time.Duration {
+	it.parity++ // the run number: a counted item keeps it across runs
+	p.trace = append(p.trace, chainRun{p.r.eng.Now(), start, it.dev, it.stream, it.parity})
+	if len(p.trace) < p.budget {
+		switch p.rng.Intn(8) {
+		case 0, 1: // a handler feeding another chain, as a disk dispatch stages a bank write
+			p.queue()
+		case 2: // a plain event tied with whatever else is due then
+			p.r.eng.Schedule(time.Duration(p.rng.Intn(2))*time.Millisecond, func() {
+				p.trace = append(p.trace, chainRun{p.r.eng.Now(), -1, -1, 0, 0})
+			})
+		}
+	}
+	// Whole milliseconds: completions land on cycle boundaries and on
+	// one another. Zero-length runs re-fire at the very same instant.
+	return start + time.Duration(p.rng.Intn(4))*time.Millisecond
+}
+
+// TestChainSetMatchesOneEventPerCompletion runs random multi-chain
+// programs — counted items, best-effort items, handlers that submit to
+// other chains, cycle loops whose timestamps coincide with completions,
+// RunUntil steps and a final Run — once through the arena's chain set and
+// once through refChains, and requires the same runs at the same times in
+// the same order, the same Executed() and the same clock.
+func TestChainSetMatchesOneEventPerCompletion(t *testing.T) {
+	periods := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 30 * time.Millisecond}
+	for seed := uint64(1); seed <= 20; seed++ {
+		run := func(set bool) ([]chainRun, uint64, time.Duration) {
+			r, err := newRig(baseConfig(Direct, 4, units.MBPS))
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := &chainProgram{r: r, rng: sim.NewRNG(seed * 7919), budget: 4000}
+			p.work = p.run
+			n := 1 + int(seed%5) // up to the K + 2 chains of a hybrid run and beyond
+			for i := 0; i < n; i++ {
+				if set {
+					p.chains = append(p.chains, r.newChain())
+				} else {
+					p.chains = append(p.chains, &refChain{eng: r.eng})
+				}
+			}
+			pick := sim.NewRNG(seed)
+			var end time.Duration
+			for loop, loops := 0, 1+pick.Intn(3); loop < loops; loop++ {
+				period, cycles := periods[pick.Intn(len(periods))], int64(60+pick.Intn(100))
+				r.cycleLoop("loop", period, int64(pick.Intn(2)), cycles, func(c int64) {
+					p.trace = append(p.trace, chainRun{r.eng.Now(), -1, -2, int32(loop), int32(c)})
+					for k := 1 + p.rng.Intn(4); k > 0; k-- {
+						p.queue()
+					}
+				})
+				end = max(end, time.Duration(cycles+1)*period)
+			}
+			for at := time.Duration(0); at < end; at += time.Duration(1+pick.Intn(15)) * time.Millisecond {
+				r.eng.RunUntil(at)
+			}
+			r.finish(end)
+			return p.trace, r.eng.Executed(), r.eng.Now()
+		}
+		want, wantExec, wantNow := run(false)
+		got, gotExec, gotNow := run(true)
+		for i := range min(len(got), len(want)) {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: run %d:\n chain set %+v\n one event each %+v", seed, i, got[i], want[i])
+			}
+		}
+		if len(got) != len(want) || gotExec != wantExec || gotNow != wantNow {
+			t.Fatalf("seed %d: chain set fired %d (executed %d, now %v), one event each %d (executed %d, now %v)",
+				seed, len(got), gotExec, gotNow, len(want), wantExec, wantNow)
+		}
+		if len(want) < 500 {
+			t.Fatalf("seed %d: program too tame: %d runs", seed, len(want))
+		}
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 
 	"memstream/internal/disk"
 	"memstream/internal/model"
-	"memstream/internal/sim"
 	"memstream/internal/tier"
 	"memstream/internal/units"
 )
@@ -283,8 +282,8 @@ func TestDirectAtHDTVFeasibilityEdge(t *testing.T) {
 }
 
 func TestChainSerializesWork(t *testing.T) {
-	eng := &sim.Engine{}
-	ch := &chain{eng: eng}
+	eng, chains := arenaChains(1)
+	ch := chains[0]
 	var order []int
 	var finishes []time.Duration
 	work := func(it *chainItem, start time.Duration) time.Duration {
@@ -318,8 +317,8 @@ func TestChainCountedItemMatchesCopies(t *testing.T) {
 		start         time.Duration
 	}
 	run := func(counted bool) []step {
-		eng := &sim.Engine{}
-		ch := &chain{eng: eng}
+		eng, chains := arenaChains(1)
+		ch := chains[0]
 		var steps []step
 		work := func(it *chainItem, start time.Duration) time.Duration {
 			steps = append(steps, step{int(it.stream), ch.depth(), start})
@@ -360,8 +359,8 @@ func TestChainCountedItemMatchesCopies(t *testing.T) {
 	// cycle events, after their stage has queued everything, read depth.
 	list := []int32{4, 5, 6, 7}
 	walk := func(counted bool) []step {
-		eng := &sim.Engine{}
-		ch, other := &chain{eng: eng}, &chain{eng: eng}
+		eng, chains := arenaChains(2)
+		ch, other := chains[0], chains[1]
 		var steps []step
 		note := func(stream int32, start time.Duration) time.Duration {
 			steps = append(steps, step{int(stream), ch.depth(), start})
@@ -423,8 +422,8 @@ func TestChainItemStaysNineWords(t *testing.T) {
 }
 
 func TestChainHandlesRegressingFinish(t *testing.T) {
-	eng := &sim.Engine{}
-	ch := &chain{eng: eng}
+	eng, chains := arenaChains(1)
+	ch := chains[0]
 	ran := 0
 	ch.submit(chainItem{fn: func(_ *chainItem, start time.Duration) time.Duration {
 		ran++

@@ -230,9 +230,8 @@ type Arena struct {
 	tab     consTables
 	margins *sim.Reservoir
 
-	chains     []*chain
-	chainsUsed int
-	scheds     []*disk.Scheduler
+	chains chainSet
+	scheds []*disk.Scheduler
 
 	// cat is the catalog the last run laid out, reused by the next run
 	// with the same catKey. A catalog is a pure function of its key and
@@ -250,10 +249,7 @@ func (a *Arena) reset(n int, marginSeed uint64) {
 	a.eng.Reset()
 	a.ps.reset(n)
 	a.tab.reset()
-	for _, c := range a.chains[:a.chainsUsed] {
-		c.reset()
-	}
-	a.chainsUsed = 0
+	a.chains.reset(&a.eng)
 	if a.margins == nil {
 		a.margins = sim.NewReservoir(8192, marginSeed)
 	} else {
@@ -276,18 +272,88 @@ func (a *Arena) catalog(k catalogKey) (*workload.Catalog, error) {
 	return cat, nil
 }
 
-// getChain hands out a pooled service chain bound to eng.
-func (a *Arena) getChain(eng *sim.Engine) *chain {
-	if a.chainsUsed < len(a.chains) {
-		c := a.chains[a.chainsUsed]
-		a.chainsUsed++
-		c.eng = eng
-		return c
+// chainSet is every service chain of a run, pooled across runs. The set
+// owns one calendar entry, keyed by its chains' earliest pending wake-up
+// (a completion a chain posts instead of scheduling it). When the entry
+// fires, the set runs that chain, then keeps running whichever chain is
+// now earliest for as long as the engine lets it fire in place
+// (sim.Engine.Advance), and puts the first key it may not fire back on
+// the calendar. A buffered run's bank transfers thus cost a scan over
+// K + 1 chains instead of a calendar push and pop each, and every wake-up
+// still fires under the key, and in the order, that one calendar entry
+// per completion would give it.
+type chainSet struct {
+	eng    *sim.Engine
+	all    []*chain // the pool; the current run owns all[:used]
+	used   int
+	ev     sim.Event // the set's calendar entry, when armed
+	key    sim.Key   // ev's key
+	armed  bool
+	firing bool // fireChains is running: posts wait for its scan
+}
+
+// reset re-arms the set for a run on eng, keeping every pooled chain.
+func (s *chainSet) reset(eng *sim.Engine) {
+	for _, c := range s.all[:s.used] {
+		c.reset()
 	}
-	c := &chain{eng: eng}
-	a.chains = append(a.chains, c)
-	a.chainsUsed++
-	return c
+	s.eng, s.used = eng, 0
+	s.ev, s.key, s.armed, s.firing = sim.Event{}, sim.Key{}, false, false
+}
+
+// get hands out a pooled chain of the set.
+func (s *chainSet) get() *chain {
+	if s.used == len(s.all) {
+		s.all = append(s.all, &chain{set: s})
+	}
+	s.used++
+	return s.all[s.used-1]
+}
+
+// post notes that c's wake-up is pending. Outside fireChains, a wake-up
+// earlier than the armed one takes over the set's calendar entry; inside
+// it, the scan after the running chain picks it up.
+func (s *chainSet) post(c *chain) {
+	if s.firing || (s.armed && !c.wake.Less(s.key)) {
+		return
+	}
+	s.arm(c.wake)
+}
+
+// arm puts the set's calendar entry at k, cancelling the armed one.
+func (s *chainSet) arm(k sim.Key) {
+	if s.armed {
+		s.ev.Cancel()
+	}
+	s.ev, s.key, s.armed = s.eng.ScheduleKey(k, fireChains, s), k, true
+}
+
+// earliest returns the busy chain whose wake-up comes first, or nil.
+func (s *chainSet) earliest() *chain {
+	var first *chain
+	for _, c := range s.all[:s.used] {
+		if c.busy && (first == nil || c.wake.Less(first.wake)) {
+			first = c
+		}
+	}
+	return first
+}
+
+// fireChains is the set's calendar callback: the armed wake-up is due.
+func fireChains(arg any) {
+	s := arg.(*chainSet)
+	s.armed, s.firing = false, true
+	c := s.earliest()
+	for {
+		c.runNext()
+		if c = s.earliest(); c == nil || !s.eng.Advance(c.wake) {
+			break
+		}
+	}
+	s.firing = false
+	if c != nil {
+		s.arm(c.wake)
+	}
 }
 
 // getSched hands out a pooled C-LOOK scheduler re-armed for dev. The

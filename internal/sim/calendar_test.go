@@ -321,13 +321,13 @@ func TestStepFromInsideCallback(t *testing.T) {
 	}
 }
 
-// --- reserved sequence numbers ---
+// --- drawn sequence numbers ---
 //
-// A periodic source may reserve its sequence numbers up front and schedule
-// one firing at a time (Reserve, ScheduleArgReserved). The oracle is the
-// schedule it replaces — every firing of every loop put on the calendar
-// at set-up — and the two must fire the same events at the same times in
-// the same order, whatever else is scheduled around and from inside them.
+// A periodic source may draw its sequence numbers up front and schedule
+// one firing at a time (Draw, ScheduleKey). The oracle is the schedule it
+// replaces — every firing of every loop put on the calendar at set-up —
+// and the two must fire the same events at the same times in the same
+// order, whatever else is scheduled around and from inside them.
 
 // loopSpec is one periodic source: cycles first..first+n-1, cycle c at
 // time c·period.
@@ -357,11 +357,11 @@ type loopProgram struct {
 }
 
 type loopCall struct {
-	p      *loopProgram
-	loop   int
-	period Time
-	cycle  int64
-	seqs   SeqBlock // chained runs only
+	p           *loopProgram
+	loop        int
+	period      Time
+	cycle, last int64
+	seq         Seq // chained runs only
 }
 
 func (p *loopProgram) note(f loopFiring) {
@@ -386,9 +386,10 @@ func fireLoopCall(arg any) {
 	lc := arg.(*loopCall)
 	p := lc.p
 	c := lc.cycle
-	if p.chained && lc.seqs.Left() > 0 {
+	if p.chained && c < lc.last {
 		lc.cycle++
-		p.eng.ScheduleArgReserved(lc.period, &lc.seqs, fireLoopCall, lc)
+		lc.seq = lc.seq.Add(1)
+		p.eng.ScheduleKey(Key{At: Time(lc.cycle) * lc.period, Seq: lc.seq}, fireLoopCall, lc)
 	}
 	p.note(loopFiring{at: p.eng.Now(), loop: lc.loop, cycle: c})
 	switch p.rng.Intn(4) {
@@ -411,11 +412,12 @@ func (p *loopProgram) run(specs []loopSpec) {
 		if p.rng.Intn(2) == 0 {
 			p.ordinaryEvent(Time(p.rng.Intn(4))*time.Millisecond, 1)
 		}
+		if s.n <= 0 {
+			continue
+		}
 		if p.chained {
-			lc := &loopCall{p: p, loop: i, period: s.period, cycle: s.first, seqs: p.eng.Reserve(int(s.n))}
-			if s.n > 0 {
-				p.eng.ScheduleArgReserved(Time(s.first)*s.period, &lc.seqs, fireLoopCall, lc)
-			}
+			lc := &loopCall{p: p, loop: i, period: s.period, cycle: s.first, last: s.first + s.n - 1, seq: p.eng.Draw(int(s.n))}
+			p.eng.ScheduleKey(Key{At: Time(s.first) * s.period, Seq: lc.seq}, fireLoopCall, lc)
 			continue
 		}
 		for c := s.first; c < s.first+s.n; c++ {
@@ -494,52 +496,329 @@ func mustPanic(t *testing.T, what string, fn func()) {
 	fn()
 }
 
-// A reserved number can be spent once, on the engine and in the epoch
-// that reserved it; anything else would put an event where no up-front
-// schedule could have, so the engine refuses.
-func TestReservedNumbersAreRefusedOutsideALiveReservation(t *testing.T) {
+// A key is good only once its number is drawn, only until the next
+// Reset, and never in the past; anything else would put an event where
+// no ScheduleArg call could have, so the engine refuses.
+func TestKeysAreRefusedOutsideTheirDraw(t *testing.T) {
 	nop := func(any) {}
 	var eng Engine
 
-	b := eng.Reserve(2)
-	eng.Schedule(0, func() {}) // draws the number after the block
-	eng.ScheduleArgReserved(0, &b, nop, nil)
-	eng.ScheduleArgReserved(0, &b, nop, nil)
-	if b.Left() != 0 {
-		t.Fatalf("block of 2 has %d left after two uses", b.Left())
-	}
-	mustPanic(t, "a third use of a block of two", func() { eng.ScheduleArgReserved(0, &b, nop, nil) })
+	s := eng.Draw(2)
+	eng.Schedule(0, func() {}) // takes the number after the two
+	eng.ScheduleKey(Key{Seq: s}, nop, nil)
+	second := eng.ScheduleKey(Key{Seq: s.Add(1)}, nop, nil)
+	mustPanic(t, "a number not yet drawn", func() { eng.ScheduleKey(Key{Seq: s.Add(3)}, nop, nil) })
+	mustPanic(t, "the zero Seq", func() { eng.ScheduleKey(Key{}, nop, nil) })
+	mustPanic(t, "Advance on a number not yet drawn", func() { eng.Advance(Key{Seq: s.Add(3)}) })
+	mustPanic(t, "Draw(0)", func() { eng.Draw(0) })
 	if eng.Pending() != 3 {
 		t.Fatalf("pending %d, want 3: a refused schedule must leave no entry", eng.Pending())
 	}
-
-	var zero SeqBlock
-	mustPanic(t, "the zero block", func() { eng.ScheduleArgReserved(0, &zero, nop, nil) })
-	empty := eng.Reserve(0)
-	mustPanic(t, "an empty block", func() { eng.ScheduleArgReserved(0, &empty, nop, nil) })
-	negative := eng.Reserve(-3)
-	if negative.Left() != 0 {
-		t.Errorf("Reserve(-3) left %d numbers", negative.Left())
+	// A cancelled keyed event may go back on the calendar under its key.
+	second.Cancel()
+	eng.ScheduleKey(Key{Seq: s.Add(1)}, nop, nil)
+	if eng.Pending() != 3 {
+		t.Fatalf("pending %d after a cancel and re-schedule, want 3", eng.Pending())
+	}
+	// Outside Run and RunUntil nothing fires in place.
+	if eng.Advance(Key{Seq: s}) || eng.Executed() != 0 {
+		t.Fatal("Advance fired outside a running loop")
 	}
 
-	var other Engine
-	foreign := other.Reserve(1)
-	mustPanic(t, "a block reserved on another engine", func() { eng.ScheduleArgReserved(0, &foreign, nop, nil) })
+	eng.RunUntil(time.Second)
+	past := eng.Draw(1)
+	mustPanic(t, "a key in the past", func() { eng.ScheduleKey(Key{At: time.Millisecond, Seq: past}, nop, nil) })
 
-	stale := eng.Reserve(4)
+	stale := eng.Draw(4)
 	eng.Reset()
-	mustPanic(t, "a block reserved before Reset", func() { eng.ScheduleArgReserved(0, &stale, nop, nil) })
+	mustPanic(t, "a number drawn before Reset", func() { eng.ScheduleKey(Key{Seq: stale}, nop, nil) })
+	mustPanic(t, "Advance on a number drawn before Reset", func() { eng.Advance(Key{Seq: stale}) })
 	if eng.Pending() != 0 {
 		t.Errorf("pending %d after Reset", eng.Pending())
 	}
-	// A reset engine numbers from the start again: a fresh block and a
+	// A reset engine numbers from the start again: a fresh draw and a
 	// fresh Schedule order exactly as on a new engine.
 	var order []string
-	fresh := eng.Reserve(1)
+	fresh := eng.Draw(1)
 	eng.Schedule(0, func() { order = append(order, "scheduled second, numbered second") })
-	eng.ScheduleArgReserved(0, &fresh, func(any) { order = append(order, "reserved first") }, nil)
+	eng.ScheduleKey(Key{Seq: fresh}, func(any) { order = append(order, "drawn first") }, nil)
 	eng.Run()
-	if len(order) != 2 || order[0] != "reserved first" {
-		t.Errorf("fired %v: the reserved number must order before the later Schedule", order)
+	if len(order) != 2 || order[0] != "drawn first" {
+		t.Errorf("fired %v: the drawn number must order before the later Schedule", order)
+	}
+}
+
+// --- wake-ups fired in place ---
+//
+// A holder of many pending keyed wake-ups — the server's chain set —
+// keeps only the earliest on the calendar and fires the rest in place
+// with Advance. The oracle gives every wake-up a ScheduleArg event of its
+// own. A random program of wake-ups, plain events, cancels (tombstones at
+// the head included), Stops and Resets issued from inside callbacks, run
+// through RunUntil deadlines, Run and bare Step loops, must fire the same
+// (time, sequence, callback) sequence either way, with the same
+// Executed() and clock.
+
+// waker is one source of wake-ups, busy while one is pending.
+type waker struct {
+	p    *wakeProgram
+	idx  int
+	busy bool
+	key  Key
+}
+
+// plainEvent is an ordinary ScheduleArg event of the wake program.
+type plainEvent struct {
+	p   *wakeProgram
+	id  int
+	seq uint64
+}
+
+// wakeFiring is one event as the wake program saw it: a waker's
+// wake-up, or (waker < 0) the plain event id.
+type wakeFiring struct {
+	at    Time
+	seq   uint64
+	waker int
+	id    int
+}
+
+type wakeProgram struct {
+	eng     Engine
+	rng     *RNG
+	inPlace bool
+	wakers  []*waker
+	plain   []Event // every plain event's handle, fired and cancelled ones included
+	trace   []wakeFiring
+	clocks  []Time
+	budget  int
+
+	// The keyed holder (inPlace runs): its calendar entry and key.
+	ev            Event
+	armKey        Key
+	armed, firing bool
+
+	stops, resets, steps                       int
+	inPlaceFired, tombBlocked, deadlineBlocked int
+}
+
+func newWakeProgram(seed uint64, inPlace bool) *wakeProgram {
+	p := &wakeProgram{rng: NewRNG(seed), inPlace: inPlace, budget: 5000}
+	for i := 0; i < 5; i++ {
+		p.wakers = append(p.wakers, &waker{p: p, idx: i})
+	}
+	return p
+}
+
+// soon is a delay on a 10 µs grid, so wake-ups and plain events tie often.
+func (p *wakeProgram) soon() Time { return Time(p.rng.Intn(4)) * 10 * time.Microsecond }
+
+func (p *wakeProgram) schedulePlain(d Time) {
+	ev := &plainEvent{p: p, id: len(p.plain)}
+	p.plain = append(p.plain, p.eng.ScheduleArg(d, firePlain, ev))
+	ev.seq = p.eng.seq
+}
+
+func firePlain(arg any) {
+	ev := arg.(*plainEvent)
+	ev.p.note(wakeFiring{at: ev.p.eng.Now(), seq: ev.seq, waker: -1, id: ev.id})
+	ev.p.act(nil)
+}
+
+// post makes w's wake-up pending at now+d under the number a ScheduleArg
+// call would take now.
+func (p *wakeProgram) post(w *waker, d Time) {
+	w.busy = true
+	if !p.inPlace {
+		p.eng.ScheduleArg(d, fireWaker, w)
+		w.key = Key{At: p.eng.Now() + d, Seq: Seq{n: p.eng.seq, epoch: p.eng.epoch}}
+		return
+	}
+	w.key = Key{At: p.eng.Now() + d, Seq: p.eng.Draw(1)}
+	if p.firing || (p.armed && !w.key.Less(p.armKey)) {
+		return
+	}
+	p.arm(w.key)
+}
+
+func (p *wakeProgram) arm(k Key) {
+	if p.armed {
+		p.ev.Cancel()
+	}
+	p.ev, p.armKey, p.armed = p.eng.ScheduleKey(k, fireWakers, p), k, true
+}
+
+func (p *wakeProgram) earliest() *waker {
+	var first *waker
+	for _, w := range p.wakers {
+		if w.busy && (first == nil || w.key.Less(first.key)) {
+			first = w
+		}
+	}
+	return first
+}
+
+// fireWaker is the oracle's callback: one event per wake-up.
+func fireWaker(arg any) {
+	w := arg.(*waker)
+	w.busy = false
+	w.p.wake(w)
+}
+
+// fireWakers is the keyed holder's callback, the chain set's loop.
+func fireWakers(arg any) {
+	p := arg.(*wakeProgram)
+	p.armed, p.firing = false, true
+	w := p.earliest()
+	for {
+		w.busy = false
+		p.wake(w)
+		if w = p.earliest(); w == nil {
+			break
+		}
+		e := &p.eng
+		if next, ok := e.next(); ok && e.slots[next.slot].dead && entLess(next, calEntry{at: w.key.At, seq: w.key.Seq.n}) {
+			p.tombBlocked++
+		}
+		if e.running && w.key.At > e.limit {
+			p.deadlineBlocked++
+		}
+		if !e.Advance(w.key) {
+			break
+		}
+		p.inPlaceFired++
+	}
+	p.firing = false
+	if w != nil {
+		p.arm(w.key)
+	}
+}
+
+func (p *wakeProgram) wake(w *waker) {
+	p.note(wakeFiring{at: p.eng.Now(), seq: w.key.Seq.n, waker: w.idx})
+	p.act(w)
+}
+
+func (p *wakeProgram) note(f wakeFiring) { p.trace = append(p.trace, f) }
+
+// act is every callback's random work; w is the firing waker, if any.
+func (p *wakeProgram) act(w *waker) {
+	if len(p.trace) >= p.budget {
+		return // wind down: schedule nothing more
+	}
+	if w != nil && p.rng.Intn(10) < 8 {
+		p.post(w, p.soon()) // a busy chain starting its next item
+	}
+	if w == nil && p.rng.Intn(2) == 0 {
+		p.schedulePlain(p.soon())
+	}
+	switch r := p.rng.Intn(100); {
+	case r < 30: // wake an idle waker, as a submit to an idle chain does
+		if v := p.wakers[p.rng.Intn(len(p.wakers))]; !v.busy {
+			p.post(v, p.soon())
+		}
+	case r < 55: // plain events tied with whatever else is due then
+		for n := 1 + p.rng.Intn(3); n > 0; n-- {
+			p.schedulePlain(p.soon())
+		}
+	case r < 70: // cancel plain handles, live or stale
+		for n := 1 + p.rng.Intn(3); n > 0 && len(p.plain) > 0; n-- {
+			p.plain[p.rng.Intn(len(p.plain))].Cancel()
+		}
+	case r < 85: // a tombstone at the head: due now, cancelled at once
+		p.schedulePlain(0)
+		p.plain[len(p.plain)-1].Cancel()
+	case r < 96: // nothing
+	case r < 99:
+		p.stops++
+		p.eng.Stop()
+	default:
+		p.reset()
+		p.schedulePlain(p.soon())
+	}
+}
+
+// reset empties the engine and everything holding its keys.
+func (p *wakeProgram) reset() {
+	p.resets++
+	p.eng.Reset()
+	for _, w := range p.wakers {
+		w.busy = false
+	}
+	p.armed = false
+}
+
+// seed starts (or, after the work died out or was reset away, restarts)
+// the program: far-future entries, so the heap has depth, and some work.
+func (p *wakeProgram) seed() {
+	for i := 0; i < 8; i++ {
+		p.schedulePlain(time.Hour + Time(i)*time.Second)
+	}
+	p.post(p.wakers[p.rng.Intn(len(p.wakers))], p.soon())
+	p.schedulePlain(p.soon())
+}
+
+// drive runs the program to its budget, and then dry, through an
+// irregular mix of RunUntil, Run, bare Step loops and Resets between
+// runs.
+func (p *wakeProgram) drive() {
+	for round := 0; round < 100000; round++ {
+		if p.eng.Pending() == 0 {
+			if len(p.trace) >= p.budget {
+				return
+			}
+			p.seed()
+		}
+		switch r := p.rng.Intn(40); {
+		case len(p.trace) >= p.budget || r == 0:
+			p.eng.Run()
+		case r < 8:
+			for n := 1 + p.rng.Intn(5); n > 0; n-- {
+				before := p.eng.Executed()
+				if !p.eng.Step() {
+					break
+				}
+				p.steps++
+				if after := p.eng.Executed(); after != before+1 && after != 0 { // 0: the event Reset the engine
+					panic("a bare Step fired more than one event")
+				}
+			}
+		case r < 9:
+			p.reset()
+			p.seed()
+		default:
+			p.eng.RunUntil(p.eng.Now() + Time(p.rng.Intn(80))*time.Microsecond)
+		}
+		p.clocks = append(p.clocks, p.eng.Now())
+	}
+}
+
+func TestInPlaceWakeupsMatchOneEventEach(t *testing.T) {
+	for seed := uint64(1); seed <= 10; seed++ {
+		want := newWakeProgram(seed, false)
+		want.drive()
+		got := newWakeProgram(seed, true)
+		got.drive()
+
+		for i := range min(len(got.trace), len(want.trace)) {
+			if got.trace[i] != want.trace[i] {
+				t.Fatalf("seed %d: firing %d:\n in place %+v\n one each %+v", seed, i, got.trace[i], want.trace[i])
+			}
+		}
+		if len(got.trace) != len(want.trace) || got.eng.Executed() != want.eng.Executed() {
+			t.Fatalf("seed %d: in place fired %d (executed %d), one each %d (executed %d)", seed,
+				len(got.trace), got.eng.Executed(), len(want.trace), want.eng.Executed())
+		}
+		if !slices.Equal(got.clocks, want.clocks) || got.eng.Now() != want.eng.Now() {
+			t.Errorf("seed %d: clocks between run calls differ", seed)
+		}
+		if len(want.trace) < want.budget || want.stops == 0 || want.resets == 0 || want.steps == 0 {
+			t.Fatalf("seed %d: program too tame: %d firings, %d stops, %d resets, %d steps",
+				seed, len(want.trace), want.stops, want.resets, want.steps)
+		}
+		if got.inPlaceFired < len(got.trace)/25 || got.tombBlocked == 0 || got.deadlineBlocked == 0 {
+			t.Errorf("seed %d: %d of %d firings in place, %d refused behind a tombstone, %d at a deadline",
+				seed, got.inPlaceFired, len(got.trace), got.tombBlocked, got.deadlineBlocked)
+		}
 	}
 }

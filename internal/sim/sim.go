@@ -13,6 +13,22 @@
 // lazy tombstone reclaimed at pop (or by compaction when tombstones
 // outnumber live entries), and ScheduleArg carries a static callback plus
 // a pointer argument so high-frequency call sites need no closure.
+//
+// Keyed events. Every event fires under a (time, sequence) key, and the
+// sequence counter decides every tie. A caller may Draw numbers now and
+// schedule under them later (ScheduleKey): the event then fires exactly
+// where a ScheduleArg call made at draw time would have put it. A
+// periodic source draws all its numbers up front and keeps one calendar
+// entry instead of one per future firing. A holder of many pending keys
+// (the server's service chains) puts only its earliest on the calendar,
+// and from inside that entry's callback it fires the rest in place with
+// Advance: the clock moves and the event counts in Executed without a
+// calendar round trip, but only while the key precedes the calendar's
+// next entry (tombstones included), only inside Run or RunUntil, never
+// past RunUntil's deadline and never after Stop. A key that may not fire
+// in place goes back on the calendar. Either way each event keeps its
+// key and the counter advances exactly as with one calendar entry per
+// event, so no tie-break and no event count can move.
 package sim
 
 import (
@@ -102,9 +118,10 @@ type eventSlot struct {
 type Engine struct {
 	now      Time
 	seq      uint64
-	epoch    uint64 // Resets so far; a SeqBlock is live only in the epoch that reserved it
+	epoch    uint64 // Resets so far; a drawn Seq is valid only in the epoch that drew it
 	executed uint64
-	running  bool
+	running  bool // inside Run or RunUntil, and not stopped
+	limit    Time // the running loop's deadline: Advance never passes it
 
 	cal   []calEntry  // 4-ary min-heap ordered by (at, seq)
 	slots []eventSlot // event slot arena; cal entries index into it
@@ -157,66 +174,105 @@ func (e *Engine) ScheduleAt(at Time, fn func()) (Event, error) {
 // typically a static function and arg a pointer to long-lived state, so
 // scheduling allocates nothing.
 func (e *Engine) ScheduleArg(d Time, fn func(any), arg any) Event {
-	e.seq++
-	return e.scheduleArg(d, e.seq, fn, arg)
-}
-
-// scheduleArg queues fn(arg) after delay d under sequence number seq.
-func (e *Engine) scheduleArg(d Time, seq uint64, fn func(any), arg any) Event {
 	if d < 0 {
 		d = 0
 	}
+	e.seq++
+	return e.scheduleArg(e.now+d, e.seq, fn, arg)
+}
+
+// scheduleArg queues fn(arg) at time at under sequence number seq.
+func (e *Engine) scheduleArg(at Time, seq uint64, fn func(any), arg any) Event {
 	slot := e.allocSlot()
 	s := &e.slots[slot]
 	s.afn, s.arg = fn, arg
-	return e.enqueueSeq(e.now+d, seq, slot)
+	return e.enqueueSeq(at, seq, slot)
 }
 
-// SeqBlock is a run of consecutive sequence numbers set aside by Reserve,
-// handed out lowest first by ScheduleArgReserved.
-type SeqBlock struct {
-	eng       *Engine
-	epoch     uint64
-	next, end uint64 // [next, end) are still unused
+// Seq is a sequence number drawn from an Engine ahead of the event that
+// will fire under it. The zero Seq was never drawn.
+type Seq struct {
+	n     uint64
+	epoch uint64
 }
 
-// Left reports how many of the block's numbers are still unused.
-func (b *SeqBlock) Left() int { return int(b.end - b.next) }
+// Add returns the number k places after s: with s the first of Draw(n),
+// s.Add(k) is the k-th of them for k < n.
+func (s Seq) Add(k int) Seq { return Seq{n: s.n + uint64(k), epoch: s.epoch} }
 
-// Reserve sets aside the next n sequence numbers — exactly the ones n
-// consecutive Schedule calls made now would consume — so their events can
-// be scheduled later, one at a time, and still fire where those calls
-// would have put them: every later Schedule call draws the number it
-// would have drawn, and ties at one timestamp break as if the whole block
-// had been scheduled up front. A periodic source uses it to keep one
-// calendar entry instead of one per future firing.
+// Key is an event's place in the firing order: its time, ties broken by
+// its sequence number.
+type Key struct {
+	At  Time
+	Seq Seq
+}
+
+// Less reports whether k fires before o.
+func (k Key) Less(o Key) bool {
+	if k.At != o.At {
+		return k.At < o.At
+	}
+	return k.Seq.n < o.Seq.n
+}
+
+// Draw takes the next n sequence numbers — exactly the ones n consecutive
+// ScheduleArg calls made now would take — and returns the first; Add
+// steps through the rest. An event scheduled later under one of them
+// (ScheduleKey) fires where that ScheduleArg call would have put it, so
+// ties at one timestamp break as if it had been scheduled at draw time.
 //
-// The caller owes the calendar one thing the up-front calls gave for
-// free: each reserved event must be scheduled before anything ordered
-// after it fires. Scheduling event k+1 from event k's callback, at or
-// after the current time, always satisfies that.
-func (e *Engine) Reserve(n int) SeqBlock {
-	if n < 0 {
-		n = 0
+// The caller owes the calendar one thing a ScheduleArg call gives for
+// free: each drawn event must be on the calendar (or fired in place by
+// Advance) before anything ordered after it fires. Scheduling a source's
+// next event from its current one's callback satisfies that.
+func (e *Engine) Draw(n int) Seq {
+	if n < 1 {
+		panic("sim: Draw needs at least one number")
 	}
-	b := SeqBlock{eng: e, epoch: e.epoch, next: e.seq + 1, end: e.seq + 1 + uint64(n)}
+	s := Seq{n: e.seq + 1, epoch: e.epoch}
 	e.seq += uint64(n)
-	return b
+	return s
 }
 
-// ScheduleArgReserved is ScheduleArg under the lowest unused number of b
-// instead of a fresh one. It panics when b was not reserved on this
-// engine since its last Reset, or is used up: such a number is not b's to
-// give, and an event under it would silently reorder the run.
-func (e *Engine) ScheduleArgReserved(d Time, b *SeqBlock, fn func(any), arg any) Event {
-	if b.eng != e || b.epoch != e.epoch {
-		panic("sim: sequence block was not reserved on this engine since its last Reset")
+// ScheduleKey runs fn(arg) under k, whose number was drawn earlier. A key
+// may be scheduled again after its event is cancelled. It panics when k's
+// number is not yet drawn or was drawn before the last Reset, or k.At is
+// in the past: an event under such a key would silently reorder the run.
+func (e *Engine) ScheduleKey(k Key, fn func(any), arg any) Event {
+	e.checkKey(k)
+	return e.scheduleArg(k.At, k.Seq.n, fn, arg)
+}
+
+// Advance fires, in place, the event the caller holds under k: when no
+// calendar entry — tombstones included — orders before k, the running
+// loop is not past its deadline and was not stopped, it moves the clock
+// to k.At, counts the event in Executed and reports true; the caller then
+// runs the event's work itself. Otherwise it changes nothing and the
+// caller must put k on the calendar (ScheduleKey). It only ever reports
+// true from inside a callback of Run or RunUntil, never under a bare Step.
+// Its panics are ScheduleKey's.
+func (e *Engine) Advance(k Key) bool {
+	e.checkKey(k)
+	if !e.running || k.At > e.limit {
+		return false
 	}
-	if b.next >= b.end {
-		panic("sim: sequence block is used up")
+	if next, ok := e.next(); ok && !entLess(calEntry{at: k.At, seq: k.Seq.n}, next) {
+		return false
 	}
-	b.next++
-	return e.scheduleArg(d, b.next-1, fn, arg)
+	e.now = k.At
+	e.executed++
+	return true
+}
+
+// checkKey panics unless k's number was drawn since the last Reset and
+// k is not in the past.
+func (e *Engine) checkKey(k Key) {
+	if k.Seq.epoch != e.epoch || k.Seq.n == 0 || k.Seq.n > e.seq {
+		panic("sim: sequence number not yet drawn, or drawn before the last Reset")
+	}
+	if k.At < e.now {
+		panic("sim: keyed event in the past")
+	}
 }
 
 // enqueue assigns the next sequence number and pushes slot onto the heap.
@@ -356,6 +412,29 @@ func (e *Engine) siftDown(i int) {
 	e.cal[i] = ent
 }
 
+// next returns the calendar's earliest entry, tombstones included, and
+// whether there is one. While the root is vacant that is the least of its
+// children, each the head of a valid subheap.
+func (e *Engine) next() (calEntry, bool) {
+	if !e.vacant {
+		if len(e.cal) == 0 {
+			return calEntry{}, false
+		}
+		return e.cal[0], true
+	}
+	n := len(e.cal)
+	if n < 2 {
+		return calEntry{}, false
+	}
+	best := 1
+	for j := 2; j < n && j < 5; j++ {
+		if entLess(e.cal[j], e.cal[best]) {
+			best = j
+		}
+	}
+	return e.cal[best], true
+}
+
 // skim discards tombstoned entries from the head of the calendar, so the
 // head — if any — is live. Dead-event skipping happens here, once, for
 // every run loop.
@@ -412,7 +491,7 @@ func (e *Engine) Step() bool {
 
 // Run fires events until the calendar is empty.
 func (e *Engine) Run() {
-	e.running = true
+	e.running, e.limit = true, MaxTime
 	for e.running && e.Step() {
 	}
 	e.running = false
@@ -429,7 +508,7 @@ func (e *Engine) Run() {
 // claiming their time would make Now() lie about how far the simulation
 // actually got. A stopped run leaves Now() at the last fired event.
 func (e *Engine) RunUntil(deadline Time) {
-	e.running = true
+	e.running, e.limit = true, deadline
 	for e.running {
 		e.skim()
 		if len(e.cal) == 0 || e.cal[0].at > deadline {
@@ -444,14 +523,15 @@ func (e *Engine) RunUntil(deadline Time) {
 	}
 }
 
-// Stop makes Run/RunUntil return after the current event completes.
+// Stop makes Run/RunUntil return after the current event completes; no
+// event fires in place (Advance) after it.
 func (e *Engine) Stop() { e.running = false }
 
 // Reset returns the engine to its zero state while keeping the calendar
 // and slot-arena storage, so a pooled engine's next run schedules without
 // re-growing either. Every outstanding Event handle is invalidated by the
 // per-slot generation bump — exactly as if each event had fired — and
-// every SeqBlock reserved before the Reset is dead.
+// every Seq drawn before the Reset is dead.
 //
 // Behavioral note for run-equivalence: slot indices never participate in
 // event ordering (the calendar orders by (time, sequence) alone), so a

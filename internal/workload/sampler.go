@@ -44,8 +44,8 @@ type Sampler struct {
 // an explicitly supplied total (the running float64 sum in weight order,
 // exactly as the legacy scan accumulated it). It returns nil when the
 // weights cannot be inverted safely — a non-finite or negative weight, or
-// a non-positive total — in which case the caller should keep the linear
-// scan, which is the behavioral reference for those degenerate inputs.
+// a non-positive or infinite total. NewCatalog refuses such weights, so a
+// catalog's sampler is never nil.
 func NewSampler(w []float64, total float64) *Sampler {
 	if len(w) == 0 || !(total > 0) || math.IsInf(total, 1) {
 		return nil
@@ -67,12 +67,15 @@ func NewSampler(w []float64, total float64) *Sampler {
 		}
 		s.bounds[i] = t
 	}
-	// Defensive: the bounds are provably non-decreasing for the inputs
-	// accepted above; a violation would break the sorted-search draw, so
-	// refuse rather than mis-sample.
+	// Unreachable for the inputs accepted above: bounds[i] applies
+	// bounds[i-1]'s inversion steps to the threshold largestPre(0, w[i])
+	// instead of 0; that threshold is at least w[i] >= 0, and each step
+	// (the largest v with fl(v-w) <= t) is non-decreasing in t because
+	// fl(v-w) is monotone in v. A violation would break the sorted-search
+	// draw silently, so it panics rather than mis-sample.
 	for i := 1; i < len(s.bounds); i++ {
 		if s.bounds[i] < s.bounds[i-1] {
-			return nil
+			panic("workload: sampler bounds decrease for non-negative weights")
 		}
 	}
 	m := len(w)

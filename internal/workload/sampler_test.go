@@ -134,8 +134,8 @@ func TestSamplerSplitDeterminism(t *testing.T) {
 }
 
 // TestSamplerRefusesDegenerateWeights: the inversion is only sound for
-// finite non-negative weights; anything else must fall back to the linear
-// scan rather than mis-sample.
+// finite non-negative weights with a positive finite total; anything
+// else is refused rather than mis-sampled.
 func TestSamplerRefusesDegenerateWeights(t *testing.T) {
 	for name, tc := range map[string]struct {
 		w     []float64
@@ -145,6 +145,7 @@ func TestSamplerRefusesDegenerateWeights(t *testing.T) {
 		"negative": {[]float64{0.5, -0.1, 0.6}, 1.0},
 		"inf":      {[]float64{math.Inf(1), 1}, math.Inf(1)},
 		"zero":     {[]float64{0, 0}, 0},
+		"overflow": {[]float64{math.MaxFloat64, math.MaxFloat64}, math.Inf(1)},
 		"empty":    {nil, 0},
 	} {
 		if s := NewSampler(tc.w, tc.total); s != nil {
@@ -153,16 +154,50 @@ func TestSamplerRefusesDegenerateWeights(t *testing.T) {
 	}
 }
 
-// A catalog whose weights the sampler refuses still draws via the scan.
-func TestPickFallsBackWithoutSampler(t *testing.T) {
-	cat := testCatalog(t, 2, []float64{0.5, 0.5})
-	cat.sampler, cat.sampled = nil, true // as if NewSampler had refused the weights
-	rng := sim.NewRNG(3)
-	for i := 0; i < 100; i++ {
-		if cat.Pick(rng) == nil {
-			t.Fatal("fallback pick returned nil")
+// TestNewCatalogRejectsDegenerateWeights: NewCatalog accepts only weights
+// the sampler can invert, so Pick has no fallback: each kind of
+// degenerate weight vector is an error.
+func TestNewCatalogRejectsDegenerateWeights(t *testing.T) {
+	for name, w := range map[string][]float64{
+		"nan weight":      {0.5, math.NaN()},
+		"+inf weight":     {math.Inf(1), 1},
+		"-inf weight":     {1, math.Inf(-1)},
+		"negative weight": {0.5, -0.1, 0.6},
+		"zero total":      {0, 0},
+		"negative zero":   {math.Copysign(0, -1)},
+		"infinite total":  {math.MaxFloat64, math.MaxFloat64},
+	} {
+		if cat, err := NewCatalog(len(w), MP3, w, 512); err == nil {
+			t.Errorf("%s: NewCatalog accepted %v (total %g)", name, w, cat.total)
 		}
 	}
+	// Zero weights beside a positive one are fine: those titles are never drawn.
+	cat := testCatalog(t, 3, []float64{0, 1, 0})
+	rng := sim.NewRNG(3)
+	for i := 0; i < 100; i++ {
+		if got := cat.Pick(rng).Rank; got != 1 {
+			t.Fatalf("drew rank %d, want only the one positive weight", got)
+		}
+	}
+}
+
+// pickLinear is the legacy draw Pick replaced, the sampler's behavioral
+// reference: one Float64 scaled to the weight total, walked down the
+// weights until it crosses zero.
+func (c *Catalog) pickLinear(rng *sim.RNG) *Title {
+	return &c.Titles[c.pickLinearAt(rng.Float64()*c.total)]
+}
+
+// pickLinearAt resolves an explicit u against the subtraction scan — the
+// oracle the sampler equivalence tests probe boundary-by-boundary.
+func (c *Catalog) pickLinearAt(u float64) int {
+	for i := range c.Titles {
+		u -= c.Titles[i].Weight
+		if u <= 0 {
+			return i
+		}
+	}
+	return len(c.Titles) - 1
 }
 
 // TestCatalogBuildsSamplerOnFirstPick: laying a catalog out and summing
@@ -173,7 +208,7 @@ func TestCatalogBuildsSamplerOnFirstPick(t *testing.T) {
 	if cat.TopFraction(0.1) <= 0 || cat.TotalSize() <= 0 {
 		t.Fatal("catalog sums are empty")
 	}
-	if cat.sampled || cat.sampler != nil {
+	if cat.sampler != nil {
 		t.Fatal("NewCatalog + TopFraction + TotalSize built the sampler")
 	}
 	rng := sim.NewRNG(8)

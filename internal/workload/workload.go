@@ -53,11 +53,9 @@ type Catalog struct {
 	Titles []Title
 	total  float64
 
-	// sampler serves Pick in O(1) per draw. It is built by the first Pick
-	// (sampled records that the build ran) and stays nil for degenerate
-	// weight vectors (non-finite or negative), which keep the linear scan.
+	// sampler serves Pick in O(1) per draw. It is built by the first Pick;
+	// NewCatalog accepts only weights it can invert.
 	sampler *Sampler
-	sampled bool
 }
 
 // XYDistribution is the paper's popularity model: X% of titles receive Y%
@@ -136,10 +134,11 @@ func Zipf(n int, s float64) []float64 {
 
 // NewCatalog builds n titles of class c ranked by popularity weights w
 // (len(w) == n) and lays them out contiguously from block 0 of a store
-// with the given block size. The popularity sampler is not built here but
-// by the first Pick: its exact inverse costs O(n²), and a catalog that is
-// only laid out, sized or summed (TopFraction, TotalSize, cache.Plan)
-// never pays it.
+// with the given block size. Every weight must be finite and non-negative
+// and their sum positive and finite: those are the weights the popularity
+// sampler inverts exactly. The sampler is not built here but by the first
+// Pick: its exact inverse costs O(n²), and a catalog that is only laid
+// out, sized or summed (TopFraction, TotalSize, cache.Plan) never pays it.
 func NewCatalog(n int, c MediaClass, w []float64, blockSize units.Bytes) (*Catalog, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("workload: catalog needs at least one title")
@@ -149,6 +148,16 @@ func NewCatalog(n int, c MediaClass, w []float64, blockSize units.Bytes) (*Catal
 	}
 	if blockSize <= 0 {
 		return nil, fmt.Errorf("workload: non-positive block size")
+	}
+	var total float64
+	for i, x := range w {
+		if !(x >= 0) || math.IsInf(x, 1) {
+			return nil, fmt.Errorf("workload: title %d has weight %g, want finite and non-negative", i, x)
+		}
+		total += x
+	}
+	if !(total > 0) || math.IsInf(total, 1) {
+		return nil, fmt.Errorf("workload: weights sum to %g, want positive and finite", total)
 	}
 	cat := &Catalog{Titles: make([]Title, n)}
 	var lbn int64
@@ -166,9 +175,9 @@ func NewCatalog(n int, c MediaClass, w []float64, blockSize units.Bytes) (*Catal
 			Weight:  w[i],
 			StartLB: lbn,
 		}
-		cat.total += w[i]
 		lbn += blocks
 	}
+	cat.total = total
 	return cat, nil
 }
 
@@ -184,51 +193,21 @@ func (c *Catalog) TotalSize() units.Bytes {
 
 // Pick draws a title according to the popularity weights. The draw is
 // O(1) in the catalog size (see Sampler) and byte-identical to the linear
-// subtraction scan it replaced, which survives as pickLinear — both the
-// behavioral reference for the equivalence tests and the fallback for
-// weight vectors the sampler refuses (non-finite or negative weights).
+// subtraction scan it replaced, which survives in sampler_test.go as the
+// behavioral reference.
 //
 // The first Pick builds the sampler, so Pick is not safe for concurrent
 // first use: a catalog shared between goroutines must be drawn from once
 // before it is shared. Every caller today owns its catalog.
 func (c *Catalog) Pick(rng *sim.RNG) *Title {
-	if !c.sampled {
+	if c.sampler == nil {
 		w := make([]float64, len(c.Titles))
 		for i := range c.Titles {
 			w[i] = c.Titles[i].Weight
 		}
-		c.sampler = NewSampler(w, c.total)
-		c.sampled = true
+		c.sampler = NewSampler(w, c.total) // never nil: NewCatalog vetted the weights
 	}
-	if c.sampler != nil {
-		return &c.Titles[c.sampler.Draw(rng)]
-	}
-	return c.pickLinear(rng)
-}
-
-// pickLinear is the legacy draw: one Float64 scaled to the weight total,
-// walked down the weights until it crosses zero.
-func (c *Catalog) pickLinear(rng *sim.RNG) *Title {
-	u := rng.Float64() * c.total
-	for i := range c.Titles {
-		u -= c.Titles[i].Weight
-		if u <= 0 {
-			return &c.Titles[i]
-		}
-	}
-	return &c.Titles[len(c.Titles)-1]
-}
-
-// pickLinearAt resolves an explicit u against the subtraction scan —
-// the oracle the sampler equivalence tests probe boundary-by-boundary.
-func (c *Catalog) pickLinearAt(u float64) int {
-	for i := range c.Titles {
-		u -= c.Titles[i].Weight
-		if u <= 0 {
-			return i
-		}
-	}
-	return len(c.Titles) - 1
+	return &c.Titles[c.sampler.Draw(rng)]
 }
 
 // TopFraction returns how much access probability the most popular
