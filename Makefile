@@ -28,11 +28,12 @@ bench:
 # the lock-free metrics collector, the timer wheel, the serve data
 # plane, the rig's cycle walks (direct and buffered), the popularity
 # sampler, catalog build and session replay, the disk's C-LOOK batch
-# and service model, the sled's service model, the bank and PLAY
-# admission — the set CI compares old-vs-new with benchstat.
+# and service model, the sled's service model, the bank, PLAY
+# admission and its rate parse — the set CI compares old-vs-new with
+# benchstat.
 # BENCH_COUNT>1 gives benchstat samples to work with.
 bench-sim:
-	$(GO) test -run '^$$' -bench . -benchmem -count $(or $(BENCH_COUNT),1) ./internal/sim/ ./internal/metrics/ ./internal/wheel/ ./internal/serve/ ./internal/schedule/ ./internal/server/ ./internal/workload/ ./internal/disk/ ./internal/mems/ ./internal/bank/
+	$(GO) test -run '^$$' -bench . -benchmem -count $(or $(BENCH_COUNT),1) ./internal/sim/ ./internal/metrics/ ./internal/wheel/ ./internal/serve/ ./internal/schedule/ ./internal/server/ ./internal/workload/ ./internal/disk/ ./internal/mems/ ./internal/bank/ ./internal/units/
 
 # bench-record appends one BENCH_<n>.json point to the kernel performance
 # trajectory (microbenchmarks + per-experiment events/sec).
@@ -75,9 +76,12 @@ smoke:
 	sh scripts/smoke.sh
 
 # fuzz gives each fuzz target a short budget; extend for deeper runs.
+# FuzzRequestLine's size-limit inputs are ~1 KB, and minimizing one of
+# those would otherwise take the whole budget.
 fuzz:
 	$(GO) test -fuzz FuzzParseBytes -fuzztime 30s ./internal/units/
 	$(GO) test -fuzz FuzzParseRate -fuzztime 30s ./internal/units/
+	$(GO) test -fuzz FuzzRequestLine -fuzztime 30s -fuzzminimizetime 2s ./internal/serve/
 	$(GO) test -fuzz FuzzReadText -fuzztime 30s ./internal/trace/
 	$(GO) test -fuzz FuzzReadBinary -fuzztime 30s ./internal/trace/
 

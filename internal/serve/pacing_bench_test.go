@@ -25,6 +25,7 @@ import (
 	"memstream/internal/model"
 	"memstream/internal/schedule"
 	"memstream/internal/units"
+	"memstream/internal/wheel"
 )
 
 // nullConn is a net.Conn that discards writes at memory speed — the
@@ -106,26 +107,40 @@ func TestWriteChunksZeroAllocs(t *testing.T) {
 	}
 }
 
-// The whole wheel step — catch-up batch, write, lag sample, re-arm —
-// must also be allocation-free per stream-wake.
+// benchSpan builds n wheel streams at rate, parked on a tick cursor far
+// ahead of the live wheel so the plane's own ticker never races the
+// caller for their timers, and returns them as one span's due timers
+// plus the tick to step them at.
+func benchSpan(s *Server, n int, rate units.ByteRate) ([]*wheel.Timer, int64) {
+	p := s.plane
+	tick := p.w.Current() + 1<<20
+	timers := make([]*wheel.Timer, n)
+	for i := range timers {
+		st, _ := benchStream(s, uint64(i+1), rate)
+		ws := &wheelStream{st: st, done: make(chan struct{}), tick: tick - 1}
+		ws.timer.Data = ws
+		timers[i] = &ws.timer
+	}
+	s.metrics.WheelStreams.Add(int64(n))
+	return timers, tick
+}
+
+// The whole stream-wake — catch-up batch, write, lag sample, and the
+// span's re-arm — must also be allocation-free once the span's scratch
+// slice is warm.
 func TestWheelStepZeroAllocs(t *testing.T) {
 	s := newBenchServer(t, PacingWheel)
-	p := s.plane
-	st, _ := benchStream(s, 1, 100*units.KBPS)
-	ws := &wheelStream{st: st, done: make(chan struct{})}
-	ws.timer.Data = ws
-	s.metrics.WheelStreams.Add(1)
-	// Step along a tick cursor far ahead of the live wheel so the plane's
-	// own ticker never races us for the timer.
-	tick := p.w.Current() + 1<<20
-	ws.tick = tick - 1
-	p.step(ws, tick)
+	timers, tick := benchSpan(s, 1, 100*units.KBPS)
+	live := s.plane.span(timers, tick, nil)
 	allocs := testing.AllocsPerRun(200, func() {
 		tick++
-		p.step(ws, tick)
+		live = s.plane.span(timers, tick, live[:0])
 	})
 	if allocs != 0 {
 		t.Errorf("wheel step allocates %.1f/op in steady state, want 0", allocs)
+	}
+	if len(live) != 1 {
+		t.Fatalf("span kept %d streams live, want 1", len(live))
 	}
 }
 
@@ -148,23 +163,39 @@ func BenchmarkWriteChunks(b *testing.B) {
 }
 
 // BenchmarkWheelStep measures one stream-wake on the wheel plane: pacer
-// catch-up, chunk write, lag sample, re-arm. This is the per-stream
-// per-quantum cost that bounds sustainable population.
+// catch-up, chunk write, lag sample, and a one-stream span's re-arm.
+// This is the per-stream per-quantum cost that bounds sustainable
+// population when streams wake alone.
 func BenchmarkWheelStep(b *testing.B) {
 	s := newBenchServer(b, PacingWheel)
-	p := s.plane
-	st, _ := benchStream(s, 1, 100*units.KBPS)
-	ws := &wheelStream{st: st, done: make(chan struct{})}
-	ws.timer.Data = ws
-	s.metrics.WheelStreams.Add(1)
-	tick := p.w.Current() + 1<<20
-	ws.tick = tick - 1
-	b.SetBytes(int64(units.BytesIn(st.rate, s.cfg.Quantum)))
+	timers, tick := benchSpan(s, 1, 100*units.KBPS)
+	live := s.plane.span(timers, tick, nil)
+	b.SetBytes(int64(units.BytesIn(100*units.KBPS, s.cfg.Quantum)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tick++
-		p.step(ws, tick)
+		live = s.plane.span(timers, tick, live[:0])
+	}
+}
+
+// BenchmarkWheelSpan measures a worker's whole span of n due streams,
+// stepped and re-armed in one arm round; ns/stream is its cost per
+// stream-wake, the figure to hold against BenchmarkWheelStep.
+func BenchmarkWheelSpan(b *testing.B) {
+	for _, n := range []int{2000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			s := newBenchServer(b, PacingWheel)
+			timers, tick := benchSpan(s, n, 100*units.KBPS)
+			live := s.plane.span(timers, tick, nil)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tick++
+				live = s.plane.span(timers, tick, live[:0])
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/stream")
+		})
 	}
 }
 

@@ -28,7 +28,7 @@
 package serve
 
 import (
-	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -426,13 +426,53 @@ func (s *Server) writeLine(conn net.Conn, format string, args ...any) error {
 	return err
 }
 
+// lineBufs holds the request-line read buffers. A handler needs one
+// only until the line is copied out, so a burst of connections shares a
+// few buffers instead of allocating one (plus a reader) per connection.
+var lineBufs = sync.Pool{New: func() any { return new([maxRequestLine]byte) }}
+
+// maxEmptyReads is how many consecutive zero-byte, error-free reads the
+// request-line reader tolerates before giving up with io.ErrNoProgress.
+const maxEmptyReads = 100
+
+// readRequestLine reads one newline-terminated request line from r, at
+// most maxRequestLine bytes including the newline; bytes after the
+// newline are dropped. A line that fills maxRequestLine without a
+// newline returns what was read with io.EOF. Bytes that arrive together
+// with an error are scanned for the newline before the error counts.
+// This is exactly what bufio.Reader.ReadString('\n') over
+// io.LimitReader(r, maxRequestLine) returns, without allocating either.
+func readRequestLine(r io.Reader) (string, error) {
+	buf := lineBufs.Get().(*[maxRequestLine]byte)
+	defer lineBufs.Put(buf)
+	n, empty := 0, 0
+	for n < len(buf) {
+		m, err := r.Read(buf[n:])
+		if m > 0 {
+			empty = 0
+			if i := bytes.IndexByte(buf[n:n+m], '\n'); i >= 0 {
+				return string(buf[:n+i+1]), nil
+			}
+			n += m
+		}
+		if err != nil {
+			return string(buf[:n]), err
+		}
+		if m == 0 {
+			if empty++; empty == maxEmptyReads {
+				return string(buf[:n]), io.ErrNoProgress
+			}
+		}
+	}
+	return string(buf[:n]), io.EOF
+}
+
 // handle serves one connection: read the request line under the read
 // deadline, dispatch the command, and — for PLAY — hold an admission
 // slot exactly as long as the stream runs.
 func (s *Server) handle(conn net.Conn) {
 	conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
-	r := bufio.NewReaderSize(io.LimitReader(conn, maxRequestLine), maxRequestLine)
-	line, err := r.ReadString('\n')
+	line, err := readRequestLine(conn)
 	if err != nil {
 		var ne net.Error
 		switch {

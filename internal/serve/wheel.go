@@ -25,11 +25,19 @@ import (
 // contiguous spans, one per worker. Workers drain their span: settle
 // the stream's byte debt against its pacer (NextBatch catches up across
 // missed ticks, so a late tick conserves bytes instead of dropping
-// them), write the due chunks from the shared payload pattern
-// (writeChunks — the same write path the goroutine plane uses), then
-// re-arm the stream's timer for its next non-empty quantum
-// (QuantaToNonzero parks sub-quantum streams past the ticks where they
-// would emit nothing).
+// them) and write the due chunks from the shared payload pattern
+// (writeChunks — the same write path the goroutine plane uses). Once
+// the whole span is written, the worker re-arms every stream that
+// continues for its next non-empty quantum (QuantaToNonzero parks
+// sub-quantum streams past the ticks where they would emit nothing).
+//
+// Arm economy: one armMu round per span, never per stream. Re-arming
+// each stream as it was written made every stream-wake take armMu and
+// then the wheel's mutex while the other workers and the admitting
+// handlers did the same, and the lock slow paths (spinning, parking)
+// cost more CPU than the pacing itself. Deferring the re-arm to the end
+// of the span is safe because the loop waits for every span before the
+// next Advance: no tick can fire before its streams are parked again.
 //
 // Clock economy: one time.Now per stream per wake (read in step), never
 // per chunk — the same budget as the goroutine plane. A single clock
@@ -39,6 +47,14 @@ import (
 // span, so their half-expiry checks understate real elapsed time, the
 // write-deadline re-arm is skipped, and healthy streams are spuriously
 // evicted by deadlines that lapsed while they were queued.
+//
+// Idle economy: an empty wheel stops its ticker. The loop parks once a
+// tick leaves nothing armed, and the next admission wakes it and
+// re-anchors the tick grid at that instant, so the first tick of a
+// busy spell lands one quantum after its first stream arrived. An
+// idle server takes no wake-ups, and where a burst's ticks fall — so
+// how soon its hang-ups are noticed, at each stream's next paced write
+// — no longer depends on when the previous burst happened to end.
 //
 // The connection's handler goroutine still exists — it parks on the
 // stream's done channel so the supervisor's admission/semaphore/conn
@@ -54,7 +70,7 @@ import (
 type wheelPlane struct {
 	s       *Server
 	quantum time.Duration
-	start   time.Time // tick 0 on the monotonic clock
+	start   time.Time // tick 0 on the monotonic clock; only the loop moves it, while idle
 	w       *wheel.Wheel
 	workers int
 
@@ -64,8 +80,13 @@ type wheelPlane struct {
 
 	// armMu serializes arming against the drain sweep: once draining is
 	// set no stream can re-park, so kickAll's eviction sweep is total.
+	// idle (under armMu) is set by the loop when it parks with nothing
+	// armed; the admission that clears it sends on wake, which holds at
+	// most one signal because the loop takes it before it can park again.
 	armMu    sync.Mutex
 	draining bool
+	idle     bool
+	wake     chan struct{}
 
 	batches  chan wheelBatch
 	stopOnce sync.Once
@@ -77,7 +98,8 @@ type wheelPlane struct {
 // wheelStream is one stream parked on the wheel: the intrusive timer,
 // the shared stream state, the stream's tick cursor (how many quanta
 // its pacer has settled), and the done channel its handler goroutine
-// parks on. Between fire and re-arm exactly one worker owns it.
+// parks on. Between fire and the span's re-arm exactly one worker owns
+// it.
 type wheelStream struct {
 	timer wheel.Timer
 	st    *streamState
@@ -96,10 +118,11 @@ func newWheelPlane(s *Server) *wheelPlane {
 	p := &wheelPlane{
 		s:       s,
 		quantum: s.cfg.Quantum,
-		start:   time.Now(),
 		w:       wheel.New(),
 		workers: s.cfg.Writers,
 		maxSkip: max(1, int64(time.Second/s.cfg.Quantum)),
+		idle:    true, // until the first admission
+		wake:    make(chan struct{}, 1),
 		// A deep buffer so the tick loop never blocks handing spans out.
 		batches:  make(chan wheelBatch, 4*s.cfg.Writers),
 		stopCh:   make(chan struct{}),
@@ -114,8 +137,9 @@ func newWheelPlane(s *Server) *wheelPlane {
 }
 
 // admit parks a new stream on the wheel: the pacer anchors to the
-// wheel's tick grid (first fire at the next boundary) and the stream's
-// done channel closes when a worker or the drain sweep finishes it.
+// wheel's tick grid (first fire at the next boundary, a whole quantum
+// away when the stream wakes an idle loop) and the stream's done
+// channel closes when a worker or the drain sweep finishes it.
 func (p *wheelPlane) admit(st *streamState) *wheelStream {
 	st.pacer = units.NewPacer(st.rate, p.quantum)
 	st.out = p.s.metrics.BytesOut.Handle()
@@ -133,6 +157,10 @@ func (p *wheelPlane) admit(st *streamState) *wheelStream {
 		p.finish(ws, writeEvicted)
 	} else {
 		p.w.Arm(&ws.timer, ws.tick+1)
+		if p.idle {
+			p.idle = false
+			p.wake <- struct{}{}
+		}
 		p.armMu.Unlock()
 	}
 	return ws
@@ -149,10 +177,13 @@ func (p *wheelPlane) run(st *streamState) {
 // says we are at (catching up if the previous batch overran), collects
 // the due population into a reused scratch, and fans contiguous spans
 // out to the workers, waiting for the batch so the scratch can be
-// reused — the steady state allocates nothing.
+// reused — the steady state allocates nothing. It starts idle, parks
+// whenever a tick leaves the wheel empty, and on the wake-up from an
+// idle spell moves start so the current tick begins at that instant.
 func (p *wheelPlane) loop() {
 	defer close(p.loopDone)
 	ticker := time.NewTicker(p.quantum)
+	ticker.Stop()
 	defer ticker.Stop()
 	due := make([]*wheel.Timer, 0, 1024)
 	var batchWG sync.WaitGroup
@@ -160,6 +191,9 @@ func (p *wheelPlane) loop() {
 		select {
 		case <-p.stopCh:
 			return
+		case <-p.wake:
+			p.start = time.Now().Add(-time.Duration(p.w.Current()) * p.quantum)
+			ticker.Reset(p.quantum)
 		case now := <-ticker.C:
 			target := int64(now.Sub(p.start) / p.quantum)
 			cur := p.w.Current()
@@ -169,6 +203,7 @@ func (p *wheelPlane) loop() {
 			p.s.metrics.WheelTicks.Add(uint64(target - cur))
 			due = p.w.Advance(target, due[:0])
 			if len(due) == 0 {
+				p.parkIfEmpty(ticker)
 				continue
 			}
 			p.s.metrics.WheelFires.Add(uint64(len(due)))
@@ -182,28 +217,61 @@ func (p *wheelPlane) loop() {
 				p.batches <- wheelBatch{timers: due[off:end], tick: target, wg: &batchWG}
 			}
 			batchWG.Wait()
+			p.parkIfEmpty(ticker)
 		}
 	}
+}
+
+// parkIfEmpty stops the ticker when nothing is armed, the loop's only
+// way into an idle spell. It runs after every span of the tick has
+// re-armed, and under armMu, so an admission either armed first (no
+// park) or sees idle and wakes the loop. A tick already buffered in the
+// channel is dropped with it, so a wake-up is never followed by a stale
+// one measured against the old grid.
+func (p *wheelPlane) parkIfEmpty(ticker *time.Ticker) {
+	p.armMu.Lock()
+	if p.w.Len() == 0 {
+		p.idle = true
+		ticker.Stop()
+		select {
+		case <-ticker.C:
+		default:
+		}
+	}
+	p.armMu.Unlock()
 }
 
 func (p *wheelPlane) worker() {
 	defer p.workerWG.Done()
+	var live []*wheelStream // reused across spans: allocation-free once warm
 	for b := range p.batches {
-		for _, t := range b.timers {
-			p.step(t.Data.(*wheelStream), b.tick)
-		}
+		live = p.span(b.timers, b.tick, live[:0])
 		b.wg.Done()
 	}
 }
 
+// span services one worker's share of a tick: step every due stream,
+// collecting the ones that continue into live, then re-arm them all in
+// one arm round. It returns live so the caller can reuse its storage.
+func (p *wheelPlane) span(timers []*wheel.Timer, tick int64, live []*wheelStream) []*wheelStream {
+	for _, t := range timers {
+		if ws := t.Data.(*wheelStream); p.step(ws, tick) {
+			live = append(live, ws)
+		}
+	}
+	p.armSpan(live)
+	return live
+}
+
 // step services one due stream for one wheel tick: settle the byte debt
 // since the stream's last settled tick, write it, sample lag against
-// the quantum boundary, and re-arm (or finish). The clock is read once
-// here, after any queueing behind earlier streams in the span, so the
-// lag sample honestly includes worker head-of-line delay and the
-// write-deadline half-expiry check never understates elapsed time.
-// Allocation-free in steady state.
-func (p *wheelPlane) step(ws *wheelStream, tick int64) {
+// the quantum boundary, and finish it if the write ended the stream. It
+// reports whether the stream continues; the caller re-arms it. The clock
+// is read once here, after any queueing behind earlier streams in the
+// span, so the lag sample honestly includes worker head-of-line delay
+// and the write-deadline half-expiry check never understates elapsed
+// time. Allocation-free in steady state.
+func (p *wheelPlane) step(ws *wheelStream, tick int64) bool {
 	n := ws.st.pacer.NextBatch(tick - ws.tick)
 	ws.tick = tick
 	now := time.Now()
@@ -217,7 +285,7 @@ func (p *wheelPlane) step(ws *wheelStream, tick int64) {
 				p.s.metrics.ObserveLag(0)
 			}
 		}
-		p.rearm(ws)
+		return true
 	case writeDone:
 		boundary := p.start.Add(time.Duration(tick) * p.quantum)
 		p.s.metrics.ObserveLag(now.Sub(boundary).Seconds())
@@ -230,24 +298,29 @@ func (p *wheelPlane) step(ws *wheelStream, tick int64) {
 		p.s.metrics.Aborted.Add(1)
 		p.finish(ws, writeAborted)
 	}
+	return false
 }
 
-// rearm parks the stream for its next non-empty quantum. During a drain
-// sweep re-parking is refused and the stream is evicted instead (its
-// connection is already closed or about to be).
-func (p *wheelPlane) rearm(ws *wheelStream) {
-	k := ws.st.pacer.QuantaToNonzero()
-	if k > p.maxSkip {
-		k = p.maxSkip
+// armSpan parks each continuing stream of a span for its next non-empty
+// quantum, under one armMu round. During a drain sweep re-parking is
+// refused and the streams are evicted instead (their connections are
+// already closed or about to be).
+func (p *wheelPlane) armSpan(live []*wheelStream) {
+	if len(live) == 0 {
+		return
 	}
 	p.armMu.Lock()
 	if p.draining {
 		p.armMu.Unlock()
-		p.s.metrics.Evicted.Add(1)
-		p.finish(ws, writeEvicted)
+		for _, ws := range live {
+			p.s.metrics.Evicted.Add(1)
+			p.finish(ws, writeEvicted)
+		}
 		return
 	}
-	p.w.Arm(&ws.timer, ws.tick+k)
+	for _, ws := range live {
+		p.w.Arm(&ws.timer, ws.tick+min(ws.st.pacer.QuantaToNonzero(), p.maxSkip))
+	}
 	p.armMu.Unlock()
 }
 
@@ -263,7 +336,7 @@ func (p *wheelPlane) finish(ws *wheelStream, _ writeOutcome) {
 // Setting draining under armMu first guarantees no worker re-parks a
 // stream after the sweep, so every stream ends exactly once: parked
 // streams end here, in-flight ones end in their worker (failed write on
-// the closed conn, or the rearm refusal above).
+// the closed conn, or armSpan's refusal above).
 func (p *wheelPlane) kickAll() {
 	p.armMu.Lock()
 	p.draining = true

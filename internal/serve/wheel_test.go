@@ -6,6 +6,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -313,6 +314,147 @@ func TestWheelCloseEvictsParkedStreams(t *testing.T) {
 	}
 	if got := s.Admitted(); got != 0 {
 		t.Errorf("Admitted = %d after Close, want 0", got)
+	}
+}
+
+// gateConn is a nullConn that can fail with a client reset on a chosen
+// write, and whose writes can be held at a gate. Only the worker that
+// currently owns the stream writes to it.
+type gateConn struct {
+	nullConn
+	gate   *writeGate
+	failAt int // the write that fails; 0 = none
+	writes int
+}
+
+// writeGate holds the first write that reaches it once shut, so a test
+// can act while a worker is stuck in the middle of its span.
+type writeGate struct {
+	shut    atomic.Bool
+	held    chan struct{} // closed when a write is held
+	release chan struct{}
+}
+
+func (c *gateConn) Write(b []byte) (int, error) {
+	c.writes++
+	if c.writes == c.failAt {
+		return 0, errReset
+	}
+	if c.gate.shut.CompareAndSwap(true, false) {
+		close(c.gate.held)
+		<-c.gate.release
+	}
+	return c.nullConn.Write(b)
+}
+
+// The drain sweep racing a worker in mid-span: streams already written
+// this tick are waiting for the span's re-arm when kickAll sets
+// draining, so the arm round must evict them rather than park them on a
+// wheel nobody will sweep again. Every stream ends exactly once (a
+// second close of its done channel panics), the outcome counters
+// conserve, and the gauge returns to zero.
+func TestWheelKickAllRacesSpan(t *testing.T) {
+	cfg := testConfig(64 * units.GB)
+	cfg.Pacing = PacingWheel
+	cfg.Writers = 2
+	cfg.Quantum = 5 * time.Millisecond
+	cfg.Limit = 4 * units.KB
+	cfg.WriteTimeout = 30 * time.Second // no deadline may end a stream
+	s := newTestServer(t, cfg)
+	p := s.plane
+
+	const streams = 400
+	gate := &writeGate{held: make(chan struct{}), release: make(chan struct{})}
+	dones := make([]chan struct{}, streams)
+	for i := range dones {
+		conn := &gateConn{gate: gate}
+		rate := 1 * units.KBPS // 5 B a quantum: runs ~4 s unless ended
+		switch i % 4 {
+		case 0:
+			rate = 100 * units.KBPS // completes its 4 KB in 8 quanta
+		case 1:
+			conn.failAt = 3 // the client resets on the third write
+		}
+		st := &streamState{id: uint64(i + 1), rate: rate, start: time.Now(), conn: conn}
+		dones[i] = p.admit(st).done
+	}
+	waitFor(t, 5*time.Second, func() bool {
+		return s.metrics.Completed.Load() == streams/4 && s.metrics.Aborted.Load() == streams/4
+	})
+
+	gate.shut.Store(true)
+	select {
+	case <-gate.held:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no worker reached the gate")
+	}
+	p.kickAll()
+	close(gate.release)
+
+	for i, done := range dones {
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("stream %d never ended", i+1)
+		}
+	}
+	m := s.metrics
+	if got := m.Completed.Load() + m.Evicted.Load() + m.Aborted.Load(); got != streams {
+		t.Errorf("completed(%d)+evicted(%d)+aborted(%d) = %d, want %d admitted",
+			m.Completed.Load(), m.Evicted.Load(), m.Aborted.Load(), got, streams)
+	}
+	if got := m.Evicted.Load(); got != streams/2 {
+		t.Errorf("Evicted = %d, want %d (every stream standing at the sweep)", got, streams/2)
+	}
+	if got := m.WheelStreams.Load(); got != 0 {
+		t.Errorf("WheelStreams = %d after the sweep, want 0", got)
+	}
+	if got := p.w.Len(); got != 0 {
+		t.Errorf("%d timers still armed after the sweep", got)
+	}
+}
+
+// An empty wheel takes no ticks, and the admission that ends an idle
+// spell restarts the tick grid: its stream's first chunk comes a whole
+// quantum after it arrived, and the quanta spent parked are never
+// counted as ticks. Two spells, so both the idle start and the park
+// after a stream ended are covered.
+func TestWheelIdleLoopParks(t *testing.T) {
+	const idleQuanta = 10
+	cfg := testConfig(1 * units.GB)
+	cfg.Pacing = PacingWheel
+	cfg.Quantum = 10 * time.Millisecond
+	cfg.Limit = 2 * units.KB // two quanta at 100 KB/s
+	s := newTestServer(t, cfg)
+	p, m := s.plane, s.metrics
+	idle := func() bool {
+		p.armMu.Lock()
+		defer p.armMu.Unlock()
+		return p.idle
+	}
+	for spell := 0; spell < 2; spell++ {
+		waitFor(t, 5*time.Second, idle)
+		ticks := m.WheelTicks.Load()
+		time.Sleep(idleQuanta * cfg.Quantum)
+		if got := m.WheelTicks.Load(); got != ticks {
+			t.Fatalf("spell %d: %d ticks taken with nothing armed", spell, got-ticks)
+		}
+		out := m.BytesOut.Total()
+		st := &streamState{id: uint64(spell + 1), rate: 100 * units.KBPS, start: time.Now(), conn: &nullConn{}}
+		admitted := time.Now()
+		done := p.admit(st).done
+		waitFor(t, 5*time.Second, func() bool { return m.BytesOut.Total() > out })
+		if first := time.Since(admitted); first < cfg.Quantum {
+			t.Errorf("spell %d: first chunk %v after admission, want at least one quantum (%v)", spell, first, cfg.Quantum)
+		}
+		waitDone(t, done, 5*time.Second, "idle-spell stream")
+		waitFor(t, 5*time.Second, idle)
+		if spent := m.WheelTicks.Load() - ticks; spent > idleQuanta/2 {
+			t.Errorf("spell %d: %d ticks for a two-quantum stream; the parked quanta were counted", spell, spent)
+		}
+	}
+	if got := m.Completed.Load(); got != 2 {
+		t.Errorf("Completed = %d, want 2", got)
 	}
 }
 

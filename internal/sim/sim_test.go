@@ -608,7 +608,7 @@ func TestReservoirEmptyAndClamping(t *testing.T) {
 }
 
 func TestReservoirObserveAfterQuantile(t *testing.T) {
-	// Interleaving queries (which sort the retained sample in place) with
+	// Interleaving queries (which reorder the retained sample in place) with
 	// further observations must keep estimates consistent.
 	r := NewReservoir(8, 1)
 	for _, v := range []float64{9, 2, 7} {
