@@ -63,6 +63,7 @@ func startServerMode(t *testing.T, limit units.Bytes, pacing serve.PacingMode) (
 		case <-time.After(10 * time.Second):
 			t.Error("server did not drain")
 		}
+		s.Close()
 	})
 	return ln.Addr().String(), s
 }
@@ -232,33 +233,40 @@ func TestVerifyDeltas(t *testing.T) {
 // out. No stalled clients here: with a finite -limit a stall can fit
 // entirely in kernel socket buffers, making the server's "completed"
 // and the client's "evicted" both defensible — the smoke runs the
-// stalled verification against -limit 0 where eviction is forced.
+// stalled verification against -limit 0 where eviction is forced. Both
+// planes: the wheel ends its streams in its writer workers, the goroutine
+// plane on each stream's own goroutine, and the verifier checks the
+// accounting either way.
 func TestVerifyAgainstHTTPLive(t *testing.T) {
-	addr, s := startServer(t, 20*units.KB)
-	ts := httptest.NewServer(s.ControlHandler())
-	defer ts.Close()
+	for _, pacing := range []serve.PacingMode{serve.PacingGoroutine, serve.PacingWheel} {
+		t.Run(pacing.String(), func(t *testing.T) {
+			addr, s := startServerMode(t, 20*units.KB, pacing)
+			ts := httptest.NewServer(s.ControlHandler())
+			defer ts.Close()
 
-	cfg := config{addr: addr, clients: 4, slow: 1, rate: "100KB", duration: 800 * time.Millisecond}
+			cfg := config{addr: addr, clients: 4, slow: 1, rate: "100KB", duration: 800 * time.Millisecond}
 
-	// First run pollutes the baseline; wait for its accounting to settle.
-	if _, err := run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, ts, 3*time.Second)
+			// First run pollutes the baseline; wait for its accounting to settle.
+			if _, err := run(cfg); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, ts, 3*time.Second)
 
-	before, err := fetchMetrics(ts.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Errors != 0 {
-		t.Fatalf("load errors: %d\n%s", rep.Errors, rep)
-	}
-	if err := verifyAgainstHTTP(ts.URL, before, rep); err != nil {
-		t.Errorf("verification failed against live server: %v", err)
+			before, err := fetchMetrics(ts.URL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Errors != 0 {
+				t.Fatalf("load errors: %d\n%s", rep.Errors, rep)
+			}
+			if err := verifyAgainstHTTP(ts.URL, before, rep); err != nil {
+				t.Errorf("verification failed against live server: %v", err)
+			}
+		})
 	}
 }
 

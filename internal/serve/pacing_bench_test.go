@@ -15,7 +15,6 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -83,12 +82,11 @@ func newBenchServer(tb testing.TB, mode PacingMode) *Server {
 
 // benchStream builds a streamState wired to a nullConn, ready for
 // direct writeChunks/step calls.
-func benchStream(s *Server, id uint64, rate units.ByteRate) (*streamState, *nullConn) {
-	conn := &nullConn{}
-	st := &streamState{id: id, rate: rate, start: time.Now(), conn: conn}
+func benchStream(s *Server, id uint64, rate units.ByteRate) *streamState {
+	st := &streamState{id: id, rate: rate, start: time.Now(), conn: &nullConn{}}
 	st.pacer = units.NewPacer(rate, s.cfg.Quantum)
 	st.out = s.metrics.BytesOut.Handle()
-	return st, conn
+	return st
 }
 
 // The steady-state write path must not allocate: chunks are slices of
@@ -97,7 +95,7 @@ func benchStream(s *Server, id uint64, rate units.ByteRate) (*streamState, *null
 // out of the garbage collector's hands.
 func TestWriteChunksZeroAllocs(t *testing.T) {
 	s := newBenchServer(t, PacingGoroutine)
-	st, _ := benchStream(s, 1, 100*units.KBPS)
+	st := benchStream(s, 1, 100*units.KBPS)
 	s.writeChunks(st, 1500, time.Now()) // warm the deadline state
 	allocs := testing.AllocsPerRun(200, func() {
 		s.writeChunks(st, 1500, time.Now())
@@ -110,18 +108,28 @@ func TestWriteChunksZeroAllocs(t *testing.T) {
 // benchSpan builds n wheel streams at rate, parked on a tick cursor far
 // ahead of the live wheel so the plane's own ticker never races the
 // caller for their timers, and returns them as one span's due timers
-// plus the tick to step them at.
-func benchSpan(s *Server, n int, rate units.ByteRate) ([]*wheel.Timer, int64) {
+// plus the tick to step them at. The streams were never accepted, so
+// they must leave the wheel before the server's Close evicts what is
+// parked: ending them would hand endConn connections accept never took,
+// and it panics on those.
+func benchSpan(tb testing.TB, s *Server, n int, rate units.ByteRate) ([]*wheel.Timer, int64) {
 	p := s.plane
 	tick := p.w.Current() + 1<<20
 	timers := make([]*wheel.Timer, n)
 	for i := range timers {
-		st, _ := benchStream(s, uint64(i+1), rate)
-		ws := &wheelStream{st: st, done: make(chan struct{}), tick: tick - 1}
+		st := benchStream(s, uint64(i+1), rate)
+		ws := &wheelStream{st: st, tick: tick - 1}
 		ws.timer.Data = ws
 		timers[i] = &ws.timer
 	}
 	s.metrics.WheelStreams.Add(int64(n))
+	tb.Cleanup(func() { // registered after newBenchServer's Close, so it runs first
+		p.armMu.Lock()
+		for _, t := range timers {
+			p.w.Cancel(t)
+		}
+		p.armMu.Unlock()
+	})
 	return timers, tick
 }
 
@@ -130,7 +138,7 @@ func benchSpan(s *Server, n int, rate units.ByteRate) ([]*wheel.Timer, int64) {
 // slice is warm.
 func TestWheelStepZeroAllocs(t *testing.T) {
 	s := newBenchServer(t, PacingWheel)
-	timers, tick := benchSpan(s, 1, 100*units.KBPS)
+	timers, tick := benchSpan(t, s, 1, 100*units.KBPS)
 	live := s.plane.span(timers, tick, nil)
 	allocs := testing.AllocsPerRun(200, func() {
 		tick++
@@ -150,7 +158,7 @@ func BenchmarkWriteChunks(b *testing.B) {
 	for _, size := range []int{1 << 10, 64 << 10, 256 << 10} {
 		b.Run(fmt.Sprintf("chunk=%dKB", size>>10), func(b *testing.B) {
 			s := newBenchServer(b, PacingGoroutine)
-			st, _ := benchStream(s, 1, 100*units.KBPS)
+			st := benchStream(s, 1, 100*units.KBPS)
 			now := time.Now()
 			b.SetBytes(int64(size))
 			b.ReportAllocs()
@@ -168,7 +176,7 @@ func BenchmarkWriteChunks(b *testing.B) {
 // population when streams wake alone.
 func BenchmarkWheelStep(b *testing.B) {
 	s := newBenchServer(b, PacingWheel)
-	timers, tick := benchSpan(s, 1, 100*units.KBPS)
+	timers, tick := benchSpan(b, s, 1, 100*units.KBPS)
 	live := s.plane.span(timers, tick, nil)
 	b.SetBytes(int64(units.BytesIn(100*units.KBPS, s.cfg.Quantum)))
 	b.ReportAllocs()
@@ -186,7 +194,7 @@ func BenchmarkWheelSpan(b *testing.B) {
 	for _, n := range []int{2000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			s := newBenchServer(b, PacingWheel)
-			timers, tick := benchSpan(s, n, 100*units.KBPS)
+			timers, tick := benchSpan(b, s, n, 100*units.KBPS)
 			live := s.plane.span(timers, tick, nil)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -318,40 +326,41 @@ func TestPacingScalingHarness(t *testing.T) {
 	t.Logf("wrote %s (max sustainable: %v, ratio %.1fx)", outPath, report.MaxSustainable, report.WheelRatio)
 }
 
-// runScalingPoint runs one (mode, population) cell: inject pop paced
-// streams against null clients, warm up, measure lag and wakeup deltas
-// over the window, then tear everything down by closing the conns (the
-// write path sees net.ErrClosed and evicts).
+// runScalingPoint runs one (mode, population) cell: accept pop PLAYs
+// from null clients, check that every one of them is streaming, warm up,
+// measure lag and wakeup deltas over the window, then tear everything
+// down by closing the conns (the write path sees net.ErrClosed and
+// evicts).
+//
+// The cell measures the pacing plane, not Theorem 1, so its admission
+// takes every stream: no DRAM cap, and a disk twice as fast as the
+// population's aggregate rate. benchConfig's 64 GB cap would refuse most
+// PLAYs somewhere past 10k streams, and the point would then report lag
+// over far fewer streams than it claims.
 func runScalingPoint(t *testing.T, mode PacingMode, pop int, quantum time.Duration,
 	rate units.ByteRate, warm, measure, budget time.Duration) scalingPoint {
 	t.Helper()
 	cfg := benchConfig(mode)
 	cfg.Quantum = quantum
 	cfg.DefaultRate = rate
+	cfg.MaxConns = pop
+	cfg.Admission.DRAMCap = 0
+	cfg.Admission.Disk.Rate = 2 * units.ByteRate(pop) * rate
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 
-	conns := make([]*nullConn, pop)
-	var wg sync.WaitGroup
-	for i := 0; i < pop; i++ {
-		st, conn := benchStream(s, uint64(i+1), rate)
-		conns[i] = conn
-		if mode == PacingWheel {
-			// Wheel streams need no goroutine: admit parks them on the
-			// wheel and eviction closes their done channel unobserved.
-			st.pacer = nil // admit builds the pacer itself
-			s.plane.admit(st)
-		} else {
-			st.pacer = nil
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				s.stream(st)
-			}()
-		}
+	conns := make([]*scriptConn, pop)
+	for i := range conns {
+		conns[i] = &scriptConn{data: []byte("PLAY\n")} // at the default rate
+		s.accept(conns[i])
+	}
+	if !allStreaming(s, mode, pop, 30*time.Second) {
+		t.Fatalf("%s %d PLAYs: %d admitted, %d refused, %d on the wheel; the point must measure all of them",
+			mode, pop, s.metrics.AdmittedTotal.Load(), s.metrics.AdmissionBusy.Load(),
+			s.metrics.WheelStreams.Load())
 	}
 
 	time.Sleep(warm)
@@ -366,16 +375,8 @@ func runScalingPoint(t *testing.T, mode PacingMode, pop int, quantum time.Durati
 	for _, c := range conns {
 		c.Close()
 	}
-	if mode == PacingWheel {
-		deadline := time.Now().Add(30 * time.Second)
-		for s.metrics.WheelStreams.Load() > 0 {
-			if time.Now().After(deadline) {
-				t.Fatalf("wheel teardown: %d streams still parked", s.metrics.WheelStreams.Load())
-			}
-			time.Sleep(50 * time.Millisecond)
-		}
-	} else {
-		wg.Wait()
+	if !connsEnded(s, 30*time.Second) {
+		t.Fatalf("%s teardown: %d streams still standing", mode, s.metrics.ActiveStreams.Load())
 	}
 
 	window := subSnap(lagB, lagA)
@@ -400,4 +401,21 @@ func runScalingPoint(t *testing.T, mode PacingMode, pop int, quantum time.Durati
 		pt.WakeupsPerSec = float64(window.N) / secs
 	}
 	return pt
+}
+
+// allStreaming waits up to within for all pop PLAYs to be admitted and,
+// on the wheel, parked. It gives up at once if any PLAY was refused.
+func allStreaming(s *Server, mode PacingMode, pop int, within time.Duration) bool {
+	m := s.metrics
+	deadline := time.Now().Add(within)
+	for {
+		if m.AdmittedTotal.Load() == uint64(pop) &&
+			(mode != PacingWheel || m.WheelStreams.Load() == int64(pop)) {
+			return true
+		}
+		if m.AdmissionBusy.Load() > 0 || time.Now().After(deadline) {
+			return false
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }

@@ -90,7 +90,8 @@ const (
 	// PacingWheel, the default, parks all streams on one hierarchical
 	// timer wheel; a single ticker goroutine batches the due population
 	// each quantum to a small writer-worker pool (Config.Writers).
-	// O(workers) runtime timers regardless of population, and under half
+	// O(workers) runtime timers and goroutines regardless of population
+	// (a stream's handler exits once the stream is parked), and under half
 	// the goroutine plane's CPU per stream-second at 4000 streams.
 	PacingWheel PacingMode = iota
 	// PacingGoroutine is the classic plane: every stream owns a
@@ -155,6 +156,11 @@ type Server struct {
 
 	// plane is the timer-wheel data plane; nil in goroutine mode.
 	plane *wheelPlane
+
+	// connWG counts accepted connections that have not ended (endConn).
+	// A wheel stream's connection ends in a writer worker, long after its
+	// handler returned, so the count belongs to the Server, not to Serve.
+	connWG sync.WaitGroup
 
 	mu      sync.Mutex // guards adm (MixedAdmission is not goroutine-safe), conns, streams and banners
 	conns   map[net.Conn]struct{}
@@ -235,9 +241,10 @@ func New(cfg Config) (*Server, error) {
 
 // Close releases the server's background machinery — today the wheel
 // plane's ticker and worker pool; a no-op in goroutine mode. Any
-// streams still parked on the wheel are evicted. Idempotent. Serve does
-// NOT call it: the plane outlives a drain so tests and embedders can
-// run multiple loads; call Close when the Server is done for good.
+// streams still parked on the wheel are evicted and their connections
+// ended. Idempotent. Serve does NOT call it: the plane outlives a drain
+// so tests and embedders can run multiple loads; call Close when the
+// Server is done for good.
 func (s *Server) Close() {
 	if s.plane != nil {
 		s.plane.stop()
@@ -286,7 +293,6 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 		ln.Close() // unblocks Accept
 	}()
 
-	var wg sync.WaitGroup
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
@@ -297,34 +303,15 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 			time.Sleep(10 * time.Millisecond) // avoid a hot loop on persistent errors
 			continue
 		}
-		select {
-		case s.sem <- struct{}{}:
-		default:
-			// At the connection cap: shed fast, off the accept loop, and
-			// without touching admission — a shed must not Release a slot
-			// it never held.
-			s.metrics.Sheds.Add(1)
-			go shed(conn)
-			continue
-		}
-		s.metrics.Accepted.Add(1)
-		s.track(conn)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() { <-s.sem }()
-			defer s.untrack(conn)
-			defer conn.Close()
-			s.handle(conn)
-		}()
+		s.accept(conn)
 	}
 
 	// Graceful drain: accepting has stopped; in-flight streams may finish
 	// up to the deadline, then the rest are force-closed (their write
-	// paths error out and unwind, releasing their slots).
+	// paths error out and end them, releasing their slots).
 	s.draining.Store(true)
 	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
+	go func() { s.connWG.Wait(); close(done) }()
 	timer := time.NewTimer(s.cfg.DrainTimeout)
 	defer timer.Stop()
 	select {
@@ -336,8 +323,8 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 		<-done
 	}
 
-	// Safety net: every handler has unwound, so any slot still held would
-	// be leaked capacity. Reclaim it loudly.
+	// Safety net: every connection has ended, so any slot still held
+	// would be leaked capacity. Reclaim it loudly.
 	s.mu.Lock()
 	leaked := s.cfg.Admission.ReleaseAll()
 	s.mu.Unlock()
@@ -365,9 +352,10 @@ func (s *Server) Started() time.Time { return s.started }
 
 // StopStream force-closes the live stream with the given id — the
 // control plane's POST /streams/{id}/stop. The stream's write path
-// errors out with net.ErrClosed and unwinds, releasing its admission
-// slot and counting under Evicted (a server-initiated kill, exactly like
-// a drain force-close). It reports whether the id named a live stream.
+// errors out with net.ErrClosed and the stream ends, releasing its
+// admission slot and counting under Evicted (a server-initiated kill,
+// exactly like a drain force-close). It reports whether the id named a
+// live stream.
 func (s *Server) StopStream(id uint64) bool {
 	s.mu.Lock()
 	st, ok := s.streams[id]
@@ -385,6 +373,62 @@ func shed(conn net.Conn) {
 	conn.SetWriteDeadline(time.Now().Add(time.Second))
 	fmt.Fprintln(conn, "BUSY connection capacity exhausted")
 	conn.Close()
+}
+
+// accept takes one connection off the listener: at the connection cap it
+// is shed with BUSY, otherwise it holds a semaphore slot, is tracked for
+// the drain's force-close, and gets a handler goroutine. Every connection
+// accept admits ends exactly once, in endConn — from the handler, or, if
+// PLAY handed it to a stream, from whichever path ends the stream.
+func (s *Server) accept(conn net.Conn) {
+	select {
+	case s.sem <- struct{}{}:
+	default:
+		// At the connection cap: shed fast, off the accept loop, and
+		// without touching admission — a shed must not Release a slot it
+		// never held.
+		s.metrics.Sheds.Add(1)
+		go shed(conn)
+		return
+	}
+	s.metrics.Accepted.Add(1)
+	s.track(conn)
+	s.connWG.Add(1)
+	go func() {
+		if !s.handle(conn) {
+			s.endConn(conn)
+		}
+	}()
+}
+
+// endStream ends an admitted stream on either plane, in two steps whose
+// order is the contract: first the stream leaves the control-plane
+// registry, returns its admission slot and leaves the ActiveStreams
+// gauge; then its connection ends. A client that sees the close may at
+// once ask for Admitted() and must read the slot as free. It must not be
+// called with s.mu held.
+func (s *Server) endStream(st *streamState) {
+	s.mu.Lock()
+	delete(s.streams, st.id)
+	s.cfg.Admission.Release(st.rate)
+	s.mu.Unlock()
+	s.metrics.ActiveStreams.Add(-1)
+	s.endConn(st.conn)
+}
+
+// endConn ends one accepted connection: close it, stop tracking it, and
+// give back its semaphore slot and its count in connWG. Ending a
+// connection accept never took is a bug; it panics rather than block its
+// caller on an empty semaphore.
+func (s *Server) endConn(conn net.Conn) {
+	conn.Close()
+	s.untrack(conn)
+	select {
+	case <-s.sem:
+	default:
+		panic("serve: endConn on a connection accept never took")
+	}
+	s.connWG.Done()
 }
 
 func (s *Server) track(conn net.Conn) {
@@ -468,9 +512,10 @@ func readRequestLine(r io.Reader) (string, error) {
 }
 
 // handle serves one connection: read the request line under the read
-// deadline, dispatch the command, and — for PLAY — hold an admission
-// slot exactly as long as the stream runs.
-func (s *Server) handle(conn net.Conn) {
+// deadline and dispatch the command. It reports whether PLAY admitted a
+// stream, which then owns the connection and ends it through endStream;
+// otherwise the caller ends the connection.
+func (s *Server) handle(conn net.Conn) bool {
 	conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
 	line, err := readRequestLine(conn)
 	if err != nil {
@@ -491,7 +536,7 @@ func (s *Server) handle(conn net.Conn) {
 			// stays uncounted: no request was ever started.)
 			s.metrics.Aborted.Add(1)
 		}
-		return
+		return false
 	}
 	conn.SetReadDeadline(time.Time{})
 
@@ -499,7 +544,7 @@ func (s *Server) handle(conn net.Conn) {
 	if len(fields) == 0 {
 		s.metrics.BadRequests.Add(1)
 		s.writeLine(conn, "ERR empty request")
-		return
+		return false
 	}
 	switch strings.ToUpper(fields[0]) {
 	case "STAT":
@@ -511,11 +556,12 @@ func (s *Server) handle(conn net.Conn) {
 	case "METRICS":
 		s.writeLine(conn, "OK %s", s.metrics.Line(s.Admitted()))
 	case "PLAY":
-		s.play(conn, fields)
+		return s.play(conn, fields)
 	default:
 		s.metrics.BadRequests.Add(1)
 		s.writeLine(conn, "ERR unknown command %q", fields[0])
 	}
+	return false
 }
 
 // banner renders the reply to an admitted PLAY.
@@ -523,17 +569,21 @@ func banner(rate units.ByteRate) []byte {
 	return []byte(fmt.Sprintf("OK streaming at %v\n", rate))
 }
 
-// play admits and runs one stream. It takes s.mu twice: once to admit the
-// stream, register it with the control plane and look its banner up, once
-// to deregister it and release its slot.
-func (s *Server) play(conn net.Conn, fields []string) {
+// play admits one stream and starts it. It takes s.mu twice: once here to
+// admit the stream, register it with the control plane and look its
+// banner up, once in endStream to deregister it and release its slot. It
+// reports whether a stream was admitted: the stream then owns conn. On
+// the goroutine plane the stream runs, and ends, on this goroutine; on
+// the wheel plane play returns as soon as the stream is parked, and the
+// path that ends it later calls endStream.
+func (s *Server) play(conn net.Conn, fields []string) bool {
 	rate := s.cfg.DefaultRate
 	if len(fields) > 1 {
 		parsed, err := units.ParseRate(fields[1])
 		if err != nil || parsed <= 0 {
 			s.metrics.BadRequests.Add(1)
 			s.writeLine(conn, "ERR bad rate %q", fields[1])
-			return
+			return false
 		}
 		rate = parsed
 	}
@@ -555,17 +605,10 @@ func (s *Server) play(conn net.Conn, fields []string) {
 	if err != nil || !ok {
 		s.metrics.AdmissionBusy.Add(1)
 		s.writeLine(conn, "BUSY real-time capacity exhausted")
-		return
+		return false
 	}
 	s.metrics.AdmittedTotal.Add(1)
 	s.metrics.ActiveStreams.Add(1)
-	defer func() {
-		s.mu.Lock()
-		delete(s.streams, st.id)
-		s.cfg.Admission.Release(rate)
-		s.mu.Unlock()
-		s.metrics.ActiveStreams.Add(-1)
-	}()
 	if line == nil {
 		line = banner(rate)
 	}
@@ -575,13 +618,16 @@ func (s *Server) play(conn net.Conn, fields []string) {
 		// that is an abort, not an eviction — the server never had to
 		// kill anything.
 		s.metrics.Aborted.Add(1)
-		return
+		s.endStream(st)
+		return true
 	}
 	if s.plane != nil {
-		s.plane.run(st)
+		s.plane.admit(st)
 	} else {
 		s.stream(st)
+		s.endStream(st)
 	}
+	return true
 }
 
 // writeOutcome classifies one quantum's worth of chunk writes.

@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -36,37 +38,94 @@ func testConfig(dram units.Bytes) Config {
 	}
 }
 
+// newTestServer builds a server whose cleanup closes it and then checks
+// that every connection it accepted has ended: none tracked, the
+// semaphore empty.
 func newTestServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(s.Close)
+	t.Cleanup(func() {
+		s.Close()
+		if !connsEnded(s, 5*time.Second) {
+			t.Error("accepted connections still open after Close")
+			return
+		}
+		if n := s.activeConns(); n != 0 {
+			t.Errorf("%d connections still tracked after every connection ended", n)
+		}
+		if n := len(s.sem); n != 0 {
+			t.Errorf("%d semaphore slots still held after every connection ended", n)
+		}
+	})
 	return s
 }
 
-// runHandle drives one connection through the handler on a pipe and
-// returns the client end plus a channel that closes when the handler
-// (and its releases) have unwound.
+// connsEnded waits up to within for every connection accept admitted to
+// end, and reports whether they all did.
+func connsEnded(s *Server, within time.Duration) bool {
+	done := make(chan struct{})
+	go func() { s.connWG.Wait(); close(done) }()
+	select {
+	case <-done:
+		return true
+	case <-time.After(within):
+		return false
+	}
+}
+
+// countConn is the server end of a test connection. It counts Close
+// calls, because the server must end every accepted connection exactly
+// once, and closed is closed by the first. A client hangs up by closing
+// the wrapped Conn directly, which the count does not see.
+type countConn struct {
+	net.Conn
+	closes atomic.Int32
+	closed chan struct{}
+}
+
+func newCountConn(c net.Conn) *countConn {
+	return &countConn{Conn: c, closed: make(chan struct{})}
+}
+
+func (c *countConn) Close() error {
+	if c.closes.Add(1) == 1 {
+		close(c.closed)
+	}
+	return c.Conn.Close()
+}
+
+// acceptConn hands conn to s through accept, as Serve does, and checks at
+// cleanup that the server closed it exactly once.
+func acceptConn(t *testing.T, s *Server, conn net.Conn) *countConn {
+	t.Helper()
+	c := newCountConn(conn)
+	s.accept(c)
+	t.Cleanup(func() {
+		select {
+		case <-c.closed:
+		case <-time.After(5 * time.Second):
+			t.Error("server did not end an accepted connection")
+			return
+		}
+		if n := c.closes.Load(); n != 1 {
+			t.Errorf("server closed an accepted connection %d times, want exactly once", n)
+		}
+	})
+	return c
+}
+
+// runHandle accepts the server end of a pipe and returns the client end
+// plus a channel that closes when the server ends the connection — after
+// any stream on it has counted its outcome and released its slot.
 func runHandle(t *testing.T, s *Server) (net.Conn, <-chan struct{}) {
 	t.Helper()
 	client, srv := net.Pipe()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		defer srv.Close()
-		s.handle(srv)
-	}()
-	t.Cleanup(func() {
-		client.Close()
-		select {
-		case <-done:
-		case <-time.After(5 * time.Second):
-			t.Error("handler did not unwind")
-		}
-	})
-	return client, done
+	c := acceptConn(t, s, srv)
+	t.Cleanup(func() { client.Close() }) // registered last, so it runs before acceptConn's check
+	return client, c.closed
 }
 
 func waitDone(t *testing.T, done <-chan struct{}, within time.Duration, what string) {
@@ -74,7 +133,7 @@ func waitDone(t *testing.T, done <-chan struct{}, within time.Duration, what str
 	select {
 	case <-done:
 	case <-time.After(within):
-		t.Fatalf("%s: handler still running after %v", what, within)
+		t.Fatalf("%s: connection still open after %v", what, within)
 	}
 }
 
@@ -604,11 +663,21 @@ func waitFor(t *testing.T, within time.Duration, cond func() bool) {
 	t.Fatalf("condition not met within %v", within)
 }
 
+// playLine is the request line of one PLAY at the given rate.
+func playLine(rate units.ByteRate) []byte {
+	return []byte("PLAY " + strconv.FormatFloat(float64(rate), 'f', -1, 64) + "\n")
+}
+
+// playRequest is a client that asks for one stream at rate and then
+// discards everything it is sent, at memory speed.
+func playRequest(rate units.ByteRate) *scriptConn {
+	return &scriptConn{data: playLine(rate)}
+}
+
 // playBanner sends one PLAY at the given rate and returns the reply line
 // and the reader positioned after it.
 func playBanner(client net.Conn, rate units.ByteRate) (string, *bufio.Reader, error) {
-	req := "PLAY " + strconv.FormatFloat(float64(rate), 'f', -1, 64) + "\n"
-	if _, err := client.Write([]byte(req)); err != nil {
+	if _, err := client.Write(playLine(rate)); err != nil {
 		return "", nil, err
 	}
 	r := bufio.NewReader(client)
@@ -634,7 +703,7 @@ func TestBannerCacheMatchesFormat(t *testing.T) {
 	// Again, now that the cache is full: early rates hit, late ones miss.
 	rates = append(rates, rates...)
 	for _, rate := range rates {
-		client, _ := runHandle(t, s) // its cleanup waits for the handler
+		client, _ := runHandle(t, s) // its cleanup waits for the connection to end
 		line, _, err := playBanner(client, rate)
 		if err != nil {
 			t.Fatalf("PLAY %v: %v", float64(rate), err)
@@ -653,36 +722,84 @@ func TestBannerCacheMatchesFormat(t *testing.T) {
 	}
 }
 
+// burstRates are the rates a flash crowd asks for, in turn.
+var burstRates = []units.ByteRate{10 * units.KBPS, 100 * units.KBPS, 33333, 250 * units.KBPS}
+
+// burstConfig serves a flash crowd on the given plane. Nobody stalls, so
+// no deadline may fire however slowly the race detector runs the crowd:
+// only hang-ups end streams.
+func burstConfig(mode PacingMode) Config {
+	cfg := testConfig(64 * units.GB)
+	cfg.Pacing = mode
+	cfg.Limit = 0
+	cfg.Quantum = 50 * time.Millisecond
+	cfg.ReadTimeout = 30 * time.Second
+	cfg.WriteTimeout = 30 * time.Second
+	return cfg
+}
+
+// checkBurstEnded asserts what every hung-up flash crowd must leave
+// behind: each connection closed exactly once, no slot, registry entry,
+// tracked connection or semaphore slot held, and every stream counted
+// under exactly one outcome.
+func checkBurstEnded(t *testing.T, s *Server, servers []*countConn) {
+	t.Helper()
+	if !connsEnded(s, 30*time.Second) {
+		t.Fatal("connections still open 30s after every client hung up")
+	}
+	for i, c := range servers {
+		if n := c.closes.Load(); n != 1 {
+			t.Errorf("connection %d closed %d times, want exactly once", i, n)
+		}
+	}
+	m := s.metrics
+	if got := s.Admitted(); got != 0 {
+		t.Errorf("Admitted = %d after every client hung up, want 0", got)
+	}
+	if got := m.ActiveStreams.Load(); got != 0 {
+		t.Errorf("ActiveStreams = %d after every client hung up, want 0", got)
+	}
+	s.mu.Lock()
+	registered := len(s.streams)
+	s.mu.Unlock()
+	if registered != 0 {
+		t.Errorf("%d streams still registered with the control plane", registered)
+	}
+	if got := s.activeConns(); got != 0 {
+		t.Errorf("%d connections still tracked", got)
+	}
+	if got := len(s.sem); got != 0 {
+		t.Errorf("%d semaphore slots still held", got)
+	}
+	admitted := m.AdmittedTotal.Load()
+	if admitted != uint64(len(servers)) {
+		t.Errorf("AdmittedTotal = %d, want %d", admitted, len(servers))
+	}
+	if got := m.Completed.Load() + m.Evicted.Load() + m.Aborted.Load(); got != admitted {
+		t.Errorf("completed(%d)+evicted(%d)+aborted(%d) = %d, want admitted %d",
+			m.Completed.Load(), m.Evicted.Load(), m.Aborted.Load(), got, admitted)
+	}
+}
+
 // A flash crowd on both planes: a thousand PLAYs at mixed rates arrive at
-// once over in-memory connections, every one is admitted and answered
-// with its own rate's banner, then all hang up. Every slot must come back
-// and every stream must end under exactly one outcome counter.
+// once over in-memory connections through accept, every one is admitted
+// and answered with its own rate's banner, then all hang up. Every slot
+// must come back and every stream must end under exactly one outcome
+// counter.
 func TestPlayBurst(t *testing.T) {
 	const clients = 1000
-	rates := []units.ByteRate{10 * units.KBPS, 100 * units.KBPS, 33333, 250 * units.KBPS}
 	for _, mode := range []PacingMode{PacingGoroutine, PacingWheel} {
 		t.Run(mode.String(), func(t *testing.T) {
-			cfg := testConfig(64 * units.GB)
-			cfg.Pacing = mode
-			cfg.Limit = 0
-			cfg.Quantum = 50 * time.Millisecond
-			// Nobody stalls: no deadline may fire however slowly the race
-			// detector runs the crowd, so only hang-ups end streams.
-			cfg.ReadTimeout = 30 * time.Second
-			cfg.WriteTimeout = 30 * time.Second
-			s := newTestServer(t, cfg)
+			s := newTestServer(t, burstConfig(mode))
 
 			conns := make([]net.Conn, clients)
-			var handlers, answered sync.WaitGroup
+			servers := make([]*countConn, clients)
+			var answered sync.WaitGroup
 			for i := range conns {
 				client, srv := net.Pipe()
 				conns[i] = client
-				handlers.Add(1)
-				go func() {
-					defer handlers.Done()
-					defer srv.Close()
-					s.handle(srv)
-				}()
+				servers[i] = newCountConn(srv)
+				s.accept(servers[i])
 				answered.Add(1)
 				go func(rate units.ByteRate) {
 					line, r, err := playBanner(client, rate)
@@ -695,7 +812,7 @@ func TestPlayBurst(t *testing.T) {
 						t.Errorf("PLAY %v: banner %q, want %q", rate, line, want)
 					}
 					io.Copy(io.Discard, r) // keep reading until the hang-up
-				}(rates[i%len(rates)])
+				}(burstRates[i%len(burstRates)])
 			}
 			answered.Wait()
 			if got := s.Admitted(); got != clients {
@@ -704,29 +821,48 @@ func TestPlayBurst(t *testing.T) {
 			for _, c := range conns {
 				c.Close()
 			}
-			handlers.Wait()
-
-			m := s.metrics
-			if got := s.Admitted(); got != 0 {
-				t.Errorf("Admitted = %d after every client hung up, want 0", got)
-			}
-			if got := m.ActiveStreams.Load(); got != 0 {
-				t.Errorf("ActiveStreams = %d after every client hung up, want 0", got)
-			}
-			s.mu.Lock()
-			registered := len(s.streams)
-			s.mu.Unlock()
-			if registered != 0 {
-				t.Errorf("%d streams still registered with the control plane", registered)
-			}
-			admitted := m.AdmittedTotal.Load()
-			if admitted != clients {
-				t.Errorf("AdmittedTotal = %d, want %d", admitted, clients)
-			}
-			if got := m.Completed.Load() + m.Evicted.Load() + m.Aborted.Load(); got != admitted {
-				t.Errorf("completed(%d)+evicted(%d)+aborted(%d) = %d, want admitted %d",
-					m.Completed.Load(), m.Evicted.Load(), m.Aborted.Load(), got, admitted)
-			}
+			checkBurstEnded(t, s, servers)
 		})
+	}
+}
+
+// A wheel stream owns no goroutine: while a flash crowd stands, the
+// process runs no more goroutines than before it arrived, give or take
+// the plane's writers and a few in passing. The clients discard at
+// memory speed and need no reader goroutine of their own, so any growth
+// is the server's.
+func TestPlayBurstGoroutines(t *testing.T) {
+	const streams = 1000
+	cfg := burstConfig(PacingWheel)
+	cfg.Writers = 2
+	s := newTestServer(t, cfg)
+	baseline := runtime.NumGoroutine()
+	bound := baseline + cfg.Writers + 4
+
+	servers := make([]*countConn, streams)
+	for i := range servers {
+		servers[i] = newCountConn(playRequest(burstRates[i%len(burstRates)]))
+		s.accept(servers[i])
+	}
+	waitFor(t, 10*time.Second, func() bool { return s.metrics.WheelStreams.Load() == streams })
+	if got := s.Admitted(); got != streams {
+		t.Errorf("Admitted = %d with the burst standing, want %d", got, streams)
+	}
+	// The handlers exit once their streams are parked.
+	waitFor(t, 5*time.Second, func() bool { return runtime.NumGoroutine() <= bound })
+	// And none comes back while the wheel paces the crowd.
+	out := s.metrics.BytesOut.Total()
+	waitFor(t, 5*time.Second, func() bool { return s.metrics.BytesOut.Total() > out })
+	if n := runtime.NumGoroutine(); n > bound {
+		t.Errorf("%d goroutines with %d wheel streams standing, want at most %d (baseline %d + %d writers + 4)",
+			n, streams, bound, baseline, cfg.Writers)
+	}
+
+	for _, c := range servers {
+		c.Conn.Close() // the client hangs up
+	}
+	checkBurstEnded(t, s, servers)
+	if got := s.metrics.WheelStreams.Load(); got != 0 {
+		t.Errorf("WheelStreams = %d after every client hung up, want 0", got)
 	}
 }

@@ -56,10 +56,21 @@ import (
 // how soon its hang-ups are noticed, at each stream's next paced write
 // — no longer depends on when the previous burst happened to end.
 //
-// The connection's handler goroutine still exists — it parks on the
-// stream's done channel so the supervisor's admission/semaphore/conn
-// accounting is identical in both modes — but it owns no timer and
-// never wakes until the stream ends.
+// Ownership economy: a wheel stream owns no goroutine. Its handler
+// writes the banner, parks the stream and returns, handing the
+// connection to the plane; from then on whichever path ends the stream —
+// a worker's step (completion, eviction, abort), armSpan refusing to
+// re-park during a drain, the drain sweep (kickAll), or admit itself when
+// the sweep has begun — calls finish, and finish calls the server's
+// endStream, the one release function both planes share. It releases in
+// a fixed order: registry entry, admission slot and ActiveStreams gauge
+// first, then the connection (close, untrack, semaphore, connection
+// count). The order matters because a client that sees its connection
+// close may ask for Admitted() at once and must find the slot free.
+// endStream takes the server's mutex, so no path may call finish with
+// s.mu held: closeAll releases it before kickAll. A handler parked per
+// stream would cost every standing stream a goroutine stack, and a drain
+// would wake them all at once to run releases a worker runs in place.
 //
 // Known trade-off: a worker that hits a stalled reader blocks in Write
 // until the armed deadline expires (at most WriteTimeout), delaying the
@@ -96,15 +107,13 @@ type wheelPlane struct {
 }
 
 // wheelStream is one stream parked on the wheel: the intrusive timer,
-// the shared stream state, the stream's tick cursor (how many quanta
-// its pacer has settled), and the done channel its handler goroutine
-// parks on. Between fire and the span's re-arm exactly one worker owns
-// it.
+// the shared stream state, and the stream's tick cursor (how many quanta
+// its pacer has settled). Between fire and the span's re-arm exactly one
+// worker owns it.
 type wheelStream struct {
 	timer wheel.Timer
 	st    *streamState
 	tick  int64
-	done  chan struct{}
 }
 
 // wheelBatch is one worker's span of a tick's due population.
@@ -138,12 +147,12 @@ func newWheelPlane(s *Server) *wheelPlane {
 
 // admit parks a new stream on the wheel: the pacer anchors to the
 // wheel's tick grid (first fire at the next boundary, a whole quantum
-// away when the stream wakes an idle loop) and the stream's done
-// channel closes when a worker or the drain sweep finishes it.
-func (p *wheelPlane) admit(st *streamState) *wheelStream {
+// away when the stream wakes an idle loop). The stream now owns its
+// connection; the caller must not touch either again.
+func (p *wheelPlane) admit(st *streamState) {
 	st.pacer = units.NewPacer(st.rate, p.quantum)
 	st.out = p.s.metrics.BytesOut.Handle()
-	ws := &wheelStream{st: st, done: make(chan struct{})}
+	ws := &wheelStream{st: st}
 	ws.timer.Data = ws
 	ws.tick = p.w.Current()
 	p.s.metrics.WheelStreams.Add(1)
@@ -154,22 +163,15 @@ func (p *wheelPlane) admit(st *streamState) *wheelStream {
 		// same outcome the sweep gives every parked stream.
 		p.armMu.Unlock()
 		p.s.metrics.Evicted.Add(1)
-		p.finish(ws, writeEvicted)
-	} else {
-		p.w.Arm(&ws.timer, ws.tick+1)
-		if p.idle {
-			p.idle = false
-			p.wake <- struct{}{}
-		}
-		p.armMu.Unlock()
+		p.finish(ws)
+		return
 	}
-	return ws
-}
-
-// run parks the calling handler goroutine while the wheel paces its
-// stream; the handler's deferred releases run when the stream ends.
-func (p *wheelPlane) run(st *streamState) {
-	<-p.admit(st).done
+	p.w.Arm(&ws.timer, ws.tick+1)
+	if p.idle {
+		p.idle = false
+		p.wake <- struct{}{}
+	}
+	p.armMu.Unlock()
 }
 
 // loop is the plane's one runtime timer: a ticker at the pacing
@@ -290,13 +292,13 @@ func (p *wheelPlane) step(ws *wheelStream, tick int64) bool {
 		boundary := p.start.Add(time.Duration(tick) * p.quantum)
 		p.s.metrics.ObserveLag(now.Sub(boundary).Seconds())
 		p.s.metrics.Completed.Add(1)
-		p.finish(ws, writeDone)
+		p.finish(ws)
 	case writeEvicted:
 		p.s.metrics.Evicted.Add(1)
-		p.finish(ws, writeEvicted)
+		p.finish(ws)
 	case writeAborted:
 		p.s.metrics.Aborted.Add(1)
-		p.finish(ws, writeAborted)
+		p.finish(ws)
 	}
 	return false
 }
@@ -314,7 +316,7 @@ func (p *wheelPlane) armSpan(live []*wheelStream) {
 		p.armMu.Unlock()
 		for _, ws := range live {
 			p.s.metrics.Evicted.Add(1)
-			p.finish(ws, writeEvicted)
+			p.finish(ws)
 		}
 		return
 	}
@@ -324,12 +326,12 @@ func (p *wheelPlane) armSpan(live []*wheelStream) {
 	p.armMu.Unlock()
 }
 
-// finish ends a wheel stream: the counters were already settled by the
-// caller (finish itself only maintains the gauge) and the handler
-// goroutine parked in run unwinds to release conn/slot/registry.
-func (p *wheelPlane) finish(ws *wheelStream, _ writeOutcome) {
+// finish ends a wheel stream: the caller has already counted its
+// outcome; finish maintains the gauge and releases the stream and its
+// connection through endStream. Never called with s.mu held.
+func (p *wheelPlane) finish(ws *wheelStream) {
 	p.s.metrics.WheelStreams.Add(-1)
-	close(ws.done)
+	p.s.endStream(ws.st)
 }
 
 // kickAll evicts every parked stream — the drain force-close sweep.
@@ -343,9 +345,8 @@ func (p *wheelPlane) kickAll() {
 	due := p.w.DrainAll(nil)
 	p.armMu.Unlock()
 	for _, t := range due {
-		ws := t.Data.(*wheelStream)
 		p.s.metrics.Evicted.Add(1)
-		p.finish(ws, writeEvicted)
+		p.finish(t.Data.(*wheelStream))
 	}
 }
 

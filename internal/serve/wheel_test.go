@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bufio"
+	"fmt"
 	"io"
 	"net"
 	"strings"
@@ -317,13 +318,14 @@ func TestWheelCloseEvictsParkedStreams(t *testing.T) {
 	}
 }
 
-// gateConn is a nullConn that can fail with a client reset on a chosen
-// write, and whose writes can be held at a gate. Only the worker that
-// currently owns the stream writes to it.
+// gateConn is a playRequest client that can fail with a client reset on
+// a chosen write, and whose writes can be held at a gate. Only the
+// goroutine that currently owns the stream writes to it: its handler for
+// the banner, then one worker at a time.
 type gateConn struct {
-	nullConn
+	scriptConn
 	gate   *writeGate
-	failAt int // the write that fails; 0 = none
+	failAt int // the write that fails, the banner being write 1; 0 = none
 	writes int
 }
 
@@ -350,8 +352,8 @@ func (c *gateConn) Write(b []byte) (int, error) {
 // The drain sweep racing a worker in mid-span: streams already written
 // this tick are waiting for the span's re-arm when kickAll sets
 // draining, so the arm round must evict them rather than park them on a
-// wheel nobody will sweep again. Every stream ends exactly once (a
-// second close of its done channel panics), the outcome counters
+// wheel nobody will sweep again. Every stream ends exactly once (its
+// connection is closed once: acceptConn's count), the outcome counters
 // conserve, and the gauge returns to zero.
 func TestWheelKickAllRacesSpan(t *testing.T) {
 	cfg := testConfig(64 * units.GB)
@@ -365,18 +367,18 @@ func TestWheelKickAllRacesSpan(t *testing.T) {
 
 	const streams = 400
 	gate := &writeGate{held: make(chan struct{}), release: make(chan struct{})}
-	dones := make([]chan struct{}, streams)
+	dones := make([]<-chan struct{}, streams)
 	for i := range dones {
-		conn := &gateConn{gate: gate}
 		rate := 1 * units.KBPS // 5 B a quantum: runs ~4 s unless ended
+		failAt := 0
 		switch i % 4 {
 		case 0:
 			rate = 100 * units.KBPS // completes its 4 KB in 8 quanta
 		case 1:
-			conn.failAt = 3 // the client resets on the third write
+			failAt = 4 // the client resets on the third paced write
 		}
-		st := &streamState{id: uint64(i + 1), rate: rate, start: time.Now(), conn: conn}
-		dones[i] = p.admit(st).done
+		conn := &gateConn{scriptConn: scriptConn{data: playLine(rate)}, gate: gate, failAt: failAt}
+		dones[i] = acceptConn(t, s, conn).closed
 	}
 	waitFor(t, 5*time.Second, func() bool {
 		return s.metrics.Completed.Load() == streams/4 && s.metrics.Aborted.Load() == streams/4
@@ -392,11 +394,7 @@ func TestWheelKickAllRacesSpan(t *testing.T) {
 	close(gate.release)
 
 	for i, done := range dones {
-		select {
-		case <-done:
-		case <-time.After(5 * time.Second):
-			t.Fatalf("stream %d never ended", i+1)
-		}
+		waitDone(t, done, 5*time.Second, fmt.Sprintf("stream %d", i+1))
 	}
 	m := s.metrics
 	if got := m.Completed.Load() + m.Evicted.Load() + m.Aborted.Load(); got != streams {
@@ -440,9 +438,8 @@ func TestWheelIdleLoopParks(t *testing.T) {
 			t.Fatalf("spell %d: %d ticks taken with nothing armed", spell, got-ticks)
 		}
 		out := m.BytesOut.Total()
-		st := &streamState{id: uint64(spell + 1), rate: 100 * units.KBPS, start: time.Now(), conn: &nullConn{}}
 		admitted := time.Now()
-		done := p.admit(st).done
+		done := acceptConn(t, s, playRequest(100*units.KBPS)).closed
 		waitFor(t, 5*time.Second, func() bool { return m.BytesOut.Total() > out })
 		if first := time.Since(admitted); first < cfg.Quantum {
 			t.Errorf("spell %d: first chunk %v after admission, want at least one quantum (%v)", spell, first, cfg.Quantum)

@@ -141,13 +141,17 @@ func runCached(cfg Config) (Result, error) {
 	// independently, so each gets its own chain (that parallelism is
 	// exactly Corollary 4's latency advantage).
 	if len(cachedIDs) > 0 {
-		chains := []*chain{r.newChain()}
+		rb, replicated := cb.(*bank.ReplicatedBank)
+		n := 1
+		if replicated {
+			n = cfg.K
+		}
+		chains := make([]*chain, n)
+		for i := range chains {
+			chains[i] = r.newChain()
+		}
 		chainOf := func(int) *chain { return chains[0] }
-		if rb, ok := cb.(*bank.ReplicatedBank); ok {
-			chains = make([]*chain, cfg.K)
-			for i := range chains {
-				chains[i] = r.newChain()
-			}
+		if replicated {
 			chainOf = func(stream int) *chain {
 				dev, _ := rb.DeviceOf(stream)
 				return chains[dev]
@@ -155,7 +159,7 @@ func runCached(cfg Config) (Result, error) {
 		}
 		for i, d := range devs {
 			ch := chains[0]
-			if len(chains) == cfg.K {
+			if replicated {
 				ch = chains[i]
 			}
 			r.observe(fmt.Sprintf("cache%d", i), d, ch)

@@ -168,14 +168,32 @@ func TestBufferedDiskIOsAreLarge(t *testing.T) {
 	}
 }
 
+// checkCacheChains holds a cached run to one service chain per cache
+// lane — one for the striped bank, K for the replicated one — plus the
+// disk's when some streams miss. A chain nobody submits to would still
+// be scanned on every wake-up.
+func checkCacheChains(t *testing.T, cfg Config, res Result, lanes int) {
+	t.Helper()
+	want := lanes
+	if res.FromDisk > 0 {
+		want++
+	}
+	if got := cfg.Arena.chains.used; got != want {
+		t.Errorf("%v run built %d service chains, want %d (%d cache lanes, disk side %v)",
+			cfg.CachePolicy, got, want, lanes, res.FromDisk > 0)
+	}
+}
+
 func TestCachedStripedNoUnderflows(t *testing.T) {
 	cfg := baseConfig(Cached, 200, 100*units.KBPS)
 	cfg.CachePolicy = model.Striped
 	cfg.Titles = 400 // DVD-sized catalog >> cache
+	cfg.Arena = NewArena()
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkCacheChains(t, cfg, res, 1)
 	if res.Underflows != 0 {
 		t.Errorf("underflows = %d (%v)", res.Underflows, res.UnderflowBytes)
 	}
@@ -194,10 +212,12 @@ func TestCachedReplicatedNoUnderflows(t *testing.T) {
 	cfg := baseConfig(Cached, 200, 100*units.KBPS)
 	cfg.CachePolicy = model.Replicated
 	cfg.Titles = 400
+	cfg.Arena = NewArena()
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkCacheChains(t, cfg, res, cfg.K)
 	if res.Underflows != 0 {
 		t.Errorf("underflows = %d (%v)", res.Underflows, res.UnderflowBytes)
 	}

@@ -1,17 +1,15 @@
 package sim
 
 import (
-	"fmt"
 	"testing"
 	"time"
 )
 
-// The kernel microbenchmarks exercise the three steady-state shapes every
-// simulation run is built from: schedule+fire churn (device completions),
-// schedule+cancel churn (deadline timers that usually don't fire), and
-// deep-queue Server dequeue (cycle scheduling bursts). scripts/bench.sh
-// records them into BENCH_<n>.json and CI runs benchstat old-vs-new on
-// them, so keep names stable.
+// The kernel microbenchmarks exercise the steady-state shapes every
+// simulation run is built from: schedule+fire churn (device completions)
+// and schedule+cancel churn (deadline timers that usually don't fire).
+// scripts/bench.sh records them into BENCH_<n>.json and CI runs
+// benchstat old-vs-new on them, so keep names stable.
 
 // BenchmarkScheduleFire measures steady-state schedule+fire churn with a
 // bounded calendar: each fired event schedules its successor, the shape of
@@ -142,35 +140,5 @@ func BenchmarkScheduleFireDeepCalendar(b *testing.B) {
 	b.StopTimer()
 	if st.n != b.N {
 		b.Fatalf("fired %d, want %d", st.n, b.N)
-	}
-}
-
-// BenchmarkServerDeepQueue is the O(1)-amortized dequeue regression bench:
-// a Server with a deep backlog must drain at constant per-item cost. The
-// pre-ring implementation shifted the whole queue on every dequeue
-// (O(n) per item, O(n²) per drain), which this bench makes visible as
-// ns/op growing with depth.
-func BenchmarkServerDeepQueue(b *testing.B) {
-	for _, depth := range []int{16, 256, 4096} {
-		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
-			b.ReportAllocs()
-			served := 0
-			for served < b.N {
-				batch := depth
-				if rem := b.N - served; rem < batch {
-					batch = rem
-				}
-				var eng Engine
-				srv := NewServer(&eng)
-				for i := 0; i < batch; i++ {
-					srv.Submit(time.Microsecond, nil)
-				}
-				eng.Run()
-				if srv.Served != uint64(batch) {
-					b.Fatalf("served %d, want %d", srv.Served, batch)
-				}
-				served += batch
-			}
-		})
 	}
 }

@@ -1,97 +1,5 @@
 package sim
 
-import "memstream/internal/ring"
-
-// Server models a single-channel resource (a device arm, a bus) that
-// serves queued work items one at a time in FIFO order. Device models
-// layer their own reordering schedulers above it; Server only owns the
-// busy/idle bookkeeping.
-//
-// The queue is a ring buffer and completions are scheduled through the
-// kernel's ScheduleArg fast path, so steady-state Submit/complete cycles
-// allocate nothing and dequeue is O(1) amortized at any queue depth.
-type Server struct {
-	eng   *Engine
-	queue ring.Ring[work]
-	cur   work // item in service, valid while busy
-	busy  bool
-
-	// Busy accumulates total time the server spent serving work,
-	// for utilization accounting.
-	Busy Time
-	// Served counts completed work items.
-	Served uint64
-}
-
-type work struct {
-	dur  Time
-	done func()
-}
-
-// NewServer returns a Server bound to eng.
-func NewServer(eng *Engine) *Server { return &Server{eng: eng} }
-
-// Submit enqueues a work item taking dur of service time; done (may be nil)
-// runs when service completes.
-func (s *Server) Submit(dur Time, done func()) {
-	s.queue.PushBack(work{dur: dur, done: done})
-	if !s.busy {
-		s.startNext()
-	}
-}
-
-// QueueLen reports the number of items waiting (not counting the one in
-// service).
-func (s *Server) QueueLen() int { return s.queue.Len() }
-
-// Idle reports whether the server has no work in service.
-func (s *Server) Idle() bool { return !s.busy }
-
-func (s *Server) startNext() {
-	if s.queue.Len() == 0 {
-		s.busy = false
-		return
-	}
-	s.cur = s.queue.PopFront()
-	s.busy = true
-	s.eng.ScheduleArg(s.cur.dur, serverComplete, s)
-}
-
-// serverComplete is the static completion callback: the Server itself is
-// the ScheduleArg argument, so scheduling a completion never closes over
-// per-item state.
-func serverComplete(arg any) {
-	s := arg.(*Server)
-	s.Busy += s.cur.dur
-	s.Served++
-	done := s.cur.done
-	s.cur = work{}
-	if done != nil {
-		done()
-	}
-	s.startNext()
-}
-
-// Counter is a saturating tally with high-water tracking, used for queue
-// depths and buffer occupancy.
-type Counter struct {
-	v, max int64
-}
-
-// Add adjusts the counter by delta (which may be negative).
-func (c *Counter) Add(delta int64) {
-	c.v += delta
-	if c.v > c.max {
-		c.max = c.v
-	}
-}
-
-// Value returns the current tally.
-func (c *Counter) Value() int64 { return c.v }
-
-// Max returns the high-water mark.
-func (c *Counter) Max() int64 { return c.max }
-
 // Stats accumulates a running mean/min/max over float64 samples without
 // storing them.
 type Stats struct {

@@ -1,6 +1,6 @@
 // Package sim provides a small deterministic discrete-event simulation
 // kernel: a virtual clock, an event calendar ordered by (time, sequence),
-// and helper resources built on top of it.
+// and a running-statistics helper (Stats).
 //
 // The kernel is deliberately single-threaded. All device and server models
 // in memstream schedule callbacks on one Engine, so a simulation run is a

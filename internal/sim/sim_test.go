@@ -268,62 +268,6 @@ func TestMonotonicClockProperty(t *testing.T) {
 	}
 }
 
-func TestServerFIFOAndUtilization(t *testing.T) {
-	var eng Engine
-	srv := NewServer(&eng)
-	var done []int
-	for i := 0; i < 3; i++ {
-		i := i
-		srv.Submit(10*time.Millisecond, func() { done = append(done, i) })
-	}
-	if srv.QueueLen() != 2 {
-		t.Errorf("QueueLen = %d, want 2 (one in service)", srv.QueueLen())
-	}
-	eng.Run()
-	if len(done) != 3 || done[0] != 0 || done[2] != 2 {
-		t.Fatalf("done = %v", done)
-	}
-	if srv.Busy != 30*time.Millisecond {
-		t.Errorf("Busy = %v, want 30ms", srv.Busy)
-	}
-	if srv.Served != 3 {
-		t.Errorf("Served = %d, want 3", srv.Served)
-	}
-	if !srv.Idle() {
-		t.Error("server should be idle after Run")
-	}
-}
-
-func TestServerAcceptsWorkWhileBusy(t *testing.T) {
-	var eng Engine
-	srv := NewServer(&eng)
-	completed := 0
-	srv.Submit(5*time.Millisecond, func() {
-		completed++
-		srv.Submit(5*time.Millisecond, func() { completed++ })
-	})
-	eng.Run()
-	if completed != 2 {
-		t.Errorf("completed = %d, want 2", completed)
-	}
-	if eng.Now() != 10*time.Millisecond {
-		t.Errorf("Now = %v, want 10ms", eng.Now())
-	}
-}
-
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Add(5)
-	c.Add(3)
-	c.Add(-6)
-	if c.Value() != 2 {
-		t.Errorf("Value = %d, want 2", c.Value())
-	}
-	if c.Max() != 8 {
-		t.Errorf("Max = %d, want 8", c.Max())
-	}
-}
-
 func TestStats(t *testing.T) {
 	var s Stats
 	for _, v := range []float64{1, 2, 3, 4} {
