@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"memstream/internal/disk"
+	"memstream/internal/model"
 	"memstream/internal/tier"
 	"memstream/internal/units"
 )
@@ -18,7 +19,7 @@ import (
 //
 // The bit-rate keeps n·B̄ inside FutureDisk's effective-rate envelope
 // (Theorem 1 feasibility) at both benchmark populations.
-func newCycleWalk(tb testing.TB, n int, br units.ByteRate) *directRun {
+func newCycleWalk(tb testing.TB, n int, br units.ByteRate) *cycleRun {
 	tb.Helper()
 	cfg := Config{
 		Mode:    Direct,
@@ -33,12 +34,12 @@ func newCycleWalk(tb testing.TB, n int, br units.ByteRate) *directRun {
 	if err := validate(&cfg); err != nil {
 		tb.Fatal(err)
 	}
-	d, err := newDirect(cfg)
+	d, err := newCycleRun(cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	for c := int64(0); c < 16; c++ {
-		d.stage(c)
+		d.disk.stage(c)
 		d.r.eng.Run()
 	}
 	return d
@@ -49,7 +50,7 @@ func benchmarkCycleWalk(b *testing.B, n int, br units.ByteRate) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.stage(int64(i))
+		d.disk.stage(int64(i))
 		d.r.eng.Run()
 	}
 }
@@ -68,7 +69,7 @@ func TestCycleWalkZeroAllocs(t *testing.T) {
 	d := newCycleWalk(t, 1_000, 100*units.KBPS)
 	c := int64(16)
 	if n := testing.AllocsPerRun(50, func() {
-		d.stage(c)
+		d.disk.stage(c)
 		d.r.eng.Run()
 		c++
 	}); n != 0 {
@@ -76,37 +77,77 @@ func TestCycleWalkZeroAllocs(t *testing.T) {
 	}
 }
 
-// bufferedWalk drives an assembled buffered run one MEMS cycle at a time:
-// each step queues the cycle's stage (and the disk cycle's, when one falls
-// due) and runs the calendar up to the cycle's start, so a step does one
-// cycle's worth of bank service — the steady state of a real run, whose
-// cycleLoop events are all queued up-front instead.
-type bufferedWalk struct {
-	b    *bufferedRun
-	m, c int64 // next MEMS cycle, next disk cycle
+// stageWalk drives an assembled run one cycle of its finest stage at a
+// time: each step queues that cycle, and every cycle of a coarser stage
+// falling due by then, and runs the calendar up to the cycle's start, so
+// a step does one cycle's worth of service — the steady state of a real
+// run, whose cycleLoops chain the same firings.
+type stageWalk struct {
+	m     *cycleRun
+	fine  *walkCall // the stage with the shortest period
+	calls []walkCall
 }
 
-func walkDisk(arg any) { w := arg.(*bufferedWalk); w.b.pipe.diskStage(w.c); w.c++ }
-func walkMems(arg any) { w := arg.(*bufferedWalk); w.b.memsStage(w.m) }
+// walkCall is one stage's place in the walk: the next cycle to queue and
+// the next to fire.
+type walkCall struct {
+	s             *stage
+	queued, fired int64
+}
 
-func (w *bufferedWalk) step() {
-	eng := w.b.r.eng
-	w.m++
-	at := time.Duration(w.m) * w.b.plan.MEMSCycle
-	if due := time.Duration(w.c) * w.b.plan.DiskCycle; due <= at {
-		eng.ScheduleArg(due-eng.Now(), walkDisk, w)
+func fireWalkCall(arg any) { wc := arg.(*walkCall); wc.s.fn(wc.fired); wc.fired++ }
+
+func newStageWalk(m *cycleRun) *stageWalk {
+	w := &stageWalk{m: m, calls: make([]walkCall, len(m.stages))}
+	for k := range m.stages {
+		s := &m.stages[k]
+		w.calls[k] = walkCall{s: s, queued: s.first, fired: s.first}
+		if w.fine == nil || s.period < w.fine.s.period {
+			w.fine = &w.calls[k]
+		}
 	}
-	eng.ScheduleArg(at-eng.Now(), walkMems, w)
+	return w
+}
+
+// at is the start of the finest stage's next cycle.
+func (w *stageWalk) at() time.Duration { return time.Duration(w.fine.queued) * w.fine.s.period }
+
+func (w *stageWalk) step() {
+	eng := w.m.r.eng
+	at := w.at()
+	for k := range w.calls {
+		wc := &w.calls[k]
+		for due := time.Duration(wc.queued) * wc.s.period; due <= at; due += wc.s.period {
+			eng.ScheduleArg(due-eng.Now(), fireWalkCall, wc)
+			wc.queued++
+		}
+	}
 	eng.RunUntil(at)
+}
+
+// newWarmWalk assembles cfg's run and walks it while cold reports true:
+// until every pooled structure has reached its standing size.
+func newWarmWalk(tb testing.TB, cfg Config, cold func(w *stageWalk) bool) *stageWalk {
+	tb.Helper()
+	if err := validate(&cfg); err != nil {
+		tb.Fatal(err)
+	}
+	m, err := newCycleRun(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	w := newStageWalk(m)
+	for cold(w) {
+		w.step()
+	}
+	return w
 }
 
 // newBufferedWalk assembles the repo benchmark's sim-buffered partition —
 // 1500 readers at 100 KB/s through K = 4 mems-g3 devices — and warms it
-// past the second disk cycle, where every reader drains every MEMS cycle
-// and every pooled structure has reached its standing size.
-func newBufferedWalk(tb testing.TB) *bufferedWalk {
-	tb.Helper()
-	cfg := Config{
+// past the second disk cycle, where every reader drains every MEMS cycle.
+func newBufferedWalk(tb testing.TB) *stageWalk {
+	return newWarmWalk(tb, Config{
 		Mode:    Buffered,
 		Disk:    disk.FutureDisk(),
 		Tier:    tier.MustLookup("mems-g3"),
@@ -116,19 +157,7 @@ func newBufferedWalk(tb testing.TB) *bufferedWalk {
 		Titles:  400,
 		X:       5, Y: 95,
 		Seed: 1,
-	}
-	if err := validate(&cfg); err != nil {
-		tb.Fatal(err)
-	}
-	b, err := newBuffered(cfg)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	w := &bufferedWalk{b: b}
-	for time.Duration(w.m)*b.plan.MEMSCycle < 5*b.plan.DiskCycle/2 {
-		w.step()
-	}
-	return w
+	}, func(w *stageWalk) bool { return w.at() < 5*w.m.stages[0].period/2 })
 }
 
 // BenchmarkBufferedCycleWalk measures one steady-state MEMS cycle of the
@@ -149,12 +178,60 @@ func BenchmarkBufferedCycleWalk(b *testing.B) {
 // cycle boundary too.
 func TestBufferedCycleWalkZeroAllocs(t *testing.T) {
 	w := newBufferedWalk(t)
-	perDisk := int(w.b.plan.DiskCycle/w.b.plan.MEMSCycle) + 1
-	before := w.b.r.dsk.Served()
+	perDisk := int(w.m.stages[0].period/w.m.stages[1].period) + 1
+	before := w.m.r.dsk.Served()
 	if n := testing.AllocsPerRun(perDisk, w.step); n != 0 {
 		t.Errorf("steady-state buffered cycle allocates %v per MEMS cycle, want 0", n)
 	}
-	if w.b.r.dsk.Served() == before || w.b.r.ar.ps.highWater == 0 {
+	if w.m.r.dsk.Served() == before || w.m.r.ar.ps.highWater == 0 {
 		t.Error("the measured cycles moved no data")
+	}
+}
+
+// newCachedWalk assembles a striped cached run — 400 streams at 100 KB/s
+// over a 2-device mems-g3 bank, the paper suite's cache operating point —
+// and warms it until the margins reservoir (8192 samples) is full.
+func newCachedWalk(tb testing.TB) *stageWalk {
+	return newWarmWalk(tb, Config{
+		Mode:        Cached,
+		Disk:        disk.FutureDisk(),
+		Tier:        tier.MustLookup("mems-g3"),
+		K:           2,
+		CachePolicy: model.Striped,
+		N:           400,
+		BitRate:     100 * units.KBPS,
+		Titles:      200,
+		X:           10, Y: 90,
+		Seed: 1,
+	}, func(w *stageWalk) bool { return w.m.r.margins.N() < 2*8192 })
+}
+
+// BenchmarkCachedCycleWalk measures one steady-state cycle of the cached
+// architecture's finer side: the cache stage's lock-step reads with their
+// drain and fill, and the disk side's C-LOOK batch when one falls due.
+func BenchmarkCachedCycleWalk(b *testing.B) {
+	w := newCachedWalk(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.step()
+	}
+}
+
+// The shared cache stage's hot-path budget: a warm cached cycle allocates
+// nothing, on both sides of the split.
+func TestCachedCycleWalkZeroAllocs(t *testing.T) {
+	w := newCachedWalk(t)
+	m := w.m
+	if len(m.stages) != 2 || m.cache == nil || m.disk == nil {
+		t.Fatalf("walk covers %d stages; want the disk and cache sides", len(m.stages))
+	}
+	ratio := max(m.stages[0].period, m.stages[1].period) / w.fine.s.period
+	before, fills := m.r.dsk.Served(), m.r.cacheFills
+	if n := testing.AllocsPerRun(int(ratio)+1, w.step); n != 0 {
+		t.Errorf("steady-state cached cycle allocates %v per cycle, want 0", n)
+	}
+	if m.r.dsk.Served() == before || m.r.cacheFills == fills {
+		t.Error("the measured cycles left a side idle")
 	}
 }

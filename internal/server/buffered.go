@@ -10,38 +10,15 @@ import (
 	"memstream/internal/units"
 )
 
-// bufferedRun is the assembled buffered-mode simulation: the rig, the
-// Theorem 2 plan, the resolved horizon and the cycle stages. It is
-// factored out of runBuffered so the cycle-walk benchmark can drive the
-// stages directly, as newDirect does for the direct mode.
-type bufferedRun struct {
-	r          *rig
-	plan       model.BufferedPlan
-	pipe       *bufferPipe
-	diskCycles int64
-	memsCycles int64
-	end        time.Duration
-
-	// memsStage is one MEMS cycle: every stream's real-time transfer of
-	// B̄·T_mems (the pipe's tier drain), then — when Config.BestEffort is
-	// set — bestEffort queues the cycle's low-priority reads.
-	memsStage       func(m int64)
-	bestEffort      func()
-	bestEffortBytes units.Bytes
-}
-
-// newBuffered builds the disk→MEMS-bank→DRAM pipeline of §3.1 on the
-// shared rig: the disk runs its own IO cycle writing large staged IOs
-// into per-stream rings on the bank; each MEMS device interleaves those
-// writes with the small DRAM-side reads of its streams every MEMS cycle
-// (Figures 4 and 5). The rig's bufferPipe supplies both cycle stages: the
-// disk stage stages reads (and ships recorder slots), the tier drain moves
-// staged slots toward DRAM and assembles recorder data.
-func newBuffered(cfg Config) (*bufferedRun, error) {
-	r, err := newRig(cfg)
-	if err != nil {
-		return nil, err
-	}
+// buffered builds the disk→MEMS-bank→DRAM pipeline of §3.1: the disk
+// runs its own IO cycle writing large staged IOs into per-stream rings on
+// the bank; each MEMS device interleaves those writes with the small
+// DRAM-side reads of its streams every MEMS cycle (Figures 4 and 5). The
+// rig's bufferPipe supplies both cycle stages: the disk stage stages
+// reads (and ships recorder slots), the tier drain moves staged slots
+// toward DRAM and assembles recorder data.
+func (r *rig) buffered() (*cycleRun, error) {
+	cfg := r.cfg
 	bcfg := model.BufferConfig{
 		Load:          model.StreamLoad{N: cfg.N, BitRate: cfg.BitRate},
 		Disk:          diskSpec(r.dsk),
@@ -77,16 +54,14 @@ func newBuffered(cfg Config) (*bufferedRun, error) {
 	// deadline.
 	playStart := tDisk + 4*tMems
 	isWriter := func(i int) bool { return i < cfg.Writers }
-	all := make([]int, cfg.N)
 	for i, st := range r.set.Streams {
 		start := playStart
 		if isWriter(i) {
 			start = sim.MaxTime / 2 // recorders never drain (no playback)
 		}
 		r.addPlayer(i, r.diskPos(st), start)
-		all[i] = i
 	}
-	pipe, err := r.newBufferPipe(bb, plan, all, cfg.Writers)
+	pipe, err := r.newBufferPipe(bb, plan, r.allStreams(), cfg.Writers)
 	if err != nil {
 		return nil, err
 	}
@@ -98,67 +73,58 @@ func newBuffered(cfg Config) (*bufferedRun, error) {
 	}
 
 	diskCycles, end, _ := r.horizon(tDisk, 4, 3)
-	b := &bufferedRun{
-		r: r, plan: plan, pipe: pipe,
-		diskCycles: diskCycles, memsCycles: int64(end / tMems), end: end,
-	}
-
-	// Best-effort traffic (§3.1.2): a few low-priority random reads per
-	// device per MEMS cycle soak up whatever bandwidth the real-time
-	// schedule leaves idle.
-	beRNG := r.rng.Split()
-	const bePerCycle = 4
-	memsBlock := devs[0].Geometry().BlockSize
-	beBlocks := blocksFor(256*units.KB, memsBlock)
-	beRead := func(it *chainItem, bs time.Duration) time.Duration {
-		if bs >= end {
-			return bs // past the horizon; don't skew utilization
-		}
-		bc, err := pipe.devs[it.dev].Service(bs, it.req)
-		if err != nil {
-			return bs
-		}
-		b.bestEffortBytes += units.Bytes(bc.Blocks) * memsBlock
-		return bc.Finish
-	}
-	b.bestEffort = func() {
-		for dev := 0; dev < cfg.K; dev++ {
-			for j := 0; j < bePerCycle; j++ {
-				lbn := int64(beRNG.Float64() * float64(devs[dev].Geometry().Blocks-beBlocks))
-				pipe.bank[dev].submitLow(chainItem{fn: beRead, dev: int32(dev), req: device.Request{
-					Op: device.Read, Block: lbn, Blocks: beBlocks, Stream: -1,
-				}})
-			}
+	m := &cycleRun{r: r, end: end, cycles: diskCycles, planned: plan.TotalDRAM, disk: pipe.disk, pipe: pipe}
+	mems := pipe.tierDrain
+	if cfg.BestEffort {
+		be := &bestEffort{pipe: pipe, rng: r.rng.Split(), end: end, blocks: blocksFor(256*units.KB, pipe.block)}
+		be.readFn = be.runRead
+		m.bestEffort = be
+		mems = func(c int64) {
+			pipe.tierDrain(c)
+			be.queue()
 		}
 	}
-	b.memsStage = func(m int64) {
-		pipe.tierDrain(m)
-		if cfg.BestEffort {
-			b.bestEffort()
-		}
+	m.stages = []stage{
+		{"disk", tDisk, 0, diskCycles, pipe.disk.stage},
+		{"mems", tMems, 1, int64(end / tMems), mems},
 	}
-	return b, nil
+	return m, nil
 }
 
-// run plays the assembled simulation to its horizon.
-func (b *bufferedRun) run() Result {
-	b.r.cycleLoop("disk", b.plan.DiskCycle, 0, b.diskCycles, b.pipe.diskStage)
-	b.r.cycleLoop("mems", b.plan.MEMSCycle, 1, b.memsCycles, b.memsStage)
-	b.r.finish(b.end)
-
-	res := b.r.result(Buffered, b.end, b.diskCycles)
-	res.PlannedDRAM = b.plan.TotalDRAM
-	res.WriterPeakDRAM = b.pipe.writerPeak
-	res.BestEffortBytes = b.bestEffortBytes
-	res.FromDisk = b.r.cfg.N
-	return res
+// bestEffort is §3.1.2's non-real-time traffic: a few low-priority random
+// reads per device per MEMS cycle soak up whatever bandwidth the
+// real-time schedule leaves idle, and bytes counts what they moved.
+type bestEffort struct {
+	pipe   *bufferPipe
+	rng    *sim.RNG
+	end    time.Duration
+	blocks int64 // bank blocks per read
+	bytes  units.Bytes
+	readFn func(it *chainItem, start time.Duration) time.Duration
 }
 
-// runBuffered simulates the disk→MEMS-bank→DRAM pipeline.
-func runBuffered(cfg Config) (Result, error) {
-	b, err := newBuffered(cfg)
+// queue submits one MEMS cycle's best-effort reads.
+func (b *bestEffort) queue() {
+	const perCycle = 4
+	for dev, d := range b.pipe.devs {
+		for j := 0; j < perCycle; j++ {
+			lbn := int64(b.rng.Float64() * float64(d.Geometry().Blocks-b.blocks))
+			b.pipe.bank[dev].submitLow(chainItem{fn: b.readFn, dev: int32(dev), req: device.Request{
+				Op: device.Read, Block: lbn, Blocks: b.blocks, Stream: -1,
+			}})
+		}
+	}
+}
+
+// runRead services one best-effort read on its device and counts its bytes.
+func (b *bestEffort) runRead(it *chainItem, bs time.Duration) time.Duration {
+	if bs >= b.end {
+		return bs // past the horizon; don't skew utilization
+	}
+	bc, err := b.pipe.devs[it.dev].Service(bs, it.req)
 	if err != nil {
-		return Result{}, err
+		return bs
 	}
-	return b.run(), nil
+	b.bytes += units.Bytes(bc.Blocks) * b.pipe.block
+	return bc.Finish
 }

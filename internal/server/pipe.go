@@ -13,9 +13,10 @@ import (
 
 // bufferPipe is the disk → bank → DRAM pipeline of §3.1 as two cycle
 // stages over the rig, shared by the buffered driver and the miss side of
-// hybrid. diskStage runs once per disk cycle: one large C-LOOK-ordered
-// disk IO per stream, each read followed by the bank write that stages it
-// in the stream's ring. tierDrain runs once per bank cycle: every reader's
+// hybrid. Its disk stage (a diskRead) runs once per disk cycle: one large
+// C-LOOK-ordered disk IO per stream, each read followed by the bank write
+// that stages it in the stream's ring, each recorder's write shipping the
+// slot assembled last cycle. tierDrain runs once per bank cycle: every reader's
 // small DRAM-side read out of the slot the previous disk cycle staged, and
 // for recorders the append of the cycle's production plus the read-back of
 // the slot assembled last cycle (which the recorder's disk write ships).
@@ -33,11 +34,8 @@ type bufferPipe struct {
 	r    *rig
 	bb   *bank.BufferBank
 	devs []tier.Device // the bank's devices
-	disk *chain
-	bank []*chain // one per bank device
-
-	streams  []int // attached players, ascending; the first nWriters record
-	nWriters int
+	disk *diskRead     // over the attached players; its first writers record
+	bank []*chain      // one per bank device
 
 	// order lists the devices holding streams by their first stream. The
 	// first item submitted to an idle chain runs inside submit, so this
@@ -46,13 +44,11 @@ type bufferPipe struct {
 	writers [][]ringRef // per device, ascending stream
 	readers [][]ringRef
 
-	tDisk        time.Duration
-	diskBlock    units.Bytes // disk block size
-	diskIOBlocks int64       // disk blocks per disk-cycle IO
-	block        units.Bytes // bank block size
-	slotBlocks   int64       // bank blocks per staging slot
-	pieceBlocks  int64       // bank blocks one bank cycle moves per stream
-	cyc, off     int64       // the drain position: its disk cycle, blocks consumed
+	tDisk       time.Duration
+	block       units.Bytes // bank block size
+	slotBlocks  int64       // bank blocks per staging slot
+	pieceBlocks int64       // bank blocks one bank cycle moves per stream
+	cyc, off    int64       // the drain position: its disk cycle, blocks consumed
 
 	// Recorder accounting: bytes each writer (by player index) has staged
 	// so far, and the peak DRAM any writer held (produced minus staged).
@@ -60,7 +56,7 @@ type bufferPipe struct {
 	writerPeak units.Bytes
 
 	// The item handlers, bound once so a cycle allocates nothing.
-	dispatchFn, stageFn, drainFn, appendFn, recordFn func(it *chainItem, start time.Duration) time.Duration
+	stageFn, drainFn, appendFn, recordFn func(it *chainItem, start time.Duration) time.Duration
 }
 
 // ringRef is one stream's entry in a device's drain list.
@@ -80,13 +76,10 @@ func (r *rig) newBufferPipe(bb *bank.BufferBank, plan model.BufferedPlan, stream
 	}
 	p := &bufferPipe{
 		r: r, bb: bb, devs: devs, bank: make([]*chain, k),
-		streams: streams, nWriters: writers,
 		writers: make([][]ringRef, k), readers: make([][]ringRef, k),
-		tDisk:     plan.DiskCycle,
-		diskBlock: r.dsk.Geometry().BlockSize,
-		block:     devs[0].Geometry().BlockSize,
+		tDisk: plan.DiskCycle,
+		block: devs[0].Geometry().BlockSize,
 	}
-	p.diskIOBlocks = blocksFor(plan.DiskIOSize, p.diskBlock)
 	p.slotBlocks = bb.SlotBlocks()
 	p.pieceBlocks = min(blocksFor(units.BytesIn(r.rate, plan.MEMSCycle), p.block), p.slotBlocks)
 	if writers > 0 {
@@ -107,46 +100,15 @@ func (r *rig) newBufferPipe(bb *bank.BufferBank, plan model.BufferedPlan, stream
 		}
 		*list = append(*list, ringRef{stream: int32(i), base: base})
 	}
-	p.disk = r.newChain()
-	r.observe("disk", r.dsk, p.disk)
+	p.disk = r.newDiskRead(streams, plan.DiskIOSize)
+	p.disk.writers, p.disk.dispatchFn = writers, p.runDispatch
 	for i, d := range devs {
 		p.bank[i] = r.newChain()
 		r.observe(fmt.Sprintf("mems%d", i), d, p.bank[i])
 	}
-	p.dispatchFn, p.stageFn = p.runDispatch, p.runStage
+	p.stageFn = p.runStage
 	p.drainFn, p.appendFn, p.recordFn = p.runDrain, p.runAppend, p.runRecord
 	return p, nil
-}
-
-// diskStage queues disk cycle c: readers get one large disk read that is
-// then staged on their bank device; recorders get the reverse — the bank
-// reads back the slot assembled last cycle (in per-bank-cycle pieces,
-// streaming concurrently), and one large disk write ships it to the
-// platter.
-func (p *bufferPipe) diskStage(c int64) {
-	r := p.r
-	sched := r.getSched()
-	ps := &r.ar.ps
-	diskBlocks := r.dsk.Geometry().Blocks
-	for n, i := range p.streams {
-		op := device.Read
-		if n < p.nWriters {
-			if c == 0 {
-				continue // nothing assembled yet
-			}
-			op = device.Write
-		}
-		blk := ps.pos[i]
-		if blk+p.diskIOBlocks > diskBlocks {
-			blk = 0
-		}
-		sched.Enqueue(device.Request{
-			Op: op, Block: blk, Blocks: p.diskIOBlocks,
-			Stream: i, Issued: r.eng.Now(),
-		})
-		ps.pos[i] = (blk + p.diskIOBlocks) % diskBlocks
-	}
-	r.submitBatch(p.disk, chainItem{fn: p.dispatchFn, sched: sched, parity: int32(c & 1)})
 }
 
 // runDispatch services one slot of a disk cycle's C-LOOK batch and, for a
@@ -155,14 +117,14 @@ func (p *bufferPipe) diskStage(c int64) {
 // left the bank.
 func (p *bufferPipe) runDispatch(it *chainItem, start time.Duration) time.Duration {
 	comp, ok, err := it.sched.Dispatch(start)
-	p.r.putSched(it.sched)
+	p.disk.release(it.sched)
 	if err != nil || !ok {
 		return start
 	}
 	if comp.Op == device.Write {
 		return comp.Finish
 	}
-	wreq, dev, err := p.bb.StageRequest(comp.Stream, int64(it.parity), units.Bytes(comp.Blocks)*p.diskBlock)
+	wreq, dev, err := p.bb.StageRequest(comp.Stream, int64(it.parity), units.Bytes(comp.Blocks)*p.disk.block)
 	if err != nil {
 		return comp.Finish
 	}

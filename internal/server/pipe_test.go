@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"memstream/internal/bank"
-	"memstream/internal/cache"
 	"memstream/internal/device"
 	"memstream/internal/model"
 	"memstream/internal/sim"
@@ -132,8 +131,8 @@ func (o *perStreamWalk) cycle(int64) {
 			}
 		}
 	}
-	for n, i := range p.streams {
-		writer := n < p.nWriters
+	for n, i := range p.disk.streams {
+		writer := n < p.disk.writers
 		if !writer && diskCyc == 0 {
 			continue // nothing staged for readers yet
 		}
@@ -235,17 +234,18 @@ func TestBufferedWalkMatchesPerStreamWalk(t *testing.T) {
 				if err := validate(&cfg); err != nil {
 					t.Fatal(err)
 				}
-				b, err := newBuffered(cfg)
+				b, err := newCycleRun(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
 				log := record(b.pipe)
 				if reference {
-					o := newPerStreamWalk(b.pipe, b.plan.MEMSCycle)
-					b.memsStage = func(m int64) {
+					mems := &b.stages[1]
+					o := newPerStreamWalk(b.pipe, mems.period)
+					mems.fn = func(m int64) {
 						o.cycle(m)
 						if cfg.BestEffort {
-							b.bestEffort()
+							b.bestEffort.queue()
 						}
 					}
 				}
@@ -370,7 +370,7 @@ func (c pipeCase) run(t *testing.T, reference bool) (pipeOutcome, *perStreamWalk
 	}
 	const diskCycles = 4
 	end := diskCycles * tDisk
-	r.cycleLoop("disk", tDisk, 0, diskCycles, p.diskStage)
+	r.cycleLoop("disk", tDisk, 0, diskCycles, p.disk.stage)
 	r.cycleLoop("mems", tBank, 1, int64(end/tBank), func(m int64) {
 		drain(m)
 		if !c.low {
@@ -399,8 +399,8 @@ func (c pipeCase) run(t *testing.T, reference bool) (pipeOutcome, *perStreamWalk
 	return out, o
 }
 
-// hybridMissSet reproduces runHybrid's split of the population: the
-// players whose titles the striped cache sub-bank does not hold.
+// hybridMissSet reproduces hybrid's split of the population: the players
+// whose titles the striped cache sub-bank does not hold.
 func hybridMissSet(t *testing.T, r *rig) []int {
 	t.Helper()
 	cacheDevs, err := bank.New(r.cfg.CacheDevices, r.cfg.Tier)
@@ -411,16 +411,11 @@ func hybridMissSet(t *testing.T, r *rig) []int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	placement, err := cache.Plan(r.cat, cb.Capacity())
+	s, err := r.splitByCache(cb, cacheDevs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var miss []int
-	for i, st := range r.set.Streams {
-		if !placement.Contains(st.Title.ID) {
-			miss = append(miss, i)
-		}
-	}
+	miss := s.missed
 	if len(miss) == 0 || len(miss) == r.n {
 		t.Fatalf("degenerate miss set: %d of %d", len(miss), r.n)
 	}

@@ -232,28 +232,6 @@ func (r *rig) horizon(cycle time.Duration, defCycles, minCycles int64) (cycles i
 // newChain hands out a pooled FIFO service chain from the run's chain set.
 func (r *rig) newChain() *chain { return r.ar.chains.get() }
 
-// getSched / putSched pool the per-cycle C-LOOK schedulers: a cycle stage
-// borrows one, its dispatch items drain it, and the item that empties it
-// returns it — so consecutive cycles whose batches overlap in time each
-// hold their own scheduler while an idle run recycles a single one.
-func (r *rig) getSched() *disk.Scheduler { return r.ar.getSched(r.dsk) }
-func (r *rig) putSched(s *disk.Scheduler) {
-	if s.Len() == 0 {
-		r.ar.putSched(s)
-	}
-}
-
-// submitBatch queues one dispatch of it per request pending on it.sched,
-// as a single counted item, or returns an empty scheduler to the pool.
-func (r *rig) submitBatch(c *chain, it chainItem) {
-	it.repeat = int32(it.sched.Len())
-	if it.repeat == 0 {
-		r.putSched(it.sched)
-		return
-	}
-	c.submit(it)
-}
-
 // cycleLoop drives one periodic scheduling stage: fn runs once per cycle
 // c ∈ [first, first+n) at time c·period. When a probe is attached, the
 // cycle's resource sample is taken inside the same engine event right
@@ -311,12 +289,16 @@ func runCycleCall(arg any) {
 // finish schedules the final drain of every player at end and runs the
 // calendar dry.
 func (r *rig) finish(end time.Duration) {
-	r.eng.Schedule(end, func() {
-		for i := 0; i < r.n; i++ {
-			r.drainTo(i, end)
-		}
-	})
+	r.eng.ScheduleKey(sim.Key{At: end, Seq: r.eng.Draw(1)}, drainAll, r)
 	r.eng.Run()
+}
+
+// drainAll is the end-of-run event: every player drains to the horizon.
+func drainAll(arg any) {
+	r := arg.(*rig)
+	for i := 0; i < r.n; i++ {
+		r.drainTo(i, r.eng.Now())
+	}
 }
 
 // trackTier registers bank devices for the Result's middle-tier
@@ -324,13 +306,6 @@ func (r *rig) finish(end time.Duration) {
 // stability).
 func (r *rig) trackTier(devs ...tier.Device) {
 	r.tierDevs = append(r.tierDevs, devs...)
-}
-
-// noteCacheFill accounts one DRAM fill served from the cache bank — the
-// per-cycle cache-hit delta the probe reports.
-func (r *rig) noteCacheFill(b units.Bytes) {
-	r.cacheFills++
-	r.cacheFillBytes += b
 }
 
 // result assembles the cross-mode Result fields: identity, horizon,

@@ -369,41 +369,73 @@ func TestCycleLoopMatchesUpFrontSchedule(t *testing.T) {
 	}
 }
 
-// TestBufferedCalendarStaysShallow: with the loops chained and the
-// service chains sharing one entry, the calendar of a buffered run holds
-// at most one entry per loop, one for all the chains and the final drain
-// — not one per future cycle or per busy chain — at every cycle and
-// every bank transfer.
-func TestBufferedCalendarStaysShallow(t *testing.T) {
-	b, err := newBuffered(baseConfig(Buffered, 100, units.MBPS))
-	if err != nil {
-		t.Fatal(err)
+// TestCalendarStaysShallow: with the loops chained and the service
+// chains sharing one entry, the calendar of every cycle mode holds at most
+// one entry per loop, one for all the chains and the final drain — not
+// one per future cycle or per busy chain — at every cycle and every
+// transfer. The high-water per mode is logged (go test -v).
+func TestCalendarStaysShallow(t *testing.T) {
+	replicated := baseConfig(Cached, 200, 100*units.KBPS)
+	replicated.CachePolicy = model.Replicated
+	replicated.Titles = 400
+	cases := []struct {
+		name string
+		cfg  Config
+	}{{"cached-replicated", replicated}}
+	for _, tc := range rigConfigs() {
+		if !tc.cfg.UseEDF {
+			cases = append(cases, tc)
+		}
 	}
-	const loops = 2 // disk and mems
-	peak, samples := 0, 0
-	note := func() {
-		peak = max(peak, b.r.eng.Pending())
-		samples++
-	}
-	stage := b.memsStage
-	b.memsStage = func(m int64) {
-		note()
-		stage(m)
-		note()
-	}
-	drain := b.pipe.drainFn
-	b.pipe.drainFn = func(it *chainItem, start time.Duration) time.Duration {
-		note()
-		return drain(it, start)
-	}
-	res := b.run()
-	if bound := loops + 2; peak > bound {
-		t.Errorf("calendar peaked at %d entries over %d mems cycles; want ≤ %d (%d loops + the chain set + the final drain)",
-			peak, b.memsCycles, bound, loops)
-	}
-	if peak < loops || b.memsCycles < 100 || samples < 10*int(b.memsCycles) || res.Underflows != 0 {
-		t.Fatalf("run too tame to mean anything: peak %d, %d mems cycles, %d samples, %d underflows",
-			peak, b.memsCycles, samples, res.Underflows)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := newCycleRun(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			peak, samples, cycles := 0, 0, int64(0)
+			note := func() {
+				peak = max(peak, m.r.eng.Pending())
+				samples++
+			}
+			for k := range m.stages {
+				s := &m.stages[k]
+				fn := s.fn
+				s.fn = func(c int64) {
+					note()
+					fn(c)
+					note()
+				}
+				cycles += s.n
+			}
+			transfer := func(fn *func(it *chainItem, start time.Duration) time.Duration) {
+				inner := *fn
+				*fn = func(it *chainItem, start time.Duration) time.Duration {
+					note()
+					return inner(it, start)
+				}
+			}
+			if m.disk != nil {
+				transfer(&m.disk.dispatchFn)
+			}
+			if m.cache != nil {
+				transfer(&m.cache.readFn)
+			}
+			if m.pipe != nil {
+				transfer(&m.pipe.drainFn)
+			}
+			res := m.run()
+			loops := len(m.stages)
+			if bound := loops + 2; peak > bound {
+				t.Errorf("calendar peaked at %d entries over %d cycles; want ≤ %d (%d loops + the chain set + the final drain)",
+					peak, cycles, bound, loops)
+			}
+			if peak < loops || samples < 3*int(cycles) || res.Underflows != 0 {
+				t.Fatalf("run too tame to mean anything: peak %d, %d cycles, %d samples, %d underflows",
+					peak, cycles, samples, res.Underflows)
+			}
+			t.Logf("Pending() high-water %d with %d loops, over %d cycles and %d samples", peak, loops, cycles, samples)
+		})
 	}
 }
 

@@ -98,7 +98,8 @@ type Config struct {
 	UseEDF bool
 
 	// VBRCoV, when positive, makes playback variable-bit-rate with this
-	// coefficient of variation around BitRate (Direct mode). Per the
+	// coefficient of variation around BitRate (time-cycle Direct and
+	// Buffered modes; Buffered recorders never play back). Per the
 	// paper's footnote 1, VBR is handled as CBR plus a memory cushion:
 	// the simulator prefetches each stream's cushion before playback.
 	// NoCushion suppresses the prefetch, demonstrating why footnote 1
@@ -106,7 +107,7 @@ type Config struct {
 	VBRCoV    float64
 	NoCushion bool
 
-	// PausedFraction, when positive (Direct mode), makes playback
+	// PausedFraction, when positive (time-cycle Direct mode), makes playback
 	// interactive: each stream alternates exponentially distributed play
 	// and pause phases so that this fraction of stream-time is paused.
 	// The scheduler skips IOs for streams whose buffers are full — the
@@ -203,20 +204,14 @@ func Run(cfg Config) (Result, error) {
 	if err := validate(&cfg); err != nil {
 		return Result{}, err
 	}
-	switch cfg.Mode {
-	case Direct:
-		if cfg.UseEDF {
-			return runEDF(cfg)
-		}
-		return runDirect(cfg)
-	case Buffered:
-		return runBuffered(cfg)
-	case Cached:
-		return runCached(cfg)
-	case Hybrid:
-		return runHybrid(cfg)
+	if cfg.UseEDF {
+		return runEDF(cfg)
 	}
-	return Result{}, fmt.Errorf("server: unknown mode %v", cfg.Mode)
+	m, err := newCycleRun(cfg)
+	if err != nil {
+		return Result{}, err
+	}
+	return m.run(), nil
 }
 
 func validate(cfg *Config) error {
@@ -240,6 +235,26 @@ func validate(cfg *Config) error {
 	}
 	if cfg.Writers > 0 && cfg.Mode != Buffered {
 		return fmt.Errorf("server: write streams are supported in the buffered pipeline only")
+	}
+	// A field the selected mode would ignore is refused, not dropped.
+	timeCycleDirect := cfg.Mode == Direct && !cfg.UseEDF
+	for _, f := range []struct {
+		name       string
+		set, honor bool
+	}{
+		{"PausedFraction", cfg.PausedFraction != 0, timeCycleDirect},
+		{"VBRCoV", cfg.VBRCoV != 0, timeCycleDirect || cfg.Mode == Buffered},
+		{"NoCushion", cfg.NoCushion, timeCycleDirect || cfg.Mode == Buffered},
+		{"BestEffort", cfg.BestEffort, cfg.Mode == Buffered},
+		{"UseEDF", cfg.UseEDF, cfg.Mode == Direct},
+		{"CacheDevices", cfg.CacheDevices != 0, cfg.Mode == Hybrid},
+	} {
+		if f.set && !f.honor {
+			return fmt.Errorf("server: %s has no effect in mode %v (UseEDF %v)", f.name, cfg.Mode, cfg.UseEDF)
+		}
+	}
+	if cfg.Mode == Hybrid && (cfg.CacheDevices <= 0 || cfg.CacheDevices >= cfg.K) {
+		return fmt.Errorf("server: hybrid needs 0 < CacheDevices=%d < K=%d", cfg.CacheDevices, cfg.K)
 	}
 	if cfg.FirstStreamID < 0 {
 		return fmt.Errorf("server: negative first stream ID %d", cfg.FirstStreamID)

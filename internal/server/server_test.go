@@ -1,11 +1,15 @@
 package server
 
 import (
+	"math"
 	"slices"
 	"testing"
 	"time"
 	"unsafe"
 
+	"memstream/internal/bank"
+	"memstream/internal/cache"
+	"memstream/internal/device"
 	"memstream/internal/disk"
 	"memstream/internal/model"
 	"memstream/internal/tier"
@@ -46,6 +50,41 @@ func TestValidateRejects(t *testing.T) {
 		c := cfg
 		if err := validate(&c); err == nil {
 			t.Errorf("config %+v accepted", cfg)
+		}
+	}
+}
+
+// validate refuses a field the selected mode would silently ignore.
+func TestValidateRefusesIgnoredFields(t *testing.T) {
+	edf := baseConfig(Direct, 10, units.MBPS)
+	edf.UseEDF = true
+	hybrid := baseConfig(Hybrid, 10, units.MBPS)
+	hybrid.K, hybrid.CacheDevices = 4, 2
+	modes := map[string]Config{
+		"direct":   baseConfig(Direct, 10, units.MBPS),
+		"edf":      edf,
+		"buffered": baseConfig(Buffered, 10, units.MBPS),
+		"cached":   baseConfig(Cached, 10, units.MBPS),
+		"hybrid":   hybrid,
+	}
+	for _, f := range []struct {
+		name  string
+		set   func(*Config)
+		honor []string
+	}{
+		{"PausedFraction", func(c *Config) { c.PausedFraction = 0.3 }, []string{"direct"}},
+		{"VBRCoV", func(c *Config) { c.VBRCoV = 0.3 }, []string{"direct", "buffered"}},
+		{"NoCushion", func(c *Config) { c.NoCushion = true }, []string{"direct", "buffered"}},
+		{"BestEffort", func(c *Config) { c.BestEffort = true }, []string{"buffered"}},
+		{"UseEDF", func(c *Config) { c.UseEDF = true }, []string{"direct", "edf"}},
+		{"CacheDevices", func(c *Config) { c.CacheDevices = 1 }, []string{"hybrid"}},
+	} {
+		for name, cfg := range modes {
+			f.set(&cfg)
+			err := validate(&cfg)
+			if want := slices.Contains(f.honor, name); (err == nil) != want {
+				t.Errorf("%s in %s mode: validate says %v, want accepted=%v", f.name, name, err, want)
+			}
 		}
 	}
 }
@@ -268,6 +307,82 @@ func TestCachedStripedBusierBank(t *testing.T) {
 	if stRes.MEMSIOs <= reRes.MEMSIOs {
 		t.Errorf("striped device-IOs (%d) should exceed replicated (%d)",
 			stRes.MEMSIOs, reRes.MEMSIOs)
+	}
+}
+
+// recCacheBank logs every read a cache stage issues.
+type recCacheBank struct {
+	bank.CacheBank
+	reads []device.Request
+}
+
+func (b *recCacheBank) Read(now time.Duration, stream int, block, blocks int64) (device.Completion, error) {
+	b.reads = append(b.reads, device.Request{Block: block, Blocks: blocks, Stream: stream})
+	return b.CacheBank.Read(now, stream, block, blocks)
+}
+
+// On a tier whose blocks are 8× the disk's, the cache side still sizes and
+// places its reads in bank blocks: every read moves the cache plan's IO
+// size rounded up to one bank block, from inside the pinned image. The
+// tier is nvm-optane with 4096 B blocks, shrunk so the cache holds only
+// the popular titles and slowed so an IO spans several blocks.
+func TestCacheReadsInBankBlocks(t *testing.T) {
+	const block = 4096
+	spec := tier.MustLookup("nvm-optane")
+	spec.Name, spec.BlockBytes = "nvm-optane-4k", block
+	spec.Capacity, spec.MaxLatency = 2*units.GB, 10*time.Millisecond
+	striped := baseConfig(Cached, 200, 100*units.KBPS)
+	striped.CachePolicy = model.Striped
+	striped.Titles = 400
+	replicated := striped
+	replicated.CachePolicy = model.Replicated
+	hybrid := baseConfig(Hybrid, 300, 100*units.KBPS)
+	hybrid.K, hybrid.CacheDevices, hybrid.Titles = 4, 2, 400
+	for name, cfg := range map[string]Config{"cached-striped": striped, "cached-replicated": replicated, "hybrid": hybrid} {
+		t.Run(name, func(t *testing.T) {
+			cfg.Tier = spec
+			if err := validate(&cfg); err != nil {
+				t.Fatal(err)
+			}
+			m, err := newCycleRun(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := &recCacheBank{CacheBank: m.cache.cb}
+			m.cache.cb = rec
+			res := m.run()
+
+			k, planFor := cfg.K, model.StripedCache
+			if cfg.Mode == Hybrid {
+				k = cfg.CacheDevices
+			} else if cfg.CachePolicy == model.Replicated {
+				planFor = model.ReplicatedCache
+			}
+			plan, err := planFor(res.FromCache, k, cfg.BitRate, tierSpec(spec))
+			if err != nil {
+				t.Fatal(err)
+			}
+			placement, err := cache.Plan(m.r.cat, rec.Capacity())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := units.Bytes(math.Ceil(float64(plan.IOSize/block))) * block
+			image := int64(math.Ceil(float64(placement.Used / block)))
+			if want < 2*block {
+				t.Fatalf("IO size %v fits one block; the case cannot tell block sizes apart", plan.IOSize)
+			}
+			if len(rec.reads) < res.FromCache {
+				t.Fatalf("%d cache reads for %d cached streams", len(rec.reads), res.FromCache)
+			}
+			for _, rd := range rec.reads {
+				if got := units.Bytes(rd.Blocks) * block; got != want {
+					t.Fatalf("a cache read moves %v, want %v (IO size %v in %d B blocks)", got, want, plan.IOSize, block)
+				}
+				if rd.Block < 0 || rd.Block+rd.Blocks > image {
+					t.Fatalf("read of blocks [%d, %d) leaves the %d-block image", rd.Block, rd.Block+rd.Blocks, image)
+				}
+			}
+		})
 	}
 }
 

@@ -232,6 +232,7 @@ type Arena struct {
 
 	chains chainSet
 	scheds []*disk.Scheduler
+	all    []int // 0, 1, 2, …: rig.allStreams, read-only
 
 	// cat is the catalog the last run laid out, reused by the next run
 	// with the same catKey. A catalog is a pure function of its key and
