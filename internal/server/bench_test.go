@@ -188,6 +188,36 @@ func TestBufferedCycleWalkZeroAllocs(t *testing.T) {
 	}
 }
 
+// EDF's steady state allocates nothing: each stream reuses one request
+// record and every completion is a static callback over the run's state,
+// so on a pooled arena a run allocates its set-up alone — the same at 10
+// cycles as at 40.
+func TestEDFAllocsDoNotGrowWithHorizon(t *testing.T) {
+	cfg := baseConfig(Direct, 50, units.MBPS)
+	cfg.UseEDF = true
+	cfg.Arena = NewArena()
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycle := res.SimulatedTime / time.Duration(res.Cycles)
+	allocs := func(cycles int64) float64 {
+		cfg.Duration = time.Duration(cycles) * cycle
+		return testing.AllocsPerRun(5, func() {
+			if res, err = Run(cfg); err != nil || res.Cycles != cycles {
+				t.Fatalf("run of %d cycles: %d cycles, %v", cycles, res.Cycles, err)
+			}
+		})
+	}
+	short, long := allocs(10), allocs(40)
+	if long != short {
+		t.Errorf("an EDF run allocates %v times over 10 cycles but %v over 40: the steady state allocates", short, long)
+	}
+	if res.DiskIOs < 40*uint64(cfg.N) || res.Underflows != 0 {
+		t.Errorf("the 40-cycle run served %d IOs with %d underflows", res.DiskIOs, res.Underflows)
+	}
+}
+
 // newCachedWalk assembles a striped cached run — 400 streams at 100 KB/s
 // over a 2-device mems-g3 bank, the paper suite's cache operating point —
 // and warms it until the margins reservoir (8192 samples) is full.

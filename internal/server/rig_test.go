@@ -248,6 +248,16 @@ func TestTraceContents(t *testing.T) {
 	}
 }
 
+// runFunc is scheduleFunc's static callback: the argument is the closure.
+func runFunc(arg any) { arg.(func())() }
+
+// scheduleFunc runs fn after delay d, through the engine's one scheduling
+// path. (The sim tests call their copy schedule; here that name is the
+// imported package.)
+func scheduleFunc(eng *sim.Engine, d time.Duration, fn func()) sim.Event {
+	return eng.ScheduleArg(d, runFunc, fn)
+}
+
 // --- self-chaining cycle loops ---
 
 // cycleLoopUpFront is cycleLoop as it was before the loops chained
@@ -339,7 +349,7 @@ func TestCycleLoopMatchesUpFrontSchedule(t *testing.T) {
 					case 2: // zero-length work: the chain re-fires at this very instant
 						chains[rng.Intn(2)].submit(chainItem{fn: work, stream: int32(c)})
 					default: // a plain event tied with whatever else is due now
-						r.eng.Schedule(0, func() { trace = append(trace, rigFiring{r.eng.Now(), -2, c}) })
+						scheduleFunc(r.eng, 0, func() { trace = append(trace, rigFiring{r.eng.Now(), -2, c}) })
 					}
 				}
 				if chained {
@@ -373,7 +383,8 @@ func TestCycleLoopMatchesUpFrontSchedule(t *testing.T) {
 // chains sharing one entry, the calendar of every cycle mode holds at most
 // one entry per loop, one for all the chains and the final drain — not
 // one per future cycle or per busy chain — at every cycle and every
-// transfer. The high-water per mode is logged (go test -v).
+// transfer; an EDF run holds at most two. The high-water per mode is
+// logged (go test -v).
 func TestCalendarStaysShallow(t *testing.T) {
 	replicated := baseConfig(Cached, 200, 100*units.KBPS)
 	replicated.CachePolicy = model.Replicated
@@ -437,6 +448,31 @@ func TestCalendarStaysShallow(t *testing.T) {
 			t.Logf("Pending() high-water %d with %d loops, over %d cycles and %d samples", peak, loops, cycles, samples)
 		})
 	}
+	// EDF has no loops and no chains: its calendar holds the one disk IO
+	// in flight and the stop. The run is stepped to its stop event, so
+	// Pending() is sampled after every completion callback (each pops one
+	// entry and schedules at most one).
+	t.Run("edf", func(t *testing.T) {
+		cfg := baseConfig(Direct, 50, units.MBPS)
+		cfg.UseEDF = true
+		s, err := newEDFRun(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := s.r.eng
+		peak, samples := eng.Pending(), 0
+		for eng.Now() < s.end && eng.Step() {
+			peak = max(peak, eng.Pending())
+			samples++
+		}
+		if peak > 2 {
+			t.Errorf("calendar peaked at %d entries; want ≤ 2 (the IO in flight + the stop)", peak)
+		}
+		if peak < 2 || samples < 3*cfg.N || s.r.dsk.Served() == 0 {
+			t.Fatalf("run too tame to mean anything: peak %d, %d samples, %d IOs", peak, samples, s.r.dsk.Served())
+		}
+		t.Logf("Pending() high-water %d over %d completions", peak, samples)
+	})
 }
 
 // --- service chains sharing one calendar entry ---
@@ -557,7 +593,7 @@ func (p *chainProgram) run(it *chainItem, start time.Duration) time.Duration {
 		case 0, 1: // a handler feeding another chain, as a disk dispatch stages a bank write
 			p.queue()
 		case 2: // a plain event tied with whatever else is due then
-			p.r.eng.Schedule(time.Duration(p.rng.Intn(2))*time.Millisecond, func() {
+			scheduleFunc(p.r.eng, time.Duration(p.rng.Intn(2))*time.Millisecond, func() {
 				p.trace = append(p.trace, chainRun{p.r.eng.Now(), -1, -1, 0, 0})
 			})
 		}

@@ -6,12 +6,10 @@ import (
 	"time"
 )
 
-// The calendar keeps the fired entry's root slot vacant while its callback
-// runs. These tests hold that repair invisible: a randomized program of
+// The Engine's calendar is held to a reference: a randomized program of
 // schedules, cancels, Stops and Resets issued from inside callbacks runs
-// once on the Engine and once on a sorted-slice calendar with no heap at
-// all, and every fired event must agree on identity, time, Pending() and
-// Executed().
+// once on the Engine and once on a plain sorted-slice calendar, and every
+// fired event must agree on identity, time, Pending() and Executed().
 
 // calendar is what the random program needs from a kernel.
 type calendar interface {
@@ -98,14 +96,12 @@ func (c *refCalendar) RunUntil(deadline Time) {
 	}
 }
 
-// engCalendar adapts the Engine, alternating its two scheduling entry
-// points, and notes when a cancel compacted the calendar under a vacant
-// root.
+// engCalendar adapts the Engine, alternating a static callback with a
+// closure through the schedule helper.
 type engCalendar struct {
 	Engine
-	handles        map[int]Event
-	fireFn         func(id int)
-	vacantCompacts int
+	handles map[int]Event
+	fireFn  func(id int)
 }
 
 type engArg struct {
@@ -120,17 +116,11 @@ func (c *engCalendar) schedule(d Time, id int, fire func(int)) {
 	if id%2 == 0 {
 		c.handles[id] = c.Engine.ScheduleArg(d, engFire, &engArg{c, id})
 	} else {
-		c.handles[id] = c.Engine.Schedule(d, func() { fire(id) })
+		c.handles[id] = schedule(&c.Engine, d, func() { fire(id) })
 	}
 }
 
-func (c *engCalendar) cancel(id int) {
-	vacant, dead := c.Engine.vacant, c.Engine.dead
-	c.handles[id].Cancel()
-	if vacant && c.Engine.dead < dead {
-		c.vacantCompacts++
-	}
-}
+func (c *engCalendar) cancel(id int) { c.handles[id].Cancel() }
 
 // fired is one executed event as the program saw it.
 type fired struct {
@@ -177,10 +167,10 @@ func (p *program) fire(id int) {
 		return // wind down: schedule nothing more
 	}
 	switch r := p.rng.Intn(100); {
-	case r < 20: // a callback that schedules nothing: the root is popped afterwards
-	case r < 60: // one successor: the replace-top path
+	case r < 20: // a callback that schedules nothing
+	case r < 60: // one successor
 		p.sched(p.soon())
-	case r < 78: // many: one replace-top, then ordinary pushes
+	case r < 78: // many
 		for n := 2 + p.rng.Intn(6); n > 0; n-- {
 			p.sched(p.soon())
 		}
@@ -260,25 +250,18 @@ func TestCalendarMatchesSortedSliceReference(t *testing.T) {
 			t.Errorf("seed %d: pending %d executed %d, reference 0 and %d",
 				seed, ec.Pending(), ec.Executed(), ref.cal.Executed())
 		}
-		if ec.vacantCompacts == 0 {
-			t.Errorf("seed %d: no cancel compacted the calendar under a vacant root", seed)
-		}
-		if ec.Engine.vacant || ec.Engine.dead != 0 || len(ec.Engine.cal) != 0 {
-			t.Errorf("seed %d: engine not clean at the end: vacant=%v dead=%d cal=%d",
-				seed, ec.Engine.vacant, ec.Engine.dead, len(ec.Engine.cal))
-		}
 	}
 }
 
-// A successor placed in the vacant root beyond the deadline must wait:
-// RunUntil decides against the repaired head, not the fired entry.
+// A successor a callback schedules beyond the deadline must wait:
+// RunUntil decides against the calendar's next entry, not the fired one.
 func TestRunUntilWithSuccessorBeyondDeadline(t *testing.T) {
 	var eng Engine
 	var order []string
-	eng.Schedule(time.Hour, func() { order = append(order, "parked") })
-	eng.Schedule(time.Second, func() {
+	schedule(&eng, time.Hour, func() { order = append(order, "parked") })
+	schedule(&eng, time.Second, func() {
 		order = append(order, "first")
-		eng.Schedule(9*time.Second, func() { order = append(order, "second") })
+		schedule(&eng, 9*time.Second, func() { order = append(order, "second") })
 	})
 	eng.RunUntil(5 * time.Second)
 	if !slices.Equal(order, []string{"first"}) || eng.Now() != 5*time.Second || eng.Pending() != 2 {
@@ -289,8 +272,8 @@ func TestRunUntilWithSuccessorBeyondDeadline(t *testing.T) {
 		t.Fatalf("after RunUntil(10s): fired %v, pending %d", order, eng.Pending())
 	}
 	// A callback that schedules nothing leaves the deadline check to the
-	// next live head.
-	eng.Schedule(time.Second, func() { order = append(order, "third") })
+	// next pending event.
+	schedule(&eng, time.Second, func() { order = append(order, "third") })
 	eng.RunUntil(20 * time.Second)
 	if len(order) != 3 || eng.Now() != 20*time.Second || eng.Pending() != 1 {
 		t.Fatalf("after RunUntil(20s): fired %v, now %v, pending %d", order, eng.Now(), eng.Pending())
@@ -298,19 +281,19 @@ func TestRunUntilWithSuccessorBeyondDeadline(t *testing.T) {
 }
 
 // A callback that steps the engine itself sees a whole calendar: the
-// vacant root is closed before the nested step looks at the head.
+// firing entry is already gone, and the nested step fires the next one.
 func TestStepFromInsideCallback(t *testing.T) {
 	var eng Engine
 	var order []int
 	for i := 1; i <= 3; i++ {
-		eng.Schedule(Time(i)*time.Second, func() { order = append(order, i) })
+		schedule(&eng, Time(i)*time.Second, func() { order = append(order, i) })
 	}
-	eng.Schedule(0, func() {
+	schedule(&eng, 0, func() {
 		order = append(order, 0)
 		if !eng.Step() { // fires event 1 from inside event 0
 			t.Error("nested Step found no event")
 		}
-		eng.Schedule(1500*time.Millisecond, func() { order = append(order, 15) })
+		schedule(&eng, 1500*time.Millisecond, func() { order = append(order, 15) })
 	})
 	eng.Run()
 	if !slices.Equal(order, []int{0, 1, 2, 15, 3}) {
@@ -374,7 +357,7 @@ func (p *loopProgram) note(f loopFiring) {
 func (p *loopProgram) ordinaryEvent(d Time, depth int) {
 	id := p.ordinary
 	p.ordinary++
-	p.eng.Schedule(d, func() {
+	schedule(&p.eng, d, func() {
 		p.note(loopFiring{at: p.eng.Now(), loop: -1, cycle: int64(id)})
 		if depth > 0 {
 			p.ordinaryEvent(Time(p.rng.Intn(2))*time.Millisecond, depth-1)
@@ -504,7 +487,7 @@ func TestKeysAreRefusedOutsideTheirDraw(t *testing.T) {
 	var eng Engine
 
 	s := eng.Draw(2)
-	eng.Schedule(0, func() {}) // takes the number after the two
+	schedule(&eng, 0, func() {}) // takes the number after the two
 	eng.ScheduleKey(Key{Seq: s}, nop, nil)
 	second := eng.ScheduleKey(Key{Seq: s.Add(1)}, nop, nil)
 	mustPanic(t, "a number not yet drawn", func() { eng.ScheduleKey(Key{Seq: s.Add(3)}, nop, nil) })
@@ -540,7 +523,7 @@ func TestKeysAreRefusedOutsideTheirDraw(t *testing.T) {
 	// fresh Schedule order exactly as on a new engine.
 	var order []string
 	fresh := eng.Draw(1)
-	eng.Schedule(0, func() { order = append(order, "scheduled second, numbered second") })
+	schedule(&eng, 0, func() { order = append(order, "scheduled second, numbered second") })
 	eng.ScheduleKey(Key{Seq: fresh}, func(any) { order = append(order, "drawn first") }, nil)
 	eng.Run()
 	if len(order) != 2 || order[0] != "drawn first" {
@@ -553,8 +536,8 @@ func TestKeysAreRefusedOutsideTheirDraw(t *testing.T) {
 // A holder of many pending keyed wake-ups — the server's chain set —
 // keeps only the earliest on the calendar and fires the rest in place
 // with Advance. The oracle gives every wake-up a ScheduleArg event of its
-// own. A random program of wake-ups, plain events, cancels (tombstones at
-// the head included), Stops and Resets issued from inside callbacks, run
+// own. A random program of wake-ups, plain events, cancels (of the
+// calendar's head included), Stops and Resets issued from inside callbacks, run
 // through RunUntil deadlines, Run and bare Step loops, must fire the same
 // (time, sequence, callback) sequence either way, with the same
 // Executed() and clock.
@@ -598,8 +581,8 @@ type wakeProgram struct {
 	armKey        Key
 	armed, firing bool
 
-	stops, resets, steps                       int
-	inPlaceFired, tombBlocked, deadlineBlocked int
+	stops, resets, steps                        int
+	inPlaceFired, entryBlocked, deadlineBlocked int
 }
 
 func newWakeProgram(seed uint64, inPlace bool) *wakeProgram {
@@ -677,8 +660,8 @@ func fireWakers(arg any) {
 			break
 		}
 		e := &p.eng
-		if next, ok := e.next(); ok && e.slots[next.slot].dead && entLess(next, calEntry{at: w.key.At, seq: w.key.Seq.n}) {
-			p.tombBlocked++
+		if n := len(e.cal); n > 0 && e.cal[n-1].key.Less(w.key) {
+			p.entryBlocked++
 		}
 		if e.running && w.key.At > e.limit {
 			p.deadlineBlocked++
@@ -725,7 +708,7 @@ func (p *wakeProgram) act(w *waker) {
 		for n := 1 + p.rng.Intn(3); n > 0 && len(p.plain) > 0; n-- {
 			p.plain[p.rng.Intn(len(p.plain))].Cancel()
 		}
-	case r < 85: // a tombstone at the head: due now, cancelled at once
+	case r < 85: // an entry at the head, due now, cancelled at once
 		p.schedulePlain(0)
 		p.plain[len(p.plain)-1].Cancel()
 	case r < 96: // nothing
@@ -749,7 +732,7 @@ func (p *wakeProgram) reset() {
 }
 
 // seed starts (or, after the work died out or was reset away, restarts)
-// the program: far-future entries, so the heap has depth, and some work.
+// the program: far-future entries, so the calendar has depth, and some work.
 func (p *wakeProgram) seed() {
 	for i := 0; i < 8; i++ {
 		p.schedulePlain(time.Hour + Time(i)*time.Second)
@@ -816,9 +799,9 @@ func TestInPlaceWakeupsMatchOneEventEach(t *testing.T) {
 			t.Fatalf("seed %d: program too tame: %d firings, %d stops, %d resets, %d steps",
 				seed, len(want.trace), want.stops, want.resets, want.steps)
 		}
-		if got.inPlaceFired < len(got.trace)/25 || got.tombBlocked == 0 || got.deadlineBlocked == 0 {
-			t.Errorf("seed %d: %d of %d firings in place, %d refused behind a tombstone, %d at a deadline",
-				seed, got.inPlaceFired, len(got.trace), got.tombBlocked, got.deadlineBlocked)
+		if got.inPlaceFired < len(got.trace)/25 || got.entryBlocked == 0 || got.deadlineBlocked == 0 {
+			t.Errorf("seed %d: %d of %d firings in place, %d refused behind a calendar entry, %d at a deadline",
+				seed, got.inPlaceFired, len(got.trace), got.entryBlocked, got.deadlineBlocked)
 		}
 	}
 }

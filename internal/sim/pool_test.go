@@ -5,27 +5,28 @@ import (
 	"time"
 )
 
-// Event-pool and tombstone edge cases: the kernel recycles event slots
-// through a free list, so every test here is really about generation
-// counters making stale handles inert.
+// Handle and cancellation edge cases: an Event is an id the calendar
+// matches on Cancel, so every test here is about a handle whose entry is
+// gone — fired, cancelled, or reset away — staying inert.
 
 func TestCancelAfterFire(t *testing.T) {
 	var eng Engine
 	fired := 0
-	ev := eng.Schedule(time.Millisecond, func() { fired++ })
+	ev := schedule(&eng, time.Millisecond, func() { fired++ })
 	eng.Run()
 	if fired != 1 {
 		t.Fatalf("fired = %d", fired)
 	}
-	// The slot is back on the free list; Cancel must not resurrect or
-	// corrupt anything.
+	// The entry is gone; Cancel must not resurrect or corrupt anything.
 	ev.Cancel()
 	ev.Cancel()
+	var zero Event
+	zero.Cancel() // the zero handle is inert
 	if eng.Pending() != 0 || eng.Executed() != 1 {
 		t.Errorf("Pending=%d Executed=%d after cancel-after-fire", eng.Pending(), eng.Executed())
 	}
 	// The engine must still schedule and fire normally.
-	eng.Schedule(time.Millisecond, func() { fired++ })
+	schedule(&eng, time.Millisecond, func() { fired++ })
 	eng.Run()
 	if fired != 2 {
 		t.Errorf("engine wedged after cancel-after-fire: fired = %d", fired)
@@ -34,13 +35,13 @@ func TestCancelAfterFire(t *testing.T) {
 
 func TestDoubleCancelKeepsAccountingExact(t *testing.T) {
 	var eng Engine
-	ev := eng.Schedule(time.Millisecond, func() {})
-	keep := eng.Schedule(2*time.Millisecond, func() {})
+	ev := schedule(&eng, time.Millisecond, func() {})
+	keep := schedule(&eng, 2*time.Millisecond, func() {})
 	ev.Cancel()
 	if eng.Pending() != 1 {
 		t.Fatalf("Pending = %d after first cancel, want 1", eng.Pending())
 	}
-	// A second cancel must not decrement the live count again.
+	// A second cancel must not remove anything else.
 	ev.Cancel()
 	if eng.Pending() != 1 {
 		t.Fatalf("Pending = %d after double cancel, want 1", eng.Pending())
@@ -59,13 +60,13 @@ func TestCancelFromInsideOwnCallback(t *testing.T) {
 	var eng Engine
 	fired := 0
 	var self Event
-	self = eng.Schedule(time.Millisecond, func() {
+	self = schedule(&eng, time.Millisecond, func() {
 		fired++
-		// By the time the callback runs the slot is already recycled;
-		// cancelling yourself must be a generation-mismatch no-op that in
-		// particular cannot tombstone whatever event now occupies the slot.
+		// The entry left the calendar before its callback ran, so
+		// cancelling yourself is a no-op that in particular cannot remove
+		// the successor scheduled next.
 		self.Cancel()
-		eng.Schedule(time.Millisecond, func() { fired++ })
+		schedule(&eng, time.Millisecond, func() { fired++ })
 	})
 	eng.Run()
 	if fired != 2 {
@@ -75,61 +76,42 @@ func TestCancelFromInsideOwnCallback(t *testing.T) {
 
 func TestStaleHandleAfterSlotRecycle(t *testing.T) {
 	var eng Engine
-	// Fire one event so its slot returns to the free list.
-	stale := eng.Schedule(time.Millisecond, func() {})
+	// A fired event's handle must not reach the event scheduled after it,
+	// nor one scheduled after a Reset.
+	stale := schedule(&eng, time.Millisecond, func() {})
 	eng.Run()
 
-	// The next schedule reuses that slot for a different event.
-	fired := false
-	fresh := eng.Schedule(time.Millisecond, func() { fired = true })
-	if fresh.slot != stale.slot {
-		t.Fatalf("expected slot reuse (stale=%d fresh=%d)", stale.slot, fresh.slot)
-	}
-	if fresh.gen == stale.gen {
-		t.Fatal("recycled slot did not bump its generation")
-	}
-
-	// Cancelling through the stale handle must not touch the new tenant.
+	fired := 0
+	schedule(&eng, time.Millisecond, func() { fired++ })
 	stale.Cancel()
 	if eng.Pending() != 1 {
-		t.Fatalf("stale Cancel killed the new event (Pending = %d)", eng.Pending())
+		t.Fatalf("stale Cancel killed the next event (Pending = %d)", eng.Pending())
 	}
 	eng.Run()
-	if !fired {
-		t.Error("new tenant of the recycled slot never fired")
+
+	pending := schedule(&eng, time.Millisecond, func() {})
+	eng.Reset()
+	schedule(&eng, time.Millisecond, func() { fired++ })
+	stale.Cancel()
+	pending.Cancel()
+	if eng.Pending() != 1 {
+		t.Fatalf("a handle from before Reset killed a new event (Pending = %d)", eng.Pending())
+	}
+	eng.Run()
+	if fired != 2 {
+		t.Errorf("fired = %d, want 2: a stale handle cancelled a live event", fired)
 	}
 }
 
-func TestAtSurvivesRecycle(t *testing.T) {
-	var eng Engine
-	ev := eng.Schedule(5*time.Millisecond, func() {})
-	eng.Run()
-	// At is captured in the handle, so it stays correct (and safe) after
-	// the slot has been recycled any number of times.
-	for i := 0; i < 10; i++ {
-		eng.Schedule(time.Millisecond, func() {})
-		eng.Run()
-	}
-	if ev.At() != 5*time.Millisecond {
-		t.Errorf("At = %v after recycle, want 5ms", ev.At())
-	}
-	var zero Event
-	zero.Cancel() // zero handle is inert
-	if zero.At() != 0 {
-		t.Errorf("zero handle At = %v", zero.At())
-	}
-}
-
-// TestRunUntilDeadHeadAtDeadline is the boundary case the lazy-tombstone
-// rewrite must get right: the head of the calendar is a cancelled event
-// at (or before) the deadline, and the next live event lies beyond it.
-// RunUntil must skip the tombstone without firing the live event and
-// without advancing the clock past the deadline.
+// TestRunUntilDeadHeadAtDeadline: the calendar's earliest event is
+// cancelled at (or before) the deadline, and the next live event lies
+// beyond it. RunUntil must not fire the live event and must not advance
+// the clock past the deadline.
 func TestRunUntilDeadHeadAtDeadline(t *testing.T) {
 	var eng Engine
 	headFired, lateFired := false, false
-	head := eng.Schedule(3*time.Millisecond, func() { headFired = true })
-	eng.Schedule(5*time.Millisecond, func() { lateFired = true })
+	head := schedule(&eng, 3*time.Millisecond, func() { headFired = true })
+	schedule(&eng, 5*time.Millisecond, func() { lateFired = true })
 	head.Cancel()
 
 	eng.RunUntil(3 * time.Millisecond)
@@ -137,7 +119,7 @@ func TestRunUntilDeadHeadAtDeadline(t *testing.T) {
 		t.Error("cancelled head event fired")
 	}
 	if lateFired {
-		t.Error("RunUntil fired an event past the deadline while skipping a dead head")
+		t.Error("RunUntil fired an event past the deadline after a cancelled head")
 	}
 	if eng.Now() != 3*time.Millisecond {
 		t.Errorf("Now = %v, want exactly the 3ms deadline", eng.Now())
@@ -152,9 +134,9 @@ func TestRunUntilDeadHeadAtDeadline(t *testing.T) {
 	}
 }
 
-// TestCancelHeavyCompaction drives the cancel-dominated workload that
-// forces calendar compaction and checks survivors still fire in order
-// with exact accounting.
+// TestCancelHeavyCompaction drives a cancel-dominated program — far more
+// entries than any run keeps, most of them cancelled — and checks the
+// survivors still fire in order with exact accounting.
 func TestCancelHeavyCompaction(t *testing.T) {
 	var eng Engine
 	const n = 10000
@@ -162,12 +144,11 @@ func TestCancelHeavyCompaction(t *testing.T) {
 	handles := make([]Event, 0, n)
 	for i := 0; i < n; i++ {
 		i := i
-		handles = append(handles, eng.Schedule(time.Duration(i)*time.Microsecond, func() {
+		handles = append(handles, schedule(&eng, time.Duration(i)*time.Microsecond, func() {
 			fired = append(fired, i)
 		}))
 	}
-	// Cancel everything not divisible by 97 — enough tombstones to trip
-	// compaction several times over.
+	// Cancel everything not divisible by 97.
 	for i, h := range handles {
 		if i%97 != 0 {
 			h.Cancel()
@@ -194,15 +175,14 @@ func TestCancelHeavyCompaction(t *testing.T) {
 	}
 }
 
-// TestCancelAllCompaction cancels every scheduled event so the compaction
-// sweep triggered by Cancel runs with zero survivors — a regression test
-// for the heapify loop indexing an empty calendar.
+// TestCancelAllCompaction cancels every scheduled event, so the calendar
+// empties by cancellation alone, and checks it is still usable.
 func TestCancelAllCompaction(t *testing.T) {
 	var eng Engine
-	const n = 65 // > the 64-tombstone compaction floor
+	const n = 65
 	handles := make([]Event, 0, n)
 	for i := 0; i < n; i++ {
-		handles = append(handles, eng.Schedule(time.Duration(i)*time.Microsecond, func() {
+		handles = append(handles, schedule(&eng, time.Duration(i)*time.Microsecond, func() {
 			t.Error("cancelled event fired")
 		}))
 	}
@@ -216,24 +196,23 @@ func TestCancelAllCompaction(t *testing.T) {
 	if eng.Executed() != 0 {
 		t.Errorf("Executed = %d, want 0", eng.Executed())
 	}
-	// The calendar must still be usable after an all-tombstone sweep.
 	fired := false
-	eng.Schedule(time.Microsecond, func() { fired = true })
+	schedule(&eng, time.Microsecond, func() { fired = true })
 	eng.Run()
 	if !fired {
-		t.Error("event scheduled after full compaction never fired")
+		t.Error("event scheduled after cancelling everything never fired")
 	}
 }
 
-// TestScheduleArg covers the zero-closure fast path: ordering with
-// Schedule-created events, argument delivery, and cancellation.
+// TestScheduleArg covers argument delivery, ordering against other
+// events, cancellation and the negative-delay clamp.
 func TestScheduleArg(t *testing.T) {
 	var eng Engine
 	var got []int
 	push := func(arg any) { got = append(got, *arg.(*int)) }
 	one, two, three := 1, 2, 3
 	eng.ScheduleArg(2*time.Millisecond, push, &two)
-	eng.Schedule(3*time.Millisecond, func() { got = append(got, three) })
+	schedule(&eng, 3*time.Millisecond, func() { got = append(got, three) })
 	eng.ScheduleArg(time.Millisecond, push, &one)
 	ev := eng.ScheduleArg(time.Millisecond, push, &three)
 	ev.Cancel()
@@ -241,7 +220,6 @@ func TestScheduleArg(t *testing.T) {
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("got %v, want [1 2 3]", got)
 	}
-	// Negative delays clamp like Schedule.
 	fired := false
 	eng.ScheduleArg(-time.Second, func(any) { fired = true }, nil)
 	eng.Run()

@@ -10,12 +10,20 @@ import (
 	"time"
 )
 
+// runFunc is schedule's static callback: the argument is the closure.
+func runFunc(arg any) { arg.(func())() }
+
+// schedule runs fn after delay d. A func() stored in an interface does not
+// allocate, so the helper keeps closure-style tests on the one scheduling
+// path production uses.
+func schedule(eng *Engine, d Time, fn func()) Event { return eng.ScheduleArg(d, runFunc, fn) }
+
 func TestScheduleOrdering(t *testing.T) {
 	var eng Engine
 	var got []int
-	eng.Schedule(3*time.Millisecond, func() { got = append(got, 3) })
-	eng.Schedule(1*time.Millisecond, func() { got = append(got, 1) })
-	eng.Schedule(2*time.Millisecond, func() { got = append(got, 2) })
+	schedule(&eng, 3*time.Millisecond, func() { got = append(got, 3) })
+	schedule(&eng, 1*time.Millisecond, func() { got = append(got, 1) })
+	schedule(&eng, 2*time.Millisecond, func() { got = append(got, 2) })
 	eng.Run()
 	want := []int{1, 2, 3}
 	for i := range want {
@@ -33,7 +41,7 @@ func TestSimultaneousEventsFIFO(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		eng.Schedule(time.Millisecond, func() { got = append(got, i) })
+		schedule(&eng, time.Millisecond, func() { got = append(got, i) })
 	}
 	eng.Run()
 	if !sort.IntsAreSorted(got) {
@@ -41,19 +49,10 @@ func TestSimultaneousEventsFIFO(t *testing.T) {
 	}
 }
 
-func TestScheduleAtPastRejected(t *testing.T) {
-	var eng Engine
-	eng.Schedule(time.Second, func() {})
-	eng.Run()
-	if _, err := eng.ScheduleAt(time.Millisecond, func() {}); err == nil {
-		t.Fatal("ScheduleAt in the past succeeded, want error")
-	}
-}
-
 func TestNegativeDelayClamped(t *testing.T) {
 	var eng Engine
 	fired := false
-	eng.Schedule(-time.Second, func() { fired = true })
+	schedule(&eng, -time.Second, func() { fired = true })
 	eng.Run()
 	if !fired {
 		t.Fatal("negative-delay event never fired")
@@ -66,7 +65,7 @@ func TestNegativeDelayClamped(t *testing.T) {
 func TestCancel(t *testing.T) {
 	var eng Engine
 	fired := false
-	ev := eng.Schedule(time.Millisecond, func() { fired = true })
+	ev := schedule(&eng, time.Millisecond, func() { fired = true })
 	ev.Cancel()
 	ev.Cancel() // double cancel is a no-op
 	eng.Run()
@@ -81,9 +80,9 @@ func TestCancel(t *testing.T) {
 func TestCancelOneOfMany(t *testing.T) {
 	var eng Engine
 	var got []int
-	eng.Schedule(1*time.Millisecond, func() { got = append(got, 1) })
-	ev := eng.Schedule(2*time.Millisecond, func() { got = append(got, 2) })
-	eng.Schedule(3*time.Millisecond, func() { got = append(got, 3) })
+	schedule(&eng, 1*time.Millisecond, func() { got = append(got, 1) })
+	ev := schedule(&eng, 2*time.Millisecond, func() { got = append(got, 2) })
+	schedule(&eng, 3*time.Millisecond, func() { got = append(got, 3) })
 	ev.Cancel()
 	eng.Run()
 	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
@@ -95,7 +94,7 @@ func TestRunUntil(t *testing.T) {
 	var eng Engine
 	var count int
 	for i := 1; i <= 5; i++ {
-		eng.Schedule(time.Duration(i)*time.Second, func() { count++ })
+		schedule(&eng, time.Duration(i)*time.Second, func() { count++ })
 	}
 	eng.RunUntil(3 * time.Second)
 	if count != 3 {
@@ -122,7 +121,7 @@ func TestStopDuringRunUntilDoesNotAdvanceClock(t *testing.T) {
 	var eng Engine
 	count := 0
 	for i := 1; i <= 5; i++ {
-		eng.Schedule(time.Duration(i)*time.Second, func() {
+		schedule(&eng, time.Duration(i)*time.Second, func() {
 			count++
 			if count == 2 {
 				eng.Stop()
@@ -148,7 +147,7 @@ func TestStop(t *testing.T) {
 	var eng Engine
 	count := 0
 	for i := 1; i <= 5; i++ {
-		eng.Schedule(time.Duration(i)*time.Millisecond, func() {
+		schedule(&eng, time.Duration(i)*time.Millisecond, func() {
 			count++
 			if count == 2 {
 				eng.Stop()
@@ -168,10 +167,10 @@ func TestEventChaining(t *testing.T) {
 	recurse = func() {
 		depth++
 		if depth < 100 {
-			eng.Schedule(time.Millisecond, recurse)
+			schedule(&eng, time.Millisecond, recurse)
 		}
 	}
-	eng.Schedule(0, recurse)
+	schedule(&eng, 0, recurse)
 	eng.Run()
 	if depth != 100 {
 		t.Errorf("depth = %d, want 100", depth)
@@ -187,7 +186,7 @@ func TestEventChaining(t *testing.T) {
 // events sharing few distinct timestamps, and firing events cancelling
 // random victims (including already-fired ones and themselves), the
 // survivors must still fire in FIFO (scheduling) order within each
-// timestamp — heap removals must not perturb the (time, seq) order. The
+// timestamp — calendar removals must not perturb the (time, seq) order. The
 // run is split across RunUntil calls so cancellations land mid-run.
 func TestFIFOSurvivesCancellationMidRunUntil(t *testing.T) {
 	rng := NewRNG(77)
@@ -206,16 +205,12 @@ func TestFIFOSurvivesCancellationMidRunUntil(t *testing.T) {
 		var fired []int
 		for i := 0; i < n; i++ {
 			i := i
-			ev, err := eng.ScheduleAt(times[i], func() {
+			events[i] = schedule(eng, times[i], func() {
 				fired = append(fired, i)
 				for _, victim := range cancels[i] {
 					events[victim].Cancel()
 				}
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			events[i] = ev
 		}
 		eng.RunUntil(10) // fires the t=0 and t=10 groups
 		eng.RunUntil(MaxTime)
@@ -253,7 +248,7 @@ func TestMonotonicClockProperty(t *testing.T) {
 		var times []Time
 		for _, d := range delays {
 			at := Time(d) * time.Millisecond
-			eng.Schedule(at, func() { times = append(times, eng.Now()) })
+			schedule(&eng, at, func() { times = append(times, eng.Now()) })
 		}
 		eng.Run()
 		for i := 1; i < len(times); i++ {
