@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race bench bench-sim bench-record profile profile-scale repro suite smoke fuzz cover clean
+.PHONY: all build test vet race bench bench-sim bench-record profile profile-scale suite smoke fuzz cover clean
 
 all: build vet test
 
@@ -61,14 +61,10 @@ profile-scale:
 		-cpuprofile profiles/scale-cpu.pprof -memprofile profiles/scale-mem.pprof -out profiles
 	@echo "profiles: profiles/scale-cpu.pprof profiles/scale-mem.pprof"
 
-# repro writes every table/figure to results/ as text artifacts.
-repro:
-	$(GO) run ./cmd/memsbench -out results
-
-# suite runs every experiment on a parallel worker pool and writes the
-# per-run metrics document next to the artifacts.
+# suite writes every table/figure to results/ as text artifacts, run on a
+# parallel worker pool, with the per-run metrics document beside them.
 suite:
-	$(GO) run ./cmd/memsim -experiments -parallel 0 -out results -json results/metrics.json
+	$(GO) run ./cmd/memsbench -parallel 0 -out results -json results/metrics.json
 
 # smoke runs the memserve↔memsload end-to-end check: load with stalled
 # clients, zero leaked admission slots, graceful SIGTERM drain (exit 0).

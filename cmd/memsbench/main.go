@@ -1,4 +1,6 @@
-// Command memsbench regenerates the paper's tables and figures.
+// Command memsbench regenerates the paper's tables and figures: it runs
+// the experiment suite on a worker pool, and its artifacts are
+// byte-identical at any -parallel and -shards value.
 //
 // Usage:
 //
@@ -107,10 +109,11 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 	// Artifacts print in ID order regardless of completion order, so the
-	// output is byte-identical at any -parallel value.
+	// output is byte-identical at any -parallel value. A failed run writes
+	// no artifact; the others still do, and suiteError names every failure.
 	for _, rep := range suite.Runs {
 		if rep.Error != "" {
-			return fmt.Errorf("%s: %s", rep.ID, rep.Error)
+			continue
 		}
 		res := rep.Result
 		text := fmt.Sprintf("==== %s: %s ====\n%s\n", res.ID, res.Title, res.Output)
@@ -139,7 +142,22 @@ func run(args []string, w io.Writer) error {
 		}
 		fmt.Fprintf(w, "perf: %s (%d runs)\n", *perfPath, len(suite.Runs))
 	}
-	return nil
+	return suiteError(suite)
+}
+
+// suiteError names every failed run of the suite, or returns nil.
+func suiteError(suite experiments.SuiteReport) error {
+	var failed []string
+	for _, rep := range suite.Runs {
+		if rep.Error != "" {
+			failed = append(failed, rep.ID+": "+rep.Error)
+		}
+	}
+	if len(failed) == 0 {
+		return nil
+	}
+	return fmt.Errorf("%d of %d experiments failed: %s",
+		len(failed), len(suite.Runs), strings.Join(failed, "; "))
 }
 
 func writeMetrics(path string, suite experiments.SuiteReport) error {

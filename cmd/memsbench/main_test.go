@@ -42,6 +42,70 @@ func TestRunUnknownExperiment(t *testing.T) {
 	}
 }
 
+// A -run pattern that matches no experiment is an error, not an empty run.
+func TestRunExperimentsBadPattern(t *testing.T) {
+	var out strings.Builder
+	if err := run([]string{"-run", "nope99", "-parallel", "1"}, &out); err == nil {
+		t.Error("unmatched pattern accepted")
+	}
+}
+
+// The -out trees are byte-identical at any worker count, and the -json
+// document records the root seed and one entry per run.
+func TestRunExperimentsSuite(t *testing.T) {
+	dir := t.TempDir()
+	jsonPath := filepath.Join(dir, "m.json")
+	outA := filepath.Join(dir, "a")
+	outB := filepath.Join(dir, "b")
+	var log strings.Builder
+	if err := run([]string{"-run", "table.|besteffort", "-seed", "5", "-parallel", "1", "-json", jsonPath, "-out", outA}, &log); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-run", "table.|besteffort", "-seed", "5", "-parallel", "4", "-out", outB}, &log); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"besteffort", "table1", "table2", "table3"} {
+		a, err := os.ReadFile(filepath.Join(outA, id+".txt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(filepath.Join(outB, id+".txt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(a) != string(b) {
+			t.Errorf("%s artifact differs between parallel=1 and parallel=4", id)
+		}
+	}
+	var suite experiments.SuiteReport
+	data, err := os.ReadFile(jsonPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, &suite); err != nil {
+		t.Fatalf("metrics not valid JSON: %v", err)
+	}
+	if suite.RootSeed != 5 || len(suite.Runs) != 4 {
+		t.Errorf("suite = %+v", suite)
+	}
+}
+
+func TestSuiteErrorNamesEveryFailure(t *testing.T) {
+	if err := suiteError(experiments.SuiteReport{Runs: []experiments.RunReport{{ID: "table1"}}}); err != nil {
+		t.Fatalf("clean suite reported %v", err)
+	}
+	err := suiteError(experiments.SuiteReport{Runs: []experiments.RunReport{
+		{ID: "fig2", Error: "boom"}, {ID: "table1"}, {ID: "fig9a", Error: "bang"},
+	}})
+	if err == nil {
+		t.Fatal("failed runs not reported")
+	}
+	const want = "2 of 3 experiments failed: fig2: boom; fig9a: bang"
+	if err.Error() != want {
+		t.Errorf("error = %q, want %q", err, want)
+	}
+}
+
 func TestRunCSV(t *testing.T) {
 	var out strings.Builder
 	if err := run([]string{"-run", "fig2", "-csv"}, &out); err != nil {

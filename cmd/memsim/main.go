@@ -1,9 +1,9 @@
 // Command memsim exercises the device simulators directly: it generates or
 // replays an IO trace against the disk and MEMS models and reports
 // per-device service behaviour — a small standalone counterpart to the
-// DiskSim-style tooling the CMU MEMS papers used. With -experiments it
-// instead drives the full experiment suite on a parallel worker pool with
-// per-run metrics.
+// DiskSim-style tooling the CMU MEMS papers used. With -sim it runs one
+// traced server simulation, and with -scale the sharded scaling scenario.
+// The paper's experiment suite runs through memsbench.
 //
 // Usage:
 //
@@ -12,8 +12,7 @@
 //	memsim -device futuredisk -policy c-look ...    # scheduled batch
 //	memsim -record trace.txt ...                    # save the trace
 //	memsim -replay trace.txt -device g3             # replay a saved trace
-//	memsim -experiments -parallel 8 -json m.json    # parallel experiment suite
-//	memsim -experiments -run 'fig9.*' -out results  # a family, artifacts to files
+//	memsim -sim buffered -trace buffered.json       # one traced simulation
 //	memsim -scale 1000000 -shards 8 -json s.json    # sharded scaling scenario
 package main
 
@@ -23,13 +22,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
 	"memstream/internal/device"
 	"memstream/internal/disk"
-	"memstream/internal/experiments"
 	"memstream/internal/model"
 	"memstream/internal/server"
 	"memstream/internal/shard"
@@ -52,34 +49,20 @@ func main() {
 	ioSize := flag.String("io", "64KB", "IO size for generated traces")
 	seed := flag.Uint64("seed", 1, "RNG seed for generated traces")
 	policy := flag.String("policy", "fcfs", "scheduling for generated batches: fcfs, sptf/sstf, elevator/c-look")
-	tierName := flag.String("tier", tier.Default, "middle-tier parameter set for -experiments and -sim: "+strings.Join(tier.Names(), ", "))
+	tierName := flag.String("tier", tier.Default, "middle-tier parameter set for -sim: "+strings.Join(tier.Names(), ", "))
 	record := flag.String("record", "", "write the generated trace to this file")
 	replay := flag.String("replay", "", "replay a trace file instead of generating")
-	exp := flag.Bool("experiments", false, "run the experiment suite instead of a device trace")
-	runPat := flag.String("run", "", "with -experiments: run experiments matching this anchored regexp (default: all)")
-	parallel := flag.Int("parallel", 0, "with -experiments: worker count (0 = GOMAXPROCS)")
-	jsonPath := flag.String("json", "", "with -experiments or -scale: write the JSON document to this file")
-	shards := flag.Int("shards", 1, "shard goroutine count for -experiments and -scale (results are byte-identical at any value)")
+	jsonPath := flag.String("json", "", "with -scale: write the JSON document to this file")
+	shards := flag.Int("shards", 1, "with -scale: shard goroutine count (merged results are byte-identical at any value)")
 	scale := flag.Int("scale", 0, "run the sharded scaling scenario with this many total streams")
 	scalePer := flag.Int("scale-per", 4096, "with -scale: streams per partition (the unit of determinism)")
 	scaleRate := flag.String("scale-rate", "10KB", "with -scale: per-stream bit rate")
-	outDir := flag.String("out", "", "with -experiments: write artifact text files to this directory")
 	simMode := flag.String("sim", "", "run one server simulation with per-cycle tracing: direct, edf, buffered, cached, hybrid")
 	simStreams := flag.Int("streams", 0, "with -sim: concurrent streams (0 = mode default)")
 	simRate := flag.String("bitrate", "", "with -sim: per-stream bit rate, e.g. 1MB (default: mode default)")
 	tracePath := flag.String("trace", "", "with -sim: write the trace JSON document to this file (default stdout)")
 	flag.Parse()
 
-	experiments.SetShardWorkers(*shards)
-	if err := experiments.SetTier(*tierName); err != nil {
-		fatal(err)
-	}
-	if *exp {
-		if err := runExperiments(*runPat, *seed, *parallel, *jsonPath, *outDir, os.Stdout); err != nil {
-			fatal(err)
-		}
-		return
-	}
 	if *scale > 0 {
 		if err := runScale(*scale, *scalePer, *scaleRate, *seed, *shards, *jsonPath, os.Stdout); err != nil {
 			fatal(err)
@@ -246,63 +229,6 @@ func report(dev serviceable, events []trace.Event, cs []device.Completion) {
 		100*float64(units.RateOf(bytes, span))/float64(m.Rate))
 }
 
-// runExperiments drives the experiment suite on a parallel worker pool,
-// printing one progress line per completed run. Artifacts are written in
-// ID order after the suite completes, so -out trees are byte-identical at
-// any -parallel value; only the progress lines reflect completion order.
-func runExperiments(pattern string, rootSeed uint64, parallel int, jsonPath, outDir string, w io.Writer) error {
-	ids, err := experiments.Match(pattern)
-	if err != nil {
-		return err
-	}
-	if outDir != "" {
-		if err := os.MkdirAll(outDir, 0o755); err != nil {
-			return err
-		}
-	}
-	progress := func(done, total int, rep experiments.RunReport) {
-		status := fmt.Sprintf("events=%d streams=%d underflows=%d",
-			rep.Events, rep.Streams, rep.Underflows)
-		if rep.Error != "" {
-			status = "FAILED: " + rep.Error
-		}
-		fmt.Fprintf(w, "[%*d/%d] %-18s %8v  %s\n",
-			len(fmt.Sprint(total)), done, total, rep.ID, rep.Wall.Round(time.Millisecond), status)
-	}
-	suite, err := experiments.RunSuite(ids, rootSeed, parallel, progress)
-	if err != nil {
-		return err
-	}
-	for _, rep := range suite.Runs {
-		if rep.Error != "" {
-			continue
-		}
-		if outDir != "" {
-			text := fmt.Sprintf("==== %s: %s ====\n%s\n", rep.ID, rep.Title, rep.Result.Output)
-			path := filepath.Join(outDir, rep.ID+".txt")
-			if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
-				return err
-			}
-		}
-	}
-	if jsonPath != "" {
-		data, err := json.MarshalIndent(suite, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-	}
-	fmt.Fprintf(w, "suite: %d runs, %d failed, parallel=%d, seed=%d, wall %v\n",
-		len(suite.Runs), suite.Failed(), suite.Parallel, suite.RootSeed,
-		suite.Wall.Round(time.Millisecond))
-	if n := suite.Failed(); n > 0 {
-		return fmt.Errorf("%d of %d experiments failed", n, len(suite.Runs))
-	}
-	return nil
-}
-
 // scaleDoc is the JSON document -scale emits: the scenario identity, the
 // deterministic merged counters (byte-identical at any -shards value), and
 // the execution figures (wall clock and per-shard rates, which are not).
@@ -321,11 +247,8 @@ type scaleDoc struct {
 
 	WallNS int64 `json:"wall_ns"`
 	// EventsPerSec is end-to-end: merged events over total wall clock.
-	EventsPerSec float64 `json:"events_per_sec"`
-	// AggregateEventsPerSec sums the per-shard uncontended rates — the
-	// capacity figure once the host has a core per shard (see DESIGN.md).
-	AggregateEventsPerSec float64       `json:"aggregate_events_per_sec"`
-	Stripes               []stripeEntry `json:"stripes"`
+	EventsPerSec float64       `json:"events_per_sec"`
+	Stripes      []stripeEntry `json:"stripes"`
 }
 
 // stripeEntry is one shard goroutine's execution record.
@@ -362,9 +285,8 @@ func runScale(total, per int, rateStr string, seed uint64, shards int, jsonPath 
 
 	fmt.Fprintf(w, "plan %s: %d partitions, root seed %d\n", rep.Plan, rep.Partitions, rep.RootSeed)
 	fmt.Fprint(w, rep.Merged.Render())
-	fmt.Fprintf(w, "shards=%d wall=%v events_per_sec=%.0f aggregate_events_per_sec=%.0f\n",
-		rep.Shards, rep.Wall.Round(time.Millisecond),
-		rep.WallEventsPerSec(), rep.AggregateEventsPerSec())
+	fmt.Fprintf(w, "shards=%d wall=%v events_per_sec=%.0f\n",
+		rep.Shards, rep.Wall.Round(time.Millisecond), rep.WallEventsPerSec())
 
 	if jsonPath == "" {
 		return nil
@@ -381,9 +303,8 @@ func runScale(total, per int, rateStr string, seed uint64, shards int, jsonPath 
 		Underflows:    rep.Merged.Underflows,
 		SimulatedTime: rep.Merged.SimulatedTime,
 
-		WallNS:                int64(rep.Wall),
-		EventsPerSec:          rep.WallEventsPerSec(),
-		AggregateEventsPerSec: rep.AggregateEventsPerSec(),
+		WallNS:       int64(rep.Wall),
+		EventsPerSec: rep.WallEventsPerSec(),
 	}
 	for _, s := range rep.Stripe {
 		doc.Stripes = append(doc.Stripes, stripeEntry{

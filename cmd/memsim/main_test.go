@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"memstream/internal/device"
-	"memstream/internal/experiments"
 	"memstream/internal/trace"
 	"memstream/internal/units"
 )
@@ -120,57 +119,6 @@ func TestOpenArrayDevices(t *testing.T) {
 	}
 }
 
-func TestRunExperimentsSuite(t *testing.T) {
-	dir := t.TempDir()
-	jsonPath := filepath.Join(dir, "m.json")
-	outA := filepath.Join(dir, "a")
-	outB := filepath.Join(dir, "b")
-	var log strings.Builder
-	if err := runExperiments("table.|besteffort", 5, 1, jsonPath, outA, &log); err != nil {
-		t.Fatal(err)
-	}
-	if err := runExperiments("table.|besteffort", 5, 4, "", outB, io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	// Artifacts are byte-identical regardless of worker count.
-	for _, id := range []string{"besteffort", "table1", "table2", "table3"} {
-		a, err := os.ReadFile(filepath.Join(outA, id+".txt"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := os.ReadFile(filepath.Join(outB, id+".txt"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(a) != string(b) {
-			t.Errorf("%s artifact differs between parallel=1 and parallel=4", id)
-		}
-	}
-	var suite experiments.SuiteReport
-	data, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(data, &suite); err != nil {
-		t.Fatalf("metrics not valid JSON: %v", err)
-	}
-	if suite.RootSeed != 5 || len(suite.Runs) != 4 {
-		t.Errorf("suite = %+v", suite)
-	}
-	if !strings.Contains(log.String(), "suite: 4 runs, 0 failed") {
-		t.Errorf("missing summary line:\n%s", log.String())
-	}
-	if strings.Count(log.String(), "[") != 4 {
-		t.Errorf("want one progress line per run:\n%s", log.String())
-	}
-}
-
-func TestRunExperimentsBadPattern(t *testing.T) {
-	if err := runExperiments("nope99", 1, 1, "", "", io.Discard); err == nil {
-		t.Error("unmatched pattern accepted")
-	}
-}
-
 // scaleOutput runs the scaling scenario and returns (summary text, JSON doc).
 func scaleOutput(t *testing.T, shards int) (string, scaleDoc) {
 	t.Helper()
@@ -207,7 +155,7 @@ func TestRunScaleDeterministicAcrossShards(t *testing.T) {
 		doc1.Underflows != doc4.Underflows || doc1.SimulatedTime != doc4.SimulatedTime {
 		t.Errorf("merged counters differ across shard counts:\n 1: %+v\n 4: %+v", doc1, doc4)
 	}
-	if doc1.EventsPerSec <= 0 || doc4.AggregateEventsPerSec <= 0 {
+	if doc1.EventsPerSec <= 0 || doc4.EventsPerSec <= 0 {
 		t.Errorf("throughput figures not positive: %+v / %+v", doc1, doc4)
 	}
 	// All summary lines but the trailing shards= execution line match.
@@ -218,7 +166,7 @@ func TestRunScaleDeterministicAcrossShards(t *testing.T) {
 	if strip(out1) != strip(out4) {
 		t.Errorf("deterministic summary differs:\n shards=1:\n%s\n shards=4:\n%s", out1, out4)
 	}
-	if !strings.Contains(out4, "aggregate_events_per_sec=") {
+	if !strings.Contains(out4, "events_per_sec=") {
 		t.Errorf("summary missing throughput line:\n%s", out4)
 	}
 }

@@ -191,24 +191,5 @@ func hybridStreams(cacheK, bufK int, perDevice units.Bytes, disk, memsSpec model
 		}
 		return used <= dram
 	}
-	lo, hi := 0, 2
-	if !feasible(1) {
-		return 0
-	}
-	for feasible(hi) {
-		lo = hi
-		hi *= 2
-		if hi > 1<<24 {
-			break
-		}
-	}
-	for hi-lo > 1 {
-		mid := (lo + hi) / 2
-		if feasible(mid) {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo
+	return model.MaxFeasible(feasible)
 }

@@ -161,13 +161,6 @@ var bitRates = []struct {
 	{"HDTV 10MB/s", 10 * units.MBPS},
 }
 
-// distributions are the popularity points of Figures 9–10.
-var distributions = []struct {
-	x, y float64
-}{
-	{1, 99}, {5, 95}, {10, 90}, {20, 80}, {50, 50},
-}
-
 const (
 	contentSize = 1000 * units.GB // Size_disk: one FutureDisk of content
 )

@@ -6,6 +6,7 @@ import (
 	"memstream/internal/model"
 	"memstream/internal/plot"
 	"memstream/internal/units"
+	"memstream/internal/workload"
 )
 
 func init() {
@@ -24,10 +25,14 @@ func runFig10(uint64) (Result, error) {
 		return Result{}, fmt.Errorf("baseline server infeasible")
 	}
 
+	dists := workload.PaperDistributions()
 	var series []plot.Series
 	t := &plot.Table{
 		Title:   "Throughput improvement (%) over the cache-less $100 server",
-		Headers: []string{"k", "DRAM left", "1:99", "5:95", "10:90", "20:80", "50:50"},
+		Headers: []string{"k", "DRAM left"},
+	}
+	for _, dist := range dists {
+		t.Headers = append(t.Headers, dist.String())
 	}
 	cells := map[float64][]plot.Point{}
 	for k := 1; k <= 8; k++ {
@@ -36,18 +41,18 @@ func runFig10(uint64) (Result, error) {
 			fmt.Sprintf("%d", k),
 			dram.String(),
 		}
-		for _, dist := range distributions {
-			n := cacheThroughput(bitRate, dist.x, dist.y, budget, k, model.Striped)
+		for _, dist := range dists {
+			n := cacheThroughput(bitRate, dist.X, dist.Y, budget, k, model.Striped)
 			imp := 100 * (float64(n) - float64(base)) / float64(base)
 			row = append(row, fmt.Sprintf("%+.0f%%", imp))
-			cells[dist.x] = append(cells[dist.x], plot.Point{X: float64(k), Y: imp})
+			cells[dist.X] = append(cells[dist.X], plot.Point{X: float64(k), Y: imp})
 		}
 		t.AddRow(row...)
 	}
-	for _, dist := range distributions {
+	for _, dist := range dists {
 		series = append(series, plot.Series{
-			Name:   fmt.Sprintf("%g:%g", dist.x, dist.y),
-			Points: cells[dist.x],
+			Name:   dist.String(),
+			Points: cells[dist.X],
 		})
 	}
 	c := &plot.Chart{

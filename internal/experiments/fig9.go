@@ -6,6 +6,7 @@ import (
 	"memstream/internal/model"
 	"memstream/internal/plot"
 	"memstream/internal/units"
+	"memstream/internal/workload"
 )
 
 func init() {
@@ -57,13 +58,14 @@ func runFig9(bitRate units.ByteRate, label string) (Result, error) {
 	}
 	var series []plot.Series
 	var wo, repl, stri []plot.Point
-	for _, dist := range distributions {
+	dists := workload.PaperDistributions()
+	for _, dist := range dists {
 		for _, b := range budgets {
 			none := directThroughput(bitRate, b.total)
-			re := cacheThroughput(bitRate, dist.x, dist.y, b.total, b.k, model.Replicated)
-			st := cacheThroughput(bitRate, dist.x, dist.y, b.total, b.k, model.Striped)
+			re := cacheThroughput(bitRate, dist.X, dist.Y, b.total, b.k, model.Replicated)
+			st := cacheThroughput(bitRate, dist.X, dist.Y, b.total, b.k, model.Striped)
 			t.AddRow(
-				fmt.Sprintf("%g:%g", dist.x, dist.y),
+				dist.String(),
 				b.total.String(),
 				fmt.Sprintf("%d", b.k),
 				fmt.Sprintf("%d", none),
@@ -71,7 +73,7 @@ func runFig9(bitRate units.ByteRate, label string) (Result, error) {
 				fmt.Sprintf("%d", st),
 			)
 			if b.total == 200 {
-				xv := dist.x
+				xv := dist.X
 				wo = append(wo, plot.Point{X: xv, Y: float64(none)})
 				repl = append(repl, plot.Point{X: xv, Y: float64(re)})
 				stri = append(stri, plot.Point{X: xv, Y: float64(st)})
@@ -89,9 +91,9 @@ func runFig9(bitRate units.ByteRate, label string) (Result, error) {
 		Series: []string{"w/o MEMS cache", "replicated", "striped"},
 		Width:  46,
 	}
-	for i, dist := range distributions {
+	for i, dist := range dists {
 		bars.Groups = append(bars.Groups, plot.BarGroup{
-			Label:  fmt.Sprintf("%g:%g", dist.x, dist.y),
+			Label:  dist.String(),
 			Values: []float64{wo[i].Y, repl[i].Y, stri[i].Y},
 		})
 	}

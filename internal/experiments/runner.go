@@ -36,17 +36,6 @@ type SuiteReport struct {
 	Runs     []RunReport   `json:"runs"`
 }
 
-// Failed counts runs that returned an error.
-func (s SuiteReport) Failed() int {
-	n := 0
-	for _, r := range s.Runs {
-		if r.Error != "" {
-			n++
-		}
-	}
-	return n
-}
-
 // Match returns the experiment IDs whose ID matches the pattern, anchored
 // at both ends (so an exact ID selects only itself and "fig9.*" selects
 // the fig9 family). An empty pattern selects everything.

@@ -65,13 +65,13 @@ func TestSuiteParallelDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if serial.Failed() != 0 || parallel.Failed() != 0 {
-		t.Fatalf("failures: serial %d, parallel %d", serial.Failed(), parallel.Failed())
-	}
 	if len(serial.Runs) != len(ids) || len(parallel.Runs) != len(ids) {
 		t.Fatalf("run counts: %d, %d, want %d", len(serial.Runs), len(parallel.Runs), len(ids))
 	}
 	for i := range serial.Runs {
+		if serial.Runs[i].Error != "" || parallel.Runs[i].Error != "" {
+			t.Fatalf("%s failed: serial %q, parallel %q", serial.Runs[i].ID, serial.Runs[i].Error, parallel.Runs[i].Error)
+		}
 		sameRuns(t, serial.Runs[i], parallel.Runs[i])
 	}
 }

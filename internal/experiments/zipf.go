@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
 	"memstream/internal/model"
 	"memstream/internal/plot"
@@ -56,7 +55,12 @@ func runFig9Zipf(uint64) (Result, error) {
 			K: k, Policy: model.Striped,
 			SizePerDevice: tierCapacity(), ContentSize: contentSize,
 		}
-		n := maxStreamsWithHit(cfg, h, dram)
+		n := model.MaxFeasible(func(n int) bool {
+			c := cfg
+			c.Load.N = n
+			plan, err := model.CachePlanWithHit(c, h)
+			return err == nil && plan.TotalDRAM <= dram
+		})
 		gain := 100 * (float64(n) - float64(base)) / float64(base)
 		t.AddRow(
 			fmt.Sprintf("%.1f", s),
@@ -72,34 +76,4 @@ func runFig9Zipf(uint64) (Result, error) {
 		"skew, confirming the conclusion does not depend on the popularity\n" +
 		"model's parametric form.\n"
 	return Result{Output: out}, nil
-}
-
-// maxStreamsWithHit is MaxStreamsCached for an explicit hit ratio.
-func maxStreamsWithHit(cfg model.CacheConfig, h float64, dramCap units.Bytes) int {
-	feasible := func(n int) bool {
-		c := cfg
-		c.Load.N = n
-		plan, err := model.CachePlanWithHit(c, h)
-		if err != nil {
-			return false
-		}
-		return dramCap == 0 || plan.TotalDRAM <= dramCap
-	}
-	if !feasible(1) {
-		return 0
-	}
-	lo, hi := 1, 2
-	for feasible(hi) && hi < math.MaxInt32/2 {
-		lo = hi
-		hi *= 2
-	}
-	for hi-lo > 1 {
-		mid := lo + (hi-lo)/2
-		if feasible(mid) {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }

@@ -166,7 +166,7 @@ func MaxStreamsDirect(bitRate units.ByteRate, disk DeviceSpec, dramCap units.Byt
 		}
 		return dramCap == 0 || plan.TotalDRAM <= dramCap
 	}
-	return maxFeasible(feasible)
+	return MaxFeasible(feasible)
 }
 
 // MaxStreamsCached returns the largest N a cache-equipped server sustains
@@ -182,7 +182,7 @@ func MaxStreamsCached(cfg CacheConfig, dramCap units.Bytes) int {
 		}
 		return dramCap == 0 || plan.TotalDRAM <= dramCap
 	}
-	return maxFeasible(feasible)
+	return MaxFeasible(feasible)
 }
 
 // MaxStreamsBuffered returns the largest N a MEMS-buffered server sustains
@@ -197,13 +197,13 @@ func MaxStreamsBuffered(cfg BufferConfig, dramCap units.Bytes) int {
 		}
 		return dramCap == 0 || plan.TotalDRAM <= dramCap
 	}
-	return maxFeasible(feasible)
+	return MaxFeasible(feasible)
 }
 
-// maxFeasible finds the largest n with feasible(n) true, assuming
+// MaxFeasible finds the largest n with feasible(n) true, assuming
 // feasibility is monotone (true up to some n*, false beyond). Returns 0
 // when even n = 1 is infeasible.
-func maxFeasible(feasible func(int) bool) int {
+func MaxFeasible(feasible func(int) bool) int {
 	if !feasible(1) {
 		return 0
 	}

@@ -99,18 +99,18 @@ func TestMinFeasibleKExhaustsRange(t *testing.T) {
 
 func TestMaxFeasibleBoundaries(t *testing.T) {
 	// Nothing feasible: even n=1 fails.
-	if n := maxFeasible(func(int) bool { return false }); n != 0 {
+	if n := MaxFeasible(func(int) bool { return false }); n != 0 {
 		t.Errorf("all-infeasible: got %d, want 0", n)
 	}
 	// Exactly n=1 feasible (the doubling probe starts above it).
-	if n := maxFeasible(func(n int) bool { return n <= 1 }); n != 1 {
+	if n := MaxFeasible(func(n int) bool { return n <= 1 }); n != 1 {
 		t.Errorf("n*=1: got %d, want 1", n)
 	}
 	// Thresholds on and off powers of two, where lo/hi bracketing is
 	// easiest to get wrong.
 	for _, want := range []int{2, 3, 64, 100, 1023, 1024, 1025} {
 		want := want
-		got := maxFeasible(func(n int) bool { return n <= want })
+		got := MaxFeasible(func(n int) bool { return n <= want })
 		if got != want {
 			t.Errorf("n*=%d: got %d", want, got)
 		}
@@ -118,13 +118,13 @@ func TestMaxFeasibleBoundaries(t *testing.T) {
 }
 
 func TestMaxFeasibleNonMonotone(t *testing.T) {
-	// maxFeasible assumes monotone feasibility. With a non-monotone
+	// MaxFeasible assumes monotone feasibility. With a non-monotone
 	// predicate (a feasibility island at [1,10] and another at [30,40])
 	// the binary search must still terminate and report a point inside
 	// the first island rather than hanging or escaping past the last
 	// infeasible probe.
 	pred := func(n int) bool { return n <= 10 || (n >= 30 && n <= 40) }
-	got := maxFeasible(pred)
+	got := MaxFeasible(pred)
 	if !pred(got) {
 		t.Fatalf("returned infeasible n = %d", got)
 	}

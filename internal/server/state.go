@@ -26,9 +26,8 @@ import (
 
 // playerSoA is every stream's playback state in parallel arrays indexed
 // by stream slot (the rig's player index). It also carries the pool-wide
-// DRAM occupancy accounting that used to live in dram.Pool: the rig's
-// pool was always unlimited, so what mattered was the running total and
-// its high-water mark.
+// DRAM occupancy accounting: the rig's pool is unlimited, so what matters
+// is the running total and its high-water mark.
 type playerSoA struct {
 	pos       []int64         // next block to read from the stream's source device
 	startAt   []time.Duration // playback begins (and margins anchor) here

@@ -149,27 +149,13 @@ type Report struct {
 }
 
 // WallEventsPerSec is the end-to-end simulation rate: merged events over
-// the run's total wall clock. On a machine with at least one core per
-// shard this approaches AggregateEventsPerSec; with fewer cores the
-// shards timeshare and this number stays near the single-core rate.
+// the run's total wall clock. With fewer cores than shards the shards
+// timeshare and this number stays near the single-core rate.
 func (r Report) WallEventsPerSec() float64 {
 	if r.Wall <= 0 {
 		return 0
 	}
 	return float64(r.Merged.Events) / r.Wall.Seconds()
-}
-
-// AggregateEventsPerSec sums the per-shard simulation rates: the rate the
-// shard engines sustain given a core each. Execution is gated at
-// GOMAXPROCS, so each shard's busy wall is measured uncontended and the
-// aggregate is a hardware-independent capacity figure — the events/s the
-// run reaches once the host has as many cores as shards.
-func (r Report) AggregateEventsPerSec() float64 {
-	var sum float64
-	for _, s := range r.Stripe {
-		sum += s.EventsPerSec()
-	}
-	return sum
 }
 
 // Run executes the plan's partitions on the given number of shard

@@ -104,8 +104,8 @@ func TestRunStripesAndClamping(t *testing.T) {
 	if stripeEvents != rep.Merged.Events {
 		t.Errorf("stripe events %d != merged events %d", stripeEvents, rep.Merged.Events)
 	}
-	if rep.AggregateEventsPerSec() <= 0 || rep.WallEventsPerSec() <= 0 {
-		t.Error("throughput figures not positive")
+	if rep.WallEventsPerSec() <= 0 {
+		t.Error("throughput figure not positive")
 	}
 
 	// Shard counts above the partition count clamp.

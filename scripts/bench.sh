@@ -17,9 +17,8 @@
 #
 # The scaling section runs the sharded uniform scenario at each shard
 # count in BENCH_SHARDS. The merged counters in every entry are identical
-# (determinism contract); events_per_sec is end-to-end wall rate, while
-# aggregate_events_per_sec sums the per-shard uncontended rates — the
-# capacity figure once the host has a core per shard (see DESIGN.md).
+# (determinism contract); events_per_sec is the end-to-end wall rate, and
+# the stripes list each shard's own events and wall (see DESIGN.md).
 #
 # The pacing section sweeps live stream populations across both serve
 # data planes (goroutine-per-stream vs timer wheel) and records lag

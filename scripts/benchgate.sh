@@ -15,7 +15,9 @@
 #
 # Benchmarks not present in the baseline (newly added ones) are listed
 # but not gated; they start gating once the next BENCH_<n>.json records
-# them.
+# them. Baseline entries that no benchmark of the run matches (deleted
+# or renamed ones, or ones BENCH_GATE_PATTERN skips) are listed with a
+# count, so a gate that shrinks says so.
 #
 # Knobs (environment):
 #   BENCH_GATE_FACTOR   ns/op regression multiplier (default: 2.0)
@@ -54,12 +56,14 @@ awk -v base="$BASE" -v factor="${BENCH_GATE_FACTOR:-2.0}" '
             al = line; sub(/.*"allocs_per_op": /, "", al); sub(/[,}].*/, "", al)
             base_ns[name] = ns + 0
             base_allocs[name] = al + 0
+            base_order[++nbase] = name
         }
         close(base)
     }
     /^Benchmark/ {
         name = $1
         sub(/-[0-9]+$/, "", name)
+        ran[name] = 1
         ns = ""; allocs = ""
         for (i = 2; i < NF; i++) {
             if ($(i + 1) == "ns/op") ns = $i + 0
@@ -83,6 +87,12 @@ awk -v base="$BASE" -v factor="${BENCH_GATE_FACTOR:-2.0}" '
             printf("benchgate: %-44s %12.1f ns/op vs %.1f baseline  ok\n", name, ns, base_ns[name])
     }
     END {
+        for (i = 1; i <= nbase; i++) {
+            if (base_order[i] in ran) continue
+            printf("benchgate: %-44s in the baseline, no such benchmark ran (not gated)\n", base_order[i])
+            unmatched++
+        }
+        if (unmatched) printf("benchgate: %d of %d baseline entries not gated: no benchmark ran under their names\n", unmatched, nbase)
         if (gated == 0) { print "benchgate: no gated benchmarks matched the baseline" > "/dev/stderr"; exit 2 }
         printf("benchgate: %d benchmarks gated against %s\n", gated, base)
         exit fail

@@ -17,26 +17,24 @@ import (
 // that gains a production referent, or whose identifier is gone, fails
 // the test too, so the list only ever names real survivors.
 var unusedAllowed = map[string]string{
-	"internal/cache.NewLRU":                "the online LRU baseline the cache tests compare the paper's static placement against",
-	"internal/cache.Update":                "the paper's off-line cache refresh between placements; no experiment re-places yet",
-	"internal/device.IOSizeFor":            "inverse of EffectiveThroughput (Fig 2), pinned by its own round-trip test",
-	"internal/device.Utilization":          "Fig 2's utilization curve in closed form, tested beside EffectiveThroughput",
-	"internal/dram.NewPool":                "internal/dram has no importers; deleting it waits on a PR whose only test removals are its tests (ROADMAP item 2)",
-	"internal/experiments.CurrentTier":     "read side of the SetTier package global that ROADMAP item 9 replaces with suite options",
-	"internal/model.CostWithCache":         "Eq 9 in closed form; the cost figures price through model plans instead",
-	"internal/model.EffectiveBankSpec":     "Corollaries 2-4 as one device spec, the bank-level property ROADMAP item 14 checks",
-	"internal/model.MEMSDirect":            "Corollary 1 (MEMS as the only store), tested; no figure plots it",
-	"internal/schedule.Admission":          "Theorem 1 admission for one rate; memserve admits through MixedAdmission, ROADMAP item 8 unifies them",
-	"internal/shard.MillionStreams":        "the headline scaling scenario's plan, run by the shard tests",
-	"internal/sim.Stats":                   "running moments used by the sim and disk tests only",
-	"internal/trace.FromCompletion":        "builds a trace event from a completion; memsim records the requests it generates instead",
-	"internal/trace.ReadBinary":            "binary half of the trace codec, round-trip tested and fuzzed",
-	"internal/trace.WriteBinary":           "binary half of the trace codec, round-trip tested and fuzzed",
-	"internal/units.B":                     "the base of the byte-size ladder (B, KB, MB, GB, TB)",
-	"internal/units.BPS":                   "the base of the byte-rate ladder (BPS, KBPS, MBPS)",
-	"internal/workload.Classes":            "the paper's media classes in rate order, used by the workload tests",
-	"internal/workload.PaperDistributions": "the five popularity points of Figs 9-10; the figures build their own sweep",
-	"internal/workload.ReplayAdmission":    "one-shot wrapper over Replay, kept for the departure-heap oracle test and its benchmark",
+	"internal/cache.NewLRU":             "the online LRU baseline the cache tests compare the paper's static placement against",
+	"internal/cache.Update":             "the paper's off-line cache refresh between placements; no experiment re-places yet",
+	"internal/device.IOSizeFor":         "inverse of EffectiveThroughput (Fig 2), pinned by its own round-trip test",
+	"internal/device.Utilization":       "Fig 2's utilization curve in closed form, tested beside EffectiveThroughput",
+	"internal/experiments.CurrentTier":  "read side of the SetTier package global that ROADMAP item 9 replaces with suite options",
+	"internal/model.CostWithCache":      "Eq 9 in closed form; the cost figures price through model plans instead",
+	"internal/model.EffectiveBankSpec":  "Corollaries 2-4 as one device spec, the bank-level property ROADMAP item 14 checks",
+	"internal/model.MEMSDirect":         "Corollary 1 (MEMS as the only store), tested; no figure plots it",
+	"internal/schedule.Admission":       "Theorem 1 admission for one rate; memserve admits through MixedAdmission, ROADMAP item 8 unifies them",
+	"internal/shard.MillionStreams":     "the headline scaling scenario's plan, run by the shard tests",
+	"internal/sim.Stats":                "running moments used by the sim and disk tests only",
+	"internal/trace.FromCompletion":     "builds a trace event from a completion; memsim records the requests it generates instead",
+	"internal/trace.ReadBinary":         "binary half of the trace codec, round-trip tested and fuzzed",
+	"internal/trace.WriteBinary":        "binary half of the trace codec, round-trip tested and fuzzed",
+	"internal/units.B":                  "the base of the byte-size ladder (B, KB, MB, GB, TB)",
+	"internal/units.BPS":                "the base of the byte-rate ladder (BPS, KBPS, MBPS)",
+	"internal/workload.Classes":         "the paper's media classes in rate order, used by the workload tests",
+	"internal/workload.ReplayAdmission": "one-shot wrapper over Replay, kept for the departure-heap oracle test and its benchmark",
 }
 
 // TestNoUnusedExportedAPI finds dead API with go/parser alone: every
