@@ -57,7 +57,7 @@ profile:
 # EXPERIMENTS.md ("Profiling the scaling hot path").
 profile-scale:
 	mkdir -p profiles
-	$(GO) run ./cmd/memsbench -run shardscale -shards 1 \
+	$(GO) run ./cmd/memsbench -run shardscale \
 		-cpuprofile profiles/scale-cpu.pprof -memprofile profiles/scale-mem.pprof -out profiles
 	@echo "profiles: profiles/scale-cpu.pprof profiles/scale-mem.pprof"
 

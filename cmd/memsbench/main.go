@@ -1,6 +1,6 @@
 // Command memsbench regenerates the paper's tables and figures: it runs
 // the experiment suite on a worker pool, and its artifacts are
-// byte-identical at any -parallel and -shards value.
+// byte-identical at any -parallel value.
 //
 // Usage:
 //
@@ -12,7 +12,6 @@
 //	memsbench -parallel 8 -json m.json  # parallel suite + metrics doc
 //	memsbench -run fig5 -cpuprofile cpu.pprof -memprofile mem.pprof
 //	memsbench -perf perf.json       # per-experiment wall/events-per-sec doc
-//	memsbench -run shardscale -shards 8  # sharded experiment on 8 goroutines
 package main
 
 import (
@@ -48,7 +47,6 @@ func run(args []string, w io.Writer) error {
 	csv := fs.Bool("csv", false, "append CSV series data to plot experiments")
 	out := fs.String("out", "", "write artifacts to this directory instead of stdout")
 	parallel := fs.Int("parallel", 1, "worker count for the suite (0 = GOMAXPROCS)")
-	shards := fs.Int("shards", 1, "shard goroutine count for sharded experiments (artifacts are byte-identical at any value)")
 	seed := fs.Uint64("seed", experiments.DefaultSeed, "root seed; per-experiment seeds derive from it")
 	tierName := fs.String("tier", tier.Default, "middle-tier parameter set: "+strings.Join(tier.Names(), ", "))
 	jsonPath := fs.String("json", "", "write the per-run metrics document to this file")
@@ -58,7 +56,6 @@ func run(args []string, w io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	experiments.SetShardWorkers(*shards)
 	if err := experiments.SetTier(*tierName); err != nil {
 		return err
 	}

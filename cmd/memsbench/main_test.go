@@ -231,24 +231,6 @@ func TestRunProfiles(t *testing.T) {
 	}
 }
 
-// The shardscale artifact is byte-identical at -shards 1 and -shards 8 —
-// the same contract CI enforces by diffing the two runs' -out trees.
-func TestRunShardsArtifactIdentical(t *testing.T) {
-	var one, eight strings.Builder
-	if err := run([]string{"-run", "shardscale", "-shards", "1"}, &one); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-run", "shardscale", "-shards", "8"}, &eight); err != nil {
-		t.Fatal(err)
-	}
-	if one.String() != eight.String() {
-		t.Error("-shards changed the shardscale artifact")
-	}
-	if !strings.Contains(one.String(), "merged (order-independent fold") {
-		t.Errorf("artifact missing merged section:\n%s", one.String())
-	}
-}
-
 func TestRunJSONMetrics(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "metrics.json")

@@ -53,7 +53,7 @@ func main() {
 	record := flag.String("record", "", "write the generated trace to this file")
 	replay := flag.String("replay", "", "replay a trace file instead of generating")
 	jsonPath := flag.String("json", "", "with -scale: write the JSON document to this file")
-	shards := flag.Int("shards", 1, "with -scale: shard goroutine count (merged results are byte-identical at any value)")
+	shards := flag.Int("shards", 1, "with -scale: worker count, 0 = GOMAXPROCS (merged results are byte-identical at any value)")
 	scale := flag.Int("scale", 0, "run the sharded scaling scenario with this many total streams")
 	scalePer := flag.Int("scale-per", 4096, "with -scale: streams per partition (the unit of determinism)")
 	scaleRate := flag.String("scale-rate", "10KB", "with -scale: per-stream bit rate")
@@ -231,7 +231,7 @@ func report(dev serviceable, events []trace.Event, cs []device.Completion) {
 
 // scaleDoc is the JSON document -scale emits: the scenario identity, the
 // deterministic merged counters (byte-identical at any -shards value), and
-// the execution figures (wall clock and per-shard rates, which are not).
+// the execution figures (worker count, wall clock and rate, which are not).
 // scripts/bench.sh folds this into the BENCH_<n>.json "scaling" array.
 type scaleDoc struct {
 	Plan       string `json:"plan"`
@@ -247,24 +247,14 @@ type scaleDoc struct {
 
 	WallNS int64 `json:"wall_ns"`
 	// EventsPerSec is end-to-end: merged events over total wall clock.
-	EventsPerSec float64       `json:"events_per_sec"`
-	Stripes      []stripeEntry `json:"stripes"`
-}
-
-// stripeEntry is one shard goroutine's execution record.
-type stripeEntry struct {
-	Shard        int     `json:"shard"`
-	Parts        int     `json:"parts"`
-	Events       uint64  `json:"events"`
-	WallNS       int64   `json:"wall_ns"`
 	EventsPerSec float64 `json:"events_per_sec"`
 }
 
 // runScale runs the uniform sharded scaling scenario: total streams in
 // partitions of per, each partition an independent direct-mode server,
-// striped across shard goroutines. The merged summary printed to w is
-// byte-identical at any shard count; the JSON document additionally
-// records the shard-dependent execution figures.
+// run on shards workers. The merged summary printed to w is byte-identical
+// at any worker count; the JSON document additionally records the
+// execution figures.
 func runScale(total, per int, rateStr string, seed uint64, shards int, jsonPath string, w io.Writer) error {
 	rate := 10 * units.KBPS
 	if rateStr != "" {
@@ -305,12 +295,6 @@ func runScale(total, per int, rateStr string, seed uint64, shards int, jsonPath 
 
 		WallNS:       int64(rep.Wall),
 		EventsPerSec: rep.WallEventsPerSec(),
-	}
-	for _, s := range rep.Stripe {
-		doc.Stripes = append(doc.Stripes, stripeEntry{
-			Shard: s.Shard, Parts: s.Parts, Events: s.Events,
-			WallNS: int64(s.Wall), EventsPerSec: s.EventsPerSec(),
-		})
 	}
 	data, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {

@@ -148,7 +148,7 @@ func TestRunScaleDeterministicAcrossShards(t *testing.T) {
 	if doc1.Streams != 512 || doc1.Partitions != 4 || doc1.Shards != 1 {
 		t.Errorf("doc = %+v", doc1)
 	}
-	if doc4.Shards != 4 || len(doc4.Stripes) != 4 {
+	if doc4.Shards != 4 {
 		t.Errorf("doc = %+v", doc4)
 	}
 	if doc1.Events != doc4.Events || doc1.Cycles != doc4.Cycles ||

@@ -131,9 +131,6 @@ func SetTier(name string) error {
 	return nil
 }
 
-// CurrentTier reports the active middle-tier parameter set.
-func CurrentTier() tier.Spec { return curTier }
-
 // paperTier is the configured middle tier under the paper's convention
 // (maximum positioning latency). With the default tier this is exactly
 // the old G3 MEMS spec.

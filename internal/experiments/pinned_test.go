@@ -8,12 +8,14 @@ import (
 	"path/filepath"
 	"sort"
 	"testing"
+
+	"memstream/internal/sim"
 )
 
 // pinnedSeeds are the root seeds the kernel-equivalence pin covers. Two
 // seeds catch rewrites that happen to be correct at one seed by luck;
-// per-experiment seeds still derive via seedFor, exactly as the suite
-// runner does.
+// per-experiment seeds still derive via sim.KeyedSeed, exactly as the
+// suite runner does.
 var pinnedSeeds = []uint64{DefaultSeed, 20030305}
 
 // fingerprint collapses one experiment Result into a stable digest of
@@ -44,7 +46,7 @@ func TestPinnedResultEquivalence(t *testing.T) {
 	// The pin is defined at the paper's published operating point: pin the
 	// middle tier to G3 MEMS explicitly so a stray SetTier in another test
 	// (or a future default change) cannot silently move the goalposts.
-	prev := CurrentTier()
+	prev := curTier
 	if err := SetTier("mems-g3"); err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +56,7 @@ func TestPinnedResultEquivalence(t *testing.T) {
 	got := map[string]string{}
 	for _, seed := range pinnedSeeds {
 		for _, id := range IDs() {
-			res, err := RunSeeded(id, seedFor(seed, id))
+			res, err := RunSeeded(id, sim.KeyedSeed(seed, id))
 			if err != nil {
 				t.Fatalf("%s @ seed %d: %v", id, seed, err)
 			}

@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"hash/fnv"
 	"regexp"
-	"runtime"
 	"sync"
 	"time"
 
@@ -59,91 +57,52 @@ func Match(pattern string) ([]string, error) {
 	return ids, nil
 }
 
-// seedFor derives an experiment's seed from the suite's root seed via
-// RNG.Split. Keying by the experiment ID — not its position in the work
-// list or its completion order — makes every run's result a pure function
-// of (rootSeed, id): the suite is byte-identical at any worker count, and
-// a -run subset reproduces the full suite's per-experiment artifacts.
-func seedFor(rootSeed uint64, id string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(id))
-	return sim.NewRNG(rootSeed ^ h.Sum64()).Split().Uint64()
-}
-
-// RunSuite executes the given experiments on a pool of parallel workers
-// (parallel <= 0 means GOMAXPROCS) and returns per-run metrics plus the
-// artifacts, ordered as ids. A run that fails is reported in its entry's
-// Error field; it does not abort the rest of the suite. The progress
-// callback, when non-nil, is invoked once per run in completion order
-// (serialized, from worker goroutines).
+// RunSuite executes the given experiments on sim.FanOut with parallel
+// workers (parallel <= 0 means GOMAXPROCS) and returns per-run metrics
+// plus the artifacts, ordered as ids. Each run's seed is the
+// sim.KeyedSeed of its ID — not its position in the work list or its
+// completion order — so every result is a pure function of (rootSeed, id):
+// the suite is byte-identical at any worker count, and a -run subset
+// reproduces the full suite's per-experiment artifacts. A run that fails is
+// reported in its entry's Error field; it does not abort the rest of the
+// suite. The progress callback, when non-nil, is invoked once per run in
+// completion order (serialized, from worker goroutines).
 func RunSuite(ids []string, rootSeed uint64, parallel int, progress func(done, total int, rep RunReport)) (SuiteReport, error) {
 	for _, id := range ids {
 		if _, ok := registry[id]; !ok {
 			return SuiteReport{}, fmt.Errorf("experiments: unknown id %q (have %v)", id, IDs())
 		}
 	}
-	if parallel <= 0 {
-		parallel = runtime.GOMAXPROCS(0)
-	}
-	if parallel > len(ids) {
-		parallel = len(ids)
-	}
-	if parallel < 1 {
-		parallel = 1
-	}
-
-	suite := SuiteReport{
-		RootSeed: rootSeed,
-		Parallel: parallel,
-		Runs:     make([]RunReport, len(ids)),
-	}
+	suite := SuiteReport{RootSeed: rootSeed, Runs: make([]RunReport, len(ids))}
 	start := time.Now()
-
-	jobs := make(chan int)
-	var wg sync.WaitGroup
 	var mu sync.Mutex // serializes progress callbacks and the done counter
 	done := 0
-	for w := 0; w < parallel; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				id := ids[i]
-				seed := seedFor(rootSeed, id)
-				runStart := time.Now()
-				res, err := RunSeeded(id, seed)
-				rep := RunReport{
-					ID:   id,
-					Seed: seed,
-					Wall: time.Since(runStart),
-				}
-				rep.Title, _ = Title(id)
-				if err != nil {
-					rep.Error = err.Error()
-				} else {
-					res.Metrics.Wall = rep.Wall
-					rep.Result = res
-					rep.Events = res.Metrics.Events
-					rep.Streams = res.Metrics.Streams
-					rep.Cycles = res.Metrics.Cycles
-					rep.Underflows = res.Metrics.Underflows
-				}
-				suite.Runs[i] = rep
-				mu.Lock()
-				done++
-				if progress != nil {
-					progress(done, len(ids), rep)
-				}
-				mu.Unlock()
+	suite.Parallel = sim.FanOut(len(ids), parallel, func() func(int) {
+		return func(i int) {
+			rep := RunReport{ID: ids[i], Seed: sim.KeyedSeed(rootSeed, ids[i])}
+			rep.Title, _ = Title(rep.ID)
+			runStart := time.Now()
+			res, err := RunSeeded(rep.ID, rep.Seed)
+			rep.Wall = time.Since(runStart)
+			if err != nil {
+				rep.Error = err.Error()
+			} else {
+				res.Metrics.Wall = rep.Wall
+				rep.Result = res
+				rep.Events = res.Metrics.Events
+				rep.Streams = res.Metrics.Streams
+				rep.Cycles = res.Metrics.Cycles
+				rep.Underflows = res.Metrics.Underflows
 			}
-		}()
-	}
-	for i := range ids {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-
+			suite.Runs[i] = rep
+			mu.Lock()
+			done++
+			if progress != nil {
+				progress(done, len(ids), rep)
+			}
+			mu.Unlock()
+		}
+	})
 	suite.Wall = time.Since(start)
 	return suite, nil
 }

@@ -1,8 +1,13 @@
 package experiments
 
 import (
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -73,6 +78,58 @@ func TestSuiteParallelDeterminism(t *testing.T) {
 			t.Fatalf("%s failed: serial %q, parallel %q", serial.Runs[i].ID, serial.Runs[i].Error, parallel.Runs[i].Error)
 		}
 		sameRuns(t, serial.Runs[i], parallel.Runs[i])
+	}
+}
+
+// TestConcurrentSuites runs two suites at once, each on two workers, over
+// the RNG-bearing experiments (shardscale nests a shard.Run inside a suite
+// worker): nothing a run touches may be shared, so each suite must still
+// reproduce the pinned fingerprints. Meant to run under -race.
+func TestConcurrentSuites(t *testing.T) {
+	prev := curTier
+	if err := SetTier("mems-g3"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { curTier = prev })
+	data, err := os.ReadFile(filepath.Join("testdata", "pinned_results.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	ids, err := Match("hybrid|dynamics|validate|besteffort|shardscale")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	suites := make([]SuiteReport, len(pinnedSeeds))
+	errs := make([]error, len(pinnedSeeds))
+	var wg sync.WaitGroup
+	for i, seed := range pinnedSeeds {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			suites[i], errs[i] = RunSuite(ids, seed, 2, nil)
+		}()
+	}
+	wg.Wait()
+	for i, seed := range pinnedSeeds {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if len(suites[i].Runs) != len(ids) {
+			t.Fatalf("seed %d: %d runs, want %d", seed, len(suites[i].Runs), len(ids))
+		}
+		for _, rep := range suites[i].Runs {
+			key := fmt.Sprintf("%s@%d", rep.ID, seed)
+			if rep.Error != "" {
+				t.Errorf("%s: %s", key, rep.Error)
+			} else if fingerprint(rep.Result) != want[key] {
+				t.Errorf("%s: fingerprint drifted while another suite ran", key)
+			}
+		}
 	}
 }
 

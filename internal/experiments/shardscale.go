@@ -12,29 +12,12 @@ func init() {
 		"Sharded multi-core engine: partitioned direct servers with deterministic merge (our addition)", runShardScale)
 }
 
-// shardWorkers is the shard goroutine count the sharded experiments run
-// with — wired from the CLIs' -shards flag. It changes only how much
-// hardware a run uses: partition seeds are pure functions of (seed,
-// partition) and the merge folds in partition order, so every artifact is
-// byte-identical at any value (CI diffs -shards=1 vs -shards=8). Set it
-// before starting a suite; it is read concurrently by suite workers.
-var shardWorkers = 1
-
-// SetShardWorkers configures the shard goroutine count for sharded
-// experiments (values below 1 run as 1). Call before RunSuite.
-func SetShardWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	shardWorkers = n
-}
-
 // runShardScale exercises the shard layer at suite-friendly size: 2048
 // DivX streams split into 8 partitions of 256, each an independent
-// direct-mode server on its own FutureDisk. The artifact renders the
-// per-partition results and the deterministic merge; wall-clock and
-// shard-count dependent figures are deliberately excluded so the artifact
-// is byte-identical at any -shards value. The full-size variant of this
+// direct-mode server on its own FutureDisk, run on one worker: the suite
+// is the parallel layer. The artifact renders the per-partition results
+// and the deterministic merge, and excludes wall-clock figures, so it is
+// byte-identical at any worker count. The full-size variant of this
 // scenario (a million streams across 245 partitions) runs via
 // memsim -scale and is recorded in the BENCH_<n>.json trajectory.
 func runShardScale(seed uint64) (Result, error) {
@@ -42,7 +25,7 @@ func runShardScale(seed uint64) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	rep, err := shard.Run(plan, seed, shardWorkers)
+	rep, err := shard.Run(plan, seed, 1)
 	if err != nil {
 		return Result{}, err
 	}

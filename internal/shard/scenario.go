@@ -13,8 +13,8 @@ import (
 // fixed-size partitions of per streams each (the last partition takes the
 // remainder), every partition an independent direct-mode server on its
 // own FutureDisk with a disjoint global stream-ID range. The partition
-// size — not the shard count — is what fixes the simulated system, so the
-// same total is byte-identical however many shards execute it.
+// size — not the worker count — is what fixes the simulated system, so the
+// same total is byte-identical however many workers execute it.
 //
 // duration is the per-partition simulated run length (0 = the direct
 // mode's default of 10 IO cycles). rate is the per-stream bit rate; the
@@ -63,7 +63,7 @@ func Uniform(total, per int, rate units.ByteRate, duration time.Duration) (Plan,
 // MillionStreams is the headline scaling scenario: one million concurrent
 // 10 KB/s streams across 245 partitions of 4096 — a run size whose
 // single-threaded wall clock makes iteration impractical, and the point
-// ROADMAP item 1 targets. Run it with as many shards as the host has
+// ROADMAP item 1 targets. Run it with as many workers as the host has
 // cores.
 func MillionStreams() Plan {
 	p, err := Uniform(1_000_000, 4096, 10*units.KBPS, 0)

@@ -4,25 +4,24 @@
 // The unit of determinism is the partition: a scenario fixes how many
 // partitions it has and what each one simulates, every partition gets its
 // own sim.Engine (inside its own server rig) and a seed that is a pure
-// function of (rootSeed, partition index) — the same RNG.Split discipline
-// the experiment suite uses for per-experiment seeds. The unit of
-// parallelism is the shard: Run spawns one goroutine per shard, stripes
-// partitions across them (partition p belongs to shard p mod shards), and
-// gates execution at GOMAXPROCS so each running partition owns a core.
+// function of (rootSeed, partition index) — sim.KeyedSeed, the derivation
+// the experiment suite keys by experiment ID. Run executes the partitions
+// on sim.FanOut, the suite's worker pool: workers take the next partition
+// from a shared queue, each with its own server.Arena. There is no core
+// gate, so with more workers than cores a partition's wall includes the
+// time it shares a core.
 //
 // Because partition results depend only on (rootSeed, partition) and the
 // merge folds them in partition order, the merged Result — and any
-// artifact rendered from it — is byte-identical at every shard count; the
-// shard count only chooses how much hardware the run uses. CI enforces
-// this with a -shards=1 vs -shards=8 artifact diff, the same way it pins
+// artifact rendered from it — is byte-identical at every worker count; the
+// count only chooses how much hardware the run uses. CI enforces this by
+// diffing memsim -scale summaries at -shards 1 and 8, the same way it pins
 // the experiment suite's worker-count independence.
 package shard
 
 import (
 	"fmt"
-	"hash/fnv"
-	"runtime"
-	"sync"
+	"strconv"
 	"time"
 
 	"memstream/internal/server"
@@ -37,7 +36,7 @@ type Plan struct {
 
 	// Partitions is the number of independent sub-simulations. It is part
 	// of the scenario — changing it changes the system being simulated —
-	// and is deliberately decoupled from the shard count, which only
+	// and is deliberately decoupled from the worker count, which only
 	// changes how the work is executed.
 	Partitions int
 
@@ -48,46 +47,22 @@ type Plan struct {
 	Build func(part int, seed uint64) (server.Config, error)
 }
 
-// SeedFor derives partition part's seed from the root seed: FNV-1a over
-// the partition key feeds an RNG.Split, so the seed is a pure function of
-// (rootSeed, part) — independent of shard count, execution order, and
-// every other partition. This mirrors the experiment suite's seedFor
-// discipline (keyed there by experiment ID).
+// SeedFor derives partition part's seed from the root seed: the
+// sim.KeyedSeed of the key "shard/<part>", a pure function of
+// (rootSeed, part).
 func SeedFor(rootSeed uint64, part int) uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "shard/%d", part)
-	return sim.NewRNG(rootSeed ^ h.Sum64()).Split().Uint64()
+	return sim.KeyedSeed(rootSeed, "shard/"+strconv.Itoa(part))
 }
 
 // PartReport is one partition's run record.
 type PartReport struct {
-	Part  int
-	Shard int // the goroutine stripe that executed it: Part mod shards
-	Seed  uint64
-	Wall  time.Duration // wall clock of the partition's server.Run
-	Err   string
+	Part int
+	Seed uint64
+	Wall time.Duration // wall clock of the partition's server.Run
+	Err  string
 
 	// Result is the partition's simulation outcome; zero when Err is set.
 	Result server.Result
-}
-
-// ShardReport aggregates one shard goroutine's execution: the partitions
-// it ran, the events they fired, and the wall clock it spent simulating
-// (the sum of its partitions' walls, which excludes time spent waiting
-// for a core).
-type ShardReport struct {
-	Shard  int
-	Parts  int
-	Events uint64
-	Wall   time.Duration
-}
-
-// EventsPerSec is this shard's simulation rate over its busy time.
-func (s ShardReport) EventsPerSec() float64 {
-	if s.Wall <= 0 {
-		return 0
-	}
-	return float64(s.Events) / s.Wall.Seconds()
 }
 
 // Result is the deterministic merge of every partition's server.Result.
@@ -97,7 +72,7 @@ func (s ShardReport) EventsPerSec() float64 {
 // per-partition disk utilizations; WorstMarginP5 is the smallest
 // 5th-percentile delivery margin any partition saw. The fold visits
 // partitions in index order, so the merge is independent of completion
-// order and shard count.
+// order and worker count.
 type Result struct {
 	Partitions int
 	Streams    int
@@ -118,8 +93,8 @@ type Result struct {
 }
 
 // Render produces the merged artifact text. It contains no wall-clock or
-// shard-count dependent values: two runs of the same plan and seed render
-// identically at any shard count — the property the CI artifact diff pins.
+// worker-count dependent values: two runs of the same plan and seed render
+// identically at any worker count — the property the CI summary diff pins.
 func (r Result) Render() string {
 	return fmt.Sprintf(
 		"partitions=%d streams=%d\n"+
@@ -134,22 +109,21 @@ func (r Result) Render() string {
 		r.WorstMarginP5)
 }
 
-// Report is one sharded run: the merged result plus per-partition and
-// per-shard execution records.
+// Report is one sharded run: the merged result plus per-partition
+// execution records.
 type Report struct {
 	Plan       string
 	Partitions int
-	Shards     int
+	Shards     int // the worker count sim.FanOut used
 	RootSeed   uint64
 	Wall       time.Duration // end-to-end wall clock of the whole run
 
 	Merged Result
 	Parts  []PartReport
-	Stripe []ShardReport
 }
 
 // WallEventsPerSec is the end-to-end simulation rate: merged events over
-// the run's total wall clock. With fewer cores than shards the shards
+// the run's total wall clock. With fewer cores than workers the workers
 // timeshare and this number stays near the single-core rate.
 func (r Report) WallEventsPerSec() float64 {
 	if r.Wall <= 0 {
@@ -158,83 +132,53 @@ func (r Report) WallEventsPerSec() float64 {
 	return float64(r.Merged.Events) / r.Wall.Seconds()
 }
 
-// Run executes the plan's partitions on the given number of shard
-// goroutines and deterministically merges their results. Shard counts
-// below 1 run as 1; counts above the partition count are clamped. A
-// partition failure does not abort the other partitions; Run returns the
-// lowest-indexed failure alongside the full report.
-func Run(plan Plan, rootSeed uint64, shards int) (Report, error) {
+// Run executes the plan's partitions on sim.FanOut with the given worker
+// count (<= 0 means GOMAXPROCS; clamped to the partition count) and
+// deterministically merges their results. A partition failure does not
+// abort the other partitions; Run returns the lowest-indexed failure
+// alongside the full report.
+func Run(plan Plan, rootSeed uint64, workers int) (Report, error) {
 	if plan.Partitions <= 0 {
 		return Report{}, fmt.Errorf("shard: plan %q needs at least one partition", plan.Name)
 	}
 	if plan.Build == nil {
 		return Report{}, fmt.Errorf("shard: plan %q has no Build function", plan.Name)
 	}
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > plan.Partitions {
-		shards = plan.Partitions
-	}
-
 	rep := Report{
 		Plan:       plan.Name,
 		Partitions: plan.Partitions,
-		Shards:     shards,
 		RootSeed:   rootSeed,
 		Parts:      make([]PartReport, plan.Partitions),
-		Stripe:     make([]ShardReport, shards),
 	}
-
-	// Gate concurrent partitions at GOMAXPROCS: a running partition owns a
-	// core, so per-partition walls measure uncontended simulation time and
-	// the per-shard rates stay meaningful on any machine.
-	slots := runtime.GOMAXPROCS(0)
-	if slots > shards {
-		slots = shards
-	}
-	tokens := make(chan struct{}, slots)
 
 	start := time.Now()
-	var wg sync.WaitGroup
-	for s := 0; s < shards; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			// One arena per shard goroutine: partition p+1 runs in the
-			// storage partition p grew, so the steady-state loop stops
-			// allocating per partition. Arenas are goroutine-local, never
-			// shared, and arena reuse is pinned byte-identical to
-			// arena-free runs by the goldens and the 1-vs-8 shard gate.
-			arena := server.NewArena()
-			for p := s; p < plan.Partitions; p += shards {
-				tokens <- struct{}{}
-				seed := SeedFor(rootSeed, p)
-				pr := PartReport{Part: p, Shard: s, Seed: seed}
-				cfg, err := plan.Build(p, seed)
-				if err == nil {
-					cfg.Seed = seed
-					cfg.Arena = arena
-					runStart := time.Now()
-					pr.Result, err = server.Run(cfg)
-					pr.Wall = time.Since(runStart)
-				}
-				if err != nil {
-					pr.Err = err.Error()
-				}
-				rep.Parts[p] = pr
-				<-tokens
+	rep.Shards = sim.FanOut(plan.Partitions, workers, func() func(int) {
+		// One arena per worker: a partition runs in the storage the
+		// worker's previous partition grew, so the steady-state loop stops
+		// allocating per partition. Arena reuse is pinned byte-identical
+		// to arena-free runs by the goldens and the 1-vs-8 worker gate.
+		arena := server.NewArena()
+		return func(p int) {
+			seed := SeedFor(rootSeed, p)
+			pr := PartReport{Part: p, Seed: seed}
+			cfg, err := plan.Build(p, seed)
+			if err == nil {
+				cfg.Seed = seed
+				cfg.Arena = arena
+				runStart := time.Now()
+				pr.Result, err = server.Run(cfg)
+				pr.Wall = time.Since(runStart)
 			}
-		}(s)
-	}
-	wg.Wait()
+			if err != nil {
+				pr.Err = err.Error()
+			}
+			rep.Parts[p] = pr
+		}
+	})
 	rep.Wall = time.Since(start)
 
 	// Deterministic merge: fold partitions in index order. Completion
-	// order and shard count cannot influence any merged value.
-	for s := range rep.Stripe {
-		rep.Stripe[s].Shard = s
-	}
+	// order and worker count cannot influence any merged value.
 	var firstErr error
 	var utilSum float64
 	worstMargin := time.Duration(1<<63 - 1)
@@ -242,10 +186,6 @@ func Run(plan Plan, rootSeed uint64, shards int) (Report, error) {
 	m.Partitions = plan.Partitions
 	for p := range rep.Parts {
 		pr := &rep.Parts[p]
-		st := &rep.Stripe[pr.Shard]
-		st.Parts++
-		st.Events += pr.Result.Events
-		st.Wall += pr.Wall
 		if pr.Err != "" {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("shard: partition %d: %s", p, pr.Err)

@@ -39,11 +39,14 @@ func TestSeedForPureFunction(t *testing.T) {
 	if SeedFor(1, 5) == SeedFor(2, 5) {
 		t.Error("root seed does not influence partition seed")
 	}
+	if got := SeedFor(1, 3); got != 9968832046221062348 {
+		t.Errorf("SeedFor(1, 3) = %d, want the value every partition seed was pinned at", got)
+	}
 }
 
 // TestRunDeterministicAcrossShardCounts is the core contract: the merged
-// result and every per-partition result are identical however many shard
-// goroutines execute the plan — including a shard count that does not
+// result and every per-partition result are identical however many
+// workers execute the plan — including a worker count that does not
 // divide the partition count. Run under -race this also exercises the
 // concurrent execution path.
 func TestRunDeterministicAcrossShardCounts(t *testing.T) {
@@ -86,23 +89,14 @@ func TestRunStripesAndClamping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Stripe) != 3 {
-		t.Fatalf("stripes = %d, want 3", len(rep.Stripe))
+	if rep.Shards != 3 {
+		t.Errorf("shards = %d, want 3", rep.Shards)
 	}
-	// Partition p runs on shard p mod 3: counts 2,1,1.
-	if rep.Stripe[0].Parts != 2 || rep.Stripe[1].Parts != 1 || rep.Stripe[2].Parts != 1 {
-		t.Errorf("stripe part counts = %d,%d,%d, want 2,1,1",
-			rep.Stripe[0].Parts, rep.Stripe[1].Parts, rep.Stripe[2].Parts)
-	}
-	var stripeEvents uint64
-	for _, s := range rep.Stripe {
-		stripeEvents += s.Events
-		if s.Wall <= 0 {
-			t.Errorf("stripe %d has no measured wall", s.Shard)
+	// Every partition ran, once, into its own slot.
+	for p, pr := range rep.Parts {
+		if pr.Part != p || pr.Err != "" {
+			t.Errorf("Parts[%d] = partition %d, err %q", p, pr.Part, pr.Err)
 		}
-	}
-	if stripeEvents != rep.Merged.Events {
-		t.Errorf("stripe events %d != merged events %d", stripeEvents, rep.Merged.Events)
 	}
 	if rep.WallEventsPerSec() <= 0 {
 		t.Error("throughput figure not positive")

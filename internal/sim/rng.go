@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"hash/fnv"
 	"math"
 	"math/bits"
 )
@@ -95,4 +96,15 @@ func (r *RNG) Perm(n int) []int {
 // entity its own stream without coupling their sequences.
 func (r *RNG) Split() *RNG {
 	return NewRNG(r.Uint64() ^ 0xdeadbeefcafef00d)
+}
+
+// KeyedSeed derives a child seed from a root seed and a key: FNV-1a over
+// the key, XORed into the root, feeds one Split. The seed is a pure
+// function of (root, key) — independent of worker count, execution order
+// and every other key — so a suite keyed by experiment ID, or a sharded
+// run keyed by partition, reproduces each job's result on its own.
+func KeyedSeed(root uint64, key string) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(key))
+	return NewRNG(root ^ h.Sum64()).Split().Uint64()
 }

@@ -11,14 +11,14 @@
 #     "go": "<toolchain>",
 #     "microbench": [ {"name", "ns_per_op", "bytes_per_op", "allocs_per_op"} ],
 #     "experiments": [ {"id", "wall_ns", "events", "events_per_sec"} ],
-#     "scaling": [ <memsim -scale docs, one per shard count> ],
+#     "scaling": [ <memsim -scale docs, one per worker count> ],
 #     "pacing": <pacing-scaling/v1 doc from the serve scaling harness>
 #   }
 #
-# The scaling section runs the sharded uniform scenario at each shard
+# The scaling section runs the sharded uniform scenario at each worker
 # count in BENCH_SHARDS. The merged counters in every entry are identical
-# (determinism contract); events_per_sec is the end-to-end wall rate, and
-# the stripes list each shard's own events and wall (see DESIGN.md).
+# (determinism contract); events_per_sec is the end-to-end wall rate
+# (see DESIGN.md).
 #
 # The pacing section sweeps live stream populations across both serve
 # data planes (goroutine-per-stream vs timer wheel) and records lag

@@ -21,7 +21,6 @@ var unusedAllowed = map[string]string{
 	"internal/cache.Update":             "the paper's off-line cache refresh between placements; no experiment re-places yet",
 	"internal/device.IOSizeFor":         "inverse of EffectiveThroughput (Fig 2), pinned by its own round-trip test",
 	"internal/device.Utilization":       "Fig 2's utilization curve in closed form, tested beside EffectiveThroughput",
-	"internal/experiments.CurrentTier":  "read side of the SetTier package global that ROADMAP item 9 replaces with suite options",
 	"internal/model.CostWithCache":      "Eq 9 in closed form; the cost figures price through model plans instead",
 	"internal/model.EffectiveBankSpec":  "Corollaries 2-4 as one device spec, the bank-level property ROADMAP item 14 checks",
 	"internal/model.MEMSDirect":         "Corollary 1 (MEMS as the only store), tested; no figure plots it",
