@@ -209,11 +209,9 @@ func report(dev serviceable, events []trace.Event, cs []device.Completion) {
 		return
 	}
 	m := dev.Model()
-	var pos, xfer time.Duration
+	pos, xfer := serviceTotals(dev)
 	var bytes units.Bytes
 	for _, c := range cs {
-		pos += c.Position
-		xfer += c.Transfer
 		bytes += units.Bytes(c.Blocks) * dev.Geometry().BlockSize
 	}
 	span := cs[len(cs)-1].Finish
@@ -227,6 +225,24 @@ func report(dev serviceable, events []trace.Event, cs []device.Completion) {
 	fmt.Printf("avg transfer:    %v\n", (xfer / time.Duration(len(cs))).Round(time.Microsecond))
 	fmt.Printf("utilization:     %.1f%% of media rate\n",
 		100*float64(units.RateOf(bytes, span))/float64(m.Rate))
+}
+
+// serviceTotals reads a freshly built device's cumulative positioning
+// (seek, settle and, on a disk, rotational wait) and transfer time from
+// its own counters; an array sums its members'.
+func serviceTotals(dev serviceable) (pos, xfer time.Duration) {
+	switch d := dev.(type) {
+	case tier.Device:
+		return d.TotalSeekTime(), d.TotalTransferTime()
+	case *disk.Device:
+		return d.TotalSeekTime() + d.TotalRotTime(), d.TotalTransferTime()
+	case *disk.Array:
+		for i := 0; i < d.Members(); i++ {
+			p, x := serviceTotals(d.Member(i))
+			pos, xfer = pos+p, xfer+x
+		}
+	}
+	return pos, xfer
 }
 
 // scaleDoc is the JSON document -scale emits: the scenario identity, the

@@ -62,10 +62,13 @@ func (s *StripedBank) Assign(stream int) error {
 	return nil
 }
 
-// Read performs the lock-step access: every device reads blocks/k at the
-// same relative location; the IO completes when the slowest device
-// finishes. Since the devices start aligned and perform identical seeks,
-// the completion equals a single-device access at 1/k the size.
+// Read performs the lock-step access: every device reads ⌊blocks/k⌋
+// blocks (at least one) at the same relative location, and the IO
+// completes when the slowest device finishes. The bank therefore moves
+// k·⌊blocks/k⌋ blocks, not blocks: the remainder is dropped (ROADMAP
+// finding F7). Devices that start aligned stay aligned, so the read is
+// served once and booked on every device (tier.ServeInStep); devices a
+// caller has driven apart are served one by one.
 func (s *StripedBank) Read(now time.Duration, stream int, block, blocks int64) (device.Completion, error) {
 	per := blocks / int64(len(s.devs))
 	if per < 1 {
@@ -76,16 +79,21 @@ func (s *StripedBank) Read(now time.Duration, stream int, block, blocks int64) (
 	if rel+per > g.Blocks {
 		rel = g.Blocks - per
 	}
-	var last device.Completion
+	r := device.Request{Op: device.Read, Block: rel, Blocks: per, Stream: stream}
+	if c, ok, err := tier.ServeInStep(s.devs, now, r); ok {
+		if err != nil {
+			return device.Completion{}, fmt.Errorf("bank: striped read on device 0: %w", err)
+		}
+		return c, nil
+	}
+	last := device.Completion{Request: r}
 	for i, d := range s.devs {
-		c, err := d.Service(now, device.Request{
-			Op: device.Read, Block: rel, Blocks: per, Stream: stream,
-		})
+		c, err := d.Service(now, r)
 		if err != nil {
 			return device.Completion{}, fmt.Errorf("bank: striped read on device %d: %w", i, err)
 		}
 		if i == 0 || c.Finish > last.Finish {
-			last = c
+			last.Finish = c.Finish
 		}
 	}
 	return last, nil

@@ -36,18 +36,20 @@ type Request struct {
 	Issued time.Duration // simulation time the request was issued
 }
 
-// Completion reports how one request was serviced.
+// Completion reports how one request was serviced: the request and the
+// simulated time its service ended. Service starts at the now the caller
+// passed in, and the positioning and transfer portions accumulate in the
+// serving device's counters (TotalSeekTime, TotalTransferTime and, on a
+// disk, TotalRotTime).
+//
+// Six integer fields, so a (Completion, bool, error) result travels in
+// the nine integer result registers of Go's amd64 register ABI instead of
+// being spilled and copied at every hop; TestCompletionFitsResultRegisters
+// keeps it there.
 type Completion struct {
 	Request
-	Start      time.Duration // service start (simulated)
-	Finish     time.Duration // service end (simulated)
-	Position   time.Duration // positioning (seek + settle/rotation) portion
-	Transfer   time.Duration // media transfer portion
-	QueueDelay time.Duration // time spent waiting in the device queue
+	Finish time.Duration // service end (simulated)
 }
-
-// ServiceTime returns positioning plus transfer time.
-func (c Completion) ServiceTime() time.Duration { return c.Finish - c.Start }
 
 // Geometry describes a block device's addressable space.
 type Geometry struct {

@@ -41,13 +41,6 @@ func TestGeometryValidate(t *testing.T) {
 	}
 }
 
-func TestCompletionServiceTime(t *testing.T) {
-	c := Completion{Start: 10 * time.Millisecond, Finish: 25 * time.Millisecond}
-	if got := c.ServiceTime(); got != 15*time.Millisecond {
-		t.Errorf("ServiceTime = %v", got)
-	}
-}
-
 func TestEffectiveThroughputLimits(t *testing.T) {
 	rate := 300 * units.MBPS
 	lat := 4 * time.Millisecond

@@ -121,7 +121,6 @@ func (a *Array) Service(now time.Duration, r device.Request) (device.Completion,
 		return device.Completion{}, err
 	}
 	var finish time.Duration
-	var pos, xfer time.Duration
 	for _, s := range subs {
 		start := now
 		if t := a.memberFree[s.member]; t > start {
@@ -135,14 +134,6 @@ func (a *Array) Service(now time.Duration, r device.Request) (device.Completion,
 		if c.Finish > finish {
 			finish = c.Finish
 		}
-		pos += c.Position
-		xfer += c.Transfer
 	}
-	return device.Completion{
-		Request:  r,
-		Start:    now,
-		Finish:   finish,
-		Position: pos,
-		Transfer: xfer,
-	}, nil
+	return device.Completion{Request: r, Finish: finish}, nil
 }

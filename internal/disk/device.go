@@ -232,7 +232,7 @@ func (d *Device) Service(now time.Duration, r device.Request) (c device.Completi
 		} else if d.cache.Lookup(r.Block, r.Blocks) {
 			bytes := units.Bytes(r.Blocks) * d.geom.BlockSize
 			xfer := bytes.Duration(d.cacheRate)
-			c = device.Completion{Request: r, Start: now, Finish: now + xfer, Transfer: xfer}
+			c = device.Completion{Request: r, Finish: now + xfer}
 			d.served++
 			d.busy += xfer
 			d.xferTime += xfer
@@ -289,9 +289,7 @@ func (d *Device) Service(now time.Duration, r device.Request) (c device.Completi
 	d.nowAngle = float64(endSector+1) / float64(z.sectors)
 	d.nowAngle -= math.Floor(d.nowAngle)
 
-	c.Request = r
-	c.Start, c.Finish = now, finish
-	c.Position, c.Transfer = seek+rot, xfer
+	c = device.Completion{Request: r, Finish: finish}
 	d.served++
 	d.busy += finish - now
 	d.seekTime += seek

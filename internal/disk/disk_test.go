@@ -190,6 +190,10 @@ func TestServiceSequentialStreamsAtZoneRate(t *testing.T) {
 	}
 }
 
+// positioning is d's cumulative seek plus rotational wait; a request's
+// positioning is how much it grows across the request's service.
+func positioning(d *Device) time.Duration { return d.TotalSeekTime() + d.TotalRotTime() }
+
 func TestServiceRandomPaysPositioning(t *testing.T) {
 	d, _ := New(FutureDisk())
 	rng := sim.NewRNG(2)
@@ -197,11 +201,12 @@ func TestServiceRandomPaysPositioning(t *testing.T) {
 	now := time.Duration(0)
 	for i := 0; i < 2000; i++ {
 		lbn := int64(rng.Float64() * float64(d.Geometry().Blocks-64))
+		before := positioning(d)
 		c, err := d.Service(now, device.Request{Block: lbn, Blocks: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
-		pos.Observe(c.Position.Seconds())
+		pos.Observe((positioning(d) - before).Seconds())
 		now = c.Finish
 	}
 	avg := units.Seconds(pos.Mean())
@@ -252,13 +257,13 @@ func TestRotationalPositionTracking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := d.Service(c1.Finish, device.Request{Block: 1000, Blocks: 1})
-	if err != nil {
+	before := positioning(d)
+	if _, err := d.Service(c1.Finish, device.Request{Block: 1000, Blocks: 1}); err != nil {
 		t.Fatal(err)
 	}
 	period := d.Params().RotationPeriod()
-	if c2.Position < time.Duration(0.9*float64(period)) {
-		t.Errorf("re-read rotational wait = %v, want ≈%v", c2.Position, period)
+	if wait := positioning(d) - before; wait < time.Duration(0.9*float64(period)) {
+		t.Errorf("re-read rotational wait = %v, want ≈%v", wait, period)
 	}
 }
 
@@ -271,12 +276,14 @@ func TestServiceBoundsProperty(t *testing.T) {
 	f := func(a uint32, n uint8) bool {
 		blocks := int64(n%64) + 1
 		lbn := int64(a) % (d.Geometry().Blocks - blocks)
+		pos0, xfer0 := positioning(d), d.TotalTransferTime()
 		c, err := d.Service(now, device.Request{Block: lbn, Blocks: blocks})
 		if err != nil {
 			return false
 		}
 		now = c.Finish
-		return c.Position >= 0 && c.Position <= max && c.Transfer > 0
+		pos := positioning(d) - pos0
+		return pos >= 0 && pos <= max && d.TotalTransferTime() > xfer0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -350,15 +357,10 @@ func TestElevatorReducesAvgSeekBelowRandom(t *testing.T) {
 		lbn := int64(rng.Float64() * float64(d.Geometry().Blocks-256))
 		s.Enqueue(device.Request{Block: lbn, Blocks: 8})
 	}
-	cs, err := s.DrainAll(0)
-	if err != nil {
+	if _, err := s.DrainAll(0); err != nil {
 		t.Fatal(err)
 	}
-	var total time.Duration
-	for _, c := range cs {
-		total += c.Position
-	}
-	avg := total / time.Duration(n)
+	avg := positioning(d) / time.Duration(n)
 	if avg >= d.Params().AvgAccess() {
 		t.Errorf("elevator avg positioning %v not below random-access %v", avg, d.Params().AvgAccess())
 	}
@@ -383,12 +385,14 @@ func TestOnControllerCache(t *testing.T) {
 	if _, err := d.Service(miss.Finish, device.Request{Op: device.Read, Block: 0, Blocks: 8}); err != nil {
 		t.Fatal(err)
 	}
-	hit, err := d.Service(miss.Finish+time.Second, device.Request{Op: device.Read, Block: 5e6, Blocks: 1024})
+	before := positioning(d)
+	hitStart := miss.Finish + time.Second
+	hit, err := d.Service(hitStart, device.Request{Op: device.Read, Block: 5e6, Blocks: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hit.Position != 0 || hit.ServiceTime() >= miss.ServiceTime() {
-		t.Errorf("hit pos=%v time=%v vs miss %v", hit.Position, hit.ServiceTime(), miss.ServiceTime())
+	if pos := positioning(d) - before; pos != 0 || hit.Finish-hitStart >= miss.Finish {
+		t.Errorf("hit pos=%v time=%v vs miss %v", pos, hit.Finish-hitStart, miss.Finish)
 	}
 	if d.Cache().HitRatio() <= 0 {
 		t.Error("no hits recorded")

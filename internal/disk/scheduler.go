@@ -261,7 +261,6 @@ func (s *Scheduler) Dispatch(now time.Duration) (c device.Completion, ok bool, e
 	if err != nil {
 		return device.Completion{}, false, err
 	}
-	c.QueueDelay = now - r.Issued
 	return c, true, nil
 }
 

@@ -41,9 +41,7 @@ func (o *refCLook) dispatch(now time.Duration) (device.Completion, error) {
 	}
 	r := o.queue[best]
 	o.queue = append(o.queue[:best], o.queue[best+1:]...)
-	c, err := refService(o.dev, now, r)
-	c.QueueDelay = now - r.Issued
-	return c, err
+	return refService(o.dev, now, r)
 }
 
 // refService is Device.Service as it was before the start LBN was resolved
@@ -97,7 +95,7 @@ func refService(d *Device, now time.Duration, r device.Request) (device.Completi
 	d.seekTime += seek
 	d.rotTime += rot
 	d.xferTime += xfer
-	return device.Completion{Request: r, Start: now, Finish: finish, Position: seek + rot, Transfer: xfer}, nil
+	return device.Completion{Request: r, Finish: finish}, nil
 }
 
 // twinDevices returns two identical drives: one for the code under test,
@@ -244,7 +242,6 @@ func TestSSTFMatchesArrivalOrderScan(t *testing.T) {
 			}
 		}
 		w, _ := refService(want, now, queue[best])
-		w.QueueDelay = now
 		queue = append(queue[:best], queue[best+1:]...)
 		c, ok, err := s.Dispatch(now)
 		if !ok || err != nil {
@@ -315,11 +312,11 @@ func TestServiceMatchesThreeLocateArithmetic(t *testing.T) {
 			t.Fatalf("request %d:\n got %+v\nwant %+v", i, c, w)
 		}
 		sameHead(t, got, want)
+		if got.TotalSeekTime() != want.TotalSeekTime() || got.TotalRotTime() != want.TotalRotTime() ||
+			got.TotalTransferTime() != want.TotalTransferTime() || got.BusyTime() != want.BusyTime() {
+			t.Fatalf("request %d: cumulative statistics diverged from the reference", i)
+		}
 		now = c.Finish + time.Duration(rng.Intn(3))*time.Millisecond
-	}
-	if got.TotalSeekTime() != want.TotalSeekTime() || got.TotalRotTime() != want.TotalRotTime() ||
-		got.TotalTransferTime() != want.TotalTransferTime() || got.BusyTime() != want.BusyTime() {
-		t.Error("cumulative statistics diverged from the reference")
 	}
 }
 

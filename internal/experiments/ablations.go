@@ -139,7 +139,7 @@ func runAblationLayout(uint64) (Result, error) {
 			return 0, err
 		}
 		chunk := int64(ioBytes / d.Geometry().BlockSize)
-		var now, pos time.Duration
+		var now time.Duration
 		for cycle := int64(0); cycle < 20; cycle++ {
 			for s := 0; s < n; s++ {
 				lbn, err := l.Map(s, cycle*chunk)
@@ -155,11 +155,10 @@ func runAblationLayout(uint64) (Result, error) {
 				if err != nil {
 					return 0, err
 				}
-				pos += c.Position
 				now = c.Finish
 			}
 		}
-		return pos, nil
+		return d.TotalSeekTime(), nil
 	}
 	contig, err := run(func(d tier.LayoutCapable) (tier.Layout, error) { return d.ContiguousLayout(n) })
 	if err != nil {

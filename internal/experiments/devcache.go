@@ -106,7 +106,7 @@ func runPattern(streaming, cached bool, accesses int, seed uint64) (time.Duratio
 		}
 	}
 
-	var now, total time.Duration
+	var now time.Duration
 	for i := 0; i < accesses; i++ {
 		var lbn int64
 		if streaming {
@@ -125,12 +125,11 @@ func runPattern(streaming, cached bool, accesses int, seed uint64) (time.Duratio
 		if err != nil {
 			return 0, 0, err
 		}
-		total += c.ServiceTime()
 		now = c.Finish
 	}
 	hitRatio := 0.0
 	if d.Cache() != nil {
 		hitRatio = d.Cache().HitRatio()
 	}
-	return total / time.Duration(accesses), hitRatio, nil
+	return d.BusyTime() / time.Duration(accesses), hitRatio, nil
 }

@@ -3,6 +3,7 @@ package mems
 import (
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"memstream/internal/device"
@@ -25,6 +26,7 @@ func sqrtf(x float64) float64 {
 type Device struct {
 	p    Params
 	geom device.Geometry
+	tab  *sledTables // shared with every device of the same parameter set
 
 	blocksPerTrack int64 // sectors a single Y sweep yields across all active tips
 	tracksPerCyl   int64 // always 1 in this layout; kept for clarity
@@ -42,11 +44,66 @@ type Device struct {
 	// failedTips counts tips marked failed via FailTips.
 	failedTips int
 
+	// xferBlocks and xferDur memoise the media transfer time of the last
+	// transfer size: a run's IOs come in one or two sizes.
+	xferBlocks int64
+	xferDur    time.Duration
+
+	// lastSeek and lastXfer are the last service's split, which Echo books
+	// on a device moving in lock-step with this one.
+	lastSeek, lastXfer time.Duration
+
 	// Statistics.
 	served   uint64
 	busy     time.Duration
 	seekTime time.Duration
 	xferTime time.Duration
+}
+
+// sledTables tabulates the sled arithmetic that depends on one operand:
+// the X seek plus settle by cylinder distance, and the Y fraction by block
+// offset within a cylinder. Each entry is the exact expression Service
+// evaluated per request before, so a lookup is bit-equal to it. Tables are
+// built once per parameter set and shared, read-only, by every device
+// built from it (sledTablesFor), so two devices hold the same tables
+// exactly when their parameters are equal.
+type sledTables struct {
+	seekX []time.Duration // distance → FullStrokeSeekX·√(distance/Cylinders) + SettleX; [0] = 0
+	yFrac []float64       // offset → offset/blocksPerTrack
+}
+
+// tables memoises sledTables per parameter set, process-wide: devices are
+// built concurrently under sim.FanOut, and once built a table is only
+// read.
+var tables struct {
+	sync.Mutex
+	m map[Params]*sledTables
+}
+
+// sledTablesFor returns the shared tables for p, whose cylinders hold bpt
+// blocks each, building them on first use.
+func sledTablesFor(p Params, bpt int64) *sledTables {
+	tables.Lock()
+	defer tables.Unlock()
+	if t := tables.m[p]; t != nil {
+		return t
+	}
+	t := &sledTables{
+		seekX: make([]time.Duration, p.Cylinders),
+		yFrac: make([]float64, bpt),
+	}
+	for dist := 1; dist < len(t.seekX); dist++ {
+		frac := float64(dist) / float64(p.Cylinders)
+		t.seekX[dist] = time.Duration(float64(p.FullStrokeSeekX)*sqrtf(frac)) + p.SettleX
+	}
+	for off := range t.yFrac {
+		t.yFrac[off] = float64(off) / float64(bpt)
+	}
+	if tables.m == nil {
+		tables.m = make(map[Params]*sledTables)
+	}
+	tables.m[p] = t
+	return t
 }
 
 // FailTips marks n of the device's tips as failed. The CMU designs carry
@@ -60,6 +117,7 @@ func (d *Device) FailTips(n int) error {
 		return fmt.Errorf("mems: cannot fail %d of %d tips", n, d.p.ActiveTips)
 	}
 	d.failedTips = n
+	d.xferBlocks = 0 // the rate changed
 	return nil
 }
 
@@ -112,6 +170,7 @@ func New(p Params) (*Device, error) {
 	return &Device{
 		p:              p,
 		geom:           device.Geometry{BlockSize: p.SectorBytes, Blocks: bpt * int64(p.Cylinders)},
+		tab:            sledTablesFor(p, bpt),
 		blocksPerTrack: bpt,
 		tracksPerCyl:   1,
 		ydir:           1,
@@ -154,22 +213,20 @@ func (d *Device) locate(lbn int64) (cyl int, off int64) {
 // SeekTime returns the positioning time to move the sled from its current
 // position to block lbn, without performing the move: the maximum of the X
 // seek (plus settle when the cylinder changes) and the Y reposition (plus
-// turnaround when the sweep direction must reverse).
+// turnaround when the sweep direction must reverse). A block off the
+// device, which Service rejects, costs the seek to the nearest block on it.
 func (d *Device) SeekTime(lbn int64) time.Duration {
-	return d.seekTo(d.locate(lbn))
+	return d.seekTo(d.locate(min(max(lbn, 0), d.geom.Blocks-1)))
 }
 
 // seekTo is SeekTime for an already-resolved sled address.
 func (d *Device) seekTo(targetCyl int, off int64) time.Duration {
-	targetY := float64(off) / float64(d.blocksPerTrack)
-
 	var tx time.Duration
-	if targetCyl != d.cyl {
-		frac := math.Abs(float64(targetCyl-d.cyl)) / float64(d.p.Cylinders)
-		tx = time.Duration(float64(d.p.FullStrokeSeekX)*sqrtf(frac)) + d.p.SettleX
+	if dist := targetCyl - d.cyl; dist != 0 {
+		tx = d.tab.seekX[max(dist, -dist)]
 	}
 
-	dy := targetY - d.ypos
+	dy := d.tab.yFrac[off] - d.ypos
 	ty := time.Duration(float64(d.p.FullStrokeSeekY) * sqrtf(math.Abs(dy)))
 	// Reading proceeds in +Y; if the sled ended its last sweep moving away
 	// from the target start we pay a turnaround.
@@ -198,11 +255,8 @@ func (d *Device) Service(now time.Duration, r device.Request) (c device.Completi
 			// the sled does not move.
 			bytes := units.Bytes(r.Blocks) * d.geom.BlockSize
 			xfer := bytes.Duration(d.cacheRate)
-			c = device.Completion{Request: r, Start: now, Finish: now + xfer, Transfer: xfer}
-			d.served++
-			d.busy += xfer
-			d.xferTime += xfer
-			return c, nil
+			d.book(0, xfer)
+			return device.Completion{Request: r, Finish: now + xfer}, nil
 		}
 	}
 	// A sled request is fully described by (cylinder, Y offset): resolve
@@ -214,8 +268,11 @@ func (d *Device) Service(now time.Duration, r device.Request) (c device.Completi
 	// Transfer: blocks stream at the aggregate tip rate; each cylinder
 	// boundary crossed mid-transfer costs one settle (the sled nudges to
 	// the next X position and resumes the sweep).
-	bytes := units.Bytes(r.Blocks) * d.geom.BlockSize
-	xfer := bytes.Duration(d.effectiveRate())
+	if r.Blocks != d.xferBlocks {
+		bytes := units.Bytes(r.Blocks) * d.geom.BlockSize
+		d.xferBlocks, d.xferDur = r.Blocks, bytes.Duration(d.effectiveRate())
+	}
+	xfer := d.xferDur
 	lastCyl, endOff := firstCyl, off+r.Blocks-1
 	if endOff >= d.blocksPerTrack {
 		lastCyl, endOff = d.locate(r.Block + r.Blocks - 1)
@@ -224,20 +281,41 @@ func (d *Device) Service(now time.Duration, r device.Request) (c device.Completi
 
 	// Update sled state to the end of the transfer.
 	d.cyl = lastCyl
-	d.ypos = float64(endOff) / float64(d.blocksPerTrack)
+	d.ypos = d.tab.yFrac[endOff]
 	d.ydir = 1
 
-	c.Request = r
-	c.Start, c.Finish = now, now+seek+xfer
-	c.Position, c.Transfer = seek, xfer
+	d.book(seek, xfer)
+	if d.cache != nil && r.Op == device.Read {
+		d.cache.Insert(r.Block, r.Blocks)
+	}
+	return device.Completion{Request: r, Finish: now + seek + xfer}, nil
+}
+
+// book counts one service of seek positioning and xfer transfer.
+func (d *Device) book(seek, xfer time.Duration) {
+	d.lastSeek, d.lastXfer = seek, xfer
 	d.served++
 	d.busy += seek + xfer
 	d.seekTime += seek
 	d.xferTime += xfer
-	if d.cache != nil && r.Op == device.Read {
-		d.cache.Insert(r.Block, r.Blocks)
-	}
-	return c, nil
+}
+
+// InStep reports whether o would serve any request exactly as d: another
+// device of the same parameter set (so the same tables), its sled in the
+// same state (cylinder, Y position and direction), the same tips failed,
+// and no read cache on either. A striped bank's devices move in
+// lock-step, so they normally are.
+func (d *Device) InStep(o *Device) bool {
+	return d != o && d.tab == o.tab && d.cyl == o.cyl && d.ypos == o.ypos && d.ydir == o.ydir &&
+		d.failedTips == o.failedTips && d.cache == nil && o.cache == nil
+}
+
+// Echo books on d the service lead has just performed, for a d that was
+// InStep with lead before it: d takes lead's sled state and counts lead's
+// last service, exactly as serving the same request itself would have.
+func (d *Device) Echo(lead *Device) {
+	d.cyl, d.ypos, d.ydir = lead.cyl, lead.ypos, lead.ydir
+	d.book(lead.lastSeek, lead.lastXfer)
 }
 
 // Reset returns the sled to cylinder 0, Y=0 and clears statistics.

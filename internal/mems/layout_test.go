@@ -74,7 +74,6 @@ func TestInterleavedBeatsContiguous(t *testing.T) {
 		d, _ := New(G3())
 		chunkBlocks := int64(ioBytes / d.Geometry().BlockSize)
 		var now time.Duration
-		var pos time.Duration
 		// Ten cycles of one IO per stream, all streams advancing together.
 		for cycle := int64(0); cycle < 10; cycle++ {
 			for s := 0; s < n; s++ {
@@ -91,11 +90,10 @@ func TestInterleavedBeatsContiguous(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				pos += c.Position
 				now = c.Finish
 			}
 		}
-		return pos
+		return d.TotalSeekTime()
 	}
 	dd, _ := New(G3())
 	co, err := NewContiguous(dd, n)

@@ -131,16 +131,15 @@ func TestServiceTransfersAtRate(t *testing.T) {
 	d, _ := New(G3())
 	// ~1 MB contiguous from the current position: no seek, pure transfer.
 	const blocks = 2000 // 1.024e6 bytes at 512B sectors
-	c, err := d.Service(0, device.Request{Op: device.Read, Block: 0, Blocks: blocks})
-	if err != nil {
+	if _, err := d.Service(0, device.Request{Op: device.Read, Block: 0, Blocks: blocks}); err != nil {
 		t.Fatal(err)
 	}
 	wantXfer := (units.Bytes(blocks) * 512).Duration(320 * units.MBPS)
-	if diff := c.Transfer - wantXfer; diff < 0 || diff > time.Millisecond {
-		t.Errorf("transfer = %v, want ≈%v (+cyl crossings)", c.Transfer, wantXfer)
+	if xfer := d.TotalTransferTime(); xfer-wantXfer < 0 || xfer-wantXfer > time.Millisecond {
+		t.Errorf("transfer = %v, want ≈%v (+cyl crossings)", xfer, wantXfer)
 	}
-	if c.Position != 0 {
-		t.Errorf("position = %v, want 0", c.Position)
+	if pos := d.TotalSeekTime(); pos != 0 {
+		t.Errorf("position = %v, want 0", pos)
 	}
 }
 
@@ -151,12 +150,12 @@ func TestServiceUpdatesSledState(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Re-reading right after the previous request ends is nearly free.
-	c, err := d.Service(time.Millisecond, device.Request{Block: far + 8, Blocks: 8})
-	if err != nil {
+	before := d.TotalSeekTime()
+	if _, err := d.Service(time.Millisecond, device.Request{Block: far + 8, Blocks: 8}); err != nil {
 		t.Fatal(err)
 	}
-	if c.Position > 100*time.Microsecond {
-		t.Errorf("sequential continuation position cost = %v, want tiny", c.Position)
+	if pos := d.TotalSeekTime() - before; pos > 100*time.Microsecond {
+		t.Errorf("sequential continuation position cost = %v, want tiny", pos)
 	}
 }
 
@@ -223,11 +222,11 @@ func TestSeekBoundedProperty(t *testing.T) {
 	max := d.Params().MaxLatency()
 	f := func(a uint32) bool {
 		lbn := int64(a) % d.Geometry().Blocks
-		c, err := d.Service(0, device.Request{Block: lbn, Blocks: 1})
-		if err != nil {
+		before := d.TotalSeekTime()
+		if _, err := d.Service(0, device.Request{Block: lbn, Blocks: 1}); err != nil {
 			return false
 		}
-		return c.Position <= max
+		return d.TotalSeekTime()-before <= max
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -322,24 +321,27 @@ func TestSchedulerElevatorServesAll(t *testing.T) {
 	}
 }
 
-func TestSchedulerQueueDelay(t *testing.T) {
-	d, _ := New(G3())
-	s := NewScheduler(d, FCFS)
-	s.Enqueue(device.Request{Block: 0, Blocks: 8, Issued: 0})
-	c, ok, err := s.Dispatch(5 * time.Millisecond)
-	if err != nil || !ok {
-		t.Fatal(err, ok)
-	}
-	if c.QueueDelay != 5*time.Millisecond {
-		t.Errorf("QueueDelay = %v, want 5ms", c.QueueDelay)
-	}
-}
-
 func TestSchedulerEmptyDispatch(t *testing.T) {
 	d, _ := New(G3())
 	s := NewScheduler(d, SPTF)
 	if _, ok, err := s.Dispatch(0); ok || err != nil {
 		t.Fatalf("empty dispatch: ok=%v err=%v", ok, err)
+	}
+}
+
+// TestSchedulerRejectsOffDeviceRequest checks that a queued request for a
+// block off the device fails its dispatch under every policy, SPTF's
+// positioning estimate included.
+func TestSchedulerRejectsOffDeviceRequest(t *testing.T) {
+	for _, pol := range []Policy{FCFS, SPTF, Elevator} {
+		d, _ := New(G3())
+		s := NewScheduler(d, pol)
+		for _, b := range []int64{-1, d.Geometry().Blocks} {
+			s.Enqueue(device.Request{Block: b, Blocks: 1})
+			if _, ok, err := s.Dispatch(0); ok || err == nil {
+				t.Errorf("%v: block %d dispatched: ok=%v err=%v", pol, b, ok, err)
+			}
+		}
 	}
 }
 
@@ -370,15 +372,17 @@ func TestOnDeviceCache(t *testing.T) {
 	if _, err := d.Service(first.Finish, device.Request{Op: device.Read, Block: 0, Blocks: 8}); err != nil {
 		t.Fatal(err)
 	}
-	hit, err := d.Service(first.Finish+time.Second, device.Request{Op: device.Read, Block: far, Blocks: 2048})
+	before := d.TotalSeekTime()
+	hitStart := first.Finish + time.Second
+	hit, err := d.Service(hitStart, device.Request{Op: device.Read, Block: far, Blocks: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hit.Position != 0 {
-		t.Errorf("cache hit paid positioning %v", hit.Position)
+	if pos := d.TotalSeekTime() - before; pos != 0 {
+		t.Errorf("cache hit paid positioning %v", pos)
 	}
-	if hit.ServiceTime() >= first.ServiceTime() {
-		t.Errorf("hit (%v) not faster than miss (%v)", hit.ServiceTime(), first.ServiceTime())
+	if hit.Finish-hitStart >= first.Finish {
+		t.Errorf("hit (%v) not faster than miss (%v)", hit.Finish-hitStart, first.Finish)
 	}
 	if d.Cache().Hits != 1 {
 		t.Errorf("cache hits = %d", d.Cache().Hits)
@@ -387,11 +391,11 @@ func TestOnDeviceCache(t *testing.T) {
 	if _, err := d.Service(hit.Finish, device.Request{Op: device.Write, Block: far + 100, Blocks: 8}); err != nil {
 		t.Fatal(err)
 	}
-	again, err := d.Service(hit.Finish+time.Second, device.Request{Op: device.Read, Block: far, Blocks: 2048})
-	if err != nil {
+	before = d.TotalSeekTime()
+	if _, err := d.Service(hit.Finish+time.Second, device.Request{Op: device.Read, Block: far, Blocks: 2048}); err != nil {
 		t.Fatal(err)
 	}
-	if again.Position == 0 {
+	if d.TotalSeekTime() == before {
 		t.Error("invalidated range still served from cache")
 	}
 }
@@ -419,20 +423,19 @@ func TestTipSparing(t *testing.T) {
 		t.Errorf("derated rate = %v, want ≈%v", derated, units.ByteRate(want))
 	}
 	// Transfers actually slow down.
-	c1, err := d.Service(0, device.Request{Op: device.Read, Block: 0, Blocks: 2000})
-	if err != nil {
+	if _, err := d.Service(0, device.Request{Op: device.Read, Block: 0, Blocks: 2000}); err != nil {
 		t.Fatal(err)
 	}
+	x1 := d.TotalTransferTime()
 	if err := d.FailTips(0); err != nil {
 		t.Fatal(err)
 	}
 	d.Reset()
-	c2, err := d.Service(0, device.Request{Op: device.Read, Block: 0, Blocks: 2000})
-	if err != nil {
+	if _, err := d.Service(0, device.Request{Op: device.Read, Block: 0, Blocks: 2000}); err != nil {
 		t.Fatal(err)
 	}
-	if c1.Transfer <= c2.Transfer {
-		t.Errorf("derated transfer %v not slower than healthy %v", c1.Transfer, c2.Transfer)
+	if x2 := d.TotalTransferTime(); x1 <= x2 {
+		t.Errorf("derated transfer %v not slower than healthy %v", x1, x2)
 	}
 	if d.FailedTips() != 0 {
 		t.Errorf("FailedTips = %d after reset to 0", d.FailedTips())

@@ -146,25 +146,30 @@ func (p Params) MaxLatency() time.Duration {
 // AvgLatency is the expected positioning time for a uniformly random
 // relocation: E[max(tX+settle, tY)] with both displacement fractions
 // uniform on |a-b| for a,b ~ U[0,1]. Computed by fixed-grid numerical
-// integration at construction time (no RNG involved).
+// integration at construction time (no RNG involved). The weights and the
+// per-axis times depend on one grid index each, so they are computed once
+// per index, by the same expressions, outside the double loop.
 func (p Params) AvgLatency() time.Duration {
 	const grid = 200
-	var sum, weight float64
-	for i := 0; i < grid; i++ {
+	var w, tx, ty [grid]float64
+	sx, settle := p.FullStrokeSeekX.Seconds(), p.SettleX.Seconds()
+	sy, turn := p.FullStrokeSeekY.Seconds(), p.Turnaround.Seconds()
+	for i := range w {
 		// Displacement fraction u has density 2(1-u) on [0,1].
 		u := (float64(i) + 0.5) / grid
-		wu := 2 * (1 - u)
-		tx := p.FullStrokeSeekX.Seconds()*sqrtf(u) + p.SettleX.Seconds()
-		for j := 0; j < grid; j++ {
-			v := (float64(j) + 0.5) / grid
-			wv := 2 * (1 - v)
-			ty := p.FullStrokeSeekY.Seconds()*sqrtf(v) + p.Turnaround.Seconds()
-			m := tx
-			if ty > m {
-				m = ty
+		w[i] = 2 * (1 - u)
+		tx[i] = sx*sqrtf(u) + settle
+		ty[i] = sy*sqrtf(u) + turn
+	}
+	var sum, weight float64
+	for i := range w {
+		for j := range w {
+			m := tx[i]
+			if ty[j] > m {
+				m = ty[j]
 			}
-			sum += wu * wv * m
-			weight += wu * wv
+			sum += w[i] * w[j] * m
+			weight += w[i] * w[j]
 		}
 	}
 	return units.Seconds(sum / weight)

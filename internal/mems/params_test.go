@@ -81,3 +81,41 @@ func TestParamsValidateRejects(t *testing.T) {
 		t.Fatalf("unmutated G3 rejected: %v", err)
 	}
 }
+
+// refAvgLatency is AvgLatency as it was before the per-axis terms left
+// the double loop: every term evaluated in the inner loop.
+func refAvgLatency(p Params) time.Duration {
+	const grid = 200
+	var sum, weight float64
+	for i := 0; i < grid; i++ {
+		u := (float64(i) + 0.5) / grid
+		wu := 2 * (1 - u)
+		tx := p.FullStrokeSeekX.Seconds()*sqrtf(u) + p.SettleX.Seconds()
+		for j := 0; j < grid; j++ {
+			v := (float64(j) + 0.5) / grid
+			wv := 2 * (1 - v)
+			ty := p.FullStrokeSeekY.Seconds()*sqrtf(v) + p.Turnaround.Seconds()
+			m := tx
+			if ty > m {
+				m = ty
+			}
+			sum += wu * wv * m
+			weight += wu * wv
+		}
+	}
+	return time.Duration(sum / weight * float64(time.Second))
+}
+
+// TestAvgLatencyMatchesInnerLoopTerms pins the hoisted grid to the
+// inner-loop evaluation, on the three generations and on parameter sets
+// where the X or the Y axis dominates everywhere.
+func TestAvgLatencyMatchesInnerLoopTerms(t *testing.T) {
+	xHeavy, yHeavy := G3(), G2()
+	xHeavy.SettleX = time.Millisecond
+	yHeavy.FullStrokeSeekY, yHeavy.Turnaround = 3*time.Millisecond, 0
+	for _, p := range []Params{G1(), G2(), G3(), xHeavy, yHeavy} {
+		if got, want := p.AvgLatency(), refAvgLatency(p); got != want {
+			t.Errorf("%s: AvgLatency %v, inner-loop evaluation %v", p.Name, got, want)
+		}
+	}
+}

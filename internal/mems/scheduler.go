@@ -105,7 +105,6 @@ func (s *Scheduler) Dispatch(now time.Duration) (device.Completion, bool, error)
 	if err != nil {
 		return device.Completion{}, false, err
 	}
-	c.QueueDelay = now - r.Issued
 	return c, true, nil
 }
 

@@ -2,6 +2,7 @@ package mems
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"time"
 
@@ -74,10 +75,7 @@ func (s *refSled) service(now time.Duration, r device.Request, rate units.ByteRa
 	s.busy += seek + xfer
 	s.seek += seek
 	s.xf += xfer
-	return device.Completion{
-		Request: r, Start: now, Finish: now + seek + xfer,
-		Position: seek, Transfer: xfer,
-	}, nil
+	return device.Completion{Request: r, Finish: now + seek + xfer}, nil
 }
 
 // TestServiceMatchesThreeCylinderArithmetic pins the single-divmod Service
@@ -143,11 +141,11 @@ func TestServiceMatchesThreeCylinderArithmetic(t *testing.T) {
 					t.Fatalf("request %d: sled at (%d, %v, %d), reference (%d, %v, %d)",
 						i, d.cyl, d.ypos, d.ydir, ref.cyl, ref.ypos, ref.ydir)
 				}
+				if d.Served() != ref.served || d.BusyTime() != ref.busy ||
+					d.TotalSeekTime() != ref.seek || d.TotalTransferTime() != ref.xf {
+					t.Fatalf("request %d: cumulative statistics diverged from the reference", i)
+				}
 				now = c.Finish + time.Duration(rng.Intn(3))*time.Millisecond
-			}
-			if d.Served() != ref.served || d.BusyTime() != ref.busy ||
-				d.TotalSeekTime() != ref.seek || d.TotalTransferTime() != ref.xf {
-				t.Error("cumulative statistics diverged from the reference")
 			}
 		})
 	}
@@ -176,5 +174,53 @@ func BenchmarkMEMSService(b *testing.B) {
 			b.Fatal(err)
 		}
 		now = c.Finish
+	}
+}
+
+// TestSledTablesMatchClosedForm checks every entry of every registered
+// sled's tables against the expression it replaced — the X seek plus
+// settle at every cylinder distance, the Y fraction at every offset in a
+// cylinder — and checks that devices of one parameter set share one set
+// of tables even when built concurrently, as sim.FanOut's workers do.
+func TestSledTablesMatchClosedForm(t *testing.T) {
+	for _, p := range []Params{G1(), G2(), G3()} {
+		devs := make([]*Device, 8)
+		var wg sync.WaitGroup
+		for i := range devs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				d, err := New(p)
+				if err != nil {
+					panic(err)
+				}
+				devs[i] = d
+			}()
+		}
+		wg.Wait()
+		d := devs[0]
+		for _, o := range devs[1:] {
+			if o.tab != d.tab {
+				t.Fatalf("%s: devices of one parameter set built separate tables", p.Name)
+			}
+		}
+		if len(d.tab.seekX) != p.Cylinders || int64(len(d.tab.yFrac)) != d.blocksPerTrack {
+			t.Fatalf("%s: tables of %d and %d entries, want %d and %d", p.Name, len(d.tab.seekX), len(d.tab.yFrac), p.Cylinders, d.blocksPerTrack)
+		}
+		for dist := 0; dist < p.Cylinders; dist++ {
+			var want time.Duration
+			if dist != 0 {
+				frac := math.Abs(float64(dist)) / float64(p.Cylinders)
+				want = time.Duration(float64(p.FullStrokeSeekX)*sqrtf(frac)) + p.SettleX
+			}
+			if got := d.tab.seekX[dist]; got != want {
+				t.Fatalf("%s: X seek at distance %d = %v, closed form %v", p.Name, dist, got, want)
+			}
+		}
+		for off := int64(0); off < d.blocksPerTrack; off++ {
+			if got, want := d.tab.yFrac[off], float64(off)/float64(d.blocksPerTrack); got != want {
+				t.Fatalf("%s: Y fraction at offset %d = %v, closed form %v", p.Name, off, got, want)
+			}
+		}
 	}
 }

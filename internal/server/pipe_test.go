@@ -43,7 +43,7 @@ type recDev struct {
 func (d *recDev) Service(now time.Duration, r device.Request) (device.Completion, error) {
 	c, err := d.Device.Service(now, r)
 	if err == nil {
-		*d.log = append(*d.log, ioRec{d.idx, r.Op, r.Stream, r.Block, r.Blocks, c.Start, c.Finish})
+		*d.log = append(*d.log, ioRec{d.idx, r.Op, r.Stream, r.Block, r.Blocks, now, c.Finish})
 	}
 	return c, err
 }

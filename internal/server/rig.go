@@ -120,7 +120,8 @@ func (r *rig) addPlayer(i int, pos int64, startAt time.Duration) {
 // drainTo advances stream i's playback to time t: the consumption over
 // [lastDrain, t) leaves its DRAM buffer, underflows are recorded when the
 // buffer held less than the requirement, and the post-drain level lands
-// in the margins reservoir (in playback seconds).
+// in the margins reservoir (in bytes; result converts the quantile to
+// playback seconds).
 func (r *rig) drainTo(i int, t time.Duration) {
 	ps := &r.ar.ps
 	if t <= ps.startAt[i] || t <= ps.lastDrain[i] {
@@ -147,7 +148,7 @@ func (r *rig) drainTo(i int, t time.Duration) {
 			ps.underflow[i]++
 		}
 	}
-	r.margins.Observe(ps.level[i].Seconds(r.rate))
+	r.margins.Observe(float64(ps.level[i]))
 	ps.lastDrain[i] = t
 }
 
@@ -338,7 +339,10 @@ func (r *rig) result(mode Mode, end time.Duration, cycles int64) Result {
 		res.Underflows += int(r.ar.ps.underflow[i])
 		res.UnderflowBytes += r.ar.ps.deficit[i]
 	}
-	if m, ok := r.margins.Quantile(0.05); ok {
+	// Levels convert to playback seconds monotonically, so converting the
+	// quantile's two order statistics equals converting every sample.
+	toSeconds := func(level float64) float64 { return units.Bytes(level).Seconds(r.rate) }
+	if m, ok := r.margins.QuantileBy(0.05, toSeconds); ok {
 		res.MarginP5 = units.Seconds(m)
 	}
 	if r.probe != nil {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -553,6 +554,31 @@ func TestChainCountedItemMatchesCopies(t *testing.T) {
 func TestChainItemStaysNineWords(t *testing.T) {
 	if n := unsafe.Sizeof(chainItem{}); n > 72 {
 		t.Errorf("chainItem is %d bytes, want at most 72", n)
+	}
+}
+
+// TestCompletionFitsResultRegisters keeps device.Completion at six
+// integer fields: with a bool and an error beside it, a Dispatch result
+// then fills the nine integer result registers of Go's amd64 register
+// ABI exactly, and no Service, Dispatch or CacheBank.Read result is
+// spilled and copied on the way back through the layers.
+func TestCompletionFitsResultRegisters(t *testing.T) {
+	var words func(reflect.Type) int
+	words = func(ty reflect.Type) int {
+		if ty.Kind() != reflect.Struct {
+			return 1
+		}
+		n := 0
+		for i := 0; i < ty.NumField(); i++ {
+			n += words(ty.Field(i).Type)
+		}
+		return n
+	}
+	if n := words(reflect.TypeOf(device.Completion{})); n > 6 {
+		t.Errorf("device.Completion has %d integer fields, want at most 6", n)
+	}
+	if n := unsafe.Sizeof(device.Completion{}); n > 48 {
+		t.Errorf("device.Completion is %d bytes, want at most 48", n)
 	}
 }
 

@@ -247,16 +247,29 @@ func (s cacheSplit) place(r *rig, cacheStart, missStart time.Duration) {
 // moves in lock-step, so one chain serializes it; a replicated bank runs
 // its devices independently, one chain each (that parallelism is exactly
 // Corollary 4's latency advantage).
+//
+// As in bufferPipe's drains, one cache cycle's work on one chain is one
+// counted chainItem: each run takes the next stream of the lane's list by
+// cursor and reads that stream's next block. Taking the block when the
+// run starts rather than when the cycle fires reads the same blocks,
+// because a stream's reads stay first-in, first-out on its one lane.
 type cacheRead struct {
 	r           *rig
 	cb          bank.CacheBank
 	streams     []int
-	lanes       []*chain    // per stream, the chain its reads queue on
+	lanes       []cacheLane // in the order of their first stream
 	ioSize      units.Bytes // each read's fill
 	ioBlocks    int64       // bank blocks per read
 	imageBlocks int64
 
 	readFn func(it *chainItem, start time.Duration) time.Duration
+}
+
+// cacheLane is one chain of a cache bank and the cached streams whose
+// reads queue on it, ascending.
+type cacheLane struct {
+	chain   *chain
+	streams []int32
 }
 
 // addCache builds cb's read stage over s's cached streams, with IOs of
@@ -268,7 +281,7 @@ func (m *cycleRun) addCache(cb bank.CacheBank, devs []tier.Device, s cacheSplit,
 	}
 	r := m.r
 	c := &cacheRead{
-		r: r, cb: cb, streams: s.cached, lanes: make([]*chain, len(s.cached)),
+		r: r, cb: cb, streams: s.cached,
 		ioSize: ioSize, ioBlocks: blocksFor(ioSize, s.block), imageBlocks: s.imageBlocks,
 	}
 	rb, replicated := cb.(*bank.ReplicatedBank)
@@ -282,35 +295,43 @@ func (m *cycleRun) addCache(cb bank.CacheBank, devs []tier.Device, s cacheSplit,
 	for i, d := range devs { // a striped bank's devices all report its one chain
 		r.observe(fmt.Sprintf("cache%d", i), d, chains[min(i, len(chains)-1)])
 	}
-	for n, i := range s.cached {
+	lane := make([]int, len(chains)) // chain → index into c.lanes, plus one
+	for _, i := range s.cached {
 		dev := 0
 		if replicated {
 			dev, _ = rb.DeviceOf(i)
 		}
-		c.lanes[n] = chains[dev]
+		if lane[dev] == 0 {
+			c.lanes = append(c.lanes, cacheLane{chain: chains[dev]})
+			lane[dev] = len(c.lanes)
+		}
+		l := &c.lanes[lane[dev]-1]
+		l.streams = append(l.streams, int32(i))
 	}
 	c.readFn = c.runRead
 	m.cache = c
 	m.addStage("cache", period, c.stage)
 }
 
-// stage queues one cache cycle.
+// stage queues one cache cycle: one counted item per lane.
 func (c *cacheRead) stage(int64) {
-	ps := &c.r.ar.ps
-	for n, i := range c.streams {
-		blk := ps.pos[i]
-		if blk+c.ioBlocks > c.imageBlocks {
-			blk = 0
-		}
-		ps.pos[i] = (blk + c.ioBlocks) % c.imageBlocks
-		c.lanes[n].submit(chainItem{fn: c.readFn, stream: int32(i), req: device.Request{Block: blk}})
+	for k, l := range c.lanes {
+		l.chain.submit(chainItem{fn: c.readFn, dev: int32(k), repeat: int32(len(l.streams))})
 	}
 }
 
-// runRead services one stream's read and fills its buffer.
+// runRead services the lane's next stream's read and fills its buffer.
+// it.dev is the lane, it.stream the cursor into its list.
 func (c *cacheRead) runRead(it *chainItem, start time.Duration) time.Duration {
-	i := int(it.stream)
-	comp, err := c.cb.Read(start, i, it.req.Block, c.ioBlocks)
+	i := int(c.lanes[it.dev].streams[it.stream])
+	it.stream++
+	ps := &c.r.ar.ps
+	blk := ps.pos[i]
+	if blk+c.ioBlocks > c.imageBlocks {
+		blk = 0
+	}
+	ps.pos[i] = (blk + c.ioBlocks) % c.imageBlocks
+	comp, err := c.cb.Read(start, i, blk, c.ioBlocks)
 	if err != nil {
 		return start
 	}

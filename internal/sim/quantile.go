@@ -63,6 +63,15 @@ func (r *Reservoir) N() uint64 { return r.seen }
 // instead of sorting the whole sample: a run asks for one quantile of
 // up to thousands of samples. Selection reorders the retained samples.
 func (r *Reservoir) Quantile(q float64) (float64, bool) {
+	return r.QuantileBy(q, func(v float64) float64 { return v })
+}
+
+// QuantileBy is Quantile of the samples mapped through a non-decreasing
+// f, which is applied to the two order statistics the interpolation reads
+// rather than to every sample. A non-decreasing map carries each order
+// statistic to the mapped sample's, so the result is bit-equal to
+// observing f(v) in place of every v, without paying f per observation.
+func (r *Reservoir) QuantileBy(q float64, f func(float64) float64) (float64, bool) {
 	n := len(r.samples)
 	if n == 0 {
 		return 0, false
@@ -74,15 +83,15 @@ func (r *Reservoir) Quantile(q float64) (float64, bool) {
 		q = 1
 	}
 	if n == 1 {
-		return r.samples[0], true
+		return f(r.samples[0]), true
 	}
 	pos := q * float64(n-1)
 	i := int(pos)
 	frac := pos - float64(i)
 	if i+1 >= n {
-		return orderStat(r.samples, n-1), true
+		return f(orderStat(r.samples, n-1)), true
 	}
-	lo := orderStat(r.samples, i)
+	lo := f(orderStat(r.samples, i))
 	// orderStat left every later order statistic in s[i+1:]; the next
 	// one is their minimum.
 	hi := r.samples[i+1]
@@ -91,6 +100,7 @@ func (r *Reservoir) Quantile(q float64) (float64, bool) {
 			hi = v
 		}
 	}
+	hi = f(hi)
 	return lo + frac*(hi-lo), true
 }
 

@@ -216,3 +216,44 @@ func TestReservoirQuantileEdges(t *testing.T) {
 		}
 	}
 }
+
+// TestQuantileByMatchesMappingEverySample pins QuantileBy to observing the
+// mapped samples: random levels (integral byte counts with ties and zeros,
+// and fractional ones) over random rates, under reservoirs small enough
+// to evict, must give bit-equal quantiles of level/rate whether each
+// sample is divided on the way in or only the two order statistics are.
+func TestQuantileByMatchesMappingEverySample(t *testing.T) {
+	rng := NewRNG(20030305)
+	for trial := 0; trial < 300; trial++ {
+		rate := 1e3 + rng.Float64()*1e8
+		if trial%3 == 0 {
+			rate = float64(1 + rng.Intn(1<<20)) // integral rates too
+		}
+		capacity := 1 + rng.Intn(64)
+		mapped, raw := NewReservoir(capacity, uint64(trial)), NewReservoir(capacity, uint64(trial))
+		for i, n := 0, rng.Intn(400); i < n; i++ {
+			var level float64
+			switch rng.Intn(4) {
+			case 0:
+				level = 0
+			case 1:
+				level = float64(rng.Intn(8)) * 65536 // ties
+			case 2:
+				level = float64(rng.Uint64n(1 << 40))
+			default:
+				level = rng.Float64() * 1e9
+			}
+			mapped.Observe(level / rate)
+			raw.Observe(level)
+		}
+		toSeconds := func(level float64) float64 { return level / rate }
+		for _, q := range []float64{0, 0.05, 0.5, 0.95, 1, rng.Float64()} {
+			want, wok := mapped.Quantile(q)
+			got, ok := raw.QuantileBy(q, toSeconds)
+			if ok != wok || math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d (rate %v, cap %d, %d seen), q=%v: QuantileBy %v (%v), mapped samples %v (%v)",
+					trial, rate, capacity, raw.N(), q, got, ok, want, wok)
+			}
+		}
+	}
+}

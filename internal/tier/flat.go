@@ -88,27 +88,26 @@ func (d *flatDevice) Service(now time.Duration, r device.Request) (c device.Comp
 		} else if d.cache.Lookup(r.Block, r.Blocks) {
 			bytes := units.Bytes(r.Blocks) * d.geom.BlockSize
 			xfer := bytes.Duration(d.cacheRate)
-			c = device.Completion{Request: r, Start: now, Finish: now + xfer, Transfer: xfer}
-			d.served++
-			d.busy += xfer
-			d.xferTime += xfer
-			return c, nil
+			d.book(0, xfer)
+			return device.Completion{Request: r, Finish: now + xfer}, nil
 		}
 	}
 	pos := d.spec.AvgLatency
 	bytes := units.Bytes(r.Blocks) * d.geom.BlockSize
 	xfer := bytes.Duration(d.spec.Rate)
-	c.Request = r
-	c.Start, c.Finish = now, now+pos+xfer
-	c.Position, c.Transfer = pos, xfer
+	d.book(pos, xfer)
+	if d.cache != nil && r.Op == device.Read {
+		d.cache.Insert(r.Block, r.Blocks)
+	}
+	return device.Completion{Request: r, Finish: now + pos + xfer}, nil
+}
+
+// book counts one service of pos positioning and xfer transfer.
+func (d *flatDevice) book(pos, xfer time.Duration) {
 	d.served++
 	d.busy += pos + xfer
 	d.seekTime += pos
 	d.xferTime += xfer
-	if d.cache != nil && r.Op == device.Read {
-		d.cache.Insert(r.Block, r.Blocks)
-	}
-	return c, nil
 }
 
 // Reset clears statistics.
@@ -157,7 +156,6 @@ func (s *fifoScheduler) Dispatch(now time.Duration) (device.Completion, bool, er
 	if err != nil {
 		return device.Completion{}, false, err
 	}
-	c.QueueDelay = now - r.Issued
 	return c, true, nil
 }
 

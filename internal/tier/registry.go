@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"memstream/internal/disk"
@@ -16,16 +17,19 @@ import (
 // reproduces the pre-tier pinned goldens byte-for-byte.
 const Default = "mems-g3"
 
-// builtin constructs every registered parameter set. Specs are built on
-// demand (not stored) so callers can mutate the returned copy freely.
-var builtin = map[string]func() Spec{
-	"mems-g1":     func() Spec { return FromMEMS("mems-g1", mems.G1()) },
-	"mems-g2":     func() Spec { return FromMEMS("mems-g2", mems.G2()) },
-	"mems-g3":     func() Spec { return FromMEMS("mems-g3", mems.G3()) },
-	"nvm-optane":  nvmOptane,
-	"ssd-sata":    ssdSATA,
-	"disk-future": diskFuture,
-}
+// builtin is every registered parameter set, built once, on first use:
+// a MEMS spec's AvgLatency integrates over a grid. Lookup hands out
+// copies, so callers can mutate what they get freely.
+var builtin = sync.OnceValue(func() map[string]Spec {
+	return map[string]Spec{
+		"mems-g1":     FromMEMS("mems-g1", mems.G1()),
+		"mems-g2":     FromMEMS("mems-g2", mems.G2()),
+		"mems-g3":     FromMEMS("mems-g3", mems.G3()),
+		"nvm-optane":  nvmOptane(),
+		"ssd-sata":    ssdSATA(),
+		"disk-future": diskFuture(),
+	}
+})
 
 // aliases maps the short generation names the CLIs accepted before the
 // tier registry existed.
@@ -37,8 +41,8 @@ var aliases = map[string]string{
 
 // Names lists the registered parameter sets in sorted order.
 func Names() []string {
-	out := make([]string, 0, len(builtin))
-	for name := range builtin {
+	out := make([]string, 0, len(builtin()))
+	for name := range builtin() {
 		out = append(out, name)
 	}
 	sort.Strings(out)
@@ -51,12 +55,16 @@ func Lookup(name string) (Spec, error) {
 	if canonical, ok := aliases[name]; ok {
 		name = canonical
 	}
-	mk, ok := builtin[name]
+	s, ok := builtin()[name]
 	if !ok {
 		return Spec{}, fmt.Errorf("tier: unknown parameter set %q (available: %s)",
 			name, strings.Join(Names(), ", "))
 	}
-	return mk(), nil
+	if s.MEMS != nil { // the copy gets its own sled parameters too
+		p := *s.MEMS
+		s.MEMS = &p
+	}
+	return s, nil
 }
 
 // MustLookup is Lookup for built-in names known at compile time.

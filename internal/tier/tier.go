@@ -105,6 +105,33 @@ type Device interface {
 	Reset()
 }
 
+// ServeInStep serves r at now on every device of devs, as a striped
+// bank's lock-step read does, when they are sled devices all in step:
+// built from one parameter set, in the same sled state and without a read
+// cache, so that each would serve r exactly as devs[0] does. It then runs
+// the sled model once, on devs[0], books the same service on the others
+// and returns the one completion. It reports false, having served
+// nothing, for any other bank, for instance after a caller drove one of
+// its devices on its own.
+func ServeInStep(devs []Device, now time.Duration, r device.Request) (device.Completion, bool, error) {
+	lead, ok := devs[0].(*memsDevice)
+	if !ok {
+		return device.Completion{}, false, nil
+	}
+	for _, d := range devs[1:] {
+		if o, ok := d.(*memsDevice); !ok || !lead.InStep(o.Device) {
+			return device.Completion{}, false, nil
+		}
+	}
+	c, err := lead.Service(now, r)
+	if err == nil {
+		for _, d := range devs[1:] {
+			d.(*memsDevice).Echo(lead.Device)
+		}
+	}
+	return c, true, err
+}
+
 // Cacheable is implemented by devices that can attach an on-device read
 // cache (paper §3 assumes the buffer devices carry one, like disk-drive
 // caches).

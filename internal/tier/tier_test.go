@@ -1,6 +1,7 @@
 package tier
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -183,8 +184,8 @@ func TestFlatDeviceService(t *testing.T) {
 	if c.Finish != want {
 		t.Errorf("finish %v, want avg latency + transfer = %v", c.Finish, want)
 	}
-	if c.Position != s.AvgLatency {
-		t.Errorf("position %v, want %v", c.Position, s.AvgLatency)
+	if d.TotalSeekTime() != s.AvgLatency {
+		t.Errorf("position %v, want %v", d.TotalSeekTime(), s.AvgLatency)
 	}
 	if d.Served() != 1 || d.BusyTime() != want {
 		t.Errorf("counters served=%d busy=%v, want 1, %v", d.Served(), d.BusyTime(), want)
@@ -215,12 +216,13 @@ func TestFlatDeviceCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	before := d.TotalSeekTime()
 	hit, err := d.Service(0, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hit.Position != 0 {
-		t.Errorf("cache hit paid positioning %v", hit.Position)
+	if pos := d.TotalSeekTime() - before; pos != 0 {
+		t.Errorf("cache hit paid positioning %v", pos)
 	}
 	if hit.Finish >= miss.Finish {
 		t.Errorf("hit finish %v not faster than miss %v", hit.Finish, miss.Finish)
@@ -229,11 +231,11 @@ func TestFlatDeviceCache(t *testing.T) {
 	if _, err := d.Service(0, device.Request{Op: device.Write, Block: 100, Blocks: 64}); err != nil {
 		t.Fatal(err)
 	}
-	again, err := d.Service(0, req)
-	if err != nil {
+	before = d.TotalSeekTime()
+	if _, err := d.Service(0, req); err != nil {
 		t.Fatal(err)
 	}
-	if again.Position == 0 {
+	if d.TotalSeekTime() == before {
 		t.Error("read after invalidating write still hit the cache")
 	}
 	if cd.Cache() == nil || cd.Cache().HitRatio() <= 0 {
@@ -266,16 +268,14 @@ func TestFIFOScheduler(t *testing.T) {
 	if len(cs) != 3 {
 		t.Fatalf("drained %d, want 3", len(cs))
 	}
+	per := cs[0].Finish - 10*time.Millisecond // every IO is the same size
 	for i, c := range cs {
 		if c.Stream != i {
 			t.Errorf("completion %d served stream %d; FIFO order violated", i, c.Stream)
 		}
-		if i > 0 && c.Start != cs[i-1].Finish {
+		if i > 0 && c.Finish-cs[i-1].Finish != per {
 			t.Errorf("completion %d not back-to-back", i)
 		}
-	}
-	if cs[0].QueueDelay != 10*time.Millisecond {
-		t.Errorf("queue delay %v, want 10ms", cs[0].QueueDelay)
 	}
 	if _, ok, err := s.Dispatch(0); ok || err != nil {
 		t.Errorf("Dispatch on empty queue: ok=%v err=%v", ok, err)
@@ -364,5 +364,99 @@ func TestLayoutCapable(t *testing.T) {
 	}
 	if _, ok := f.(LayoutCapable); ok {
 		t.Error("flat device unexpectedly LayoutCapable")
+	}
+}
+
+// TestLookupMemoisesAndCopies checks that a built-in spec is built once
+// and handed out by copy: a caller mutating its Spec, or the sled
+// parameters behind its MEMS pointer, changes nothing another caller
+// sees.
+func TestLookupMemoisesAndCopies(t *testing.T) {
+	if reflect.ValueOf(builtin()).UnsafePointer() != reflect.ValueOf(builtin()).UnsafePointer() {
+		t.Error("the built-in specs are rebuilt per call")
+	}
+	// One allocation: the caller's copy of the sled parameters. Building
+	// the spec again would take a second (FromMEMS's own copy).
+	if allocs := testing.AllocsPerRun(10, func() { MustLookup("mems-g3") }); allocs != 1 {
+		t.Errorf("MustLookup(mems-g3) allocates %v times, want 1", allocs)
+	}
+	a, b := MustLookup("mems-g3"), MustLookup("mems-g3")
+	if a.MEMS == b.MEMS {
+		t.Fatal("two lookups share one *mems.Params")
+	}
+	a.Rate, a.MEMS.Cylinders, a.MEMS.Name = 1, 7, "mutated"
+	c := MustLookup("g3")
+	want := FromMEMS("mems-g3", mems.G3())
+	if c.Rate != want.Rate || c.AvgLatency != want.AvgLatency || *c.MEMS != *want.MEMS || *b.MEMS != *want.MEMS {
+		t.Errorf("a caller's mutation reached the registry: got %+v / %+v, want %+v", c, *c.MEMS, *want.MEMS)
+	}
+}
+
+// TestServeInStep checks when devices count as in step: a fresh sled
+// bank is, and so is one whose devices all served the same request; a
+// device driven on its own, a read cache, a flat or mixed bank, a
+// different parameter set or one device listed twice is not.
+func TestServeInStep(t *testing.T) {
+	bank := func(names ...string) []Device {
+		ds := make([]Device, len(names))
+		for i, n := range names {
+			d, err := New(MustLookup(n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ds[i] = d
+		}
+		return ds
+	}
+	r := device.Request{Block: 5000, Blocks: 63}
+	for _, tc := range []struct {
+		name string
+		devs []Device
+		prep func(ds []Device)
+		want bool
+	}{
+		{"fresh mems", bank("mems-g3", "mems-g3", "mems-g3"), nil, true},
+		{"fresh flat", bank("nvm-optane", "nvm-optane"), nil, false},
+		{"one device", bank("mems-g2"), nil, true},
+		{"diverged", bank("mems-g3", "mems-g3"), func(ds []Device) {
+			ds[1].Service(0, device.Request{Block: 9e6, Blocks: 8})
+		}, false},
+		{"rejoined", bank("mems-g3", "mems-g3"), func(ds []Device) {
+			ds[1].Service(0, device.Request{Block: 9e6, Blocks: 8})
+			for _, d := range ds {
+				d.Service(time.Second, r)
+			}
+		}, true},
+		{"cached", bank("mems-g3", "mems-g3"), func(ds []Device) {
+			ds[1].(Cacheable).EnableCache(units.MB, units.GBPS)
+		}, false},
+		{"mixed", bank("mems-g3", "nvm-optane"), nil, false},
+		{"generations", bank("mems-g3", "mems-g2"), nil, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.prep != nil {
+				tc.prep(tc.devs)
+			}
+			served := make([]uint64, len(tc.devs))
+			for i, d := range tc.devs {
+				served[i] = d.Served()
+			}
+			c, ok, err := ServeInStep(tc.devs, 2*time.Second, r)
+			if err != nil || ok != tc.want {
+				t.Fatalf("ServeInStep: ok=%v err=%v, want ok=%v", ok, err, tc.want)
+			}
+			for i, d := range tc.devs {
+				if grew := d.Served() - served[i]; (grew == 1) != ok {
+					t.Errorf("device %d served %d requests with ok=%v", i, grew, ok)
+				}
+			}
+			if ok && (c.Request != r || c.Finish <= 2*time.Second) {
+				t.Errorf("completion %+v", c)
+			}
+		})
+	}
+	twice := bank("mems-g3")
+	if _, ok, _ := ServeInStep([]Device{twice[0], twice[0]}, 0, r); ok {
+		t.Error("one device listed twice counts as in step with itself")
 	}
 }

@@ -33,11 +33,6 @@ func (e Event) Request() device.Request {
 	return device.Request{Op: e.Op, Block: e.Block, Blocks: e.Blocks, Stream: e.Stream, Issued: e.At}
 }
 
-// FromCompletion builds an event from a serviced request.
-func FromCompletion(c device.Completion) Event {
-	return Event{At: c.Issued, Op: c.Op, Block: c.Block, Blocks: c.Blocks, Stream: c.Stream}
-}
-
 // WriteText encodes events one per line:
 //
 //	<at_ns> <r|w> <block> <blocks> <stream>

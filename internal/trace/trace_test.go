@@ -121,16 +121,6 @@ func TestEventRequest(t *testing.T) {
 	}
 }
 
-func TestFromCompletion(t *testing.T) {
-	c := device.Completion{Request: device.Request{
-		Op: device.Read, Block: 5, Blocks: 2, Stream: 1, Issued: 3 * time.Millisecond,
-	}}
-	e := FromCompletion(c)
-	if e.At != 3*time.Millisecond || e.Block != 5 {
-		t.Errorf("event = %+v", e)
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	s := Summarize(sample())
 	if s.Events != 3 || s.Reads != 2 || s.Writes != 1 {

@@ -27,7 +27,6 @@ var unusedAllowed = map[string]string{
 	"internal/schedule.Admission":       "Theorem 1 admission for one rate; memserve admits through MixedAdmission, ROADMAP item 8 unifies them",
 	"internal/shard.MillionStreams":     "the headline scaling scenario's plan, run by the shard tests",
 	"internal/sim.Stats":                "running moments used by the sim and disk tests only",
-	"internal/trace.FromCompletion":     "builds a trace event from a completion; memsim records the requests it generates instead",
 	"internal/trace.ReadBinary":         "binary half of the trace codec, round-trip tested and fuzzed",
 	"internal/trace.WriteBinary":        "binary half of the trace codec, round-trip tested and fuzzed",
 	"internal/units.B":                  "the base of the byte-size ladder (B, KB, MB, GB, TB)",
