@@ -74,42 +74,91 @@ func bucketEstimate(i int) float64 {
 	return math.Sqrt(lo * hi)
 }
 
-// Histogram is a fixed-bucket latency histogram safe for concurrent use.
-// Observe is lock-free and allocation-free; snapshots are mergeable. The
-// zero value is ready to use.
-type Histogram struct {
+// histShard is one writer's share of a Histogram: every bucket and the
+// sum. The trailing pad keeps at least a cache line's worth of bytes
+// between one shard's last word and the next shard's first, whatever
+// the array's alignment, so writers on neighbouring shards never
+// false-share.
+type histShard struct {
 	buckets [NumBuckets]atomic.Uint64
 	sumNS   atomic.Uint64 // total of positive samples, nanoseconds
+	_       [56]byte
 }
 
-// Observe records one sample in seconds.
-func (h *Histogram) Observe(sec float64) {
-	h.buckets[bucketOf(sec)].Add(1)
-	if sec > 0 {
-		h.sumNS.Add(uint64(sec * 1e9))
+// observe records one sample in seconds on the shard. Every sample is
+// counted in its bucket, but only a positive one whose nanoseconds fit
+// in a uint64 adds to the sum: Go leaves the conversion of anything
+// larger, +Inf included, to the platform, and amd64 yields 2^63, which
+// would throw the sum off by 2^63 per such sample.
+func (s *histShard) observe(sec float64) {
+	s.buckets[bucketOf(sec)].Add(1)
+	if ns := sec * 1e9; ns > 0 && ns < 1<<64 {
+		s.sumNS.Add(uint64(ns))
 	}
+}
+
+// Histogram is a fixed-bucket latency histogram safe for concurrent use,
+// sharded the way Counter is: a hot goroutine takes a HistogramHandle
+// once and observes into its own cache-line-padded shard, so concurrent
+// writers never share a bucket or sum word. Observe is lock-free and
+// allocation-free; the read side folds the shards into one mergeable
+// Snapshot. The zero value is ready to use.
+type Histogram struct {
+	shards [numShards]histShard
+	next   atomic.Uint64 // handles issued; 64 bits so it never wraps
+}
+
+// HistogramHandle is a hot goroutine's pinned shard of a Histogram.
+// Obtain one from Histogram.Handle at goroutine start; the zero handle
+// is invalid.
+type HistogramHandle struct {
+	s *histShard
+}
+
+// Handle assigns the next shard round-robin, as Counter.Handle does.
+func (h *Histogram) Handle() HistogramHandle {
+	i := h.next.Add(1) - 1
+	return HistogramHandle{s: &h.shards[i%numShards]}
+}
+
+// Observe records one sample in seconds on the handle's shard.
+func (h HistogramHandle) Observe(sec float64) { h.s.observe(sec) }
+
+// Observe records one sample in seconds on shard 0 — the cold path for
+// callers without a handle, like Counter.Add.
+func (h *Histogram) Observe(sec float64) { h.shards[0].observe(sec) }
+
+// inUse is the prefix of shards that can hold samples: handles take
+// shards in order, so one shard per handle issued, at least shard 0
+// (the cold path's) and at most every shard. A handle issued after the
+// load writes only samples a read taken now may miss anyway, so the
+// read side folds this prefix alone and a histogram with few writers
+// reads as cheaply as with one.
+func (h *Histogram) inUse() []histShard {
+	return h.shards[:min(max(h.next.Load(), 1), numShards)]
 }
 
 // N reports how many samples were observed.
-func (h *Histogram) N() uint64 {
-	var n uint64
-	for i := range h.buckets {
-		n += h.buckets[i].Load()
-	}
-	return n
-}
+func (h *Histogram) N() uint64 { return h.Snapshot().N }
 
-// Snapshot copies the histogram's state. Buckets are loaded independently
-// (no global lock), so a snapshot taken during concurrent Observes is a
-// slightly time-smeared but internally valid histogram.
+// Snapshot folds the shards in use into one copy of the histogram's
+// state. Buckets are loaded independently (no global lock), so a
+// snapshot taken during concurrent Observes is a slightly time-smeared
+// but internally valid histogram, and since every bucket only grows and
+// the prefix in use only lengthens, a later snapshot never counts fewer
+// samples than an earlier one.
 func (h *Histogram) Snapshot() Snapshot {
 	var s Snapshot
-	for i := range h.buckets {
-		c := h.buckets[i].Load()
-		s.Counts[i] = c
-		s.N += c
+	shards := h.inUse()
+	for i := range shards {
+		sh := &shards[i]
+		for j := range sh.buckets {
+			c := sh.buckets[j].Load()
+			s.Counts[j] += c
+			s.N += c
+		}
+		s.SumNS += sh.sumNS.Load()
 	}
-	s.SumNS = h.sumNS.Load()
 	return s
 }
 

@@ -10,9 +10,10 @@
 //     goroutine (one paced stream) takes a Handle once at start and adds
 //     to its own shard thereafter, so concurrent streams never contend on
 //     one cache line. Total folds the shards on the (cold) read side.
-//   - Histogram: a fixed-bucket log-spaced latency histogram. Observe
-//     maps a value to its bucket with float-bit arithmetic (no math.Log,
-//     no allocation, no lock) and increments one atomic bucket.
+//   - Histogram: a fixed-bucket log-spaced latency histogram, sharded
+//     the same way. Observe maps a value to its bucket with float-bit
+//     arithmetic (no math.Log, no allocation, no lock) and increments
+//     one atomic bucket of the handle's shard; Snapshot folds the shards.
 //
 // Both replace the previous design in internal/serve, where every
 // pacing-lag sample took a sync.Mutex around a sampling reservoir — a
@@ -21,10 +22,11 @@ package metrics
 
 import "sync/atomic"
 
-// counterShards is the shard fan-out. Handles distribute round-robin, so
-// up to this many hot goroutines write entirely uncontended cache lines;
-// beyond it, collisions stay 1/counterShards. Must be a power of two.
-const counterShards = 16
+// numShards is the shard fan-out of Counter and Histogram. Handles
+// distribute round-robin, so up to this many hot goroutines write
+// entirely uncontended cache lines; beyond it, collisions stay
+// 1/numShards. Must be a power of two.
+const numShards = 16
 
 // counterShard pads one atomic to a 64-byte cache line so neighbouring
 // shards never false-share.
@@ -37,7 +39,7 @@ type counterShard struct {
 // The zero value is ready to use. Hot paths should take a Handle once and
 // add through it; Add without a handle is for cold paths.
 type Counter struct {
-	shards [counterShards]counterShard
+	shards [numShards]counterShard
 	next   atomic.Uint32
 }
 
@@ -51,7 +53,7 @@ type Handle struct {
 // buys an uncontended hot path for the goroutine's lifetime.
 func (c *Counter) Handle() Handle {
 	i := c.next.Add(1) - 1
-	return Handle{s: &c.shards[i%counterShards]}
+	return Handle{s: &c.shards[i%numShards]}
 }
 
 // Add accumulates delta on the handle's shard.

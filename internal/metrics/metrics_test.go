@@ -157,9 +157,10 @@ func TestSnapshotMerge(t *testing.T) {
 func TestHotPathZeroAllocs(t *testing.T) {
 	var h Histogram
 	var c Counter
-	hd := c.Handle()
+	hd, lag := c.Handle(), h.Handle()
 	if n := testing.AllocsPerRun(1000, func() {
 		h.Observe(0.0042)
+		lag.Observe(0.0042)
 		hd.Add(1)
 	}); n != 0 {
 		t.Errorf("hot path allocates %v per op, want 0", n)

@@ -230,14 +230,14 @@ func TestControlMetricsUnderConcurrentLoad(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			h := s.metrics.BytesOut.Handle()
+			pin := s.metrics.pin()
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
 					return
 				default:
-					s.metrics.ObserveLag(float64(i%50) * 1e-4)
-					h.Add(1024)
+					pin.lag.Observe(float64(i%50) * 1e-4)
+					pin.out.Add(1024)
 					s.metrics.Completed.Add(1)
 				}
 			}

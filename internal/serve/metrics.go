@@ -11,10 +11,12 @@ import (
 // Metrics is the supervisor's observability surface: monotonic counters
 // for every connection outcome plus a pacing-lag histogram. Everything on
 // the streaming path is lock-free: the low-rate outcome counters are
-// plain atomics, the per-chunk BytesOut counter is sharded per stream
-// (metrics.Counter), and each lag sample is one atomic bucket increment
-// (metrics.Histogram) — no mutex anywhere, replacing the previous
-// sync.Mutex-guarded sampling reservoir that every stream contended on.
+// plain atomics, and the two per-wake metrics — BytesOut and the lag
+// histogram — are sharded (metrics.Counter, metrics.Histogram). Every
+// goroutine that writes streams pins one shard of each (pins): a wheel
+// worker for its lifetime, a goroutine-plane stream for its own. A
+// stream-wake then touches only cache lines its own goroutine owns. The
+// read side (METRICS, /metrics) folds the shards.
 //
 // Connection outcomes are disjoint by design:
 //
@@ -38,7 +40,7 @@ type Metrics struct {
 	AdmissionBusy atomic.Uint64   // PLAY requests refused by Theorem 1
 	Completed     atomic.Uint64   // streams that delivered their full byte budget
 	Evicted       atomic.Uint64   // streams the server killed: write deadline or drain/stop force-close
-	BytesOut      metrics.Counter // stream payload bytes written (sharded; one handle per stream)
+	BytesOut      metrics.Counter // stream payload bytes written (sharded; one handle per writing goroutine)
 
 	// Wheel-plane instrumentation (all zero in goroutine mode):
 	// WheelTicks counts wheel advances (quanta the tick loop settled,
@@ -51,14 +53,19 @@ type Metrics struct {
 	ActiveStreams atomic.Int64  // gauge: streams currently holding a slot
 	WheelStreams  metrics.Gauge // gauge: streams parked on (or being served by) the wheel
 
-	Lag metrics.Histogram // pacing lag per quantum, seconds
+	Lag metrics.Histogram // pacing lag per quantum that wrote bytes, seconds
 }
 
 func newMetrics() *Metrics { return &Metrics{} }
 
-// ObserveLag records one pacing-lag sample (seconds a chunk completed
-// after its quantum boundary). Lock-free and allocation-free.
-func (m *Metrics) ObserveLag(sec float64) { m.Lag.Observe(sec) }
+// pins is one writing goroutine's pinned shards of the two per-wake
+// metrics, taken once when the goroutine starts writing.
+type pins struct {
+	out metrics.Handle          // BytesOut
+	lag metrics.HistogramHandle // Lag
+}
+
+func (m *Metrics) pin() pins { return pins{out: m.BytesOut.Handle(), lag: m.Lag.Handle()} }
 
 // LagQuantile returns the q-quantile of the pacing-lag histogram in
 // seconds; ok is false when no lag has been observed yet.

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"memstream/internal/metrics"
 )
 
 // parseLine splits a METRICS line into its key=value pairs.
@@ -44,7 +46,7 @@ func TestMetricsLineOmitsQuantilesWithoutSamples(t *testing.T) {
 		t.Error("aborted key missing from METRICS line")
 	}
 
-	m.ObserveLag(0) // a true zero-lag quantum
+	m.Lag.Observe(0) // a true zero-lag quantum
 	kv = parseLine(t, m.Line(3))
 	if kv["lag_samples"] != "1" {
 		t.Errorf("lag_samples = %q after one observation, want 1", kv["lag_samples"])
@@ -58,7 +60,7 @@ func TestMetricsLineOmitsQuantilesWithoutSamples(t *testing.T) {
 
 // TestMetricsLineNotTorn is the regression test for a torn METRICS line:
 // Line used to read lag_samples and each quantile under separate lock
-// acquisitions, so a concurrent ObserveLag could land between them and
+// acquisitions, so a concurrent lag sample could land between them and
 // produce lag_samples=0 alongside a nonzero lag_p50_ms. The histogram
 // rendering derives both from one snapshot, so that combination stays
 // impossible; run under -race this also proves the lock-free observe and
@@ -71,12 +73,13 @@ func TestMetricsLineNotTorn(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			lag := m.Lag.Handle()
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
 					return
 				default:
-					m.ObserveLag(float64(w*1000+i) * 1e-3)
+					lag.Observe(float64(w*1000+i) * 1e-3)
 				}
 			}
 		}(w)
@@ -105,4 +108,79 @@ func TestMetricsLineNotTorn(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// The lag histogram under its production write pattern: writers each
+// observing through their own pinned handle while readers take
+// snapshots and render METRICS lines. Every reader must see the sample
+// count never decrease (every bucket only grows, and the shard prefix a
+// read folds only lengthens), and once the writers are done the merged
+// counts must be exact, bucket by bucket. More writers than shards, so
+// some shards take two. Run under -race in CI.
+func TestLagHandlesHammer(t *testing.T) {
+	const writers, perWriter, readers = 24, 5000, 2
+	m := newMetrics()
+	sample := func(w, i int) float64 { return float64((w*perWriter+i)%400) * 5e-5 }
+
+	var wg, rwg sync.WaitGroup
+	done := make(chan struct{})
+	for r := 0; r < readers; r++ {
+		rwg.Add(1)
+		go func() {
+			defer rwg.Done()
+			var lastSnap, lastLine uint64
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				snap := m.Lag.Snapshot().N
+				if snap < lastSnap {
+					t.Errorf("snapshot N went from %d to %d", lastSnap, snap)
+					return
+				}
+				lastSnap = snap
+				_, after, _ := strings.Cut(m.Line(0), " lag_samples=")
+				field, _, _ := strings.Cut(after, " ")
+				n, err := strconv.ParseUint(field, 10, 64)
+				if err != nil {
+					t.Errorf("lag_samples %q: %v", field, err)
+					return
+				}
+				if n < lastLine {
+					t.Errorf("METRICS lag_samples went from %d to %d", lastLine, n)
+					return
+				}
+				lastLine = n
+			}
+		}()
+	}
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			lag := m.Lag.Handle()
+			for i := 0; i < perWriter; i++ {
+				lag.Observe(sample(w, i))
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(done)
+	rwg.Wait()
+
+	var ref metrics.Histogram // every sample on one shard, one goroutine
+	for w := 0; w < writers; w++ {
+		for i := 0; i < perWriter; i++ {
+			ref.Observe(sample(w, i))
+		}
+	}
+	if got, want := m.Lag.Snapshot(), ref.Snapshot(); got != want {
+		t.Errorf("merged lag histogram: N=%d sum=%d, want N=%d sum=%d (or buckets differ)",
+			got.N, got.SumNS, want.N, want.SumNS)
+	}
+	if kv := parseLine(t, m.Line(0)); kv["lag_samples"] != strconv.Itoa(writers*perWriter) {
+		t.Errorf("lag_samples = %s, want %d", kv["lag_samples"], writers*perWriter)
+	}
 }

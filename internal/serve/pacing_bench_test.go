@@ -85,20 +85,21 @@ func newBenchServer(tb testing.TB, mode PacingMode) *Server {
 func benchStream(s *Server, id uint64, rate units.ByteRate) *streamState {
 	st := &streamState{id: id, rate: rate, start: time.Now(), conn: &nullConn{}}
 	st.pacer = units.NewPacer(rate, s.cfg.Quantum)
-	st.out = s.metrics.BytesOut.Handle()
 	return st
 }
 
 // The steady-state write path must not allocate: chunks are slices of
-// the shared payload pattern and every metric touch is a pinned-shard or
-// bucket atomic. This is the gate that keeps the 100k-stream data plane
-// out of the garbage collector's hands.
+// the shared payload pattern and every metric touch is a pinned-shard
+// atomic. This is the gate that keeps the 100k-stream data plane out of
+// the garbage collector's hands.
 func TestWriteChunksZeroAllocs(t *testing.T) {
 	s := newBenchServer(t, PacingGoroutine)
 	st := benchStream(s, 1, 100*units.KBPS)
-	s.writeChunks(st, 1500, time.Now()) // warm the deadline state
+	out := s.metrics.BytesOut.Handle()
+	anchor := time.Now()
+	s.writeChunks(st, 1500, anchor, time.Since(anchor), out) // warm the deadline state
 	allocs := testing.AllocsPerRun(200, func() {
-		s.writeChunks(st, 1500, time.Now())
+		s.writeChunks(st, 1500, anchor, time.Since(anchor), out)
 	})
 	if allocs != 0 {
 		t.Errorf("writeChunks allocates %.1f/op in steady state, want 0", allocs)
@@ -114,6 +115,10 @@ func TestWriteChunksZeroAllocs(t *testing.T) {
 // and it panics on those.
 func benchSpan(tb testing.TB, s *Server, n int, rate units.ByteRate) ([]*wheel.Timer, int64) {
 	p := s.plane
+	// No admission has woken the idle loop, so it never touches start:
+	// anchor the tick grid here, as a wake would, so that step's clock
+	// reading is a real offset rather than the distance from year 1.
+	p.start = time.Now()
 	tick := p.w.Current() + 1<<20
 	timers := make([]*wheel.Timer, n)
 	for i := range timers {
@@ -139,10 +144,11 @@ func benchSpan(tb testing.TB, s *Server, n int, rate units.ByteRate) ([]*wheel.T
 func TestWheelStepZeroAllocs(t *testing.T) {
 	s := newBenchServer(t, PacingWheel)
 	timers, tick := benchSpan(t, s, 1, 100*units.KBPS)
-	live := s.plane.span(timers, tick, nil)
+	pin := s.metrics.pin()
+	live := s.plane.span(timers, tick, nil, pin)
 	allocs := testing.AllocsPerRun(200, func() {
 		tick++
-		live = s.plane.span(timers, tick, live[:0])
+		live = s.plane.span(timers, tick, live[:0], pin)
 	})
 	if allocs != 0 {
 		t.Errorf("wheel step allocates %.1f/op in steady state, want 0", allocs)
@@ -159,12 +165,14 @@ func BenchmarkWriteChunks(b *testing.B) {
 		b.Run(fmt.Sprintf("chunk=%dKB", size>>10), func(b *testing.B) {
 			s := newBenchServer(b, PacingGoroutine)
 			st := benchStream(s, 1, 100*units.KBPS)
-			now := time.Now()
+			out := s.metrics.BytesOut.Handle()
+			anchor := time.Now()
+			elapsed := time.Since(anchor)
 			b.SetBytes(int64(size))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s.writeChunks(st, size, now)
+				s.writeChunks(st, size, anchor, elapsed, out)
 			}
 		})
 	}
@@ -177,13 +185,14 @@ func BenchmarkWriteChunks(b *testing.B) {
 func BenchmarkWheelStep(b *testing.B) {
 	s := newBenchServer(b, PacingWheel)
 	timers, tick := benchSpan(b, s, 1, 100*units.KBPS)
-	live := s.plane.span(timers, tick, nil)
+	pin := s.metrics.pin()
+	live := s.plane.span(timers, tick, nil, pin)
 	b.SetBytes(int64(units.BytesIn(100*units.KBPS, s.cfg.Quantum)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tick++
-		live = s.plane.span(timers, tick, live[:0])
+		live = s.plane.span(timers, tick, live[:0], pin)
 	}
 }
 
@@ -195,12 +204,13 @@ func BenchmarkWheelSpan(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			s := newBenchServer(b, PacingWheel)
 			timers, tick := benchSpan(b, s, n, 100*units.KBPS)
-			live := s.plane.span(timers, tick, nil)
+			pin := s.metrics.pin()
+			live := s.plane.span(timers, tick, nil, pin)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				tick++
-				live = s.plane.span(timers, tick, live[:0])
+				live = s.plane.span(timers, tick, live[:0], pin)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/stream")
 		})

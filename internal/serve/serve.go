@@ -175,11 +175,11 @@ type Server struct {
 // streamState is one live paced stream's control-plane record (identity
 // for POST /streams/{id}/stop and the per-stream byte gauge the /metrics
 // document reports) plus its write-path state. The write-path fields
-// (pacer, sent, out, deadlineAt) are owned by whichever goroutine is
-// currently pacing the stream — its own goroutine in PacingGoroutine,
-// exactly one wheel worker at a time in PacingWheel — and are shared by
-// both planes through writeChunks. bytes is the one field read by other
-// goroutines (the control plane), hence atomic.
+// (pacer, sent, rearmAt) are owned by whichever goroutine is currently
+// pacing the stream — its own goroutine in PacingGoroutine, exactly one
+// wheel worker at a time in PacingWheel — and are shared by both planes
+// through writeChunks. bytes is the one field read by other goroutines
+// (the control plane), hence atomic.
 type streamState struct {
 	id    uint64
 	rate  units.ByteRate
@@ -189,12 +189,14 @@ type streamState struct {
 
 	pacer *units.Pacer
 	sent  units.Bytes
-	out   metrics.Handle // pinned BytesOut shard: uncontended per-chunk adds
-	// deadlineAt is when the conn's write deadline was last armed; the
-	// deadline is re-armed only once more than half of WriteTimeout has
-	// elapsed since, replacing a SetWriteDeadline syscall per chunk
-	// with one per ~WriteTimeout/2.
-	deadlineAt time.Time
+	// rearmAt is the monotonic reading, relative to the plane's anchor,
+	// at which the conn's write deadline is next re-armed: half of
+	// WriteTimeout after it was last armed, zero until the first write
+	// arms it. It replaces a SetWriteDeadline syscall per chunk with one
+	// per ~WriteTimeout/2. The anchor is fixed for the stream's life: the
+	// goroutine plane's is the stream's own start, and the wheel's moves
+	// only while the wheel is empty, when no wheel stream is alive.
+	rearmAt time.Duration
 }
 
 // New validates cfg, fills defaults, and builds a Server.
@@ -642,13 +644,16 @@ const (
 
 // writeChunks writes n due bytes to the stream's connection as slices
 // of the shared immutable payload pattern — the one write path both
-// pacing planes share. It is allocation-free and syscall-light:
+// pacing planes share. elapsed is the caller's one monotonic clock
+// reading since anchor, and out is the writing goroutine's pinned
+// BytesOut shard. It is allocation-free and syscall-light:
 //
 //   - chunks are slices of payloadPattern, never per-stream buffers;
 //   - the write deadline is re-armed only when more than half of
-//     WriteTimeout has elapsed since the last arm (st.deadlineAt), not
-//     per chunk — the caller's coarse now makes the check free. A
-//     stalled reader still blocks into a deadline armed at most
+//     WriteTimeout has elapsed since the last arm (st.rearmAt), not
+//     per chunk — a Duration compare on the caller's reading, with a
+//     wall-clock time built only when a deadline is armed. A stalled
+//     reader still blocks into a deadline armed at most
 //     WriteTimeout/2+quantum ago, so eviction happens within
 //     WriteTimeout of the last arm, i.e. WriteTimeout+one quantum of
 //     the stall;
@@ -656,10 +661,10 @@ const (
 //     delivers exactly Limit bytes in every pacing mode (catch-up
 //     bursts cannot overshoot).
 //
-// Multi-chunk catch-up bursts refresh now per chunk so a legitimately
-// slow reader draining a long burst is not evicted for exceeding one
-// deadline armed at burst start.
-func (s *Server) writeChunks(st *streamState, n int, now time.Time) writeOutcome {
+// Multi-chunk catch-up bursts re-read the clock per chunk so a
+// legitimately slow reader draining a long burst is not evicted for
+// exceeding one deadline armed at burst start.
+func (s *Server) writeChunks(st *streamState, n int, anchor time.Time, elapsed time.Duration, out metrics.Handle) writeOutcome {
 	if s.cfg.Limit > 0 {
 		if remain := int(s.cfg.Limit - st.sent); n > remain {
 			n = remain
@@ -670,9 +675,9 @@ func (s *Server) writeChunks(st *streamState, n int, now time.Time) writeOutcome
 		if m > maxWriteChunk {
 			m = maxWriteChunk
 		}
-		if half := s.cfg.WriteTimeout / 2; st.deadlineAt.IsZero() || now.Sub(st.deadlineAt) >= half {
-			st.conn.SetWriteDeadline(now.Add(s.cfg.WriteTimeout))
-			st.deadlineAt = now
+		if elapsed >= st.rearmAt {
+			st.conn.SetWriteDeadline(anchor.Add(elapsed + s.cfg.WriteTimeout))
+			st.rearmAt = elapsed + s.cfg.WriteTimeout/2
 		}
 		if _, err := st.conn.Write(payloadPattern[:m]); err != nil {
 			var ne net.Error
@@ -681,7 +686,7 @@ func (s *Server) writeChunks(st *streamState, n int, now time.Time) writeOutcome
 			}
 			return writeAborted
 		}
-		st.out.Add(uint64(m))
+		out.Add(uint64(m))
 		st.bytes.Add(uint64(m))
 		st.sent += units.Bytes(m)
 		n -= m
@@ -689,25 +694,54 @@ func (s *Server) writeChunks(st *streamState, n int, now time.Time) writeOutcome
 			return writeDone
 		}
 		if n > 0 {
-			now = time.Now() // burst path only; single-chunk quanta never pay this
+			elapsed = time.Since(anchor) // burst path only; single-chunk quanta never pay this
 		}
 	}
 	return writeOK
+}
+
+// wake serves one stream-wake on either plane: read the clock once,
+// write the n bytes due at the quantum boundary due (both relative to
+// anchor), sample the lag if the wake wrote bytes, and count the outcome
+// if it ended the stream. Both planes sample the same quanta — those
+// that wrote bytes — so lag_samples means one thing on both. The lag is
+// the reading minus the boundary, both on the monotonic clock, so it
+// equals now.Sub(boundary) on time.Now instants exactly; a negative one
+// lands in the underflow bucket and adds nothing to the sum, as a zero
+// would. The pinned shards keep every metric write of the wake on
+// the calling goroutine's own cache lines.
+func (s *Server) wake(st *streamState, n int, anchor time.Time, due time.Duration, pin pins) writeOutcome {
+	elapsed := time.Since(anchor)
+	out := s.writeChunks(st, n, anchor, elapsed, pin.out)
+	switch out {
+	case writeOK, writeDone:
+		if n > 0 {
+			pin.lag.Observe((elapsed - due).Seconds())
+		}
+		if out == writeDone {
+			s.metrics.Completed.Add(1)
+		}
+	case writeEvicted:
+		s.metrics.Evicted.Add(1)
+	case writeAborted:
+		s.metrics.Aborted.Add(1)
+	}
+	return out
 }
 
 // stream paces synthetic data on the goroutine-per-stream plane: each
 // chunk is due at an absolute quantum boundary anchored to the stream's
 // start on the monotonic clock (units.Pacer carries fractional bytes,
 // so any positive rate eventually reaches the byte budget), and this
-// goroutine's private runtime timer sleeps to each boundary. The write
-// itself — pattern slicing, deadline amortization, outcome
-// classification — is writeChunks, shared with the wheel plane.
+// goroutine's private runtime timer sleeps to each boundary. The wake
+// itself — clock read, write, lag sample, outcome — is wake, shared
+// with the wheel plane, and the stream pins its own metric shards.
 //
-// Lag is sampled from the post-wake coarse clock against the boundary:
-// it reads scheduler wake-up latency directly, and client back-pressure
+// Lag is sampled from the post-wake clock against the boundary: it
+// reads scheduler wake-up latency directly, and client back-pressure
 // with one quantum of delay (a blocked write surfaces in the next
-// wake's clock). That is one time.Now per quantum instead of the
-// previous several per chunk.
+// wake's clock). Both reads per quantum — the sleep's and the wake's —
+// are monotonic-only time.Since calls.
 //
 // A failed chunk write ends the stream under one of two counters:
 // Evicted when the server killed it (the write deadline expired on a
@@ -717,7 +751,7 @@ func (s *Server) writeChunks(st *streamState, n int, now time.Time) writeOutcome
 // kills indistinguishable from client churn.
 func (s *Server) stream(st *streamState) {
 	st.pacer = units.NewPacer(st.rate, s.cfg.Quantum)
-	st.out = s.metrics.BytesOut.Handle()
+	pin := s.metrics.pin()
 	start := time.Now()
 	timer := time.NewTimer(0)
 	defer timer.Stop()
@@ -726,28 +760,12 @@ func (s *Server) stream(st *streamState) {
 	}
 	for {
 		n := st.pacer.Next()
-		boundary := st.pacer.Deadline(start)
-		if d := time.Until(boundary); d > 0 {
+		due := time.Duration(st.pacer.Ticks()) * s.cfg.Quantum
+		if d := due - time.Since(start); d > 0 {
 			timer.Reset(d)
 			<-timer.C
 		}
-		now := time.Now() // the quantum's coarse clock: lag + deadline checks
-		switch s.writeChunks(st, n, now) {
-		case writeOK:
-			if lag := now.Sub(boundary); lag > 0 {
-				s.metrics.ObserveLag(lag.Seconds())
-			} else {
-				s.metrics.ObserveLag(0)
-			}
-		case writeDone:
-			s.metrics.ObserveLag(now.Sub(boundary).Seconds())
-			s.metrics.Completed.Add(1)
-			return
-		case writeEvicted:
-			s.metrics.Evicted.Add(1)
-			return
-		case writeAborted:
-			s.metrics.Aborted.Add(1)
+		if s.wake(st, n, start, due, pin) != writeOK {
 			return
 		}
 	}

@@ -487,3 +487,94 @@ func TestWheelStopStream(t *testing.T) {
 		t.Errorf("Aborted = %d after StopStream, want 0", got)
 	}
 }
+
+// writeCountConn is a playRequest client that counts the writes it is
+// sent: the banner, then one per quantum that wrote payload, since a
+// quantum's bytes go out in one Write while they fit in maxWriteChunk.
+type writeCountConn struct {
+	scriptConn
+	writes atomic.Int64
+}
+
+func (c *writeCountConn) Write(b []byte) (int, error) {
+	c.writes.Add(1)
+	return c.scriptConn.Write(b)
+}
+
+// Both planes sample lag only for quanta that wrote bytes. At 0.4 bytes
+// a quantum most quanta are empty: the goroutine plane wakes for every
+// one of them and the wheel for some (a skip-ahead that rounds short),
+// and neither may sample them, so lag_samples is the payload write
+// count on both planes, and on the goroutine plane that is one write
+// per byte of the budget.
+func TestLagSamplesOnlyNonEmptyQuanta(t *testing.T) {
+	for _, mode := range []PacingMode{PacingGoroutine, PacingWheel} {
+		t.Run(mode.String(), func(t *testing.T) {
+			cfg := testConfig(1 * units.GB)
+			cfg.Pacing = mode
+			cfg.Limit = 4 * units.B
+			s := newTestServer(t, cfg) // 10 ms quantum
+			c := &writeCountConn{scriptConn: scriptConn{data: playLine(40 * units.BPS)}}
+			waitDone(t, acceptConn(t, s, c).closed, 5*time.Second, "sub-quantum stream")
+			if got := s.metrics.Completed.Load(); got != 1 {
+				t.Fatalf("Completed = %d, want 1", got)
+			}
+			payload := uint64(c.writes.Load() - 1) // less the banner
+			if got := s.metrics.Lag.N(); got != payload {
+				t.Errorf("lag_samples = %d, want %d: one per quantum that wrote bytes", got, payload)
+			}
+			if mode == PacingGoroutine && payload != uint64(cfg.Limit) {
+				t.Errorf("goroutine plane wrote %d payload quanta, want %d (one byte each)", payload, uint64(cfg.Limit))
+			}
+		})
+	}
+}
+
+// The wheel's per-worker shards lose nothing in the merge: with four
+// writers each pinning its own BytesOut and lag shard, and every stream
+// fast enough to write on each wake, the merged lag count is exactly
+// the fires the tick loop handed out, and the merged BytesOut is
+// exactly the bytes the registry recorded per stream.
+func TestWheelWorkerShardsConserve(t *testing.T) {
+	const clients = 32
+	cfg := testConfig(1 * units.GB)
+	cfg.Pacing = PacingWheel
+	cfg.Writers = 4
+	cfg.Limit = 20 * units.KB // 20 quanta at 100 KB/s and 10 ms
+	cfg.WriteTimeout = 5 * time.Second
+	s := newTestServer(t, cfg)
+	for i := 0; i < clients; i++ {
+		acceptConn(t, s, playRequest(100*units.KBPS))
+	}
+	// Collect every stream's registry entry while it stands: each one
+	// lives 20 quanta, and its bytes field outlives the entry.
+	seen := map[uint64]*streamState{}
+	waitFor(t, 2*time.Second, func() bool {
+		s.mu.Lock()
+		for id, st := range s.streams {
+			seen[id] = st
+		}
+		s.mu.Unlock()
+		return len(seen) == clients
+	})
+	if !connsEnded(s, 5*time.Second) {
+		t.Fatal("streams still open 5s after their budgets ran out")
+	}
+	m := s.metrics
+	if got := m.Completed.Load(); got != clients {
+		t.Fatalf("Completed = %d, want %d (evicted %d, aborted %d)", got, clients, m.Evicted.Load(), m.Aborted.Load())
+	}
+	if lag, fires := m.Lag.N(), m.WheelFires.Load(); lag != fires {
+		t.Errorf("merged lag samples = %d, want one per fire (%d)", lag, fires)
+	}
+	var registry uint64
+	for _, st := range seen {
+		registry += st.bytes.Load()
+	}
+	if got := m.BytesOut.Total(); got != registry {
+		t.Errorf("merged BytesOut = %d, want the registry's %d", got, registry)
+	}
+	if registry != clients*uint64(cfg.Limit) {
+		t.Errorf("registry bytes = %d, want %d", registry, clients*uint64(cfg.Limit))
+	}
+}
