@@ -67,9 +67,11 @@ func (g Geometry) Validate(r Request) error {
 	if r.Blocks <= 0 {
 		return fmt.Errorf("device: request has %d blocks", r.Blocks)
 	}
-	if r.Block < 0 || r.Block+r.Blocks > g.Blocks {
-		return fmt.Errorf("device: request [%d,%d) outside device of %d blocks",
-			r.Block, r.Block+r.Blocks, g.Blocks)
+	// Compared against Blocks − r.Blocks, which cannot overflow once
+	// r.Blocks > 0; the end r.Block + r.Blocks can.
+	if r.Block < 0 || r.Block > g.Blocks-r.Blocks {
+		return fmt.Errorf("device: request of %d blocks at %d outside device of %d blocks",
+			r.Blocks, r.Block, g.Blocks)
 	}
 	return nil
 }

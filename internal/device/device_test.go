@@ -41,6 +41,28 @@ func TestGeometryValidate(t *testing.T) {
 	}
 }
 
+// TestGeometryValidateOverflowingEnd covers requests whose end,
+// Block + Blocks, wraps past math.MaxInt64: they lie outside every
+// device, however large.
+func TestGeometryValidateOverflowingEnd(t *testing.T) {
+	g := Geometry{BlockSize: 512, Blocks: 1 << 62}
+	for _, tc := range []struct {
+		r  Request
+		ok bool
+	}{
+		{Request{Block: math.MaxInt64, Blocks: 1}, false},
+		{Request{Block: 1 << 62, Blocks: 1 << 62}, false},
+		{Request{Block: 1, Blocks: math.MaxInt64}, false},
+		{Request{Block: 0, Blocks: 1 << 62}, true},
+		{Request{Block: 1<<62 - 1, Blocks: 1}, true},
+		{Request{Block: 1 << 61, Blocks: 1<<61 + 1}, false},
+	} {
+		if err := g.Validate(tc.r); (err == nil) != tc.ok {
+			t.Errorf("Validate(%+v) = %v, want ok=%v", tc.r, err, tc.ok)
+		}
+	}
+}
+
 func TestEffectiveThroughputLimits(t *testing.T) {
 	rate := 300 * units.MBPS
 	lat := 4 * time.Millisecond

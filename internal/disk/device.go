@@ -36,6 +36,9 @@ type Device struct {
 	period   time.Duration // one revolution
 	seekSpan float64       // full-stroke distance in cylinders, ≥ 1
 
+	// Arm move time by cylinder distance for short moves; see seekTo.
+	seekMemo [64]time.Duration
+
 	// Head state.
 	cyl      int
 	head     int
@@ -180,48 +183,45 @@ func (z *zone) locate(lbn int64) (cyl, head int, sector int64) {
 	return cyl, head, sector
 }
 
-// locate maps an LBN to (cylinder, head, sector).
-func (d *Device) locate(lbn int64) (cyl, head int, sector int64) {
-	return d.zoneOf(lbn).locate(lbn)
-}
-
 // Cylinder returns the cylinder holding lbn; schedulers sort on it.
 func (d *Device) Cylinder(lbn int64) int {
-	c, _, _ := d.locate(lbn)
-	return c
+	z := d.zoneOf(lbn)
+	return z.firstCyl + int((lbn-z.firstBlock)/z.perCyl)
 }
 
-// SeekTime returns the arm move time from the current cylinder to the
-// cylinder holding lbn, without rotational wait.
-func (d *Device) SeekTime(lbn int64) time.Duration {
-	target, _, _ := d.locate(lbn)
-	return d.seekTo(target)
-}
-
-// seekTo is the arm move time from the current cylinder to target.
+// seekTo is the arm move time from the current cylinder to target. Moves
+// shorter than len(seekMemo) cylinders — nearly every move an elevator
+// sweep makes — are evaluated once and then read back. The memo fills
+// lazily, so New costs nothing more, and lives in the Device, so devices
+// with different Params (or in concurrent runs) share nothing. A zero slot
+// means "not computed yet"; with SingleTrackSeek > 0 no nonzero move costs
+// zero, and otherwise a zero slot is merely recomputed.
 func (d *Device) seekTo(target int) time.Duration {
-	dist := target - d.cyl
-	if dist < 0 {
-		dist = -dist
-	}
+	dist := max(target-d.cyl, d.cyl-target)
 	if dist == 0 {
 		return 0
 	}
+	if dist < len(d.seekMemo) {
+		if d.seekMemo[dist] == 0 {
+			d.seekMemo[dist] = d.p.seekTimeNorm(float64(dist)/d.seekSpan, d.exponent)
+		}
+		return d.seekMemo[dist]
+	}
 	return d.p.seekTimeNorm(float64(dist)/d.seekSpan, d.exponent)
-}
-
-// angleAt returns the platter angle at time t, tracked deterministically
-// from the last service.
-func (d *Device) angleAt(t time.Duration) float64 {
-	delta := float64((t-d.lastTime)%d.period) / float64(d.period)
-	a := d.nowAngle + delta
-	return a - math.Floor(a)
 }
 
 // Service performs one request starting at simulated time now. Positioning
 // is seek plus the rotational wait for the target sector given the
 // platter's tracked angle; transfers stream at the zone rate with head and
 // track switches charged as they occur.
+//
+// The request's geometry is resolved once, with integer identities: one
+// division splits the zone offset into (track, sector), a second the track
+// into (cylinder, head). The end position follows from the start: a
+// transfer that stays on its start track needs no division, one that
+// crosses tracks a single one, and only a transfer that runs past its
+// zone's last block locates its end afresh — charging each zone's part at
+// that zone's sector time and taking the end angle from the end zone.
 func (d *Device) Service(now time.Duration, r device.Request) (c device.Completion, err error) {
 	if err = d.geom.Validate(r); err != nil {
 		return c, err
@@ -239,54 +239,58 @@ func (d *Device) Service(now time.Duration, r device.Request) (c device.Completi
 			return c, nil
 		}
 	}
-	// Resolve the start LBN once; seek, rotation and transfer all derive
-	// from this one (zone, cylinder, head, sector).
 	z := d.zoneOf(r.Block)
-	cyl, head, sector := z.locate(r.Block)
+	heads := int64(d.p.Heads)
+	off := r.Block - z.firstBlock
+	track, sector := off/z.sectors, off%z.sectors
+	cyl, head := z.firstCyl+int(track/heads), int(track%heads)
 
 	seek := d.seekTo(cyl)
 	if head != d.head && seek < d.p.HeadSwitch {
 		seek = d.p.HeadSwitch // head switch not hidden under the seek
 	}
 
-	// Rotational wait for the first sector after the seek completes.
-	arrive := now + seek
-	angle := d.angleAt(arrive)
-	targetAngle := float64(sector) / float64(z.sectors)
-	wait := targetAngle - angle
+	// Rotational wait for the first sector after the seek completes. The
+	// platter turned (arrive − lastTime) mod period since the last service;
+	// that difference is almost always already in [0, period).
+	turned := now + seek - d.lastTime
+	if turned < 0 || turned >= d.period {
+		turned %= d.period
+	}
+	angle := d.nowAngle + float64(turned)/float64(d.period)
+	angle -= math.Floor(angle)
+	wait := float64(sector)/float64(z.sectors) - angle
 	if wait < 0 {
 		wait++
 	}
 	rot := time.Duration(wait * float64(d.period))
 
-	// Transfer: per-sector time in this zone, plus a head switch per track
+	// Transfer: per-sector time in each zone, plus a head switch per track
 	// boundary and a single-track seek per cylinder boundary crossed.
 	xfer := time.Duration(r.Blocks) * z.secTime
-	last := r.Block + r.Blocks - 1
-	firstTrack := (r.Block - z.firstBlock) / z.sectors
-	lastTrack := (last - z.firstBlock) / z.sectors
-	if lastTrack > firstTrack {
-		switches := lastTrack - firstTrack
-		xfer += time.Duration(switches) * d.p.HeadSwitch
-		perCylTracks := int64(d.p.Heads)
-		cylCross := lastTrack/perCylTracks - firstTrack/perCylTracks
-		if cylCross > 0 {
-			xfer += time.Duration(cylCross) * d.p.SingleTrackSeek
+	ez, endCyl, endHead, endSector := z, cyl, head, sector+r.Blocks-1
+	if endSector >= z.sectors {
+		if last := r.Block + r.Blocks - 1; last < z.firstBlock+z.blocks {
+			endTrack := track + endSector/z.sectors
+			endCyl, endHead, endSector = z.firstCyl+int(endTrack/heads), int(endTrack%heads), endSector%z.sectors
+		} else { // ran past the zone: each zone's part at its own sector time
+			ez = d.zoneOf(last)
+			endCyl, endHead, endSector = ez.locate(last)
+			xfer = 0
+			for _, pz := range d.zones {
+				if n := min(last+1, pz.firstBlock+pz.blocks) - max(r.Block, pz.firstBlock); n > 0 {
+					xfer += time.Duration(n) * pz.secTime
+				}
+			}
 		}
+		xfer += time.Duration((endCyl-cyl)*d.p.Heads+endHead-head) * d.p.HeadSwitch
+		xfer += time.Duration(endCyl-cyl) * d.p.SingleTrackSeek
 	}
 
 	finish := now + seek + rot + xfer
-
-	// Update head/platter state. The end LBN shares the start's zone
-	// unless the transfer ran past the zone's last block.
-	ez := z
-	if last >= z.firstBlock+z.blocks {
-		ez = d.zoneOf(last)
-	}
-	endCyl, endHead, endSector := ez.locate(last)
 	d.cyl, d.head = endCyl, endHead
 	d.lastTime = finish
-	d.nowAngle = float64(endSector+1) / float64(z.sectors)
+	d.nowAngle = float64(endSector+1) / float64(ez.sectors)
 	d.nowAngle -= math.Floor(d.nowAngle)
 
 	c = device.Completion{Request: r, Finish: finish}

@@ -154,16 +154,16 @@ func TestZonesOuterFasterThanInner(t *testing.T) {
 func TestLocateRoundTrip(t *testing.T) {
 	d, _ := New(FutureDisk())
 	// Walking LBNs within one zone advances sector, then head, then cylinder.
-	c0, h0, s0 := d.locate(0)
+	c0, h0, s0 := locate(d, 0)
 	if c0 != 0 || h0 != 0 || s0 != 0 {
 		t.Fatalf("locate(0) = (%d,%d,%d)", c0, h0, s0)
 	}
 	z := d.zones[0]
-	_, h1, s1 := d.locate(z.sectors) // first sector of second track
+	_, h1, s1 := locate(d, z.sectors) // first sector of second track
 	if h1 != 1 || s1 != 0 {
 		t.Errorf("locate(track 1) = head %d sector %d, want 1, 0", h1, s1)
 	}
-	c2, _, _ := d.locate(z.sectors * int64(d.Params().Heads))
+	c2, _, _ := locate(d, z.sectors*int64(d.Params().Heads))
 	if c2 != 1 {
 		t.Errorf("locate(cyl 1) = cylinder %d, want 1", c2)
 	}

@@ -44,19 +44,39 @@ func (o *refCLook) dispatch(now time.Duration) (device.Completion, error) {
 	return refService(o.dev, now, r)
 }
 
-// refService is Device.Service as it was before the start LBN was resolved
-// once: three independent locate calls and Params read through its
-// by-value methods. Cache-less devices only.
+// locate maps an LBN to (cylinder, head, sector) through its zone.
+func locate(d *Device, lbn int64) (cyl, head int, sector int64) {
+	return d.zoneOf(lbn).locate(lbn)
+}
+
+// refService is Device.Service as it was before each request's geometry
+// was resolved once — a locate for the start and another for the end, the
+// track count from two divisions, the curve evaluated on every seek and the
+// platter angle from a modulo on every request — with one fix applied: a
+// transfer that runs past its zone's last block is split at each zone
+// boundary, each part charged its own zone's sector time and tracks, and
+// the end angle taken from the end zone's track length.
 func refService(d *Device, now time.Duration, r device.Request) (device.Completion, error) {
 	if err := d.geom.Validate(r); err != nil {
 		return device.Completion{}, err
 	}
+	if d.cache != nil {
+		if r.Op == device.Write {
+			d.cache.Invalidate(r.Block, r.Blocks)
+		} else if d.cache.Lookup(r.Block, r.Blocks) {
+			xfer := (units.Bytes(r.Blocks) * d.geom.BlockSize).Duration(d.cacheRate)
+			d.served++
+			d.busy += xfer
+			d.xferTime += xfer
+			return device.Completion{Request: r, Finish: now + xfer}, nil
+		}
+	}
 	z := d.zoneOf(r.Block)
-	target, head, sector := d.locate(r.Block)
+	target, head, sector := locate(d, r.Block)
 
 	var seek time.Duration
 	if dist := max(target-d.cyl, d.cyl-target); dist > 0 {
-		seek = d.p.seekTimeNorm(float64(dist)/float64(d.cyls-1), d.exponent)
+		seek = d.p.seekTimeNorm(float64(dist)/float64(max(d.cyls-1, 1)), d.exponent)
 	}
 	if head != d.head && seek < d.p.HeadSwitch {
 		seek = d.p.HeadSwitch
@@ -72,22 +92,35 @@ func refService(d *Device, now time.Duration, r device.Request) (device.Completi
 	}
 	rot := time.Duration(wait * float64(period))
 
-	xfer := time.Duration(r.Blocks) * (period / time.Duration(z.sectors))
-	firstTrack := (r.Block - z.firstBlock) / z.sectors
-	lastTrack := (r.Block + r.Blocks - 1 - z.firstBlock) / z.sectors
-	if lastTrack > firstTrack {
-		xfer += time.Duration(lastTrack-firstTrack) * d.p.HeadSwitch
-		heads := int64(d.p.Heads)
-		if cross := lastTrack/heads - firstTrack/heads; cross > 0 {
-			xfer += time.Duration(cross) * d.p.SingleTrackSeek
+	// One part per zone the transfer touches; stepping from a zone's last
+	// track onto the next zone's first is one head switch and one
+	// single-track seek.
+	var xfer time.Duration
+	heads := int64(d.p.Heads)
+	last := r.Block + r.Blocks - 1
+	for b := r.Block; b <= last; {
+		pz := d.zoneOf(b)
+		e := min(last, pz.firstBlock+pz.blocks-1)
+		xfer += time.Duration(e-b+1) * (period / time.Duration(pz.sectors))
+		firstTrack := (b - pz.firstBlock) / pz.sectors
+		lastTrack := (e - pz.firstBlock) / pz.sectors
+		if lastTrack > firstTrack {
+			xfer += time.Duration(lastTrack-firstTrack) * d.p.HeadSwitch
+			if cross := lastTrack/heads - firstTrack/heads; cross > 0 {
+				xfer += time.Duration(cross) * d.p.SingleTrackSeek
+			}
 		}
+		if e < last {
+			xfer += d.p.HeadSwitch + d.p.SingleTrackSeek
+		}
+		b = e + 1
 	}
 	finish := now + seek + rot + xfer
 
-	endCyl, endHead, endSector := d.locate(r.Block + r.Blocks - 1)
+	endCyl, endHead, endSector := locate(d, last)
 	d.cyl, d.head = endCyl, endHead
 	d.lastTime = finish
-	d.nowAngle = float64(endSector+1) / float64(z.sectors)
+	d.nowAngle = float64(endSector+1) / float64(d.zoneOf(last).sectors)
 	d.nowAngle -= math.Floor(d.nowAngle)
 
 	d.served++
@@ -95,6 +128,9 @@ func refService(d *Device, now time.Duration, r device.Request) (device.Completi
 	d.seekTime += seek
 	d.rotTime += rot
 	d.xferTime += xfer
+	if d.cache != nil && r.Op == device.Read {
+		d.cache.Insert(r.Block, r.Blocks)
+	}
 	return device.Completion{Request: r, Finish: finish}, nil
 }
 
@@ -266,11 +302,10 @@ func TestDrainAllReturnsEveryCompletion(t *testing.T) {
 	}
 }
 
-// TestServiceMatchesThreeLocateArithmetic pins the single-resolve Service
-// to the arithmetic it replaced, on the requests where the shortcuts could
-// differ: transfers that end in the next zone (the end LBN's zone is not
-// the start's), transfers ending on a zone's or the drive's last LBN, and
-// a random sweep for everything else.
+// TestServiceMatchesThreeLocateArithmetic pins Service to refService on
+// the requests where the shortcuts could differ: transfers that end in the
+// next zone (the end LBN's zone is not the start's), transfers ending on a
+// zone's or the drive's last LBN, and a random sweep for everything else.
 func TestServiceMatchesThreeLocateArithmetic(t *testing.T) {
 	got, want := twinDevices(t)
 	last := got.geom.Blocks
@@ -342,7 +377,7 @@ func oneCylinder(t *testing.T) *Device {
 func TestSeekTimeOneCylinderDevice(t *testing.T) {
 	d := oneCylinder(t)
 	last := d.Geometry().Blocks - 1
-	if got := d.SeekTime(last); got != 0 {
+	if got := d.seekTo(d.Cylinder(last)); got != 0 {
 		t.Errorf("seek within the only cylinder = %v, want 0", got)
 	}
 	c, err := d.Service(0, device.Request{Block: last, Blocks: 1})
@@ -352,7 +387,7 @@ func TestSeekTimeOneCylinderDevice(t *testing.T) {
 	// An LBN past the end resolves beyond the only cylinder. The distance
 	// has no stroke to be normalized by; it must clamp to the full-stroke
 	// time, not turn into NaN or a negative duration.
-	if got, want := d.SeekTime(last+1_000_000), d.Params().FullStrokeSeek; got != want {
+	if got, want := d.seekTo(d.Cylinder(last+1_000_000)), d.Params().FullStrokeSeek; got != want {
 		t.Errorf("seek past the last cylinder = %v, want the full stroke %v", got, want)
 	}
 }
