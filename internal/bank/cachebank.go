@@ -86,7 +86,7 @@ func (s *StripedBank) Read(now time.Duration, stream int, block, blocks int64) (
 		}
 		return c, nil
 	}
-	last := device.Completion{Request: r}
+	last := r.Done(0)
 	for i, d := range s.devs {
 		c, err := d.Service(now, r)
 		if err != nil {
@@ -107,7 +107,7 @@ func (s *StripedBank) SeeksPerCycle(n int) int { return len(s.devs) * n }
 // device. Effective rate k·R, effective latency L̄/k, capacity Size.
 type ReplicatedBank struct {
 	devs   []tier.Device
-	assign map[int]int
+	assign []int32 // stream -> device index, -1 when not assigned
 	counts []int
 }
 
@@ -118,7 +118,6 @@ func NewReplicatedBank(devs []tier.Device) (*ReplicatedBank, error) {
 	}
 	return &ReplicatedBank{
 		devs:   devs,
-		assign: make(map[int]int),
 		counts: make([]int, len(devs)),
 	}, nil
 }
@@ -133,7 +132,10 @@ func (r *ReplicatedBank) Capacity() units.Bytes {
 
 // Assign pins the stream to the least-loaded device.
 func (r *ReplicatedBank) Assign(stream int) error {
-	if _, dup := r.assign[stream]; dup {
+	if stream < 0 {
+		return fmt.Errorf("bank: negative stream id %d", stream)
+	}
+	if _, dup := r.DeviceOf(stream); dup {
 		return fmt.Errorf("bank: stream %d already assigned", stream)
 	}
 	best := 0
@@ -142,20 +144,25 @@ func (r *ReplicatedBank) Assign(stream int) error {
 			best = i
 		}
 	}
-	r.assign[stream] = best
+	for len(r.assign) <= stream {
+		r.assign = append(r.assign, -1)
+	}
+	r.assign[stream] = int32(best)
 	r.counts[best]++
 	return nil
 }
 
 // DeviceOf returns the device a stream reads from.
 func (r *ReplicatedBank) DeviceOf(stream int) (int, bool) {
-	d, ok := r.assign[stream]
-	return d, ok
+	if stream < 0 || stream >= len(r.assign) || r.assign[stream] < 0 {
+		return 0, false
+	}
+	return int(r.assign[stream]), true
 }
 
 // Read services the IO on the stream's pinned replica.
 func (r *ReplicatedBank) Read(now time.Duration, stream int, block, blocks int64) (device.Completion, error) {
-	dev, ok := r.assign[stream]
+	dev, ok := r.DeviceOf(stream)
 	if !ok {
 		return device.Completion{}, fmt.Errorf("bank: stream %d not assigned", stream)
 	}

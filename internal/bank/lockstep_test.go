@@ -172,3 +172,37 @@ func BenchmarkStripedRead(b *testing.B) {
 		now = c.Finish
 	}
 }
+
+// BenchmarkReplicatedRead times one read on a 4-device mems-g3
+// replicated bank, each stream pinned to its least-loaded replica, on
+// the cache stage's request shape: streams spread over the image, each
+// reading on through its stretch of it one IO of 4 × 63 blocks at a
+// time, visited in order.
+func BenchmarkReplicatedRead(b *testing.B) {
+	ds, err := New(4, tier.MustLookup("mems-g3"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rb, err := NewReplicatedBank(ds)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const streams, blocks = 300, 4 * 63
+	for s := 0; s < streams; s++ {
+		if err := rb.Assign(s); err != nil {
+			b.Fatal(err)
+		}
+	}
+	stride := (ds[0].Geometry().Blocks - blocks) / streams
+	var now time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := i % streams
+		c, err := rb.Read(now, s, int64(s)*stride+int64(i/streams)*blocks%stride, blocks)
+		if err != nil {
+			b.Fatal(err)
+		}
+		now = c.Finish
+	}
+}

@@ -27,27 +27,39 @@ func (o Op) String() string {
 	return "read"
 }
 
-// Request is one IO against a block device.
+// Request is one IO against a block device. A device serves it at the
+// now its caller passes in.
 type Request struct {
 	Op     Op
-	Block  int64         // starting logical block
-	Blocks int64         // length in logical blocks
-	Stream int           // owning stream id, -1 for none
-	Issued time.Duration // simulation time the request was issued
+	Block  int64 // starting logical block
+	Blocks int64 // length in logical blocks
+	Stream int   // owning stream id, -1 for none
 }
 
-// Completion reports how one request was serviced: the request and the
-// simulated time its service ended. Service starts at the now the caller
-// passed in, and the positioning and transfer portions accumulate in the
-// serving device's counters (TotalSeekTime, TotalTransferTime and, on a
-// disk, TotalRotTime).
+// Done reports r as served, with its service ending at finish.
+func (r Request) Done(finish time.Duration) Completion {
+	return Completion{Op: r.Op, Blocks: r.Blocks, Stream: r.Stream, Finish: finish}
+}
+
+// Completion reports how one request was serviced: what the callers of
+// Service and Dispatch read of the request, and the simulated time its
+// service ended. Service starts at the now the caller passed in, and the
+// positioning and transfer portions accumulate in the serving device's
+// counters (TotalSeekTime, TotalTransferTime and, on a disk,
+// TotalRotTime). It does not carry the request's starting block: no
+// caller reads it.
 //
-// Six integer fields, so a (Completion, bool, error) result travels in
-// the nine integer result registers of Go's amd64 register ABI instead of
-// being spilled and copied at every hop; TestCompletionFitsResultRegisters
-// keeps it there.
+// Request and Completion are four fields and 32 bytes each, the largest
+// struct the Go compiler keeps in SSA form (ssa.CanSSA: at most four
+// pointer words and four fields per level), so they stay in registers
+// through every Service, Dispatch and CacheBank.Read hop. A larger one
+// is spilled to the stack after each call that returns it and copied
+// back with 16-byte loads that straddle the spilled stores and stall;
+// TestCompletionFitsResultRegisters keeps both types in range.
 type Completion struct {
-	Request
+	Op     Op
+	Blocks int64         // length in logical blocks
+	Stream int           // owning stream id, -1 for none
 	Finish time.Duration // service end (simulated)
 }
 

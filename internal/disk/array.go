@@ -101,8 +101,7 @@ func (a *Array) split(r device.Request) ([]subRequest, error) {
 		subs = append(subs, subRequest{
 			member: member,
 			req: device.Request{
-				Op: r.Op, Block: mlbn, Blocks: chunk,
-				Stream: r.Stream, Issued: r.Issued,
+				Op: r.Op, Block: mlbn, Blocks: chunk, Stream: r.Stream,
 			},
 		})
 		lbn += chunk
@@ -135,5 +134,5 @@ func (a *Array) Service(now time.Duration, r device.Request) (device.Completion,
 			finish = c.Finish
 		}
 	}
-	return device.Completion{Request: r, Finish: finish}, nil
+	return r.Done(finish), nil
 }

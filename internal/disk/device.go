@@ -232,7 +232,7 @@ func (d *Device) Service(now time.Duration, r device.Request) (c device.Completi
 		} else if d.cache.Lookup(r.Block, r.Blocks) {
 			bytes := units.Bytes(r.Blocks) * d.geom.BlockSize
 			xfer := bytes.Duration(d.cacheRate)
-			c = device.Completion{Request: r, Finish: now + xfer}
+			c = r.Done(now + xfer)
 			d.served++
 			d.busy += xfer
 			d.xferTime += xfer
@@ -293,7 +293,7 @@ func (d *Device) Service(now time.Duration, r device.Request) (c device.Completi
 	d.nowAngle = float64(endSector+1) / float64(ez.sectors)
 	d.nowAngle -= math.Floor(d.nowAngle)
 
-	c = device.Completion{Request: r, Finish: finish}
+	c = r.Done(finish)
 	d.served++
 	d.busy += finish - now
 	d.seekTime += seek

@@ -68,7 +68,7 @@ func refService(d *Device, now time.Duration, r device.Request) (device.Completi
 			d.served++
 			d.busy += xfer
 			d.xferTime += xfer
-			return device.Completion{Request: r, Finish: now + xfer}, nil
+			return r.Done(now + xfer), nil
 		}
 	}
 	z := d.zoneOf(r.Block)
@@ -131,7 +131,7 @@ func refService(d *Device, now time.Duration, r device.Request) (device.Completi
 	if d.cache != nil && r.Op == device.Read {
 		d.cache.Insert(r.Block, r.Blocks)
 	}
-	return device.Completion{Request: r, Finish: finish}, nil
+	return r.Done(finish), nil
 }
 
 // twinDevices returns two identical drives: one for the code under test,
@@ -158,7 +158,7 @@ func sameHead(t *testing.T, got, want *Device) {
 // randomRequest draws from a mix that exercises every tie-break: a few hot
 // cylinders (duplicates), the whole surface, and transfers long enough to
 // carry the head several cylinders past where they started.
-func randomRequest(rng *sim.RNG, d *Device, stream int, now time.Duration) device.Request {
+func randomRequest(rng *sim.RNG, d *Device, stream int) device.Request {
 	blocks := int64(1 + rng.Intn(512))
 	if rng.Intn(8) == 0 {
 		blocks = d.zones[0].perCyl * int64(1+rng.Intn(4)) // endCyl > cyl
@@ -171,7 +171,7 @@ func randomRequest(rng *sim.RNG, d *Device, stream int, now time.Duration) devic
 		lbn = int64(rng.Uint64n(uint64(d.geom.Blocks)))
 	}
 	lbn = min(lbn, d.geom.Blocks-blocks)
-	return device.Request{Op: device.Read, Block: lbn, Blocks: blocks, Stream: stream, Issued: now}
+	return device.Request{Op: device.Read, Block: lbn, Blocks: blocks, Stream: stream}
 }
 
 func TestCLookMatchesArrivalOrderScan(t *testing.T) {
@@ -187,7 +187,7 @@ func TestCLookMatchesArrivalOrderScan(t *testing.T) {
 			for batch := 0; batch < 2; batch++ {
 				s.Rebind(got, CLook)
 				for i := 0; i < n; i++ {
-					r := randomRequest(rng, got, i, now)
+					r := randomRequest(rng, got, i)
 					s.Enqueue(r)
 					o.queue = append(o.queue, r)
 				}
@@ -234,7 +234,7 @@ func TestCLookInterleavedMatchesScan(t *testing.T) {
 			burst := step < steps/2 && rng.Intn(4) == 0 || step < steps && rng.Intn(50) == 0
 			if burst {
 				for k := 1 + rng.Intn(40); k > 0; k-- {
-					r := randomRequest(rng, got, stream, now)
+					r := randomRequest(rng, got, stream)
 					stream++
 					s.Enqueue(r)
 					o.queue = append(o.queue, r)
@@ -264,7 +264,7 @@ func TestSSTFMatchesArrivalOrderScan(t *testing.T) {
 	rng := sim.NewRNG(7)
 	var queue []device.Request
 	for i := 0; i < 200; i++ {
-		r := randomRequest(rng, got, i, 0)
+		r := randomRequest(rng, got, i)
 		s.Enqueue(r)
 		queue = append(queue, r)
 	}
@@ -330,7 +330,7 @@ func TestServiceMatchesThreeLocateArithmetic(t *testing.T) {
 	)
 	rng := sim.NewRNG(11)
 	for i := 0; i < 5000; i++ {
-		r := randomRequest(rng, got, i, 0)
+		r := randomRequest(rng, got, i)
 		if i%5 == 0 {
 			r.Op = device.Write
 		}

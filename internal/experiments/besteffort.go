@@ -104,7 +104,9 @@ func responseMEMS(size units.Bytes, batch int, seed uint64) (time.Duration, time
 	return m, p, nil
 }
 
-// responseStats returns the mean and p95 response time of a batch.
+// responseStats returns the mean and p95 response time of a batch that
+// was enqueued whole and drained from time 0: each request's response
+// time is its completion's Finish.
 func responseStats(cs []device.Completion) (time.Duration, time.Duration) {
 	if len(cs) == 0 {
 		return 0, 0
@@ -112,9 +114,8 @@ func responseStats(cs []device.Completion) (time.Duration, time.Duration) {
 	var total time.Duration
 	res := sim.NewReservoir(4096, 1)
 	for _, c := range cs {
-		r := c.Finish - c.Issued
-		total += r
-		res.Observe(r.Seconds())
+		total += c.Finish
+		res.Observe(c.Finish.Seconds())
 	}
 	p95, _ := res.Quantile(0.95) // cs is non-empty here
 	return total / time.Duration(len(cs)), units.Seconds(p95)

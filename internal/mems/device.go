@@ -256,7 +256,7 @@ func (d *Device) Service(now time.Duration, r device.Request) (c device.Completi
 			bytes := units.Bytes(r.Blocks) * d.geom.BlockSize
 			xfer := bytes.Duration(d.cacheRate)
 			d.book(0, xfer)
-			return device.Completion{Request: r, Finish: now + xfer}, nil
+			return r.Done(now + xfer), nil
 		}
 	}
 	// A sled request is fully described by (cylinder, Y offset): resolve
@@ -288,7 +288,7 @@ func (d *Device) Service(now time.Duration, r device.Request) (c device.Completi
 	if d.cache != nil && r.Op == device.Read {
 		d.cache.Insert(r.Block, r.Blocks)
 	}
-	return device.Completion{Request: r, Finish: now + seek + xfer}, nil
+	return r.Done(now + seek + xfer), nil
 }
 
 // book counts one service of seek positioning and xfer transfer.

@@ -75,7 +75,7 @@ func (s *refSled) service(now time.Duration, r device.Request, rate units.ByteRa
 	s.busy += seek + xfer
 	s.seek += seek
 	s.xf += xfer
-	return device.Completion{Request: r, Finish: now + seek + xfer}, nil
+	return r.Done(now + seek + xfer), nil
 }
 
 // TestServiceMatchesThreeCylinderArithmetic pins the single-divmod Service

@@ -132,7 +132,7 @@ func (s *edfRun) serviceNext() {
 	ps.pos[i] = (blk + s.ioBlocks) % s.diskBlocks
 	now := r.eng.Now()
 	comp, err := r.dsk.Service(now, device.Request{
-		Op: device.Read, Block: blk, Blocks: s.ioBlocks, Stream: i, Issued: now,
+		Op: device.Read, Block: blk, Blocks: s.ioBlocks, Stream: i,
 	})
 	if err != nil {
 		s.busy = false

@@ -164,10 +164,7 @@ func (d *diskRead) stage(c int64) {
 		if blk+d.ioBlocks > diskBlocks {
 			blk = 0
 		}
-		sched.Enqueue(device.Request{
-			Op: op, Block: blk, Blocks: d.ioBlocks,
-			Stream: i, Issued: r.eng.Now(),
-		})
+		sched.Enqueue(device.Request{Op: op, Block: blk, Blocks: d.ioBlocks, Stream: i})
 		ps.pos[i] = (blk + d.ioBlocks) % diskBlocks
 	}
 	if sched.Len() == 0 {

@@ -89,7 +89,7 @@ func (d *flatDevice) Service(now time.Duration, r device.Request) (c device.Comp
 			bytes := units.Bytes(r.Blocks) * d.geom.BlockSize
 			xfer := bytes.Duration(d.cacheRate)
 			d.book(0, xfer)
-			return device.Completion{Request: r, Finish: now + xfer}, nil
+			return r.Done(now + xfer), nil
 		}
 	}
 	pos := d.spec.AvgLatency
@@ -99,7 +99,7 @@ func (d *flatDevice) Service(now time.Duration, r device.Request) (c device.Comp
 	if d.cache != nil && r.Op == device.Read {
 		d.cache.Insert(r.Block, r.Blocks)
 	}
-	return device.Completion{Request: r, Finish: now + pos + xfer}, nil
+	return r.Done(now + pos + xfer), nil
 }
 
 // book counts one service of pos positioning and xfer transfer.

@@ -253,10 +253,7 @@ func TestFIFOScheduler(t *testing.T) {
 		t.Fatalf("flat device scheduler is %T, want fifoScheduler", s)
 	}
 	for i := 0; i < 3; i++ {
-		s.Enqueue(device.Request{
-			Op: device.Read, Block: int64(1000 - i), Blocks: 8,
-			Stream: i, Issued: time.Duration(i) * time.Millisecond,
-		})
+		s.Enqueue(device.Request{Op: device.Read, Block: int64(1000 - i), Blocks: 8, Stream: i})
 	}
 	if s.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", s.Len())
@@ -450,7 +447,7 @@ func TestServeInStep(t *testing.T) {
 					t.Errorf("device %d served %d requests with ok=%v", i, grew, ok)
 				}
 			}
-			if ok && (c.Request != r || c.Finish <= 2*time.Second) {
+			if ok && (c != r.Done(c.Finish) || c.Finish <= 2*time.Second) {
 				t.Errorf("completion %+v", c)
 			}
 		})

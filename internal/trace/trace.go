@@ -28,9 +28,12 @@ type Event struct {
 	Stream int
 }
 
-// Request converts the event to a device request.
+// Request converts the event to a device request. At is not part of the
+// request: a device serves it at the now its caller passes in, and
+// memsim -device serves a trace's events back to back, each starting
+// when the one before it finished.
 func (e Event) Request() device.Request {
-	return device.Request{Op: e.Op, Block: e.Block, Blocks: e.Blocks, Stream: e.Stream, Issued: e.At}
+	return device.Request{Op: e.Op, Block: e.Block, Blocks: e.Blocks, Stream: e.Stream}
 }
 
 // WriteText encodes events one per line:

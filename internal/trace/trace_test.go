@@ -116,7 +116,7 @@ func TestBinaryEmpty(t *testing.T) {
 func TestEventRequest(t *testing.T) {
 	e := Event{At: time.Second, Op: device.Write, Block: 7, Blocks: 3, Stream: 9}
 	r := e.Request()
-	if r.Op != device.Write || r.Block != 7 || r.Blocks != 3 || r.Stream != 9 || r.Issued != time.Second {
+	if r != (device.Request{Op: device.Write, Block: 7, Blocks: 3, Stream: 9}) {
 		t.Errorf("request = %+v", r)
 	}
 }
