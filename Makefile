@@ -78,6 +78,7 @@ fuzz:
 	$(GO) test -fuzz FuzzParseBytes -fuzztime 30s ./internal/units/
 	$(GO) test -fuzz FuzzParseRate -fuzztime 30s ./internal/units/
 	$(GO) test -fuzz FuzzRequestLine -fuzztime 30s -fuzzminimizetime 2s ./internal/serve/
+	$(GO) test -fuzz FuzzControlHandler -fuzztime 30s -fuzzminimizetime 2s ./internal/serve/
 	$(GO) test -fuzz FuzzReadText -fuzztime 30s ./internal/trace/
 	$(GO) test -fuzz FuzzReadBinary -fuzztime 30s ./internal/trace/
 

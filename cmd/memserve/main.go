@@ -4,8 +4,6 @@
 // connection supervisor. Clients connect over TCP and send one line:
 //
 //	PLAY <bitrate>      e.g. "PLAY 100KB" — request a stream at that rate
-//	STAT                — admitted streams, capacity yardstick, aggregate rate
-//	METRICS             — supervisor counters + pacing-lag histogram
 //
 // Admitted clients receive synthetic stream data paced at the requested
 // rate until -limit bytes have been sent or they disconnect. The server
@@ -19,13 +17,16 @@
 // The admission spec plans against the disk's block-weighted effective
 // zone rate (disk.Device.EffectiveRate), matching the simulator's
 // diskSpec: planning against the outer-zone maximum would overcommit
-// whole-surface layouts. STAT's capacity= yardstick therefore reads
-// lower — and honestly — compared with the old OuterRate figure.
+// whole-surface layouts. The capacity yardstick /status reports therefore
+// reads lower — and honestly — compared with the old OuterRate figure.
 //
-// With -http, memserve also serves the JSON control plane on a second
-// listener (see internal/serve ControlHandler and EXPERIMENTS.md):
+// What the server did is reported only by the JSON control plane, on a
+// second listener at -http (127.0.0.1:9091, next to -addr's port, unless
+// -http "" turns it off; see internal/serve ControlHandler and
+// EXPERIMENTS.md). It listens after the stream port, so a live control
+// plane means a live stream port:
 //
-//	GET  /metrics            counters, lag histogram, tiers, live streams
+//	GET  /metrics            counters, gauges, lag histogram, tiers, live streams
 //	GET  /status             liveness/occupancy view
 //	POST /streams/{id}/stop  force-close one stream
 //	POST /drain              trigger the graceful drain
@@ -77,7 +78,7 @@ type options struct {
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:9090", "listen address")
-	httpAddr := flag.String("http", "", "HTTP control-plane address (empty = disabled)")
+	httpAddr := flag.String("http", "127.0.0.1:9091", "HTTP control-plane address (empty = disabled)")
 	enablePprof := flag.Bool("pprof", false, "mount /debug/pprof on the control-plane listener, with mutex and block profiling enabled (requires -http)")
 	var o options
 	flag.StringVar(&o.dram, "dram", "1GB", "DRAM budget for admission control")
@@ -135,7 +136,7 @@ func main() {
 	if err := srv.Serve(ctx, ln); err != nil {
 		log.Fatalf("memserve: %v", err)
 	}
-	log.Printf("memserve: drained; %s", srv.Metrics().Line(srv.Admitted()))
+	log.Printf("memserve: drained; admitted=%d %v", srv.Admitted(), srv.Metrics().Counters())
 }
 
 // withPprof mounts the runtime profiling endpoints next to the control

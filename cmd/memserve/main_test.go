@@ -3,8 +3,11 @@ package main
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"io"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/signal"
 	"strings"
@@ -13,6 +16,7 @@ import (
 	"time"
 
 	"memstream/internal/disk"
+	"memstream/internal/metrics"
 	"memstream/internal/model"
 	"memstream/internal/units"
 )
@@ -149,8 +153,8 @@ func TestSigtermDrainReleasesSlots(t *testing.T) {
 }
 
 // End-to-end wheel plane through the real wiring: -pacing=wheel serves a
-// PLAY to completion over TCP and the METRICS line shows the wheel
-// actually drove the stream (nonzero ticks and fires).
+// PLAY to completion over TCP and the control plane's /metrics shows the
+// wheel actually drove the stream (nonzero ticks and fires).
 func TestWheelPacingEndToEnd(t *testing.T) {
 	o := buildOpts()
 	o.limit = "32KB"
@@ -195,26 +199,20 @@ func TestWheelPacingEndToEnd(t *testing.T) {
 		t.Errorf("streamed %d bytes, want 32000", len(body))
 	}
 
-	metricsConn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
+	rec := httptest.NewRecorder()
+	srv.ControlHandler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	var doc metrics.Document
+	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
+		t.Fatalf("GET /metrics: %v", err)
 	}
-	defer metricsConn.Close()
-	if _, err := metricsConn.Write([]byte("METRICS\n")); err != nil {
-		t.Fatal(err)
+	if got := doc.Counters["completed"]; got != 1 {
+		t.Errorf("counters.completed = %d, want 1", got)
 	}
-	mline, err := bufio.NewReader(metricsConn).ReadString('\n')
-	if err != nil {
-		t.Fatal(err)
+	if doc.Counters["wheel_ticks"] == 0 {
+		t.Error("counters.wheel_ticks = 0: wheel plane idle")
 	}
-	if !strings.Contains(mline, "completed=1") {
-		t.Errorf("METRICS %q missing completed=1", mline)
-	}
-	if strings.Contains(mline, "wheel_ticks=0 ") || !strings.Contains(mline, "wheel_ticks=") {
-		t.Errorf("METRICS %q: wheel plane idle, want nonzero wheel_ticks", mline)
-	}
-	if strings.Contains(mline, "wheel_fires=0") {
-		t.Errorf("METRICS %q: wheel never fired a stream", mline)
+	if doc.Counters["wheel_fires"] == 0 {
+		t.Error("counters.wheel_fires = 0: wheel never fired a stream")
 	}
 
 	cancel()

@@ -3,18 +3,16 @@
 // fully stalled readers — and reports achieved throughput, admission
 // outcomes, stall evictions observed, and admission-latency quantiles.
 // It is the other half of the e2e smoke test: memserve must evict the
-// stalled readers and return their slots, and memsload verifies the
-// server drained back to admitted=0 afterwards.
+// stalled readers and return their slots, and memsload verifies, on the
+// server's HTTP control plane, that it settled back to admitted=0.
 //
 // Usage:
 //
 //	memsload -addr 127.0.0.1:9090 -clients 16 -slow 2 -stall 2 \
 //	         -rate 100KB -duration 5s
-//	memsload -addr 127.0.0.1:9090 -stat              # one STAT round-trip
-//	memsload -addr 127.0.0.1:9090 -metrics           # one METRICS round-trip
-//	memsload -addr 127.0.0.1:9090 -drained 5s        # poll until admitted=0
 //
-// Against the HTTP control plane (memserve -http):
+// Against the HTTP control plane (memserve -http, 127.0.0.1:9091 by
+// default), the only place the server reports what it did:
 //
 //	memsload -http-metrics http://127.0.0.1:9091     # probe: fetch /status
 //	         # and /metrics, print flattened key=value lines, exit 1 on
@@ -22,15 +20,17 @@
 //	memsload -addr 127.0.0.1:9090 -clients 8 -stall 2 -duration 3s \
 //	         -verify-http http://127.0.0.1:9091
 //	         # run the load AND cross-check the server's counter deltas
-//	         # (/metrics before vs after) against the client-side tallies:
-//	         # every admitted stream must land in exactly one of
+//	         # (/metrics before vs after, once /status has settled to no
+//	         # live stream and no held slot) against the client-side
+//	         # tallies: every admitted stream must land in exactly one of
 //	         # completed/evicted/aborted, with no reaped cross-counting
 //	memsload -addr 127.0.0.1:9090 -http-metrics http://127.0.0.1:9091 \
 //	         -sweep 100,500,1000 -duration 3s -sweep-json sweep.json
 //	         # population scaling sweep: run each step's client count,
 //	         # report per-step admitted/evicted/aborted and pacing-lag
 //	         # quantiles from the server's /metrics histogram-bucket
-//	         # deltas (per-step, not cumulative), optionally as JSON
+//	         # deltas (per-step, not cumulative; read by the server's own
+//	         # quantile rule), optionally as JSON
 package main
 
 import (
@@ -40,7 +40,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math"
 	"net"
 	"net/http"
 	"os"
@@ -51,7 +50,6 @@ import (
 	"time"
 
 	"memstream/internal/metrics"
-	"memstream/internal/sim"
 	"memstream/internal/units"
 )
 
@@ -91,7 +89,7 @@ type report struct {
 	Evicted   int
 	Bytes     int64
 	Wall      time.Duration
-	Latency   *sim.Reservoir // admission latency, seconds
+	Latency   metrics.Histogram // admission latency, seconds
 }
 
 func main() {
@@ -101,9 +99,6 @@ func main() {
 	stall := flag.Int("stall", 0, "of -clients, how many stop reading after the response")
 	rate := flag.String("rate", "100KB", "per-client PLAY rate")
 	duration := flag.Duration("duration", 5*time.Second, "run length")
-	stat := flag.Bool("stat", false, "send one STAT, print the response, exit")
-	metricsLine := flag.Bool("metrics", false, "send one METRICS, print the response, exit")
-	drained := flag.Duration("drained", 0, "poll STAT until admitted=0 or this timeout; exit 1 on timeout")
 	httpMetrics := flag.String("http-metrics", "", "probe the HTTP control plane at this base URL: fetch /status and /metrics, print flattened key=value lines, exit")
 	verifyHTTP := flag.String("verify-http", "", "with a load run: fetch /metrics before and after and verify server counter deltas against client-side tallies")
 	sweep := flag.String("sweep", "", "comma-separated stream populations: run each step as a full client cohort and report per-step counter deltas and lag quantiles (requires -http-metrics as the control-plane base URL)")
@@ -111,10 +106,6 @@ func main() {
 	flag.Parse()
 
 	switch {
-	case *stat:
-		oneShot(*addr, "STAT")
-	case *metricsLine:
-		oneShot(*addr, "METRICS")
 	case *sweep != "":
 		if *httpMetrics == "" {
 			log.Fatalf("memsload: -sweep needs -http-metrics <base URL> to collect per-step counter and histogram deltas")
@@ -127,11 +118,6 @@ func main() {
 		if err := probeHTTP(os.Stdout, *httpMetrics); err != nil {
 			log.Fatalf("memsload: http probe: %v", err)
 		}
-	case *drained > 0:
-		if err := waitDrained(*addr, *drained); err != nil {
-			log.Fatalf("memsload: %v", err)
-		}
-		fmt.Println("drained: admitted=0")
 	default:
 		cfg := config{addr: *addr, clients: *clients, slow: *slow, stall: *stall,
 			rate: *rate, duration: *duration}
@@ -307,7 +293,9 @@ func waitSettled(base string, within time.Duration) error {
 // counter deltas over exactly this step's window plus the pacing-lag
 // quantiles recomputed from the /metrics histogram-bucket deltas — the
 // server's cumulative quantiles would let earlier (smaller, faster)
-// steps dilute later ones, so each step subtracts its own baseline.
+// steps dilute later ones, so each step subtracts its own baseline and
+// reads the window by the server's quantile rule. A window without
+// samples reports 0.
 type sweepStep struct {
 	Streams    int     `json:"streams"`
 	Admitted   uint64  `json:"admitted"`
@@ -386,6 +374,7 @@ func runSweep(w io.Writer, base string, cfg config, list, jsonPath string) error
 // /metrics documents into the per-step delta record.
 func buildSweepStep(n int, rep *report, before, after *metrics.Document) sweepStep {
 	delta := func(k string) uint64 { return after.Counters[k] - before.Counters[k] }
+	lag := lagWindow(before.Lag, after.Lag).Wire()
 	return sweepStep{
 		Streams:    n,
 		Admitted:   delta("admitted_total"),
@@ -396,57 +385,26 @@ func buildSweepStep(n int, rep *report, before, after *metrics.Document) sweepSt
 		Aborted:    delta("aborted"),
 		BytesOut:   delta("bytes_out"),
 		WheelFires: delta("wheel_fires"),
-		LagSamples: after.Lag.Count - before.Lag.Count,
-		LagP50MS:   lagDeltaQuantile(before.Lag, after.Lag, 0.50),
-		LagP95MS:   lagDeltaQuantile(before.Lag, after.Lag, 0.95),
-		LagP99MS:   lagDeltaQuantile(before.Lag, after.Lag, 0.99),
+		LagSamples: lag.Count,
+		LagP50MS:   lag.Quantiles["p50_ms"],
+		LagP95MS:   lag.Quantiles["p95_ms"],
+		LagP99MS:   lag.Quantiles["p99_ms"],
 		WallMS:     float64(rep.Wall) / 1e6,
 	}
 }
 
-// lagDeltaQuantile estimates the q-quantile (ms) of the lag samples
-// recorded between two /metrics documents by subtracting the earlier
-// histogram's per-bucket counts from the later one's. Bucket-resolution
-// like the server's own quantiles, reporting the bucket's upper bound;
-// 0 when the window recorded no samples. A rank landing in the overflow
-// bucket reports the histogram ceiling — still a finite, JSON-safe
-// number that reads as "beyond the instrumented range".
-func lagDeltaQuantile(before, after metrics.HistogramJSON, q float64) float64 {
-	prev := make(map[float64]uint64, len(before.Buckets))
-	for _, b := range before.Buckets {
-		prev[b.LeMS] = b.Count
+// lagWindow is the lag histogram of the samples recorded between two
+// /metrics documents: the later one's bucket counts less the earlier
+// one's. Its Wire is what /metrics would have served for the window
+// alone, quantiles included.
+func lagWindow(before, after metrics.HistogramJSON) metrics.Snapshot {
+	w, b := after.Snapshot(), before.Snapshot()
+	for i := range w.Counts {
+		w.Counts[i] -= b.Counts[i]
 	}
-	type bucket struct {
-		le    float64
-		count uint64
-	}
-	var (
-		deltas []bucket
-		total  uint64
-	)
-	for _, b := range after.Buckets {
-		if d := b.Count - prev[b.LeMS]; d > 0 {
-			deltas = append(deltas, bucket{b.LeMS, d})
-			total += d
-		}
-	}
-	total += after.Overflow - before.Overflow
-	if total == 0 {
-		return 0
-	}
-	sort.Slice(deltas, func(i, j int) bool { return deltas[i].le < deltas[j].le })
-	rank := uint64(math.Ceil(q * float64(total)))
-	if rank == 0 {
-		rank = 1
-	}
-	var cum uint64
-	for _, b := range deltas {
-		cum += b.count
-		if cum >= rank {
-			return b.le
-		}
-	}
-	return metrics.BucketBound(metrics.NumBuckets-2) * 1e3
+	w.N -= b.N
+	w.SumNS -= b.SumNS
+	return w
 }
 
 // parsePopulations parses the -sweep list: positive integers, commas.
@@ -467,14 +425,6 @@ func parsePopulations(list string) ([]int, error) {
 		return nil, fmt.Errorf("no populations in %q", list)
 	}
 	return pops, nil
-}
-
-func oneShot(addr, cmd string) {
-	line, err := query(addr, cmd, 5*time.Second)
-	if err != nil {
-		log.Fatalf("memsload: %s: %v", cmd, err)
-	}
-	fmt.Println(line)
 }
 
 // run drives the configured client mix and aggregates their outcomes.
@@ -506,11 +456,7 @@ func run(cfg config) (*report, error) {
 		}(i, kind)
 	}
 	wg.Wait()
-	rep := &report{
-		Clients: cfg.clients,
-		Wall:    time.Since(start),
-		Latency: sim.NewReservoir(4096, 1),
-	}
+	rep := &report{Clients: cfg.clients, Wall: time.Since(start)}
 	for _, r := range results {
 		switch {
 		case r.errored:
@@ -622,44 +568,6 @@ func drainUntil(r *bufio.Reader, conn net.Conn, end time.Time, pause time.Durati
 		}
 	}
 	return total, false
-}
-
-// query performs one command round-trip.
-func query(addr, cmd string, timeout time.Duration) (string, error) {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return "", err
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(timeout))
-	if _, err := fmt.Fprintf(conn, "%s\n", cmd); err != nil {
-		return "", err
-	}
-	line, err := bufio.NewReader(conn).ReadString('\n')
-	if err != nil {
-		return "", err
-	}
-	return strings.TrimSpace(line), nil
-}
-
-// waitDrained polls STAT until the server reports admitted=0 — the
-// zero-leaked-slots assertion the smoke test runs after a load.
-func waitDrained(addr string, within time.Duration) error {
-	deadline := time.Now().Add(within)
-	var last string
-	for time.Now().Before(deadline) {
-		line, err := query(addr, "STAT", 2*time.Second)
-		if err == nil {
-			last = line
-			if strings.HasPrefix(line, "OK admitted=0 ") {
-				return nil
-			}
-		} else {
-			last = err.Error()
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	return fmt.Errorf("server not drained within %v (last: %s)", within, last)
 }
 
 // String renders the human report.

@@ -105,31 +105,15 @@ func TestLoadAgainstLiveServer(t *testing.T) {
 	if _, ok := rep.Latency.Quantile(0.5); !ok {
 		t.Error("no admission-latency samples recorded")
 	}
-	// Zero leaked slots after the load: the waitDrained probe the smoke
-	// test uses must succeed promptly.
-	if err := waitDrained(addr, 3*time.Second); err != nil {
-		t.Errorf("server did not drain after load: %v", err)
+	// Zero leaked slots after the load: the control plane must settle to
+	// no live stream and no held slot promptly, as -verify-http requires.
+	ts := httptest.NewServer(s.ControlHandler())
+	defer ts.Close()
+	if err := waitSettled(ts.URL, 3*time.Second); err != nil {
+		t.Errorf("server did not settle after load: %v", err)
 	}
 	if got := s.Admitted(); got != 0 {
 		t.Errorf("Admitted = %d after load, want 0", got)
-	}
-}
-
-func TestQueryStatAndMetrics(t *testing.T) {
-	addr, _ := startServer(t, 1*units.KB)
-	line, err := query(addr, "STAT", 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(line, "OK admitted=0 capacity=") {
-		t.Errorf("STAT = %q", line)
-	}
-	line, err = query(addr, "METRICS", 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(line, "OK ") || !strings.Contains(line, "evicted=") {
-		t.Errorf("METRICS = %q", line)
 	}
 }
 
@@ -166,8 +150,8 @@ func TestProbeHTTP(t *testing.T) {
 			t.Errorf("probe output missing %q:\n%s", key, out)
 		}
 	}
-	// No samples yet: quantile keys must be absent, matching the METRICS
-	// line's omission semantics.
+	// No samples yet: quantile keys must be absent, as in the /metrics
+	// document, so "no data" never reads as zero lag.
 	if strings.Contains(out, "lag.p95_ms=") {
 		t.Errorf("probe rendered quantiles with zero samples:\n%s", out)
 	}
@@ -305,40 +289,80 @@ func TestParsePopulations(t *testing.T) {
 	}
 }
 
+// lagStep is the sweep step of a window between two lag histograms.
+func lagStep(before, after metrics.HistogramJSON) sweepStep {
+	return buildSweepStep(0, &report{}, &metrics.Document{Lag: before}, &metrics.Document{Lag: after})
+}
+
+// A sweep step reads its window by the server's own quantile rule
+// (Snapshot.Quantile: the bucket's geometric midpoint, 0 in the
+// underflow bucket, the histogram ceiling in overflow): its quantiles
+// are those of a histogram holding the window's samples alone.
 func TestLagDeltaQuantile(t *testing.T) {
-	before := metrics.HistogramJSON{
-		Count:   10,
-		Buckets: []metrics.BucketJSON{{LeMS: 1, Count: 6}, {LeMS: 2, Count: 4}},
+	var before, after, window metrics.Histogram
+	observe := func(sec float64, n int, hs ...*metrics.Histogram) {
+		for i := 0; i < n; i++ {
+			for _, h := range hs {
+				h.Observe(sec)
+			}
+		}
 	}
-	after := metrics.HistogramJSON{
-		Count: 110,
-		Buckets: []metrics.BucketJSON{
-			{LeMS: 1, Count: 96}, // +90 in this window
-			{LeMS: 2, Count: 9},  // +5
-			{LeMS: 16, Count: 5}, // +5
-		},
+	observe(0.001, 6, &before, &after)
+	observe(0.002, 4, &before, &after)
+	observe(0.001, 90, &after, &window)
+	observe(0.002, 5, &after, &window)
+	observe(0.016, 5, &after, &window)
+	step := lagStep(before.Snapshot().Wire(), after.Snapshot().Wire())
+	if step.LagSamples != 100 {
+		t.Errorf("lag samples = %d, want the window's 100", step.LagSamples)
 	}
-	// 100 window samples: ranks 1–90 land in le=1, 91–95 in le=2, 96–100
-	// in le=16.
-	if got := lagDeltaQuantile(before, after, 0.50); got != 1 {
-		t.Errorf("p50 = %v, want 1", got)
+	for _, c := range []struct {
+		q   float64
+		got float64
+	}{{0.50, step.LagP50MS}, {0.95, step.LagP95MS}, {0.99, step.LagP99MS}} {
+		want, _ := window.Quantile(c.q)
+		if c.got != want*1e3 {
+			t.Errorf("p%v = %v ms, want %v (the window histogram's quantile)", c.q*100, c.got, want*1e3)
+		}
 	}
-	if got := lagDeltaQuantile(before, after, 0.95); got != 2 {
-		t.Errorf("p95 = %v, want 2", got)
+	// 100 window samples: ranks 1–90 are 1 ms, 91–95 are 2 ms, 96–100
+	// are 16 ms, so the three quantiles fall in three different buckets.
+	if !(step.LagP50MS < step.LagP95MS && step.LagP95MS < step.LagP99MS) {
+		t.Errorf("quantiles %v, %v, %v not in three buckets", step.LagP50MS, step.LagP95MS, step.LagP99MS)
 	}
-	if got := lagDeltaQuantile(before, after, 0.99); got != 16 {
-		t.Errorf("p99 = %v, want 16", got)
+
+	// Empty window: the cumulative histograms are equal, so no quantile.
+	aw := after.Snapshot().Wire()
+	if got := lagStep(aw, aw); got.LagSamples != 0 || got.LagP99MS != 0 {
+		t.Errorf("empty window = %d samples, p99 %v; want 0, 0", got.LagSamples, got.LagP99MS)
 	}
-	// Empty window: the cumulative totals are equal, so no quantile.
-	if got := lagDeltaQuantile(after, after, 0.99); got != 0 {
-		t.Errorf("empty-window quantile = %v, want 0", got)
+
+	// All window samples in overflow: the finite histogram ceiling, never
+	// ±Inf (it must survive JSON marshalling).
+	var of metrics.Histogram
+	observe(100, 5, &of)
+	if got, want := lagStep(metrics.HistogramJSON{}, of.Snapshot().Wire()).LagP50MS, metrics.BucketBound(metrics.NumBuckets-2)*1e3; got != want {
+		t.Errorf("overflow-only quantile = %v, want ceiling %v", got, want)
 	}
-	// All window samples in overflow: report the finite histogram ceiling,
-	// never ±Inf (it must survive JSON marshalling).
-	of := metrics.HistogramJSON{Count: 5, Overflow: 5}
-	ceiling := metrics.BucketBound(metrics.NumBuckets-2) * 1e3
-	if got := lagDeltaQuantile(metrics.HistogramJSON{}, of, 0.5); got != ceiling {
-		t.Errorf("overflow-only quantile = %v, want ceiling %v", got, ceiling)
+
+	// A window that starts from an empty histogram reads exactly what
+	// /metrics serves for that histogram, and a sample in the underflow
+	// bucket (below the histogram's resolution) reads 0.
+	var h metrics.Histogram
+	observe(0, 1, &h)
+	observe(0.0011, 3, &h)
+	observe(0.0013, 2, &h)
+	observe(0.021, 1, &h)
+	w := h.Snapshot().Wire()
+	step = lagStep(metrics.HistogramJSON{}, w)
+	if step.LagP50MS != w.Quantiles["p50_ms"] || step.LagP95MS != w.Quantiles["p95_ms"] || step.LagP99MS != w.Quantiles["p99_ms"] {
+		t.Errorf("window from empty = p50 %v p95 %v p99 %v, /metrics serves %v",
+			step.LagP50MS, step.LagP95MS, step.LagP99MS, w.Quantiles)
+	}
+	var zero metrics.Histogram
+	observe(0, 7, &zero)
+	if got := lagStep(metrics.HistogramJSON{}, zero.Snapshot().Wire()).LagP50MS; got != 0 {
+		t.Errorf("underflow-only window p50 = %v ms, want 0", got)
 	}
 }
 

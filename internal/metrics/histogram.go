@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"sort"
 	"sync/atomic"
 )
 
@@ -10,8 +11,8 @@ import (
 // including the very common "zero lag") and one overflow bucket. With
 // minExp = -20 (~0.95µs) and maxExp = 4 (16s) that is 24 octaves × 4
 // sub-buckets + 2 = 98 buckets, and every bucket's width is ≤ 25% of its
-// lower bound — comfortably finer than the millisecond resolution the
-// METRICS line reports.
+// lower bound, so a quantile the /metrics document reports at bucket
+// resolution is within 25% of the samples it stands for.
 const (
 	histMinExp  = -20
 	histMaxExp  = 4
@@ -240,4 +241,26 @@ func (s Snapshot) Wire() HistogramJSON {
 		w.Buckets = append(w.Buckets, BucketJSON{LeMS: BucketBound(i) * 1e3, Count: c})
 	}
 	return w
+}
+
+// Snapshot is the inverse of Snapshot.Wire: each le_ms maps back to the
+// bucket whose bound it is and Overflow to the overflow bucket, so a
+// client can subtract two /metrics documents and read the window with
+// Snapshot.Quantile, the server's own rule. An le_ms that is no bucket's
+// bound counts in the first bucket whose bound is above it, the bucket a
+// sample of that size falls in. Counts and N are exact; SumNS is the
+// millisecond sum rounded to the nanosecond.
+func (w HistogramJSON) Snapshot() Snapshot {
+	var s Snapshot
+	if ns := math.Round(w.SumMS * 1e6); ns > 0 && ns < 1<<64 {
+		s.SumNS = uint64(ns)
+	}
+	for _, b := range w.Buckets {
+		i := sort.Search(NumBuckets-1, func(i int) bool { return BucketBound(i)*1e3 >= b.LeMS })
+		s.Counts[i] += b.Count
+		s.N += b.Count
+	}
+	s.Counts[NumBuckets-1] += w.Overflow
+	s.N += w.Overflow
+	return s
 }

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"encoding/json"
 	"math"
 	"math/rand"
 	"reflect"
@@ -129,5 +130,40 @@ func TestHistogramInfDoesNotCorruptSum(t *testing.T) {
 	w := s.Wire()
 	if w.SumMS != 5 || w.Count != 5 || w.Overflow != 3 {
 		t.Errorf("wire = sum %v ms, count %d, overflow %d; want 5, 5, 3", w.SumMS, w.Count, w.Overflow)
+	}
+}
+
+// The wire form loses nothing a client needs: random histograms, with
+// samples in the underflow and overflow buckets, keep every bucket count
+// and N exact through Snapshot → Wire → JSON → HistogramJSON.Snapshot,
+// and so read the same quantiles on both sides of the wire.
+func TestWireSnapshotRoundTrip(t *testing.T) {
+	qs := []float64{0, 0.01, 0.5, 0.95, 0.99, 1}
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var h Histogram
+		for i, n := 0, rng.Intn(3000); i < n; i++ {
+			h.Observe(oracleSample(rng))
+		}
+		want := h.Snapshot()
+		data, err := json.Marshal(want.Wire())
+		if err != nil {
+			t.Fatalf("seed %d: marshal: %v", seed, err)
+		}
+		var w HistogramJSON
+		if err := json.Unmarshal(data, &w); err != nil {
+			t.Fatalf("seed %d: unmarshal: %v", seed, err)
+		}
+		got := w.Snapshot()
+		if got.Counts != want.Counts || got.N != want.N {
+			t.Fatalf("seed %d: round trip N=%d %v, want N=%d %v", seed, got.N, got.Counts, want.N, want.Counts)
+		}
+		for _, q := range qs {
+			gv, gok := got.Quantile(q)
+			wv, wok := want.Quantile(q)
+			if gv != wv || gok != wok {
+				t.Errorf("seed %d: Quantile(%v) = %v,%v after the round trip, want %v,%v", seed, q, gv, gok, wv, wok)
+			}
+		}
 	}
 }

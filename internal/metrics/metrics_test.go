@@ -118,7 +118,7 @@ func TestHistogramEmptyQuantile(t *testing.T) {
 
 // Zero-lag samples (the on-schedule common case) land in the underflow
 // bucket and report a 0 quantile — distinguishable from "no data" only
-// by Count, which is exactly how the METRICS line decides to render.
+// by Count, which is exactly how Wire decides to render quantiles.
 func TestHistogramZeroLag(t *testing.T) {
 	var h Histogram
 	for i := 0; i < 10; i++ {

@@ -2,12 +2,16 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"path"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -261,4 +265,109 @@ func TestControlMetricsUnderConcurrentLoad(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// GET /metrics streams the per-stream array in place of the null that a
+// nil Streams marshals to, so every marshalled envelope must end
+// `"streams":null}`: Streams stays the last field of metrics.Document
+// and never takes omitempty.
+func TestMetricsEnvelopeEndsInStreams(t *testing.T) {
+	var lag metrics.Histogram
+	lag.Observe(0.002)
+	lag.Observe(100) // overflow
+	full := metrics.Document{
+		Server:   "memserve",
+		State:    "draining",
+		UptimeMS: 12,
+		Counters: map[string]uint64{"accepted": 3},
+		Gauges:   map[string]int64{"admitted": 1},
+		Lag:      lag.Snapshot().Wire(),
+		Tiers:    []metrics.Tier{{Name: "dram", CapBytes: 1}, {Name: "disk", RateBps: 2}},
+	}
+	for _, doc := range []metrics.Document{{}, full} {
+		envelope, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasSuffix(envelope, []byte(`"streams":null}`)) {
+			t.Errorf("envelope %s does not end in \"streams\":null}", envelope)
+		}
+	}
+}
+
+// stopConn stands for a live stream's connection in FuzzControlHandler's
+// registry; it only records that the control plane closed it.
+type stopConn struct {
+	net.Conn
+	closed bool
+}
+
+func (c *stopConn) Close() error {
+	c.closed = true
+	return nil
+}
+
+// FuzzControlHandler sends the control plane any method on any of its
+// routes, and on some it does not have, with any stream id, in process.
+// The handler must never panic; it answers 200, 202, 400, 404 or 405
+// and nothing else; every 2xx body is JSON; and no request closes a
+// stream but a stop that named that stream's id. The fuzzed id is one
+// path segment, and the path is sent clean, as a client would send it:
+// the mux redirects any other path before a handler runs.
+func FuzzControlHandler(f *testing.F) {
+	routes := [...]string{"/metrics", "/status", "/streams/%s/stop", "/drain", "/streams/%s", "/%s"}
+	for _, seed := range []struct {
+		method string
+		route  uint8
+		id     string
+	}{
+		{"GET", 0, ""}, {"HEAD", 0, ""}, {"POST", 0, ""}, {"GET", 1, ""},
+		{"POST", 2, "1"}, {"POST", 2, "3"}, {"POST", 2, "99"}, {"POST", 2, "01"},
+		{"POST", 2, "x"}, {"POST", 2, "-1"}, {"POST", 2, "+1"}, {"POST", 2, "18446744073709551616"},
+		{"POST", 2, ""}, {"POST", 2, ".."}, {"POST", 2, "1/stop"}, {"GET", 2, "1"},
+		{"CONNECT", 2, "2"}, {"POST", 3, ""}, {"DELETE", 3, ""}, {"PUT", 4, "1"},
+		{"GET", 5, "metrics"}, {"POST", 5, "drain"}, {"get", 1, ""},
+	} {
+		f.Add(seed.method, seed.route, seed.id)
+	}
+	cfg := testConfig(0)
+	cfg.Pacing = PacingGoroutine // nothing streams, so no wheel to Close
+	s, err := New(cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	// Registry entries alone: a stop closes the entry's conn, and with no
+	// stream goroutine behind it nothing else happens.
+	conns := map[uint64]*stopConn{}
+	for id := uint64(1); id <= 3; id++ {
+		conns[id] = &stopConn{}
+		s.streams[id] = &streamState{id: id, rate: cfg.DefaultRate, start: time.Now(), conn: conns[id]}
+	}
+	h := s.ControlHandler()
+	f.Fuzz(func(t *testing.T, method string, route uint8, id string) {
+		target := path.Clean(strings.ReplaceAll(routes[int(route)%len(routes)], "%s", url.PathEscape(id)))
+		req, err := http.NewRequest(method, target, nil)
+		if err != nil {
+			return // no client can send it: not a method token
+		}
+		for _, c := range conns {
+			c.closed = false
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		switch rec.Code {
+		case http.StatusOK, http.StatusAccepted, http.StatusBadRequest, http.StatusNotFound, http.StatusMethodNotAllowed:
+		default:
+			t.Fatalf("%s %s: status %d", method, target, rec.Code)
+		}
+		if rec.Code/100 == 2 && !json.Valid(rec.Body.Bytes()) {
+			t.Fatalf("%s %s: %d with a body that is not JSON: %q", method, target, rec.Code, rec.Body.Bytes())
+		}
+		named, err := strconv.ParseUint(id, 10, 64)
+		for sid, c := range conns {
+			if c.closed && (err != nil || sid != named) {
+				t.Fatalf("%s %s closed stream %d", method, target, sid)
+			}
+		}
+	})
 }

@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"fmt"
-	"strings"
 	"sync/atomic"
 
 	"memstream/internal/metrics"
@@ -16,7 +14,7 @@ import (
 // goroutine that writes streams pins one shard of each (pins): a wheel
 // worker for its lifetime, a goroutine-plane stream for its own. A
 // stream-wake then touches only cache lines its own goroutine owns. The
-// read side (METRICS, /metrics) folds the shards.
+// read side, the control plane's GET /metrics, folds the shards.
 //
 // Connection outcomes are disjoint by design:
 //
@@ -74,9 +72,10 @@ func (m *Metrics) LagQuantile(q float64) (float64, bool) { return m.Lag.Quantile
 // lagSamples reports how many lag observations were made.
 func (m *Metrics) lagSamples() uint64 { return m.Lag.N() }
 
-// counterMap renders every outcome counter under its wire name — the one
-// schema shared by the METRICS text line and the HTTP /metrics document.
-func (m *Metrics) counterMap() map[string]uint64 {
+// Counters renders every outcome counter under its wire name: the
+// counters object of the /metrics document, and the one place the names
+// are spelled.
+func (m *Metrics) Counters() map[string]uint64 {
 	return map[string]uint64{
 		"accepted":       m.Accepted.Load(),
 		"sheds":          m.Sheds.Load(),
@@ -91,44 +90,4 @@ func (m *Metrics) counterMap() map[string]uint64 {
 		"wheel_ticks":    m.WheelTicks.Load(),
 		"wheel_fires":    m.WheelFires.Load(),
 	}
-}
-
-// Line renders the expvar-style single-line METRICS response body:
-// space-separated key=value pairs, stable key order. admitted is the
-// current admission-controller gauge, passed in by the server because
-// the controller lives behind its lock, not here.
-//
-// The lag quantile keys are omitted while lag_samples=0: a reader must
-// never mistake "no data yet" for "true zero lag" (previously both
-// rendered as lag_p50_ms=0.000).
-func (m *Metrics) Line(admitted int) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "accepted=%d", m.Accepted.Load())
-	fmt.Fprintf(&b, " sheds=%d", m.Sheds.Load())
-	fmt.Fprintf(&b, " reaped=%d", m.Reaped.Load())
-	fmt.Fprintf(&b, " aborted=%d", m.Aborted.Load())
-	fmt.Fprintf(&b, " bad_requests=%d", m.BadRequests.Load())
-	fmt.Fprintf(&b, " admitted=%d", admitted)
-	fmt.Fprintf(&b, " admitted_total=%d", m.AdmittedTotal.Load())
-	fmt.Fprintf(&b, " admission_busy=%d", m.AdmissionBusy.Load())
-	fmt.Fprintf(&b, " active_streams=%d", m.ActiveStreams.Load())
-	fmt.Fprintf(&b, " completed=%d", m.Completed.Load())
-	fmt.Fprintf(&b, " evicted=%d", m.Evicted.Load())
-	fmt.Fprintf(&b, " bytes_out=%d", m.BytesOut.Total())
-	fmt.Fprintf(&b, " wheel_streams=%d", m.WheelStreams.Load())
-	fmt.Fprintf(&b, " wheel_ticks=%d", m.WheelTicks.Load())
-	fmt.Fprintf(&b, " wheel_fires=%d", m.WheelFires.Load())
-	// One snapshot serves both the count and the quantiles, so the line
-	// can never pair lag_samples=0 with a nonzero quantile (torn read).
-	snap := m.Lag.Snapshot()
-	fmt.Fprintf(&b, " lag_samples=%d", snap.N)
-	if snap.N > 0 {
-		names := [...]string{"lag_p50_ms", "lag_p95_ms", "lag_p99_ms"}
-		qs := [...]float64{0.50, 0.95, 0.99}
-		for i, name := range names {
-			v, _ := snap.Quantile(qs[i])
-			fmt.Fprintf(&b, " %s=%.3f", name, v*1e3)
-		}
-	}
-	return b.String()
 }

@@ -1,68 +1,85 @@
 package serve
 
 import (
-	"strconv"
-	"strings"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 
 	"memstream/internal/metrics"
+	"memstream/internal/units"
 )
 
-// parseLine splits a METRICS line into its key=value pairs.
-func parseLine(t *testing.T, line string) map[string]string {
-	t.Helper()
-	kv := map[string]string{}
-	for _, f := range strings.Fields(line) {
-		k, v, ok := strings.Cut(f, "=")
-		if !ok {
-			t.Fatalf("malformed field %q in %q", f, line)
-		}
-		kv[k] = v
-	}
-	return kv
-}
-
-// Regression: with zero lag samples the line used to render
-// lag_p50_ms=0.000, indistinguishable from true zero lag. The quantile
-// keys must be omitted until at least one sample exists, and appear once
-// one does — including a genuine zero-lag sample, which then correctly
-// renders 0.000 alongside lag_samples=1.
+// Regression: with zero lag samples the pacing-lag quantiles used to
+// render as 0, indistinguishable from true zero lag. They must be absent
+// from the /metrics document until at least one sample exists, and
+// appear once one does — including a genuine zero-lag sample, which then
+// reads 0 alongside lag.count=1. The same document carries every
+// outcome counter and the admission gauges.
 func TestMetricsLineOmitsQuantilesWithoutSamples(t *testing.T) {
-	m := newMetrics()
-	kv := parseLine(t, m.Line(3))
-	if kv["admitted"] != "3" {
-		t.Errorf("admitted = %q, want 3", kv["admitted"])
+	s := newTestServer(t, testConfig(1*units.GB))
+	h := s.ControlHandler()
+	get := func() metrics.Document {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		var doc metrics.Document
+		if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
+			t.Fatalf("GET /metrics: %v: %s", err, rec.Body.Bytes())
+		}
+		return doc
 	}
-	if kv["lag_samples"] != "0" {
-		t.Errorf("lag_samples = %q, want 0", kv["lag_samples"])
-	}
-	for _, k := range []string{"lag_p50_ms", "lag_p95_ms", "lag_p99_ms"} {
-		if v, present := kv[k]; present {
-			t.Errorf("%s = %q present with no samples; key must be omitted", k, v)
+	doc := get()
+	for _, k := range []string{"accepted", "sheds", "reaped", "aborted", "bad_requests", "admitted_total",
+		"admission_busy", "completed", "evicted", "bytes_out", "wheel_ticks", "wheel_fires"} {
+		if _, ok := doc.Counters[k]; !ok {
+			t.Errorf("counters.%s missing", k)
 		}
 	}
-	if _, present := kv["aborted"]; !present {
-		t.Error("aborted key missing from METRICS line")
+	for _, k := range []string{"admitted", "capacity", "active_streams", "wheel_streams"} {
+		if _, ok := doc.Gauges[k]; !ok {
+			t.Errorf("gauges.%s missing", k)
+		}
+	}
+	if doc.Lag.Count != 0 || doc.Lag.Quantiles != nil {
+		t.Errorf("lag = %+v with no samples; want count 0 and no quantiles", doc.Lag)
 	}
 
-	m.Lag.Observe(0) // a true zero-lag quantum
-	kv = parseLine(t, m.Line(3))
-	if kv["lag_samples"] != "1" {
-		t.Errorf("lag_samples = %q after one observation, want 1", kv["lag_samples"])
+	s.metrics.Lag.Observe(0) // a true zero-lag quantum
+	doc = get()
+	if doc.Lag.Count != 1 {
+		t.Errorf("lag.count = %d after one observation, want 1", doc.Lag.Count)
 	}
-	for _, k := range []string{"lag_p50_ms", "lag_p95_ms", "lag_p99_ms"} {
-		if kv[k] != "0.000" {
-			t.Errorf("%s = %q, want 0.000 (true zero lag, now distinguishable by lag_samples=1)", k, kv[k])
+	for _, k := range []string{"p50_ms", "p95_ms", "p99_ms"} {
+		if v, ok := doc.Lag.Quantiles[k]; !ok || v != 0 {
+			t.Errorf("lag.quantiles.%s = %v,%v, want 0 (true zero lag, told apart by count=1)", k, v, ok)
 		}
 	}
 }
 
-// TestMetricsLineNotTorn is the regression test for a torn METRICS line:
-// Line used to read lag_samples and each quantile under separate lock
-// acquisitions, so a concurrent lag sample could land between them and
-// produce lag_samples=0 alongside a nonzero lag_p50_ms. The histogram
-// rendering derives both from one snapshot, so that combination stays
+// checkWire holds one wire rendering of the lag histogram to what a
+// reader may rely on: with count=0 no quantile is rendered, with count>0
+// every standard quantile is. It returns the count, and reports through
+// t.Errorf so that reader goroutines may call it.
+func checkWire(t *testing.T, w metrics.HistogramJSON) uint64 {
+	t.Helper()
+	for _, k := range []string{"p50_ms", "p95_ms", "p99_ms"} {
+		_, present := w.Quantiles[k]
+		if w.Count == 0 && present {
+			t.Errorf("torn rendering: count=0 but %s=%v", k, w.Quantiles[k])
+		}
+		if w.Count > 0 && !present {
+			t.Errorf("count=%d but %s missing", w.Count, k)
+		}
+	}
+	return w.Count
+}
+
+// TestMetricsLineNotTorn is the regression test for a torn lag
+// rendering: the sample count and each quantile used to be read under
+// separate lock acquisitions, so a concurrent lag sample could land
+// between them and produce a count of 0 alongside a nonzero p50. The
+// wire form derives both from one snapshot, so that combination stays
 // impossible; run under -race this also proves the lock-free observe and
 // snapshot paths are data-race-free.
 func TestMetricsLineNotTorn(t *testing.T) {
@@ -85,26 +102,7 @@ func TestMetricsLineNotTorn(t *testing.T) {
 		}(w)
 	}
 	for i := 0; i < 200; i++ {
-		kv := parseLine(t, m.Line(0))
-		n, err := strconv.ParseUint(kv["lag_samples"], 10, 64)
-		if err != nil {
-			t.Fatalf("bad lag_samples %q: %v", kv["lag_samples"], err)
-		}
-		for _, k := range []string{"lag_p50_ms", "lag_p95_ms", "lag_p99_ms"} {
-			v, present := kv[k]
-			if n == 0 {
-				if present {
-					t.Fatalf("torn line: lag_samples=0 but %s=%v rendered", k, v)
-				}
-				continue
-			}
-			if !present {
-				t.Fatalf("lag_samples=%d but %s missing", n, k)
-			}
-			if _, err := strconv.ParseFloat(v, 64); err != nil {
-				t.Fatalf("bad %s %q: %v", k, v, err)
-			}
-		}
+		checkWire(t, m.Lag.Snapshot().Wire())
 	}
 	close(stop)
 	wg.Wait()
@@ -112,7 +110,7 @@ func TestMetricsLineNotTorn(t *testing.T) {
 
 // The lag histogram under its production write pattern: writers each
 // observing through their own pinned handle while readers take
-// snapshots and render METRICS lines. Every reader must see the sample
+// snapshots and render the wire form. Every reader must see the sample
 // count never decrease (every bucket only grows, and the shard prefix a
 // read folds only lengthens), and once the writers are done the merged
 // counts must be exact, bucket by bucket. More writers than shards, so
@@ -128,7 +126,7 @@ func TestLagHandlesHammer(t *testing.T) {
 		rwg.Add(1)
 		go func() {
 			defer rwg.Done()
-			var lastSnap, lastLine uint64
+			var lastSnap, lastWire uint64
 			for {
 				select {
 				case <-done:
@@ -141,18 +139,12 @@ func TestLagHandlesHammer(t *testing.T) {
 					return
 				}
 				lastSnap = snap
-				_, after, _ := strings.Cut(m.Line(0), " lag_samples=")
-				field, _, _ := strings.Cut(after, " ")
-				n, err := strconv.ParseUint(field, 10, 64)
-				if err != nil {
-					t.Errorf("lag_samples %q: %v", field, err)
+				n := checkWire(t, m.Lag.Snapshot().Wire())
+				if n < lastWire {
+					t.Errorf("wire count went from %d to %d", lastWire, n)
 					return
 				}
-				if n < lastLine {
-					t.Errorf("METRICS lag_samples went from %d to %d", lastLine, n)
-					return
-				}
-				lastLine = n
+				lastWire = n
 			}
 		}()
 	}
@@ -180,7 +172,7 @@ func TestLagHandlesHammer(t *testing.T) {
 		t.Errorf("merged lag histogram: N=%d sum=%d, want N=%d sum=%d (or buckets differ)",
 			got.N, got.SumNS, want.N, want.SumNS)
 	}
-	if kv := parseLine(t, m.Line(0)); kv["lag_samples"] != strconv.Itoa(writers*perWriter) {
-		t.Errorf("lag_samples = %s, want %d", kv["lag_samples"], writers*perWriter)
+	if n := checkWire(t, m.Lag.Snapshot().Wire()); n != writers*perWriter {
+		t.Errorf("wire count = %d, want %d", n, writers*perWriter)
 	}
 }

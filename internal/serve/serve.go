@@ -22,9 +22,10 @@
 //     shifting the whole schedule, and sub-byte-per-quantum rates carry
 //     their fractional bytes instead of stalling forever.
 //
-// The wire protocol stays the demo's line protocol: "PLAY <rate>",
-// "STAT", plus a new "METRICS" command exposing the supervisor's
-// counters and pacing-lag histogram (see Metrics.Line).
+// The stream port speaks one command, "PLAY <rate>"; everything else is
+// answered "ERR unknown command" and counted as a bad request. What the
+// supervisor observes (admission, counters, the pacing-lag histogram,
+// live streams) is served by the JSON control plane (ControlHandler).
 package serve
 
 import (
@@ -263,7 +264,7 @@ func (s *Server) Admitted() int {
 	return s.cfg.Admission.Admitted()
 }
 
-// Capacity is the homogeneous-rate yardstick shown in STAT responses:
+// Capacity is the homogeneous-rate yardstick GET /status reports:
 // the largest stream count at the default rate the admission spec
 // sustains. The actual admission decision handles arbitrary rate mixes.
 func (s *Server) Capacity() int {
@@ -548,22 +549,12 @@ func (s *Server) handle(conn net.Conn) bool {
 		s.writeLine(conn, "ERR empty request")
 		return false
 	}
-	switch strings.ToUpper(fields[0]) {
-	case "STAT":
-		s.mu.Lock()
-		admitted := s.cfg.Admission.Admitted()
-		agg := s.cfg.Admission.Aggregate()
-		s.mu.Unlock()
-		s.writeLine(conn, "OK admitted=%d capacity=%d aggregate=%v", admitted, s.Capacity(), agg)
-	case "METRICS":
-		s.writeLine(conn, "OK %s", s.metrics.Line(s.Admitted()))
-	case "PLAY":
-		return s.play(conn, fields)
-	default:
+	if !strings.EqualFold(fields[0], "PLAY") {
 		s.metrics.BadRequests.Add(1)
 		s.writeLine(conn, "ERR unknown command %q", fields[0])
+		return false
 	}
-	return false
+	return s.play(conn, fields)
 }
 
 // banner renders the reply to an admitted PLAY.
