@@ -57,7 +57,7 @@ func newEDFRun(cfg Config) (*edfRun, error) {
 	s := &edfRun{
 		r:          r,
 		plan:       plan,
-		end:        r.span(10 * plan.Cycle),
+		end:        r.span(directCycles * plan.Cycle),
 		diskBlocks: g.Blocks,
 		ioBlocks:   ioBlocks,
 		ioBytes:    units.Bytes(ioBlocks) * g.BlockSize,

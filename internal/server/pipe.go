@@ -7,13 +7,14 @@ import (
 	"memstream/internal/bank"
 	"memstream/internal/device"
 	"memstream/internal/model"
+	"memstream/internal/sim"
 	"memstream/internal/tier"
 	"memstream/internal/units"
 )
 
 // bufferPipe is the disk → bank → DRAM pipeline of §3.1 as two cycle
-// stages over the rig, shared by the buffered driver and the miss side of
-// hybrid. Its disk stage (a diskRead) runs once per disk cycle: one large
+// stages over the rig, the disk side of the buffered and hybrid modes
+// (modes.go). Its disk stage (a diskRead) runs once per disk cycle: one large
 // C-LOOK-ordered disk IO per stream, each read followed by the bank write
 // that stages it in the stream's ring, each recorder's write shipping the
 // slot assembled last cycle. tierDrain runs once per bank cycle: every reader's
@@ -234,4 +235,42 @@ func (p *bufferPipe) appendPiece(it *chainItem, ws time.Duration, ref ringRef) t
 	}
 	p.staged[ref.stream] += units.Bytes(it.req.Blocks) * p.block
 	return finish
+}
+
+// bestEffort is §3.1.2's non-real-time traffic: a few low-priority random
+// reads per device per MEMS cycle soak up whatever bandwidth the
+// real-time schedule leaves idle, and bytes counts what they moved.
+type bestEffort struct {
+	pipe   *bufferPipe
+	rng    *sim.RNG
+	end    time.Duration
+	blocks int64 // bank blocks per read
+	bytes  units.Bytes
+	readFn func(it *chainItem, start time.Duration) time.Duration
+}
+
+// queue submits one MEMS cycle's best-effort reads.
+func (b *bestEffort) queue() {
+	const perCycle = 4
+	for dev, d := range b.pipe.devs {
+		for j := 0; j < perCycle; j++ {
+			lbn := int64(b.rng.Float64() * float64(d.Geometry().Blocks-b.blocks))
+			b.pipe.bank[dev].submitLow(chainItem{fn: b.readFn, dev: int32(dev), req: device.Request{
+				Op: device.Read, Block: lbn, Blocks: b.blocks, Stream: -1,
+			}})
+		}
+	}
+}
+
+// runRead services one best-effort read on its device and counts its bytes.
+func (b *bestEffort) runRead(it *chainItem, bs time.Duration) time.Duration {
+	if bs >= b.end {
+		return bs // past the horizon; don't skew utilization
+	}
+	bc, err := b.pipe.devs[it.dev].Service(bs, it.req)
+	if err != nil {
+		return bs
+	}
+	b.bytes += units.Bytes(bc.Blocks) * b.pipe.block
+	return bc.Finish
 }

@@ -326,7 +326,7 @@ func (c pipeCase) run(t *testing.T, reference bool) (pipeOutcome, *perStreamWalk
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan.CapDiskCycle(20*time.Second, load)
+	plan.CapDiskCycle(diskCycleCap, load)
 	if c.tune != nil {
 		c.tune(&plan)
 	}
@@ -343,7 +343,7 @@ func (c pipeCase) run(t *testing.T, reference bool) (pipeOutcome, *perStreamWalk
 	}
 	tDisk, tBank := plan.DiskCycle, plan.MEMSCycle
 	for i, st := range r.set.Streams {
-		start := tDisk + 4*tBank
+		start := tDisk + playLag*tBank
 		if n := slices.Index(streams, i); n < c.writers {
 			start = sim.MaxTime / 2 // recorders, and players left out (-1), never drain
 		}

@@ -13,14 +13,15 @@ import (
 	"memstream/internal/workload"
 )
 
-// rig is the shared run-core every architecture driver builds on: it owns
-// the simulation engine, the per-stream playback state, the run's RNG,
-// the catalog and the drawn stream population, applies the playback
-// shaping extensions (VBR traces with cushions, the pause integrator),
-// drives the per-cycle scheduling stages, performs the final drain, and
-// assembles the cross-mode Result fields. Drivers contribute only their
-// architecture: device/bank setup, per-player placement and start times,
-// and the per-cycle scheduling stage each cycleLoop runs.
+// rig is the shared run-core every server mode builds on: it owns the
+// simulation engine, the per-stream playback state, the run's RNG, the
+// catalog and the drawn stream population, applies the playback shaping
+// extensions (VBR traces with cushions, the pause integrator), drives the
+// per-cycle scheduling stages, performs the final drain, and assembles the
+// cross-mode Result fields. A mode's builder (newCycleRun, or newEDFRun
+// for the EDF baseline) contributes only its architecture: device/bank
+// setup, per-player placement and start times, and the per-cycle
+// scheduling stage each cycleLoop runs.
 //
 // The steady-state machinery is batch-oriented (see state.go): player
 // state lives in struct-of-arrays owned by the arena, consumption
@@ -32,8 +33,9 @@ import (
 //
 // Determinism contract: newRig consumes the run RNG exactly as every
 // driver historically did (one Uint64 for the stream generator), and the
-// shaping helpers Split it in driver-controlled order — so a refactored
-// driver reproduces the pre-rig byte-identical Results for any seed.
+// shaping helpers Split it in a fixed order (pauses, then VBR, then the
+// best-effort reads) — so the builder reproduces the pre-rig
+// byte-identical Results for any seed.
 type rig struct {
 	cfg     Config
 	ar      *Arena
@@ -56,7 +58,7 @@ type rig struct {
 	probe *probe
 
 	// Cache-side fill accounting for the probe's hit deltas
-	// (Cached/Hybrid drivers note each fill served from the cache bank).
+	// (cacheRead notes each fill served from the cache bank).
 	cacheFills     uint64
 	cacheFillBytes units.Bytes
 }
@@ -80,17 +82,9 @@ func newRig(cfg Config) (*rig, error) {
 	}
 	ar.reset(cfg.N, cfg.Seed^0xabcdef)
 	rng := sim.NewRNG(cfg.Seed)
-	// The generator seed is drawn unconditionally — even when a shard-local
-	// population is injected — so the rig consumes the run RNG identically
-	// on both paths and the shaping splits downstream see the same stream.
-	gen := workload.NewGenerator(cat, rng.Uint64())
-	set := cfg.Population
-	if set == nil {
-		var err error
-		set, err = gen.DrawRange(cfg.FirstStreamID, cfg.N)
-		if err != nil {
-			return nil, err
-		}
+	set, err := workload.NewGenerator(cat, rng.Uint64()).DrawRange(cfg.FirstStreamID, cfg.N)
+	if err != nil {
+		return nil, err
 	}
 	r := &rig{
 		cfg: cfg, ar: ar, eng: &ar.eng, rng: rng, dsk: dsk, cat: cat, set: set,
@@ -189,9 +183,9 @@ func (r *rig) shapeInteractive(cycle, duration time.Duration) {
 // trace, and unless NoCushion is set the CushionFor prefetch lands in its
 // buffer before the run starts. skip, when non-nil, excludes players
 // (recorders never play back). Consumes one RNG split.
-func (r *rig) shapeVBR(interval time.Duration, intervals int, skip func(i int) bool) error {
+func (r *rig) shapeVBR(interval time.Duration, intervals int, skip func(i int) bool) {
 	if r.cfg.VBRCoV <= 0 {
-		return nil
+		return
 	}
 	vrng := r.rng.Split()
 	for i := 0; i < r.n; i++ {
@@ -205,7 +199,6 @@ func (r *rig) shapeVBR(interval time.Duration, intervals int, skip func(i int) b
 			r.fill(i, workload.CushionFor(trace, interval))
 		}
 	}
-	return nil
 }
 
 // span resolves the run length for non-quantized horizons: the configured
@@ -239,13 +232,13 @@ func (r *rig) newChain() *chain { return r.ar.chains.get() }
 // after fn, so attaching the probe changes neither the event calendar nor
 // any Result field.
 //
-// The loop draws its n sequence numbers here, at driver set-up, and then
+// The loop draws its n sequence numbers here, at set-up, and then
 // chains itself: only the first cycle is scheduled now, and each firing
 // schedules its successor under the next drawn number before it runs the
 // stage. Every cycle therefore fires under the (time, sequence) key it
 // would hold had all n been scheduled up front — when several loops with
 // different periods share the rig, their tie-break order at coinciding
-// timestamps is still fixed by driver set-up order, the determinism
+// timestamps is still fixed by set-up order, the determinism
 // contract the pinned Result fingerprints enforce — while the calendar
 // carries one entry per loop instead of one per future cycle, and a loop
 // costs one cycleCall.

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"memstream/internal/device"
-	"memstream/internal/disk"
 	"memstream/internal/model"
 	"memstream/internal/ring"
 	"memstream/internal/sim"
@@ -61,55 +60,8 @@ func TestFirstStreamIDDoesNotChangeDynamics(t *testing.T) {
 	}
 }
 
-// TestPopulationInjectionMatchesSelfDraw: a rig handed the exact stream
-// slice it would have drawn itself produces the identical Result — the
-// injection path (Config.Population) and the internal draw are
-// equivalent, so shard-local slices can come from either side.
-func TestPopulationInjectionMatchesSelfDraw(t *testing.T) {
-	cfg := baseConfig(Direct, 50, units.MBPS)
-	base, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Reconstruct the rig's own draw: same catalog layout, a generator
-	// seeded with the first Uint64 of the run RNG.
-	dsk, err := disk.New(cfg.Disk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgv := cfg
-	if err := validate(&cfgv); err != nil {
-		t.Fatal(err)
-	}
-	cat, err := newCatalog(catalogKeyFor(cfgv, dsk.Geometry().BlockSize))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen := workload.NewGenerator(cat, sim.NewRNG(cfg.Seed).Uint64())
-	set, err := gen.Draw(cfg.N)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	inj := cfg
-	inj.Population = set
-	got, err := Run(inj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(base, got) {
-		t.Errorf("injected population changed the Result:\n got %+v\nwant %+v", got, base)
-	}
-}
-
 func TestPopulationSizeValidated(t *testing.T) {
-	cfg := baseConfig(Direct, 50, units.MBPS)
-	cfg.Population = &workload.Set{} // empty, N=50
-	if _, err := Run(cfg); err == nil {
-		t.Error("mismatched population size did not fail validation")
-	}
-	cfg = baseConfig(Direct, 5, units.MBPS)
+	cfg := baseConfig(Direct, 5, units.MBPS)
 	cfg.FirstStreamID = -1
 	if _, err := Run(cfg); err == nil {
 		t.Error("negative FirstStreamID did not fail validation")

@@ -10,8 +10,10 @@
 //
 // Every architecture runs on a shared run-core (see rig.go): the rig owns
 // the engine, DRAM pool, RNG, catalog, player construction, playback
-// shaping and Result assembly, and each run* driver contributes only its
-// device setup plus per-cycle scheduling stages. An optional per-cycle
+// shaping and Result assembly. newCycleRun (modes.go) builds every
+// time-cycle mode as an optional cache side plus one disk side and lists
+// its per-cycle scheduling stages; newEDFRun builds the EDF baseline. An
+// optional per-cycle
 // observability probe (probe.go, Config.Trace) records the run's dynamics
 // as Result.Trace without perturbing it.
 package server
@@ -70,7 +72,9 @@ type Config struct {
 	// (0 < CacheDevices < K).
 	CacheDevices int
 
-	CachePolicy model.CachePolicy // Cached only
+	// CachePolicy spreads the cache side's pinned titles over its devices
+	// (Cached and Hybrid; Replicated elsewhere is refused).
+	CachePolicy model.CachePolicy
 
 	N       int            // concurrent streams
 	Writers int            // of N, how many are recorders (Buffered mode only)
@@ -83,14 +87,6 @@ type Config struct {
 	// range so the merged population has globally unique stream IDs; the
 	// default 0 reproduces the historical single-run numbering.
 	FirstStreamID int
-
-	// Population, when non-nil, is a shard-local stream slice the rig
-	// serves instead of drawing its own: exactly N pre-drawn streams whose
-	// Titles must come from a catalog laid out like this config's (same
-	// Titles/BitRate/block size). The run RNG is consumed identically
-	// either way, so a run with an injected population differing only in
-	// draw order stays comparable with a self-drawn one.
-	Population *workload.Set
 
 	// UseEDF switches the Direct architecture from time-cycle scheduling
 	// to earliest-deadline-first — the baseline scheduler class the
@@ -129,7 +125,11 @@ type Config struct {
 	// baseline has no cycles and records an empty trace.
 	Trace bool
 
-	Duration time.Duration // simulated run length; 0 = 10 disk cycles
+	// Duration is the simulated run length. 0 selects the mode's default
+	// horizon (modes.go): 10 disk cycles direct (and EDF), 4 buffered, 3
+	// hybrid, 10 cycles of the slower side cached. Direct, buffered and
+	// hybrid runs are whole disk cycles, at least 2, 3 and 3 of them.
+	Duration time.Duration
 	Seed     uint64
 
 	// Arena, when non-nil, supplies the reusable simulation state (event
@@ -227,6 +227,9 @@ func validate(cfg *Config) error {
 	if cfg.X == 0 && cfg.Y == 0 {
 		cfg.X, cfg.Y = 10, 90
 	}
+	if cfg.Mode > Hybrid {
+		return fmt.Errorf("server: unknown mode %v", cfg.Mode)
+	}
 	if cfg.Mode != Direct && cfg.K <= 0 {
 		return fmt.Errorf("server: mode %v needs K ≥ 1", cfg.Mode)
 	}
@@ -248,6 +251,7 @@ func validate(cfg *Config) error {
 		{"BestEffort", cfg.BestEffort, cfg.Mode == Buffered},
 		{"UseEDF", cfg.UseEDF, cfg.Mode == Direct},
 		{"CacheDevices", cfg.CacheDevices != 0, cfg.Mode == Hybrid},
+		{"CachePolicy", cfg.CachePolicy != model.Striped, cfg.Mode == Cached || cfg.Mode == Hybrid},
 	} {
 		if f.set && !f.honor {
 			return fmt.Errorf("server: %s has no effect in mode %v (UseEDF %v)", f.name, cfg.Mode, cfg.UseEDF)
@@ -258,10 +262,6 @@ func validate(cfg *Config) error {
 	}
 	if cfg.FirstStreamID < 0 {
 		return fmt.Errorf("server: negative first stream ID %d", cfg.FirstStreamID)
-	}
-	if cfg.Population != nil && len(cfg.Population.Streams) != cfg.N {
-		return fmt.Errorf("server: population has %d streams, config wants N=%d",
-			len(cfg.Population.Streams), cfg.N)
 	}
 	return nil
 }

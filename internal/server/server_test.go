@@ -80,6 +80,7 @@ func TestValidateRefusesIgnoredFields(t *testing.T) {
 		{"BestEffort", func(c *Config) { c.BestEffort = true }, []string{"buffered"}},
 		{"UseEDF", func(c *Config) { c.UseEDF = true }, []string{"direct", "edf"}},
 		{"CacheDevices", func(c *Config) { c.CacheDevices = 1 }, []string{"hybrid"}},
+		{"CachePolicy", func(c *Config) { c.CachePolicy = model.Replicated }, []string{"cached", "hybrid"}},
 	} {
 		for name, cfg := range modes {
 			f.set(&cfg)
@@ -850,6 +851,31 @@ func TestHybridNoUnderflows(t *testing.T) {
 	}
 	if res.Mode != Hybrid {
 		t.Errorf("mode = %v", res.Mode)
+	}
+}
+
+// Hybrid honours CachePolicy: a replicated cache side holds one copy of
+// its titles per device, so it pins fewer titles than a striped one and
+// serves fewer streams, still without an underflow on either side.
+func TestHybridReplicatedCache(t *testing.T) {
+	cfg := baseConfig(Hybrid, 300, 100*units.KBPS)
+	cfg.K, cfg.CacheDevices, cfg.Titles = 4, 2, 400
+	striped, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.CachePolicy = model.Replicated
+	replicated, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("from cache: striped %d, replicated %d", striped.FromCache, replicated.FromCache)
+	if replicated.Underflows != 0 {
+		t.Errorf("replicated hybrid underflows = %d (%v)", replicated.Underflows, replicated.UnderflowBytes)
+	}
+	if replicated.FromCache == 0 || replicated.FromCache == striped.FromCache {
+		t.Errorf("replicated cache serves %d streams, striped %d; want a different, non-empty split",
+			replicated.FromCache, striped.FromCache)
 	}
 }
 

@@ -8,21 +8,19 @@ import (
 	"memstream/internal/cache"
 	"memstream/internal/device"
 	"memstream/internal/disk"
+	"memstream/internal/sim"
 	"memstream/internal/tier"
 	"memstream/internal/units"
 )
 
-// A time-cycle mode is a list of cycle stages built from three shared
+// A time-cycle run is a list of cycle stages built from three shared
 // objects: diskRead (the disk's C-LOOK batch, below), bufferPipe's tier
-// drain (pipe.go) and cacheRead (the cache bank's reads, below). A driver
-// builds its devices and plans, places its players and lists its stages;
-// cycleRun.run registers them, drains and assembles the Result.
-//
-//	mode     stages
-//	direct   disk (diskRead over every stream)
-//	buffered disk (the pipe's diskRead), mems (tierDrain + best effort)
-//	cached   disk (diskRead over the misses), cache (cacheRead)
-//	hybrid   disk (the pipe's diskRead over the misses), mems, cache
+// drain (pipe.go) and cacheRead (the cache bank's reads, below).
+// newCycleRun (modes.go) composes a mode from them — "disk" (a diskRead,
+// the pipe's own on a buffered disk side), "mems" (tierDrain, then any
+// best-effort reads) and "cache" (cacheRead) — places the players and
+// lists the stages; cycleRun.run registers them, drains and assembles the
+// Result.
 //
 // Stages register in list order, and each cycleLoop draws its sequence
 // numbers at registration, so the order fixes every tie at a shared
@@ -46,29 +44,10 @@ type cycleRun struct {
 	cycles  int64       // Result.Cycles: the dominant loop's rounds
 	planned units.Bytes // the model's DRAM prediction
 
-	disk       *diskRead   // the disk-side stage (nil when every stream hits the cache)
+	disk       *diskRead   // the disk side's stage (nil when every stream hits the cache)
 	cache      *cacheRead  // nil when the cache pins nobody's title
 	pipe       *bufferPipe // Buffered and Hybrid
 	bestEffort *bestEffort // Buffered with Config.BestEffort
-}
-
-// newCycleRun assembles a time-cycle run of cfg's mode.
-func newCycleRun(cfg Config) (*cycleRun, error) {
-	r, err := newRig(cfg)
-	if err != nil {
-		return nil, err
-	}
-	switch cfg.Mode {
-	case Direct:
-		return r.direct()
-	case Buffered:
-		return r.buffered()
-	case Cached:
-		return r.cached()
-	case Hybrid:
-		return r.hybrid()
-	}
-	return nil, fmt.Errorf("server: unknown mode %v", cfg.Mode)
 }
 
 // run plays the stages to the horizon and assembles the Result.
@@ -228,13 +207,18 @@ func (r *rig) splitByCache(cb bank.CacheBank, devs []tier.Device) (cacheSplit, e
 
 // place installs the players: cached ones at their offset into the bank
 // image, playing from cacheStart; the rest at their disk position,
-// playing from missStart.
-func (s cacheSplit) place(r *rig, cacheStart, missStart time.Duration) {
+// playing from missStart, except the first writers of them, which record
+// and never play.
+func (s cacheSplit) place(r *rig, cacheStart, missStart time.Duration, writers int) {
 	for _, i := range s.cached {
 		r.addPlayer(i, int64(r.set.Streams[i].Offset/s.block)%s.imageBlocks, cacheStart)
 	}
-	for _, i := range s.missed {
-		r.addPlayer(i, r.diskPos(r.set.Streams[i]), missStart)
+	for n, i := range s.missed {
+		start := missStart
+		if n < writers {
+			start = sim.MaxTime / 2 // recorders never drain
+		}
+		r.addPlayer(i, r.diskPos(r.set.Streams[i]), start)
 	}
 }
 

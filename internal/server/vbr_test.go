@@ -79,9 +79,7 @@ func TestShapeVBRSkipPath(t *testing.T) {
 	cfg.VBRCoV = 0.3
 	r := newVBRRig(t, cfg)
 	skip := func(i int) bool { return i%2 == 0 }
-	if err := r.shapeVBR(100*time.Millisecond, 12, skip); err != nil {
-		t.Fatal(err)
-	}
+	r.shapeVBR(100*time.Millisecond, 12, skip)
 	ps := &r.ar.ps
 	for i := 0; i < r.n; i++ {
 		if skip(i) {
@@ -114,9 +112,7 @@ func TestShapeVBRNoCushion(t *testing.T) {
 	cfg.VBRCoV = 0.3
 	cfg.NoCushion = true
 	r := newVBRRig(t, cfg)
-	if err := r.shapeVBR(100*time.Millisecond, 12, nil); err != nil {
-		t.Fatal(err)
-	}
+	r.shapeVBR(100*time.Millisecond, 12, nil)
 	ps := &r.ar.ps
 	for i := 0; i < r.n; i++ {
 		if ps.cons[i].kind != consTrace {
@@ -135,9 +131,7 @@ func TestShapeVBRDisabledConsumesNoRNG(t *testing.T) {
 	cfg := baseConfig(Direct, 4, units.MBPS)
 	a := newVBRRig(t, cfg)
 	b := newVBRRig(t, cfg)
-	if err := a.shapeVBR(100*time.Millisecond, 12, nil); err != nil {
-		t.Fatal(err)
-	}
+	a.shapeVBR(100*time.Millisecond, 12, nil)
 	for i := 0; i < 4; i++ {
 		if x, y := a.rng.Uint64(), b.rng.Uint64(); x != y {
 			t.Fatalf("draw %d diverged after disabled shapeVBR: %d vs %d", i, x, y)

@@ -58,10 +58,12 @@ type SimConfig struct {
 	// CacheDevices is the cache share of the bank for HybridServer
 	// (defaults to MEMSDevices/2).
 	CacheDevices int
-	CachePolicy  CachePolicy
-	Titles       int
-	PopularityX  float64
-	PopularityY  float64
+	// CachePolicy spreads the cached titles over the cache devices
+	// (CachedServer and HybridServer; Replicated is refused elsewhere).
+	CachePolicy CachePolicy
+	Titles      int
+	PopularityX float64
+	PopularityY float64
 
 	// Writers marks that many of the streams as recorders (BufferedServer
 	// only) — the write-stream extension of §3.1.
