@@ -32,7 +32,8 @@ func (s *Server) ControlHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /metrics", s.handleMetricsHTTP)
 	mux.HandleFunc("GET /status", s.handleStatusHTTP)
-	mux.HandleFunc("POST /streams/{id}/stop", s.handleStreamStop)
+	// The stop route takes any method so that its 405 is JSON too.
+	mux.HandleFunc("/streams/{id}/stop", s.handleStreamStop)
 	mux.HandleFunc("POST /drain", s.handleDrainHTTP)
 	return mux
 }
@@ -140,7 +141,7 @@ func (s *Server) handleMetricsHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	envelope, err := json.Marshal(doc)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		jsonError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -175,18 +176,30 @@ func (s *Server) handleStatusHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStreamStop(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodPost {
+		w.Header().Set("Allow", http.MethodPost)
+		jsonError(w, http.StatusMethodNotAllowed, "method "+r.Method+" not allowed; use POST")
+		return
+	}
 	id, err := strconv.ParseUint(r.PathValue("id"), 10, 64)
 	if err != nil {
-		http.Error(w, fmt.Sprintf(`{"error":"bad stream id %q"}`, r.PathValue("id")), http.StatusBadRequest)
+		jsonError(w, http.StatusBadRequest, fmt.Sprintf("bad stream id %q", r.PathValue("id")))
 		return
 	}
 	if !s.StopStream(id) {
-		http.Error(w, fmt.Sprintf(`{"error":"no live stream %d"}`, id), http.StatusNotFound)
+		jsonError(w, http.StatusNotFound, fmt.Sprintf("no live stream %d", id))
 		return
 	}
 	s.logf("serve: control plane stopped stream %d", id)
 	w.Header().Set("Content-Type", "application/json")
 	fmt.Fprintf(w, `{"id":%d,"stopped":true}`+"\n", id)
+}
+
+// jsonError replies code with the body {"error": msg}.
+func jsonError(w http.ResponseWriter, code int, msg string) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	json.NewEncoder(w).Encode(map[string]string{"error": msg})
 }
 
 func (s *Server) handleDrainHTTP(w http.ResponseWriter, r *http.Request) {
