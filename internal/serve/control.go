@@ -27,14 +27,33 @@ import (
 // The wire schema lives in internal/metrics (Document, Status, ...) so
 // cmd/memsload's probe and verifier decode exactly what is encoded here.
 
-// ControlHandler returns the control-plane HTTP handler.
+// ControlHandler returns the control-plane HTTP handler. Every reply,
+// errors included, is JSON: each route refuses a wrong method itself and
+// a catch-all answers unknown paths, so the mux's own text/plain 404 and
+// 405 never go out.
 func (s *Server) ControlHandler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /metrics", s.handleMetricsHTTP)
-	mux.HandleFunc("GET /status", s.handleStatusHTTP)
-	// The stop route takes any method so that its 405 is JSON too.
-	mux.HandleFunc("/streams/{id}/stop", s.handleStreamStop)
-	mux.HandleFunc("POST /drain", s.handleDrainHTTP)
+	route := func(method, pattern string, h http.HandlerFunc) {
+		allow := method
+		if method == http.MethodGet {
+			allow = "GET, HEAD"
+		}
+		mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+			if r.Method != method && !(method == http.MethodGet && r.Method == http.MethodHead) {
+				w.Header().Set("Allow", allow)
+				jsonError(w, http.StatusMethodNotAllowed, fmt.Sprintf("%s takes %s, not %s", pattern, allow, r.Method))
+				return
+			}
+			h(w, r)
+		})
+	}
+	route(http.MethodGet, "/metrics", s.handleMetricsHTTP)
+	route(http.MethodGet, "/status", s.handleStatusHTTP)
+	route(http.MethodPost, "/streams/{id}/stop", s.handleStreamStop)
+	route(http.MethodPost, "/drain", s.handleDrainHTTP)
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		jsonError(w, http.StatusNotFound, "no route "+r.URL.Path)
+	})
 	return mux
 }
 
@@ -176,11 +195,6 @@ func (s *Server) handleStatusHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStreamStop(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		jsonError(w, http.StatusMethodNotAllowed, "method "+r.Method+" not allowed; use POST")
-		return
-	}
 	id, err := strconv.ParseUint(r.PathValue("id"), 10, 64)
 	if err != nil {
 		jsonError(w, http.StatusBadRequest, fmt.Sprintf("bad stream id %q", r.PathValue("id")))
