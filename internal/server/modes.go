@@ -105,17 +105,18 @@ func newCycleRun(cfg Config) (*cycleRun, error) {
 	case Direct:
 		cycles, m.end, raw = r.horizon(diskCycle, directCycles, directMinCycles)
 	case Buffered:
-		cycles, m.end, _ = r.horizon(diskCycle, bufferedCycles, bufferedMinCycles)
+		_, m.end, _ = r.horizon(diskCycle, bufferedCycles, bufferedMinCycles)
 	case Hybrid:
-		cycles, m.end, _ = r.horizon(diskCycle, hybridCycles, hybridMinCycles)
+		_, m.end, _ = r.horizon(diskCycle, hybridCycles, hybridMinCycles)
 	case Cached:
 		m.end = r.span(cachedCycles * max(cache.plan.Cycle, diskCycle))
 	}
 
 	// Playback shaping, which validate allows on the direct and buffered
 	// disk sides only: pauses, then VBR with its cushion (footnote 1) —
-	// per disk cycle on direct reads, per MEMS cycle behind a pipe, whose
-	// recorders never play back.
+	// per disk cycle on direct reads over the run's cycles; per MEMS cycle
+	// behind a pipe over the default buffered horizon (a trace repeats
+	// past its span), skipping recorders, which never play back.
 	if m.pipe != nil {
 		r.shapeVBR(tMems, int(bufferedCycles*diskCycle/tMems)+2, func(i int) bool { return i < cfg.Writers })
 	} else {

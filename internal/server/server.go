@@ -13,9 +13,8 @@
 // shaping and Result assembly. newCycleRun (modes.go) builds every
 // time-cycle mode as an optional cache side plus one disk side and lists
 // its per-cycle scheduling stages; newEDFRun builds the EDF baseline. An
-// optional per-cycle
-// observability probe (probe.go, Config.Trace) records the run's dynamics
-// as Result.Trace without perturbing it.
+// optional per-cycle observability probe (probe.go, Config.Trace) records
+// the run's dynamics as Result.Trace without perturbing it.
 package server
 
 import (
