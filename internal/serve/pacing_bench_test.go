@@ -111,8 +111,8 @@ func TestWriteChunksZeroAllocs(t *testing.T) {
 // caller for their timers, and returns them as one span's due timers
 // plus the tick to step them at. The streams were never accepted, so
 // they must leave the wheel before the server's Close evicts what is
-// parked: ending them would hand endConn connections accept never took,
-// and it panics on those.
+// parked: ending them would hand endStreams connections accept never
+// took, and it panics on those.
 func benchSpan(tb testing.TB, s *Server, n int, rate units.ByteRate) ([]*wheel.Timer, int64) {
 	p := s.plane
 	// No admission has woken the idle loop, so it never touches start:
@@ -127,7 +127,6 @@ func benchSpan(tb testing.TB, s *Server, n int, rate units.ByteRate) ([]*wheel.T
 		ws.timer.Data = ws
 		timers[i] = &ws.timer
 	}
-	s.metrics.WheelStreams.Add(int64(n))
 	tb.Cleanup(func() { // registered after newBenchServer's Close, so it runs first
 		p.armMu.Lock()
 		for _, t := range timers {
@@ -145,10 +144,10 @@ func TestWheelStepZeroAllocs(t *testing.T) {
 	s := newBenchServer(t, PacingWheel)
 	timers, tick := benchSpan(t, s, 1, 100*units.KBPS)
 	pin := s.metrics.pin()
-	live := s.plane.span(timers, tick, nil, pin)
+	live, ended := s.plane.span(timers, tick, nil, nil, pin)
 	allocs := testing.AllocsPerRun(200, func() {
 		tick++
-		live = s.plane.span(timers, tick, live[:0], pin)
+		live, ended = s.plane.span(timers, tick, live[:0], ended[:0], pin)
 	})
 	if allocs != 0 {
 		t.Errorf("wheel step allocates %.1f/op in steady state, want 0", allocs)
@@ -186,13 +185,13 @@ func BenchmarkWheelStep(b *testing.B) {
 	s := newBenchServer(b, PacingWheel)
 	timers, tick := benchSpan(b, s, 1, 100*units.KBPS)
 	pin := s.metrics.pin()
-	live := s.plane.span(timers, tick, nil, pin)
+	live, ended := s.plane.span(timers, tick, nil, nil, pin)
 	b.SetBytes(int64(units.BytesIn(100*units.KBPS, s.cfg.Quantum)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tick++
-		live = s.plane.span(timers, tick, live[:0], pin)
+		live, ended = s.plane.span(timers, tick, live[:0], ended[:0], pin)
 	}
 }
 
@@ -205,16 +204,77 @@ func BenchmarkWheelSpan(b *testing.B) {
 			s := newBenchServer(b, PacingWheel)
 			timers, tick := benchSpan(b, s, n, 100*units.KBPS)
 			pin := s.metrics.pin()
-			live := s.plane.span(timers, tick, nil, pin)
+			live, ended := s.plane.span(timers, tick, nil, nil, pin)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				tick++
-				live = s.plane.span(timers, tick, live[:0], pin)
+				live, ended = s.plane.span(timers, tick, live[:0], ended[:0], pin)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/stream")
 		})
 	}
+}
+
+// admitSpan registers a benchSpan's streams with the server as accept
+// and play would — semaphore slot and connection count, tracked
+// connection, registry entry, admission slot and gauges — so that a span
+// may end them.
+func admitSpan(tb testing.TB, s *Server, timers []*wheel.Timer) {
+	s.mu.Lock()
+	for _, t := range timers {
+		st := t.Data.(*wheelStream).st
+		if ok, err := s.cfg.Admission.TryAdmit(st.rate); !ok || err != nil {
+			s.mu.Unlock()
+			tb.Fatalf("admitting bench stream %d: %v, %v", st.id, ok, err)
+		}
+		s.sem <- struct{}{}
+		s.conns[st.conn] = struct{}{}
+		s.streams[st.id] = st
+	}
+	s.mu.Unlock()
+	s.connWG.Add(len(timers))
+	s.metrics.ActiveStreams.Add(int64(len(timers)))
+	s.metrics.WheelStreams.Add(int64(len(timers)))
+}
+
+// BenchmarkWheelTeardown measures a worker's span of n streams whose
+// clients have all hung up: every wake's write fails, and the span ends
+// them all in one release round. ns/stream is the cost of ending one
+// stream; the streams are registered again, with the timer stopped,
+// before each span.
+func BenchmarkWheelTeardown(b *testing.B) {
+	const n = 2000
+	cfg := benchConfig(PacingWheel)
+	cfg.MaxConns = n
+	s, err := New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(s.Close)
+	timers, tick := benchSpan(b, s, n, 100*units.KBPS)
+	for _, t := range timers {
+		c := &hangUpConn{}
+		c.hungUp.Store(true)
+		t.Data.(*wheelStream).st.conn = c
+	}
+	pin := s.metrics.pin()
+	admitSpan(b, s, timers)
+	live, ended := s.plane.span(timers, tick, nil, nil, pin) // warms the scratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		admitSpan(b, s, timers)
+		b.StartTimer()
+		tick++
+		live, ended = s.plane.span(timers, tick, live[:0], ended[:0], pin)
+	}
+	b.StopTimer()
+	if len(live) != 0 || s.Admitted() != 0 {
+		b.Fatalf("span left %d streams live and %d admitted, want none", len(live), s.Admitted())
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/stream")
 }
 
 // --- population-scaling harness ---

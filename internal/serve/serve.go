@@ -381,8 +381,9 @@ func shed(conn net.Conn) {
 // accept takes one connection off the listener: at the connection cap it
 // is shed with BUSY, otherwise it holds a semaphore slot, is tracked for
 // the drain's force-close, and gets a handler goroutine. Every connection
-// accept admits ends exactly once, in endConn — from the handler, or, if
-// PLAY handed it to a stream, from whichever path ends the stream.
+// accept admits ends exactly once: in endConn from the handler, or, if
+// PLAY handed it to a stream, in endStreams from whichever path ends the
+// stream.
 func (s *Server) accept(conn net.Conn) {
 	select {
 	case s.sem <- struct{}{}:
@@ -404,34 +405,55 @@ func (s *Server) accept(conn net.Conn) {
 	}()
 }
 
-// endStream ends an admitted stream on either plane, in two steps whose
-// order is the contract: first the stream leaves the control-plane
-// registry, returns its admission slot and leaves the ActiveStreams
-// gauge; then its connection ends. A client that sees the close may at
-// once ask for Admitted() and must read the slot as free. It must not be
+// endStreams ends admitted streams on either plane — one from the
+// goroutine plane or a failed banner, a wheel worker's span, or the drain
+// sweep's whole wheel — in two steps whose order is the contract: first,
+// in one s.mu round, each stream leaves the control-plane registry,
+// returns its admission slot and is untracked, and the gauges drop;
+// then the connections close. A client that sees its close may at once
+// ask for Admitted() and must read the slot as free. It must not be
 // called with s.mu held.
-func (s *Server) endStream(st *streamState) {
+func (s *Server) endStreams(sts ...*streamState) {
+	if len(sts) == 0 {
+		return
+	}
 	s.mu.Lock()
-	delete(s.streams, st.id)
-	s.cfg.Admission.Release(st.rate)
+	for _, st := range sts {
+		delete(s.streams, st.id)
+		s.cfg.Admission.Release(st.rate)
+		delete(s.conns, st.conn)
+	}
 	s.mu.Unlock()
-	s.metrics.ActiveStreams.Add(-1)
-	s.endConn(st.conn)
+	n := int64(len(sts))
+	s.metrics.ActiveStreams.Add(-n)
+	if s.plane != nil {
+		s.metrics.WheelStreams.Add(-n)
+	}
+	for _, st := range sts {
+		s.closeConn(st.conn)
+	}
+	s.connWG.Add(-len(sts))
 }
 
-// endConn ends one accepted connection: close it, stop tracking it, and
-// give back its semaphore slot and its count in connWG. Ending a
-// connection accept never took is a bug; it panics rather than block its
-// caller on an empty semaphore.
+// endConn ends one accepted connection that never became a stream: stop
+// tracking it, close it, and give back its semaphore slot and its count
+// in connWG.
 func (s *Server) endConn(conn net.Conn) {
-	conn.Close()
 	s.untrack(conn)
+	s.closeConn(conn)
+	s.connWG.Done()
+}
+
+// closeConn closes one untracked connection and gives back its semaphore
+// slot. Ending a connection accept never took is a bug; it panics rather
+// than block its caller on an empty semaphore.
+func (s *Server) closeConn(conn net.Conn) {
+	conn.Close()
 	select {
 	case <-s.sem:
 	default:
-		panic("serve: endConn on a connection accept never took")
+		panic("serve: ending a connection accept never took")
 	}
-	s.connWG.Done()
 }
 
 func (s *Server) track(conn net.Conn) {
@@ -516,7 +538,7 @@ func readRequestLine(r io.Reader) (string, error) {
 
 // handle serves one connection: read the request line under the read
 // deadline and dispatch the command. It reports whether PLAY admitted a
-// stream, which then owns the connection and ends it through endStream;
+// stream, which then owns the connection and ends it through endStreams;
 // otherwise the caller ends the connection.
 func (s *Server) handle(conn net.Conn) bool {
 	conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
@@ -562,13 +584,14 @@ func banner(rate units.ByteRate) []byte {
 	return []byte(fmt.Sprintf("OK streaming at %v\n", rate))
 }
 
-// play admits one stream and starts it. It takes s.mu twice: once here to
-// admit the stream, register it with the control plane and look its
-// banner up, once in endStream to deregister it and release its slot. It
-// reports whether a stream was admitted: the stream then owns conn. On
-// the goroutine plane the stream runs, and ends, on this goroutine; on
-// the wheel plane play returns as soon as the stream is parked, and the
-// path that ends it later calls endStream.
+// play admits one stream and starts it. It takes s.mu once here to admit
+// the stream, register it with the control plane and look its banner up;
+// the stream's release (endStreams) takes it once more, shared on the
+// wheel plane with every stream its span ended. It reports whether a
+// stream was admitted: the stream then owns conn. On the goroutine plane
+// the stream runs, and ends, on this goroutine; on the wheel plane play
+// returns as soon as the stream is parked, and the path that ends it
+// later releases it.
 func (s *Server) play(conn net.Conn, fields []string) bool {
 	rate := s.cfg.DefaultRate
 	if len(fields) > 1 {
@@ -602,6 +625,9 @@ func (s *Server) play(conn net.Conn, fields []string) bool {
 	}
 	s.metrics.AdmittedTotal.Add(1)
 	s.metrics.ActiveStreams.Add(1)
+	if s.plane != nil {
+		s.metrics.WheelStreams.Add(1)
+	}
 	if line == nil {
 		line = banner(rate)
 	}
@@ -611,14 +637,14 @@ func (s *Server) play(conn net.Conn, fields []string) bool {
 		// that is an abort, not an eviction — the server never had to
 		// kill anything.
 		s.metrics.Aborted.Add(1)
-		s.endStream(st)
+		s.endStreams(st)
 		return true
 	}
 	if s.plane != nil {
 		s.plane.admit(st)
 	} else {
 		s.stream(st)
-		s.endStream(st)
+		s.endStreams(st)
 	}
 	return true
 }
@@ -671,8 +697,7 @@ func (s *Server) writeChunks(st *streamState, n int, anchor time.Time, elapsed t
 			st.rearmAt = elapsed + s.cfg.WriteTimeout/2
 		}
 		if _, err := st.conn.Write(payloadPattern[:m]); err != nil {
-			var ne net.Error
-			if (errors.As(err, &ne) && ne.Timeout()) || errors.Is(err, net.ErrClosed) {
+			if serverKilled(err) {
 				return writeEvicted
 			}
 			return writeAborted
@@ -689,6 +714,24 @@ func (s *Server) writeChunks(st *streamState, n int, anchor time.Time, elapsed t
 		}
 	}
 	return writeOK
+}
+
+// serverKilled reports whether a failed stream write was the server's own
+// doing — a write deadline expired, or the server closed the connection —
+// rather than the client's: errors.As(err, &ne) && ne.Timeout() ||
+// errors.Is(err, net.ErrClosed). An error with no Unwrap, Is or As
+// method, which is what a hung-up client's write mostly returns, is
+// answered by a type assertion and a compare instead of the reflection
+// errors.As costs per failed write; the rest take the full form.
+func serverKilled(err error) bool {
+	switch err.(type) {
+	case interface{ Unwrap() error }, interface{ Unwrap() []error },
+		interface{ Is(error) bool }, interface{ As(any) bool }:
+		var ne net.Error
+		return errors.As(err, &ne) && ne.Timeout() || errors.Is(err, net.ErrClosed)
+	}
+	ne, ok := err.(net.Error)
+	return ok && ne.Timeout() || err == net.ErrClosed
 }
 
 // wake serves one stream-wake on either plane: read the clock once,

@@ -73,25 +73,28 @@ import (
 // Ownership economy: a wheel stream owns no goroutine. Its handler
 // writes the banner, parks the stream and returns, handing the
 // connection to the plane; from then on whichever path ends the stream —
-// a worker's step (completion, eviction, abort), armSpan refusing to
-// re-park during a drain, the drain sweep (kickAll), or admit itself when
-// the sweep has begun — calls finish, and finish calls the server's
-// endStream, the one release function both planes share. It releases in
-// a fixed order: registry entry, admission slot and ActiveStreams gauge
-// first, then the connection (close, untrack, semaphore, connection
-// count). The order matters because a client that sees its connection
-// close may ask for Admitted() at once and must find the slot free.
-// endStream takes the server's mutex, so no path may call finish with
-// s.mu held: closeAll releases it before kickAll. A handler parked per
-// stream would cost every standing stream a goroutine stack, and a drain
-// would wake them all at once to run releases a worker runs in place.
+// a worker's span (completion, eviction, abort, or armSpan refusing to
+// re-park during a drain), the drain sweep (kickAll), or admit itself
+// when the sweep has begun — releases it through the server's
+// endStreams, the one release function both planes share. A span
+// collects the streams it ended and releases them together after its
+// arm round, and the sweep releases the whole wheel at once: one s.mu
+// round for the lot, registry entries, admission slots and gauges first,
+// then the connections. The order matters because a client that sees
+// its connection close may ask for Admitted() at once and must find the
+// slot free. endStreams takes the server's mutex, so no path may call it
+// with s.mu held: closeAll releases it before kickAll. A handler parked
+// per stream would cost every standing stream a goroutine stack, and a
+// drain would wake them all at once to run releases a worker runs in
+// place.
 //
 // Known trade-off: a worker that hits a stalled reader blocks in Write
 // until the armed deadline expires (at most WriteTimeout), delaying the
-// streams behind it in that tick's batch; the lag histogram makes that
-// visible, and the write deadline bounds it. Eviction semantics match
-// the goroutine plane: deadline expiry and force-close count Evicted,
-// client resets count Aborted.
+// streams behind it in that tick's batch, and the release of the streams
+// the span ended before it; the lag histogram makes that visible, and
+// the write deadline bounds it. Eviction semantics match the goroutine
+// plane: deadline expiry and force-close count Evicted, client resets
+// count Aborted.
 type wheelPlane struct {
 	s       *Server
 	quantum time.Duration
@@ -168,7 +171,6 @@ func (p *wheelPlane) admit(st *streamState) {
 	ws := &wheelStream{st: st}
 	ws.timer.Data = ws
 	ws.tick = p.w.Current()
-	p.s.metrics.WheelStreams.Add(1)
 
 	p.armMu.Lock()
 	if p.draining {
@@ -176,7 +178,7 @@ func (p *wheelPlane) admit(st *streamState) {
 		// same outcome the sweep gives every parked stream.
 		p.armMu.Unlock()
 		p.s.metrics.Evicted.Add(1)
-		p.finish(ws)
+		p.s.endStreams(st)
 		return
 	}
 	p.w.Arm(&ws.timer, ws.tick+1)
@@ -259,90 +261,89 @@ func (p *wheelPlane) parkIfEmpty(ticker *time.Ticker) {
 func (p *wheelPlane) worker() {
 	defer p.workerWG.Done()
 	pin := p.s.metrics.pin()
-	var live []*wheelStream // reused across spans: allocation-free once warm
+	// Reused across spans: allocation-free once warm.
+	var live []*wheelStream
+	var ended []*streamState
 	for b := range p.batches {
-		live = p.span(b.timers, b.tick, live[:0], pin)
+		live, ended = p.span(b.timers, b.tick, live[:0], ended[:0], pin)
 		b.wg.Done()
 	}
 }
 
 // span services one worker's share of a tick: step every due stream,
-// collecting the ones that continue into live, then re-arm them all in
-// one arm round. It returns live so the caller can reuse its storage.
-// pin is the worker's own metric shards.
-func (p *wheelPlane) span(timers []*wheel.Timer, tick int64, live []*wheelStream, pin pins) []*wheelStream {
+// collecting the ones that continue into live and the ones that ended
+// into ended, re-arm the live ones in one arm round, then release the
+// ended ones in one endStreams round. It returns both slices so the
+// caller can reuse their storage. pin is the worker's own metric shards.
+func (p *wheelPlane) span(timers []*wheel.Timer, tick int64, live []*wheelStream, ended []*streamState, pin pins) ([]*wheelStream, []*streamState) {
 	for _, t := range timers {
 		if ws := t.Data.(*wheelStream); p.step(ws, tick, pin) {
 			live = append(live, ws)
+		} else {
+			ended = append(ended, ws.st)
 		}
 	}
-	p.armSpan(live)
-	return live
+	ended = p.armSpan(live, ended)
+	p.s.endStreams(ended...)
+	return live, ended
 }
 
 // step services one due stream for one wheel tick: settle the byte debt
 // since the stream's last settled tick, then wake it against the tick's
-// boundary (write, lag sample, outcome), and finish it if the wake ended
-// the stream. It reports whether the stream continues; the caller
-// re-arms it. wake reads the clock once, after any queueing behind
-// earlier streams in the span, so the lag sample honestly includes
-// worker head-of-line delay and the write-deadline half-expiry check
-// never understates elapsed time. Allocation-free in steady state.
+// boundary (write, lag sample, outcome). It reports whether the stream
+// continues; the caller re-arms it, or releases it if not. wake reads
+// the clock once, after any queueing behind earlier streams in the span,
+// so the lag sample honestly includes worker head-of-line delay and the
+// write-deadline half-expiry check never understates elapsed time.
+// Allocation-free in steady state.
 func (p *wheelPlane) step(ws *wheelStream, tick int64, pin pins) bool {
 	n := ws.st.pacer.NextBatch(tick - ws.tick)
 	ws.tick = tick
-	if p.s.wake(ws.st, n, p.start, time.Duration(tick)*p.quantum, pin) == writeOK {
-		return true
-	}
-	p.finish(ws)
-	return false
+	return p.s.wake(ws.st, n, p.start, time.Duration(tick)*p.quantum, pin) == writeOK
 }
 
 // armSpan parks each continuing stream of a span for its next non-empty
 // quantum, under one armMu round. During a drain sweep re-parking is
 // refused and the streams are evicted instead (their connections are
-// already closed or about to be).
-func (p *wheelPlane) armSpan(live []*wheelStream) {
+// already closed or about to be): they are appended to ended, which it
+// returns, for the span to release.
+func (p *wheelPlane) armSpan(live []*wheelStream, ended []*streamState) []*streamState {
 	if len(live) == 0 {
-		return
+		return ended
 	}
 	p.armMu.Lock()
 	if p.draining {
 		p.armMu.Unlock()
+		p.s.metrics.Evicted.Add(uint64(len(live)))
 		for _, ws := range live {
-			p.s.metrics.Evicted.Add(1)
-			p.finish(ws)
+			ended = append(ended, ws.st)
 		}
-		return
+		return ended
 	}
 	for _, ws := range live {
 		p.w.Arm(&ws.timer, ws.tick+min(ws.st.pacer.QuantaToNonzero(), p.maxSkip))
 	}
 	p.armMu.Unlock()
-}
-
-// finish ends a wheel stream: the caller has already counted its
-// outcome; finish maintains the gauge and releases the stream and its
-// connection through endStream. Never called with s.mu held.
-func (p *wheelPlane) finish(ws *wheelStream) {
-	p.s.metrics.WheelStreams.Add(-1)
-	p.s.endStream(ws.st)
+	return ended
 }
 
 // kickAll evicts every parked stream — the drain force-close sweep.
 // Setting draining under armMu first guarantees no worker re-parks a
 // stream after the sweep, so every stream ends exactly once: parked
-// streams end here, in-flight ones end in their worker (failed write on
-// the closed conn, or armSpan's refusal above).
+// streams end here, in one release round, in-flight ones in their
+// worker's span (failed write on the closed conn, or armSpan's refusal
+// above).
 func (p *wheelPlane) kickAll() {
 	p.armMu.Lock()
 	p.draining = true
 	due := p.w.DrainAll(nil)
 	p.armMu.Unlock()
-	for _, t := range due {
-		p.s.metrics.Evicted.Add(1)
-		p.finish(t.Data.(*wheelStream))
+	sts := make([]*streamState, len(due))
+	for i, t := range due {
+		sts[i] = t.Data.(*wheelStream).st
 	}
+	p.s.metrics.Evicted.Add(uint64(len(sts)))
+	p.s.endStreams(sts...)
 }
 
 // stop shuts the plane down: sweep every parked stream, stop the tick

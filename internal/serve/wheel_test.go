@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -576,5 +577,177 @@ func TestWheelWorkerShardsConserve(t *testing.T) {
 	}
 	if registry != clients*uint64(cfg.Limit) {
 		t.Errorf("registry bytes = %d, want %d", registry, clients*uint64(cfg.Limit))
+	}
+}
+
+// hangUpConn is a playRequest client that can hang up: its writes then
+// fail as a reset connection's do. Its Close calls onClose, if set,
+// first, so a test can see what the server had released when it closed
+// it.
+type hangUpConn struct {
+	scriptConn
+	hungUp  atomic.Bool
+	onClose func(*hangUpConn)
+}
+
+func (c *hangUpConn) Write(b []byte) (int, error) {
+	if c.hungUp.Load() {
+		return 0, errReset
+	}
+	return c.scriptConn.Write(b)
+}
+
+func (c *hangUpConn) Close() error {
+	if c.onClose != nil {
+		c.onClose(c)
+	}
+	return c.scriptConn.Close()
+}
+
+// A flash crowd on the wheel leaves at once: several hundred streams,
+// split over two workers' spans each tick, all hang up together. Every
+// stream ends as one abort, each connection closes exactly once, and the
+// release order holds inside every Close: the stream has already left
+// the registry, and its slot — with those of every stream closed before
+// it — is free.
+func TestWheelMassHangUp(t *testing.T) {
+	const streams = 400
+	cfg := burstConfig(PacingWheel)
+	cfg.Writers = 2
+	cfg.Quantum = 10 * time.Millisecond
+	s := newTestServer(t, cfg)
+
+	var closes, registered, held atomic.Int64
+	onClose := func(c *hangUpConn) {
+		s.mu.Lock()
+		for _, st := range s.streams {
+			if st.conn.(*countConn).Conn == c {
+				registered.Add(1)
+			}
+		}
+		s.mu.Unlock()
+		if s.Admitted() > streams-int(closes.Add(1)) {
+			held.Add(1)
+		}
+	}
+	clients := make([]*hangUpConn, streams)
+	servers := make([]*countConn, streams)
+	for i := range clients {
+		clients[i] = &hangUpConn{scriptConn: scriptConn{data: playLine(100 * units.KBPS)}, onClose: onClose}
+		servers[i] = acceptConn(t, s, clients[i])
+	}
+	waitFor(t, 10*time.Second, func() bool { return s.metrics.WheelStreams.Load() == streams })
+	fires := s.metrics.WheelFires.Load()
+	waitFor(t, 5*time.Second, func() bool { return s.metrics.WheelFires.Load() >= fires+2*streams })
+
+	for _, c := range clients {
+		c.hungUp.Store(true)
+	}
+	checkBurstEnded(t, s, servers)
+	m := s.metrics
+	if got := m.Aborted.Load(); got != streams {
+		t.Errorf("Aborted = %d, want %d: every client hung up", got, streams)
+	}
+	if got := m.WheelStreams.Load(); got != 0 {
+		t.Errorf("WheelStreams = %d after the crowd left, want 0", got)
+	}
+	if n := registered.Load(); n != 0 {
+		t.Errorf("%d connections closed while their stream was still registered", n)
+	}
+	if n := held.Load(); n != 0 {
+		t.Errorf("%d connections closed while a closed stream's slot was still held", n)
+	}
+}
+
+// stallConn is a playRequest client that can stop reading: its next
+// write then blocks until the armed write deadline and fails with
+// os.ErrDeadlineExceeded, as an unread socket's does. tick is the wheel
+// tick of its last write; returned is when the stalled write gave up.
+type stallConn struct {
+	scriptConn
+	wheel    *wheelPlane
+	stall    atomic.Bool
+	deadline atomic.Int64 // Unix ns
+	tick     atomic.Int64
+	returned atomic.Int64 // Unix ns
+}
+
+func (c *stallConn) SetWriteDeadline(t time.Time) error {
+	c.deadline.Store(t.UnixNano())
+	return nil
+}
+
+func (c *stallConn) Write(b []byte) (int, error) {
+	c.tick.Store(c.wheel.w.Current())
+	if c.stall.Load() {
+		time.Sleep(time.Until(time.Unix(0, c.deadline.Load())))
+		c.returned.Store(time.Now().UnixNano())
+		return 0, os.ErrDeadlineExceeded
+	}
+	return c.scriptConn.Write(b)
+}
+
+// leadConn is a playRequest client that, once told to, hangs up on the
+// first wake that comes ahead of behind's in the same span, and makes
+// behind stall in that span's very next write.
+type leadConn struct {
+	scriptConn
+	behind   *stallConn
+	hangUp   atomic.Bool
+	hungUpAt atomic.Int64 // Unix ns
+}
+
+func (c *leadConn) Write(b []byte) (int, error) {
+	// behind is due every tick; until it has written this tick it comes
+	// after us in the span.
+	if c.hangUp.Load() && c.behind.tick.Load() < c.behind.wheel.w.Current() {
+		c.behind.stall.Store(true)
+		c.hungUpAt.Store(time.Now().UnixNano())
+		return 0, errReset
+	}
+	return c.scriptConn.Write(b)
+}
+
+// The trade-off a span's single release round accepts: a stream that
+// ended ahead of a stalled reader in the same span is released only once
+// the stalled write gives up, which the write deadline bounds by
+// WriteTimeout plus one quantum. Both outcomes count once.
+func TestWheelReleaseBehindStall(t *testing.T) {
+	cfg := testConfig(1 * units.GB)
+	cfg.Pacing = PacingWheel
+	cfg.Writers = 1 // one span a tick holds both streams
+	cfg.Limit = 0
+	cfg.WriteTimeout = 300 * time.Millisecond
+	cfg.Quantum = 20 * time.Millisecond
+	s := newTestServer(t, cfg)
+
+	stall := &stallConn{scriptConn: scriptConn{data: playLine(100 * units.KBPS)}, wheel: s.plane}
+	lead := &leadConn{scriptConn: scriptConn{data: playLine(100 * units.KBPS)}, behind: stall}
+	leadDone := acceptConn(t, s, lead).closed
+	stallDone := acceptConn(t, s, stall).closed
+	waitFor(t, 5*time.Second, func() bool { return s.metrics.WheelFires.Load() >= 6 })
+
+	lead.hangUp.Store(true)
+	waitDone(t, leadDone, 5*time.Second, "stream ahead of the stall")
+	released := time.Now()
+	waitDone(t, stallDone, 5*time.Second, "stalled stream")
+
+	hungUpAt, returned := time.Unix(0, lead.hungUpAt.Load()), time.Unix(0, stall.returned.Load())
+	if returned.After(released) {
+		t.Errorf("stream released %v before the stalled write behind it returned; want it held until then",
+			returned.Sub(released))
+	}
+	if held, bound := released.Sub(hungUpAt), cfg.WriteTimeout+cfg.Quantum+200*time.Millisecond; held > bound {
+		t.Errorf("stream released %v after its hang-up, want within %v (WriteTimeout+quantum+slack)", held, bound)
+	}
+	m := s.metrics
+	if got := m.Aborted.Load(); got != 1 {
+		t.Errorf("Aborted = %d, want 1", got)
+	}
+	if got := m.Evicted.Load(); got != 1 {
+		t.Errorf("Evicted = %d, want 1", got)
+	}
+	if got := s.Admitted(); got != 0 {
+		t.Errorf("Admitted = %d after both streams ended, want 0", got)
 	}
 }

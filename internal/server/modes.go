@@ -48,8 +48,9 @@ const (
 	// experiment's ten runs short.
 	hybridCycles, hybridMinCycles = 3, 3
 	// Cached runs ten cycles of its slower side, unquantised: its two
-	// sides' cycles are unrelated.
-	cachedCycles = 10
+	// sides' cycles are unrelated. A shorter Duration is floored at two
+	// of them, the least every stage runs.
+	cachedCycles, cachedMinCycles = 10, 2
 )
 
 // newCycleRun builds cfg's time-cycle run: the cache side when the mode
@@ -109,7 +110,8 @@ func newCycleRun(cfg Config) (*cycleRun, error) {
 	case Hybrid:
 		_, m.end, _ = r.horizon(diskCycle, hybridCycles, hybridMinCycles)
 	case Cached:
-		m.end = r.span(cachedCycles * max(cache.plan.Cycle, diskCycle))
+		slow := max(cache.plan.Cycle, diskCycle)
+		m.end = max(r.span(cachedCycles*slow), cachedMinCycles*slow)
 	}
 
 	// Playback shaping, which validate allows on the direct and buffered

@@ -268,6 +268,24 @@ func TestCachedReplicatedNoUnderflows(t *testing.T) {
 	}
 }
 
+// A Cached run shorter than two cycles of its slower side is floored
+// there, as every stage is: its devices are never charged with busy time
+// past the end it reports, so neither side reads busier than saturated.
+func TestCachedShortHorizonUtilisation(t *testing.T) {
+	for _, d := range []time.Duration{100 * time.Millisecond, 300 * time.Millisecond} {
+		cfg := baseConfig(Cached, 200, 100*units.KBPS)
+		cfg.Titles = 400
+		cfg.Duration = d
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.DiskUtil > 1 || res.MEMSUtil > 1 {
+			t.Errorf("Duration %v: DiskUtil %.3f, MEMSUtil %.3f, want both at most 1", d, res.DiskUtil, res.MEMSUtil)
+		}
+	}
+}
+
 func TestCachedSkewAffectsHitCount(t *testing.T) {
 	run := func(x, y float64) int {
 		cfg := baseConfig(Cached, 300, 10*units.KBPS)
