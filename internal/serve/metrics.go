@@ -49,7 +49,7 @@ type Metrics struct {
 	WheelFires atomic.Uint64
 
 	ActiveStreams atomic.Int64  // gauge: streams currently holding a slot
-	WheelStreams  metrics.Gauge // gauge: streams the wheel plane admitted and has not yet ended
+	WheelStreams  metrics.Gauge // gauge: streams parked on (or being served by) the wheel
 
 	Lag metrics.Histogram // pacing lag per quantum that wrote bytes, seconds
 }

@@ -409,7 +409,7 @@ func (s *Server) accept(conn net.Conn) {
 // goroutine plane or a failed banner, a wheel worker's span, or the drain
 // sweep's whole wheel — in two steps whose order is the contract: first,
 // in one s.mu round, each stream leaves the control-plane registry,
-// returns its admission slot and is untracked, and the gauges drop;
+// returns its admission slot and is untracked, and ActiveStreams drops;
 // then the connections close. A client that sees its close may at once
 // ask for Admitted() and must read the slot as free. It must not be
 // called with s.mu held.
@@ -424,11 +424,7 @@ func (s *Server) endStreams(sts ...*streamState) {
 		delete(s.conns, st.conn)
 	}
 	s.mu.Unlock()
-	n := int64(len(sts))
-	s.metrics.ActiveStreams.Add(-n)
-	if s.plane != nil {
-		s.metrics.WheelStreams.Add(-n)
-	}
+	s.metrics.ActiveStreams.Add(-int64(len(sts)))
 	for _, st := range sts {
 		s.closeConn(st.conn)
 	}
@@ -625,9 +621,6 @@ func (s *Server) play(conn net.Conn, fields []string) bool {
 	}
 	s.metrics.AdmittedTotal.Add(1)
 	s.metrics.ActiveStreams.Add(1)
-	if s.plane != nil {
-		s.metrics.WheelStreams.Add(1)
-	}
 	if line == nil {
 		line = banner(rate)
 	}
@@ -697,7 +690,8 @@ func (s *Server) writeChunks(st *streamState, n int, anchor time.Time, elapsed t
 			st.rearmAt = elapsed + s.cfg.WriteTimeout/2
 		}
 		if _, err := st.conn.Write(payloadPattern[:m]); err != nil {
-			if serverKilled(err) {
+			var ne net.Error
+			if (errors.As(err, &ne) && ne.Timeout()) || errors.Is(err, net.ErrClosed) {
 				return writeEvicted
 			}
 			return writeAborted
@@ -714,24 +708,6 @@ func (s *Server) writeChunks(st *streamState, n int, anchor time.Time, elapsed t
 		}
 	}
 	return writeOK
-}
-
-// serverKilled reports whether a failed stream write was the server's own
-// doing — a write deadline expired, or the server closed the connection —
-// rather than the client's: errors.As(err, &ne) && ne.Timeout() ||
-// errors.Is(err, net.ErrClosed). An error with no Unwrap, Is or As
-// method, which is what a hung-up client's write mostly returns, is
-// answered by a type assertion and a compare instead of the reflection
-// errors.As costs per failed write; the rest take the full form.
-func serverKilled(err error) bool {
-	switch err.(type) {
-	case interface{ Unwrap() error }, interface{ Unwrap() []error },
-		interface{ Is(error) bool }, interface{ As(any) bool }:
-		var ne net.Error
-		return errors.As(err, &ne) && ne.Timeout() || errors.Is(err, net.ErrClosed)
-	}
-	ne, ok := err.(net.Error)
-	return ok && ne.Timeout() || err == net.ErrClosed
 }
 
 // wake serves one stream-wake on either plane: read the clock once,

@@ -3,17 +3,14 @@ package serve
 import (
 	"bufio"
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net"
-	"os"
 	"runtime"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"testing"
 	"time"
 
@@ -835,48 +832,5 @@ func TestPlayBurstGoroutines(t *testing.T) {
 	checkBurstEnded(t, s, servers)
 	if got := s.metrics.WheelStreams.Load(); got != 0 {
 		t.Errorf("WheelStreams = %d after every client hung up, want 0", got)
-	}
-}
-
-// closedLike reports itself as net.ErrClosed through an Is method only.
-type closedLike struct{}
-
-func (closedLike) Error() string        { return "closed, by its own account" }
-func (closedLike) Is(target error) bool { return target == net.ErrClosed }
-
-// serverKilled answers exactly what errors.As(err, &ne) && ne.Timeout() ||
-// errors.Is(err, net.ErrClosed) answers, on the type-assertion fast path
-// (errors with no Unwrap, Is or As method) and off it.
-func TestServerKilledMatchesErrorsForm(t *testing.T) {
-	cases := []error{
-		net.ErrClosed,
-		io.ErrClosedPipe,
-		os.ErrDeadlineExceeded,
-		errReset,
-		&net.OpError{Op: "write", Net: "tcp", Err: os.ErrDeadlineExceeded},
-		&net.OpError{Op: "write", Net: "tcp", Err: syscall.ECONNRESET},
-		&net.OpError{Op: "write", Net: "tcp", Err: net.ErrClosed},
-		syscall.EPIPE,
-		syscall.ECONNRESET,
-		syscall.ETIMEDOUT,
-		fmt.Errorf("write: %w", os.ErrDeadlineExceeded),
-		fmt.Errorf("write: %w", io.ErrClosedPipe),
-		errors.Join(errReset, net.ErrClosed),
-		errors.Join(errReset, syscall.EPIPE),
-		closedLike{},
-	}
-	var killed int
-	for _, err := range cases {
-		var ne net.Error
-		want := errors.As(err, &ne) && ne.Timeout() || errors.Is(err, net.ErrClosed)
-		if got := serverKilled(err); got != want {
-			t.Errorf("serverKilled(%T %q) = %v, want %v", err, err, got, want)
-		}
-		if want {
-			killed++
-		}
-	}
-	if killed == 0 || killed == len(cases) {
-		t.Errorf("%d of %d cases are server kills; the table must hold both outcomes", killed, len(cases))
 	}
 }

@@ -171,6 +171,7 @@ func (p *wheelPlane) admit(st *streamState) {
 	ws := &wheelStream{st: st}
 	ws.timer.Data = ws
 	ws.tick = p.w.Current()
+	p.s.metrics.WheelStreams.Add(1)
 
 	p.armMu.Lock()
 	if p.draining {
@@ -178,6 +179,7 @@ func (p *wheelPlane) admit(st *streamState) {
 		// same outcome the sweep gives every parked stream.
 		p.armMu.Unlock()
 		p.s.metrics.Evicted.Add(1)
+		p.s.metrics.WheelStreams.Add(-1)
 		p.s.endStreams(st)
 		return
 	}
@@ -284,7 +286,9 @@ func (p *wheelPlane) span(timers []*wheel.Timer, tick int64, live []*wheelStream
 		}
 	}
 	ended = p.armSpan(live, ended)
+	p.s.metrics.WheelStreams.Add(-int64(len(ended)))
 	p.s.endStreams(ended...)
+	clear(ended) // the scratch outlives the span; keep no dead stream reachable
 	return live, ended
 }
 
@@ -343,6 +347,7 @@ func (p *wheelPlane) kickAll() {
 		sts[i] = t.Data.(*wheelStream).st
 	}
 	p.s.metrics.Evicted.Add(uint64(len(sts)))
+	p.s.metrics.WheelStreams.Add(-int64(len(sts)))
 	p.s.endStreams(sts...)
 }
 

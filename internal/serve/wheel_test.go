@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -580,10 +581,13 @@ func TestWheelWorkerShardsConserve(t *testing.T) {
 	}
 }
 
+// errSocketReset is a write error as a TCP socket returns it once its
+// peer has reset the connection.
+var errSocketReset = &net.OpError{Op: "write", Net: "tcp", Err: os.NewSyscallError("write", syscall.ECONNRESET)}
+
 // hangUpConn is a playRequest client that can hang up: its writes then
-// fail as a reset connection's do. Its Close calls onClose, if set,
-// first, so a test can see what the server had released when it closed
-// it.
+// fail as a reset socket's do. Its Close calls onClose, if set, first,
+// so a test can see what the server had released when it closed it.
 type hangUpConn struct {
 	scriptConn
 	hungUp  atomic.Bool
@@ -592,7 +596,7 @@ type hangUpConn struct {
 
 func (c *hangUpConn) Write(b []byte) (int, error) {
 	if c.hungUp.Load() {
-		return 0, errReset
+		return 0, errSocketReset
 	}
 	return c.scriptConn.Write(b)
 }
