@@ -70,7 +70,7 @@ func (s *Server) status() metrics.Status {
 	s.mu.Lock()
 	admitted := s.cfg.Admission.Admitted()
 	agg := s.cfg.Admission.Aggregate()
-	conns := len(s.conns)
+	conns := s.nconns
 	s.mu.Unlock()
 	return metrics.Status{
 		Server:        "memserve",
@@ -118,17 +118,21 @@ func (s *Server) tiers() []metrics.Tier {
 	return []metrics.Tier{dramTier, diskTier}
 }
 
-// streamStats snapshots the live stream registry, ordered by id.
+// streamStats snapshots the registry's streams, ordered by id; a tracked
+// connection that is not a stream (id 0) is skipped.
 func (s *Server) streamStats() []metrics.Stream {
-	now := time.Now()
+	now := time.Since(s.started)
 	s.mu.Lock()
-	out := make([]metrics.Stream, 0, len(s.streams))
-	for _, st := range s.streams {
+	out := make([]metrics.Stream, 0, s.nconns)
+	for st := s.reg.next; st != &s.reg; st = st.next {
+		if st.id == 0 {
+			continue
+		}
 		out = append(out, metrics.Stream{
 			ID:      st.id,
 			RateBps: float64(st.rate),
 			Bytes:   st.bytes.Load(),
-			AgeMS:   math.Round(float64(now.Sub(st.start)) / float64(time.Millisecond)),
+			AgeMS:   math.Round(float64(now-st.start) / float64(time.Millisecond)),
 		})
 	}
 	s.mu.Unlock()

@@ -179,6 +179,39 @@ func TestControlStreamStop(t *testing.T) {
 	}
 }
 
+// A tracked connection that has not asked for a stream is a registry
+// entry without an id: GET /metrics counts it under conns but lists no
+// stream for it, and POST /streams/0/stop finds nothing to stop.
+func TestControlSkipsConnectionsNotYetStreams(t *testing.T) {
+	cfg := testConfig(1 * units.GB)
+	cfg.ReadTimeout = 30 * time.Second // the client stays silent
+	s := newTestServer(t, cfg)
+	_, done := runHandle(t, s)
+	waitFor(t, 2*time.Second, func() bool { return s.activeConns() == 1 })
+	h := s.ControlHandler()
+
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	var doc metrics.Document
+	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc.Gauges["conns"] != 1 || len(doc.Streams) != 0 {
+		t.Errorf("conns = %d, streams = %+v; want 1 connection and no stream", doc.Gauges["conns"], doc.Streams)
+	}
+
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/streams/0/stop", nil))
+	if rec.Code != http.StatusNotFound {
+		t.Errorf("POST /streams/0/stop = %d, want 404", rec.Code)
+	}
+	select {
+	case <-done:
+		t.Error("stopping stream 0 closed a connection that is not a stream")
+	default:
+	}
+}
+
 func TestControlDrainTrigger(t *testing.T) {
 	cfg := testConfig(1 * units.GB)
 	cfg.Limit = 0
@@ -329,7 +362,7 @@ func FuzzControlHandler(f *testing.F) {
 		id     string
 	}{
 		{"GET", 0, ""}, {"HEAD", 0, ""}, {"POST", 0, ""}, {"GET", 1, ""},
-		{"POST", 2, "1"}, {"POST", 2, "3"}, {"POST", 2, "99"}, {"POST", 2, "01"},
+		{"POST", 2, "0"}, {"POST", 2, "1"}, {"POST", 2, "3"}, {"POST", 2, "99"}, {"POST", 2, "01"},
 		{"POST", 2, "x"}, {"POST", 2, "-1"}, {"POST", 2, "+1"}, {"POST", 2, "18446744073709551616"},
 		{"POST", 2, ""}, {"POST", 2, ".."}, {"POST", 2, "1/stop"}, {"GET", 2, "1"},
 		{"CONNECT", 2, "2"}, {"POST", 3, ""}, {"DELETE", 3, ""}, {"PUT", 4, "1"},
@@ -343,13 +376,17 @@ func FuzzControlHandler(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	// Registry entries alone: a stop closes the entry's conn, and with no
-	// stream goroutine behind it nothing else happens.
+	// Registry entries alone, linked as track and play would: a stop
+	// closes the entry's conn, and with no stream goroutine behind it
+	// nothing else happens. Entry 0 is a tracked connection that is not
+	// yet a stream, which no request may close.
 	conns := map[uint64]*stopConn{}
-	for id := uint64(1); id <= 3; id++ {
+	s.mu.Lock()
+	for id := uint64(0); id <= 3; id++ {
 		conns[id] = &stopConn{}
-		s.streams[id] = &streamState{id: id, rate: cfg.DefaultRate, start: time.Now(), conn: conns[id]}
+		s.link(&streamState{id: id, rate: cfg.DefaultRate, conn: conns[id]})
 	}
+	s.mu.Unlock()
 	h := s.ControlHandler()
 	f.Fuzz(func(t *testing.T, method string, route uint8, id string) {
 		target := path.Clean(strings.ReplaceAll(routes[int(route)%len(routes)], "%s", url.PathEscape(id)))
@@ -382,7 +419,7 @@ func FuzzControlHandler(f *testing.F) {
 		}
 		named, err := strconv.ParseUint(id, 10, 64)
 		for sid, c := range conns {
-			if c.closed && (err != nil || sid != named) {
+			if c.closed && (err != nil || sid != named || sid == 0) {
 				t.Fatalf("%s %s closed stream %d", method, target, sid)
 			}
 		}

@@ -83,8 +83,8 @@ func newBenchServer(tb testing.TB, mode PacingMode) *Server {
 // benchStream builds a streamState wired to a nullConn, ready for
 // direct writeChunks/step calls.
 func benchStream(s *Server, id uint64, rate units.ByteRate) *streamState {
-	st := &streamState{id: id, rate: rate, start: time.Now(), conn: &nullConn{}}
-	st.pacer = units.NewPacer(rate, s.cfg.Quantum)
+	st := &streamState{id: id, rate: rate, conn: &nullConn{}}
+	st.pacer = *units.NewPacer(rate, s.cfg.Quantum)
 	return st
 }
 
@@ -123,9 +123,9 @@ func benchSpan(tb testing.TB, s *Server, n int, rate units.ByteRate) ([]*wheel.T
 	timers := make([]*wheel.Timer, n)
 	for i := range timers {
 		st := benchStream(s, uint64(i+1), rate)
-		ws := &wheelStream{st: st, tick: tick - 1}
-		ws.timer.Data = ws
-		timers[i] = &ws.timer
+		st.tick = tick - 1
+		st.timer.Data = st
+		timers[i] = &st.timer
 	}
 	tb.Cleanup(func() { // registered after newBenchServer's Close, so it runs first
 		p.armMu.Lock()
@@ -154,6 +154,42 @@ func TestWheelStepZeroAllocs(t *testing.T) {
 	}
 	if len(live) != 1 {
 		t.Fatalf("span kept %d streams live, want 1", len(live))
+	}
+}
+
+// Admitting a stream allocates nothing beyond its connection's record:
+// once a connection is tracked, play on the wheel plane at a rate whose
+// banner is cached makes no heap object — no registry node, pacer or
+// wheel entry of its own.
+func TestPlayAdmitZeroAllocs(t *testing.T) {
+	const runs = 100
+	cfg := benchConfig(PacingWheel)
+	cfg.MaxConns = runs + 2
+	cfg.Quantum = time.Minute // no tick while the test runs
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	sts := make([]*streamState, runs+2) // AllocsPerRun makes one extra run
+	for i := range sts {
+		sts[i] = &streamState{conn: &nullConn{}}
+		s.sem <- struct{}{} // as accept does
+		s.connWG.Add(1)
+		if !s.track(sts[i]) {
+			t.Fatal("track refused a connection")
+		}
+	}
+	s.play(sts[0], "100KB") // caches the banner and wakes the tick loop
+	next := 1
+	allocs := testing.AllocsPerRun(runs, func() {
+		if !s.play(sts[next], "100KB") {
+			t.Fatalf("PLAY %d refused", next)
+		}
+		next++
+	})
+	if allocs != 0 {
+		t.Errorf("play allocates %.1f/op on a tracked connection, want 0", allocs)
 	}
 }
 
@@ -216,21 +252,19 @@ func BenchmarkWheelSpan(b *testing.B) {
 	}
 }
 
-// admitSpan registers a benchSpan's streams with the server as accept
-// and play would — semaphore slot and connection count, tracked
-// connection, registry entry, admission slot and gauges — so that a span
-// may end them.
+// admitSpan registers a benchSpan's streams with the server as accept,
+// track and play would — semaphore slot and connection count, registry
+// entry, admission slot and gauges — so that a span may end them.
 func admitSpan(tb testing.TB, s *Server, timers []*wheel.Timer) {
 	s.mu.Lock()
 	for _, t := range timers {
-		st := t.Data.(*wheelStream).st
+		st := t.Data.(*streamState)
 		if ok, err := s.cfg.Admission.TryAdmit(st.rate); !ok || err != nil {
 			s.mu.Unlock()
 			tb.Fatalf("admitting bench stream %d: %v, %v", st.id, ok, err)
 		}
 		s.sem <- struct{}{}
-		s.conns[st.conn] = struct{}{}
-		s.streams[st.id] = st
+		s.link(st)
 	}
 	s.mu.Unlock()
 	s.connWG.Add(len(timers))
@@ -256,7 +290,7 @@ func BenchmarkWheelTeardown(b *testing.B) {
 	for _, t := range timers {
 		c := &hangUpConn{}
 		c.hungUp.Store(true)
-		t.Data.(*wheelStream).st.conn = c
+		t.Data.(*streamState).conn = c
 	}
 	pin := s.metrics.pin()
 	admitSpan(b, s, timers)

@@ -133,12 +133,33 @@ func FuzzRequestLine(f *testing.F) {
 			return
 		}
 		reaped, aborted := s.metrics.Reaped.Load(), s.metrics.Aborted.Load()
-		s.handle(newScriptConn(data, sizes, end))
+		s.handle(&streamState{conn: newScriptConn(data, sizes, end)})
 		dReaped, dAborted := s.metrics.Reaped.Load()-reaped, s.metrics.Aborted.Load()-aborted
 		wantReaped, wantAborted := oracleReadCounters(want, wantErr)
 		if dReaped != wantReaped || dAborted != wantAborted {
 			t.Fatalf("line %q, %v: handler counted reaped+%d aborted+%d, want reaped+%d aborted+%d",
 				want, wantErr, dReaped, dAborted, wantReaped, wantAborted)
+		}
+	})
+}
+
+// nextField takes the request line's first two fields exactly as
+// strings.Fields splits them: on every unicode.IsSpace rune, ASCII or
+// not, with invalid UTF-8 bytes inside fields.
+func FuzzNextField(f *testing.F) {
+	for _, seed := range []string{
+		"", " ", "PLAY\n", "PLAY 100KB\n", "  play\t\t2MB  extra \r\n", "\v\fPLAY\u00a0100KB",
+		"PLAY\u0085100KB", "PLAY\u2003100KB\u3000x", "\xffPLAY \xfe100KB", "PLAY\xc2 100KB",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, line string) {
+		var want [2]string
+		copy(want[:], strings.Fields(line))
+		cmd, rest := nextField(line)
+		arg, _ := nextField(rest)
+		if cmd != want[0] || arg != want[1] {
+			t.Fatalf("nextField(%q) twice = %q, %q; strings.Fields gives %q, %q", line, cmd, arg, want[0], want[1])
 		}
 	})
 }

@@ -40,11 +40,13 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode"
 
 	"memstream/internal/metrics"
 	"memstream/internal/model"
 	"memstream/internal/schedule"
 	"memstream/internal/units"
+	"memstream/internal/wheel"
 )
 
 // Defaults applied by New for zero Config fields.
@@ -153,8 +155,6 @@ type Server struct {
 	drainCh   chan struct{}
 	draining  atomic.Bool
 
-	nextStreamID atomic.Uint64
-
 	// plane is the timer-wheel data plane; nil in goroutine mode.
 	plane *wheelPlane
 
@@ -163,9 +163,19 @@ type Server struct {
 	// handler returned, so the count belongs to the Server, not to Serve.
 	connWG sync.WaitGroup
 
-	mu      sync.Mutex // guards adm (MixedAdmission is not goroutine-safe), conns, streams and banners
-	conns   map[net.Conn]struct{}
-	streams map[uint64]*streamState
+	mu sync.Mutex // guards adm (MixedAdmission is not goroutine-safe), the registry, nextID, forced and banners
+	// reg is the sentinel of the connection registry: a ring through the
+	// prev/next links of every tracked connection's record, nconns of
+	// them. Linking and unlinking are O(1) and need no hashing, growth or
+	// allocation; the control plane's per-stream walks (GET /metrics,
+	// POST /streams/{id}/stop) and the drain's force-close walk the ring.
+	reg    streamState
+	nconns int
+	nextID uint64 // the last stream id handed out; ids start at 1
+	// forced is set by closeAll and, like the wheel's draining, never
+	// cleared. Handlers track their own connections, so one may track
+	// after the force-close sweep; track closes it at once.
+	forced bool
 	// banners holds the PLAY reply line of up to maxBannerRates distinct
 	// rates. Rendering one goes through ByteRate.String's %.2f, which
 	// strconv serves from an ~800-byte stack frame: done per stream it
@@ -173,23 +183,35 @@ type Server struct {
 	banners map[units.ByteRate][]byte
 }
 
-// streamState is one live paced stream's control-plane record (identity
-// for POST /streams/{id}/stop and the per-stream byte gauge the /metrics
-// document reports) plus its write-path state. The write-path fields
-// (pacer, sent, rearmAt) are owned by whichever goroutine is currently
-// pacing the stream — its own goroutine in PacingGoroutine, exactly one
-// wheel worker at a time in PacingWheel — and are shared by both planes
-// through writeChunks. bytes is the one field read by other goroutines
-// (the control plane), hence atomic.
+// streamState is one accepted connection's only record, allocated once
+// by its handler goroutine: the connection's registry entry and, once
+// PLAY admits a stream on it, the stream's control-plane identity (id
+// for POST /streams/{id}/stop, the per-stream byte gauge /metrics
+// reports) and write-path state, the wheel entry included, so that
+// admitting a stream allocates nothing more.
+//
+// The registry fields (prev, next, id, closed) are guarded by Server.mu;
+// rate and start are written before id is set under it, so a reader
+// that holds it and sees a non-zero id sees both. The write-path fields
+// (pacer, rearmAt, timer, tick) are owned by whichever goroutine is
+// currently pacing the stream — its own goroutine in PacingGoroutine,
+// exactly one wheel worker at a time in PacingWheel — and are shared by
+// both planes through writeChunks. bytes, which that goroutine also
+// holds against the byte budget, is the one field read by other
+// goroutines without the lock (the control plane), hence atomic.
 type streamState struct {
-	id    uint64
-	rate  units.ByteRate
-	start time.Time
-	conn  net.Conn
-	bytes atomic.Uint64
+	prev, next *streamState
+	id         uint64 // 0 while the connection is not (yet) a stream
+	// closed marks a connection that a force-close (closeAll, StopStream)
+	// has closed, so that its own end does not close it again.
+	closed bool
 
-	pacer *units.Pacer
-	sent  units.Bytes
+	conn  net.Conn
+	rate  units.ByteRate
+	start time.Duration // admission, on the monotonic clock since Server.started
+	bytes atomic.Uint64 // payload bytes written
+
+	pacer units.Pacer
 	// rearmAt is the monotonic reading, relative to the plane's anchor,
 	// at which the conn's write deadline is next re-armed: half of
 	// WriteTimeout after it was last armed, zero until the first write
@@ -198,6 +220,20 @@ type streamState struct {
 	// goroutine plane's is the stream's own start, and the wheel's moves
 	// only while the wheel is empty, when no wheel stream is alive.
 	rearmAt time.Duration
+
+	// The wheel entry: the intrusive timer and the tick cursor (how many
+	// quanta the pacer has settled). Unused on the goroutine plane.
+	timer wheel.Timer
+	tick  int64
+}
+
+// forceClose closes the entry's connection unless a force-close already
+// has. s.mu must be held.
+func (st *streamState) forceClose() {
+	if !st.closed {
+		st.closed = true
+		st.conn.Close()
+	}
 }
 
 // New validates cfg, fills defaults, and builds a Server.
@@ -232,10 +268,9 @@ func New(cfg Config) (*Server, error) {
 		metrics: newMetrics(),
 		started: time.Now(),
 		drainCh: make(chan struct{}),
-		conns:   make(map[net.Conn]struct{}),
-		streams: make(map[uint64]*streamState),
 		banners: make(map[units.ByteRate][]byte),
 	}
+	s.reg.prev, s.reg.next = &s.reg, &s.reg
 	if cfg.Pacing == PacingWheel {
 		s.plane = newWheelPlane(s)
 	}
@@ -358,16 +393,20 @@ func (s *Server) Started() time.Time { return s.started }
 // errors out with net.ErrClosed and the stream ends, releasing its
 // admission slot and counting under Evicted (a server-initiated kill,
 // exactly like a drain force-close). It reports whether the id named a
-// live stream.
+// live stream. It walks the registry under s.mu, as GET /metrics does.
 func (s *Server) StopStream(id uint64) bool {
-	s.mu.Lock()
-	st, ok := s.streams[id]
-	s.mu.Unlock()
-	if !ok {
-		return false
+	if id == 0 {
+		return false // the id of a connection that is not a stream
 	}
-	st.conn.Close()
-	return true
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for st := s.reg.next; st != &s.reg; st = st.next {
+		if st.id == id {
+			st.forceClose()
+			return true
+		}
+	}
+	return false
 }
 
 // shed refuses one connection with a fast BUSY line. The short deadline
@@ -379,11 +418,12 @@ func shed(conn net.Conn) {
 }
 
 // accept takes one connection off the listener: at the connection cap it
-// is shed with BUSY, otherwise it holds a semaphore slot, is tracked for
-// the drain's force-close, and gets a handler goroutine. Every connection
-// accept admits ends exactly once: in endConn from the handler, or, if
-// PLAY handed it to a stream, in endStreams from whichever path ends the
-// stream.
+// is shed with BUSY, otherwise it holds a semaphore slot and a connWG
+// count and gets a handler goroutine, which allocates the connection's
+// one record and tracks it. accept takes no lock, so the accept loop
+// never waits on handlers holding s.mu. Every connection accept admits
+// ends exactly once: in endConn from the handler, or, if PLAY handed it
+// to a stream, in endStreams from whichever path ends the stream.
 func (s *Server) accept(conn net.Conn) {
 	select {
 	case s.sem <- struct{}{}:
@@ -396,11 +436,11 @@ func (s *Server) accept(conn net.Conn) {
 		return
 	}
 	s.metrics.Accepted.Add(1)
-	s.track(conn)
 	s.connWG.Add(1)
 	go func() {
-		if !s.handle(conn) {
-			s.endConn(conn)
+		st := &streamState{conn: conn}
+		if !s.track(st) || !s.handle(st) {
+			s.endConn(st)
 		}
 	}()
 }
@@ -408,43 +448,48 @@ func (s *Server) accept(conn net.Conn) {
 // endStreams ends admitted streams on either plane — one from the
 // goroutine plane or a failed banner, a wheel worker's span, or the drain
 // sweep's whole wheel — in two steps whose order is the contract: first,
-// in one s.mu round, each stream leaves the control-plane registry,
-// returns its admission slot and is untracked, and ActiveStreams drops;
-// then the connections close. A client that sees its close may at once
-// ask for Admitted() and must read the slot as free. It must not be
-// called with s.mu held.
+// in one s.mu round, each stream leaves the registry and returns its
+// admission slot, and ActiveStreams drops; then the connections close. A
+// client that sees its close may at once ask for Admitted() and must
+// read the slot as free. It must not be called with s.mu held.
 func (s *Server) endStreams(sts ...*streamState) {
 	if len(sts) == 0 {
 		return
 	}
 	s.mu.Lock()
 	for _, st := range sts {
-		delete(s.streams, st.id)
+		s.unlink(st)
 		s.cfg.Admission.Release(st.rate)
-		delete(s.conns, st.conn)
 	}
 	s.mu.Unlock()
 	s.metrics.ActiveStreams.Add(-int64(len(sts)))
 	for _, st := range sts {
-		s.closeConn(st.conn)
+		s.closeConn(st)
 	}
 	s.connWG.Add(-len(sts))
 }
 
-// endConn ends one accepted connection that never became a stream: stop
-// tracking it, close it, and give back its semaphore slot and its count
-// in connWG.
-func (s *Server) endConn(conn net.Conn) {
-	s.untrack(conn)
-	s.closeConn(conn)
+// endConn ends one accepted connection that never became a stream: take
+// it out of the registry, close it, and give back its semaphore slot and
+// its count in connWG.
+func (s *Server) endConn(st *streamState) {
+	s.mu.Lock()
+	s.unlink(st)
+	s.mu.Unlock()
+	s.closeConn(st)
 	s.connWG.Done()
 }
 
-// closeConn closes one untracked connection and gives back its semaphore
-// slot. Ending a connection accept never took is a bug; it panics rather
-// than block its caller on an empty semaphore.
-func (s *Server) closeConn(conn net.Conn) {
-	conn.Close()
+// closeConn closes one unlinked entry's connection, unless a force-close
+// already did, and gives back its semaphore slot. closed needs no lock
+// here: it is only written under s.mu to linked entries, and the caller
+// unlinked st in its own s.mu round. Ending a connection accept never
+// took is a bug; it panics rather than block its caller on an empty
+// semaphore.
+func (s *Server) closeConn(st *streamState) {
+	if !st.closed {
+		st.conn.Close()
+	}
 	select {
 	case <-s.sem:
 	default:
@@ -452,28 +497,49 @@ func (s *Server) closeConn(conn net.Conn) {
 	}
 }
 
-func (s *Server) track(conn net.Conn) {
-	s.mu.Lock()
-	s.conns[conn] = struct{}{}
-	s.mu.Unlock()
+// link adds st to the registry. s.mu must be held.
+func (s *Server) link(st *streamState) {
+	st.prev, st.next = s.reg.prev, &s.reg
+	s.reg.prev.next = st
+	s.reg.prev = st
+	s.nconns++
 }
 
-func (s *Server) untrack(conn net.Conn) {
+// unlink takes st out of the registry. s.mu must be held.
+func (s *Server) unlink(st *streamState) {
+	st.prev.next = st.next
+	st.next.prev = st.prev
+	st.prev, st.next = nil, nil
+	s.nconns--
+}
+
+// track links a new connection's record into the registry. After
+// closeAll it closes the connection at once and reports false: the
+// drain's force-close must reach every connection, and a handler may
+// track its own after the sweep.
+func (s *Server) track(st *streamState) bool {
 	s.mu.Lock()
-	delete(s.conns, conn)
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	s.link(st)
+	if s.forced {
+		st.forceClose()
+	}
+	return !st.closed
 }
 
 func (s *Server) activeConns() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.conns)
+	return s.nconns
 }
 
+// closeAll is the drain deadline's force-close: it closes every tracked
+// connection, and every connection tracked after it, once.
 func (s *Server) closeAll() {
 	s.mu.Lock()
-	for conn := range s.conns {
-		conn.Close()
+	s.forced = true
+	for st := s.reg.next; st != &s.reg; st = st.next {
+		st.forceClose()
 	}
 	s.mu.Unlock()
 	// Streams parked on the wheel may be armed seconds out (sub-quantum
@@ -536,13 +602,13 @@ func readRequestLine(r io.Reader) (string, error) {
 // deadline and dispatch the command. It reports whether PLAY admitted a
 // stream, which then owns the connection and ends it through endStreams;
 // otherwise the caller ends the connection.
-func (s *Server) handle(conn net.Conn) bool {
+func (s *Server) handle(st *streamState) bool {
+	conn := st.conn
 	conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
 	line, err := readRequestLine(conn)
 	if err != nil {
-		var ne net.Error
 		switch {
-		case errors.As(err, &ne) && ne.Timeout():
+		case timedOut(err):
 			// Read deadline: a slowloris (or silent) client held the line
 			// open without completing a request — reap it.
 			s.metrics.Reaped.Add(1)
@@ -561,18 +627,31 @@ func (s *Server) handle(conn net.Conn) bool {
 	}
 	conn.SetReadDeadline(time.Time{})
 
-	fields := strings.Fields(strings.TrimSpace(line))
-	if len(fields) == 0 {
+	cmd, rest := nextField(line)
+	if cmd == "" {
 		s.metrics.BadRequests.Add(1)
 		s.writeLine(conn, "ERR empty request")
 		return false
 	}
-	if !strings.EqualFold(fields[0], "PLAY") {
+	if !strings.EqualFold(cmd, "PLAY") {
 		s.metrics.BadRequests.Add(1)
-		s.writeLine(conn, "ERR unknown command %q", fields[0])
+		s.writeLine(conn, "ERR unknown command %q", cmd)
 		return false
 	}
-	return s.play(conn, fields)
+	arg, _ := nextField(rest)
+	return s.play(st, arg)
+}
+
+// nextField returns the first field of s, as strings.Fields splits it
+// (on unicode.IsSpace), and the rest of s after that field; an empty
+// field means s held none. The request line needs only its first two
+// fields, and this takes them without building a slice.
+func nextField(s string) (field, rest string) {
+	s = strings.TrimLeftFunc(s, unicode.IsSpace)
+	if i := strings.IndexFunc(s, unicode.IsSpace); i >= 0 {
+		return s[:i], s[i:]
+	}
+	return s, ""
 }
 
 // banner renders the reply to an admitted PLAY.
@@ -580,32 +659,37 @@ func banner(rate units.ByteRate) []byte {
 	return []byte(fmt.Sprintf("OK streaming at %v\n", rate))
 }
 
-// play admits one stream and starts it. It takes s.mu once here to admit
-// the stream, register it with the control plane and look its banner up;
-// the stream's release (endStreams) takes it once more, shared on the
+// play admits a stream at the rate arg names (the default rate when arg
+// is empty) on a tracked connection and starts it. It takes s.mu once
+// here to admit the stream, give its registry entry an id and look its
+// banner up, and allocates nothing once the banner is cached; the
+// stream's release (endStreams) takes s.mu once more, shared on the
 // wheel plane with every stream its span ended. It reports whether a
-// stream was admitted: the stream then owns conn. On the goroutine plane
-// the stream runs, and ends, on this goroutine; on the wheel plane play
-// returns as soon as the stream is parked, and the path that ends it
-// later releases it.
-func (s *Server) play(conn net.Conn, fields []string) bool {
+// stream was admitted: the stream then owns the connection. On the
+// goroutine plane the stream runs, and ends, on this goroutine; on the
+// wheel plane play returns as soon as the stream is parked, and the path
+// that ends it later releases it.
+func (s *Server) play(st *streamState, arg string) bool {
+	conn := st.conn
 	rate := s.cfg.DefaultRate
-	if len(fields) > 1 {
-		parsed, err := units.ParseRate(fields[1])
+	if arg != "" {
+		parsed, err := units.ParseRate(arg)
 		if err != nil || parsed <= 0 {
 			s.metrics.BadRequests.Add(1)
-			s.writeLine(conn, "ERR bad rate %q", fields[1])
+			s.writeLine(conn, "ERR bad rate %q", arg)
 			return false
 		}
 		rate = parsed
 	}
-	var st *streamState
+	// Written before the id, which makes the entry a stream to readers
+	// under s.mu (streamStats).
+	st.rate, st.start = rate, time.Since(s.started)
 	var line []byte
 	s.mu.Lock()
 	ok, err := s.cfg.Admission.TryAdmit(rate)
 	if ok {
-		st = &streamState{id: s.nextStreamID.Add(1), rate: rate, start: time.Now(), conn: conn}
-		s.streams[st.id] = st
+		s.nextID++
+		st.id = s.nextID
 		line = s.banners[rate]
 		if line == nil && len(s.banners) < maxBannerRates {
 			// At most maxBannerRates renderings in the server's life.
@@ -624,7 +708,7 @@ func (s *Server) play(conn net.Conn, fields []string) bool {
 	if line == nil {
 		line = banner(rate)
 	}
-	conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+	conn.SetWriteDeadline(s.started.Add(st.start + s.cfg.WriteTimeout))
 	if _, err := conn.Write(line); err != nil {
 		// The client vanished before a single paced chunk was written:
 		// that is an abort, not an eviction — the server never had to
@@ -676,7 +760,7 @@ const (
 // exceeding one deadline armed at burst start.
 func (s *Server) writeChunks(st *streamState, n int, anchor time.Time, elapsed time.Duration, out metrics.Handle) writeOutcome {
 	if s.cfg.Limit > 0 {
-		if remain := int(s.cfg.Limit - st.sent); n > remain {
+		if remain := int(s.cfg.Limit) - int(st.bytes.Load()); n > remain {
 			n = remain
 		}
 	}
@@ -690,17 +774,15 @@ func (s *Server) writeChunks(st *streamState, n int, anchor time.Time, elapsed t
 			st.rearmAt = elapsed + s.cfg.WriteTimeout/2
 		}
 		if _, err := st.conn.Write(payloadPattern[:m]); err != nil {
-			var ne net.Error
-			if (errors.As(err, &ne) && ne.Timeout()) || errors.Is(err, net.ErrClosed) {
+			if timedOut(err) || errors.Is(err, net.ErrClosed) {
 				return writeEvicted
 			}
 			return writeAborted
 		}
 		out.Add(uint64(m))
-		st.bytes.Add(uint64(m))
-		st.sent += units.Bytes(m)
+		sent := st.bytes.Add(uint64(m))
 		n -= m
-		if s.cfg.Limit > 0 && st.sent >= s.cfg.Limit {
+		if s.cfg.Limit > 0 && units.Bytes(sent) >= s.cfg.Limit {
 			return writeDone
 		}
 		if n > 0 {
@@ -708,6 +790,20 @@ func (s *Server) writeChunks(st *streamState, n int, anchor time.Time, elapsed t
 		}
 	}
 	return writeOK
+}
+
+// timedOut reports whether err, or the first net.Error its Unwrap chain
+// holds, is a timeout: what errors.As(err, &ne) && ne.Timeout() reports
+// for the errors a net.Conn returns. errors.As takes its target's
+// address, which escapes, so it cost one heap allocation per failed read
+// or write; a type assertion per link costs none.
+func timedOut(err error) bool {
+	for ; err != nil; err = errors.Unwrap(err) {
+		if ne, ok := err.(net.Error); ok {
+			return ne.Timeout()
+		}
+	}
+	return false
 }
 
 // wake serves one stream-wake on either plane: read the clock once,
@@ -760,7 +856,7 @@ func (s *Server) wake(st *streamState, n int, anchor time.Time, due time.Duratio
 // (reset/EPIPE). Lumping those together previously made server-initiated
 // kills indistinguishable from client churn.
 func (s *Server) stream(st *streamState) {
-	st.pacer = units.NewPacer(st.rate, s.cfg.Quantum)
+	st.pacer = *units.NewPacer(st.rate, s.cfg.Quantum)
 	pin := s.metrics.pin()
 	start := time.Now()
 	timer := time.NewTimer(0)

@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -115,6 +116,20 @@ func acceptConn(t *testing.T, s *Server, conn net.Conn) *countConn {
 		}
 	})
 	return c
+}
+
+// registered returns the registry's streams: its entries that play gave
+// an id.
+func registered(s *Server) []*streamState {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var sts []*streamState
+	for st := s.reg.next; st != &s.reg; st = st.next {
+		if st.id != 0 {
+			sts = append(sts, st)
+		}
+	}
+	return sts
 }
 
 // runHandle accepts the server end of a pipe and returns the client end
@@ -564,6 +579,141 @@ func TestDrainLetsInFlightStreamsFinish(t *testing.T) {
 	}
 }
 
+// The drain deadline's force-close closes each stream's connection once,
+// on both planes: the stream's own end, which follows from its failed
+// write or from the wheel's eviction sweep, sees the mark closeAll left
+// and does not close it again.
+func TestForceCloseClosesEachConnectionOnce(t *testing.T) {
+	const streams = 3
+	for _, mode := range []PacingMode{PacingGoroutine, PacingWheel} {
+		t.Run(mode.String(), func(t *testing.T) {
+			cfg := testConfig(1 * units.GB)
+			cfg.Pacing = mode
+			cfg.Limit = 0 // unlimited: streams end only by the force-close
+			s := newTestServer(t, cfg)
+			servers := make([]*countConn, streams)
+			for i := range servers {
+				servers[i] = acceptConn(t, s, playRequest(100*units.KBPS))
+			}
+			waitFor(t, 2*time.Second, func() bool { return s.metrics.BytesOut.Total() > 0 && s.Admitted() == streams })
+			s.closeAll()
+			if !connsEnded(s, 5*time.Second) {
+				t.Fatal("streams still open 5s after the force-close")
+			}
+			for i, c := range servers {
+				if n := c.closes.Load(); n != 1 {
+					t.Errorf("connection %d closed %d times, want exactly once", i, n)
+				}
+			}
+			if got := s.metrics.Evicted.Load(); got != streams {
+				t.Errorf("Evicted = %d, want %d", got, streams)
+			}
+		})
+	}
+}
+
+// A handler tracks its own connection, so one accepted before the drain's
+// force-close can be tracked after it: track must close it at once, and
+// the drain must still return. accept is the accept loop's own call.
+func TestTrackAfterForceClose(t *testing.T) {
+	for _, mode := range []PacingMode{PacingGoroutine, PacingWheel} {
+		t.Run(mode.String(), func(t *testing.T) {
+			cfg := testConfig(1 * units.GB)
+			cfg.Pacing = mode
+			cfg.ReadTimeout = 30 * time.Second // only the force-close may end it
+			s := newTestServer(t, cfg)
+			_, cancel, errc := startServe(t, s)
+			s.closeAll()
+			client, done := runHandle(t, s)
+			waitDone(t, done, 2*time.Second, "connection tracked after the force-close")
+			if n, err := client.Read(make([]byte, 1)); err == nil {
+				t.Errorf("client read %d bytes from a force-closed connection", n)
+			}
+			if got := s.metrics.BadRequests.Load() + s.metrics.AdmittedTotal.Load(); got != 0 {
+				t.Errorf("the force-closed connection was served: %d requests counted", got)
+			}
+			cancel()
+			select {
+			case err := <-errc:
+				if err != nil {
+					t.Fatalf("Serve returned %v, want nil", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("Serve's drain did not return")
+			}
+		})
+	}
+}
+
+// timedOut classifies a failed read or write as errors.As does on the
+// errors a real TCP socket returns: a write to a peer that reset the
+// connection, a write and a read past their deadlines, and a write and a
+// read on a connection closed locally, bare and wrapped.
+func TestTimedOutMatchesErrorsAs(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	pair := func() (client, server *net.TCPConn) {
+		c, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := ln.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c.(*net.TCPConn), srv.(*net.TCPConn)
+	}
+	buf := make([]byte, 1)
+	var errs []error
+
+	// Peer reset: a zero linger makes the client's close send RST, and a
+	// server write fails once it has arrived.
+	client, srv := pair()
+	client.SetLinger(0)
+	client.Close()
+	srv.SetWriteDeadline(time.Now().Add(5 * time.Second))
+	for {
+		if _, err := srv.Write(payloadPattern[:1024]); err != nil {
+			errs = append(errs, err)
+			break
+		}
+	}
+	srv.Close()
+
+	client, srv = pair()
+	defer client.Close()
+	srv.SetDeadline(time.Now().Add(-time.Second))
+	_, err = srv.Write(buf)
+	errs = append(errs, err)
+	_, err = srv.Read(buf)
+	errs = append(errs, err)
+	srv.Close()
+	_, err = srv.Write(buf)
+	errs = append(errs, err)
+	_, err = srv.Read(buf)
+	errs = append(errs, err)
+
+	var timeouts int
+	for _, err := range errs {
+		for _, e := range []error{err, fmt.Errorf("wrapped: %w", err)} {
+			var ne net.Error
+			want := errors.As(e, &ne) && ne.Timeout()
+			if got := timedOut(e); got != want {
+				t.Errorf("timedOut(%v) = %v, errors.As says %v", e, got, want)
+			}
+			if want {
+				timeouts++
+			}
+		}
+	}
+	if timeouts != 4 {
+		t.Errorf("%d of %d errors timed out, want the 4 deadline errors: %v", timeouts, 2*len(errs), errs)
+	}
+}
+
 // The max-connections semaphore sheds excess connections with a fast
 // BUSY and no admission Release; the slot frees once the occupant leaves.
 func TestMaxConnsShedsWithoutRelease(t *testing.T) {
@@ -727,11 +877,8 @@ func checkBurstEnded(t *testing.T, s *Server, servers []*countConn) {
 	if got := m.ActiveStreams.Load(); got != 0 {
 		t.Errorf("ActiveStreams = %d after every client hung up, want 0", got)
 	}
-	s.mu.Lock()
-	registered := len(s.streams)
-	s.mu.Unlock()
-	if registered != 0 {
-		t.Errorf("%d streams still registered with the control plane", registered)
+	if n := len(registered(s)); n != 0 {
+		t.Errorf("%d streams still registered with the control plane", n)
 	}
 	if got := s.activeConns(); got != 0 {
 		t.Errorf("%d connections still tracked", got)

@@ -70,13 +70,15 @@ import (
 // how soon its hang-ups are noticed, at each stream's next paced write
 // — no longer depends on when the previous burst happened to end.
 //
-// Ownership economy: a wheel stream owns no goroutine. Its handler
-// writes the banner, parks the stream and returns, handing the
-// connection to the plane; from then on whichever path ends the stream —
-// a worker's span (completion, eviction, abort, or armSpan refusing to
-// re-park during a drain), the drain sweep (kickAll), or admit itself
-// when the sweep has begun — releases it through the server's
-// endStreams, the one release function both planes share. A span
+// Ownership economy: a wheel stream owns no goroutine, and no heap
+// object but its connection's record (streamState), which holds its
+// pacer and wheel entry. Its handler writes the banner, parks the stream
+// and returns, handing the connection to the plane; from then on
+// whichever path ends the stream — a worker's span (completion,
+// eviction, abort, or armSpan refusing to re-park during a drain), the
+// drain sweep (kickAll), or admit itself when the sweep has begun —
+// releases it through the server's endStreams, the one release function
+// both planes share. A span
 // collects the streams it ended and releases them together after its
 // arm round, and the sweep releases the whole wheel at once: one s.mu
 // round for the lot, registry entries, admission slots and gauges first,
@@ -123,16 +125,6 @@ type wheelPlane struct {
 	workerWG sync.WaitGroup
 }
 
-// wheelStream is one stream parked on the wheel: the intrusive timer,
-// the shared stream state, and the stream's tick cursor (how many quanta
-// its pacer has settled). Between fire and the span's re-arm exactly one
-// worker owns it.
-type wheelStream struct {
-	timer wheel.Timer
-	st    *streamState
-	tick  int64
-}
-
 // wheelBatch is one worker's span of a tick's due population.
 type wheelBatch struct {
 	timers []*wheel.Timer
@@ -165,12 +157,14 @@ func newWheelPlane(s *Server) *wheelPlane {
 // admit parks a new stream on the wheel: the pacer anchors to the
 // wheel's tick grid (first fire at the next boundary, a whole quantum
 // away when the stream wakes an idle loop). The stream now owns its
-// connection; the caller must not touch either again.
+// connection; the caller must not touch either again. The pacer and the
+// wheel entry live in st, so parking allocates nothing. Current is read
+// before Arm, never folded into it: a worker may fire the timer as soon
+// as it is armed, and st.tick must be written by then.
 func (p *wheelPlane) admit(st *streamState) {
-	st.pacer = units.NewPacer(st.rate, p.quantum)
-	ws := &wheelStream{st: st}
-	ws.timer.Data = ws
-	ws.tick = p.w.Current()
+	st.pacer = *units.NewPacer(st.rate, p.quantum)
+	st.timer.Data = st
+	st.tick = p.w.Current()
 	p.s.metrics.WheelStreams.Add(1)
 
 	p.armMu.Lock()
@@ -183,7 +177,7 @@ func (p *wheelPlane) admit(st *streamState) {
 		p.s.endStreams(st)
 		return
 	}
-	p.w.Arm(&ws.timer, ws.tick+1)
+	p.w.Arm(&st.timer, st.tick+1)
 	if p.idle {
 		p.idle = false
 		p.wake <- struct{}{}
@@ -264,8 +258,7 @@ func (p *wheelPlane) worker() {
 	defer p.workerWG.Done()
 	pin := p.s.metrics.pin()
 	// Reused across spans: allocation-free once warm.
-	var live []*wheelStream
-	var ended []*streamState
+	var live, ended []*streamState
 	for b := range p.batches {
 		live, ended = p.span(b.timers, b.tick, live[:0], ended[:0], pin)
 		b.wg.Done()
@@ -277,12 +270,12 @@ func (p *wheelPlane) worker() {
 // into ended, re-arm the live ones in one arm round, then release the
 // ended ones in one endStreams round. It returns both slices so the
 // caller can reuse their storage. pin is the worker's own metric shards.
-func (p *wheelPlane) span(timers []*wheel.Timer, tick int64, live []*wheelStream, ended []*streamState, pin pins) ([]*wheelStream, []*streamState) {
+func (p *wheelPlane) span(timers []*wheel.Timer, tick int64, live, ended []*streamState, pin pins) ([]*streamState, []*streamState) {
 	for _, t := range timers {
-		if ws := t.Data.(*wheelStream); p.step(ws, tick, pin) {
-			live = append(live, ws)
+		if st := t.Data.(*streamState); p.step(st, tick, pin) {
+			live = append(live, st)
 		} else {
-			ended = append(ended, ws.st)
+			ended = append(ended, st)
 		}
 	}
 	ended = p.armSpan(live, ended)
@@ -300,10 +293,10 @@ func (p *wheelPlane) span(timers []*wheel.Timer, tick int64, live []*wheelStream
 // so the lag sample honestly includes worker head-of-line delay and the
 // write-deadline half-expiry check never understates elapsed time.
 // Allocation-free in steady state.
-func (p *wheelPlane) step(ws *wheelStream, tick int64, pin pins) bool {
-	n := ws.st.pacer.NextBatch(tick - ws.tick)
-	ws.tick = tick
-	return p.s.wake(ws.st, n, p.start, time.Duration(tick)*p.quantum, pin) == writeOK
+func (p *wheelPlane) step(st *streamState, tick int64, pin pins) bool {
+	n := st.pacer.NextBatch(tick - st.tick)
+	st.tick = tick
+	return p.s.wake(st, n, p.start, time.Duration(tick)*p.quantum, pin) == writeOK
 }
 
 // armSpan parks each continuing stream of a span for its next non-empty
@@ -311,7 +304,7 @@ func (p *wheelPlane) step(ws *wheelStream, tick int64, pin pins) bool {
 // refused and the streams are evicted instead (their connections are
 // already closed or about to be): they are appended to ended, which it
 // returns, for the span to release.
-func (p *wheelPlane) armSpan(live []*wheelStream, ended []*streamState) []*streamState {
+func (p *wheelPlane) armSpan(live, ended []*streamState) []*streamState {
 	if len(live) == 0 {
 		return ended
 	}
@@ -319,13 +312,10 @@ func (p *wheelPlane) armSpan(live []*wheelStream, ended []*streamState) []*strea
 	if p.draining {
 		p.armMu.Unlock()
 		p.s.metrics.Evicted.Add(uint64(len(live)))
-		for _, ws := range live {
-			ended = append(ended, ws.st)
-		}
-		return ended
+		return append(ended, live...)
 	}
-	for _, ws := range live {
-		p.w.Arm(&ws.timer, ws.tick+min(ws.st.pacer.QuantaToNonzero(), p.maxSkip))
+	for _, st := range live {
+		p.w.Arm(&st.timer, st.tick+min(st.pacer.QuantaToNonzero(), p.maxSkip))
 	}
 	p.armMu.Unlock()
 	return ended
@@ -344,7 +334,7 @@ func (p *wheelPlane) kickAll() {
 	p.armMu.Unlock()
 	sts := make([]*streamState, len(due))
 	for i, t := range due {
-		sts[i] = t.Data.(*wheelStream).st
+		sts[i] = t.Data.(*streamState)
 	}
 	p.s.metrics.Evicted.Add(uint64(len(sts)))
 	p.s.metrics.WheelStreams.Add(-int64(len(sts)))

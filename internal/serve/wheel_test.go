@@ -552,11 +552,9 @@ func TestWheelWorkerShardsConserve(t *testing.T) {
 	// lives 20 quanta, and its bytes field outlives the entry.
 	seen := map[uint64]*streamState{}
 	waitFor(t, 2*time.Second, func() bool {
-		s.mu.Lock()
-		for id, st := range s.streams {
-			seen[id] = st
+		for _, st := range registered(s) {
+			seen[st.id] = st
 		}
-		s.mu.Unlock()
 		return len(seen) == clients
 	})
 	if !connsEnded(s, 5*time.Second) {
@@ -621,15 +619,13 @@ func TestWheelMassHangUp(t *testing.T) {
 	cfg.Quantum = 10 * time.Millisecond
 	s := newTestServer(t, cfg)
 
-	var closes, registered, held atomic.Int64
+	var closes, inRegistry, held atomic.Int64
 	onClose := func(c *hangUpConn) {
-		s.mu.Lock()
-		for _, st := range s.streams {
+		for _, st := range registered(s) {
 			if st.conn.(*countConn).Conn == c {
-				registered.Add(1)
+				inRegistry.Add(1)
 			}
 		}
-		s.mu.Unlock()
 		if s.Admitted() > streams-int(closes.Add(1)) {
 			held.Add(1)
 		}
@@ -655,7 +651,7 @@ func TestWheelMassHangUp(t *testing.T) {
 	if got := m.WheelStreams.Load(); got != 0 {
 		t.Errorf("WheelStreams = %d after the crowd left, want 0", got)
 	}
-	if n := registered.Load(); n != 0 {
+	if n := inRegistry.Load(); n != 0 {
 		t.Errorf("%d connections closed while their stream was still registered", n)
 	}
 	if n := held.Load(); n != 0 {
