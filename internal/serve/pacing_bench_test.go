@@ -112,14 +112,16 @@ func TestWriteChunksZeroAllocs(t *testing.T) {
 // plus the tick to step them at. The streams were never accepted, so
 // they must leave the wheel before the server's Close evicts what is
 // parked: ending them would hand endStreams connections accept never
-// took, and it panics on those.
+// took, and it panics on those. Nothing else parks on a bench server's
+// wheel, so the cleanup drains it whole.
 func benchSpan(tb testing.TB, s *Server, n int, rate units.ByteRate) ([]*wheel.Timer, int64) {
 	p := s.plane
 	// No admission has woken the idle loop, so it never touches start:
 	// anchor the tick grid here, as a wake would, so that step's clock
 	// reading is a real offset rather than the distance from year 1.
 	p.start = time.Now()
-	tick := p.w.Current() + 1<<20
+	cur, _ := wheelState(p)
+	tick := cur + 1<<20
 	timers := make([]*wheel.Timer, n)
 	for i := range timers {
 		st := benchStream(s, uint64(i+1), rate)
@@ -129,9 +131,7 @@ func benchSpan(tb testing.TB, s *Server, n int, rate units.ByteRate) ([]*wheel.T
 	}
 	tb.Cleanup(func() { // registered after newBenchServer's Close, so it runs first
 		p.armMu.Lock()
-		for _, t := range timers {
-			p.w.Cancel(t)
-		}
+		p.w.DrainAll(nil) // only the span's streams are parked
 		p.armMu.Unlock()
 	})
 	return timers, tick

@@ -90,9 +90,10 @@ var payloadPattern = func() []byte {
 type PacingMode int
 
 const (
-	// PacingWheel, the default, parks all streams on one hierarchical
-	// timer wheel; a single ticker goroutine batches the due population
-	// each quantum to a small writer-worker pool (Config.Writers).
+	// PacingWheel, the default, parks all streams on one hashed timer
+	// wheel, a ring of 256 one-tick slots guarded by the plane's one arm
+	// mutex; a single ticker goroutine batches the due population each
+	// quantum to a small writer-worker pool (Config.Writers).
 	// O(workers) runtime timers and goroutines regardless of population
 	// (a stream's handler exits once the stream is parked), and under half
 	// the goroutine plane's CPU per stream-second at 4000 streams.

@@ -15,10 +15,11 @@ import (
 // wakeups per second through the runtime's timer heaps, and wakeup
 // pressure — not NIC bandwidth — becomes the population cap. The wheel
 // plane inverts the ownership: streams are passive entries on one
-// hierarchical timer wheel (internal/wheel) keyed in quantum ticks, a
-// single ticker goroutine advances the wheel each quantum, and the due
-// population is batched to a fixed pool of writer workers
-// (Config.Writers, default GOMAXPROCS). Total runtime timers:
+// hashed timer wheel (internal/wheel: a ring of 256 one-tick slots)
+// keyed in quantum ticks, a single ticker goroutine advances the wheel
+// each quantum, and the due population is batched to a fixed pool of
+// writer workers (Config.Writers, default GOMAXPROCS). Total runtime
+// timers:
 // O(workers), independent of population.
 //
 // Per tick, the loop advances the wheel and splits the due batch into
@@ -31,13 +32,20 @@ import (
 // continues for its next non-empty quantum (QuantaToNonzero parks
 // sub-quantum streams past the ticks where they would emit nothing).
 //
-// Arm economy: one armMu round per span, never per stream. Re-arming
-// each stream as it was written made every stream-wake take armMu and
-// then the wheel's mutex while the other workers and the admitting
-// handlers did the same, and the lock slow paths (spinning, parking)
-// cost more CPU than the pacing itself. Deferring the re-arm to the end
-// of the span is safe because the loop waits for every span before the
-// next Advance: no tick can fire before its streams are parked again.
+// Arm economy: one lock, and one armMu round per span, never per
+// stream. The wheel has no lock of its own; armMu is the only one, and
+// every call into the wheel holds it — admit's clock read and Arm, the
+// loop's Advance, armSpan, parkIfEmpty and kickAll — except the loop's
+// own Current reads, which need none because the loop is the only
+// goroutine that moves the clock. Re-arming each stream as it was
+// written made every stream-wake take the arm lock while the other
+// workers and the admitting handlers did the same, and the lock slow
+// paths (spinning, parking) cost more CPU than the pacing itself.
+// Deferring the re-arm to the end of the span is safe because the loop
+// waits for every span before the next Advance: no tick can fire before
+// its streams are parked again. No arm lands more than maxSkip ticks
+// ahead, under one lap of the ring at any quantum over 1s/256, so every
+// timer in a slot the wheel passes is then due.
 //
 // Clock economy: one monotonic clock read per stream per wake (in wake,
 // which step calls), never per chunk — the same budget as the goroutine
@@ -108,8 +116,9 @@ type wheelPlane struct {
 	// StopStream are noticed promptly even by near-idle streams.
 	maxSkip int64
 
-	// armMu serializes arming against the drain sweep: once draining is
-	// set no stream can re-park, so kickAll's eviction sweep is total.
+	// armMu guards the wheel and serializes arming against the drain
+	// sweep: once draining is set no stream can re-park, so kickAll's
+	// eviction sweep is total.
 	// idle (under armMu) is set by the loop when it parks with nothing
 	// armed; the admission that clears it sends on wake, which holds at
 	// most one signal because the loop takes it before it can park again.
@@ -132,6 +141,9 @@ type wheelBatch struct {
 	wg     *sync.WaitGroup
 }
 
+// newWheelPlane starts the tick loop and the workers with their scratch
+// sized once for the whole population: no more than MaxConns streams are
+// ever due, nor more than a worker's share of them in one span.
 func newWheelPlane(s *Server) *wheelPlane {
 	p := &wheelPlane{
 		s:       s,
@@ -146,11 +158,12 @@ func newWheelPlane(s *Server) *wheelPlane {
 		stopCh:   make(chan struct{}),
 		loopDone: make(chan struct{}),
 	}
+	spanCap := (s.cfg.MaxConns + p.workers - 1) / p.workers
 	for i := 0; i < p.workers; i++ {
 		p.workerWG.Add(1)
-		go p.worker()
+		go p.worker(make([]*streamState, 0, spanCap), make([]*streamState, 0, spanCap))
 	}
-	go p.loop()
+	go p.loop(make([]*wheel.Timer, 0, s.cfg.MaxConns))
 	return p
 }
 
@@ -158,13 +171,12 @@ func newWheelPlane(s *Server) *wheelPlane {
 // wheel's tick grid (first fire at the next boundary, a whole quantum
 // away when the stream wakes an idle loop). The stream now owns its
 // connection; the caller must not touch either again. The pacer and the
-// wheel entry live in st, so parking allocates nothing. Current is read
-// before Arm, never folded into it: a worker may fire the timer as soon
-// as it is armed, and st.tick must be written by then.
+// wheel entry live in st, so parking allocates nothing. The clock read
+// and the Arm share one armMu round, so st.tick is written before any
+// Advance can fire the timer.
 func (p *wheelPlane) admit(st *streamState) {
 	st.pacer = *units.NewPacer(st.rate, p.quantum)
 	st.timer.Data = st
-	st.tick = p.w.Current()
 	p.s.metrics.WheelStreams.Add(1)
 
 	p.armMu.Lock()
@@ -177,6 +189,7 @@ func (p *wheelPlane) admit(st *streamState) {
 		p.s.endStreams(st)
 		return
 	}
+	st.tick = p.w.Current()
 	p.w.Arm(&st.timer, st.tick+1)
 	if p.idle {
 		p.idle = false
@@ -189,16 +202,17 @@ func (p *wheelPlane) admit(st *streamState) {
 // quantum. Each tick it advances the wheel to the tick the wall clock
 // says we are at (catching up if the previous batch overran), collects
 // the due population into a reused scratch, and fans contiguous spans
-// out to the workers, waiting for the batch so the scratch can be
-// reused — the steady state allocates nothing. It starts idle, parks
-// whenever a tick leaves the wheel empty, and on the wake-up from an
-// idle spell moves start so the current tick begins at that instant.
-func (p *wheelPlane) loop() {
+// out to the workers, waiting for the batch so the scratch (due, sized
+// by newWheelPlane) can be reused — the steady state allocates nothing.
+// It reads the wheel clock without armMu, as its only writer. It starts
+// idle, parks whenever a tick leaves the wheel empty, and on the wake-up
+// from an idle spell moves start so the current tick begins at that
+// instant.
+func (p *wheelPlane) loop(due []*wheel.Timer) {
 	defer close(p.loopDone)
 	ticker := time.NewTicker(p.quantum)
 	ticker.Stop()
 	defer ticker.Stop()
-	due := make([]*wheel.Timer, 0, 1024)
 	var batchWG sync.WaitGroup
 	for {
 		select {
@@ -214,7 +228,9 @@ func (p *wheelPlane) loop() {
 				continue
 			}
 			p.s.metrics.WheelTicks.Add(uint64(target - cur))
+			p.armMu.Lock()
 			due = p.w.Advance(target, due[:0])
+			p.armMu.Unlock()
 			if len(due) == 0 {
 				p.parkIfEmpty(ticker)
 				continue
@@ -254,11 +270,11 @@ func (p *wheelPlane) parkIfEmpty(ticker *time.Ticker) {
 	p.armMu.Unlock()
 }
 
-func (p *wheelPlane) worker() {
+// worker services spans, reusing live and ended (sized by
+// newWheelPlane) across them.
+func (p *wheelPlane) worker(live, ended []*streamState) {
 	defer p.workerWG.Done()
 	pin := p.s.metrics.pin()
-	// Reused across spans: allocation-free once warm.
-	var live, ended []*streamState
 	for b := range p.batches {
 		live, ended = p.span(b.timers, b.tick, live[:0], ended[:0], pin)
 		b.wg.Done()

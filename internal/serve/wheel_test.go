@@ -409,9 +409,17 @@ func TestWheelKickAllRacesSpan(t *testing.T) {
 	if got := m.WheelStreams.Load(); got != 0 {
 		t.Errorf("WheelStreams = %d after the sweep, want 0", got)
 	}
-	if got := p.w.Len(); got != 0 {
+	if _, got := wheelState(p); got != 0 {
 		t.Errorf("%d timers still armed after the sweep", got)
 	}
+}
+
+// wheelState reads the plane's wheel clock and armed count under armMu,
+// the wheel's only lock, which every caller but the tick loop must hold.
+func wheelState(p *wheelPlane) (current int64, armed int) {
+	p.armMu.Lock()
+	defer p.armMu.Unlock()
+	return p.w.Current(), p.w.Len()
 }
 
 // An empty wheel takes no ticks, and the admission that ends an idle
@@ -678,7 +686,8 @@ func (c *stallConn) SetWriteDeadline(t time.Time) error {
 }
 
 func (c *stallConn) Write(b []byte) (int, error) {
-	c.tick.Store(c.wheel.w.Current())
+	cur, _ := wheelState(c.wheel)
+	c.tick.Store(cur)
 	if c.stall.Load() {
 		time.Sleep(time.Until(time.Unix(0, c.deadline.Load())))
 		c.returned.Store(time.Now().UnixNano())
@@ -700,7 +709,7 @@ type leadConn struct {
 func (c *leadConn) Write(b []byte) (int, error) {
 	// behind is due every tick; until it has written this tick it comes
 	// after us in the span.
-	if c.hangUp.Load() && c.behind.tick.Load() < c.behind.wheel.w.Current() {
+	if cur, _ := wheelState(c.behind.wheel); c.hangUp.Load() && c.behind.tick.Load() < cur {
 		c.behind.stall.Store(true)
 		c.hungUpAt.Store(time.Now().UnixNano())
 		return 0, errReset

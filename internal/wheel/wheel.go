@@ -1,52 +1,35 @@
-// Package wheel is a hierarchical timer wheel keyed on integer ticks —
-// the pacing data plane's replacement for one runtime timer per stream.
+// Package wheel is a hashed timer wheel keyed on integer ticks — the
+// pacing data plane's replacement for one runtime timer per stream.
 //
 // A paced stream's deadlines are perfectly regular: every chunk is due
 // at a quantum boundary. The Go runtime's timer heap charges O(log n)
 // per operation and wakes one goroutine per timer; with 100k streams
 // that is 100k heap entries and a million wakeups per second at a 100ms
 // quantum. The wheel exploits the regularity instead: a deadline is a
-// tick number, arming is two array indexings and a list push, and one
+// tick number, arming is one array index and a list push, and one
 // caller-owned clock (a single time.Ticker) advances the whole
 // population, collecting every due timer in one batch.
 //
-// Layout: level 0 has 256 one-tick slots; levels 1–3 have 64 slots of
-// 256, 16384 and 1048576 ticks respectively, spanning 2^26 ticks
-// (~78 days at a 100ms quantum). A timer armed beyond the span parks in
-// the outermost slot and re-cascades until its delta fits — arming is
-// O(1), firing is exact. When the low bits of the clock wrap, the
-// matching upper-level slot cascades down one level (the classic
-// Linux-timer design), so each timer is touched at most levels-1 times
-// before it fires.
+// Layout: one ring of 256 one-tick slots; a timer lives in slot
+// when mod 256 (Varghese & Lauck's scheme 6). Advance walks each slot
+// the clock passes — all 256 at most, however far it jumps — and
+// collects the timers whose deadline has arrived; a timer a lap or more
+// out stays in its slot and is looked at again each lap. Its callers arm
+// at most ~1 s of quanta ahead (50 ticks at a 20 ms quantum, under a lap
+// at any quantum over 4 ms), so every timer in a passed slot is due, and
+// the levels, cascades and horizon a hierarchical wheel keeps for far
+// deadlines would buy nothing.
 //
-// Concurrency: Arm and Cancel may be called from any goroutine; Advance
-// and DrainAll must be called from a single driver goroutine. All state
-// is guarded by one mutex — due timers are collected into the caller's
-// scratch slice under the lock and fired by the caller after it is
-// released, so firing code may freely re-Arm (allocation-free: the
-// scratch is reused and Timer nodes are intrusive).
+// Concurrency: none. The wheel takes no lock; the caller serializes
+// every call (the serve plane holds its arm mutex). Due timers are
+// collected into the caller's scratch slice, so firing code may freely
+// re-Arm (allocation-free: the scratch is reused and Timer nodes are
+// intrusive).
 package wheel
 
-import "sync"
-
-// Tick geometry. Level 0 resolves single ticks; each higher level is
-// 64× coarser.
 const (
-	l0Bits = 8
-	l0Size = 1 << l0Bits
-	l0Mask = l0Size - 1
-
-	lBits = 6
-	lSize = 1 << lBits
-	lMask = lSize - 1
-
-	hiLevels = 3
-
-	// spanBits is the horizon the wheel resolves exactly: deltas of
-	// [1, 2^spanBits) ticks. Farther deadlines clamp to the outermost
-	// slot and re-cascade.
-	spanBits = l0Bits + hiLevels*lBits
-	span     = int64(1) << spanBits
+	slots = 256
+	mask  = slots - 1
 )
 
 // Timer is one schedulable deadline, embedded intrusively in the
@@ -61,10 +44,6 @@ type Timer struct {
 	slot       *list
 	when       int64
 }
-
-// When returns the timer's absolute deadline tick. Meaningful only
-// while armed (or just collected by Advance, before any re-Arm).
-func (t *Timer) When() int64 { return t.when }
 
 // list is one slot's intrusive doubly-linked list.
 type list struct{ head *Timer }
@@ -92,104 +71,35 @@ func unlink(t *Timer) {
 	t.next, t.prev, t.slot = nil, nil, nil
 }
 
-// Wheel is a hierarchical timer wheel. The zero value is not usable;
-// create with New.
+// Wheel is a hashed timer wheel. The zero value is not usable; create
+// with New.
 type Wheel struct {
-	mu      sync.Mutex
 	current int64 // last tick fully advanced past
 	armed   int
-
-	l0 [l0Size]list
-	hi [hiLevels][lSize]list
+	ring    [slots]list
 }
 
 // New returns an empty wheel positioned at tick 0.
 func New() *Wheel { return &Wheel{} }
 
 // Current returns the wheel clock: the last tick passed to Advance.
-func (w *Wheel) Current() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.current
-}
+func (w *Wheel) Current() int64 { return w.current }
 
 // Len returns the number of armed timers.
-func (w *Wheel) Len() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.armed
-}
+func (w *Wheel) Len() int { return w.armed }
 
 // Arm schedules t to fire at absolute tick `when`, moving it if already
 // armed. A deadline at or before the current tick is clamped to the
 // next tick — a zero-delay Arm fires on the next Advance, never
 // synchronously.
 func (w *Wheel) Arm(t *Timer, when int64) {
-	w.mu.Lock()
 	if t.slot != nil {
 		unlink(t)
 		w.armed--
 	}
-	if when <= w.current {
-		when = w.current + 1
-	}
-	t.when = when
-	w.place(t, nil)
+	t.when = max(when, w.current+1)
+	w.ring[t.when&mask].push(t)
 	w.armed++
-	w.mu.Unlock()
-}
-
-// Cancel disarms t, reporting whether it was armed. A cancelled timer
-// can be re-armed.
-func (w *Wheel) Cancel(t *Timer) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if t.slot == nil {
-		return false
-	}
-	unlink(t)
-	w.armed--
-	return true
-}
-
-// place files t by the delta between its deadline and the wheel clock.
-// Called with w.mu held. During cascades a re-filed timer may already be
-// due (delta ≤ 0); it is appended to *due instead of re-queued. Arm
-// guarantees when > current, so it passes due == nil safely.
-func (w *Wheel) place(t *Timer, due *[]*Timer) {
-	d := t.when - w.current
-	switch {
-	case d <= 0:
-		*due = append(*due, t)
-	case d < 1<<l0Bits:
-		w.l0[t.when&l0Mask].push(t)
-	case d < 1<<(l0Bits+lBits):
-		w.hi[0][(t.when>>l0Bits)&lMask].push(t)
-	case d < 1<<(l0Bits+2*lBits):
-		w.hi[1][(t.when>>(l0Bits+lBits))&lMask].push(t)
-	case d < span:
-		w.hi[2][(t.when>>(l0Bits+2*lBits))&lMask].push(t)
-	default:
-		// Beyond the horizon: park in the slot of the farthest exact
-		// deadline; the cascade re-files it each rotation until the
-		// remaining delta fits.
-		far := w.current + span - 1
-		w.hi[2][(far>>(l0Bits+2*lBits))&lMask].push(t)
-	}
-}
-
-// cascade re-files every timer in the given upper-level slot one level
-// down (or into due, if the deadline has arrived). Called with w.mu
-// held.
-func (w *Wheel) cascade(level, idx int, due *[]*Timer) {
-	head := w.hi[level][idx].head
-	w.hi[level][idx].head = nil
-	for t := head; t != nil; {
-		next := t.next
-		t.next, t.prev, t.slot = nil, nil, nil
-		w.place(t, due)
-		t = next
-	}
 }
 
 // Advance moves the wheel clock to tick `to`, appending every timer
@@ -197,63 +107,34 @@ func (w *Wheel) cascade(level, idx int, due *[]*Timer) {
 // returning the extended slice. Collected timers are disarmed; the
 // caller fires them after Advance returns and may re-Arm from there.
 // Pass a reused scratch slice to keep the steady state allocation-free.
-// Advance must be called from a single driver goroutine.
 func (w *Wheel) Advance(to int64, due []*Timer) []*Timer {
-	w.mu.Lock()
-	before := len(due)
-	for w.current < to {
-		w.current++
-		c := w.current
-		// When the low bits wrap, pull the next upper-level slot down —
-		// and when that level's bits wrap too, the one above it.
-		if c&l0Mask == 0 {
-			w.cascade(0, int((c>>l0Bits)&lMask), &due)
-			if (c>>l0Bits)&lMask == 0 {
-				w.cascade(1, int((c>>(l0Bits+lBits))&lMask), &due)
-				if (c>>(l0Bits+lBits))&lMask == 0 {
-					w.cascade(2, int((c>>(l0Bits+2*lBits))&lMask), &due)
-				}
-			}
-		}
-		// Expire the current slot. Placement guarantees every entry here
-		// has when == c: level-0 deltas are < 256, and slot index is
-		// when mod 256.
-		for t := w.l0[c&l0Mask].head; t != nil; {
+	for c, n := w.current+1, min(to-w.current, slots); n > 0; c, n = c+1, n-1 {
+		for t := w.ring[c&mask].head; t != nil; {
 			next := t.next
-			t.next, t.prev, t.slot = nil, nil, nil
-			due = append(due, t)
+			if t.when <= to {
+				unlink(t)
+				due = append(due, t)
+				w.armed--
+			}
 			t = next
 		}
-		w.l0[c&l0Mask].head = nil
 	}
-	w.armed -= len(due) - before
-	w.mu.Unlock()
+	w.current = max(w.current, to)
 	return due
 }
 
 // DrainAll disarms every timer and appends them all to due — the
-// shutdown sweep. Like Advance, it must be called from the driver
-// goroutine (or after the driver has stopped).
+// shutdown sweep.
 func (w *Wheel) DrainAll(due []*Timer) []*Timer {
-	w.mu.Lock()
-	drain := func(l *list) {
-		for t := l.head; t != nil; {
+	for i := range w.ring {
+		for t := w.ring[i].head; t != nil; {
 			next := t.next
 			t.next, t.prev, t.slot = nil, nil, nil
 			due = append(due, t)
 			t = next
 		}
-		l.head = nil
-	}
-	for i := range w.l0 {
-		drain(&w.l0[i])
-	}
-	for level := range w.hi {
-		for i := range w.hi[level] {
-			drain(&w.hi[level][i])
-		}
+		w.ring[i].head = nil
 	}
 	w.armed = 0
-	w.mu.Unlock()
 	return due
 }

@@ -1,8 +1,8 @@
 package wheel
 
 import (
+	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 )
 
@@ -45,32 +45,12 @@ func TestZeroDelayArmFiresNextTick(t *testing.T) {
 	for _, when := range []int64{10, 3, -7} {
 		tm := &Timer{Data: int(when)}
 		w.Arm(tm, when)
-		if got := tm.When(); got != w.Current()+1 {
-			t.Fatalf("Arm(%d): When = %d, want clamp to %d", when, got, w.Current()+1)
+		if got := w.Len(); got != 1 {
+			t.Fatalf("Arm(%d): Len = %d, want 1", when, got)
 		}
 		if fired := fireAll(w, w.Current()+1); len(fired) != 1 {
 			t.Fatalf("Arm(%d): next tick fired %v, want exactly it", when, fired)
 		}
-	}
-}
-
-func TestCancelPreventsFire(t *testing.T) {
-	w := New()
-	tm := &Timer{Data: 1}
-	w.Arm(tm, 3)
-	if !w.Cancel(tm) {
-		t.Fatal("Cancel of an armed timer reported false")
-	}
-	if w.Cancel(tm) {
-		t.Fatal("second Cancel reported true")
-	}
-	if fired := fireAll(w, 10); len(fired) != 0 {
-		t.Fatalf("cancelled timer fired: %v", fired)
-	}
-	// A cancelled timer is reusable.
-	w.Arm(tm, 12)
-	if fired := fireAll(w, 12); len(fired) != 1 {
-		t.Fatalf("re-armed timer did not fire: %v", fired)
 	}
 }
 
@@ -90,19 +70,18 @@ func TestReArmMovesDeadline(t *testing.T) {
 	}
 }
 
-// Deadlines on every level — level 0, one and two cascades deep, the
-// outermost level, and beyond the 2^26-tick horizon (which parks and
-// re-cascades) — all fire at exactly their tick. The beyond-horizon
-// case is advanced in one big jump; the others step through each tick.
-func TestCascadeFiresExactly(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-million-tick advance")
-	}
+// Deadlines inside the first lap of the ring, a lap or more out, and
+// thousands of laps out all fire at exactly their tick, advancing
+// through the tick before each deadline and then the deadline itself:
+// a far timer sits in its slot through every earlier lap. A deadline
+// past 2^26 ticks (78 days at a 100 ms quantum) still fires
+// exactly under a single huge Advance.
+func TestFarDeadlinesFireExactly(t *testing.T) {
 	deadlines := []int64{
-		1, 255, // level 0
-		256, 300, 16383, // level 1
-		16384, 1 << 19, // level 2
-		1 << 20, 1<<22 + 12345, // level 3
+		1, 255, // first lap
+		256, 300, 16383,
+		16384, 1 << 19,
+		1 << 20, 1<<22 + 12345,
 	}
 	w := New()
 	timers := make([]*Timer, len(deadlines))
@@ -138,18 +117,16 @@ func TestCascadeFiresExactly(t *testing.T) {
 		}
 	}
 
-	// Beyond the horizon: parks in the outermost slot, re-cascades, and
-	// still fires at the exact tick under a single huge Advance.
 	far := &Timer{Data: 99}
 	w2 := New()
-	w2.Arm(far, span+77)
-	due = w2.Advance(span+76, due[:0])
+	w2.Arm(far, 1<<26+77)
+	due = w2.Advance(1<<26+76, due[:0])
 	if len(due) != 0 {
-		t.Fatalf("beyond-horizon timer fired early")
+		t.Fatalf("far timer fired early")
 	}
-	due = w2.Advance(span+77, due[:0])
+	due = w2.Advance(1<<26+77, due[:0])
 	if len(due) != 1 || due[0].Data.(int) != 99 {
-		t.Fatalf("beyond-horizon timer did not fire at its tick: %v", due)
+		t.Fatalf("far timer did not fire at its tick: %v", due)
 	}
 }
 
@@ -209,67 +186,156 @@ func TestAdvanceScratchReuseAndCount(t *testing.T) {
 	}
 }
 
-// The concurrent contract: Arm/Cancel from many goroutines while one
-// driver advances. Run under -race. Each goroutine owns its timers, so
-// ownership transfers only through the wheel.
-func TestConcurrentArmCancelAdvanceHammer(t *testing.T) {
-	w := New()
-	const (
-		owners    = 8
-		perOwner  = 64
-		iters     = 2000
-		horizonMx = 4096
-	)
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
+// refWheel is the naive reference: a map from each armed timer to its
+// deadline, under the same clamp rule as Arm, and a clock.
+type refWheel struct {
+	current int64
+	armed   map[*Timer]int64
+}
 
-	// Driver: advance one tick at a time, discarding fired timers.
-	var fired int
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		due := make([]*Timer, 0, 256)
-		tick := int64(0)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			tick++
-			due = w.Advance(tick, due[:0])
-			fired += len(due)
+func (r *refWheel) arm(t *Timer, when int64) { r.armed[t] = max(when, r.current+1) }
+
+// advance removes and returns the set of timers due by tick to.
+func (r *refWheel) advance(to int64) map[*Timer]bool {
+	due := map[*Timer]bool{}
+	for t, when := range r.armed {
+		if when <= to {
+			due[t] = true
+			delete(r.armed, t)
 		}
-	}()
+	}
+	r.current = max(r.current, to)
+	return due
+}
 
-	var owg sync.WaitGroup
-	for o := 0; o < owners; o++ {
-		owg.Add(1)
-		go func(o int) {
-			defer owg.Done()
-			rng := rand.New(rand.NewSource(int64(o)))
-			timers := make([]*Timer, perOwner)
-			for i := range timers {
-				timers[i] = &Timer{Data: o*perOwner + i}
+// drain removes and returns every armed timer; the clock stays.
+func (r *refWheel) drain() map[*Timer]bool {
+	due := map[*Timer]bool{}
+	for t := range r.armed {
+		due[t] = true
+	}
+	clear(r.armed)
+	return due
+}
+
+// deadline draws one Arm deadline: negative, zero, a few ticks, about a
+// thousand, 2^20 and beyond 2^26 ticks out.
+func deadline(rng *rand.Rand, cur int64) int64 {
+	switch rng.Intn(8) {
+	case 0:
+		return -1 - rng.Int63n(1000)
+	case 1:
+		return 0
+	case 2:
+		return cur - rng.Int63n(3) // at or just behind the clock
+	case 3:
+		return cur + 1 + rng.Int63n(300)
+	case 4:
+		return cur + 900 + rng.Int63n(200)
+	case 5:
+		return cur + 1<<20 + rng.Int63n(512) - 256
+	case 6:
+		return cur + 1<<26 + rng.Int63n(1<<10)
+	default:
+		return cur + 1 + rng.Int63n(8)
+	}
+}
+
+// step draws one Advance target: one tick, a few, a jump of at least a
+// lap, or a landing within two ticks of the nearest pending deadline,
+// so far timers do fire and are checked on both sides of their tick.
+func step(rng *rand.Rand, r *refWheel) int64 {
+	switch rng.Intn(10) {
+	case 0, 1, 2, 3:
+		return r.current + 1
+	case 4, 5, 6:
+		return r.current + 2 + rng.Int63n(6)
+	case 7:
+		return r.current + 256 + rng.Int63n(3000)
+	case 8:
+		return r.current - rng.Int63n(3) // no-op: the clock never runs back
+	default:
+		next := int64(-1)
+		for _, when := range r.armed {
+			if next < 0 || when < next {
+				next = when
 			}
-			for i := 0; i < iters; i++ {
-				tm := timers[rng.Intn(perOwner)]
-				if rng.Intn(4) == 0 {
-					w.Cancel(tm)
-				} else {
-					w.Arm(tm, w.Current()+1+rng.Int63n(horizonMx))
+		}
+		if next < 0 {
+			return r.current + 1
+		}
+		return next + rng.Int63n(5) - 2
+	}
+}
+
+// Random programs of fresh Arms, re-Arms of armed timers, Advances of
+// every size and occasional DrainAlls, replayed against the map
+// reference: after every call the fired set, Len and Current must match
+// it exactly.
+func TestRandomProgramsMatchMapReference(t *testing.T) {
+	const (
+		seeds  = 20
+		ops    = 3000
+		timers = 48
+	)
+	for seed := int64(1); seed <= seeds; seed++ {
+		t.Run(fmt.Sprint("seed=", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			w := New()
+			ref := &refWheel{armed: map[*Timer]int64{}}
+			pool := make([]*Timer, timers)
+			for i := range pool {
+				pool[i] = &Timer{Data: i}
+			}
+			var due []*Timer
+			for op := 0; op < ops; op++ {
+				var want map[*Timer]bool // the reference's fired set, if the call fires
+				desc := ""
+				switch k := rng.Intn(20); {
+				case k < 9: // Arm: a fresh timer or a re-Arm of an armed one
+					tm := pool[rng.Intn(timers)]
+					when := deadline(rng, ref.current)
+					_, rearm := ref.armed[tm]
+					desc = fmt.Sprintf("Arm(timer %d, %d) rearm=%v at %d", tm.Data, when, rearm, ref.current)
+					w.Arm(tm, when)
+					ref.arm(tm, when)
+				case k < 19:
+					to := step(rng, ref)
+					desc = fmt.Sprintf("Advance(%d) from %d", to, ref.current)
+					due = w.Advance(to, due[:0])
+					want = ref.advance(to)
+				default:
+					desc = "DrainAll"
+					due = w.DrainAll(due[:0])
+					want = ref.drain()
+				}
+				if want != nil {
+					fired := map[*Timer]bool{}
+					for _, tm := range due {
+						if fired[tm] {
+							t.Fatalf("op %d %s: timer %d fired twice", op, desc, tm.Data)
+						}
+						fired[tm] = true
+					}
+					for tm := range want {
+						if !fired[tm] {
+							t.Fatalf("op %d %s: timer %d not fired, deadline passed", op, desc, tm.Data)
+						}
+					}
+					for tm := range fired {
+						if !want[tm] {
+							t.Fatalf("op %d %s: timer %d fired early", op, desc, tm.Data)
+						}
+					}
+				}
+				if w.Len() != len(ref.armed) {
+					t.Fatalf("op %d %s: Len = %d, reference %d", op, desc, w.Len(), len(ref.armed))
+				}
+				if w.Current() != ref.current {
+					t.Fatalf("op %d %s: Current = %d, reference %d", op, desc, w.Current(), ref.current)
 				}
 			}
-		}(o)
-	}
-	owg.Wait()
-	close(stop)
-	wg.Wait()
-
-	// Post-hammer sanity: Len matches a full drain.
-	n := w.Len()
-	if got := len(w.DrainAll(nil)); got != n {
-		t.Fatalf("Len = %d but DrainAll returned %d", n, got)
+		})
 	}
 }
 
@@ -290,16 +356,5 @@ func BenchmarkArmAdvance(b *testing.B) {
 		for _, tm := range due {
 			w.Arm(tm, tick+1+int64(tm.Data.(int)%64))
 		}
-	}
-}
-
-func BenchmarkArmCancel(b *testing.B) {
-	w := New()
-	tm := &Timer{Data: 0}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.Arm(tm, int64(i%4096)+w.Current()+1)
-		w.Cancel(tm)
 	}
 }

@@ -22,7 +22,7 @@ var unusedAllowed = map[string]string{
 	"internal/device.IOSizeFor":         "inverse of EffectiveThroughput (Fig 2), pinned by its own round-trip test",
 	"internal/device.Utilization":       "Fig 2's utilization curve in closed form, tested beside EffectiveThroughput",
 	"internal/model.CostWithCache":      "Eq 9 in closed form; the cost figures price through model plans instead",
-	"internal/model.EffectiveBankSpec":  "Corollaries 2-4 as one device spec, the bank-level property ROADMAP item 14 checks",
+	"internal/model.EffectiveBankSpec":  "Corollaries 2-4 as one device spec; ROADMAP item 19's Scaling relation gives it a caller",
 	"internal/model.MEMSDirect":         "Corollary 1 (MEMS as the only store), tested; no figure plots it",
 	"internal/schedule.Admission":       "Theorem 1 admission for one rate; memserve admits through MixedAdmission, ROADMAP item 8 unifies them",
 	"internal/shard.MillionStreams":     "the headline scaling scenario's plan, run by the shard tests",
