@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race bench bench-sim bench-record profile profile-scale suite smoke fuzz cover clean
+.PHONY: all build test vet race bench bench-sim bench-record profile profile-scale suite smoke examples fuzz cover clean
 
 all: build vet test
 
@@ -71,6 +71,16 @@ suite:
 smoke:
 	sh scripts/smoke.sh
 
+# examples runs every examples/* program; each must exit 0 and print
+# something on stdout.
+examples:
+	@for d in examples/*/; do \
+		n=$$(basename $$d); \
+		out=$$($(GO) run ./examples/$$n) || { echo "examples/$$n failed"; exit 1; }; \
+		[ -n "$$out" ] || { echo "examples/$$n printed nothing"; exit 1; }; \
+		echo "examples/$$n ok"; \
+	done
+
 # fuzz gives each fuzz target a short budget; extend for deeper runs.
 # FuzzRequestLine's size-limit inputs are ~1 KB, and minimizing one of
 # those would otherwise take the whole budget.
@@ -80,7 +90,6 @@ fuzz:
 	$(GO) test -fuzz FuzzRequestLine -fuzztime 30s -fuzzminimizetime 2s ./internal/serve/
 	$(GO) test -fuzz FuzzControlHandler -fuzztime 30s -fuzzminimizetime 2s ./internal/serve/
 	$(GO) test -fuzz FuzzReadText -fuzztime 30s ./internal/trace/
-	$(GO) test -fuzz FuzzReadBinary -fuzztime 30s ./internal/trace/
 
 # cover runs the suite with coverage profiles and enforces the
 # internal/server statement-coverage floor (scripts/cover.sh).

@@ -196,3 +196,56 @@ func TestDocsNameOnlyRealFlags(t *testing.T) {
 		}
 	}
 }
+
+// experimentsLineCap bounds EXPERIMENTS.md. A change that needs more room
+// cuts elsewhere, or raises the cap with a reason in CHANGES.md.
+const experimentsLineCap = 772
+
+// artefactEntry matches a per-artefact entry of EXPERIMENTS.md: a
+// "### <id> — <title>" heading (ids joined by " / ") or a
+// "- **<id>** — <text>" bullet.
+var artefactEntry = regexp.MustCompile(`^(?:### (.+?)|- \*\*([^*]+)\*\*) — `)
+
+// TestExperimentsRecordEveryArtefact: EXPERIMENTS.md's per-artefact
+// record has an entry for every registered experiment, names no id the
+// registry lacks, and the file stays under its line cap.
+func TestExperimentsRecordEveryArtefact(t *testing.T) {
+	raw, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+	if len(lines) > experimentsLineCap {
+		t.Errorf("EXPERIMENTS.md has %d lines, over its cap of %d", len(lines), experimentsLineCap)
+	}
+	registered := map[string]bool{}
+	for _, id := range Experiments() {
+		registered[id] = true
+	}
+	recorded := map[string]bool{}
+	inRecord := false
+	for i, line := range lines {
+		if strings.HasPrefix(line, "## ") {
+			inRecord = line == "## Per-artifact record"
+			continue
+		}
+		m := artefactEntry.FindStringSubmatch(line)
+		if !inRecord || m == nil {
+			continue
+		}
+		for _, id := range strings.Split(m[1]+m[2], " / ") {
+			if !registered[id] {
+				t.Errorf("EXPERIMENTS.md:%d: entry %q names no registered experiment", i+1, id)
+			}
+			recorded[id] = true
+		}
+	}
+	for id := range registered {
+		if !recorded[id] {
+			t.Errorf("experiment %s has no entry in EXPERIMENTS.md's per-artefact record", id)
+		}
+	}
+	if len(recorded) == 0 {
+		t.Error("no per-artefact entry was found: the scan has gone blind")
+	}
+}

@@ -8,7 +8,6 @@ package bank
 
 import (
 	"fmt"
-	"time"
 
 	"memstream/internal/device"
 	"memstream/internal/tier"
@@ -218,54 +217,4 @@ func (b *BufferBank) DrainRequest(stream int, cycle int64, size units.Bytes) (de
 	}
 	r.Op = device.Read
 	return r, dev, nil
-}
-
-// SpareStorage returns unreserved bytes across the bank — available for
-// the non-real-time uses the paper lists (§3.1.2: persistent write buffer,
-// prefetch buffer, or caching whole streams).
-func (b *BufferBank) SpareStorage() units.Bytes {
-	var spare units.Bytes
-	for _, c := range b.counts {
-		freeRings := b.perDev - c
-		spare += units.Bytes(int64(freeRings)*2*b.slotBlocks) * b.blockSize
-	}
-	return spare
-}
-
-// SpareBandwidth estimates unused bank bandwidth given the attached
-// streams' aggregate bit-rate: the bank moves each byte twice, so spare =
-// k·R − 2·ΣB̄.
-func (b *BufferBank) SpareBandwidth(aggregate units.ByteRate) units.ByteRate {
-	total := float64(len(b.devs)) * float64(b.devs[0].Spec().Rate)
-	spare := total - 2*float64(aggregate)
-	if spare < 0 {
-		spare = 0
-	}
-	return units.ByteRate(spare)
-}
-
-// Balance reports the min and max streams per device; round-robin keeps
-// max−min ≤ 1.
-func (b *BufferBank) Balance() (minStreams, maxStreams int) {
-	if len(b.counts) == 0 {
-		return 0, 0
-	}
-	minStreams, maxStreams = b.counts[0], b.counts[0]
-	for _, c := range b.counts[1:] {
-		if c < minStreams {
-			minStreams = c
-		}
-		if c > maxStreams {
-			maxStreams = c
-		}
-	}
-	return minStreams, maxStreams
-}
-
-// ServiceOn runs one request on the bank device dev at time now.
-func (b *BufferBank) ServiceOn(dev int, now time.Duration, r device.Request) (device.Completion, error) {
-	if dev < 0 || dev >= len(b.devs) {
-		return device.Completion{}, fmt.Errorf("bank: device %d out of range", dev)
-	}
-	return b.devs[dev].Service(now, r)
 }

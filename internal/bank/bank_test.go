@@ -10,6 +10,29 @@ import (
 	"memstream/internal/units"
 )
 
+// Balance reports the min and max streams per device; round-robin keeps
+// max−min ≤ 1.
+func (b *BufferBank) Balance() (minStreams, maxStreams int) {
+	return minMax(b.counts)
+}
+
+// Balance reports min/max streams per device; least-loaded assignment
+// keeps max−min ≤ 1.
+func (r *ReplicatedBank) Balance() (minStreams, maxStreams int) {
+	return minMax(r.counts)
+}
+
+func minMax(counts []int) (lo, hi int) {
+	if len(counts) == 0 {
+		return 0, 0
+	}
+	lo, hi = counts[0], counts[0]
+	for _, c := range counts[1:] {
+		lo, hi = min(lo, c), max(hi, c)
+	}
+	return lo, hi
+}
+
 func devs(t *testing.T, k int) []tier.Device {
 	t.Helper()
 	ds, err := New(k, tier.MustLookup("mems-g3"))
@@ -286,51 +309,6 @@ func TestStageRequestUnattached(t *testing.T) {
 	}
 }
 
-func TestSpareStorageShrinksWithStreams(t *testing.T) {
-	b, _ := NewBufferBank(devs(t, 2), 100*units.MB)
-	before := b.SpareStorage()
-	for i := 0; i < 4; i++ {
-		if _, err := b.Attach(i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	after := b.SpareStorage()
-	want := before - 4*2*100*units.MB
-	if diff := float64(after - want); diff > 1e7 || diff < -1e7 {
-		t.Errorf("spare = %v, want ≈%v", after, want)
-	}
-}
-
-func TestSpareBandwidth(t *testing.T) {
-	b, _ := NewBufferBank(devs(t, 2), 1*units.MB)
-	// 2 G3 devices: 640MB/s total; 100MB/s of streams needs 200MB/s.
-	got := b.SpareBandwidth(100 * units.MBPS)
-	if got != 440*units.MBPS {
-		t.Errorf("spare bandwidth = %v, want 440MB/s", got)
-	}
-	if got := b.SpareBandwidth(400 * units.MBPS); got != 0 {
-		t.Errorf("overloaded spare = %v, want 0", got)
-	}
-}
-
-func TestServiceOn(t *testing.T) {
-	b, _ := NewBufferBank(devs(t, 2), 1*units.MB)
-	if _, err := b.Attach(0); err != nil {
-		t.Fatal(err)
-	}
-	r, dev, _ := b.StageRequest(0, 0, units.MB)
-	c, err := b.ServiceOn(dev, 0, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Finish <= 0 {
-		t.Error("no service time")
-	}
-	if _, err := b.ServiceOn(9, 0, r); err == nil {
-		t.Error("out-of-range device accepted")
-	}
-}
-
 // Property: round-robin attachment keeps the bank balanced within one
 // stream for any attach count.
 func TestRoundRobinBalanceProperty(t *testing.T) {
@@ -388,9 +366,6 @@ func TestStripedBankLockStep(t *testing.T) {
 	if c.Finish < single || c.Finish > single+2*time.Millisecond {
 		t.Errorf("striped read took %v, want ≈%v", c.Finish, single)
 	}
-	if sb.SeeksPerCycle(10) != 40 {
-		t.Errorf("seeks = %d, want k·n = 40", sb.SeeksPerCycle(10))
-	}
 }
 
 func TestReplicatedBankAssignment(t *testing.T) {
@@ -427,9 +402,6 @@ func TestReplicatedBankAssignment(t *testing.T) {
 	}
 	if rb.devs[dev].Served() != before+1 {
 		t.Error("read did not hit the pinned replica")
-	}
-	if rb.SeeksPerCycle(10) != 10 {
-		t.Errorf("seeks = %d, want n = 10", rb.SeeksPerCycle(10))
 	}
 }
 

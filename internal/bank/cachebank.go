@@ -23,10 +23,6 @@ type CacheBank interface {
 	// when the data is fully available. Block addresses are relative to
 	// the cached content image.
 	Read(now time.Duration, stream int, block, blocks int64) (device.Completion, error)
-	// SeeksPerCycle returns how many device seek operations one IO cycle
-	// of n streams costs across the bank (k·n striped, n replicated —
-	// paper §3.2.1/3.2.2).
-	SeeksPerCycle(n int) int
 }
 
 // StripedBank stripes every title bit/byte-wise across all k devices,
@@ -98,9 +94,6 @@ func (s *StripedBank) Read(now time.Duration, stream int, block, blocks int64) (
 	}
 	return last, nil
 }
-
-// SeeksPerCycle: all k devices seek for every one of the n IOs.
-func (s *StripedBank) SeeksPerCycle(n int) int { return len(s.devs) * n }
 
 // ReplicatedBank stores the full cached image on every device; each stream
 // is pinned to one device, chosen least-loaded, and ⌈n/k⌉ streams share a
@@ -176,24 +169,6 @@ func (r *ReplicatedBank) Read(now time.Duration, stream int, block, blocks int64
 	return r.devs[dev].Service(now, device.Request{
 		Op: device.Read, Block: block, Blocks: blocks, Stream: stream,
 	})
-}
-
-// SeeksPerCycle: each of the n IOs seeks on exactly one device.
-func (r *ReplicatedBank) SeeksPerCycle(n int) int { return n }
-
-// Balance reports min/max streams per device; least-loaded assignment
-// keeps max−min ≤ 1.
-func (r *ReplicatedBank) Balance() (minStreams, maxStreams int) {
-	minStreams, maxStreams = r.counts[0], r.counts[0]
-	for _, c := range r.counts[1:] {
-		if c < minStreams {
-			minStreams = c
-		}
-		if c > maxStreams {
-			maxStreams = c
-		}
-	}
-	return minStreams, maxStreams
 }
 
 var (

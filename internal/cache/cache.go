@@ -1,8 +1,8 @@
 // Package cache plans the contents of a MEMS multimedia cache: which
-// titles to pin (popularity-ranked prefix placement), how the cache is
-// refreshed (offline, during service downtime — paper §3.2), and an LRU
-// cache used as the best-effort baseline the paper contrasts with
-// (traditional caching suits best-effort data, not streaming).
+// titles to pin (popularity-ranked prefix placement, refreshed offline
+// during service downtime — paper §3.2) and how a bank splits between
+// buffering and caching. The tests compare the placement against an LRU
+// baseline (traditional caching suits best-effort data, not streaming).
 package cache
 
 import (
@@ -79,31 +79,6 @@ func (p *Placement) HitRatio(cat *workload.Catalog) float64 {
 		return 0
 	}
 	return hit / total
-}
-
-// Update computes the offline refresh between two placements: titles to
-// evict and titles to load. The paper updates the cache "off-line, during
-// service down-time" to track popularity changes.
-func Update(old, new_ *Placement) (evict, load []int) {
-	oldSet := make(map[int]bool, len(old.Titles))
-	for _, id := range old.Titles {
-		oldSet[id] = true
-	}
-	newSet := make(map[int]bool, len(new_.Titles))
-	for _, id := range new_.Titles {
-		newSet[id] = true
-	}
-	for _, id := range old.Titles {
-		if !newSet[id] {
-			evict = append(evict, id)
-		}
-	}
-	for _, id := range new_.Titles {
-		if !oldSet[id] {
-			load = append(load, id)
-		}
-	}
-	return evict, load
 }
 
 // HybridSplit is the paper's future-work configuration (§7): part of the

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"memstream/internal/model"
 	"memstream/internal/sim"
@@ -11,9 +12,12 @@ import (
 	"memstream/internal/workload"
 )
 
+// dvd is the paper's DVD media class.
+var dvd = workload.MediaClass{Name: "DVD", BitRate: units.MBPS, Duration: 110 * time.Minute}
+
 func catalog(t *testing.T, n int, d workload.XYDistribution) *workload.Catalog {
 	t.Helper()
-	cat, err := workload.NewCatalog(n, workload.DVD, d.Weights(n), 512)
+	cat, err := workload.NewCatalog(n, dvd, d.Weights(n), 512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +39,7 @@ func TestPlanPinsPopularPrefix(t *testing.T) {
 			t.Errorf("pinned title %d at slot %d, want ranked prefix", id, i)
 		}
 	}
-	if p.Used != 5*workload.DVD.Size() {
+	if p.Used != 5*dvd.Size() {
 		t.Errorf("used = %v", p.Used)
 	}
 	if math.Abs(p.Fraction-0.05) > 1e-9 {
@@ -56,7 +60,7 @@ func TestPlanErrors(t *testing.T) {
 func TestPlanHitRatioMatchesEquation11(t *testing.T) {
 	// Pinning the top 5% of a 10:90 catalog should give h ≈ (5/10)·0.9.
 	cat := catalog(t, 200, workload.XYDistribution{X: 10, Y: 90})
-	p, err := Plan(cat, 10*workload.DVD.Size())
+	p, err := Plan(cat, 10*dvd.Size())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,29 +73,12 @@ func TestPlanHitRatioMatchesEquation11(t *testing.T) {
 
 func TestPlacementContains(t *testing.T) {
 	cat := catalog(t, 20, workload.XYDistribution{X: 10, Y: 90})
-	p, _ := Plan(cat, 3*workload.DVD.Size())
+	p, _ := Plan(cat, 3*dvd.Size())
 	if !p.Contains(0) || !p.Contains(2) {
 		t.Error("prefix titles missing")
 	}
 	if p.Contains(10) {
 		t.Error("unpinned title reported present")
-	}
-}
-
-func TestUpdateComputesDelta(t *testing.T) {
-	old := &Placement{Titles: []int{0, 1, 2, 3}}
-	next := &Placement{Titles: []int{0, 2, 5, 6}}
-	evict, load := Update(old, next)
-	if len(evict) != 2 || evict[0] != 1 || evict[1] != 3 {
-		t.Errorf("evict = %v, want [1 3]", evict)
-	}
-	if len(load) != 2 || load[0] != 5 || load[1] != 6 {
-		t.Errorf("load = %v, want [5 6]", load)
-	}
-	// Identical placements: nothing moves.
-	e, l := Update(old, old)
-	if len(e) != 0 || len(l) != 0 {
-		t.Error("self-update should be empty")
 	}
 }
 
@@ -194,7 +181,7 @@ func TestLRUValidation(t *testing.T) {
 func TestPinnedBeatsOrMatchesLRU(t *testing.T) {
 	dist := workload.XYDistribution{X: 5, Y: 95}
 	cat := catalog(t, 200, dist)
-	capacity := 10 * workload.DVD.Size()
+	capacity := 10 * dvd.Size()
 
 	pinned, err := Plan(cat, capacity)
 	if err != nil {

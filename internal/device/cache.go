@@ -128,14 +128,6 @@ func (c *ReadCache) invalidate(start, blocks int64) {
 	}
 }
 
-// UsedBlocks returns resident blocks.
-func (c *ReadCache) UsedBlocks() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.used
-}
-
 // HitRatio returns hits/(hits+misses), 0 before any lookup.
 func (c *ReadCache) HitRatio() float64 {
 	if c == nil || c.Hits+c.Misses == 0 {

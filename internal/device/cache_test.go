@@ -5,6 +5,14 @@ import (
 	"testing/quick"
 )
 
+// UsedBlocks returns resident blocks.
+func (c *ReadCache) UsedBlocks() int64 {
+	if c == nil {
+		return 0
+	}
+	return c.used
+}
+
 func TestNewReadCacheValidates(t *testing.T) {
 	if _, err := NewReadCache(0); err == nil {
 		t.Error("zero capacity accepted")

@@ -326,9 +326,6 @@ func (d *Device) TotalRotTime() time.Duration { return d.rotTime }
 // TotalTransferTime reports cumulative media transfer time.
 func (d *Device) TotalTransferTime() time.Duration { return d.xferTime }
 
-// ZoneRate returns the media rate of the zone containing lbn.
-func (d *Device) ZoneRate(lbn int64) units.ByteRate { return d.zoneOf(lbn).rate }
-
 // EffectiveRate returns the block-weighted mean media rate across zones —
 // the sustainable transfer rate for content spread over the whole surface.
 // Planning against the outer-zone maximum is optimistic for whole-disk

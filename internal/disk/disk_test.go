@@ -89,7 +89,8 @@ func TestSeekCurveCalibration(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := sim.NewRNG(1)
-	var s sim.Stats
+	var sum float64
+	var n int
 	p := d.Params()
 	for i := 0; i < 50000; i++ {
 		a, b := rng.Intn(d.Cylinders()), rng.Intn(d.Cylinders())
@@ -100,9 +101,10 @@ func TestSeekCurveCalibration(t *testing.T) {
 		if dist == 0 {
 			continue
 		}
-		s.Observe(p.seekTimeNorm(float64(dist)/float64(d.Cylinders()-1), d.exponent).Seconds())
+		sum += p.seekTimeNorm(float64(dist)/float64(d.Cylinders()-1), d.exponent).Seconds()
+		n++
 	}
-	got := units.Seconds(s.Mean())
+	got := units.Seconds(sum / float64(n))
 	if diff := got - p.AvgSeek; diff < -200*time.Microsecond || diff > 200*time.Microsecond {
 		t.Errorf("measured avg seek %v, want ≈%v", got, p.AvgSeek)
 	}
@@ -138,8 +140,8 @@ func TestGeometryRealizesCapacity(t *testing.T) {
 
 func TestZonesOuterFasterThanInner(t *testing.T) {
 	d, _ := New(FutureDisk())
-	first := d.ZoneRate(0)
-	last := d.ZoneRate(d.Geometry().Blocks - 1)
+	first := d.zoneOf(0).rate
+	last := d.zoneOf(d.Geometry().Blocks - 1).rate
 	if first != 300*units.MBPS {
 		t.Errorf("outer zone rate = %v, want 300MB/s", first)
 	}
@@ -197,19 +199,20 @@ func positioning(d *Device) time.Duration { return d.TotalSeekTime() + d.TotalRo
 func TestServiceRandomPaysPositioning(t *testing.T) {
 	d, _ := New(FutureDisk())
 	rng := sim.NewRNG(2)
-	var pos sim.Stats
+	var pos float64
+	const n = 2000
 	now := time.Duration(0)
-	for i := 0; i < 2000; i++ {
+	for i := 0; i < n; i++ {
 		lbn := int64(rng.Float64() * float64(d.Geometry().Blocks-64))
 		before := positioning(d)
 		c, err := d.Service(now, device.Request{Block: lbn, Blocks: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
-		pos.Observe((positioning(d) - before).Seconds())
+		pos += (positioning(d) - before).Seconds()
 		now = c.Finish
 	}
-	avg := units.Seconds(pos.Mean())
+	avg := units.Seconds(pos / n)
 	want := d.Params().AvgAccess()
 	// Random 4KB accesses should average near seek+rotation; allow 25%.
 	if math.Abs(float64(avg-want)) > 0.25*float64(want) {

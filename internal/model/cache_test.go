@@ -353,24 +353,6 @@ func TestCostWithBufferCheaperAtLowBitRates(t *testing.T) {
 	}
 }
 
-func TestCostWithCache(t *testing.T) {
-	costs := Table3Costs()
-	cfg := CacheConfig{
-		Load: StreamLoad{N: 5000, BitRate: 10 * units.KBPS},
-		Disk: futureDiskSpec(), Tier: g3Spec(),
-		K: 1, Policy: Striped,
-		SizePerDevice: 10 * units.GB, ContentSize: 1000 * units.GB,
-		X: 1, Y: 99,
-	}
-	with, err := CostWithCache(cfg, costs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if with <= 10 {
-		t.Errorf("cache cost %v should include the $10 device", with)
-	}
-}
-
 func TestMaxStreamsCachedBeatsDirectForSkewedPopularity(t *testing.T) {
 	// Figure 9(a) behaviour at 1:99: a cache-equipped server at equal cost
 	// beats the no-cache server.

@@ -73,20 +73,6 @@ func (c CostModel) TierBankCost(i, k int) units.Dollars {
 	return units.Dollars(float64(k) * float64(c.DeviceCost(i)))
 }
 
-// HierarchyCost prices a whole configuration: dram bytes of DRAM plus a
-// bank per middle tier, ks[i] devices of tier i. Eq 2/9 generalized to N
-// tiers.
-func (c CostModel) HierarchyCost(dram units.Bytes, ks []int) (units.Dollars, error) {
-	if len(ks) != len(c.Tiers) {
-		return 0, fmt.Errorf("model: %d bank sizes for %d tiers", len(ks), len(c.Tiers))
-	}
-	total := c.DRAMCost(dram)
-	for i, k := range ks {
-		total += c.TierBankCost(i, k)
-	}
-	return total, nil
-}
-
 // DRAMFor inverts DRAMCost: how much DRAM a budget buys.
 func (c CostModel) DRAMFor(budget units.Dollars) units.Bytes {
 	if budget <= 0 {
@@ -115,19 +101,6 @@ func CostWithBuffer(cfg BufferConfig, costs CostModel) (units.Dollars, error) {
 		return 0, err
 	}
 	plan, err := BufferPlan(cfg)
-	if err != nil {
-		return 0, err
-	}
-	return costs.BankCost(cfg.K) + costs.DRAMCost(plan.TotalDRAM), nil
-}
-
-// CostWithCache evaluates Eq 9: bank cost plus DRAM for both the
-// cache-served and disk-served stream groups.
-func CostWithCache(cfg CacheConfig, costs CostModel) (units.Dollars, error) {
-	if err := costs.Validate(); err != nil {
-		return 0, err
-	}
-	plan, err := CachePlan(cfg)
 	if err != nil {
 		return 0, err
 	}

@@ -99,13 +99,15 @@ func TestSimulatedBlockingMatchesErlangB(t *testing.T) {
 		MeanHold:    200 * time.Second,
 		BitRate:     units.MBPS,
 	}
-	sessions, err := p.Generate(sim.NewRNG(17), 40*time.Hour)
+	sessions, err := p.AppendSessions(nil, sim.NewRNG(17), 40*time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const capN = 100
-	stats := workload.ReplayAdmission(sessions, func(busy int) bool { return busy < capN })
-	want, _ := ErlangB(p.OfferedLoad(), capN)
+	r := workload.NewReplay(len(sessions))
+	r.Reset(sessions)
+	stats := r.Admission(func(busy int) bool { return busy < capN })
+	want, _ := ErlangB(p.ArrivalRate*p.MeanHold.Seconds(), capN)
 	if math.Abs(stats.BlockProb-want) > 0.02 {
 		t.Errorf("simulated blocking %.4f, Erlang-B %.4f", stats.BlockProb, want)
 	}

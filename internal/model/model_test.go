@@ -435,12 +435,6 @@ func TestCostFunctionsRejectBadInputs(t *testing.T) {
 	if _, err := CostWithBuffer(cfg, bad); err == nil {
 		t.Error("bad costs accepted by CostWithBuffer")
 	}
-	ccfg := CacheConfig{Load: load, Disk: futureDiskSpec(), Tier: g3Spec(),
-		K: 1, Policy: Striped, SizePerDevice: 10 * units.GB,
-		ContentSize: units.TB, X: 10, Y: 90}
-	if _, err := CostWithCache(ccfg, bad); err == nil {
-		t.Error("bad costs accepted by CostWithCache")
-	}
 	// Infeasible loads propagate errors too.
 	heavy := StreamLoad{N: 1000, BitRate: units.MBPS}
 	if _, err := CostWithoutMEMS(heavy, futureDiskSpec(), Table3Costs()); err == nil {

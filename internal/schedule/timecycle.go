@@ -61,25 +61,6 @@ func (tc *TimeCycle) Validate() error {
 	return nil
 }
 
-// BytesPerCycle returns the data moved in one period.
-func (tc *TimeCycle) BytesPerCycle() units.Bytes {
-	var s units.Bytes
-	for _, e := range tc.Entries {
-		s += e.IOSize
-	}
-	return s
-}
-
-// Throughput returns the schedule's sustained data rate.
-func (tc *TimeCycle) Throughput() units.ByteRate {
-	return units.RateOf(tc.BytesPerCycle(), tc.Period)
-}
-
-// CycleIndex returns which cycle contains time t.
-func (tc *TimeCycle) CycleIndex(t time.Duration) int64 {
-	return int64(t / tc.Period)
-}
-
 // Admission is an admission controller: it tracks the committed stream
 // population and admits a new stream only if the model still finds a
 // feasible schedule within the DRAM budget.
@@ -155,14 +136,6 @@ func (e *EDF) Pop() *Deadline {
 		return nil
 	}
 	return heap.Pop(&e.h).(*Deadline)
-}
-
-// Peek returns the earliest-deadline request without removing it.
-func (e *EDF) Peek() *Deadline {
-	if len(e.h) == 0 {
-		return nil
-	}
-	return e.h[0]
 }
 
 // Len reports queued requests.

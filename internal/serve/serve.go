@@ -386,9 +386,6 @@ func (s *Server) Drain() {
 // Draining reports whether the server has begun (or finished) draining.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// Started returns the supervisor's construction time (uptime anchor).
-func (s *Server) Started() time.Time { return s.started }
-
 // StopStream force-closes the live stream with the given id — the
 // control plane's POST /streams/{id}/stop. The stream's write path
 // errors out with net.ErrClosed and the stream ends, releasing its

@@ -11,6 +11,19 @@ import (
 	"memstream/internal/units"
 )
 
+// MillionStreams is the headline scaling scenario: one million concurrent
+// 10 KB/s streams across 245 partitions of 4096 — a run size whose
+// single-threaded wall clock makes iteration impractical, and the point
+// ROADMAP item 1 targets. Run it with as many workers as the host has
+// cores.
+func MillionStreams() Plan {
+	p, err := Uniform(1_000_000, 4096, 10*units.KBPS, 0)
+	if err != nil {
+		panic(err) // static parameters; cannot fail
+	}
+	return p
+}
+
 // testPlan is a small uniform scenario: 4 partitions of 128 DivX streams.
 func testPlan(t *testing.T) Plan {
 	t.Helper()

@@ -38,9 +38,6 @@ func newFlatDevice(s Spec) (Device, error) {
 	}, nil
 }
 
-// Spec returns the parameter set the device was built from.
-func (d *flatDevice) Spec() Spec { return d.spec }
-
 // Geometry returns the logical block geometry.
 func (d *flatDevice) Geometry() device.Geometry { return d.geom }
 

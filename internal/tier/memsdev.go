@@ -38,11 +38,7 @@ func FromMEMS(name string, p mems.Params) Spec {
 // stack.
 type memsDevice struct {
 	*mems.Device
-	spec Spec
 }
-
-// Spec returns the parameter set the device was built from.
-func (d *memsDevice) Spec() Spec { return d.spec }
 
 // ContiguousLayout allocates n equal per-stream extents on the sled.
 func (d *memsDevice) ContiguousLayout(n int) (Layout, error) {
@@ -67,7 +63,7 @@ func newMEMSDevice(s Spec) (Device, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &memsDevice{Device: d, spec: s}, nil
+	return &memsDevice{Device: d}, nil
 }
 
 // NewScheduler wraps dev with the given policy. MEMS-backed devices use

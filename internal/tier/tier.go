@@ -82,8 +82,6 @@ func (s Spec) DeviceCost() units.Dollars {
 // not safe for concurrent use; in a simulation a device belongs to a
 // single Engine goroutine.
 type Device interface {
-	// Spec returns the parameter set the device was built from.
-	Spec() Spec
 	// Geometry returns the logical block geometry.
 	Geometry() device.Geometry
 	// Model returns the static performance description used by the

@@ -37,25 +37,3 @@ func FuzzReadText(f *testing.F) {
 		}
 	})
 }
-
-// FuzzReadBinary checks the binary decoder tolerates arbitrary input.
-func FuzzReadBinary(f *testing.F) {
-	var seed bytes.Buffer
-	if err := WriteBinary(&seed, []Event{{Block: 1, Blocks: 2, Stream: 3}}); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(seed.Bytes())
-	f.Add([]byte("MSTR1"))
-	f.Add([]byte("garbage"))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, in []byte) {
-		events, err := ReadBinary(bytes.NewReader(in))
-		if err != nil {
-			return
-		}
-		var buf bytes.Buffer
-		if err := WriteBinary(&buf, events); err != nil {
-			t.Fatalf("re-encode failed: %v", err)
-		}
-	})
-}

@@ -3,13 +3,11 @@
 // same trace against disk and MEMS models to compare service behaviour,
 // and tests use golden traces to pin scheduler behaviour.
 //
-// Two codecs are provided: a line-oriented text form (one event per line,
-// grep-able) and a compact binary form (varint-encoded) for large traces.
+// The codec is a line-oriented text form, one event per line (grep-able).
 package trace
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"strconv"
@@ -100,81 +98,6 @@ func ReadText(r io.Reader) ([]Event, error) {
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("trace: scan: %w", err)
-	}
-	return events, nil
-}
-
-// binaryMagic guards against decoding unrelated files.
-const binaryMagic = "MSTR1"
-
-// WriteBinary encodes events in the compact varint form.
-func WriteBinary(w io.Writer, events []Event) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(binaryMagic); err != nil {
-		return fmt.Errorf("trace: write magic: %w", err)
-	}
-	buf := make([]byte, binary.MaxVarintLen64)
-	put := func(v uint64) error {
-		n := binary.PutUvarint(buf, v)
-		_, err := bw.Write(buf[:n])
-		return err
-	}
-	if err := put(uint64(len(events))); err != nil {
-		return fmt.Errorf("trace: write count: %w", err)
-	}
-	for i, e := range events {
-		op := uint64(0)
-		if e.Op == device.Write {
-			op = 1
-		}
-		for _, v := range []uint64{uint64(e.At), op, uint64(e.Block), uint64(e.Blocks), uint64(int64(e.Stream))} {
-			if err := put(v); err != nil {
-				return fmt.Errorf("trace: write event %d: %w", i, err)
-			}
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadBinary decodes the binary form.
-func ReadBinary(r io.Reader) ([]Event, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(binaryMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("trace: read magic: %w", err)
-	}
-	if string(magic) != binaryMagic {
-		return nil, fmt.Errorf("trace: bad magic %q", magic)
-	}
-	count, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("trace: read count: %w", err)
-	}
-	const maxEvents = 1 << 28
-	if count > maxEvents {
-		return nil, fmt.Errorf("trace: implausible event count %d", count)
-	}
-	events := make([]Event, 0, count)
-	for i := uint64(0); i < count; i++ {
-		var vals [5]uint64
-		for j := range vals {
-			v, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, fmt.Errorf("trace: event %d field %d: %w", i, j, err)
-			}
-			vals[j] = v
-		}
-		op := device.Read
-		if vals[1] == 1 {
-			op = device.Write
-		}
-		events = append(events, Event{
-			At:     time.Duration(vals[0]),
-			Op:     op,
-			Block:  int64(vals[2]),
-			Blocks: int64(vals[3]),
-			Stream: int(int64(vals[4])),
-		})
 	}
 	return events, nil
 }

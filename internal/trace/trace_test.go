@@ -65,54 +65,6 @@ func TestTextErrors(t *testing.T) {
 	}
 }
 
-func TestBinaryRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, sample()); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := sample()
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("event %d = %+v, want %+v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestBinaryRejectsGarbage(t *testing.T) {
-	if _, err := ReadBinary(strings.NewReader("NOTATRACE")); err == nil {
-		t.Error("bad magic accepted")
-	}
-	if _, err := ReadBinary(strings.NewReader("MS")); err == nil {
-		t.Error("truncated magic accepted")
-	}
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, sample()); err != nil {
-		t.Fatal(err)
-	}
-	trunc := buf.Bytes()[:buf.Len()-3]
-	if _, err := ReadBinary(bytes.NewReader(trunc)); err == nil {
-		t.Error("truncated body accepted")
-	}
-}
-
-func TestBinaryEmpty(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, nil); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 0 {
-		t.Errorf("got %d events", len(got))
-	}
-}
-
 func TestEventRequest(t *testing.T) {
 	e := Event{At: time.Second, Op: device.Write, Block: 7, Blocks: 3, Stream: 9}
 	r := e.Request()
@@ -138,7 +90,7 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-// Property: both codecs round-trip arbitrary well-formed traces.
+// Property: the text codec round-trips arbitrary well-formed traces.
 func TestCodecsRoundTripProperty(t *testing.T) {
 	f := func(raw []uint32) bool {
 		events := make([]Event, 0, len(raw)/4)
@@ -155,26 +107,19 @@ func TestCodecsRoundTripProperty(t *testing.T) {
 				Stream: int(raw[i+3] % 4096),
 			})
 		}
-		var tb, bb bytes.Buffer
+		var tb bytes.Buffer
 		if err := WriteText(&tb, events); err != nil {
-			return false
-		}
-		if err := WriteBinary(&bb, events); err != nil {
 			return false
 		}
 		fromText, err := ReadText(&tb)
 		if err != nil {
 			return false
 		}
-		fromBin, err := ReadBinary(&bb)
-		if err != nil {
-			return false
-		}
-		if len(fromText) != len(events) || len(fromBin) != len(events) {
+		if len(fromText) != len(events) {
 			return false
 		}
 		for i := range events {
-			if fromText[i] != events[i] || fromBin[i] != events[i] {
+			if fromText[i] != events[i] {
 				return false
 			}
 		}

@@ -72,15 +72,6 @@ func (b Bytes) Duration(r ByteRate) time.Duration {
 	return time.Duration(s * float64(time.Second))
 }
 
-// Over returns b divided by per, i.e. how many whole units of size per fit
-// into b. It returns 0 if per is non-positive.
-func (b Bytes) Over(per Bytes) float64 {
-	if per <= 0 {
-		return 0
-	}
-	return float64(b) / float64(per)
-}
-
 // BytesIn returns the number of bytes transferred at rate r over d.
 func BytesIn(r ByteRate, d time.Duration) Bytes {
 	return Bytes(float64(r) * d.Seconds())

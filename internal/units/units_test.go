@@ -50,15 +50,6 @@ func TestBytesDurationSaturates(t *testing.T) {
 	}
 }
 
-func TestBytesOver(t *testing.T) {
-	if got := (10 * GB).Over(1 * GB); got != 10 {
-		t.Errorf("Over = %v, want 10", got)
-	}
-	if got := (10 * GB).Over(0); got != 0 {
-		t.Errorf("Over zero = %v, want 0", got)
-	}
-}
-
 func TestBytesIn(t *testing.T) {
 	if got := BytesIn(100*MBPS, 2*time.Second); got != 200*MB {
 		t.Errorf("BytesIn = %v, want 200MB", got)

@@ -35,12 +35,6 @@ func (p SessionProcess) Validate() error {
 	return nil
 }
 
-// OfferedLoad is the Erlang offered load a = λ·E[hold]: the stationary
-// mean of concurrently active sessions were none rejected.
-func (p SessionProcess) OfferedLoad() float64 {
-	return p.ArrivalRate * p.MeanHold.Seconds()
-}
-
 // Session is one generated viewing session.
 type Session struct {
 	ID      int
@@ -49,19 +43,14 @@ type Session struct {
 	BitRate units.ByteRate
 }
 
-// Generate draws sessions arriving within the horizon.
-func (p SessionProcess) Generate(rng *sim.RNG, horizon time.Duration) ([]Session, error) {
-	return p.AppendSessions(nil, rng, horizon)
-}
-
 // maxSizeHint caps SizeHint (8 MiB of sessions): past it a trace grows by
-// append-doubling, so a hostile rate cannot make Generate allocate
+// append-doubling, so a hostile rate cannot make AppendSessions allocate
 // unboundedly before it has drawn a single arrival.
 const maxSizeHint = 1 << 18
 
 // SizeHint is a session count a trace over horizon is unlikely to exceed:
 // the Poisson mean λ·horizon plus six standard deviations, bounded by the
-// one-session-per-nanosecond floor Generate enforces and by maxSizeHint.
+// one-session-per-nanosecond floor AppendSessions enforces and by maxSizeHint.
 func (p SessionProcess) SizeHint(horizon time.Duration) int {
 	mean := p.ArrivalRate * horizon.Seconds()
 	n := math.Min(mean+6*math.Sqrt(mean)+1, float64(horizon))
@@ -72,8 +61,8 @@ func (p SessionProcess) SizeHint(horizon time.Duration) int {
 }
 
 // AppendSessions draws the sessions arriving within the horizon, IDs
-// numbered from 0, and appends them to dst — Generate into a buffer the
-// caller reuses. A dst without room for SizeHint sessions is grown to
+// numbered from 0, and appends them to dst, a buffer the caller may
+// reuse. A dst without room for SizeHint sessions is grown to
 // that capacity once, before the first draw.
 func (p SessionProcess) AppendSessions(dst []Session, rng *sim.RNG, horizon time.Duration) ([]Session, error) {
 	if err := p.Validate(); err != nil {
@@ -117,13 +106,4 @@ type AdmissionStats struct {
 	PeakBusy  int
 	AvgBusy   float64
 	BlockProb float64
-}
-
-// ReplayAdmission drives a session trace through an admission test once;
-// see Replay for the trace's contract and for replaying one trace against
-// several tests. Holds must be non-negative.
-func ReplayAdmission(sessions []Session, capacity func(busy int) bool) AdmissionStats {
-	r := NewReplay(len(sessions))
-	r.Reset(sessions)
-	return r.Admission(capacity)
 }

@@ -28,10 +28,21 @@ func TestSessionProcessValidate(t *testing.T) {
 	}
 }
 
+// TestOfferedLoad: a trace offers λ·E[hold] erlangs — its total hold
+// time over the horizon is the Erlang offered load.
 func TestOfferedLoad(t *testing.T) {
 	p := SessionProcess{ArrivalRate: 2, MeanHold: 30 * time.Second, BitRate: units.MBPS}
-	if got := p.OfferedLoad(); got != 60 {
-		t.Errorf("offered load = %v, want 60 erlangs", got)
+	horizon := 2 * time.Hour
+	sessions, err := p.AppendSessions(nil, sim.NewRNG(5), horizon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var held time.Duration
+	for _, s := range sessions {
+		held += s.Hold
+	}
+	if got := held.Seconds() / horizon.Seconds(); math.Abs(got-60) > 0.05*60 {
+		t.Errorf("offered load = %.1f erlangs, want ≈60", got)
 	}
 }
 
@@ -39,7 +50,7 @@ func TestGenerateStatistics(t *testing.T) {
 	p := SessionProcess{ArrivalRate: 5, MeanHold: 2 * time.Minute, BitRate: units.MBPS}
 	rng := sim.NewRNG(1)
 	horizon := 2 * time.Hour
-	sessions, err := p.Generate(rng, horizon)
+	sessions, err := p.AppendSessions(nil, rng, horizon)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +91,7 @@ func TestGenerateExtremeRateTerminates(t *testing.T) {
 		BitRate:     units.MBPS,
 	}
 	horizon := time.Microsecond
-	sessions, err := p.Generate(sim.NewRNG(7), horizon)
+	sessions, err := p.AppendSessions(nil, sim.NewRNG(7), horizon)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,24 +116,25 @@ func TestGenerateExtremeRateTerminates(t *testing.T) {
 
 func TestGenerateErrors(t *testing.T) {
 	p := SessionProcess{ArrivalRate: 1, MeanHold: time.Minute, BitRate: units.MBPS}
-	if _, err := p.Generate(sim.NewRNG(1), 0); err == nil {
+	if _, err := p.AppendSessions(nil, sim.NewRNG(1), 0); err == nil {
 		t.Error("zero horizon accepted")
 	}
-	if _, err := (SessionProcess{}).Generate(sim.NewRNG(1), time.Hour); err == nil {
+	if _, err := (SessionProcess{}).AppendSessions(nil, sim.NewRNG(1), time.Hour); err == nil {
 		t.Error("invalid process accepted")
 	}
 }
 
 func TestReplayAdmissionUnlimited(t *testing.T) {
 	p := SessionProcess{ArrivalRate: 1, MeanHold: time.Minute, BitRate: units.MBPS}
-	sessions, _ := p.Generate(sim.NewRNG(2), time.Hour)
+	sessions, _ := p.AppendSessions(nil, sim.NewRNG(2), time.Hour)
 	stats := ReplayAdmission(sessions, func(int) bool { return true })
 	if stats.Rejected != 0 || stats.Admitted != stats.Offered {
 		t.Errorf("unlimited capacity rejected %d", stats.Rejected)
 	}
-	// Stationary busy count ≈ offered load (60 erlangs).
-	if math.Abs(stats.AvgBusy-p.OfferedLoad()) > 0.25*p.OfferedLoad() {
-		t.Errorf("avg busy = %.1f, want ≈%.0f", stats.AvgBusy, p.OfferedLoad())
+	// Stationary busy count ≈ offered load λ·E[hold] (60 erlangs).
+	offered := p.ArrivalRate * p.MeanHold.Seconds()
+	if math.Abs(stats.AvgBusy-offered) > 0.25*offered {
+		t.Errorf("avg busy = %.1f, want ≈%.0f", stats.AvgBusy, offered)
 	}
 	if stats.PeakBusy < int(stats.AvgBusy) {
 		t.Error("peak below average")
@@ -131,7 +143,7 @@ func TestReplayAdmissionUnlimited(t *testing.T) {
 
 func TestReplayAdmissionHardCap(t *testing.T) {
 	p := SessionProcess{ArrivalRate: 2, MeanHold: time.Minute, BitRate: units.MBPS}
-	sessions, _ := p.Generate(sim.NewRNG(3), time.Hour)
+	sessions, _ := p.AppendSessions(nil, sim.NewRNG(3), time.Hour)
 	const cap = 100
 	stats := ReplayAdmission(sessions, func(busy int) bool { return busy < cap })
 	if stats.PeakBusy > cap {
@@ -187,7 +199,7 @@ func TestReplayAdmissionCapProperty(t *testing.T) {
 	f := func(seed uint16, capRaw uint8) bool {
 		capN := int(capRaw%50) + 1
 		p := SessionProcess{ArrivalRate: 1, MeanHold: 30 * time.Second, BitRate: units.MBPS}
-		sessions, err := p.Generate(sim.NewRNG(uint64(seed)), 30*time.Minute)
+		sessions, err := p.AppendSessions(nil, sim.NewRNG(uint64(seed)), 30*time.Minute)
 		if err != nil {
 			return false
 		}

@@ -9,6 +9,15 @@ import (
 	"memstream/internal/units"
 )
 
+// ReplayAdmission drives a session trace through an admission test once;
+// see Replay for the trace's contract and for replaying one trace against
+// several tests. Holds must be non-negative.
+func ReplayAdmission(sessions []Session, capacity func(busy int) bool) AdmissionStats {
+	r := NewReplay(len(sessions))
+	r.Reset(sessions)
+	return r.Admission(capacity)
+}
+
 // heapReplayAdmission is the departure-heap replay Replay replaced, kept
 // unchanged as its behavioral reference: every AdmissionStats field of
 // the sweep, AvgBusy's float64 sum included, must be bit-equal to this.
@@ -179,7 +188,7 @@ func TestReplayMatchesHeapOracle(t *testing.T) {
 // exponential holds, enough sessions for three radix passes.
 func TestReplayMatchesHeapOnGeneratedTrace(t *testing.T) {
 	p := SessionProcess{ArrivalRate: 3, MeanHold: 10 * time.Minute, BitRate: 100 * units.KBPS}
-	trace, err := p.Generate(sim.NewRNG(1), 2*time.Hour)
+	trace, err := p.AppendSessions(nil, sim.NewRNG(1), 2*time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,11 +273,11 @@ func TestReplayWarmDoesNotAllocate(t *testing.T) {
 }
 
 // TestAppendSessionsReusesBuffer: appending into a buffer with room
-// allocates nothing and draws exactly what Generate draws.
+// allocates nothing and draws exactly what appending to nil draws.
 func TestAppendSessionsReusesBuffer(t *testing.T) {
 	p := SessionProcess{ArrivalRate: 4, MeanHold: time.Minute, BitRate: units.MBPS}
 	horizon := 30 * time.Minute
-	want, err := p.Generate(sim.NewRNG(9), horizon)
+	want, err := p.AppendSessions(nil, sim.NewRNG(9), horizon)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,16 +293,16 @@ func TestAppendSessionsReusesBuffer(t *testing.T) {
 		t.Error("AppendSessions reallocated a buffer that had room")
 	}
 	if len(got) != len(want) {
-		t.Fatalf("%d sessions, Generate drew %d", len(got), len(want))
+		t.Fatalf("%d sessions, appending to nil drew %d", len(got), len(want))
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("session %d: %+v, Generate drew %+v", i, got[i], want[i])
+			t.Fatalf("session %d: %+v, appending to nil drew %+v", i, got[i], want[i])
 		}
 	}
 }
 
-// TestSizeHintIsBounded: a hostile rate cannot make Generate allocate
+// TestSizeHintIsBounded: a hostile rate cannot make AppendSessions allocate
 // more than the cap up front, and the 1 ns gap floor bounds short
 // horizons tighter still.
 func TestSizeHintIsBounded(t *testing.T) {
@@ -313,7 +322,7 @@ func BenchmarkReplayAdmission(b *testing.B) {
 	// ~100 k sessions offered to three capacities, the shape of one row
 	// of the dynamics table.
 	p := SessionProcess{ArrivalRate: 100_000.0 / (6 * 3600), MeanHold: 10 * time.Minute, BitRate: 100 * units.KBPS}
-	trace, err := p.Generate(sim.NewRNG(1), 6*time.Hour)
+	trace, err := p.AppendSessions(nil, sim.NewRNG(1), 6*time.Hour)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -17,30 +17,9 @@ type Stream struct {
 	Offset  units.Bytes    // starting byte offset within the title
 }
 
-// Set is a population of concurrent streams plus summary statistics.
+// Set is a population of concurrent streams.
 type Set struct {
 	Streams []Stream
-}
-
-// AvgBitRate returns B̄, the mean bit-rate across the set.
-func (s *Set) AvgBitRate() units.ByteRate {
-	if len(s.Streams) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, st := range s.Streams {
-		sum += float64(st.BitRate)
-	}
-	return units.ByteRate(sum / float64(len(s.Streams)))
-}
-
-// AggregateRate returns N·B̄, the total consumption bandwidth.
-func (s *Set) AggregateRate() units.ByteRate {
-	var sum float64
-	for _, st := range s.Streams {
-		sum += float64(st.BitRate)
-	}
-	return units.ByteRate(sum)
 }
 
 // Generator draws stream populations from a catalog.
@@ -83,33 +62,6 @@ func (g *Generator) DrawRange(firstID, n int) (*Set, error) {
 		}
 	}
 	return set, nil
-}
-
-// DrawUniform produces n streams drawn uniformly over titles, ignoring
-// popularity (the paper's "50:50" end point is equivalent).
-func (g *Generator) DrawUniform(n int) (*Set, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("workload: need a positive stream count")
-	}
-	set := &Set{Streams: make([]Stream, n)}
-	for i := 0; i < n; i++ {
-		t := &g.Catalog.Titles[g.RNG.Intn(len(g.Catalog.Titles))]
-		set.Streams[i] = Stream{ID: i, Title: t, BitRate: t.Class.BitRate}
-	}
-	return set, nil
-}
-
-// HitCount returns how many of the set's streams play titles with rank
-// below cachedTitles — the streams a prefix cache of that many titles
-// would absorb.
-func (s *Set) HitCount(cachedTitles int) int {
-	n := 0
-	for _, st := range s.Streams {
-		if st.Title.Rank < cachedTitles {
-			n++
-		}
-	}
-	return n
 }
 
 // VBRTrace synthesizes a variable-bit-rate consumption trace around a mean

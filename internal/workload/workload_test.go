@@ -11,6 +11,17 @@ import (
 	"memstream/internal/units"
 )
 
+// The paper's four media classes.
+var (
+	MP3  = MediaClass{Name: "mp3", BitRate: 10 * units.KBPS, Duration: 4 * time.Minute}
+	DivX = MediaClass{Name: "DivX", BitRate: 100 * units.KBPS, Duration: 100 * time.Minute}
+	DVD  = MediaClass{Name: "DVD", BitRate: 1 * units.MBPS, Duration: 110 * time.Minute}
+	HDTV = MediaClass{Name: "HDTV", BitRate: 10 * units.MBPS, Duration: 60 * time.Minute}
+)
+
+// Classes lists the paper's media classes in bit-rate order.
+func Classes() []MediaClass { return []MediaClass{MP3, DivX, DVD, HDTV} }
+
 func TestMediaClassesMatchPaper(t *testing.T) {
 	want := map[string]units.ByteRate{
 		"mp3":  10 * units.KBPS,
@@ -206,13 +217,10 @@ func TestGeneratorDraw(t *testing.T) {
 	if len(set.Streams) != 500 {
 		t.Fatalf("streams = %d", len(set.Streams))
 	}
-	if set.AvgBitRate() != DivX.BitRate {
-		t.Errorf("avg bit-rate = %v", set.AvgBitRate())
-	}
-	if set.AggregateRate() != units.ByteRate(500*float64(DivX.BitRate)) {
-		t.Errorf("aggregate = %v", set.AggregateRate())
-	}
 	for _, s := range set.Streams {
+		if s.BitRate != DivX.BitRate {
+			t.Fatalf("bit-rate %v, want the class's %v", s.BitRate, DivX.BitRate)
+		}
 		if s.Offset < 0 || s.Offset >= s.Title.Size {
 			t.Fatalf("offset %v outside title of %v", s.Offset, s.Title.Size)
 		}
@@ -224,9 +232,6 @@ func TestGeneratorDrawErrors(t *testing.T) {
 	g := NewGenerator(cat, 1)
 	if _, err := g.Draw(0); err == nil {
 		t.Error("Draw(0) accepted")
-	}
-	if _, err := g.DrawUniform(-1); err == nil {
-		t.Error("DrawUniform(-1) accepted")
 	}
 	if _, err := g.DrawRange(-1, 10); err == nil {
 		t.Error("DrawRange(-1, ...) accepted")
@@ -275,24 +280,6 @@ func TestGeneratorDeterminism(t *testing.T) {
 		if a.Streams[i].Title.ID != b.Streams[i].Title.ID {
 			t.Fatal("same seed produced different draws")
 		}
-	}
-}
-
-func TestHitCount(t *testing.T) {
-	d := XYDistribution{10, 90}
-	cat, _ := NewCatalog(100, MP3, d.Weights(100), 512)
-	g := NewGenerator(cat, 7)
-	set, _ := g.Draw(10000)
-	hits := set.HitCount(10)
-	frac := float64(hits) / 10000
-	if math.Abs(frac-0.9) > 0.02 {
-		t.Errorf("cache-prefix hit fraction = %v, want ≈0.9", frac)
-	}
-	if set.HitCount(0) != 0 {
-		t.Error("HitCount(0) != 0")
-	}
-	if set.HitCount(100) != 10000 {
-		t.Error("HitCount(all) != N")
 	}
 }
 

@@ -1,7 +1,6 @@
 package memstream
 
 import (
-	"fmt"
 	"time"
 
 	"memstream/internal/disk"
@@ -11,36 +10,22 @@ import (
 	"memstream/internal/units"
 )
 
-// Architecture selects the simulated server organization.
-type Architecture uint8
+// Architecture selects the simulated server organization; its String
+// names it ("direct", "mems-buffer", "mems-cache", "mems-hybrid").
+type Architecture = server.Mode
 
 // Architectures.
 const (
 	// DirectServer streams straight from disk to DRAM.
-	DirectServer Architecture = iota
+	DirectServer = server.Direct
 	// BufferedServer stages every disk IO through a MEMS bank.
-	BufferedServer
+	BufferedServer = server.Buffered
 	// CachedServer serves popular titles from a MEMS cache.
-	CachedServer
+	CachedServer = server.Cached
 	// HybridServer splits the bank between caching and buffering (the
 	// paper's §7 future-work configuration).
-	HybridServer
+	HybridServer = server.Hybrid
 )
-
-// String names the architecture.
-func (a Architecture) String() string {
-	switch a {
-	case DirectServer:
-		return "direct"
-	case BufferedServer:
-		return "mems-buffer"
-	case CachedServer:
-		return "mems-cache"
-	case HybridServer:
-		return "mems-hybrid"
-	}
-	return fmt.Sprintf("architecture(%d)", uint8(a))
-}
 
 // SimConfig describes one discrete-event simulation run. Devices are
 // selected by name from the built-in catalogs to keep the simulation
@@ -124,15 +109,21 @@ type SimResult struct {
 
 // Simulate executes one run of the full server simulator.
 func Simulate(cfg SimConfig) (SimResult, error) {
-	mode := server.Direct
-	switch cfg.Architecture {
-	case BufferedServer:
-		mode = server.Buffered
-	case CachedServer:
-		mode = server.Cached
-	case HybridServer:
-		mode = server.Hybrid
+	scfg, err := cfg.serverConfig()
+	if err != nil {
+		return SimResult{}, err
 	}
+	res, err := server.Run(scfg)
+	if err != nil {
+		return SimResult{}, err
+	}
+	return simResult(res), nil
+}
+
+// serverConfig maps the run onto the simulator's Config. The root
+// package fixes the disk (FutureDisk) and leaves FirstStreamID,
+// NoCushion, Trace and Arena at their zero values.
+func (cfg SimConfig) serverConfig() (server.Config, error) {
 	k := cfg.MEMSDevices
 	if k == 0 {
 		k = 2
@@ -143,14 +134,14 @@ func Simulate(cfg SimConfig) (SimResult, error) {
 	}
 	spec, err := tier.Lookup(tierName)
 	if err != nil {
-		return SimResult{}, err
+		return server.Config{}, err
 	}
 	cacheDevs := cfg.CacheDevices
-	if mode == server.Hybrid && cacheDevs == 0 {
+	if cfg.Architecture == HybridServer && cacheDevs == 0 {
 		cacheDevs = k / 2
 	}
-	scfg := server.Config{
-		Mode:           mode,
+	return server.Config{
+		Mode:           cfg.Architecture,
 		Disk:           disk.FutureDisk(),
 		Tier:           spec,
 		K:              k,
@@ -168,13 +159,13 @@ func Simulate(cfg SimConfig) (SimResult, error) {
 		PausedFraction: cfg.PausedFraction,
 		Duration:       cfg.Duration,
 		Seed:           cfg.Seed,
-	}
-	res, err := server.Run(scfg)
-	if err != nil {
-		return SimResult{}, err
-	}
+	}, nil
+}
+
+// simResult reports a simulator Result in the root package's terms.
+func simResult(res server.Result) SimResult {
 	return SimResult{
-		Architecture:        cfg.Architecture,
+		Architecture:        res.Mode,
 		Streams:             res.Streams,
 		SimulatedTime:       res.SimulatedTime,
 		Underflows:          res.Underflows,
@@ -189,7 +180,7 @@ func Simulate(cfg SimConfig) (SimResult, error) {
 		FromDisk:            res.FromDisk,
 		WriterPeakDRAMBytes: float64(res.WriterPeakDRAM),
 		BestEffortBytes:     float64(res.BestEffortBytes),
-	}, nil
+	}
 }
 
 // Experiments lists the IDs of the paper artifacts this library can
