@@ -42,9 +42,9 @@ bench-record:
 
 # profile writes cpu/heap pprof artifacts for the three experiments that
 # dominate suite wall time — hybrid (about 60 % of a ~0.25 s pass: ten
-# 300-stream DES runs, 1.5 M events), then dynamics (~17 %: session
-# generation and replay, no DES) and validate (~10 %) — so perf work
-# starts from a flame graph: go tool pprof -http=: profiles/cpu.pprof
+# 300-stream DES runs, 1.5 M events), then dynamics (~17 %: one streaming
+# admission pass per offered load, no DES) and validate (~10 %) — so perf
+# work starts from a flame graph: go tool pprof -http=: profiles/cpu.pprof
 profile:
 	mkdir -p profiles
 	$(GO) run ./cmd/memsbench -run 'hybrid|dynamics|validate' \

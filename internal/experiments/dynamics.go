@@ -57,23 +57,18 @@ func runDynamics(seed uint64) (Result, error) {
 			BitRate:     bitRate,
 		}
 	}
-	// One session buffer and one replay index, sized for the heaviest load
-	// and reused by every row.
-	sessions := make([]workload.Session, 0, process(loads[len(loads)-1]).SizeHint(horizon))
-	replay := workload.NewReplay(cap(sessions))
+	// One pass per offered load offers the same arrivals to all three
+	// configurations; the pass and its stats are reused by every row.
+	caps := []int{direct, buffered, cached}
+	stats := make([]workload.AdmissionStats, len(caps))
+	var pass workload.AdmissionPass
 	for _, offered := range loads {
-		row := []string{fmt.Sprintf("%.1fx direct cap", offered)}
-		// One trace per offered load: the three configurations are
-		// compared on the same arrivals.
-		var err error
-		sessions, err = process(offered).AppendSessions(sessions[:0], sim.NewRNG(seed), horizon)
-		if err != nil {
+		if err := pass.Run(process(offered), sim.NewRNG(seed), horizon, caps, stats); err != nil {
 			return Result{}, err
 		}
-		replay.Reset(sessions)
-		for _, capN := range []int{direct, buffered, cached} {
-			stats := replay.Admission(func(busy int) bool { return busy < capN })
-			row = append(row, fmt.Sprintf("%.3f (avg %d busy)", stats.BlockProb, int(stats.AvgBusy)))
+		row := []string{fmt.Sprintf("%.1fx direct cap", offered)}
+		for _, s := range stats {
+			row = append(row, fmt.Sprintf("%.3f (avg %d busy)", s.BlockProb, int(s.AvgBusy)))
 		}
 		t.AddRow(row...)
 	}

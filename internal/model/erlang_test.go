@@ -99,16 +99,14 @@ func TestSimulatedBlockingMatchesErlangB(t *testing.T) {
 		MeanHold:    200 * time.Second,
 		BitRate:     units.MBPS,
 	}
-	sessions, err := p.AppendSessions(nil, sim.NewRNG(17), 40*time.Hour)
-	if err != nil {
+	const capN = 100
+	var pass workload.AdmissionPass
+	stats := make([]workload.AdmissionStats, 1)
+	if err := pass.Run(p, sim.NewRNG(17), 40*time.Hour, []int{capN}, stats); err != nil {
 		t.Fatal(err)
 	}
-	const capN = 100
-	r := workload.NewReplay(len(sessions))
-	r.Reset(sessions)
-	stats := r.Admission(func(busy int) bool { return busy < capN })
 	want, _ := ErlangB(p.ArrivalRate*p.MeanHold.Seconds(), capN)
-	if math.Abs(stats.BlockProb-want) > 0.02 {
-		t.Errorf("simulated blocking %.4f, Erlang-B %.4f", stats.BlockProb, want)
+	if math.Abs(stats[0].BlockProb-want) > 0.02 {
+		t.Errorf("simulated blocking %.4f, Erlang-B %.4f", stats[0].BlockProb, want)
 	}
 }

@@ -124,10 +124,20 @@ func TestGenerateErrors(t *testing.T) {
 	}
 }
 
+// admit runs one pass of p over horizon against caps.
+func admit(t testing.TB, p SessionProcess, seed uint64, horizon time.Duration, caps ...int) []AdmissionStats {
+	t.Helper()
+	stats := make([]AdmissionStats, len(caps))
+	var a AdmissionPass
+	if err := a.Run(p, sim.NewRNG(seed), horizon, caps, stats); err != nil {
+		t.Fatal(err)
+	}
+	return stats
+}
+
 func TestReplayAdmissionUnlimited(t *testing.T) {
 	p := SessionProcess{ArrivalRate: 1, MeanHold: time.Minute, BitRate: units.MBPS}
-	sessions, _ := p.AppendSessions(nil, sim.NewRNG(2), time.Hour)
-	stats := ReplayAdmission(sessions, func(int) bool { return true })
+	stats := admit(t, p, 2, time.Hour, math.MaxInt)[0]
 	if stats.Rejected != 0 || stats.Admitted != stats.Offered {
 		t.Errorf("unlimited capacity rejected %d", stats.Rejected)
 	}
@@ -143,9 +153,8 @@ func TestReplayAdmissionUnlimited(t *testing.T) {
 
 func TestReplayAdmissionHardCap(t *testing.T) {
 	p := SessionProcess{ArrivalRate: 2, MeanHold: time.Minute, BitRate: units.MBPS}
-	sessions, _ := p.AppendSessions(nil, sim.NewRNG(3), time.Hour)
 	const cap = 100
-	stats := ReplayAdmission(sessions, func(busy int) bool { return busy < cap })
+	stats := admit(t, p, 3, time.Hour, cap)[0]
 	if stats.PeakBusy > cap {
 		t.Errorf("peak %d exceeded cap %d", stats.PeakBusy, cap)
 	}
@@ -158,10 +167,16 @@ func TestReplayAdmissionHardCap(t *testing.T) {
 	}
 }
 
+// TestReplayAdmissionEmpty: a horizon in which nothing arrives gives
+// zero statistics, BlockProb 0 rather than NaN, as the heap replay of an
+// empty trace does.
 func TestReplayAdmissionEmpty(t *testing.T) {
-	stats := ReplayAdmission(nil, func(int) bool { return true })
-	if stats.Offered != 0 || stats.BlockProb != 0 {
-		t.Errorf("empty stats = %+v", stats)
+	p := SessionProcess{ArrivalRate: 1, MeanHold: time.Minute, BitRate: units.MBPS}
+	want := heapReplayAdmission(nil, func(int) bool { return true })
+	for k, stats := range admit(t, p, 1, time.Nanosecond, 0, 1, math.MaxInt) {
+		if stats != want || stats != (AdmissionStats{}) {
+			t.Errorf("system %d: empty stats = %+v, heap %+v", k, stats, want)
+		}
 	}
 }
 
@@ -199,11 +214,7 @@ func TestReplayAdmissionCapProperty(t *testing.T) {
 	f := func(seed uint16, capRaw uint8) bool {
 		capN := int(capRaw%50) + 1
 		p := SessionProcess{ArrivalRate: 1, MeanHold: 30 * time.Second, BitRate: units.MBPS}
-		sessions, err := p.AppendSessions(nil, sim.NewRNG(uint64(seed)), 30*time.Minute)
-		if err != nil {
-			return false
-		}
-		stats := ReplayAdmission(sessions, func(busy int) bool { return busy < capN })
+		stats := admit(t, p, uint64(seed), 30*time.Minute, capN)[0]
 		return stats.PeakBusy <= capN && stats.Admitted+stats.Rejected == stats.Offered
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {

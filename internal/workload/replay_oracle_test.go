@@ -9,18 +9,59 @@ import (
 	"memstream/internal/units"
 )
 
-// ReplayAdmission drives a session trace through an admission test once;
-// see Replay for the trace's contract and for replaying one trace against
-// several tests. Holds must be non-negative.
-func ReplayAdmission(sessions []Session, capacity func(busy int) bool) AdmissionStats {
-	r := NewReplay(len(sessions))
-	r.Reset(sessions)
-	return r.Admission(capacity)
+// Session is one generated viewing session.
+type Session struct {
+	ID     int
+	Arrive time.Duration
+	Hold   time.Duration
 }
 
-// heapReplayAdmission is the departure-heap replay Replay replaced, kept
-// unchanged as its behavioral reference: every AdmissionStats field of
-// the sweep, AvgBusy's float64 sum included, must be bit-equal to this.
+// AppendSessions draws the sessions arriving within the horizon, IDs
+// numbered from 0, and appends them to dst: the stored trace that
+// AdmissionPass.Run draws in the same order and offers without storing.
+// The oracle and statistics tests build their traces with it.
+func (p SessionProcess) AppendSessions(dst []Session, rng *sim.RNG, horizon time.Duration) ([]Session, error) {
+	if err := p.Validate(); err != nil {
+		return dst, err
+	}
+	if horizon <= 0 {
+		return dst, fmt.Errorf("workload: non-positive horizon %v", horizon)
+	}
+	t := time.Duration(0)
+	for id := 0; ; id++ {
+		gap := units.Seconds(rng.Exp(1 / p.ArrivalRate))
+		if gap == 0 { // the 1 ns floor Run applies
+			gap = 1
+		}
+		if gap < 0 || gap >= horizon-t { // a negative gap overflowed the time base
+			return dst, nil
+		}
+		t += gap
+		dst = append(dst, Session{ID: id, Arrive: t, Hold: units.Seconds(rng.Exp(p.MeanHold.Seconds()))})
+	}
+}
+
+// streamAdmission feeds an arrival-ordered trace to the pass's core, as
+// Run feeds it drawn sessions, with the pass ending just after the last
+// arrival.
+func streamAdmission(a *AdmissionPass, trace []Session, caps []int) []AdmissionStats {
+	end := time.Duration(1)
+	if len(trace) > 0 {
+		end = trace[len(trace)-1].Arrive + 1
+	}
+	a.begin(caps, end)
+	for _, s := range trace {
+		a.offer(s.Arrive, s.Hold)
+	}
+	dst := make([]AdmissionStats, len(caps))
+	a.finish(dst)
+	return dst
+}
+
+// heapReplayAdmission is the departure-heap replay of one stored trace
+// through one admission test, kept as AdmissionPass's behavioral
+// reference: every AdmissionStats field of each system, AvgBusy's float64
+// sum included, must be bit-equal to this.
 func heapReplayAdmission(sessions []Session, capacity func(busy int) bool) AdmissionStats {
 	stats := AdmissionStats{Offered: len(sessions)}
 	if len(sessions) == 0 {
@@ -137,138 +178,186 @@ func randomTrace(rng *sim.RNG, n int) []Session {
 		default:
 			hold = time.Duration(rng.Intn(40)) * step
 		}
-		out[i] = Session{ID: i, Arrive: t, Hold: hold, BitRate: units.MBPS}
+		out[i] = Session{ID: i, Arrive: t, Hold: hold}
 	}
 	return out
 }
 
-// predicates are the admission tests the differential runs: hard caps
-// from "never" to "always", and one that is not monotone in busy.
-func predicates(n int) map[string]func(busy int) bool {
-	capAt := func(c int) func(int) bool { return func(busy int) bool { return busy < c } }
-	return map[string]func(busy int) bool{
-		"cap=0":        capAt(0),
-		"cap=1":        capAt(1),
-		"cap=7":        capAt(7),
-		"cap>=n":       capAt(n + 1),
-		"non-monotone": func(busy int) bool { return busy%3 != 2 || busy > 11 },
+// capSets are the capacity lists the differential runs, from "never" to
+// "always", one to three systems per pass and a full pass of
+// maxCapacities.
+func capSets(n int) [][]int {
+	return [][]int{
+		{0}, {1}, {7}, {n + 1},
+		{1, 7}, {7, 1}, {0, n + 1},
+		{1, 7, n + 1}, {7, 7, 2},
+		{0, 1, 2, 3, 5, 8, 13, n + 1},
 	}
 }
 
-func requireSameStats(t *testing.T, label string, got, want AdmissionStats) {
+// requireHeapStats holds each system of one pass to the heap replay of
+// the same trace at that system's capacity.
+func requireHeapStats(t *testing.T, label string, trace []Session, caps []int, got []AdmissionStats) {
 	t.Helper()
-	if got != want { // struct equality: AvgBusy and BlockProb bit for bit (no NaNs arise)
-		t.Fatalf("%s: sweep %+v, heap %+v", label, got, want)
+	for k, c := range caps {
+		want := heapReplayAdmission(trace, func(busy int) bool { return busy < c })
+		if got[k] != want { // struct equality: AvgBusy and BlockProb bit for bit (no NaNs arise)
+			t.Fatalf("%s: cap %d (system %d of %v): pass %+v, heap %+v", label, c, k, caps, got[k], want)
+		}
 	}
 }
 
-// TestReplayMatchesHeapOracle is the differential gate for the sort-once
-// sweep, from the degenerate traces up to ones whose indices span
-// several radix buckets.
+// TestReplayMatchesHeapOracle is the differential gate for the streaming
+// pass's core on tie-heavy traces: tied arrivals, zero and 1 ns holds,
+// tied departures and holds that never end.
 func TestReplayMatchesHeapOracle(t *testing.T) {
 	rng := sim.NewRNG(20030305)
-	sizes := []int{0, 1, 2, 3, 17, 400, 2048, 6000}
+	var a AdmissionPass
 	for round := 0; round < 6; round++ {
-		for _, n := range sizes {
+		for _, n := range []int{0, 1, 2, 3, 17, 400, 2048, 6000} {
 			trace := randomTrace(rng, n)
-			var r Replay
-			r.Reset(trace)
-			for name, pred := range predicates(n) {
-				label := fmt.Sprintf("round %d n=%d %s", round, n, name)
-				want := heapReplayAdmission(trace, pred)
-				requireSameStats(t, label, r.Admission(pred), want)
-				requireSameStats(t, label+" one-shot", ReplayAdmission(trace, pred), want)
+			for _, caps := range capSets(n) {
+				requireHeapStats(t, fmt.Sprintf("round %d n=%d", round, n), trace, caps, streamAdmission(&a, trace, caps))
 			}
 		}
 	}
 }
 
-// TestReplayMatchesHeapOnGeneratedTrace runs the differential on the
-// traces the dynamics experiment actually replays: Poisson arrivals,
-// exponential holds, enough sessions for three radix passes.
+// TestReplayMatchesHeapOnGeneratedTrace runs the differential on what
+// the dynamics experiment replays: Run's drawn sessions against the heap
+// replay of the trace AppendSessions draws from the same seed.
 func TestReplayMatchesHeapOnGeneratedTrace(t *testing.T) {
 	p := SessionProcess{ArrivalRate: 3, MeanHold: 10 * time.Minute, BitRate: 100 * units.KBPS}
-	trace, err := p.AppendSessions(nil, sim.NewRNG(1), 2*time.Hour)
+	const horizon = 2 * time.Hour
+	trace, err := p.AppendSessions(nil, sim.NewRNG(1), horizon)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewReplay(len(trace))
-	r.Reset(trace)
-	for _, c := range []int{900, 1500, 1800, 5000} {
-		pred := func(busy int) bool { return busy < c }
-		requireSameStats(t, fmt.Sprintf("cap=%d", c), r.Admission(pred), heapReplayAdmission(trace, pred))
+	caps := []int{900, 1500, 1800, 5000}
+	got := make([]AdmissionStats, len(caps))
+	var a AdmissionPass
+	if err := a.Run(p, sim.NewRNG(1), horizon, caps, got); err != nil {
+		t.Fatal(err)
 	}
+	if got[0].Offered != len(trace) {
+		t.Fatalf("pass offered %d sessions, the trace holds %d", got[0].Offered, len(trace))
+	}
+	requireHeapStats(t, "generated", trace, caps, got)
 }
 
-// TestReplayOrderIsStableSortByDeparture checks the index itself.
-func TestReplayOrderIsStableSortByDeparture(t *testing.T) {
-	rng := sim.NewRNG(5)
-	for _, n := range []int{1, 2, 300, 8000} {
-		trace := randomTrace(rng, n)
-		var r Replay
-		r.Reset(trace)
-		seen := make([]bool, n)
-		for k, j := range r.order {
-			if seen[j] {
-				t.Fatalf("n=%d: index %d appears twice", n, j)
-			}
-			seen[j] = true
-			if k == 0 {
-				continue
-			}
-			prev := r.order[k-1]
-			dp, dj := departure(&trace[prev]), departure(&trace[j])
-			if dp > dj || (dp == dj && prev > j) {
-				t.Fatalf("n=%d: order[%d]=%d (departs %v) before order[%d]=%d (departs %v)",
-					n, k-1, prev, dp, k, j, dj)
-			}
-		}
-	}
-}
-
-// TestReplayReuse: one Replay serves several predicates per trace and,
-// after Reset, a shorter and then a longer trace, with no state carried
-// from one call to the next.
+// TestReplayReuse: one pass serves traces of every size and capacity
+// lists of every length in turn, with no state carried from one call to
+// the next.
 func TestReplayReuse(t *testing.T) {
 	rng := sim.NewRNG(11)
-	r := NewReplay(2048)
+	var a AdmissionPass
 	for _, n := range []int{4096, 300, 10000, 0, 40} {
 		trace := randomTrace(rng, n)
-		r.Reset(trace)
 		for pass := 0; pass < 2; pass++ {
-			for name, pred := range predicates(n) {
-				requireSameStats(t, fmt.Sprintf("n=%d pass %d %s", n, pass, name),
-					r.Admission(pred), heapReplayAdmission(trace, pred))
+			for _, caps := range capSets(n) {
+				requireHeapStats(t, fmt.Sprintf("n=%d pass %d", n, pass), trace, caps, streamAdmission(&a, trace, caps))
 			}
 		}
 	}
 }
 
-// TestReplayWarmDoesNotAllocate: a Replay that has seen a trace of this
-// size indexes the next one and replays it three times in place.
+// dynamicsRow is one row of the dynamics table at about sessions
+// sessions: six hours of 10-minute holds offered to three capacities.
+func dynamicsRow(sessions int) (SessionProcess, time.Duration, []int) {
+	const horizon = 6 * time.Hour
+	p := SessionProcess{ArrivalRate: float64(sessions) / horizon.Seconds(), MeanHold: 10 * time.Minute, BitRate: 100 * units.KBPS}
+	return p, horizon, []int{1400, 2100, 2700}
+}
+
+// TestReplayWarmDoesNotAllocate: a pass that has run once runs again, at
+// 1 k and at 100 k sessions against three capacities, in place.
 func TestReplayWarmDoesNotAllocate(t *testing.T) {
-	rng := sim.NewRNG(3)
-	for _, n := range []int{1000, 16000} {
-		a, b := randomTrace(rng, n), randomTrace(rng, n)
-		preds := []func(int) bool{
-			func(busy int) bool { return busy < 5 },
-			func(busy int) bool { return busy < 50 },
-			func(busy int) bool { return true },
+	for _, n := range []int{1000, 100_000} {
+		p, horizon, caps := dynamicsRow(n)
+		stats := make([]AdmissionStats, len(caps))
+		var a AdmissionPass
+		run := func() {
+			if err := a.Run(p, sim.NewRNG(1), horizon, caps, stats); err != nil {
+				t.Fatal(err)
+			}
 		}
-		r := NewReplay(n)
-		r.Reset(a)
-		var sink int
-		allocs := testing.AllocsPerRun(10, func() {
-			a, b = b, a
-			r.Reset(a)
-			for _, pred := range preds {
-				sink += r.Admission(pred).Admitted
+		run()
+		if allocs := testing.AllocsPerRun(3, run); allocs != 0 {
+			t.Errorf("n=%d: a warmed pass allocates %v times", n, allocs)
+		}
+	}
+}
+
+// TestAdmissionPassHostileRate: at a rate far past the 1 ns floor the
+// pass still ends, offers no more than one session per nanosecond, and
+// allocates the same from cold at 1 k sessions as at 100 k: its storage
+// follows the sessions in flight, not the sessions offered.
+func TestAdmissionPassHostileRate(t *testing.T) {
+	hostile := SessionProcess{ArrivalRate: 1e15, MeanHold: 100 * time.Nanosecond, BitRate: units.MBPS}
+	caps := []int{5, 20, 40} // ~100 erlangs offered: every system saturates
+	stats := make([]AdmissionStats, len(caps))
+	allocs := make(map[time.Duration]float64)
+	for _, horizon := range []time.Duration{time.Microsecond, 100 * time.Microsecond} {
+		allocs[horizon] = testing.AllocsPerRun(3, func() {
+			var a AdmissionPass
+			if err := a.Run(hostile, sim.NewRNG(7), horizon, caps, stats); err != nil {
+				t.Fatal(err)
 			}
 		})
-		if allocs != 0 {
-			t.Errorf("n=%d: warmed Reset + three replays allocate %v times", n, allocs)
+		if got := stats[0].Offered; got >= int(horizon) || got < int(horizon)/2 {
+			t.Errorf("horizon %v: %d sessions offered, want just under one per ns", horizon, got)
 		}
-		_ = sink
+		for k, s := range stats {
+			if s.PeakBusy != caps[k] {
+				t.Errorf("horizon %v: system %d peaked at %d, not its cap %d", horizon, k, s.PeakBusy, caps[k])
+			}
+		}
+	}
+	if a, b := allocs[time.Microsecond], allocs[100*time.Microsecond]; a != b {
+		t.Errorf("a cold pass allocates %v times at 1 k sessions, %v at 100 k", a, b)
+	}
+}
+
+// TestAdmissionPassRareRate: a gap too long for the time base ends the
+// pass rather than shrinking to the 1 ns floor. At 10⁻¹³ sessions a
+// second a millisecond expects 10⁻¹⁶ of them, and most draws overflow.
+func TestAdmissionPassRareRate(t *testing.T) {
+	rare := SessionProcess{ArrivalRate: 1e-13, MeanHold: time.Minute, BitRate: units.MBPS}
+	stats := make([]AdmissionStats, 1)
+	var a AdmissionPass
+	if err := a.Run(rare, sim.NewRNG(1), time.Millisecond, []int{5}, stats); err != nil {
+		t.Fatal(err)
+	}
+	if stats[0].Offered != 0 {
+		t.Errorf("%d sessions offered in a millisecond at 1e-13/s", stats[0].Offered)
+	}
+}
+
+func TestAdmissionPassRejects(t *testing.T) {
+	ok := SessionProcess{ArrivalRate: 1, MeanHold: time.Minute, BitRate: units.MBPS}
+	tooMany := make([]int, maxCapacities+1)
+	for _, tc := range []struct {
+		name    string
+		p       SessionProcess
+		horizon time.Duration
+		caps    []int
+		dst     int
+	}{
+		{"invalid process", SessionProcess{}, time.Hour, []int{1}, 1},
+		{"zero horizon", ok, 0, []int{1}, 1},
+		{"horizon past the key", ok, maxHorizon + 1, []int{1}, 1},
+		{"more capacities than mask bits", ok, time.Hour, tooMany, len(tooMany)},
+		{"short stats", ok, time.Hour, []int{1, 2}, 1},
+	} {
+		var a AdmissionPass
+		if err := a.Run(tc.p, sim.NewRNG(1), tc.horizon, tc.caps, make([]AdmissionStats, tc.dst)); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+	var a AdmissionPass
+	full := make([]int, maxCapacities)
+	if err := a.Run(ok, sim.NewRNG(1), time.Hour, full, make([]AdmissionStats, len(full))); err != nil {
+		t.Errorf("%d capacities: %v", len(full), err)
 	}
 }
 
@@ -281,10 +370,7 @@ func TestAppendSessionsReusesBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hint := p.SizeHint(horizon); len(want) > hint {
-		t.Fatalf("%d sessions overran the %d-session hint", len(want), hint)
-	}
-	buf := make([]Session, 0, p.SizeHint(horizon))
+	buf := make([]Session, 0, len(want))
 	got, err := p.AppendSessions(buf, sim.NewRNG(9), horizon)
 	if err != nil {
 		t.Fatal(err)
@@ -302,46 +388,22 @@ func TestAppendSessionsReusesBuffer(t *testing.T) {
 	}
 }
 
-// TestSizeHintIsBounded: a hostile rate cannot make AppendSessions allocate
-// more than the cap up front, and the 1 ns gap floor bounds short
-// horizons tighter still.
-func TestSizeHintIsBounded(t *testing.T) {
-	hostile := SessionProcess{ArrivalRate: 1e15, MeanHold: time.Minute, BitRate: units.MBPS}
-	if got := hostile.SizeHint(24 * time.Hour); got != maxSizeHint {
-		t.Errorf("hostile rate: hint %d, want the cap %d", got, maxSizeHint)
-	}
-	if got := hostile.SizeHint(time.Microsecond); got != 1000 {
-		t.Errorf("1µs horizon: hint %d, want 1000 (one session per ns)", got)
-	}
-	if got := (SessionProcess{}).SizeHint(-time.Second); got < 0 || got > maxSizeHint {
-		t.Errorf("invalid process: hint %d out of [0, cap]", got)
-	}
-}
-
-func BenchmarkReplayAdmission(b *testing.B) {
-	// ~100 k sessions offered to three capacities, the shape of one row
-	// of the dynamics table.
-	p := SessionProcess{ArrivalRate: 100_000.0 / (6 * 3600), MeanHold: 10 * time.Minute, BitRate: 100 * units.KBPS}
-	trace, err := p.AppendSessions(nil, sim.NewRNG(1), 6*time.Hour)
-	if err != nil {
+// BenchmarkAdmissionPass is one row of the dynamics table: ~100 k
+// sessions drawn and offered to three capacities.
+func BenchmarkAdmissionPass(b *testing.B) {
+	p, horizon, caps := dynamicsRow(100_000)
+	stats := make([]AdmissionStats, len(caps))
+	var a AdmissionPass
+	if err := a.Run(p, sim.NewRNG(1), horizon, caps, stats); err != nil { // warm the heap
 		b.Fatal(err)
 	}
-	preds := []func(int) bool{
-		func(busy int) bool { return busy < 1400 },
-		func(busy int) bool { return busy < 2100 },
-		func(busy int) bool { return busy < 2700 },
-	}
-	r := NewReplay(len(trace))
-	var sink int
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.Reset(trace)
-		for _, pred := range preds {
-			sink += r.Admission(pred).Admitted
+		if err := a.Run(p, sim.NewRNG(1), horizon, caps, stats); err != nil {
+			b.Fatal(err)
 		}
 	}
-	_ = sink
 }
 
 // BenchmarkCatalogBuild is the cost of a catalog that is drawn from:
