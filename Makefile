@@ -30,7 +30,9 @@ bench:
 # sampler, catalog build and session replay, the disk's C-LOOK batch
 # and service model, the sled's service model, the bank, PLAY
 # admission and its rate parse — the set CI compares old-vs-new with
-# benchstat.
+# benchstat. The steady-state ones are held to 0 allocs/op by make test:
+# each package lists them in its zeroAllocBenchmarks table, which one
+# test runs through allocgate.Check.
 # BENCH_COUNT>1 gives benchstat samples to work with.
 bench-sim:
 	$(GO) test -run '^$$' -bench . -benchmem -count $(or $(BENCH_COUNT),1) ./internal/sim/ ./internal/metrics/ ./internal/wheel/ ./internal/serve/ ./internal/schedule/ ./internal/server/ ./internal/workload/ ./internal/disk/ ./internal/mems/ ./internal/bank/ ./internal/units/

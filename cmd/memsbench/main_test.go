@@ -172,6 +172,27 @@ func TestRunParallelOutputIdentical(t *testing.T) {
 	}
 }
 
+// TestRunTierFlagMatchesDefault: -tier mems-g3 renders what no -tier
+// renders, on experiments that read the flag (-tier mems-g1 renders
+// something else). TestPinnedResultEquivalence pins every artefact under
+// mems-g3, so the default suite is pinned too.
+func TestRunTierFlagMatchesDefault(t *testing.T) {
+	render := func(extra ...string) string {
+		var out strings.Builder
+		if err := run(append([]string{"-run", "besteffort|ablation-devcache"}, extra...), &out); err != nil {
+			t.Fatal(err)
+		}
+		return out.String()
+	}
+	def := render()
+	if render("-tier", "mems-g3") != def {
+		t.Error("-tier mems-g3 changed the rendered output")
+	}
+	if render("-tier", "mems-g1") == def {
+		t.Error("-tier mems-g1 rendered the default output: these experiments do not read -tier")
+	}
+}
+
 func TestRunPerfDocument(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "perf.json")

@@ -158,16 +158,35 @@ func TestRunScaleDeterministicAcrossShards(t *testing.T) {
 	if doc1.EventsPerSec <= 0 || doc4.EventsPerSec <= 0 {
 		t.Errorf("throughput figures not positive: %+v / %+v", doc1, doc4)
 	}
-	// All summary lines but the trailing shards= execution line match.
-	strip := func(s string) string {
-		lines := strings.Split(strings.TrimSpace(s), "\n")
-		return strings.Join(lines[:len(lines)-1], "\n")
-	}
-	if strip(out1) != strip(out4) {
+	if summary(out1) != summary(out4) {
 		t.Errorf("deterministic summary differs:\n shards=1:\n%s\n shards=4:\n%s", out1, out4)
 	}
 	if !strings.Contains(out4, "events_per_sec=") {
 		t.Errorf("summary missing throughput line:\n%s", out4)
+	}
+}
+
+// summary is -scale's output without its trailing shards= line, the one
+// line that depends on the worker count (worker count, wall clock, rate).
+func summary(out string) string {
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	return strings.Join(lines[:len(lines)-1], "\n")
+}
+
+// `memsim -scale 65536` at its default -scale-per, -scale-rate and -seed
+// prints the same summary on one worker as on eight. Eight workers over
+// its 16 partitions also pin arena reuse: each worker's arena carries
+// over whatever partitions it drew from the shared queue.
+func TestRunScale65536OneVsEightShards(t *testing.T) {
+	var one, eight strings.Builder
+	if err := runScale(65536, 4096, "10KB", 1, 1, "", &one); err != nil {
+		t.Fatal(err)
+	}
+	if err := runScale(65536, 4096, "10KB", 1, 8, "", &eight); err != nil {
+		t.Fatal(err)
+	}
+	if summary(one.String()) != summary(eight.String()) {
+		t.Errorf("summary differs:\n shards=1:\n%s\n shards=8:\n%s", one.String(), eight.String())
 	}
 }
 

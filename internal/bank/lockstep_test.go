@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"memstream/internal/allocgate"
 	"memstream/internal/device"
 	"memstream/internal/sim"
 	"memstream/internal/tier"
@@ -145,6 +146,15 @@ func mustBank(t *testing.T, k int, s tier.Spec) []tier.Device {
 	}
 	return ds
 }
+
+// zeroAllocBenchmarks is the cache stage's reads: the striped bank's
+// lock-step read and the replicated bank's pinned read.
+var zeroAllocBenchmarks = []func(*testing.B){BenchmarkStripedRead, BenchmarkReplicatedRead}
+
+// TestHotPathZeroAllocs holds every benchmark in zeroAllocBenchmarks to
+// 0 allocs/op over a thousand reads, more than three visits of the 300
+// streams.
+func TestHotPathZeroAllocs(t *testing.T) { allocgate.Check(t, 1000, zeroAllocBenchmarks...) }
 
 // BenchmarkStripedRead times one lock-step read on a 4-device mems-g3
 // striped bank, on the cache stage's request shape: streams spread over

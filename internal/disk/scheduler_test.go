@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"memstream/internal/allocgate"
 	"memstream/internal/device"
 	"memstream/internal/sim"
 	"memstream/internal/units"
@@ -418,15 +419,15 @@ func runBatch(s *Scheduler, d *Device, batch []device.Request, now time.Duration
 	return now
 }
 
-func TestCLookBatchZeroAllocs(t *testing.T) {
-	d, _ := New(FutureDisk())
-	batch := cycleBatch(d, 4096)
-	s := NewScheduler(d, CLook)
-	now := runBatch(s, d, batch, 0) // warm: size every scratch array
-	if avg := testing.AllocsPerRun(10, func() { now = runBatch(s, d, batch, now) }); avg != 0 {
-		t.Errorf("warmed C-LOOK batch allocates %.1f times per batch, want 0", avg)
-	}
-}
+// zeroAllocBenchmarks is the disk layer's share of a scheduling cycle: a
+// warmed C-LOOK batch (key build, radix sort, cursor picks, Service) and
+// Service alone on a sorted sweep, whose seek memo fills in place.
+var zeroAllocBenchmarks = []func(*testing.B){BenchmarkCLookBatch, BenchmarkDiskService}
+
+// TestCLookBatchZeroAllocs holds every benchmark in zeroAllocBenchmarks to
+// 0 allocs/op at one iteration: BenchmarkCLookBatch's one iteration runs
+// a whole batch, so a single allocation per batch fails it.
+func TestCLookBatchZeroAllocs(t *testing.T) { allocgate.Check(t, 1, zeroAllocBenchmarks...) }
 
 // BenchmarkCLookBatch times one request's share of a whole batch: key
 // build, sort, pick and the Service call each dispatch makes.

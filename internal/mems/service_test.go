@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"memstream/internal/allocgate"
 	"memstream/internal/device"
 	"memstream/internal/sim"
 	"memstream/internal/units"
@@ -150,6 +151,15 @@ func TestServiceMatchesThreeCylinderArithmetic(t *testing.T) {
 		})
 	}
 }
+
+// zeroAllocBenchmarks is the sled's Service, which every buffered
+// partition's MEMS cycle calls once a stream: its seek and transfer
+// resolve through shared tables, never the heap.
+var zeroAllocBenchmarks = []func(*testing.B){BenchmarkMEMSService}
+
+// TestHotPathZeroAllocs holds every benchmark in zeroAllocBenchmarks to
+// 0 allocs/op over a thousand reads, more than two visits of the ring.
+func TestHotPathZeroAllocs(t *testing.T) { allocgate.Check(t, 1000, zeroAllocBenchmarks...) }
 
 // BenchmarkMEMSService times Service on the buffered pipeline's request
 // shape: a device's streams visited in ring order, one small read each,

@@ -4,12 +4,25 @@ import (
 	"sync"
 	"testing"
 
+	"memstream/internal/allocgate"
 	"memstream/internal/sim"
 )
 
-// The collector's observe path is the per-chunk/per-quantum streaming hot
-// path: CI gates these benchmarks at 0 allocs/op, and the parallel
-// variants document the contention behaviour that motivated sharding.
+// zeroAllocBenchmarks is the collector's per-chunk/per-quantum streaming
+// hot path: histogram Observe on the cold path and through a pinned
+// handle, and sharded counter Add, alone and under RunParallel
+// contention. The parallel variants also document the contention
+// behaviour that motivated sharding.
+var zeroAllocBenchmarks = []func(*testing.B){
+	BenchmarkHistogramObserve, BenchmarkHistogramObserveParallel,
+	BenchmarkHistogramHandleObserve, BenchmarkHistogramHandleObserveParallel,
+	BenchmarkCounterHandleAdd, BenchmarkCounterHandleAddParallel,
+}
+
+// TestHotPathZeroAllocs holds every benchmark in zeroAllocBenchmarks to
+// 0 allocs/op. A thousand iterations amortise RunParallel's goroutine
+// start, a few allocations per goroutine.
+func TestHotPathZeroAllocs(t *testing.T) { allocgate.Check(t, 1000, zeroAllocBenchmarks...) }
 
 func BenchmarkHistogramObserve(b *testing.B) {
 	var h Histogram

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"memstream/internal/allocgate"
 	"memstream/internal/model"
 	"memstream/internal/units"
 )
@@ -285,24 +286,32 @@ func standingAdmission(tb testing.TB, n int) *MixedAdmission {
 	return a
 }
 
-// ROADMAP item 4c: admitting and releasing a stream allocates nothing,
-// whether its rate has a class already or opens one.
-func TestMixedAdmitZeroAllocs(t *testing.T) {
+// zeroAllocBenchmarks is PLAY admission: TryAdmit and Release on the
+// class table, under the live server's one mutex.
+var zeroAllocBenchmarks = []func(*testing.B){BenchmarkMixedAdmit}
+
+// TestMixedAdmitZeroAllocs holds every benchmark in zeroAllocBenchmarks
+// to 0 allocs/op.
+func TestMixedAdmitZeroAllocs(t *testing.T) { allocgate.Check(t, 200, zeroAllocBenchmarks...) }
+
+// TestNewRateClassDoesNotAllocate: once the class table has room, a
+// stream whose rate opens a class of its own (and whose release drops
+// it) allocates nothing either (ROADMAP item 4c).
+func TestNewRateClassDoesNotAllocate(t *testing.T) {
 	a := standingAdmission(t, 4000)
-	for _, rate := range []units.ByteRate{100 * units.KBPS, 55 * units.KBPS} {
-		a.TryAdmit(rate) // grow the table once, outside the measurement
-		a.Release(rate)
-		allocs := testing.AllocsPerRun(200, func() {
-			if ok, err := a.TryAdmit(rate); err != nil || !ok {
-				t.Fatalf("TryAdmit(%v) = %v, %v", rate, ok, err)
-			}
-			if !a.Release(rate) {
-				t.Fatalf("Release(%v) = false", rate)
-			}
-		})
-		if allocs != 0 {
-			t.Errorf("admit + release at %v: %v allocs, want 0", rate, allocs)
+	const rate = 55 * units.KBPS
+	a.TryAdmit(rate) // grow the table once, outside the measurement
+	a.Release(rate)
+	allocs := testing.AllocsPerRun(200, func() {
+		if ok, err := a.TryAdmit(rate); err != nil || !ok {
+			t.Fatalf("TryAdmit(%v) = %v, %v", rate, ok, err)
 		}
+		if !a.Release(rate) {
+			t.Fatalf("Release(%v) = false", rate)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("admit + release at %v: %v allocs, want 0", rate, allocs)
 	}
 	if got := a.Admitted(); got != 4000 {
 		t.Errorf("Admitted = %d, want 4000", got)

@@ -61,42 +61,6 @@ func (tc *TimeCycle) Validate() error {
 	return nil
 }
 
-// Admission is an admission controller: it tracks the committed stream
-// population and admits a new stream only if the model still finds a
-// feasible schedule within the DRAM budget.
-type Admission struct {
-	Disk    model.DeviceSpec
-	BitRate units.ByteRate
-	DRAMCap units.Bytes // 0 = unlimited
-
-	admitted int
-}
-
-// Admitted returns the committed stream count.
-func (a *Admission) Admitted() int { return a.admitted }
-
-// TryAdmit attempts to admit one more stream; it reports whether the new
-// population remains feasible, and commits it if so.
-func (a *Admission) TryAdmit() (bool, error) {
-	n := a.admitted + 1
-	plan, err := model.DiskDirect(model.StreamLoad{N: n, BitRate: a.BitRate}, a.Disk)
-	if err != nil {
-		return false, nil // infeasible, not an error of the controller
-	}
-	if a.DRAMCap > 0 && plan.TotalDRAM > a.DRAMCap {
-		return false, nil
-	}
-	a.admitted = n
-	return true, nil
-}
-
-// Release removes one stream from the committed population.
-func (a *Admission) Release() {
-	if a.admitted > 0 {
-		a.admitted--
-	}
-}
-
 // Deadline is a pending request with a completion deadline, for EDF.
 type Deadline struct {
 	Stream   int

@@ -96,11 +96,14 @@ func TestBytesPerCycle(t *testing.T) {
 	}
 }
 
+// The admission tests run MixedAdmission at a single rate: Theorem 1
+// admission for one class of streams.
+
 func TestAdmissionUpToCapacity(t *testing.T) {
-	a := &Admission{Disk: diskSpec(), BitRate: 10 * units.MBPS}
+	a := &MixedAdmission{Disk: diskSpec()}
 	admitted := 0
 	for {
-		ok, err := a.TryAdmit()
+		ok, err := a.TryAdmit(10 * units.MBPS)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,10 +125,10 @@ func TestAdmissionUpToCapacity(t *testing.T) {
 
 func TestAdmissionDRAMBound(t *testing.T) {
 	// A tiny DRAM budget binds before disk bandwidth does.
-	a := &Admission{Disk: diskSpec(), BitRate: 10 * units.MBPS, DRAMCap: 10 * units.MB}
+	a := &MixedAdmission{Disk: diskSpec(), DRAMCap: 10 * units.MB}
 	n := 0
 	for {
-		ok, _ := a.TryAdmit()
+		ok, _ := a.TryAdmit(10 * units.MBPS)
 		if !ok {
 			break
 		}
@@ -141,23 +144,23 @@ func TestAdmissionDRAMBound(t *testing.T) {
 }
 
 func TestAdmissionRelease(t *testing.T) {
-	a := &Admission{Disk: diskSpec(), BitRate: 10 * units.MBPS}
+	const rate = 10 * units.MBPS
+	a := &MixedAdmission{Disk: diskSpec()}
 	for i := 0; i < 29; i++ {
-		if ok, _ := a.TryAdmit(); !ok {
+		if ok, _ := a.TryAdmit(rate); !ok {
 			t.Fatalf("admission %d failed", i)
 		}
 	}
-	if ok, _ := a.TryAdmit(); ok {
+	if ok, _ := a.TryAdmit(rate); ok {
 		t.Fatal("30th stream admitted")
 	}
-	a.Release()
-	if ok, _ := a.TryAdmit(); !ok {
+	a.Release(rate)
+	if ok, _ := a.TryAdmit(rate); !ok {
 		t.Fatal("re-admission after release failed")
 	}
 	// Release never goes negative.
-	empty := &Admission{Disk: diskSpec(), BitRate: units.MBPS}
-	empty.Release()
-	if empty.Admitted() != 0 {
+	empty := &MixedAdmission{Disk: diskSpec()}
+	if empty.Release(units.MBPS) || empty.Admitted() != 0 {
 		t.Error("Release underflowed")
 	}
 }

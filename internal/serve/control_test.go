@@ -255,8 +255,9 @@ func TestControlDrainTrigger(t *testing.T) {
 
 // The satellite race test: N goroutines hammer the collector (lag
 // histogram + sharded bytes counter) while GET /metrics snapshots
-// concurrently. Run under -race in CI; the decoded documents must be
-// valid JSON with internally consistent histograms every time.
+// concurrently. make race runs it under the race detector; the decoded
+// documents must be valid JSON with internally consistent histograms
+// every time.
 func TestControlMetricsUnderConcurrentLoad(t *testing.T) {
 	s := newTestServer(t, testConfig(1*units.GB))
 	ts := httptest.NewServer(s.ControlHandler())

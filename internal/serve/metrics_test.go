@@ -114,7 +114,7 @@ func TestMetricsLineNotTorn(t *testing.T) {
 // count never decrease (every bucket only grows, and the shard prefix a
 // read folds only lengthens), and once the writers are done the merged
 // counts must be exact, bucket by bucket. More writers than shards, so
-// some shards take two. Run under -race in CI.
+// some shards take two. make race runs it under the race detector.
 func TestLagHandlesHammer(t *testing.T) {
 	const writers, perWriter, readers = 24, 5000, 2
 	m := newMetrics()

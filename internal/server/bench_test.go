@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"memstream/internal/allocgate"
 	"memstream/internal/disk"
 	"memstream/internal/model"
 	"memstream/internal/tier"
@@ -61,21 +62,20 @@ func benchmarkCycleWalk(b *testing.B, n int, br units.ByteRate) {
 func BenchmarkCycleWalk1k(b *testing.B)  { benchmarkCycleWalk(b, 1_000, 100*units.KBPS) }
 func BenchmarkCycleWalk64k(b *testing.B) { benchmarkCycleWalk(b, 65_536, 3*units.KBPS) }
 
-// The hard hot-path budget: once warm, a scheduling cycle allocates
-// nothing — the SoA walk, pooled schedulers, chain rings and engine
-// slots all reuse their storage. This is a test (not just a benchmark)
-// so `go test` itself gates the invariant in CI.
-func TestCycleWalkZeroAllocs(t *testing.T) {
-	d := newCycleWalk(t, 1_000, 100*units.KBPS)
-	c := int64(16)
-	if n := testing.AllocsPerRun(50, func() {
-		d.disk.stage(c)
-		d.r.eng.Run()
-		c++
-	}); n != 0 {
-		t.Errorf("steady-state cycle walk allocates %v per cycle, want 0", n)
-	}
+// zeroAllocBenchmarks is the rig's hot-path budget: once warm, a
+// scheduling cycle allocates nothing — the SoA walk, pooled schedulers,
+// chain rings and engine slots all reuse their storage — in the direct
+// architecture at both populations, in the buffered pipeline's MEMS
+// cycle across a disk cycle boundary, and on both sides of the cached
+// architecture's split.
+var zeroAllocBenchmarks = []func(*testing.B){
+	BenchmarkCycleWalk1k, BenchmarkCycleWalk64k, BenchmarkBufferedCycleWalk, BenchmarkCachedCycleWalk,
 }
+
+// TestCycleWalkZeroAllocs holds every benchmark in zeroAllocBenchmarks to
+// 0 allocs/op. Seventy iterations span a whole disk cycle of the buffered
+// walk: 69 MEMS cycles.
+func TestCycleWalkZeroAllocs(t *testing.T) { allocgate.Check(t, 70, zeroAllocBenchmarks...) }
 
 // stageWalk drives an assembled run one cycle of its finest stage at a
 // time: each step queues that cycle, and every cycle of a coarser stage
@@ -162,29 +162,19 @@ func newBufferedWalk(tb testing.TB) *stageWalk {
 
 // BenchmarkBufferedCycleWalk measures one steady-state MEMS cycle of the
 // buffered pipeline: four counted chain items, 1500 sled services with
-// their drain and fill, the event kernel under them, and every ~60th op
+// their drain and fill, the event kernel under them, and every 69th op
 // a disk cycle's C-LOOK batch.
 func BenchmarkBufferedCycleWalk(b *testing.B) {
 	w := newBufferedWalk(b)
+	perDisk := int(w.m.stages[0].period / w.m.stages[1].period)
+	before := w.m.r.dsk.Served()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w.step()
 	}
-}
-
-// The buffered pipeline's hot-path budget, as TestCycleWalkZeroAllocs is
-// the direct one's: a warm MEMS cycle allocates nothing, across a disk
-// cycle boundary too.
-func TestBufferedCycleWalkZeroAllocs(t *testing.T) {
-	w := newBufferedWalk(t)
-	perDisk := int(w.m.stages[0].period/w.m.stages[1].period) + 1
-	before := w.m.r.dsk.Served()
-	if n := testing.AllocsPerRun(perDisk, w.step); n != 0 {
-		t.Errorf("steady-state buffered cycle allocates %v per MEMS cycle, want 0", n)
-	}
-	if w.m.r.dsk.Served() == before || w.m.r.ar.ps.highWater == 0 {
-		t.Error("the measured cycles moved no data")
+	if b.N > perDisk && w.m.r.dsk.Served() == before {
+		b.Fatalf("%d MEMS cycles, a disk cycle's worth, served no disk IO", b.N)
 	}
 }
 
@@ -222,7 +212,7 @@ func TestEDFAllocsDoNotGrowWithHorizon(t *testing.T) {
 // over a 2-device mems-g3 bank, the paper suite's cache operating point —
 // and warms it until the margins reservoir (8192 samples) is full.
 func newCachedWalk(tb testing.TB) *stageWalk {
-	return newWarmWalk(tb, Config{
+	w := newWarmWalk(tb, Config{
 		Mode:        Cached,
 		Disk:        disk.FutureDisk(),
 		Tier:        tier.MustLookup("mems-g3"),
@@ -234,6 +224,10 @@ func newCachedWalk(tb testing.TB) *stageWalk {
 		X:           10, Y: 90,
 		Seed: 1,
 	}, func(w *stageWalk) bool { return w.m.r.margins.N() < 2*8192 })
+	if m := w.m; len(m.stages) != 2 || m.cache == nil || m.disk == nil {
+		tb.Fatalf("walk covers %d stages; want the disk and cache sides", len(m.stages))
+	}
+	return w
 }
 
 // BenchmarkCachedCycleWalk measures one steady-state cycle of the cached
@@ -241,27 +235,15 @@ func newCachedWalk(tb testing.TB) *stageWalk {
 // drain and fill, and the disk side's C-LOOK batch when one falls due.
 func BenchmarkCachedCycleWalk(b *testing.B) {
 	w := newCachedWalk(b)
+	m := w.m
+	ratio := int(max(m.stages[0].period, m.stages[1].period) / w.fine.s.period)
+	before, fills := m.r.dsk.Served(), m.r.cacheFills
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w.step()
 	}
-}
-
-// The shared cache stage's hot-path budget: a warm cached cycle allocates
-// nothing, on both sides of the split.
-func TestCachedCycleWalkZeroAllocs(t *testing.T) {
-	w := newCachedWalk(t)
-	m := w.m
-	if len(m.stages) != 2 || m.cache == nil || m.disk == nil {
-		t.Fatalf("walk covers %d stages; want the disk and cache sides", len(m.stages))
-	}
-	ratio := max(m.stages[0].period, m.stages[1].period) / w.fine.s.period
-	before, fills := m.r.dsk.Served(), m.r.cacheFills
-	if n := testing.AllocsPerRun(int(ratio)+1, w.step); n != 0 {
-		t.Errorf("steady-state cached cycle allocates %v per cycle, want 0", n)
-	}
-	if m.r.dsk.Served() == before || m.r.cacheFills == fills {
-		t.Error("the measured cycles left a side idle")
+	if b.N > ratio && (m.r.dsk.Served() == before || m.r.cacheFills == fills) {
+		b.Fatalf("%d cycles, the slower side's period, left a side idle", b.N)
 	}
 }

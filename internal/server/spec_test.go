@@ -10,7 +10,7 @@ import (
 
 // The tests in this file state what the pinned fingerprints only record:
 // the drain boundary, the DRAM pool's total after an underflow, and the
-// paused share of interactive playback.
+// paused share and play-phase length of interactive playback.
 
 // drainRig is a three-stream Direct rig whose players start at 0 and
 // play CBR, so a drain to t needs exactly units.BytesIn(rate, t).
@@ -107,6 +107,20 @@ func TestUnderflowKeepsPoolTotal(t *testing.T) {
 	}
 }
 
+// interactiveRun assembles a five-minute Direct run of 100 streams at
+// 1 MB/s whose playback pauses for fraction f of the time.
+func interactiveRun(t *testing.T, f float64) *cycleRun {
+	t.Helper()
+	cfg := baseConfig(Direct, 100, units.MBPS)
+	cfg.PausedFraction = f
+	cfg.Duration = 5 * time.Minute
+	m, err := newCycleRun(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 // TestPausedFractionSetsPausedShare: with Config.PausedFraction f, a
 // Direct run's streams consume, summed over the run, within 0.02 of
 // (1 − f) × rate × playback time. Five minutes hold about 80 play/pause
@@ -116,13 +130,7 @@ func TestUnderflowKeepsPoolTotal(t *testing.T) {
 func TestPausedFractionSetsPausedShare(t *testing.T) {
 	const tolerance = 0.02
 	for _, f := range []float64{0.2, 0.5} {
-		cfg := baseConfig(Direct, 100, units.MBPS)
-		cfg.PausedFraction = f
-		cfg.Duration = 5 * time.Minute
-		m, err := newCycleRun(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		m := interactiveRun(t, f)
 		ps := &m.r.ar.ps
 		var consumed, always float64
 		for i := 0; i < m.r.n; i++ {
@@ -132,6 +140,41 @@ func TestPausedFractionSetsPausedShare(t *testing.T) {
 		}
 		if share := consumed / always; math.Abs(share-(1-f)) > tolerance {
 			t.Errorf("PausedFraction %.1f: streams played %.4f of the run, want %.2f ± %.2f", f, share, 1-f, tolerance)
+		}
+	}
+}
+
+// TestPlayPhasesAverageFiveDiskCycles: an interactive stream's play
+// phases last five disk cycles on average, whatever the paused fraction.
+// The mean over every play phase the pause tables hold (about 6,600 at
+// f = 0.2 and 4,200 at f = 0.5, exponentially distributed) lies within
+// 0.25 cycles of 5; across seeds 1–8 it stays within 0.11 at both
+// fractions.
+func TestPlayPhasesAverageFiveDiskCycles(t *testing.T) {
+	const tolerance = 0.25
+	for _, f := range []float64{0.2, 0.5} {
+		m := interactiveRun(t, f)
+		tab := &m.r.ar.tab
+		var sum float64
+		var n int
+		for _, pt := range tab.pauses {
+			// Bounds alternate play-end, pause-end, ... from 0.
+			b := tab.bounds[pt.off : pt.off+pt.n]
+			for k := 0; k < len(b); k += 2 {
+				start := 0.0
+				if k > 0 {
+					start = b[k-1]
+				}
+				sum += b[k] - start
+				n++
+			}
+		}
+		if len(tab.pauses) != m.r.n || n == 0 {
+			t.Fatalf("PausedFraction %.1f: %d pause tables with %d play phases for %d streams", f, len(tab.pauses), n, m.r.n)
+		}
+		cycles := sum / float64(n) / m.stages[0].period.Seconds()
+		if math.Abs(cycles-5) > tolerance {
+			t.Errorf("PausedFraction %.1f: play phases last %.3f disk cycles on average, want 5 ± %.2f", f, cycles, tolerance)
 		}
 	}
 }

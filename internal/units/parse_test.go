@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"memstream/internal/allocgate"
 )
 
 // strconvSplitNumberUnit is splitNumberUnit before the decimal fast
@@ -118,6 +120,13 @@ func TestPlainDecimalDeclines(t *testing.T) {
 		t.Errorf("parsePlainDecimal with 20 leading zeros = %v, %v; want 1.5, true", v, ok)
 	}
 }
+
+// zeroAllocBenchmarks is the PLAY request's rate parse.
+var zeroAllocBenchmarks = []func(*testing.B){BenchmarkParseRate}
+
+// TestHotPathZeroAllocs holds every benchmark in zeroAllocBenchmarks to
+// 0 allocs/op.
+func TestHotPathZeroAllocs(t *testing.T) { allocgate.Check(t, 1000, zeroAllocBenchmarks...) }
 
 // benchRate keeps the compiler from discarding the parse.
 var benchRate ByteRate

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"memstream/internal/allocgate"
 )
 
 // fireAll advances to `to` one call and returns the Data values fired.
@@ -339,6 +341,16 @@ func TestRandomProgramsMatchMapReference(t *testing.T) {
 	}
 }
 
+// zeroAllocBenchmarks is the wheel's arm/advance cycle, which every
+// stream-wake of the live plane goes through.
+var zeroAllocBenchmarks = []func(*testing.B){BenchmarkArmAdvance}
+
+// TestHotPathZeroAllocs holds every benchmark in zeroAllocBenchmarks to
+// 0 allocs/op over a thousand ticks, past every one of the 64 delays.
+func TestHotPathZeroAllocs(t *testing.T) { allocgate.Check(t, 1000, zeroAllocBenchmarks...) }
+
+// BenchmarkArmAdvance is one tick: advance to it, then re-arm each due
+// timer at its own delay of 1 to 64 ticks.
 func BenchmarkArmAdvance(b *testing.B) {
 	w := New()
 	timers := make([]*Timer, 1024)

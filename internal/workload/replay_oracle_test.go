@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"memstream/internal/allocgate"
 	"memstream/internal/sim"
 	"memstream/internal/units"
 )
@@ -269,24 +270,14 @@ func dynamicsRow(sessions int) (SessionProcess, time.Duration, []int) {
 	return p, horizon, []int{1400, 2100, 2700}
 }
 
-// TestReplayWarmDoesNotAllocate: a pass that has run once runs again, at
-// 1 k and at 100 k sessions against three capacities, in place.
-func TestReplayWarmDoesNotAllocate(t *testing.T) {
-	for _, n := range []int{1000, 100_000} {
-		p, horizon, caps := dynamicsRow(n)
-		stats := make([]AdmissionStats, len(caps))
-		var a AdmissionPass
-		run := func() {
-			if err := a.Run(p, sim.NewRNG(1), horizon, caps, stats); err != nil {
-				t.Fatal(err)
-			}
-		}
-		run()
-		if allocs := testing.AllocsPerRun(3, run); allocs != 0 {
-			t.Errorf("n=%d: a warmed pass allocates %v times", n, allocs)
-		}
-	}
-}
+// zeroAllocBenchmarks is the dynamics experiment's session replay: a
+// pass that has run once runs again in place, drawing ~100 k sessions
+// and offering each to three capacities.
+var zeroAllocBenchmarks = []func(*testing.B){BenchmarkAdmissionPass}
+
+// TestReplayWarmDoesNotAllocate holds every benchmark in
+// zeroAllocBenchmarks to 0 allocs/op.
+func TestReplayWarmDoesNotAllocate(t *testing.T) { allocgate.Check(t, 3, zeroAllocBenchmarks...) }
 
 // TestAdmissionPassHostileRate: at a rate far past the 1 ns floor the
 // pass still ends, offers no more than one session per nanosecond, and
