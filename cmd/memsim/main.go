@@ -44,7 +44,7 @@ type serviceable interface {
 }
 
 func main() {
-	devName := flag.String("device", "g3", "device: a middle-tier set name ("+strings.Join(tier.Names(), ", ")+"; g1..g3 alias mems-g*), or futuredisk, atlas10k3, array2, array4")
+	devName := flag.String("device", "g3", "device: a middle-tier set name ("+strings.Join(tier.Names(), ", ")+"; g1..g3 alias mems-g*), or futuredisk, atlas10k3")
 	n := flag.Int("n", 10000, "number of random IOs to generate")
 	ioSize := flag.String("io", "64KB", "IO size for generated traces")
 	seed := flag.Uint64("seed", 1, "RNG seed for generated traces")
@@ -127,12 +127,6 @@ func openDevice(name string) (serviceable, bool, error) {
 	case "atlas10k3":
 		d, err := disk.New(disk.Atlas10K3())
 		return d, true, err
-	case "array2":
-		a, err := disk.NewArray(2, disk.FutureDisk(), units.Bytes(1e6))
-		return a, true, err
-	case "array4":
-		a, err := disk.NewArray(4, disk.FutureDisk(), units.Bytes(1e6))
-		return a, true, err
 	}
 	// Everything else is a middle-tier registry name ("mems-g3",
 	// "nvm-optane", ...; "g1".."g3" alias the MEMS generations).
@@ -186,19 +180,6 @@ func runTrace(dev serviceable, isDisk bool, policy string, events []trace.Event)
 			s.Enqueue(e.Request())
 		}
 		return s.DrainAll(0)
-	case *disk.Array:
-		// Arrays serve in arrival order; member parallelism happens inside.
-		var out []device.Completion
-		var now time.Duration
-		for _, e := range events {
-			c, err := d.Service(now, e.Request())
-			if err != nil {
-				return out, err
-			}
-			out = append(out, c)
-			now = c.Finish
-		}
-		return out, nil
 	}
 	return nil, fmt.Errorf("unsupported device type %T", dev)
 }
@@ -229,18 +210,13 @@ func report(dev serviceable, events []trace.Event, cs []device.Completion) {
 
 // serviceTotals reads a freshly built device's cumulative positioning
 // (seek, settle and, on a disk, rotational wait) and transfer time from
-// its own counters; an array sums its members'.
+// its own counters.
 func serviceTotals(dev serviceable) (pos, xfer time.Duration) {
 	switch d := dev.(type) {
 	case tier.Device:
 		return d.TotalSeekTime(), d.TotalTransferTime()
 	case *disk.Device:
 		return d.TotalSeekTime() + d.TotalRotTime(), d.TotalTransferTime()
-	case *disk.Array:
-		for i := 0; i < d.Members(); i++ {
-			p, x := serviceTotals(d.Member(i))
-			pos, xfer = pos+p, xfer+x
-		}
 	}
 	return pos, xfer
 }

@@ -99,26 +99,6 @@ func TestTraceRoundTripThroughSim(t *testing.T) {
 	}
 }
 
-func TestOpenArrayDevices(t *testing.T) {
-	for _, name := range []string{"array2", "array4"} {
-		dev, isDisk, err := openDevice(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !isDisk || dev == nil {
-			t.Fatalf("%s: isDisk=%v dev=%v", name, isDisk, dev)
-		}
-		events := generate(dev.Geometry(), 50, 1024*1024, 7)
-		cs, err := runTrace(dev, true, "fcfs", events)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(cs) != 50 {
-			t.Fatalf("%s served %d of 50", name, len(cs))
-		}
-	}
-}
-
 // scaleOutput runs the scaling scenario and returns (summary text, JSON doc).
 func scaleOutput(t *testing.T, shards int) (string, scaleDoc) {
 	t.Helper()
