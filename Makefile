@@ -91,7 +91,6 @@ fuzz:
 	$(GO) test -fuzz FuzzParseRate -fuzztime 30s ./internal/units/
 	$(GO) test -fuzz FuzzRequestLine -fuzztime 30s -fuzzminimizetime 2s ./internal/serve/
 	$(GO) test -fuzz FuzzControlHandler -fuzztime 30s -fuzzminimizetime 2s ./internal/serve/
-	$(GO) test -fuzz FuzzReadText -fuzztime 30s ./internal/trace/
 
 # cover runs the suite with coverage profiles and enforces the
 # internal/server statement-coverage floor (scripts/cover.sh).

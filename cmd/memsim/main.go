@@ -1,17 +1,9 @@
-// Command memsim exercises the device simulators directly: it generates or
-// replays an IO trace against the disk and MEMS models and reports
-// per-device service behaviour — a small standalone counterpart to the
-// DiskSim-style tooling the CMU MEMS papers used. With -sim it runs one
-// traced server simulation, and with -scale the sharded scaling scenario.
-// The paper's experiment suite runs through memsbench.
+// Command memsim runs single simulations outside the experiment suite:
+// with -sim one traced server simulation, and with -scale the sharded
+// scaling scenario. The paper's experiment suite runs through memsbench.
 //
 // Usage:
 //
-//	memsim -device g3 -n 10000 -io 64KB            # random IOs on G3 MEMS
-//	memsim -device nvm-optane -n 10000 -io 64KB    # any tier registry set
-//	memsim -device futuredisk -policy c-look ...    # scheduled batch
-//	memsim -record trace.txt ...                    # save the trace
-//	memsim -replay trace.txt -device g3             # replay a saved trace
 //	memsim -sim buffered -trace buffered.json       # one traced simulation
 //	memsim -scale 1000000 -shards 8 -json s.json    # sharded scaling scenario
 package main
@@ -25,33 +17,17 @@ import (
 	"strings"
 	"time"
 
-	"memstream/internal/device"
 	"memstream/internal/disk"
 	"memstream/internal/model"
 	"memstream/internal/server"
 	"memstream/internal/shard"
-	"memstream/internal/sim"
 	"memstream/internal/tier"
-	"memstream/internal/trace"
 	"memstream/internal/units"
 )
 
-// serviceable abstracts the two device simulators for the replay loop.
-type serviceable interface {
-	Service(now time.Duration, r device.Request) (device.Completion, error)
-	Geometry() device.Geometry
-	Model() device.Model
-}
-
 func main() {
-	devName := flag.String("device", "g3", "device: a middle-tier set name ("+strings.Join(tier.Names(), ", ")+"; g1..g3 alias mems-g*), or futuredisk, atlas10k3")
-	n := flag.Int("n", 10000, "number of random IOs to generate")
-	ioSize := flag.String("io", "64KB", "IO size for generated traces")
-	seed := flag.Uint64("seed", 1, "RNG seed for generated traces")
-	policy := flag.String("policy", "fcfs", "scheduling for generated batches: fcfs, sptf/sstf, elevator/c-look")
+	seed := flag.Uint64("seed", 1, "root RNG seed for -sim and -scale")
 	tierName := flag.String("tier", tier.Default, "middle-tier parameter set for -sim: "+strings.Join(tier.Names(), ", "))
-	record := flag.String("record", "", "write the generated trace to this file")
-	replay := flag.String("replay", "", "replay a trace file instead of generating")
 	jsonPath := flag.String("json", "", "with -scale: write the JSON document to this file")
 	shards := flag.Int("shards", 1, "with -scale: worker count, 0 = GOMAXPROCS (merged results are byte-identical at any value)")
 	scale := flag.Int("scale", 0, "run the sharded scaling scenario with this many total streams")
@@ -63,162 +39,18 @@ func main() {
 	tracePath := flag.String("trace", "", "with -sim: write the trace JSON document to this file (default stdout)")
 	flag.Parse()
 
-	if *scale > 0 {
+	switch {
+	case *scale > 0:
 		if err := runScale(*scale, *scalePer, *scaleRate, *seed, *shards, *jsonPath, os.Stdout); err != nil {
 			fatal(err)
 		}
-		return
-	}
-	if *simMode != "" {
+	case *simMode != "":
 		if err := runSim(*simMode, *tierName, *simStreams, *simRate, *seed, *tracePath); err != nil {
 			fatal(err)
 		}
-		return
+	default:
+		fatal(fmt.Errorf("nothing to run: give -sim MODE or -scale N"))
 	}
-
-	dev, isDisk, err := openDevice(*devName)
-	if err != nil {
-		fatal(err)
-	}
-
-	var events []trace.Event
-	if *replay != "" {
-		f, err := os.Open(*replay)
-		if err != nil {
-			fatal(err)
-		}
-		events, err = trace.ReadText(f)
-		f.Close()
-		if err != nil {
-			fatal(err)
-		}
-	} else {
-		size, err := units.ParseBytes(*ioSize)
-		if err != nil {
-			fatal(err)
-		}
-		events = generate(dev.Geometry(), *n, size, *seed)
-		if *record != "" {
-			f, err := os.Create(*record)
-			if err != nil {
-				fatal(err)
-			}
-			if err := trace.WriteText(f, events); err != nil {
-				fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-		}
-	}
-
-	completions, err := runTrace(dev, isDisk, *policy, events)
-	if err != nil {
-		fatal(err)
-	}
-	report(dev, events, completions)
-}
-
-func openDevice(name string) (serviceable, bool, error) {
-	switch name {
-	case "futuredisk":
-		d, err := disk.New(disk.FutureDisk())
-		return d, true, err
-	case "atlas10k3":
-		d, err := disk.New(disk.Atlas10K3())
-		return d, true, err
-	}
-	// Everything else is a middle-tier registry name ("mems-g3",
-	// "nvm-optane", ...; "g1".."g3" alias the MEMS generations).
-	spec, err := tier.Lookup(name)
-	if err != nil {
-		return nil, false, err
-	}
-	d, err := tier.New(spec)
-	return d, false, err
-}
-
-func generate(g device.Geometry, n int, io units.Bytes, seed uint64) []trace.Event {
-	rng := sim.NewRNG(seed)
-	blocks := int64(io / g.BlockSize)
-	if blocks < 1 {
-		blocks = 1
-	}
-	events := make([]trace.Event, n)
-	for i := range events {
-		lbn := int64(rng.Float64() * float64(g.Blocks-blocks))
-		events[i] = trace.Event{
-			At: time.Duration(i) * time.Microsecond, // batch arrival
-			Op: device.Read, Block: lbn, Blocks: blocks, Stream: i,
-		}
-	}
-	return events
-}
-
-func runTrace(dev serviceable, isDisk bool, policy string, events []trace.Event) ([]device.Completion, error) {
-	switch d := dev.(type) {
-	case *disk.Device:
-		p := disk.FCFS
-		switch policy {
-		case "sptf", "sstf":
-			p = disk.SSTF
-		case "elevator", "c-look":
-			p = disk.CLook
-		}
-		s := disk.NewScheduler(d, p)
-		for _, e := range events {
-			s.Enqueue(e.Request())
-		}
-		return s.DrainAll(0)
-	case tier.Device:
-		p, err := tier.ParsePolicy(policy)
-		if err != nil {
-			return nil, err
-		}
-		s := tier.NewScheduler(d, p)
-		for _, e := range events {
-			s.Enqueue(e.Request())
-		}
-		return s.DrainAll(0)
-	}
-	return nil, fmt.Errorf("unsupported device type %T", dev)
-}
-
-func report(dev serviceable, events []trace.Event, cs []device.Completion) {
-	if len(cs) == 0 {
-		fmt.Println("no completions")
-		return
-	}
-	m := dev.Model()
-	pos, xfer := serviceTotals(dev)
-	var bytes units.Bytes
-	for _, c := range cs {
-		bytes += units.Bytes(c.Blocks) * dev.Geometry().BlockSize
-	}
-	span := cs[len(cs)-1].Finish
-	st := trace.Summarize(events)
-	fmt.Printf("device:          %s (R=%v, L̄=%v, max %v)\n", m.Name, m.Rate, m.AvgLatency, m.MaxLatency)
-	fmt.Printf("trace:           %d events (%d reads, %d writes), %d blocks\n",
-		st.Events, st.Reads, st.Writes, st.TotalBlocks)
-	fmt.Printf("elapsed:         %v\n", span.Round(time.Microsecond))
-	fmt.Printf("throughput:      %v\n", units.RateOf(bytes, span))
-	fmt.Printf("avg positioning: %v\n", (pos / time.Duration(len(cs))).Round(time.Microsecond))
-	fmt.Printf("avg transfer:    %v\n", (xfer / time.Duration(len(cs))).Round(time.Microsecond))
-	fmt.Printf("utilization:     %.1f%% of media rate\n",
-		100*float64(units.RateOf(bytes, span))/float64(m.Rate))
-}
-
-// serviceTotals reads a freshly built device's cumulative positioning
-// (seek, settle and, on a disk, rotational wait) and transfer time from
-// its own counters.
-func serviceTotals(dev serviceable) (pos, xfer time.Duration) {
-	switch d := dev.(type) {
-	case tier.Device:
-		return d.TotalSeekTime(), d.TotalTransferTime()
-	case *disk.Device:
-		return d.TotalSeekTime() + d.TotalRotTime(), d.TotalTransferTime()
-	}
-	return pos, xfer
 }
 
 // scaleDoc is the JSON document -scale emits: the scenario identity, the

@@ -7,97 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"memstream/internal/device"
-	"memstream/internal/trace"
-	"memstream/internal/units"
 )
-
-func TestOpenDevice(t *testing.T) {
-	for _, name := range []string{"g1", "g2", "g3", "futuredisk", "atlas10k3"} {
-		dev, isDisk, err := openDevice(name)
-		if err != nil {
-			t.Errorf("%s: %v", name, err)
-			continue
-		}
-		if dev == nil {
-			t.Errorf("%s: nil device", name)
-		}
-		wantDisk := name == "futuredisk" || name == "atlas10k3"
-		if isDisk != wantDisk {
-			t.Errorf("%s: isDisk = %v", name, isDisk)
-		}
-	}
-	if _, _, err := openDevice("floppy"); err == nil {
-		t.Error("unknown device accepted")
-	}
-}
-
-func TestGenerateWithinGeometry(t *testing.T) {
-	dev, _, err := openDevice("g3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := dev.Geometry()
-	events := generate(g, 500, 64*units.KB, 1)
-	if len(events) != 500 {
-		t.Fatalf("events = %d", len(events))
-	}
-	for _, e := range events {
-		if err := g.Validate(e.Request()); err != nil {
-			t.Fatalf("generated invalid request: %v", err)
-		}
-	}
-	// Deterministic for a fixed seed.
-	again := generate(g, 500, 64*units.KB, 1)
-	for i := range events {
-		if events[i] != again[i] {
-			t.Fatal("generation not deterministic")
-		}
-	}
-}
-
-func TestRunTraceAllPolicies(t *testing.T) {
-	for _, name := range []string{"g3", "futuredisk"} {
-		for _, policy := range []string{"fcfs", "sptf", "elevator"} {
-			dev, _, err := openDevice(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			events := generate(dev.Geometry(), 100, 64*units.KB, 2)
-			cs, err := runTrace(dev, name == "futuredisk", policy, events)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", name, policy, err)
-			}
-			if len(cs) != len(events) {
-				t.Fatalf("%s/%s: served %d of %d", name, policy, len(cs), len(events))
-			}
-		}
-	}
-}
-
-func TestTraceRoundTripThroughSim(t *testing.T) {
-	dev, _, _ := openDevice("g3")
-	events := generate(dev.Geometry(), 50, 32*units.KB, 3)
-	st := trace.Summarize(events)
-	if st.Events != 50 || st.Reads != 50 {
-		t.Fatalf("summary = %+v", st)
-	}
-	cs, err := runTrace(dev, false, "sptf", events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var total int64
-	for _, c := range cs {
-		if c.Op != device.Read {
-			t.Fatal("non-read completion")
-		}
-		total += c.Blocks
-	}
-	if total != st.TotalBlocks {
-		t.Errorf("blocks served %d != trace %d", total, st.TotalBlocks)
-	}
-}
 
 // scaleOutput runs the scaling scenario and returns (summary text, JSON doc).
 func scaleOutput(t *testing.T, shards int) (string, scaleDoc) {

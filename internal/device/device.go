@@ -43,10 +43,10 @@ func (r Request) Done(finish time.Duration) Completion {
 
 // Completion reports how one request was serviced: what the callers of
 // Service and Dispatch read of the request, and the simulated time its
-// service ended. Service starts at the now the caller passed in, and the
-// positioning and transfer portions accumulate in the serving device's
-// counters (TotalSeekTime, TotalTransferTime and, on a disk,
-// TotalRotTime). It does not carry the request's starting block: no
+// service ended. Service starts at the now the caller passed in. The
+// serving device counts it in BusyTime and its positioning in
+// TotalSeekTime (on a disk also a rotational-wait counter); transfer is
+// busy − positioning. It does not carry the request's starting block: no
 // caller reads it.
 //
 // Request and Completion are four fields and 32 bytes each, the largest
@@ -86,19 +86,6 @@ func (g Geometry) Validate(r Request) error {
 			r.Blocks, r.Block, g.Blocks)
 	}
 	return nil
-}
-
-// Model is the static performance description every device exposes. The
-// analytical framework needs only these three numbers per device; the
-// simulators produce them as emergent behaviour.
-type Model struct {
-	Name       string
-	Rate       units.ByteRate // media transfer rate R_d
-	AvgLatency time.Duration  // average positioning overhead L̄_d
-	MaxLatency time.Duration  // worst-case positioning overhead
-	Capacity   units.Bytes
-	CostPerGB  units.Dollars
-	CostPerDev units.Dollars // per-device entry cost (paper Eq 2 price model)
 }
 
 // EffectiveThroughput returns the sustained throughput when the device is

@@ -54,7 +54,6 @@ type Device struct {
 	busy     time.Duration
 	seekTime time.Duration
 	rotTime  time.Duration
-	xferTime time.Duration
 }
 
 // EnableCache attaches a controller read cache of the given byte capacity
@@ -146,22 +145,6 @@ func (d *Device) Geometry() device.Geometry { return d.geom }
 // Cylinders returns the derived cylinder count.
 func (d *Device) Cylinders() int { return d.cyls }
 
-// Model returns the static description used by the analytical framework.
-// Rate is the outer-zone (maximum) rate, matching how the paper quotes
-// device bandwidth; AvgLatency is seek + rotational latency under random
-// access.
-func (d *Device) Model() device.Model {
-	return device.Model{
-		Name:       d.p.Name,
-		Rate:       d.p.OuterRate,
-		AvgLatency: d.p.AvgAccess(),
-		MaxLatency: d.p.MaxAccess(),
-		Capacity:   d.geom.Capacity(),
-		CostPerGB:  d.p.CostPerGB,
-		CostPerDev: d.p.CostPerDev,
-	}
-}
-
 // zoneOf locates the zone containing lbn by linear scan (zones are few).
 func (d *Device) zoneOf(lbn int64) *zone {
 	for i := range d.zones {
@@ -235,7 +218,6 @@ func (d *Device) Service(now time.Duration, r device.Request) (c device.Completi
 			c = r.Done(now + xfer)
 			d.served++
 			d.busy += xfer
-			d.xferTime += xfer
 			return c, nil
 		}
 	}
@@ -298,7 +280,6 @@ func (d *Device) Service(now time.Duration, r device.Request) (c device.Completi
 	d.busy += finish - now
 	d.seekTime += seek
 	d.rotTime += rot
-	d.xferTime += xfer
 	if d.cache != nil && r.Op == device.Read {
 		d.cache.Insert(r.Block, r.Blocks)
 	}
@@ -308,7 +289,7 @@ func (d *Device) Service(now time.Duration, r device.Request) (c device.Completi
 // Reset parks the head at cylinder 0 and clears statistics.
 func (d *Device) Reset() {
 	d.cyl, d.head, d.nowAngle, d.lastTime = 0, 0, 0, 0
-	d.served, d.busy, d.seekTime, d.rotTime, d.xferTime = 0, 0, 0, 0, 0
+	d.served, d.busy, d.seekTime, d.rotTime = 0, 0, 0, 0
 }
 
 // Served reports completed requests.
@@ -319,12 +300,6 @@ func (d *Device) BusyTime() time.Duration { return d.busy }
 
 // TotalSeekTime reports cumulative arm-move time.
 func (d *Device) TotalSeekTime() time.Duration { return d.seekTime }
-
-// TotalRotTime reports cumulative rotational wait.
-func (d *Device) TotalRotTime() time.Duration { return d.rotTime }
-
-// TotalTransferTime reports cumulative media transfer time.
-func (d *Device) TotalTransferTime() time.Duration { return d.xferTime }
 
 // EffectiveRate returns the block-weighted mean media rate across zones —
 // the sustainable transfer rate for content spread over the whole surface.

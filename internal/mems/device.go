@@ -57,7 +57,6 @@ type Device struct {
 	served   uint64
 	busy     time.Duration
 	seekTime time.Duration
-	xferTime time.Duration
 }
 
 // sledTables tabulates the sled arithmetic that depends on one operand:
@@ -183,20 +182,6 @@ func (d *Device) Params() Params { return d.p }
 // Geometry returns the logical block geometry.
 func (d *Device) Geometry() device.Geometry { return d.geom }
 
-// Model returns the static performance description used by the analytical
-// framework.
-func (d *Device) Model() device.Model {
-	return device.Model{
-		Name:       d.p.Name,
-		Rate:       d.effectiveRate(),
-		AvgLatency: d.p.AvgLatency(),
-		MaxLatency: d.p.MaxLatency(),
-		Capacity:   d.geom.Capacity(),
-		CostPerGB:  d.p.CostPerGB,
-		CostPerDev: d.p.CostPerDev,
-	}
-}
-
 // Cylinder returns the cylinder holding logical block lbn.
 func (d *Device) Cylinder(lbn int64) int {
 	return int(lbn / d.blocksPerTrack)
@@ -297,7 +282,6 @@ func (d *Device) book(seek, xfer time.Duration) {
 	d.served++
 	d.busy += seek + xfer
 	d.seekTime += seek
-	d.xferTime += xfer
 }
 
 // InStep reports whether o would serve any request exactly as d: another
@@ -321,7 +305,7 @@ func (d *Device) Echo(lead *Device) {
 // Reset returns the sled to cylinder 0, Y=0 and clears statistics.
 func (d *Device) Reset() {
 	d.cyl, d.ypos, d.ydir = 0, 0, 1
-	d.served, d.busy, d.seekTime, d.xferTime = 0, 0, 0, 0
+	d.served, d.busy, d.seekTime = 0, 0, 0
 }
 
 // Served reports the number of completed requests.
@@ -332,6 +316,3 @@ func (d *Device) BusyTime() time.Duration { return d.busy }
 
 // TotalSeekTime reports cumulative positioning time.
 func (d *Device) TotalSeekTime() time.Duration { return d.seekTime }
-
-// TotalTransferTime reports cumulative media transfer time.
-func (d *Device) TotalTransferTime() time.Duration { return d.xferTime }

@@ -135,7 +135,7 @@ func TestServiceTransfersAtRate(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantXfer := (units.Bytes(blocks) * 512).Duration(320 * units.MBPS)
-	if xfer := d.TotalTransferTime(); xfer-wantXfer < 0 || xfer-wantXfer > time.Millisecond {
+	if xfer := d.BusyTime() - d.TotalSeekTime(); xfer-wantXfer < 0 || xfer-wantXfer > time.Millisecond {
 		t.Errorf("transfer = %v, want ≈%v (+cyl crossings)", xfer, wantXfer)
 	}
 	if pos := d.TotalSeekTime(); pos != 0 {
@@ -179,9 +179,6 @@ func TestServiceAccounting(t *testing.T) {
 	if d.Served() != 10 {
 		t.Errorf("Served = %d", d.Served())
 	}
-	if d.BusyTime() != d.TotalSeekTime()+d.TotalTransferTime() {
-		t.Error("busy time != seek + transfer")
-	}
 	d.Reset()
 	if d.Served() != 0 || d.BusyTime() != 0 {
 		t.Error("Reset did not clear stats")
@@ -191,10 +188,9 @@ func TestServiceAccounting(t *testing.T) {
 func TestEffectiveThroughputMatchesFig2Shape(t *testing.T) {
 	// Random 1MB IOs at max latency should deliver far less than the media
 	// rate; 8MB should deliver most of it (Figure 2 shape).
-	d, _ := New(G3())
-	m := d.Model()
+	p := G3()
 	at := func(io units.Bytes) float64 {
-		return float64(device.EffectiveThroughput(io, m.Rate, m.MaxLatency)) / float64(m.Rate)
+		return float64(device.EffectiveThroughput(io, p.Rate, p.MaxLatency())) / float64(p.Rate)
 	}
 	if u := at(128 * units.KB); u > 0.5 {
 		t.Errorf("128KB utilization = %v, want < 0.5", u)
@@ -205,13 +201,12 @@ func TestEffectiveThroughputMatchesFig2Shape(t *testing.T) {
 }
 
 func TestModelLatenciesConsistent(t *testing.T) {
-	d, _ := New(G3())
-	m := d.Model()
-	if m.AvgLatency >= m.MaxLatency {
-		t.Errorf("avg %v >= max %v", m.AvgLatency, m.MaxLatency)
+	p := G3()
+	if p.AvgLatency() >= p.MaxLatency() {
+		t.Errorf("avg %v >= max %v", p.AvgLatency(), p.MaxLatency())
 	}
-	if m.Name != "G3 MEMS" || m.CostPerDev != 10 {
-		t.Errorf("model metadata wrong: %+v", m)
+	if p.Name != "G3 MEMS" || p.CostPerDev != 10 {
+		t.Errorf("model metadata wrong: %+v", p)
 	}
 }
 
@@ -402,22 +397,22 @@ func TestOnDeviceCache(t *testing.T) {
 
 func TestTipSparing(t *testing.T) {
 	d, _ := New(G3())
-	full := d.Model().Rate
+	full := d.effectiveRate()
 
 	// Failures within the ~10% spare pool cost nothing.
 	spares := d.Params().ActiveTips / 10
 	if err := d.FailTips(spares); err != nil {
 		t.Fatal(err)
 	}
-	if d.Model().Rate != full {
-		t.Errorf("rate derated within spare pool: %v", d.Model().Rate)
+	if d.effectiveRate() != full {
+		t.Errorf("rate derated within spare pool: %v", d.effectiveRate())
 	}
 
 	// Beyond the spares, the rate derates proportionally.
 	if err := d.FailTips(spares + d.Params().ActiveTips/4); err != nil {
 		t.Fatal(err)
 	}
-	derated := d.Model().Rate
+	derated := d.effectiveRate()
 	want := float64(full) * 0.75
 	if math.Abs(float64(derated)-want) > 0.01*want {
 		t.Errorf("derated rate = %v, want ≈%v", derated, units.ByteRate(want))
@@ -426,7 +421,7 @@ func TestTipSparing(t *testing.T) {
 	if _, err := d.Service(0, device.Request{Op: device.Read, Block: 0, Blocks: 2000}); err != nil {
 		t.Fatal(err)
 	}
-	x1 := d.TotalTransferTime()
+	x1 := d.BusyTime() - d.TotalSeekTime()
 	if err := d.FailTips(0); err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +429,7 @@ func TestTipSparing(t *testing.T) {
 	if _, err := d.Service(0, device.Request{Op: device.Read, Block: 0, Blocks: 2000}); err != nil {
 		t.Fatal(err)
 	}
-	if x2 := d.TotalTransferTime(); x1 <= x2 {
+	if x2 := d.BusyTime() - d.TotalSeekTime(); x1 <= x2 {
 		t.Errorf("derated transfer %v not slower than healthy %v", x1, x2)
 	}
 	if d.FailedTips() != 0 {

@@ -24,7 +24,6 @@ type flatDevice struct {
 	served   uint64
 	busy     time.Duration
 	seekTime time.Duration
-	xferTime time.Duration
 }
 
 // newFlatDevice constructs the uniform-latency simulator.
@@ -40,20 +39,6 @@ func newFlatDevice(s Spec) (Device, error) {
 
 // Geometry returns the logical block geometry.
 func (d *flatDevice) Geometry() device.Geometry { return d.geom }
-
-// Model returns the static performance description used by the
-// analytical framework.
-func (d *flatDevice) Model() device.Model {
-	return device.Model{
-		Name:       d.spec.Name,
-		Rate:       d.spec.Rate,
-		AvgLatency: d.spec.AvgLatency,
-		MaxLatency: d.spec.MaxLatency,
-		Capacity:   d.geom.Capacity(),
-		CostPerGB:  d.spec.CostPerGB,
-		CostPerDev: d.spec.CostPerDev,
-	}
-}
 
 // EnableCache attaches an on-device read cache of the given byte
 // capacity served at ifaceRate. Cache hits skip positioning and media
@@ -104,12 +89,11 @@ func (d *flatDevice) book(pos, xfer time.Duration) {
 	d.served++
 	d.busy += pos + xfer
 	d.seekTime += pos
-	d.xferTime += xfer
 }
 
 // Reset clears statistics.
 func (d *flatDevice) Reset() {
-	d.served, d.busy, d.seekTime, d.xferTime = 0, 0, 0, 0
+	d.served, d.busy, d.seekTime = 0, 0, 0
 }
 
 // Served reports the number of completed requests.
@@ -120,9 +104,6 @@ func (d *flatDevice) BusyTime() time.Duration { return d.busy }
 
 // TotalSeekTime reports cumulative positioning time.
 func (d *flatDevice) TotalSeekTime() time.Duration { return d.seekTime }
-
-// TotalTransferTime reports cumulative media transfer time.
-func (d *flatDevice) TotalTransferTime() time.Duration { return d.xferTime }
 
 var (
 	_ Device    = (*flatDevice)(nil)

@@ -84,9 +84,6 @@ func (s Spec) DeviceCost() units.Dollars {
 type Device interface {
 	// Geometry returns the logical block geometry.
 	Geometry() device.Geometry
-	// Model returns the static performance description used by the
-	// analytical framework.
-	Model() device.Model
 	// Service performs one request starting at simulated time now,
 	// updates device state, and returns the completion record.
 	Service(now time.Duration, r device.Request) (device.Completion, error)
@@ -96,8 +93,6 @@ type Device interface {
 	BusyTime() time.Duration
 	// TotalSeekTime reports cumulative positioning time.
 	TotalSeekTime() time.Duration
-	// TotalTransferTime reports cumulative media transfer time.
-	TotalTransferTime() time.Duration
 	// Reset returns the device to its initial position and clears
 	// statistics.
 	Reset()
@@ -185,20 +180,6 @@ func (p Policy) String() string {
 		return "elevator"
 	}
 	return fmt.Sprintf("policy(%d)", uint8(p))
-}
-
-// ParsePolicy maps a CLI policy name (with common disk-world aliases) to
-// a Policy.
-func ParsePolicy(name string) (Policy, error) {
-	switch name {
-	case "fcfs":
-		return FCFS, nil
-	case "sptf", "sstf":
-		return SPTF, nil
-	case "elevator", "c-look":
-		return Elevator, nil
-	}
-	return FCFS, fmt.Errorf("tier: unknown policy %q (want fcfs, sptf/sstf, elevator/c-look)", name)
 }
 
 // Scheduler orders pending requests for a Device and services them one

@@ -42,8 +42,15 @@ func TestRegistryValid(t *testing.T) {
 		if d.Geometry().Blocks <= 0 {
 			t.Errorf("%s: non-positive block count", name)
 		}
-		if got := d.Model().Rate; got != s.Rate {
-			t.Errorf("%s: Model rate %v, spec rate %v", name, got, s.Rate)
+		// One read transfers at the spec rate: a device books positioning
+		// and transfer together, so transfer is busy − positioning.
+		const blocks = 8
+		if _, err := d.Service(0, device.Request{Op: device.Read, Block: 0, Blocks: blocks}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want := (units.Bytes(blocks) * s.BlockBytes).Duration(s.Rate)
+		if got := d.BusyTime() - d.TotalSeekTime(); got != want {
+			t.Errorf("%s: one read transferred in %v, want %v at the spec rate", name, got, want)
 		}
 	}
 }
@@ -194,7 +201,7 @@ func TestFlatDeviceService(t *testing.T) {
 		t.Error("out-of-range request accepted")
 	}
 	d.Reset()
-	if d.Served() != 0 || d.BusyTime() != 0 || d.TotalSeekTime() != 0 || d.TotalTransferTime() != 0 {
+	if d.Served() != 0 || d.BusyTime() != 0 || d.TotalSeekTime() != 0 {
 		t.Error("Reset left counters non-zero")
 	}
 }
@@ -299,21 +306,7 @@ func TestMEMSSchedulerSelected(t *testing.T) {
 	}
 }
 
-func TestParsePolicy(t *testing.T) {
-	for name, want := range map[string]Policy{
-		"fcfs": FCFS, "sptf": SPTF, "sstf": SPTF, "elevator": Elevator, "c-look": Elevator,
-	} {
-		got, err := ParsePolicy(name)
-		if err != nil {
-			t.Errorf("%s: %v", name, err)
-		}
-		if got != want {
-			t.Errorf("ParsePolicy(%q) = %v, want %v", name, got, want)
-		}
-	}
-	if _, err := ParsePolicy("lifo"); err == nil {
-		t.Error("unknown policy accepted")
-	}
+func TestPolicyNamesDistinct(t *testing.T) {
 	if FCFS.String() == SPTF.String() || SPTF.String() == Elevator.String() {
 		t.Error("policy names not distinct")
 	}
