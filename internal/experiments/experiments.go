@@ -8,6 +8,7 @@ package experiments
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"time"
 
 	"memstream/internal/disk"
@@ -16,6 +17,7 @@ import (
 	"memstream/internal/server"
 	"memstream/internal/tier"
 	"memstream/internal/units"
+	"memstream/internal/workload"
 )
 
 // Metrics is one run's observability record: what the run cost and what
@@ -147,16 +149,22 @@ func tierAtRatio(ratio float64) model.DeviceSpec {
 	return m
 }
 
-// bitRates are the four media classes swept in Figures 6–8.
-var bitRates = []struct {
+// rateClass is one media class swept in Figures 6–8, labelled with its
+// name and whole-unit rate ("DVD 1MB/s").
+type rateClass struct {
 	name string
 	rate units.ByteRate
-}{
-	{"mp3 10KB/s", 10 * units.KBPS},
-	{"DivX 100KB/s", 100 * units.KBPS},
-	{"DVD 1MB/s", 1 * units.MBPS},
-	{"HDTV 10MB/s", 10 * units.MBPS},
 }
+
+// bitRates are the paper's four media classes (Table 1).
+var bitRates = func() []rateClass {
+	var out []rateClass
+	for _, c := range workload.Classes() {
+		label := strings.Replace(c.BitRate.String(), ".00", "", 1)
+		out = append(out, rateClass{c.Name + " " + label, c.BitRate})
+	}
+	return out
+}()
 
 const (
 	contentSize = 1000 * units.GB // Size_disk: one FutureDisk of content

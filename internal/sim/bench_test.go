@@ -3,6 +3,8 @@ package sim
 import (
 	"testing"
 	"time"
+
+	"memstream/internal/allocgate"
 )
 
 // The kernel microbenchmarks exercise the steady-state shapes every
@@ -10,6 +12,17 @@ import (
 // and schedule+cancel churn (a chain set re-arming its entry).
 // scripts/bench.sh records them into BENCH_<n>.json and CI runs
 // benchstat old-vs-new on them, so keep names stable.
+
+// zeroAllocBenchmarks is the kernel's per-event work, which every
+// simulated IO and cycle pays: a warm calendar schedules, fires and
+// cancels without touching the heap.
+var zeroAllocBenchmarks = []func(*testing.B){
+	BenchmarkScheduleFire, BenchmarkScheduleArgFire, BenchmarkScheduleCancel,
+}
+
+// TestHotPathZeroAllocs holds every benchmark in zeroAllocBenchmarks to
+// 0 allocs/op over a thousand events.
+func TestHotPathZeroAllocs(t *testing.T) { allocgate.Check(t, 1000, zeroAllocBenchmarks...) }
 
 // BenchmarkScheduleFire measures steady-state schedule+fire churn with a
 // bounded calendar: each fired event schedules its successor, the shape of

@@ -22,6 +22,18 @@ type MediaClass struct {
 	Duration time.Duration  // typical title length
 }
 
+// The paper's four media classes (its Table 1), with a typical title
+// length each.
+var (
+	MP3  = MediaClass{Name: "mp3", BitRate: 10 * units.KBPS, Duration: 4 * time.Minute}
+	DivX = MediaClass{Name: "DivX", BitRate: 100 * units.KBPS, Duration: 100 * time.Minute}
+	DVD  = MediaClass{Name: "DVD", BitRate: 1 * units.MBPS, Duration: 110 * time.Minute}
+	HDTV = MediaClass{Name: "HDTV", BitRate: 10 * units.MBPS, Duration: 60 * time.Minute}
+)
+
+// Classes lists the paper's media classes in bit-rate order.
+func Classes() []MediaClass { return []MediaClass{MP3, DivX, DVD, HDTV} }
+
 // Size returns the storage footprint of one title of this class.
 func (m MediaClass) Size() units.Bytes {
 	return units.BytesIn(m.BitRate, m.Duration)

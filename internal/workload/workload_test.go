@@ -11,17 +11,6 @@ import (
 	"memstream/internal/units"
 )
 
-// The paper's four media classes.
-var (
-	MP3  = MediaClass{Name: "mp3", BitRate: 10 * units.KBPS, Duration: 4 * time.Minute}
-	DivX = MediaClass{Name: "DivX", BitRate: 100 * units.KBPS, Duration: 100 * time.Minute}
-	DVD  = MediaClass{Name: "DVD", BitRate: 1 * units.MBPS, Duration: 110 * time.Minute}
-	HDTV = MediaClass{Name: "HDTV", BitRate: 10 * units.MBPS, Duration: 60 * time.Minute}
-)
-
-// Classes lists the paper's media classes in bit-rate order.
-func Classes() []MediaClass { return []MediaClass{MP3, DivX, DVD, HDTV} }
-
 func TestMediaClassesMatchPaper(t *testing.T) {
 	want := map[string]units.ByteRate{
 		"mp3":  10 * units.KBPS,
