@@ -44,7 +44,6 @@ func New(k int, s tier.Spec) ([]tier.Device, error) {
 // construction.
 type BufferBank struct {
 	devs       []tier.Device
-	slotSize   units.Bytes
 	blockSize  units.Bytes // the devices' logical block size
 	slotBlocks int64       // blocks per staging slot
 	perDev     int         // staging rings per device
@@ -83,7 +82,6 @@ func NewBufferBank(devs []tier.Device, slotSize units.Bytes) (*BufferBank, error
 	}
 	return &BufferBank{
 		devs:       devs,
-		slotSize:   slotSize,
 		blockSize:  g.BlockSize,
 		slotBlocks: slotBlocks,
 		perDev:     perDev,
@@ -106,9 +104,6 @@ func blocksFor(b units.Bytes, blockSize units.Bytes) int64 {
 
 // K returns the bank size.
 func (b *BufferBank) K() int { return len(b.devs) }
-
-// SlotSize returns the staging slot size.
-func (b *BufferBank) SlotSize() units.Bytes { return b.slotSize }
 
 // SlotBlocks returns the staging slot size in device blocks.
 func (b *BufferBank) SlotBlocks() int64 { return b.slotBlocks }

@@ -344,8 +344,8 @@ func TestStripedBankLockStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sb.K() != 4 {
-		t.Errorf("K = %d", sb.K())
+	if len(sb.devs) != 4 {
+		t.Errorf("K = %d", len(sb.devs))
 	}
 	if got := sb.Capacity(); got < 39*units.GB {
 		t.Errorf("capacity = %v, want ≈40GB", got)
@@ -373,8 +373,8 @@ func TestReplicatedBankAssignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rb.K() != 3 {
-		t.Errorf("K = %d", rb.K())
+	if len(rb.devs) != 3 {
+		t.Errorf("K = %d", len(rb.devs))
 	}
 	if got := rb.Capacity(); got > 11*units.GB {
 		t.Errorf("capacity = %v, want one copy (≈10GB)", got)
@@ -467,8 +467,8 @@ func TestBufferBankAccessors(t *testing.T) {
 	if b.K() != 3 {
 		t.Errorf("K = %d", b.K())
 	}
-	if b.SlotSize() != 5*units.MB {
-		t.Errorf("SlotSize = %v", b.SlotSize())
+	if b.SlotBlocks() != 9766 { // 5 MB in 512 B blocks, rounded up
+		t.Errorf("SlotBlocks = %d, want 9766", b.SlotBlocks())
 	}
 	if b.Device(1) == nil {
 		t.Error("Device(1) nil")

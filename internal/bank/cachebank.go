@@ -12,8 +12,6 @@ import (
 // CacheBank is a k-device content cache under one of the paper's two
 // management policies (§3.2).
 type CacheBank interface {
-	// K returns the bank size.
-	K() int
 	// Capacity returns the distinct content the bank can hold.
 	Capacity() units.Bytes
 	// Assign binds a stream to the bank and returns an opaque handle the
@@ -40,9 +38,6 @@ func NewStripedBank(devs []tier.Device) (*StripedBank, error) {
 	}
 	return &StripedBank{devs: devs, streams: make(map[int]bool)}, nil
 }
-
-// K returns the bank size.
-func (s *StripedBank) K() int { return len(s.devs) }
 
 // Capacity pools all devices.
 func (s *StripedBank) Capacity() units.Bytes {
@@ -114,9 +109,6 @@ func NewReplicatedBank(devs []tier.Device) (*ReplicatedBank, error) {
 		counts: make([]int, len(devs)),
 	}, nil
 }
-
-// K returns the bank size.
-func (r *ReplicatedBank) K() int { return len(r.devs) }
 
 // Capacity is a single copy's worth.
 func (r *ReplicatedBank) Capacity() units.Bytes {

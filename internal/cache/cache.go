@@ -61,26 +61,6 @@ func (p *Placement) Contains(titleID int) bool {
 	return false
 }
 
-// HitRatio returns the empirical hit ratio of the placement over the
-// catalog's popularity weights.
-func (p *Placement) HitRatio(cat *workload.Catalog) float64 {
-	pinned := make(map[int]bool, len(p.Titles))
-	for _, id := range p.Titles {
-		pinned[id] = true
-	}
-	var hit, total float64
-	for _, t := range cat.Titles {
-		total += t.Weight
-		if pinned[t.ID] {
-			hit += t.Weight
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return hit / total
-}
-
 // HybridSplit is the paper's future-work configuration (§7): part of the
 // MEMS bank buffers disk IOs, the rest caches popular titles.
 type HybridSplit struct {

@@ -64,7 +64,15 @@ func TestPlanHitRatioMatchesEquation11(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := p.HitRatio(cat)
+	// The placement's hit ratio over the catalog's popularity weights.
+	var hit, total float64
+	for _, t := range cat.Titles {
+		total += t.Weight
+		if p.Contains(t.ID) {
+			hit += t.Weight
+		}
+	}
+	got := hit / total
 	want, _ := model.HitRatio(10, 90, 0.05)
 	if math.Abs(got-want) > 1e-9 {
 		t.Errorf("placement h = %v, Eq 11 h = %v", got, want)

@@ -45,34 +45,12 @@ type Device struct {
 	nowAngle float64 // angular position at lastTime, in [0,1)
 	lastTime time.Duration
 
-	// Optional on-controller read cache, as found on current-day drives.
-	cache     *device.ReadCache
-	cacheRate units.ByteRate
-
 	// Statistics.
 	served   uint64
 	busy     time.Duration
 	seekTime time.Duration
 	rotTime  time.Duration
 }
-
-// EnableCache attaches a controller read cache of the given byte capacity
-// served at ifaceRate. Cache hits skip seek, rotation and media transfer.
-func (d *Device) EnableCache(capacity units.Bytes, ifaceRate units.ByteRate) error {
-	if ifaceRate <= 0 {
-		return fmt.Errorf("disk: non-positive cache interface rate %v", ifaceRate)
-	}
-	c, err := device.NewReadCache(int64(capacity / d.geom.BlockSize))
-	if err != nil {
-		return err
-	}
-	d.cache = c
-	d.cacheRate = ifaceRate
-	return nil
-}
-
-// Cache returns the attached read cache, or nil.
-func (d *Device) Cache() *device.ReadCache { return d.cache }
 
 // New constructs a Device. The cylinder count is derived so that the zoned
 // layout realizes Params.Capacity as closely as sector rounding allows.
@@ -142,9 +120,6 @@ func (d *Device) Params() Params { return d.p }
 // Geometry returns the logical block geometry.
 func (d *Device) Geometry() device.Geometry { return d.geom }
 
-// Cylinders returns the derived cylinder count.
-func (d *Device) Cylinders() int { return d.cyls }
-
 // zoneOf locates the zone containing lbn by linear scan (zones are few).
 func (d *Device) zoneOf(lbn int64) *zone {
 	for i := range d.zones {
@@ -209,18 +184,6 @@ func (d *Device) Service(now time.Duration, r device.Request) (c device.Completi
 	if err = d.geom.Validate(r); err != nil {
 		return c, err
 	}
-	if d.cache != nil {
-		if r.Op == device.Write {
-			d.cache.Invalidate(r.Block, r.Blocks)
-		} else if d.cache.Lookup(r.Block, r.Blocks) {
-			bytes := units.Bytes(r.Blocks) * d.geom.BlockSize
-			xfer := bytes.Duration(d.cacheRate)
-			c = r.Done(now + xfer)
-			d.served++
-			d.busy += xfer
-			return c, nil
-		}
-	}
 	z := d.zoneOf(r.Block)
 	heads := int64(d.p.Heads)
 	off := r.Block - z.firstBlock
@@ -280,16 +243,7 @@ func (d *Device) Service(now time.Duration, r device.Request) (c device.Completi
 	d.busy += finish - now
 	d.seekTime += seek
 	d.rotTime += rot
-	if d.cache != nil && r.Op == device.Read {
-		d.cache.Insert(r.Block, r.Blocks)
-	}
 	return c, nil
-}
-
-// Reset parks the head at cylinder 0 and clears statistics.
-func (d *Device) Reset() {
-	d.cyl, d.head, d.nowAngle, d.lastTime = 0, 0, 0, 0
-	d.served, d.busy, d.seekTime, d.rotTime = 0, 0, 0, 0
 }
 
 // Served reports completed requests.

@@ -93,7 +93,7 @@ func TestSeekCurveCalibration(t *testing.T) {
 	var n int
 	p := d.Params()
 	for i := 0; i < 50000; i++ {
-		a, b := rng.Intn(d.Cylinders()), rng.Intn(d.Cylinders())
+		a, b := rng.Intn(d.cyls), rng.Intn(d.cyls)
 		dist := a - b
 		if dist < 0 {
 			dist = -dist
@@ -101,7 +101,7 @@ func TestSeekCurveCalibration(t *testing.T) {
 		if dist == 0 {
 			continue
 		}
-		sum += p.seekTimeNorm(float64(dist)/float64(d.Cylinders()-1), d.exponent).Seconds()
+		sum += p.seekTimeNorm(float64(dist)/float64(d.cyls-1), d.exponent).Seconds()
 		n++
 	}
 	got := units.Seconds(sum / float64(n))
@@ -116,7 +116,7 @@ func TestSeekCurveAnchors(t *testing.T) {
 	if got := p.seekTimeNorm(0, d.exponent); got != 0 {
 		t.Errorf("zero-distance seek = %v", got)
 	}
-	one := p.seekTimeNorm(1.0/float64(d.Cylinders()-1), d.exponent)
+	one := p.seekTimeNorm(1.0/float64(d.cyls-1), d.exponent)
 	if one < p.SingleTrackSeek || one > p.SingleTrackSeek+50*time.Microsecond {
 		t.Errorf("single-track seek = %v, want ≈%v", one, p.SingleTrackSeek)
 	}
@@ -234,7 +234,7 @@ func TestServiceRejectsBadRequests(t *testing.T) {
 	}
 }
 
-func TestServiceAccountingAndReset(t *testing.T) {
+func TestServiceAccounting(t *testing.T) {
 	d, _ := New(FutureDisk())
 	var now time.Duration
 	for i := 0; i < 5; i++ {
@@ -244,12 +244,8 @@ func TestServiceAccountingAndReset(t *testing.T) {
 		}
 		now = c.Finish
 	}
-	if d.Served() != 5 {
-		t.Errorf("Served = %d", d.Served())
-	}
-	d.Reset()
-	if d.Served() != 0 || d.BusyTime() != 0 {
-		t.Error("Reset did not clear stats")
+	if d.Served() != 5 || d.BusyTime() != now {
+		t.Errorf("Served = %d, BusyTime = %v; want 5 back-to-back IOs busy until %v", d.Served(), d.BusyTime(), now)
 	}
 }
 
@@ -294,58 +290,38 @@ func TestServiceBoundsProperty(t *testing.T) {
 	}
 }
 
+// TestSchedulerCLookBeatsFCFS finishes a scattered batch sooner under
+// C-LOOK than serving it in arrival order.
 func TestSchedulerCLookBeatsFCFS(t *testing.T) {
-	run := func(policy Policy) time.Duration {
-		d, _ := New(FutureDisk())
-		s := NewScheduler(d, policy)
+	batch := func(d *Device) []device.Request {
 		rng := sim.NewRNG(3)
-		for i := 0; i < 50; i++ {
+		reqs := make([]device.Request, 50)
+		for i := range reqs {
 			lbn := int64(rng.Float64() * float64(d.Geometry().Blocks-256))
-			s.Enqueue(device.Request{Block: lbn, Blocks: 128, Stream: i})
+			reqs[i] = device.Request{Block: lbn, Blocks: 128, Stream: i}
 		}
-		cs, err := s.DrainAll(0)
+		return reqs
+	}
+	d, _ := New(FutureDisk())
+	var fcfs time.Duration
+	for _, r := range batch(d) {
+		c, err := d.Service(fcfs, r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return cs[len(cs)-1].Finish
+		fcfs = c.Finish
 	}
-	fcfs, clook := run(FCFS), run(CLook)
-	if clook >= fcfs {
-		t.Errorf("C-LOOK (%v) not faster than FCFS (%v)", clook, fcfs)
-	}
-}
-
-func TestSchedulerSSTFServesAll(t *testing.T) {
-	d, _ := New(FutureDisk())
-	s := NewScheduler(d, SSTF)
-	n := 25
-	for i := 0; i < n; i++ {
-		s.Enqueue(device.Request{Block: int64(i*997%100) * 1e7, Blocks: 8, Stream: i})
+	d, _ = New(FutureDisk())
+	s := NewScheduler(d, CLook)
+	for _, r := range batch(d) {
+		s.Enqueue(r)
 	}
 	cs, err := s.DrainAll(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seen := map[int]bool{}
-	for _, c := range cs {
-		seen[c.Stream] = true
-	}
-	if len(seen) != n {
-		t.Errorf("SSTF starved requests: served %d of %d", len(seen), n)
-	}
-}
-
-func TestSchedulerFCFSPreservesOrder(t *testing.T) {
-	d, _ := New(FutureDisk())
-	s := NewScheduler(d, FCFS)
-	for i := 0; i < 5; i++ {
-		s.Enqueue(device.Request{Block: int64(4-i) * 1e6, Blocks: 8, Stream: i})
-	}
-	cs, _ := s.DrainAll(0)
-	for i, c := range cs {
-		if c.Stream != i {
-			t.Fatalf("FCFS order violated: %v", cs)
-		}
+	if clook := cs[len(cs)-1].Finish; clook >= fcfs {
+		t.Errorf("C-LOOK (%v) not faster than FCFS (%v)", clook, fcfs)
 	}
 }
 
@@ -367,38 +343,5 @@ func TestElevatorReducesAvgSeekBelowRandom(t *testing.T) {
 	avg := positioning(d) / time.Duration(n)
 	if avg >= d.Params().AvgAccess() {
 		t.Errorf("elevator avg positioning %v not below random-access %v", avg, d.Params().AvgAccess())
-	}
-}
-
-func TestPolicyString(t *testing.T) {
-	if FCFS.String() != "fcfs" || SSTF.String() != "sstf" || CLook.String() != "c-look" {
-		t.Error("policy names wrong")
-	}
-}
-
-func TestOnControllerCache(t *testing.T) {
-	d, _ := New(FutureDisk())
-	if err := d.EnableCache(8*units.MB, 600*units.MBPS); err != nil {
-		t.Fatal(err)
-	}
-	miss, err := d.Service(0, device.Request{Op: device.Read, Block: 5e6, Blocks: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Seek elsewhere, then re-read the cached extent.
-	if _, err := d.Service(miss.Finish, device.Request{Op: device.Read, Block: 0, Blocks: 8}); err != nil {
-		t.Fatal(err)
-	}
-	before := positioning(d)
-	hitStart := miss.Finish + time.Second
-	hit, err := d.Service(hitStart, device.Request{Op: device.Read, Block: 5e6, Blocks: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pos := positioning(d) - before; pos != 0 || hit.Finish-hitStart >= miss.Finish {
-		t.Errorf("hit pos=%v time=%v vs miss %v", pos, hit.Finish-hitStart, miss.Finish)
-	}
-	if d.Cache().HitRatio() <= 0 {
-		t.Error("no hits recorded")
 	}
 }

@@ -1,44 +1,24 @@
 package disk
 
 import (
-	"fmt"
 	"slices"
 	"time"
 
 	"memstream/internal/device"
 )
 
-// Policy selects the order in which queued requests are serviced.
+// Policy names the order a Scheduler services requests in. There is one,
+// C-LOOK; the Policy argument of NewScheduler stays only until the
+// benchmark's own change drops it (ROADMAP item 1(a)).
 type Policy uint8
 
-// Scheduling policies.
-const (
-	// FCFS services requests in arrival order.
-	FCFS Policy = iota
-	// SSTF services the request with the shortest seek from the current
-	// cylinder.
-	SSTF
-	// CLook sweeps cylinders in one direction, then jumps back to the
-	// lowest pending cylinder (the elevator variant most drives use; the
-	// paper's disk IO scheduler "uses elevator scheduling to optimize for
-	// disk utilization").
-	CLook
-)
+// CLook sweeps cylinders in one direction, then jumps back to the lowest
+// pending cylinder (the elevator variant most drives use; the paper's disk
+// IO scheduler "uses elevator scheduling to optimize for disk
+// utilization").
+const CLook Policy = 0
 
-// String names the policy.
-func (p Policy) String() string {
-	switch p {
-	case FCFS:
-		return "fcfs"
-	case SSTF:
-		return "sstf"
-	case CLook:
-		return "c-look"
-	}
-	return fmt.Sprintf("policy(%d)", uint8(p))
-}
-
-// Scheduler orders pending requests for a disk Device.
+// Scheduler orders pending requests for a disk Device in C-LOOK order.
 //
 // The pending set lives in one arrival-ordered slice with a removed mark
 // per entry instead of a queue that shifts on every removal. Each request's
@@ -46,13 +26,13 @@ func (p Policy) String() string {
 //
 //	cylinder<<32 | arrival index
 //
-// so SSTF scans plain integers and C-LOOK sorts them. A batch's sweep order
-// is a property of the batch: the first C-LOOK pick after an enqueue burst
-// orders the keys once, with a stable byte radix over the cylinder
-// bits. Keys enter in arrival order within every cylinder, so stability
-// alone gives the (cylinder, arrival) order — the pick order of the
-// historical arrival-order scan, including its tie-breaks (earliest
-// arrival at equal cylinder, earliest arrival among the wrap candidates).
+// which the sweep sorts. A batch's sweep order is a property of the batch:
+// the first pick after an enqueue burst orders the keys once, with a stable
+// byte radix over the cylinder bits. Keys enter in arrival order within
+// every cylinder, so stability alone gives the (cylinder, arrival) order —
+// the pick order of the historical arrival-order scan, including its
+// tie-breaks (earliest arrival at equal cylinder, earliest arrival among
+// the wrap candidates).
 //
 // Picks then walk the sorted keys with a sweep cursor. The invariant is
 // that every sorted position in [lo, cursor) is already dispatched. The
@@ -71,20 +51,18 @@ func (p Policy) String() string {
 // Scheduler for another device, so steady-state scheduling allocates
 // nothing.
 type Scheduler struct {
-	dev    *Device
-	policy Policy
+	dev *Device
 
 	reqs    []device.Request // every enqueued request, arrival order
 	removed []bool           // removed[i]: reqs[i] already dispatched
 	live    int
-	head    int // arrival cursor: everything before it is removed
 
 	// keys holds one packed key per request: in arrival order until a
-	// C-LOOK build sorts it.
+	// build sorts it.
 	keys []uint64
 	tmp  []uint64 // radix scatter buffer
 
-	// C-LOOK sweep state, valid while built and no Enqueue intervened.
+	// Sweep state, valid while built and no Enqueue intervened.
 	built      bool
 	next       []int32 // skip pointers over dispatched sorted positions
 	lo, cursor int     // sorted positions [lo, cursor) are all dispatched
@@ -94,15 +72,15 @@ type Scheduler struct {
 // keys beats the radix passes' fixed histogram cost.
 const radixMin = 64
 
-// NewScheduler wraps dev with the given policy.
-func NewScheduler(dev *Device, policy Policy) *Scheduler {
-	return &Scheduler{dev: dev, policy: policy}
+// NewScheduler wraps dev in a C-LOOK scheduler.
+func NewScheduler(dev *Device, _ Policy) *Scheduler {
+	return &Scheduler{dev: dev}
 }
 
 // Rebind resets a (typically pooled) Scheduler for a fresh batch against
 // dev, keeping all backing storage.
-func (s *Scheduler) Rebind(dev *Device, policy Policy) {
-	s.dev, s.policy = dev, policy
+func (s *Scheduler) Rebind(dev *Device) {
+	s.dev = dev
 	s.reset()
 }
 
@@ -111,7 +89,6 @@ func (s *Scheduler) reset() {
 	s.removed = s.removed[:0]
 	s.keys = s.keys[:0]
 	s.live = 0
-	s.head = 0
 	s.built = false
 }
 
@@ -128,7 +105,7 @@ func (s *Scheduler) Enqueue(r device.Request) {
 // Len reports the number of pending requests.
 func (s *Scheduler) Len() int { return s.live }
 
-// build sorts the keys into C-LOOK sweep order and resets the cursor. On a
+// build sorts the keys into sweep order and resets the cursor. On a
 // rebuild after dispatches the served keys stay in and are skipped like
 // any other dispatched position; they and the late arrivals still come in
 // arrival order within each cylinder, which is all the stable sort needs.
@@ -196,56 +173,30 @@ func (s *Scheduler) skipLive(p int) int {
 	return p
 }
 
-// pick returns the arrival index of the next request per the policy.
+// pick returns the arrival index of the next request in the sweep.
 func (s *Scheduler) pick() int {
-	switch s.policy {
-	case SSTF:
-		// Arrival-order scan, strict improvement only: ties go to the
-		// earliest arrival, as they always have.
-		cur := s.dev.cyl
-		best, bestD := -1, int(^uint(0)>>1)
-		for i := s.head; i < len(s.reqs); i++ {
-			if s.removed[i] {
-				continue
-			}
-			d := int(s.keys[i]>>32) - cur
-			if d < 0 {
-				d = -d
-			}
-			if d < bestD {
-				best, bestD = i, d
-			}
-		}
-		return best
-	case CLook:
-		if !s.built {
-			s.build()
-		}
-		bound := uint64(s.dev.cyl) << 32 // below every key at the head's cylinder
-		n := len(s.keys)
-		// The lower bound of the head's cylinder lies in [lo, cursor] when
-		// the key before lo is below it and the key at cursor is not.
-		if s.cursor >= n || s.keys[s.cursor] < bound || (s.lo > 0 && s.keys[s.lo-1] >= bound) {
-			s.lo, _ = slices.BinarySearch(s.keys, bound)
-			s.cursor = s.lo
-		}
-		p := s.skipLive(s.cursor)
-		if p >= n {
-			// Wrap the sweep to the lowest pending cylinder.
-			s.lo = 0
-			p = s.skipLive(0)
-		}
-		s.cursor = p + 1
-		return int(uint32(s.keys[p]))
-	default: // FCFS
-		for s.removed[s.head] {
-			s.head++
-		}
-		return s.head
+	if !s.built {
+		s.build()
 	}
+	bound := uint64(s.dev.cyl) << 32 // below every key at the head's cylinder
+	n := len(s.keys)
+	// The lower bound of the head's cylinder lies in [lo, cursor] when the
+	// key before lo is below it and the key at cursor is not.
+	if s.cursor >= n || s.keys[s.cursor] < bound || (s.lo > 0 && s.keys[s.lo-1] >= bound) {
+		s.lo, _ = slices.BinarySearch(s.keys, bound)
+		s.cursor = s.lo
+	}
+	p := s.skipLive(s.cursor)
+	if p >= n {
+		// Wrap the sweep to the lowest pending cylinder.
+		s.lo = 0
+		p = s.skipLive(0)
+	}
+	s.cursor = p + 1
+	return int(uint32(s.keys[p]))
 }
 
-// Dispatch services the next request per the policy, starting at now.
+// Dispatch services the next request in the sweep, starting at now.
 func (s *Scheduler) Dispatch(now time.Duration) (c device.Completion, ok bool, err error) {
 	if s.live == 0 {
 		return device.Completion{}, false, nil

@@ -61,16 +61,6 @@ func refService(d *Device, now time.Duration, r device.Request) (device.Completi
 	if err := d.geom.Validate(r); err != nil {
 		return device.Completion{}, err
 	}
-	if d.cache != nil {
-		if r.Op == device.Write {
-			d.cache.Invalidate(r.Block, r.Blocks)
-		} else if d.cache.Lookup(r.Block, r.Blocks) {
-			xfer := (units.Bytes(r.Blocks) * d.geom.BlockSize).Duration(d.cacheRate)
-			d.served++
-			d.busy += xfer
-			return r.Done(now + xfer), nil
-		}
-	}
 	z := d.zoneOf(r.Block)
 	target, head, sector := locate(d, r.Block)
 
@@ -127,9 +117,6 @@ func refService(d *Device, now time.Duration, r device.Request) (device.Completi
 	d.busy += finish - now
 	d.seekTime += seek
 	d.rotTime += rot
-	if d.cache != nil && r.Op == device.Read {
-		d.cache.Insert(r.Block, r.Blocks)
-	}
 	return r.Done(finish), nil
 }
 
@@ -184,7 +171,7 @@ func TestCLookMatchesArrivalOrderScan(t *testing.T) {
 			// Several batches back to back on one pooled scheduler: the
 			// head starts each one wherever the last left it.
 			for batch := 0; batch < 2; batch++ {
-				s.Rebind(got, CLook)
+				s.Rebind(got)
 				for i := 0; i < n; i++ {
 					r := randomRequest(rng, got, i)
 					s.Enqueue(r)
@@ -254,38 +241,6 @@ func TestCLookInterleavedMatchesScan(t *testing.T) {
 			now = c.Finish
 		}
 		sameHead(t, got, want)
-	}
-}
-
-func TestSSTFMatchesArrivalOrderScan(t *testing.T) {
-	got, want := twinDevices(t)
-	s := NewScheduler(got, SSTF)
-	rng := sim.NewRNG(7)
-	var queue []device.Request
-	for i := 0; i < 200; i++ {
-		r := randomRequest(rng, got, i)
-		s.Enqueue(r)
-		queue = append(queue, r)
-	}
-	var now time.Duration
-	for k := 0; len(queue) > 0; k++ {
-		best, bestD := 0, math.MaxInt
-		for i, r := range queue {
-			c := want.Cylinder(r.Block)
-			if d := max(c-want.cyl, want.cyl-c); d < bestD {
-				best, bestD = i, d
-			}
-		}
-		w, _ := refService(want, now, queue[best])
-		queue = append(queue[:best], queue[best+1:]...)
-		c, ok, err := s.Dispatch(now)
-		if !ok || err != nil {
-			t.Fatalf("pick %d: ok=%v err=%v", k, ok, err)
-		}
-		if c != w {
-			t.Fatalf("pick %d:\n got %+v\nwant %+v", k, c, w)
-		}
-		now = c.Finish
 	}
 }
 
@@ -366,8 +321,8 @@ func oneCylinder(t *testing.T) *Device {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Cylinders() != 1 {
-		t.Fatalf("built %d cylinders, want 1", d.Cylinders())
+	if d.cyls != 1 {
+		t.Fatalf("built %d cylinders, want 1", d.cyls)
 	}
 	return d
 }
@@ -405,7 +360,7 @@ func cycleBatch(d *Device, n int) []device.Request {
 
 // runBatch enqueues and fully dispatches one batch on a re-armed scheduler.
 func runBatch(s *Scheduler, d *Device, batch []device.Request, now time.Duration) time.Duration {
-	s.Rebind(d, CLook)
+	s.Rebind(d)
 	for _, r := range batch {
 		s.Enqueue(r)
 	}

@@ -182,56 +182,41 @@ func (g *serviceProgram) next(d *Device) (device.Request, time.Duration) {
 // counters must be equal.
 func TestServiceMatchesRefService(t *testing.T) {
 	for _, p := range []Params{FutureDisk(), Atlas10K3(), smallParams(), zonedParams()} {
-		for _, cached := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/cache=%v", p.Name, cached), func(t *testing.T) {
-				got, want := mustNew(t, p), mustNew(t, p)
-				if cached {
-					capacity := units.Bytes(min(got.geom.Blocks/4, 1<<18)) * p.SectorBytes
-					for _, d := range []*Device{got, want} {
-						if err := d.EnableCache(capacity, 600*units.MBPS); err != nil {
-							t.Fatal(err)
-						}
-					}
+		t.Run(p.Name, func(t *testing.T) {
+			got, want := mustNew(t, p), mustNew(t, p)
+			g := &serviceProgram{rng: sim.NewRNG(uint64(len(p.Name)) + 7)}
+			var before, onePeriod, beyond int // arrive − lastTime < 0, = period, > period
+			for i := 0; i < 20000; i++ {
+				r, now := g.next(want)
+				seek0, last0 := want.seekTime, want.lastTime
+				c, err := got.Service(now, r)
+				w, werr := refService(want, now, r)
+				if err != nil || werr != nil {
+					t.Fatalf("request %d %+v: err=%v ref err=%v", i, r, err, werr)
 				}
-				g := &serviceProgram{rng: sim.NewRNG(uint64(len(p.Name)) + 7)}
-				var before, onePeriod, beyond int // arrive − lastTime < 0, = period, > period
-				for i := 0; i < 20000; i++ {
-					r, now := g.next(want)
-					seek0, last0 := want.seekTime, want.lastTime
-					c, err := got.Service(now, r)
-					w, werr := refService(want, now, r)
-					if err != nil || werr != nil {
-						t.Fatalf("request %d %+v: err=%v ref err=%v", i, r, err, werr)
-					}
-					if c != w {
-						t.Fatalf("request %d at %v:\n got %+v\nwant %+v", i, now, c, w)
-					}
-					sameHead(t, got, want)
-					if got.served != want.served || got.busy != want.busy || got.seekTime != want.seekTime ||
-						got.rotTime != want.rotTime {
-						t.Fatalf("request %d %+v: counters (%d %v %v %v), want (%d %v %v %v)", i, r,
-							got.served, got.busy, got.seekTime, got.rotTime,
-							want.served, want.busy, want.seekTime, want.rotTime)
-					}
-					if want.lastTime == w.Finish { // a cache hit leaves the platter clock alone
-						switch turned := now + want.seekTime - seek0 - last0; {
-						case turned < 0:
-							before++
-						case turned == want.period:
-							onePeriod++
-						case turned > want.period:
-							beyond++
-						}
-					}
+				if c != w {
+					t.Fatalf("request %d at %v:\n got %+v\nwant %+v", i, now, c, w)
 				}
-				if cached && want.cache.Hits == 0 {
-					t.Error("program never hit the cache")
+				sameHead(t, got, want)
+				if got.served != want.served || got.busy != want.busy || got.seekTime != want.seekTime ||
+					got.rotTime != want.rotTime {
+					t.Fatalf("request %d %+v: counters (%d %v %v %v), want (%d %v %v %v)", i, r,
+						got.served, got.busy, got.seekTime, got.rotTime,
+						want.served, want.busy, want.seekTime, want.rotTime)
 				}
-				if before == 0 || onePeriod == 0 || beyond == 0 {
-					t.Errorf("program reached arrive − lastTime < 0 %d times, = period %d, > period %d; want each", before, onePeriod, beyond)
+				switch turned := now + want.seekTime - seek0 - last0; {
+				case turned < 0:
+					before++
+				case turned == want.period:
+					onePeriod++
+				case turned > want.period:
+					beyond++
 				}
-			})
-		}
+			}
+			if before == 0 || onePeriod == 0 || beyond == 0 {
+				t.Errorf("program reached arrive − lastTime < 0 %d times, = period %d, > period %d; want each", before, onePeriod, beyond)
+			}
+		})
 	}
 }
 

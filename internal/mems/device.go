@@ -29,7 +29,6 @@ type Device struct {
 	tab  *sledTables // shared with every device of the same parameter set
 
 	blocksPerTrack int64 // sectors a single Y sweep yields across all active tips
-	tracksPerCyl   int64 // always 1 in this layout; kept for clarity
 
 	// Sled state.
 	cyl  int     // current X position (cylinder)
@@ -171,21 +170,12 @@ func New(p Params) (*Device, error) {
 		geom:           device.Geometry{BlockSize: p.SectorBytes, Blocks: bpt * int64(p.Cylinders)},
 		tab:            sledTablesFor(p, bpt),
 		blocksPerTrack: bpt,
-		tracksPerCyl:   1,
 		ydir:           1,
 	}, nil
 }
 
-// Params returns the device's parameter set.
-func (d *Device) Params() Params { return d.p }
-
 // Geometry returns the logical block geometry.
 func (d *Device) Geometry() device.Geometry { return d.geom }
-
-// Cylinder returns the cylinder holding logical block lbn.
-func (d *Device) Cylinder(lbn int64) int {
-	return int(lbn / d.blocksPerTrack)
-}
 
 // locate resolves lbn to its sled address: the cylinder (X position) and
 // the block offset within that cylinder's Y sweep. One divide; the offset
@@ -300,12 +290,6 @@ func (d *Device) InStep(o *Device) bool {
 func (d *Device) Echo(lead *Device) {
 	d.cyl, d.ypos, d.ydir = lead.cyl, lead.ypos, lead.ydir
 	d.book(lead.lastSeek, lead.lastXfer)
-}
-
-// Reset returns the sled to cylinder 0, Y=0 and clears statistics.
-func (d *Device) Reset() {
-	d.cyl, d.ypos, d.ydir = 0, 0, 1
-	d.served, d.busy, d.seekTime = 0, 0, 0
 }
 
 // Served reports the number of completed requests.

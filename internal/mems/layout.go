@@ -6,23 +6,13 @@ import (
 	"memstream/internal/units"
 )
 
-// Layout maps stream-relative block addresses onto device LBNs. The
-// paper's future work (§7) calls for "intelligent placement policies for
-// data on the MEMS device so as to improve the access characteristics";
-// these two layouts realize the baseline and the optimization.
-type Layout interface {
-	// Name identifies the policy.
-	Name() string
-	// Map translates (stream, stream-relative block) to a device LBN.
-	// Requests must stay within one chunk (callers issue IO-sized
-	// requests, which is what the chunk is sized to).
-	Map(stream int, block int64) (int64, error)
-}
-
 // Contiguous is the naive placement: each stream's data occupies one
 // contiguous extent. Round-robin service over N streams then pays a long
 // X seek on every stream switch, because concurrent streams live far
-// apart on the sled.
+// apart on the sled. The paper's future work (§7) calls for "intelligent
+// placement policies for data on the MEMS device so as to improve the
+// access characteristics"; Contiguous and Interleaved, both tier.Layouts,
+// realize the baseline and the optimization.
 type Contiguous struct {
 	perStream int64 // blocks per stream extent
 	streams   int
@@ -39,9 +29,6 @@ func NewContiguous(d *Device, n int) (*Contiguous, error) {
 	}
 	return &Contiguous{perStream: per, streams: n}, nil
 }
-
-// Name identifies the policy.
-func (c *Contiguous) Name() string { return "contiguous" }
 
 // Map places stream s's block b inside its extent (wrapping within it).
 func (c *Contiguous) Map(stream int, block int64) (int64, error) {
@@ -79,11 +66,10 @@ func NewInterleaved(d *Device, n int, ioSize units.Bytes) (*Interleaved, error) 
 	return &Interleaved{chunk: chunk, streams: n, stripes: stripes}, nil
 }
 
-// Name identifies the policy.
-func (il *Interleaved) Name() string { return "interleaved" }
-
 // Map sends stream s's block b to stripe (b/chunk), slot s within the
-// stripe, wrapping when the stream outgrows the stripes.
+// stripe, wrapping when the stream outgrows the stripes. Requests must
+// stay within one chunk (callers issue IO-sized requests, which is what
+// the chunk is sized to).
 func (il *Interleaved) Map(stream int, block int64) (int64, error) {
 	if stream < 0 || stream >= il.streams {
 		return 0, fmt.Errorf("mems: stream %d outside layout of %d", stream, il.streams)
@@ -92,8 +78,3 @@ func (il *Interleaved) Map(stream int, block int64) (int64, error) {
 	within := block % il.chunk
 	return stripe*int64(il.streams)*il.chunk + int64(stream)*il.chunk + within, nil
 }
-
-var (
-	_ Layout = (*Contiguous)(nil)
-	_ Layout = (*Interleaved)(nil)
-)

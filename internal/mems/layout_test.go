@@ -8,6 +8,11 @@ import (
 	"memstream/internal/units"
 )
 
+// layout is what the tests ask of a placement: tier.Layout's one method.
+type layout interface {
+	Map(stream int, block int64) (int64, error)
+}
+
 func TestLayoutConstructorsValidate(t *testing.T) {
 	d, _ := New(G3())
 	if _, err := NewContiguous(d, 0); err == nil {
@@ -25,22 +30,22 @@ func TestLayoutMapBounds(t *testing.T) {
 	d, _ := New(G3())
 	co, _ := NewContiguous(d, 8)
 	il, _ := NewInterleaved(d, 8, 1*units.MB)
-	for _, l := range []Layout{co, il} {
+	for name, l := range map[string]layout{"contiguous": co, "interleaved": il} {
 		if _, err := l.Map(8, 0); err == nil {
-			t.Errorf("%s: out-of-range stream accepted", l.Name())
+			t.Errorf("%s: out-of-range stream accepted", name)
 		}
 		if _, err := l.Map(-1, 0); err == nil {
-			t.Errorf("%s: negative stream accepted", l.Name())
+			t.Errorf("%s: negative stream accepted", name)
 		}
 		blocks := d.Geometry().Blocks
 		for s := 0; s < 8; s++ {
 			for _, b := range []int64{0, 1000, 1 << 20, 1 << 24} {
 				lbn, err := l.Map(s, b)
 				if err != nil {
-					t.Fatalf("%s: Map(%d,%d): %v", l.Name(), s, b, err)
+					t.Fatalf("%s: Map(%d,%d): %v", name, s, b, err)
 				}
 				if lbn < 0 || lbn >= blocks {
-					t.Fatalf("%s: Map(%d,%d) = %d outside device", l.Name(), s, b, lbn)
+					t.Fatalf("%s: Map(%d,%d) = %d outside device", name, s, b, lbn)
 				}
 			}
 		}
@@ -70,7 +75,7 @@ func TestInterleavedDistinctSlots(t *testing.T) {
 func TestInterleavedBeatsContiguous(t *testing.T) {
 	const n = 32
 	const ioBytes = 1 * units.MB
-	run := func(l Layout) time.Duration {
+	run := func(l layout) time.Duration {
 		d, _ := New(G3())
 		chunkBlocks := int64(ioBytes / d.Geometry().BlockSize)
 		var now time.Duration

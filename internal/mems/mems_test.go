@@ -107,7 +107,7 @@ func TestSeekTimeFullStroke(t *testing.T) {
 	// Seeking from block 0 to the far corner costs ≈ full stroke + settle.
 	last := d.Geometry().Blocks - 1
 	got := d.SeekTime(last)
-	max := d.Params().MaxLatency()
+	max := d.p.MaxLatency()
 	if got < time.Duration(0.9*float64(max)) || got > max {
 		t.Errorf("far-corner seek = %v, want ≈%v", got, max)
 	}
@@ -115,12 +115,12 @@ func TestSeekTimeFullStroke(t *testing.T) {
 
 func TestSeekTimeSquareRootLaw(t *testing.T) {
 	d, _ := New(G3())
-	bpc := d.Geometry().Blocks / int64(d.Params().Cylinders)
+	bpc := d.Geometry().Blocks / int64(d.p.Cylinders)
 	// Quarter stroke should cost about half of a full stroke (sqrt law),
 	// comparing X components net of settle.
-	settle := d.Params().SettleX
-	quarter := d.SeekTime(bpc*int64(d.Params().Cylinders/4)) - settle
-	full := d.SeekTime(bpc*int64(d.Params().Cylinders-1)) - settle
+	settle := d.p.SettleX
+	quarter := d.SeekTime(bpc*int64(d.p.Cylinders/4)) - settle
+	full := d.SeekTime(bpc*int64(d.p.Cylinders-1)) - settle
 	ratio := float64(quarter) / float64(full)
 	if math.Abs(ratio-0.5) > 0.1 {
 		t.Errorf("quarter/full stroke ratio = %v, want ≈0.5", ratio)
@@ -176,12 +176,8 @@ func TestServiceAccounting(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if d.Served() != 10 {
-		t.Errorf("Served = %d", d.Served())
-	}
-	d.Reset()
-	if d.Served() != 0 || d.BusyTime() != 0 {
-		t.Error("Reset did not clear stats")
+	if d.Served() != 10 || d.BusyTime() <= 0 || d.TotalSeekTime() >= d.BusyTime() {
+		t.Errorf("Served = %d, BusyTime = %v, TotalSeekTime = %v", d.Served(), d.BusyTime(), d.TotalSeekTime())
 	}
 }
 
@@ -214,7 +210,7 @@ func TestModelLatenciesConsistent(t *testing.T) {
 // device's published maximum latency.
 func TestSeekBoundedProperty(t *testing.T) {
 	d, _ := New(G3())
-	max := d.Params().MaxLatency()
+	max := d.p.MaxLatency()
 	f := func(a uint32) bool {
 		lbn := int64(a) % d.Geometry().Blocks
 		before := d.TotalSeekTime()
@@ -233,119 +229,19 @@ func TestSeekBoundedProperty(t *testing.T) {
 // track starts).
 func TestSeekMonotoneInDistanceProperty(t *testing.T) {
 	d, _ := New(G3())
-	bpc := d.Geometry().Blocks / int64(d.Params().Cylinders)
+	bpc := d.Geometry().Blocks / int64(d.p.Cylinders)
 	f := func(a, b uint16) bool {
-		ca := int(a) % d.Params().Cylinders
-		cb := int(b) % d.Params().Cylinders
+		ca := int(a) % d.p.Cylinders
+		cb := int(b) % d.p.Cylinders
 		if ca > cb {
 			ca, cb = cb, ca
 		}
-		d.Reset()
-		ta := d.SeekTime(int64(ca) * bpc)
-		d.Reset()
+		ta := d.SeekTime(int64(ca) * bpc) // SeekTime leaves the sled at block 0
 		tb := d.SeekTime(int64(cb) * bpc)
 		return ta <= tb
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSchedulerFCFSOrder(t *testing.T) {
-	d, _ := New(G3())
-	s := NewScheduler(d, FCFS)
-	for i := 0; i < 5; i++ {
-		s.Enqueue(device.Request{Block: int64(4-i) * 1e6, Blocks: 8, Stream: i})
-	}
-	cs, err := s.DrainAll(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, c := range cs {
-		if c.Stream != i {
-			t.Fatalf("FCFS served stream %d at position %d", c.Stream, i)
-		}
-	}
-}
-
-func TestSchedulerSPTFBeatsFCFS(t *testing.T) {
-	mk := func(policy Policy) time.Duration {
-		d, _ := New(G3())
-		s := NewScheduler(d, policy)
-		// Scatter requests; SPTF should finish the batch sooner.
-		blocks := d.Geometry().Blocks
-		for i := 0; i < 40; i++ {
-			lbn := (int64(i) * 7919 * 12345) % blocks
-			if lbn < 0 {
-				lbn += blocks
-			}
-			s.Enqueue(device.Request{Block: lbn, Blocks: 8})
-		}
-		cs, err := s.DrainAll(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return cs[len(cs)-1].Finish
-	}
-	fcfs, sptf := mk(FCFS), mk(SPTF)
-	if sptf >= fcfs {
-		t.Errorf("SPTF (%v) not faster than FCFS (%v)", sptf, fcfs)
-	}
-}
-
-func TestSchedulerElevatorServesAll(t *testing.T) {
-	d, _ := New(G3())
-	s := NewScheduler(d, Elevator)
-	n := 30
-	for i := 0; i < n; i++ {
-		s.Enqueue(device.Request{Block: int64((i * 997) % 1000 * 10000), Blocks: 4, Stream: i})
-	}
-	cs, err := s.DrainAll(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cs) != n {
-		t.Fatalf("served %d of %d", len(cs), n)
-	}
-	seen := make(map[int]bool)
-	for _, c := range cs {
-		seen[c.Stream] = true
-	}
-	if len(seen) != n {
-		t.Errorf("elevator dropped requests: %d unique", len(seen))
-	}
-}
-
-func TestSchedulerEmptyDispatch(t *testing.T) {
-	d, _ := New(G3())
-	s := NewScheduler(d, SPTF)
-	if _, ok, err := s.Dispatch(0); ok || err != nil {
-		t.Fatalf("empty dispatch: ok=%v err=%v", ok, err)
-	}
-}
-
-// TestSchedulerRejectsOffDeviceRequest checks that a queued request for a
-// block off the device fails its dispatch under every policy, SPTF's
-// positioning estimate included.
-func TestSchedulerRejectsOffDeviceRequest(t *testing.T) {
-	for _, pol := range []Policy{FCFS, SPTF, Elevator} {
-		d, _ := New(G3())
-		s := NewScheduler(d, pol)
-		for _, b := range []int64{-1, d.Geometry().Blocks} {
-			s.Enqueue(device.Request{Block: b, Blocks: 1})
-			if _, ok, err := s.Dispatch(0); ok || err == nil {
-				t.Errorf("%v: block %d dispatched: ok=%v err=%v", pol, b, ok, err)
-			}
-		}
-	}
-}
-
-func TestPolicyString(t *testing.T) {
-	if FCFS.String() != "fcfs" || SPTF.String() != "sptf" || Elevator.String() != "elevator" {
-		t.Error("policy names wrong")
-	}
-	if Policy(9).String() == "" {
-		t.Error("unknown policy should still render")
 	}
 }
 
@@ -400,7 +296,7 @@ func TestTipSparing(t *testing.T) {
 	full := d.effectiveRate()
 
 	// Failures within the ~10% spare pool cost nothing.
-	spares := d.Params().ActiveTips / 10
+	spares := d.p.ActiveTips / 10
 	if err := d.FailTips(spares); err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +305,7 @@ func TestTipSparing(t *testing.T) {
 	}
 
 	// Beyond the spares, the rate derates proportionally.
-	if err := d.FailTips(spares + d.Params().ActiveTips/4); err != nil {
+	if err := d.FailTips(spares + d.p.ActiveTips/4); err != nil {
 		t.Fatal(err)
 	}
 	derated := d.effectiveRate()
@@ -425,21 +321,21 @@ func TestTipSparing(t *testing.T) {
 	if err := d.FailTips(0); err != nil {
 		t.Fatal(err)
 	}
-	d.Reset()
-	if _, err := d.Service(0, device.Request{Op: device.Read, Block: 0, Blocks: 2000}); err != nil {
-		t.Fatal(err)
-	}
-	if x2 := d.BusyTime() - d.TotalSeekTime(); x1 <= x2 {
-		t.Errorf("derated transfer %v not slower than healthy %v", x1, x2)
-	}
 	if d.FailedTips() != 0 {
 		t.Errorf("FailedTips = %d after reset to 0", d.FailedTips())
+	}
+	h, _ := New(G3())
+	if _, err := h.Service(0, device.Request{Op: device.Read, Block: 0, Blocks: 2000}); err != nil {
+		t.Fatal(err)
+	}
+	if x2 := h.BusyTime() - h.TotalSeekTime(); x1 <= x2 {
+		t.Errorf("derated transfer %v not slower than healthy %v", x1, x2)
 	}
 	// Bounds.
 	if err := d.FailTips(-1); err == nil {
 		t.Error("negative failures accepted")
 	}
-	if err := d.FailTips(d.Params().ActiveTips + 1); err == nil {
+	if err := d.FailTips(d.p.ActiveTips + 1); err == nil {
 		t.Error("failing more tips than exist accepted")
 	}
 }

@@ -59,10 +59,6 @@ func (c *Counter) Handle() Handle {
 // Add accumulates delta on the handle's shard.
 func (h Handle) Add(delta uint64) { h.s.n.Add(delta) }
 
-// Add accumulates delta on shard 0 — a convenience for cold paths that
-// have no Handle (e.g. one-shot accounting outside the streaming loop).
-func (c *Counter) Add(delta uint64) { c.shards[0].n.Add(delta) }
-
 // Total folds every shard. It is not a consistent cut across shards
 // (loads are independent), but the counter is monotonic, so Total is
 // always between the true value at the start and end of the call.
@@ -87,9 +83,6 @@ type Gauge struct {
 
 // Add moves the gauge by delta (negative to decrement).
 func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
-// Set stores an absolute value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
 // Load returns the current value.
 func (g *Gauge) Load() int64 { return g.v.Load() }

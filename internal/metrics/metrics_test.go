@@ -11,12 +11,12 @@ func TestCounterHandleAndTotal(t *testing.T) {
 	h1, h2 := c.Handle(), c.Handle()
 	h1.Add(3)
 	h2.Add(4)
-	c.Add(5)
+	h1.Add(5)
 	if got := c.Total(); got != 12 {
 		t.Errorf("Total = %d, want 12", got)
 	}
-	if allocs := testing.AllocsPerRun(1000, func() { c.Add(1) }); allocs != 0 {
-		t.Errorf("Add without a handle allocates %.1f/op", allocs)
+	if allocs := testing.AllocsPerRun(1000, func() { h2.Add(1) }); allocs != 0 {
+		t.Errorf("Handle.Add allocates %.1f/op", allocs)
 	}
 }
 
@@ -214,9 +214,9 @@ func TestGauge(t *testing.T) {
 	if got := g.Load(); got != 3 {
 		t.Errorf("after +5-2: %d, want 3", got)
 	}
-	g.Set(-7)
+	g.Add(-10)
 	if got := g.Load(); got != -7 {
-		t.Errorf("after Set(-7): %d", got)
+		t.Errorf("after -10: %d, want -7", got)
 	}
 	allocs := testing.AllocsPerRun(100, func() { g.Add(1); _ = g.Load() })
 	if allocs != 0 {

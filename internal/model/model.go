@@ -40,11 +40,6 @@ func (l StreamLoad) Validate() error {
 	return nil
 }
 
-// Aggregate returns N·B̄.
-func (l StreamLoad) Aggregate() units.ByteRate {
-	return units.ByteRate(float64(l.N) * float64(l.BitRate))
-}
-
 // DeviceSpec carries the two numbers the model needs per device: its media
 // transfer rate R_d and its per-IO latency L̄_d under the chosen
 // convention.

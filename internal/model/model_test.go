@@ -384,13 +384,6 @@ func TestMaxStreamsBuffered(t *testing.T) {
 	}
 }
 
-func TestStreamLoadAggregate(t *testing.T) {
-	l := StreamLoad{N: 100, BitRate: 1 * units.MBPS}
-	if got := l.Aggregate(); got != 100*units.MBPS {
-		t.Errorf("Aggregate = %v, want 100MB/s", got)
-	}
-}
-
 func TestBufferConfigValidate(t *testing.T) {
 	good := BufferConfig{
 		Load: StreamLoad{N: 10, BitRate: units.MBPS},

@@ -45,22 +45,6 @@ func NewTimeCycle(n int, plan model.DirectPlan) (*TimeCycle, error) {
 	return tc, nil
 }
 
-// Validate checks internal consistency.
-func (tc *TimeCycle) Validate() error {
-	if tc.Period <= 0 {
-		return fmt.Errorf("schedule: non-positive period %v", tc.Period)
-	}
-	if len(tc.Entries) == 0 {
-		return fmt.Errorf("schedule: empty cycle")
-	}
-	for _, e := range tc.Entries {
-		if e.IOSize <= 0 {
-			return fmt.Errorf("schedule: stream %d has non-positive IO size", e.Stream)
-		}
-	}
-	return nil
-}
-
 // Deadline is a pending request with a completion deadline, for EDF.
 type Deadline struct {
 	Stream   int
@@ -101,6 +85,3 @@ func (e *EDF) Pop() *Deadline {
 	}
 	return heap.Pop(&e.h).(*Deadline)
 }
-
-// Len reports queued requests.
-func (e *EDF) Len() int { return len(e.h) }

@@ -32,9 +32,6 @@ func TestNewTimeCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tc.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	if len(tc.Entries) != 20 {
 		t.Fatalf("entries = %d", len(tc.Entries))
 	}
@@ -59,21 +56,6 @@ func TestNewTimeCycleErrors(t *testing.T) {
 	}
 }
 
-func TestTimeCycleValidate(t *testing.T) {
-	bad := &TimeCycle{Period: 0}
-	if err := bad.Validate(); err == nil {
-		t.Error("zero period accepted")
-	}
-	bad = &TimeCycle{Period: time.Second}
-	if err := bad.Validate(); err == nil {
-		t.Error("empty entries accepted")
-	}
-	bad = &TimeCycle{Period: time.Second, Entries: []Entry{{Stream: 0, IOSize: 0}}}
-	if err := bad.Validate(); err == nil {
-		t.Error("zero IO size accepted")
-	}
-}
-
 // The schedule's sustained throughput equals the aggregate stream rate —
 // the defining property of time-cycle scheduling.
 func TestTimeCycleThroughputMatchesLoad(t *testing.T) {
@@ -81,7 +63,7 @@ func TestTimeCycleThroughputMatchesLoad(t *testing.T) {
 	plan, _ := model.DiskDirect(load, diskSpec())
 	tc, _ := NewTimeCycle(load.N, plan)
 	got := units.RateOf(tc.BytesPerCycle(), tc.Period)
-	want := load.Aggregate()
+	want := units.ByteRate(float64(load.N) * float64(load.BitRate)) // N·B̄
 	if math.Abs(float64(got-want)) > 1e-6*float64(want) {
 		t.Errorf("throughput = %v, want %v", got, want)
 	}
@@ -170,8 +152,8 @@ func TestEDFOrdering(t *testing.T) {
 	e.Push(&Deadline{Stream: 2, Deadline: 30 * time.Millisecond})
 	e.Push(&Deadline{Stream: 0, Deadline: 10 * time.Millisecond})
 	e.Push(&Deadline{Stream: 1, Deadline: 20 * time.Millisecond})
-	if e.Len() != 3 {
-		t.Fatalf("len = %d", e.Len())
+	if len(e.h) != 3 {
+		t.Fatalf("len = %d", len(e.h))
 	}
 	for want := 0; want < 3; want++ {
 		d := e.Pop()
@@ -193,8 +175,7 @@ func TestEDFSortedProperty(t *testing.T) {
 			e.Push(&Deadline{Stream: i, Deadline: time.Duration(d) * time.Millisecond})
 		}
 		last := time.Duration(-1)
-		for e.Len() > 0 {
-			d := e.Pop()
+		for d := e.Pop(); d != nil; d = e.Pop() {
 			if d.Deadline < last {
 				return false
 			}

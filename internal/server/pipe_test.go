@@ -79,7 +79,7 @@ func newPerStreamWalk(p *bufferPipe, tBank time.Duration) *perStreamWalk {
 	return &perStreamWalk{
 		p:          p,
 		drainBytes: units.BytesIn(p.r.rate, tBank),
-		slotBlocks: blocksFor(p.bb.SlotSize(), p.block),
+		slotBlocks: blocksFor(p.disk.ioSize, p.block), // a slot holds one disk IO
 		slotCycle:  make([]int64, n), slotOff: make([]int64, n),
 		wbCycle: make([]int64, n), wbOff: make([]int64, n),
 	}

@@ -362,7 +362,7 @@ func (a *Arena) getSched(dev *disk.Device) *disk.Scheduler {
 	if n := len(a.scheds); n > 0 {
 		s := a.scheds[n-1]
 		a.scheds = a.scheds[:n-1]
-		s.Rebind(dev, disk.CLook)
+		s.Rebind(dev)
 		return s
 	}
 	return disk.NewScheduler(dev, disk.CLook)

@@ -104,9 +104,6 @@ func (r *Reservoir) QuantileBy(q float64, f func(float64) float64) (float64, boo
 	return lo + frac*(hi-lo), true
 }
 
-// Median is Quantile(0.5).
-func (r *Reservoir) Median() (float64, bool) { return r.Quantile(0.5) }
-
 // less is sort.Float64s' order: NaN before every number.
 func less(a, b float64) bool { return a < b || (math.IsNaN(a) && !math.IsNaN(b)) }
 

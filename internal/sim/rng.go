@@ -79,19 +79,6 @@ func (r *RNG) Norm(mean, stddev float64) float64 {
 	return mean + stddev*math.Sqrt(-2*math.Log(u1))*math.Cos(2*math.Pi*u2)
 }
 
-// Perm returns a random permutation of [0, n) using Fisher–Yates.
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
 // Split derives an independent generator; useful for giving each simulated
 // entity its own stream without coupling their sequences.
 func (r *RNG) Split() *RNG {

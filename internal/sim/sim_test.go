@@ -416,34 +416,6 @@ func TestRNGUint64nRejectionPath(t *testing.T) {
 	}
 }
 
-// TestRNGPermUniform checks Fisher–Yates output frequencies: over many
-// permutations of 4 elements, each element must land in each position
-// about 1/4 of the time. A biased swap (the classic i vs i+1 off-by-one)
-// skews these counts far beyond the tolerance.
-func TestRNGPermUniform(t *testing.T) {
-	r := NewRNG(777)
-	const n = 4
-	const trials = 40000
-	var counts [n][n]int // counts[value][position]
-	for i := 0; i < trials; i++ {
-		p := r.Perm(n)
-		for pos, v := range p {
-			counts[v][pos]++
-		}
-	}
-	want := float64(trials) / n
-	// 5-sigma binomial tolerance: sqrt(trials * 1/4 * 3/4).
-	tol := 5 * math.Sqrt(float64(trials)*0.25*0.75)
-	for v := 0; v < n; v++ {
-		for pos := 0; pos < n; pos++ {
-			if d := math.Abs(float64(counts[v][pos]) - want); d > tol {
-				t.Errorf("element %d at position %d: %d occurrences, want %.0f±%.0f",
-					v, pos, counts[v][pos], want, tol)
-			}
-		}
-	}
-}
-
 func TestRNGUint64nPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -487,18 +459,6 @@ func TestRNGNormMoments(t *testing.T) {
 	}
 }
 
-func TestRNGPerm(t *testing.T) {
-	r := NewRNG(17)
-	p := r.Perm(50)
-	seen := make([]bool, 50)
-	for _, v := range p {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("bad permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
 func TestRNGSplitIndependence(t *testing.T) {
 	r := NewRNG(21)
 	s := r.Split()
@@ -521,7 +481,7 @@ func TestReservoirSmallStreamExact(t *testing.T) {
 	if got, ok := r.Quantile(1); !ok || got != 5 {
 		t.Errorf("max = %v, %v", got, ok)
 	}
-	if got, ok := r.Median(); !ok || got != 3 {
+	if got, ok := r.Quantile(0.5); !ok || got != 3 {
 		t.Errorf("median = %v, %v", got, ok)
 	}
 	// Interpolation between order statistics.
@@ -534,9 +494,6 @@ func TestReservoirEmptyAndClamping(t *testing.T) {
 	r := NewReservoir(10, 1)
 	if _, ok := r.Quantile(0.5); ok {
 		t.Error("empty reservoir should report ok=false")
-	}
-	if _, ok := r.Median(); ok {
-		t.Error("empty median should report ok=false")
 	}
 	r.Observe(7)
 	lo, okLo := r.Quantile(-1)

@@ -91,11 +91,6 @@ func (d *flatDevice) book(pos, xfer time.Duration) {
 	d.seekTime += pos
 }
 
-// Reset clears statistics.
-func (d *flatDevice) Reset() {
-	d.served, d.busy, d.seekTime = 0, 0, 0
-}
-
 // Served reports the number of completed requests.
 func (d *flatDevice) Served() uint64 { return d.served }
 
@@ -109,48 +104,3 @@ var (
 	_ Device    = (*flatDevice)(nil)
 	_ Cacheable = (*flatDevice)(nil)
 )
-
-// fifoScheduler services requests in arrival order — on a uniform-latency
-// device every ordering has the same cost, so FCFS is optimal.
-type fifoScheduler struct {
-	dev   Device
-	queue []device.Request
-}
-
-// Enqueue adds a request to the pending queue.
-func (s *fifoScheduler) Enqueue(r device.Request) { s.queue = append(s.queue, r) }
-
-// Len reports the number of pending requests.
-func (s *fifoScheduler) Len() int { return len(s.queue) }
-
-// Dispatch services the oldest request; false when the queue is empty.
-func (s *fifoScheduler) Dispatch(now time.Duration) (device.Completion, bool, error) {
-	if len(s.queue) == 0 {
-		return device.Completion{}, false, nil
-	}
-	r := s.queue[0]
-	s.queue = s.queue[1:]
-	c, err := s.dev.Service(now, r)
-	if err != nil {
-		return device.Completion{}, false, err
-	}
-	return c, true, nil
-}
-
-// DrainAll services every queued request back-to-back starting at now.
-func (s *fifoScheduler) DrainAll(now time.Duration) ([]device.Completion, error) {
-	var out []device.Completion
-	t := now
-	for len(s.queue) > 0 {
-		c, ok, err := s.Dispatch(t)
-		if err != nil {
-			return out, err
-		}
-		if !ok {
-			break
-		}
-		out = append(out, c)
-		t = c.Finish
-	}
-	return out, nil
-}

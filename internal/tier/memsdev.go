@@ -65,23 +65,3 @@ func newMEMSDevice(s Spec) (Device, error) {
 	}
 	return &memsDevice{Device: d}, nil
 }
-
-// NewScheduler wraps dev with the given policy. MEMS-backed devices use
-// the sled-aware scheduler (SPTF and Elevator consult actual sled
-// position); flat-latency devices have no position to exploit, so every
-// policy degenerates to FCFS ordering.
-func NewScheduler(dev Device, policy Policy) Scheduler {
-	if md, ok := dev.(*memsDevice); ok {
-		var mp mems.Policy
-		switch policy {
-		case SPTF:
-			mp = mems.SPTF
-		case Elevator:
-			mp = mems.Elevator
-		default:
-			mp = mems.FCFS
-		}
-		return mems.NewScheduler(md.Device, mp)
-	}
-	return &fifoScheduler{dev: dev}
-}

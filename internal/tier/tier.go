@@ -14,6 +14,8 @@ import (
 	"time"
 
 	"memstream/internal/device"
+	"memstream/internal/mems"
+	"memstream/internal/ring"
 	"memstream/internal/units"
 )
 
@@ -70,12 +72,6 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// DeviceCost is the per-device price under the paper's Eq 2 model:
-// $/GB times device capacity.
-func (s Spec) DeviceCost() units.Dollars {
-	return units.PerGB(s.CostPerGB).Cost(s.Capacity)
-}
-
 // Device is one simulated middle-tier device. It is the contract the
 // banks and the simulation rig program against: service a request at a
 // simulated clock and report emergent statistics. Implementations are
@@ -93,9 +89,6 @@ type Device interface {
 	BusyTime() time.Duration
 	// TotalSeekTime reports cumulative positioning time.
 	TotalSeekTime() time.Duration
-	// Reset returns the device to its initial position and clears
-	// statistics.
-	Reset()
 }
 
 // ServeInStep serves r at now on every device of devs, as a striped
@@ -139,8 +132,6 @@ type Cacheable interface {
 // Layout maps stream-relative block addresses onto device LBNs — the
 // placement-policy contract from the paper's §7 future work.
 type Layout interface {
-	// Name identifies the policy.
-	Name() string
 	// Map translates (stream, stream-relative block) to a device LBN.
 	Map(stream int, block int64) (int64, error)
 }
@@ -155,44 +146,85 @@ type LayoutCapable interface {
 	InterleavedLayout(n int, ioSize units.Bytes) (Layout, error)
 }
 
-// Policy selects the order in which a Scheduler services queued requests.
+// Policy names the order a Scheduler services requests in. There is one,
+// SPTF; the Policy argument of NewScheduler stays only until the
+// benchmark's own change drops it (ROADMAP item 1(a)).
 type Policy uint8
 
-// Scheduling policies.
-const (
-	// FCFS services requests in arrival order.
-	FCFS Policy = iota
-	// SPTF services the request with the shortest positioning time from
-	// the current device position.
-	SPTF
-	// Elevator sweeps the address space in alternating directions.
-	Elevator
-)
+// SPTF services the request with the shortest positioning time from the
+// current device position.
+const SPTF Policy = 0
 
-// String names the policy.
-func (p Policy) String() string {
-	switch p {
-	case FCFS:
-		return "fcfs"
-	case SPTF:
-		return "sptf"
-	case Elevator:
-		return "elevator"
-	}
-	return fmt.Sprintf("policy(%d)", uint8(p))
+// Scheduler orders pending requests for a Device, shortest positioning
+// time first, and services them one at a time; the caller owns simulated
+// time. On a sled device it takes the queued request with the shortest
+// SeekTime from the sled's current position, the earliest arrival winning
+// ties. A flat device positions every request alike, so there the
+// earliest arrival always wins: arrival order. The pending queue is a ring,
+// so an arrival-order dispatch is O(1).
+type Scheduler struct {
+	dev   Device
+	sled  *mems.Device // dev's sled, nil on a flat device
+	queue ring.Ring[device.Request]
 }
 
-// Scheduler orders pending requests for a Device and services them one
-// at a time. The caller owns simulated time.
-type Scheduler interface {
-	// Enqueue adds a request to the pending queue.
-	Enqueue(r device.Request)
-	// Len reports the number of pending requests.
-	Len() int
-	// Dispatch services the next request according to the policy,
-	// starting at simulated time now; false when the queue is empty.
-	Dispatch(now time.Duration) (device.Completion, bool, error)
-	// DrainAll services every queued request back-to-back starting at
-	// now and returns the completions in service order.
-	DrainAll(now time.Duration) ([]device.Completion, error)
+// NewScheduler wraps dev in an SPTF scheduler.
+func NewScheduler(dev Device, _ Policy) *Scheduler {
+	s := &Scheduler{dev: dev}
+	if md, ok := dev.(*memsDevice); ok {
+		s.sled = md.Device
+	}
+	return s
+}
+
+// Enqueue adds a request to the pending queue.
+func (s *Scheduler) Enqueue(r device.Request) { s.queue.PushBack(r) }
+
+// Len reports the number of pending requests.
+func (s *Scheduler) Len() int { return s.queue.Len() }
+
+// pick returns the queue index of the next request to service.
+func (s *Scheduler) pick() int {
+	if s.sled == nil {
+		return 0
+	}
+	best, bestT := 0, time.Duration(1<<62)
+	for i, n := 0, s.queue.Len(); i < n; i++ {
+		if t := s.sled.SeekTime(s.queue.At(i).Block); t < bestT {
+			best, bestT = i, t
+		}
+	}
+	return best
+}
+
+// Dispatch services the next request, starting at simulated time now. It
+// reports false when the queue is empty.
+func (s *Scheduler) Dispatch(now time.Duration) (device.Completion, bool, error) {
+	if s.queue.Len() == 0 {
+		return device.Completion{}, false, nil
+	}
+	c, err := s.dev.Service(now, s.queue.RemoveAt(s.pick()))
+	if err != nil {
+		return device.Completion{}, false, err
+	}
+	return c, true, nil
+}
+
+// DrainAll services every queued request back-to-back starting at now and
+// returns the completions in service order.
+func (s *Scheduler) DrainAll(now time.Duration) ([]device.Completion, error) {
+	out := make([]device.Completion, 0, s.queue.Len())
+	t := now
+	for s.queue.Len() > 0 {
+		c, ok, err := s.Dispatch(t)
+		if err != nil {
+			return out, err
+		}
+		if !ok {
+			break
+		}
+		out = append(out, c)
+		t = c.Finish
+	}
+	return out, nil
 }

@@ -200,10 +200,6 @@ func TestFlatDeviceService(t *testing.T) {
 	if _, err := d.Service(0, device.Request{Op: device.Read, Block: -1, Blocks: 1}); err == nil {
 		t.Error("out-of-range request accepted")
 	}
-	d.Reset()
-	if d.Served() != 0 || d.BusyTime() != 0 || d.TotalSeekTime() != 0 {
-		t.Error("Reset left counters non-zero")
-	}
 }
 
 func TestFlatDeviceCache(t *testing.T) {
@@ -250,15 +246,14 @@ func TestFlatDeviceCache(t *testing.T) {
 	}
 }
 
+// TestFIFOScheduler checks that SPTF on a flat device, where every
+// request positions alike, serves arrival order back-to-back.
 func TestFIFOScheduler(t *testing.T) {
 	d, err := New(MustLookup("ssd-sata"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewScheduler(d, SPTF) // flat device: any policy is FCFS order
-	if _, ok := s.(*fifoScheduler); !ok {
-		t.Fatalf("flat device scheduler is %T, want fifoScheduler", s)
-	}
+	s := NewScheduler(d, SPTF)
 	for i := 0; i < 3; i++ {
 		s.Enqueue(device.Request{Op: device.Read, Block: int64(1000 - i), Blocks: 8, Stream: i})
 	}
@@ -275,49 +270,100 @@ func TestFIFOScheduler(t *testing.T) {
 	per := cs[0].Finish - 10*time.Millisecond // every IO is the same size
 	for i, c := range cs {
 		if c.Stream != i {
-			t.Errorf("completion %d served stream %d; FIFO order violated", i, c.Stream)
+			t.Errorf("completion %d served stream %d; arrival order violated", i, c.Stream)
 		}
 		if i > 0 && c.Finish-cs[i-1].Finish != per {
 			t.Errorf("completion %d not back-to-back", i)
 		}
 	}
-	if _, ok, err := s.Dispatch(0); ok || err != nil {
-		t.Errorf("Dispatch on empty queue: ok=%v err=%v", ok, err)
-	}
 }
 
+// TestMEMSSchedulerSelected checks that SPTF on a sled serves the nearer
+// of two requests first, whatever their arrival order.
 func TestMEMSSchedulerSelected(t *testing.T) {
 	d, err := New(MustLookup("mems-g3"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewScheduler(d, Elevator)
-	if _, ok := s.(*fifoScheduler); ok {
-		t.Fatal("MEMS device got the flat FIFO scheduler")
-	}
-	s.Enqueue(device.Request{Op: device.Read, Block: 0, Blocks: 8})
-	s.Enqueue(device.Request{Op: device.Read, Block: 1 << 18, Blocks: 8})
+	s := NewScheduler(d, SPTF)
+	far := d.Geometry().Blocks - 8
+	s.Enqueue(device.Request{Op: device.Read, Block: far, Blocks: 8, Stream: 0})
+	s.Enqueue(device.Request{Op: device.Read, Block: 8, Blocks: 8, Stream: 1})
 	cs, err := s.DrainAll(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cs) != 2 {
-		t.Fatalf("drained %d, want 2", len(cs))
+	if len(cs) != 2 || cs[0].Stream != 1 || cs[1].Stream != 0 {
+		t.Fatalf("served %+v; want the near request (stream 1) before the far one", cs)
 	}
 }
 
-func TestPolicyNamesDistinct(t *testing.T) {
-	if FCFS.String() == SPTF.String() || SPTF.String() == Elevator.String() {
-		t.Error("policy names not distinct")
+// TestSchedulerSPTFBeatsFCFS finishes a scattered batch on a sled sooner
+// under SPTF than serving it in arrival order.
+func TestSchedulerSPTFBeatsFCFS(t *testing.T) {
+	batch := func(d Device) []device.Request {
+		blocks := d.Geometry().Blocks
+		reqs := make([]device.Request, 40)
+		for i := range reqs {
+			lbn := (int64(i) * 7919 * 12345) % blocks
+			reqs[i] = device.Request{Block: lbn, Blocks: 8}
+		}
+		return reqs
+	}
+	d, err := New(MustLookup("mems-g3"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fcfs time.Duration
+	for _, r := range batch(d) {
+		c, err := d.Service(fcfs, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fcfs = c.Finish
+	}
+	d, _ = New(MustLookup("mems-g3"))
+	s := NewScheduler(d, SPTF)
+	for _, r := range batch(d) {
+		s.Enqueue(r)
+	}
+	cs, err := s.DrainAll(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sptf := cs[len(cs)-1].Finish; sptf >= fcfs {
+		t.Errorf("SPTF (%v) not faster than FCFS (%v)", sptf, fcfs)
 	}
 }
 
-func TestDeviceCost(t *testing.T) {
-	s := MustLookup("mems-g3")
-	// Eq 2 per-device pricing: $/GB times the device capacity.
-	want := units.PerGB(s.CostPerGB).Cost(s.Capacity)
-	if got := s.DeviceCost(); got != want {
-		t.Errorf("DeviceCost = %v, want %v", got, want)
+func TestSchedulerEmptyDispatch(t *testing.T) {
+	for _, name := range []string{"mems-g3", "ssd-sata"} {
+		d, err := New(MustLookup(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok, err := NewScheduler(d, SPTF).Dispatch(0); ok || err != nil {
+			t.Errorf("%s: empty dispatch: ok=%v err=%v", name, ok, err)
+		}
+	}
+}
+
+// TestSchedulerRejectsOffDeviceRequest checks that a queued request for a
+// block off the device fails its dispatch, on a sled (through SPTF's
+// positioning estimate) and on a flat device.
+func TestSchedulerRejectsOffDeviceRequest(t *testing.T) {
+	for _, name := range []string{"mems-g3", "ssd-sata"} {
+		d, err := New(MustLookup(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := NewScheduler(d, SPTF)
+		for _, b := range []int64{-1, d.Geometry().Blocks} {
+			s.Enqueue(device.Request{Block: b, Blocks: 1})
+			if _, ok, err := s.Dispatch(0); ok || err == nil {
+				t.Errorf("%s: block %d dispatched: ok=%v err=%v", name, b, ok, err)
+			}
+		}
 	}
 }
 
@@ -338,13 +384,13 @@ func TestLayoutCapable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, l := range []Layout{contig, inter} {
+	for name, l := range map[string]Layout{"contiguous": contig, "interleaved": inter} {
 		lbn, err := l.Map(3, 0)
 		if err != nil {
-			t.Fatalf("%s: %v", l.Name(), err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		if lbn < 0 || lbn >= d.Geometry().Blocks {
-			t.Errorf("%s: mapped block %d out of range", l.Name(), lbn)
+			t.Errorf("%s: mapped block %d out of range", name, lbn)
 		}
 	}
 	// Flat devices do not expose sled layouts.

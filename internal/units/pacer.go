@@ -33,9 +33,6 @@ func NewPacer(rate ByteRate, quantum time.Duration) *Pacer {
 	return &Pacer{rate: rate, quantum: quantum}
 }
 
-// Quantum returns the pacing interval.
-func (p *Pacer) Quantum() time.Duration { return p.quantum }
-
 // Next advances one quantum and returns the whole bytes due, carrying
 // any fractional remainder into later quanta. For sub-quantum rates it
 // returns 0 for several calls and then 1 once a whole byte accrues.
@@ -92,13 +89,4 @@ func (p *Pacer) QuantaToNonzero() int64 {
 		k = 1
 	}
 	return k
-}
-
-// Deadline returns the wall-clock instant of the most recently issued
-// quantum, measured from the given stream start. Pacing against these
-// absolute boundaries (rather than sleeping a relative quantum after each
-// write) keeps the schedule anchored to the monotonic clock: a write that
-// blocks does not shift every later deadline.
-func (p *Pacer) Deadline(start time.Time) time.Time {
-	return start.Add(time.Duration(p.ticks) * p.quantum)
 }

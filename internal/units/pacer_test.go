@@ -55,13 +55,21 @@ func TestPacerNonPositiveRate(t *testing.T) {
 	}
 }
 
+// deadline is the wall-clock instant of p's most recently issued quantum,
+// measured from the stream start: pacing against these absolute
+// boundaries, rather than sleeping a relative quantum after each write,
+// keeps a blocked write from shifting every later one.
+func deadline(p *Pacer, start time.Time) time.Time {
+	return start.Add(time.Duration(p.Ticks()) * p.quantum)
+}
+
 func TestPacerDeadlineAnchored(t *testing.T) {
 	p := NewPacer(1*KBPS, 100*time.Millisecond)
 	start := time.Unix(1000, 0)
 	p.Next()
 	p.Next()
 	p.Next()
-	if got, want := p.Deadline(start), start.Add(300*time.Millisecond); !got.Equal(want) {
+	if got, want := deadline(p, start), start.Add(300*time.Millisecond); !got.Equal(want) {
 		t.Errorf("Deadline after 3 quanta = %v, want %v", got, want)
 	}
 }
@@ -88,7 +96,7 @@ func TestPacerCatchUpAfterStall(t *testing.T) {
 		if n := p.Next(); n != perQ {
 			t.Fatalf("quantum %d: chunk = %d, want %d", i, n, perQ)
 		}
-		if got, want := p.Deadline(start), start.Add(time.Duration(i)*quantum); !got.Equal(want) {
+		if got, want := deadline(p, start), start.Add(time.Duration(i)*quantum); !got.Equal(want) {
 			t.Fatalf("quantum %d: Deadline = %v, want %v", i, got, want)
 		}
 	}
@@ -109,7 +117,7 @@ func TestPacerCatchUpAfterStall(t *testing.T) {
 	}
 	// Deadline is still start-anchored: 12 quanta issued in total, so the
 	// boundary is start+12q regardless of when the calls actually ran.
-	if got, want := p.Deadline(start), start.Add(12*quantum); !got.Equal(want) {
+	if got, want := deadline(p, start), start.Add(12*quantum); !got.Equal(want) {
 		t.Errorf("Deadline after stall catch-up = %v, want start-anchored %v", got, want)
 	}
 }

@@ -33,16 +33,13 @@ func NewGenerator(cat *Catalog, seed uint64) *Generator {
 	return &Generator{Catalog: cat, RNG: sim.NewRNG(seed)}
 }
 
-// Draw produces n concurrent streams whose titles follow the catalog's
-// popularity weights. Offsets are uniformly random within each title so a
-// simulated steady state does not start with every stream at block 0.
-func (g *Generator) Draw(n int) (*Set, error) { return g.DrawRange(0, n) }
-
-// DrawRange is the partition-aware variant of Draw: it produces n streams
-// whose IDs run firstID..firstID+n-1, so a sharded run can hand each
-// partition its own generator (seeded independently) while keeping stream
-// IDs globally unique across the merged population. DrawRange(0, n) is
-// exactly Draw(n) — same RNG consumption, same titles and offsets.
+// DrawRange produces n concurrent streams whose titles follow the
+// catalog's popularity weights. Offsets are uniformly random within each
+// title so a simulated steady state does not start with every stream at
+// block 0. Stream IDs run firstID..firstID+n-1 and take no draws, so a
+// sharded run can hand each partition its own generator (seeded
+// independently) while keeping stream IDs globally unique across the
+// merged population.
 func (g *Generator) DrawRange(firstID, n int) (*Set, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("workload: need a positive stream count")

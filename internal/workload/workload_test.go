@@ -2,7 +2,6 @@ package workload
 
 import (
 	"math"
-	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -199,7 +198,7 @@ func TestGeneratorDraw(t *testing.T) {
 	d := XYDistribution{20, 80}
 	cat, _ := NewCatalog(100, DivX, d.Weights(100), 512)
 	g := NewGenerator(cat, 1)
-	set, err := g.Draw(500)
+	set, err := g.DrawRange(0, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,22 +218,21 @@ func TestGeneratorDraw(t *testing.T) {
 func TestGeneratorDrawErrors(t *testing.T) {
 	cat, _ := NewCatalog(10, MP3, Zipf(10, 1), 512)
 	g := NewGenerator(cat, 1)
-	if _, err := g.Draw(0); err == nil {
-		t.Error("Draw(0) accepted")
+	if _, err := g.DrawRange(0, 0); err == nil {
+		t.Error("DrawRange(0, 0) accepted")
 	}
 	if _, err := g.DrawRange(-1, 10); err == nil {
 		t.Error("DrawRange(-1, ...) accepted")
 	}
 }
 
-// TestDrawRangePartitionAware: DrawRange(0, n) is exactly Draw(n), and a
-// nonzero firstID shifts only the IDs — titles and offsets stay the
+// TestDrawRangePartitionAware: a nonzero firstID shifts only the IDs — titles and offsets stay the
 // draws the seed dictates. Partitions built this way have globally unique
 // IDs and per-seed-independent populations.
 func TestDrawRangePartitionAware(t *testing.T) {
 	d := XYDistribution{10, 90}
 	cat, _ := NewCatalog(100, DVD, d.Weights(100), 512)
-	base, err := NewGenerator(cat, 42).Draw(50)
+	base, err := NewGenerator(cat, 42).DrawRange(0, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,23 +246,16 @@ func TestDrawRangePartitionAware(t *testing.T) {
 			t.Fatalf("stream %d: ID = %d, want %d", i, r.ID, 1000+i)
 		}
 		if b.Title.ID != r.Title.ID || b.Offset != r.Offset || b.BitRate != r.BitRate {
-			t.Fatalf("stream %d: DrawRange draw differs from Draw: %+v vs %+v", i, r, b)
+			t.Fatalf("stream %d: DrawRange(1000, n) draw differs from DrawRange(0, n): %+v vs %+v", i, r, b)
 		}
-	}
-	zero, err := NewGenerator(cat, 42).DrawRange(0, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(zero, base) {
-		t.Error("DrawRange(0, n) differs from Draw(n)")
 	}
 }
 
 func TestGeneratorDeterminism(t *testing.T) {
 	d := XYDistribution{10, 90}
 	cat, _ := NewCatalog(100, DVD, d.Weights(100), 512)
-	a, _ := NewGenerator(cat, 42).Draw(100)
-	b, _ := NewGenerator(cat, 42).Draw(100)
+	a, _ := NewGenerator(cat, 42).DrawRange(0, 100)
+	b, _ := NewGenerator(cat, 42).DrawRange(0, 100)
 	for i := range a.Streams {
 		if a.Streams[i].Title.ID != b.Streams[i].Title.ID {
 			t.Fatal("same seed produced different draws")

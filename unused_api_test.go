@@ -1,9 +1,13 @@
 package memstream
 
 import (
+	"errors"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path"
 	"path/filepath"
@@ -29,83 +33,131 @@ var unusedAllowed = map[string]string{
 	"internal/metrics.Snapshot.Merge":  "folds histogram snapshots; ROADMAP item 5 merges shard and partition margins with it",
 	"internal/model.EffectiveBankSpec": "Corollaries 2-4 as one device spec; ROADMAP item 19's Scaling relation gives it a caller",
 	"internal/model.MEMSDirect":        "Corollary 1 (MEMS as the only store); the oracle of TestStripedK1EqualsMEMSDirectProperty",
+	"internal/sim.Engine.Pending":      "calendar depth; internal/server's TestCalendarStaysShallow holds every cycle mode to loops + 2 with it",
+	"internal/sim.Reservoir.N":         "samples observed; internal/server's cached cycle-walk benchmark warms until the margins reservoir is full",
 	"internal/units.B":                 "the base of the byte-size ladder (B, KB, MB, GB, TB)",
 	"internal/units.BPS":               "the base of the byte-rate ladder (BPS, KBPS, MBPS)",
 }
 
-// TestNoUnusedExportedAPI finds dead API with go/parser alone: every
-// exported package-level identifier declared in a non-test file under
-// internal/ needs a referent in some non-test file of the module — its
-// own package (outside its own declaration), or another package through
-// the import. So does every exported method of a named type there, and
-// every exported method of a named interface: some non-test file must
-// select a field or method of that name (x.Name) outside the method's own
-// declaration. References are matched by name, without type-checking, so
-// the test can miss dead code (a local, a field or another type's method
-// of the same name counts as a use) but never reports live code as dead.
+// stdlibInterfaces names the standard-library interfaces whose methods
+// the standard library calls on a module type no module file selects them
+// on: fmt and errors print and unwrap through String and Error, encoding/json
+// marshals through MarshalJSON, sort and container/heap order through
+// their interfaces, and net/http serves through a Handler, a Listener and
+// its Conns. A method of a module type that implements one of these stays
+// live under that interface's method names.
+var stdlibInterfaces = []struct{ pkg, name string }{
+	{"", "error"},
+	{"fmt", "Stringer"},
+	{"encoding/json", "Marshaler"},
+	{"sort", "Interface"},
+	{"container/heap", "Interface"},
+	{"net", "Conn"},
+	{"net", "Listener"},
+	{"net/http", "Handler"},
+}
+
+// TestNoUnusedExportedAPI type-checks every non-test package of the module
+// from source (the standard library through its export data) and fails on
+// an exported package-level identifier or method declared in a non-test
+// file under internal/ that no non-test file of the module uses outside
+// its own declaration. A method of a named type is used when it is
+// selected on that type (a generic type's instances count for it), or when
+// the type implements an interface whose method of that name is used,
+// whether a module interface or one of stdlibInterfaces. A method of a
+// named interface is used when it is selected on that interface. Uses
+// resolve to objects, so a field, a local or another type's method of the
+// same name is no use.
 func TestNoUnusedExportedAPI(t *testing.T) {
 	const module = "memstream"
 	fset := token.NewFileSet()
+	std := importer.ForCompiler(fset, "gc", nil)
+	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+	pkgs := map[string]*types.Package{}
+	files := map[string][]*ast.File{}
 
-	type decl struct {
-		pkg, name string
-		pos, end  token.Pos
+	var load func(ip string) (*types.Package, error)
+	conf := types.Config{Importer: importerFunc(func(ip string) (*types.Package, error) {
+		if inModule(ip) {
+			return load(ip)
+		}
+		return std.Import(ip)
+	})}
+	load = func(ip string) (*types.Package, error) {
+		if p, ok := pkgs[ip]; ok {
+			return p, nil
+		}
+		dir := "." + strings.TrimPrefix(ip, module)
+		bp, err := build.ImportDir(dir, 0)
+		if err != nil {
+			return nil, err
+		}
+		var fs []*ast.File
+		for _, name := range bp.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				return nil, err
+			}
+			fs = append(fs, f)
+		}
+		p, err := conf.Check(ip, fset, fs, info)
+		if err != nil {
+			return nil, err
+		}
+		pkgs[ip], files[ip] = p, fs
+		return p, nil
 	}
-	var decls []decl
-	local := map[string][]token.Pos{}    // "pkg.name" → positions of bare uses in pkg
-	remote := map[string]bool{}          // "pkg.name" used through an import
-	selected := map[string][]token.Pos{} // "name" → positions of x.name, x not an import
-
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
+		if err != nil || !d.IsDir() {
 			return err
 		}
-		if d.IsDir() {
-			if n := d.Name(); p != "." && (strings.HasPrefix(n, ".") || strings.HasPrefix(n, "_") || n == "testdata") {
-				return filepath.SkipDir
-			}
+		if n := d.Name(); p != "." && (strings.HasPrefix(n, ".") || strings.HasPrefix(n, "_") || n == "testdata") {
+			return filepath.SkipDir
+		}
+		_, err = load(path.Join(module, filepath.ToSlash(p)))
+		if none := (*build.NoGoError)(nil); errors.As(err, &none) {
 			return nil
 		}
-		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
-			return nil
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Every declaration under internal/ the gate checks, by object.
+	type decl struct {
+		id       string
+		pos, end token.Pos
+	}
+	decls := map[types.Object]decl{}
+	for ip, fs := range files {
+		if !strings.HasPrefix(ip, module+"/internal/") {
+			continue
 		}
-		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		pkg := path.Join(module, filepath.ToSlash(filepath.Dir(p)))
-		imports := map[string]string{}
-		for _, im := range f.Imports {
-			ip := strings.Trim(im.Path.Value, `"`)
-			name := path.Base(ip)
-			if im.Name != nil {
-				name = im.Name.Name
-			}
-			imports[name] = ip
-		}
-		if strings.HasPrefix(p, "internal"+string(filepath.Separator)) {
+		id := strings.TrimPrefix(ip, module+"/") + "."
+		for _, f := range fs {
 			for _, dd := range f.Decls {
 				switch dd := dd.(type) {
 				case *ast.FuncDecl:
-					switch {
-					case !dd.Name.IsExported():
-					case dd.Recv == nil:
-						decls = append(decls, decl{pkg, dd.Name.Name, dd.Pos(), dd.End()})
-					case !stdlibCalls[dd.Name.Name]:
-						decls = append(decls, decl{pkg, recvName(dd.Recv.List[0].Type) + "." + dd.Name.Name, dd.Pos(), dd.End()})
+					if dd.Name.IsExported() {
+						recv := ""
+						if dd.Recv != nil {
+							recv = recvName(dd.Recv.List[0].Type) + "."
+						}
+						decls[info.Defs[dd.Name]] = decl{id + recv + dd.Name.Name, dd.Pos(), dd.End()}
 					}
 				case *ast.GenDecl:
 					for _, s := range dd.Specs {
 						switch s := s.(type) {
 						case *ast.TypeSpec:
 							if s.Name.IsExported() {
-								decls = append(decls, decl{pkg, s.Name.Name, s.Pos(), s.End()})
+								decls[info.Defs[s.Name]] = decl{id + s.Name.Name, s.Pos(), s.End()}
 							}
 							if it, ok := s.Type.(*ast.InterfaceType); ok {
 								for _, m := range it.Methods.List {
 									for _, n := range m.Names {
-										if n.IsExported() && !stdlibCalls[n.Name] {
-											decls = append(decls, decl{pkg, s.Name.Name + "." + n.Name, m.Pos(), m.End()})
+										if n.IsExported() {
+											decls[info.Defs[n]] = decl{id + s.Name.Name + "." + n.Name, m.Pos(), m.End()}
 										}
 									}
 								}
@@ -113,7 +165,7 @@ func TestNoUnusedExportedAPI(t *testing.T) {
 						case *ast.ValueSpec:
 							for _, n := range s.Names {
 								if n.IsExported() {
-									decls = append(decls, decl{pkg, n.Name, s.Pos(), s.End()})
+									decls[info.Defs[n]] = decl{id + n.Name, s.Pos(), s.End()}
 								}
 							}
 						}
@@ -121,61 +173,101 @@ func TestNoUnusedExportedAPI(t *testing.T) {
 				}
 			}
 		}
-		var visit func(n ast.Node) bool
-		visit = func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.ImportSpec:
-				return false
-			case *ast.SelectorExpr:
-				if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
-					remote[imports[x.Name]+"."+n.Sel.Name] = true
-					return false
-				}
-				selected[n.Sel.Name] = append(selected[n.Sel.Name], n.Sel.Pos()) // a field or method
-				ast.Inspect(n.X, visit)
-				return false
-			case *ast.FuncDecl: // the name declares, the receiver is not a use
-				ast.Inspect(n.Type, visit)
-				if n.Body != nil {
-					ast.Inspect(n.Body, visit)
-				}
-				return false
-			case *ast.Field: // names declare
-				ast.Inspect(n.Type, visit)
-				return false
-			case *ast.KeyValueExpr: // a bare key is a field name
-				if _, ok := n.Key.(*ast.Ident); !ok {
-					ast.Inspect(n.Key, visit)
-				}
-				ast.Inspect(n.Value, visit)
-				return false
-			case *ast.Ident:
-				local[pkg+"."+n.Name] = append(local[pkg+"."+n.Name], n.Pos())
+	}
+
+	// Every use in a non-test file, by object. A method's receiver names
+	// its type without using it.
+	uses := map[types.Object][]token.Pos{}
+	var visit func(n ast.Node) bool
+	visit = func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncDecl:
+			ast.Inspect(n.Type, visit)
+			if n.Body != nil {
+				ast.Inspect(n.Body, visit)
 			}
-			return true
+			return false
+		case *ast.Ident:
+			if obj := info.Uses[n]; obj != nil {
+				if fn, ok := obj.(*types.Func); ok {
+					obj = fn.Origin()
+				}
+				uses[obj] = append(uses[obj], n.Pos())
+			}
 		}
-		for _, dd := range f.Decls {
-			ast.Inspect(dd, visit)
+		return true
+	}
+	for _, fs := range files {
+		for _, f := range fs {
+			ast.Inspect(f, visit)
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	}
+	used := func(obj types.Object) bool {
+		d := decls[obj]
+		for _, p := range uses[obj] {
+			if p < d.pos || p >= d.end {
+				return true
+			}
+		}
+		return false
+	}
+
+	// The interface methods a call may reach without naming the concrete
+	// method: every used method of a module interface, and every method
+	// of stdlibInterfaces.
+	type ifaceMethod struct {
+		iface *types.Interface
+		name  string
+	}
+	var reach []ifaceMethod
+	for obj := range uses {
+		fn, ok := obj.(*types.Func)
+		if !ok || fn.Pkg() == nil || !inModule(fn.Pkg().Path()) {
+			continue
+		}
+		if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+			if it, ok := recv.Type().Underlying().(*types.Interface); ok && used(obj) {
+				reach = append(reach, ifaceMethod{it, fn.Name()})
+			}
+		}
+	}
+	for _, si := range stdlibInterfaces {
+		scope := types.Universe
+		if si.pkg != "" {
+			p, err := std.Import(si.pkg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scope = p.Scope()
+		}
+		it := scope.Lookup(si.name).Type().Underlying().(*types.Interface)
+		for m := range it.NumMethods() {
+			reach = append(reach, ifaceMethod{it, it.Method(m).Name()})
+		}
+	}
+	viaIface := map[types.Object]bool{}
+	for _, p := range pkgs {
+		for _, name := range p.Scope().Names() {
+			tn, ok := p.Scope().Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() || types.IsInterface(tn.Type()) || tn.Type().(*types.Named).TypeParams() != nil {
+				continue
+			}
+			ptr := types.NewPointer(tn.Type())
+			for _, r := range reach {
+				if types.Implements(ptr, r.iface) {
+					m, _, _ := types.LookupFieldOrMethod(ptr, false, nil, r.name)
+					if fn, ok := m.(*types.Func); ok {
+						viaIface[fn.Origin()] = true
+					}
+				}
+			}
+		}
 	}
 
 	var unused []string
-	for _, d := range decls {
-		id := d.pkg + "." + d.name
-		uses := local[id]
-		if _, method, ok := strings.Cut(d.name, "."); ok { // Type.Method
-			uses = selected[method]
-		}
-		used := remote[id]
-		for _, p := range uses {
-			used = used || p < d.pos || p >= d.end
-		}
-		if !used {
-			unused = append(unused, strings.TrimPrefix(id, module+"/"))
+	for obj, d := range decls {
+		if !used(obj) && !viaIface[obj] {
+			unused = append(unused, d.id)
 		}
 	}
 	sort.Strings(unused)
@@ -183,29 +275,21 @@ func TestNoUnusedExportedAPI(t *testing.T) {
 	for _, id := range unused {
 		found[id] = true
 		if unusedAllowed[id] == "" {
-			t.Errorf("%s is exported but no production code refers to it: use it, unexport or delete it, or allow-list it with a reason", id)
+			t.Errorf("%s is exported but no production code uses it: use it, unexport or delete it, or allow-list it with a reason", id)
 		}
 	}
 	for id := range unusedAllowed {
 		if !found[id] {
-			t.Errorf("allow-listed %s has a production referent now, or no longer exists: drop it from the list", id)
+			t.Errorf("allow-listed %s has a production use now, or no longer exists: drop it from the list", id)
 		}
 	}
-	t.Logf("%d exported identifiers under internal/, %d without a production referent: %v", len(decls), len(unused), unused)
+	t.Logf("%d exported identifiers under internal/, %d without a production use: %v", len(decls), len(unused), unused)
 }
 
-// stdlibCalls names the exported methods the standard library calls
-// through one of its interfaces, so a type may need one that no module
-// file selects by name. The gate does not check them.
-var stdlibCalls = map[string]bool{
-	"Error":  true, // error: fmt and errors.Is/As call it
-	"String": true, // fmt.Stringer: %v and %s print through it
-	"Len":    true, // sort.Interface and heap.Interface
-	"Less":   true, // sort.Interface and heap.Interface
-	"Swap":   true, // sort.Interface and heap.Interface
-	"Push":   true, // heap.Interface: container/heap calls it
-	"Pop":    true, // heap.Interface: container/heap calls it
-}
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
 // recvName is the type a method receiver names: T for T, *T, T[P] or *T[P].
 func recvName(e ast.Expr) string {
