@@ -313,8 +313,11 @@ func TestTipSparing(t *testing.T) {
 	if math.Abs(float64(derated)-want) > 0.01*want {
 		t.Errorf("derated rate = %v, want ≈%v", derated, units.ByteRate(want))
 	}
-	// Transfers actually slow down.
-	if _, err := d.Service(0, device.Request{Op: device.Read, Block: 0, Blocks: 2000}); err != nil {
+	// Transfers actually slow down, and clearing the failures on the same
+	// sled brings the healthy rate and transfer time back.
+	req := device.Request{Op: device.Read, Block: 0, Blocks: 2000}
+	c, err := d.Service(0, req)
+	if err != nil {
 		t.Fatal(err)
 	}
 	x1 := d.BusyTime() - d.TotalSeekTime()
@@ -324,12 +327,22 @@ func TestTipSparing(t *testing.T) {
 	if d.FailedTips() != 0 {
 		t.Errorf("FailedTips = %d after reset to 0", d.FailedTips())
 	}
-	h, _ := New(G3())
-	if _, err := h.Service(0, device.Request{Op: device.Read, Block: 0, Blocks: 2000}); err != nil {
+	if d.effectiveRate() != full {
+		t.Errorf("rate after FailTips(0) = %v, want healthy %v", d.effectiveRate(), full)
+	}
+	if _, err := d.Service(c.Finish, req); err != nil {
 		t.Fatal(err)
 	}
-	if x2 := h.BusyTime() - h.TotalSeekTime(); x1 <= x2 {
+	x2 := d.BusyTime() - d.TotalSeekTime() - x1
+	if x1 <= x2 {
 		t.Errorf("derated transfer %v not slower than healthy %v", x1, x2)
+	}
+	h, _ := New(G3())
+	if _, err := h.Service(0, req); err != nil {
+		t.Fatal(err)
+	}
+	if fresh := h.BusyTime() - h.TotalSeekTime(); x2 != fresh {
+		t.Errorf("transfer after FailTips(0) = %v, want a healthy sled's %v", x2, fresh)
 	}
 	// Bounds.
 	if err := d.FailTips(-1); err == nil {

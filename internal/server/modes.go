@@ -1,7 +1,7 @@
 package server
 
 import (
-	"fmt"
+	"errors"
 	"time"
 
 	"memstream/internal/bank"
@@ -53,6 +53,10 @@ const (
 	cachedCycles, cachedMinCycles = 10, 2
 )
 
+// errNoMisses is newCycleRun's error for a hybrid run whose cache side
+// pins every stream, leaving its pipe nothing to serve.
+var errNoMisses = errors.New("server: hybrid run has no cache misses; use Cached mode")
+
 // newCycleRun builds cfg's time-cycle run: the cache side when the mode
 // has one, then the disk side over the streams it does not pin. The
 // stages list disk, mems, cache — the order their chains, probe
@@ -80,7 +84,7 @@ func newCycleRun(cfg Config) (*cycleRun, error) {
 	switch {
 	case cfg.Mode == Buffered || cfg.Mode == Hybrid:
 		if len(s.missed) == 0 {
-			return nil, fmt.Errorf("server: hybrid run has no cache misses; use Cached mode")
+			return nil, errNoMisses
 		}
 		p, plan, err := r.newPipe(s.missed, cfg.K-cacheK)
 		if err != nil {
